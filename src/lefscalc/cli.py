@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .euler import ConstructibleFunction, chi_c, euler_integral, pushforward
-from .exact import GaussianRational, Rat, parse_rational
+from .exact import GaussianRational, parse_rational
 from .fixedpoint import localization_report
 from .flags import block_words, example_3_9, fixed_locus_cellspace, flag_cellspace
 from .homology import homology_traces
@@ -147,18 +147,6 @@ def _need_ell(problem: io.Problem):
     return problem.ell
 
 
-def _gauss(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(Rat(x), Rat(0))
-
-
-def _deep_tuple(x):
-    if isinstance(x, (list, tuple)):
-        return tuple(_deep_tuple(y) for y in x)
-    return x
-
-
 def cmd_chi(args):
     problem = _load(args)
     return ChiReport(chi=chi_c(problem.space)), True
@@ -179,30 +167,15 @@ def cmd_lefschetz(args):
         or problem.normal is not None
     )
     if traced:
-        rep = localization_report(problem.traced())
-        components = tuple(
-            {
-                "component": c["component"],
-                "cells": _deep_tuple(c["cells"]),
-                "normal_dim": c["normal_dim"],
-                "sign": c["sign"],
-                "integral": c["integral"],
-                "signed_contribution": c["signed_contribution"],
-            }
-            for c in rep["components"]
-        )
-        report = LocalizationReport(
-            global_trace=_gauss(rep["global_trace"]),
-            sum_of_local=_gauss(rep["sum_of_local"]),
-            equal=rep["equal"],
-            components=components,
-        )
-        return report, rep["equal"]
+        report = LocalizationReport(**localization_report(problem.traced()))
+        return report, report.equal
     traces = homology_traces(problem.spec)
     total = sum(((-1) ** k) * t for k, t in enumerate(traces))
     report = LefschetzReport(
-        global_trace=_gauss(total),
-        degree_traces=tuple((k, _gauss(t)) for k, t in enumerate(traces)),
+        global_trace=GaussianRational.of(total),
+        degree_traces=tuple(
+            (k, GaussianRational.of(t)) for k, t in enumerate(traces)
+        ),
     )
     return report, True
 
@@ -255,7 +228,7 @@ def cmd_pushforward(args):
     phi = _need_phi(problem)
     pushed = pushforward(problem.push_map, phi)
     values = tuple(
-        (_deep_tuple(canonical_tuple(cell)), value)
+        (canonical_tuple(cell), value)
         for cell, value in pushed.sorted_items()
     )
     source_integral = euler_integral(phi)

@@ -109,13 +109,13 @@ class RationalMatrix:
     cols: int = -1   # explicit width; -1 means infer (needed for 0-row shapes)
 
     def __post_init__(self):
-        inferred = len(self.rows[0]) if self.rows else 0
         if self.cols == -1:
-            object.__setattr__(self, "cols", inferred)
-        elif self.rows and inferred != self.cols:
-            raise DegenerateInputError(
-                f"row width {inferred} disagrees with declared cols {self.cols}"
-            )
+            object.__setattr__(self, "cols", len(self.rows[0]) if self.rows else 0)
+        for row in self.rows:
+            if len(row) != self.cols:
+                raise DegenerateInputError(
+                    f"row width {len(row)} disagrees with cols {self.cols}"
+                )
 
     @staticmethod
     def of(rows) -> "RationalMatrix":

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import (
     CellularSubset,
-    SimplicialComplex,
     canonical_tuple,
     cell_sort_key,
     closure,
@@ -111,19 +111,27 @@ class TracedProblem:
     complex_model: bool = False
     non_characteristic: bool = False
 
-    def normal_matrix(self, index: int, component_count: int) -> RationalMatrix:
-        if self.normal is None:
-            return RationalMatrix.zeros(0, 0)
-        if not 0 <= index < component_count:
+    @cached_property
+    def fixed_locus(self) -> tuple:
+        """(fixed subcomplex, its components), computed once per problem."""
+        fixed = fixed_subcomplex(self.spec)
+        return fixed, connected_components(fixed)
+
+    def component(self, index: int) -> tuple:
+        """(component, normal matrix) of one fixed component."""
+        comps = self.fixed_locus[1]
+        if not 0 <= index < len(comps):
             raise DegenerateInputError(
-                f"component index {index} out of range 0..{component_count - 1}"
+                f"component index {index} out of range 0..{len(comps) - 1}"
             )
+        if self.normal is None:
+            return comps[index], RationalMatrix.zeros(0, 0)
         matrix = self.normal.matrix_for(index)
         if matrix is None:
             raise DegenerateInputError(
                 f"normal data present but missing component {index}"
             )
-        return matrix
+        return comps[index], matrix
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +156,8 @@ def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
     source = spec.source_complex()
     carrier = spec.carrier()
     base = spec.base
-    maximal = [
-        s
-        for s in source.simplices
-        if not any(s < t for t in source.simplices)
-    ]
+    faces = {s - {v} for s in source.simplices if len(s) > 1 for v in s}
+    maximal = source.simplices - faces
     for tau in sorted(maximal, key=cell_sort_key):
         ws = canonical_tuple(tau)
         free = [i for i, w in enumerate(ws) if w not in fixed]
@@ -192,21 +197,18 @@ def fixed_subcomplex(spec: SelfMapSpec) -> CellularSubset:
     """
     fixed = _fixed_vertices(spec)
     _assert_fixed_points_are_vertices(spec, fixed)
-    carrier = spec.carrier()
-    over = {}
-    for cell, base_cell in carrier.items():
-        if len(cell) == 1:
-            (w,) = tuple(cell)
-            over.setdefault(base_cell, []).append(w)
+    moved = {
+        base_cell
+        for cell, base_cell in spec.carrier().items()
+        if len(cell) == 1 and not cell <= fixed
+    }
+    # sigma is a member when no face of it carries a moved vertex; by size,
+    # that is: sigma carries none and its facets are members
     members = set()
-    for sigma in spec.base.simplices:
-        covered = [
-            w
-            for base_cell, ws in over.items()
-            if base_cell <= sigma
-            for w in ws
-        ]
-        if all(w in fixed for w in covered):
+    for sigma in sorted(spec.base.simplices, key=len):
+        if sigma not in moved and (
+            len(sigma) == 1 or all(sigma - {v} in members for v in sigma)
+        ):
             members.add(sigma)
     return CellularSubset(spec.base, frozenset(members))
 
@@ -226,7 +228,7 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
     Explicit traces override individual cells.
     """
     base = p.spec.base
-    fixed = fixed_subcomplex(p.spec)
+    fixed = p.fixed_locus[0]
     cells = set(fixed.members)
     if p.support is not None:
         if p.support.parent != base:
@@ -248,9 +250,28 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
     return ConstructibleFunction.of(base, values)
 
 
-def _component_sign(matrix: RationalMatrix) -> int:
+def det_sign(matrix: RationalMatrix) -> int:
+    """Sign of det(I - A); 0 exactly when 1 is an eigenvalue of A."""
     d = (RationalMatrix.identity(matrix.nrows) - matrix).det()
     return (d > 0) - (d < 0)
+
+
+def spectrum_meets_ray(matrix: RationalMatrix) -> bool:
+    """Does the real spectrum of A meet [1, oo)?"""
+    return matrix.nrows > 0 and count_real_roots_geq(matrix.char_poly(), 1) > 0
+
+
+def _signed_term(p: TracedProblem, index: int, undefined: str, phi=None) -> tuple:
+    """(component, normal matrix, sign, integral) of one component's term;
+    `undefined` ends the message when det(I - A) = 0."""
+    comp, matrix = p.component(index)
+    sign = det_sign(matrix)
+    if sign == 0:
+        raise NotHyperbolicError(
+            f"det(I - A) = 0 on component {index}; {undefined}"
+        )
+    phi = local_trace_function(p) if phi is None else phi
+    return comp, matrix, sign, euler_integral(restrict(phi, comp))
 
 
 def local_contribution(
@@ -261,47 +282,34 @@ def local_contribution(
     Equals that component's contribution to the global trace when the
     normal spectrum avoids [1, oo) or the problem is complex-analytic.
     """
-    comps = fixed_components(p.spec)
-    matrix = p.normal_matrix(index, len(comps))
-    if _component_sign(matrix) == 0 and not force:
+    comp, matrix = p.component(index)
+    if not force and det_sign(matrix) == 0:
         raise NotLocalizableError(
             f"1 is an eigenvalue of the normal matrix on component {index}"
         )
-    return euler_integral(restrict(local_trace_function(p), comps[index]))
+    return euler_integral(restrict(local_trace_function(p), comp))
 
 
 def signed_local_contribution(p: TracedProblem, index: int) -> GaussianRational:
-    comps = fixed_components(p.spec)
-    matrix = p.normal_matrix(index, len(comps))
-    sign = _component_sign(matrix)
-    if sign == 0:
-        raise NotHyperbolicError(
-            f"det(I - A) = 0 on component {index}; no signed contribution"
-        )
-    integral = euler_integral(restrict(local_trace_function(p), comps[index]))
+    _, _, sign, integral = _signed_term(p, index, "no signed contribution")
     return integral * Fraction(sign)
 
 
 def hyperbolicity_report(p: TracedProblem) -> list:
     """Per component: is 1 an eigenvalue, does the real spectrum meet
     [1, oo), and the sign of det(I - A)."""
-    comps = fixed_components(p.spec)
     out = []
-    for index, comp in enumerate(comps):
-        matrix = p.normal_matrix(index, len(comps))
-        char = matrix.char_poly()
-        det = (RationalMatrix.identity(matrix.nrows) - matrix).det()
-        meets = (
-            count_real_roots_geq(char, 1) > 0 if matrix.nrows else False
-        )
+    for index in range(len(p.fixed_locus[1])):
+        comp, matrix = p.component(index)
+        sign = det_sign(matrix)
         out.append(
             {
                 "component": index,
                 "cells": len(comp.members),
                 "normal_dim": matrix.nrows,
-                "one_is_eigenvalue": det == 0,
-                "meets_R_geq_1": meets,
-                "sign": (det > 0) - (det < 0),
+                "one_is_eigenvalue": sign == 0,
+                "meets_R_geq_1": spectrum_meets_ray(matrix),
+                "sign": sign,
             }
         )
     return out
@@ -351,24 +359,19 @@ def _global_trace(p: TracedProblem) -> Fraction:
 
 def localization_report(p: TracedProblem) -> dict:
     """Global homological trace versus the sum of signed local terms."""
-    comps = fixed_components(p.spec)
     phi = local_trace_function(p)
     per_component = []
     total = GaussianRational.of(0)
-    for index, comp in enumerate(comps):
-        matrix = p.normal_matrix(index, len(comps))
-        sign = _component_sign(matrix)
-        integral = euler_integral(restrict(phi, comp))
-        if sign == 0:
-            raise NotHyperbolicError(
-                f"det(I - A) = 0 on component {index}; localization undefined"
-            )
+    for index in range(len(p.fixed_locus[1])):
+        comp, matrix, sign, integral = _signed_term(
+            p, index, "localization undefined", phi
+        )
         signed = integral * Fraction(sign)
         total = total + signed
         per_component.append(
             {
                 "component": index,
-                "cells": [canonical_tuple(c) for c in comp.sorted_members()],
+                "cells": tuple(canonical_tuple(c) for c in comp.sorted_members()),
                 "normal_dim": matrix.nrows,
                 "sign": sign,
                 "integral": integral,
@@ -380,5 +383,5 @@ def localization_report(p: TracedProblem) -> dict:
         "global_trace": global_trace,
         "sum_of_local": total,
         "equal": global_trace == total,
-        "components": per_component,
+        "components": tuple(per_component),
     }

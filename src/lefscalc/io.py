@@ -163,22 +163,32 @@ def cells_to_json(space: CellSpace) -> list:
     ]
 
 
+def _keyed_by_vertex(raw: dict, vertices, unknown: str) -> list:
+    """(vertex, value) pairs of a JSON object keyed by vertex.  Object keys
+    are strings, so a key names a string vertex or else an integer one;
+    `unknown` formats the error for a key that names neither."""
+    strings = {v for v in vertices if isinstance(v, str)}
+    ints = {v for v in vertices if isinstance(v, int)}
+    pairs = []
+    for key, value in raw.items():
+        if key not in strings:
+            try:
+                num = int(key)
+            except ValueError:
+                raise ParseError(unknown.format(key))
+            if num not in ints:
+                raise ParseError(unknown.format(key))
+            key = num
+        pairs.append((key, value))
+    return pairs
+
+
 def _parse_vertex_map(raw, source_vertices, image_vertices) -> dict:
     vm = {}
     if isinstance(raw, dict):
-        strings = {v for v in source_vertices if isinstance(v, str)}
-        ints = {v for v in source_vertices if isinstance(v, int)}
-        for key, dst in raw.items():
-            if key in strings:
-                src = key
-            else:
-                try:
-                    num = int(key)
-                except ValueError:
-                    raise ParseError(f"unknown source vertex {key!r}")
-                if num not in ints:
-                    raise ParseError(f"unknown source vertex {key!r}")
-                src = num
+        for src, dst in _keyed_by_vertex(
+            raw, source_vertices, "unknown source vertex {!r}"
+        ):
             vm[src] = vertex_from_json(dst)
     elif isinstance(raw, list):
         for pair in raw:
@@ -356,22 +366,9 @@ def parse_problem(data) -> Problem:
             raise ParseError("a functional needs a simplicial complex")
         raw = data["ell"]
         if isinstance(raw, dict):
-            entries = list(raw.items())
-            by_str = {v for v in space.vertices if isinstance(v, str)}
-            ints = {v for v in space.vertices if isinstance(v, int)}
-            fixed = []
-            for key, value in entries:
-                if key in by_str:
-                    fixed.append((key, value))
-                else:
-                    try:
-                        num = int(key)
-                    except ValueError:
-                        raise ParseError(f"unknown vertex {key!r} in ell")
-                    if num not in ints:
-                        raise ParseError(f"unknown vertex {key!r} in ell")
-                    fixed.append((num, value))
-            entries = fixed
+            entries = _keyed_by_vertex(
+                raw, space.vertices, "unknown vertex {!r} in ell"
+            )
         elif isinstance(raw, list):
             entries = [
                 (vertex_from_json(pair[0]), pair[1])

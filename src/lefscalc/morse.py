@@ -31,7 +31,6 @@ from fractions import Fraction
 from .complexes import (
     SimplicialComplex,
     canonical_tuple,
-    cell_sort_key,
     induced_subcomplex,
     require_simplicial,
     vertex_key,
@@ -42,15 +41,14 @@ from .errors import (
     NoApplicableRegimeError,
     NotHyperbolicError,
 )
-from .euler import ConstructibleFunction, euler_integral, restrict
-from .exact import (
-    GZERO,
-    GaussianRational,
-    RationalMatrix,
-    count_real_roots_geq,
-    parse_rational,
+from .euler import ConstructibleFunction, restrict
+from .exact import GZERO, GaussianRational, RationalMatrix, parse_rational
+from .fixedpoint import (
+    TracedProblem,
+    det_sign,
+    local_trace_function,
+    spectrum_meets_ray,
 )
-from .fixedpoint import TracedProblem, fixed_components, local_trace_function
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,20 +170,17 @@ class CycleTableReport:
 
 
 def _select_regime(p: TracedProblem, matrix: RationalMatrix) -> tuple:
-    det = (RationalMatrix.identity(matrix.nrows) - matrix).det()
-    if det == 0:
+    sign = det_sign(matrix)
+    if sign == 0:
         raise NotHyperbolicError(
             "det(I - A) = 0; the cycle table is undefined at this component"
         )
-    meets = (
-        count_real_roots_geq(matrix.char_poly(), 1) > 0 if matrix.nrows else False
-    )
-    if not meets:
+    if not spectrum_meets_ray(matrix):
         return REGIME_SPECTRUM_BELOW_ONE, 1
     if p.complex_model:
         return REGIME_COMPLEX_ANALYTIC, 1
     if p.non_characteristic:
-        return REGIME_SIGNED, (det > 0) - (det < 0)
+        return REGIME_SIGNED, sign
     raise NoApplicableRegimeError(
         "normal spectrum meets [1, oo) and neither the complex-model nor "
         "the non-characteristic assertion was supplied"
@@ -200,14 +195,8 @@ def lefschetz_cycle_table(
     The table is the component's multiplicity table of the local trace
     function, scaled by the regime sign; its total is the microlocal index.
     """
-    comps = fixed_components(p.spec)
-    if not 0 <= index < len(comps):
-        raise DegenerateInputError(
-            f"component index {index} out of range 0..{len(comps) - 1}"
-        )
-    matrix = p.normal_matrix(index, len(comps))
+    comp, matrix = p.component(index)
     regime, sign = _select_regime(p, matrix)
-    comp = comps[index]
     component_complex = induced_subcomplex(p.spec.base, comp.members)
     phi = restrict(local_trace_function(p), comp)
     local_phi = ConstructibleFunction.of(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import fixtures
 from .complexes import SimplicialComplex, cell_sort_key
+from .errors import NonSimplicialMapError
 from .euler import ConstructibleFunction, combine, euler_integral, pushforward
 from .exact import GaussianRational, Rat
 from .fixedpoint import localization_report
@@ -60,7 +61,7 @@ def random_self_map(rng: random.Random, space: SimplicialComplex,
         vm = {v: rng.choice(names) for v in names}
         try:
             return SelfMapSpec.build(space, 0, vm)
-        except Exception:
+        except NonSimplicialMapError:
             continue
     return SelfMapSpec.identity(space)
 
@@ -100,7 +101,7 @@ def random_map_from(rng: random.Random, source: SimplicialComplex,
         vm = {v: rng.choice(names) for v in source.vertices}
         try:
             return SimplicialMap.build(source, target, vm)
-        except Exception:
+        except NonSimplicialMapError:
             continue
     point = fixtures.point_complex()
     return SimplicialMap.build(source, point, {v: "p" for v in source.vertices})

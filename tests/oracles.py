@@ -180,3 +180,22 @@ def lower_link_multiplicity(space, ell, v) -> int:
         if all(ell(w) < height for w in s):
             chi += (-1) ** (len(s) - 1)
     return 1 - chi
+
+
+# ---------------------------------------------------------------------------
+# fixed subcomplex by scanning every carried vertex for every simplex
+
+def fixed_members_by_scan(spec) -> frozenset:
+    """Base simplices whose carried subdivision vertices are all fixed: a
+    vertex is fixed when it is carried by one base vertex and maps there."""
+    over = [
+        (base_cell, w)
+        for cell, base_cell in spec.carrier().items()
+        if len(cell) == 1
+        for w in cell
+    ]
+    return frozenset(
+        sigma
+        for sigma in spec.base.simplices
+        if all(c == {spec.vertex_map[w]} for c, w in over if c <= sigma)
+    )

@@ -236,6 +236,16 @@ def test_exit_2_bad_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_2_ragged_normal_matrix(tmp_path, capsys):
+    data = traced_problem_to_json(fx.reflection_problem())
+    data["normal_data"] = {"0": [["-1", "0"], ["0"]], "1": [["-1"]]}
+    path = write(tmp_path, "ragged.json", data)
+    assert main(["lefschetz", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row width")
+    assert "Traceback" not in err
+
+
 def test_exit_3_fixed_point_off_vertices(tmp_path, capsys):
     space = fx.interval_complex()
     support = CellularSubset.of(space, {frozenset({"a"})})

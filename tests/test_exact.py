@@ -111,6 +111,11 @@ def test_char_poly_dimension_cap():
         RationalMatrix.identity(9).char_poly()
 
 
+def test_ragged_rows_are_refused():
+    with pytest.raises(DegenerateInputError):
+        RationalMatrix.of([[1, 0], [0]])
+
+
 def test_zero_by_zero_conventions():
     empty = RationalMatrix.zeros(0, 0)
     assert empty.det() == 1

@@ -1,8 +1,11 @@
 """Fixed subcomplexes, localization, and hyperbolicity reports."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+import oracles
 
 from lefscalc import fixtures as fx
 from lefscalc.complexes import CellularSubset, SimplicialComplex, canonical_tuple
@@ -24,8 +27,11 @@ from lefscalc.fixedpoint import (
     localization_report,
     signed_local_contribution,
 )
+from lefscalc import fixedpoint
 from lefscalc.homology import lefschetz_number
 from lefscalc.maps import SelfMapSpec, refine
+from lefscalc.morse import VertexFunctional, lefschetz_cycle_table, microlocal_index
+from lefscalc.verify import random_complex, random_self_map
 
 
 def g(re, im=0):
@@ -45,6 +51,23 @@ def test_fixed_subcomplex_of_identity_is_everything():
     spec = SelfMapSpec.identity(space)
     assert fixed_subcomplex(spec).members == frozenset(space.simplices)
     assert len(fixed_components(spec)) == 1
+
+
+def test_fixed_subcomplex_matches_scan_oracle():
+    specs = [fx.reflection_spec(), fx.doubling_spec(), refine(fx.doubling_spec())]
+    rng = random.Random(5)
+    for _ in range(60):
+        space = random_complex(rng)
+        specs.append(random_self_map(rng, space))
+    checked = 0
+    for spec in specs:
+        try:
+            members = fixed_subcomplex(spec).members
+        except FixedPointNotSimplicialError:
+            continue
+        assert members == oracles.fixed_members_by_scan(spec)
+        checked += 1
+    assert checked >= 30
 
 
 def test_swap_edge_has_midpoint_fixed_point():
@@ -230,3 +253,50 @@ def test_support_must_be_locally_closed():
     p = TracedProblem(spec=spec, support=support)
     with pytest.raises(DegenerateInputError):
         localization_report(p)
+
+
+def _hexagon_heights():
+    return VertexFunctional.of(fx.hexagon(), {f"v{i}": i for i in range(6)})
+
+
+PER_COMPONENT = {
+    "local_contribution": local_contribution,
+    "signed_local_contribution": signed_local_contribution,
+    "lefschetz_cycle_table": lambda p, i: lefschetz_cycle_table(p, i, _hexagon_heights()),
+    "microlocal_index": lambda p, i: microlocal_index(p, i, _hexagon_heights()),
+}
+
+
+@pytest.mark.parametrize("index", [-1, 2, 7])
+@pytest.mark.parametrize("entry", sorted(PER_COMPONENT))
+def test_component_index_is_range_checked_without_normal_data(entry, index):
+    p = TracedProblem(spec=fx.reflection_spec())
+    with pytest.raises(DegenerateInputError, match="out of range 0..1"):
+        PER_COMPONENT[entry](p, index)
+
+
+def test_fixed_locus_is_computed_once_per_problem(monkeypatch):
+    calls = []
+    original = fixedpoint.fixed_subcomplex
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(fixedpoint, "fixed_subcomplex", counting)
+    p = fx.reflection_problem()
+    localization_report(p)
+    for index in range(2):
+        signed_local_contribution(p, index)
+        lefschetz_cycle_table(p, index, _hexagon_heights())
+    hyperbolicity_report(p)
+    assert len(calls) == 1
+
+
+def test_refused_fixed_locus_is_not_cached():
+    # the edge swap has a fixed midpoint; every call must refuse again
+    space = fx.interval_complex()
+    p = TracedProblem(spec=SelfMapSpec.build(space, 0, {"a": "b", "b": "a"}))
+    for _ in range(2):
+        with pytest.raises(FixedPointNotSimplicialError):
+            hyperbolicity_report(p)

@@ -277,6 +277,9 @@ def test_vertex_map_rejections():
     data["map"] = {"vertex_map": {"a": "a", "b": "b", "z": "a"}}
     with pytest.raises(ParseError, match="unknown source"):
         parse_problem(data)
+    data["map"] = {"vertex_map": {"a": "a", "b": "b", "7": "a"}}
+    with pytest.raises(ParseError, match="unknown source"):
+        parse_problem(data)
     data["map"] = {"vertex_map": {"a": "a", "b": "z"}}
     with pytest.raises(ParseError, match="unknown target"):
         parse_problem(data)
@@ -348,6 +351,9 @@ def test_ell_rejections():
         parse_problem(data)
     data["ell"] = {"a": "0", "b": "1", "z": "2"}
     with pytest.raises(ParseError):
+        parse_problem(data)
+    data["ell"] = {"a": "0", "b": "1", "7": "2"}
+    with pytest.raises(ParseError, match="unknown vertex '7' in ell"):
         parse_problem(data)
     data["ell"] = {"a": "0", "b": "oops"}
     with pytest.raises(ParseError):
