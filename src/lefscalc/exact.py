@@ -10,14 +10,21 @@ characteristic polynomial.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .errors import DegenerateInputError, ParseError
 
 Rat = Fraction
 
 CHAR_POLY_MAX_DIM = 8
+# Largest rational literal read: Fraction("1e5000") would build a
+# 16 610-bit integer from six characters.
+LITERAL_MAX_CHARS = 1000
+LITERAL_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 def parse_rational(value) -> Fraction:
@@ -29,6 +36,11 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if len(value) > LITERAL_MAX_CHARS or (
+            exponent and int(exponent[1].replace("_", "") or 0) > LITERAL_MAX_EXPONENT
+        ):
+            raise ParseError(f"rational literal {value[:20]!r} exceeds the size bound")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -96,7 +108,6 @@ class GaussianRational:
 
 
 GZERO = GaussianRational()
-GONE = GaussianRational(Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -125,19 +136,12 @@ class RationalMatrix:
 
     @staticmethod
     def zeros(m: int, n: int) -> "RationalMatrix":
-        zero = Fraction(0)
-        return RationalMatrix(
-            tuple(tuple(zero for _ in range(n)) for _ in range(m)), n
-        )
+        return RationalMatrix(((Fraction(0),) * n,) * m, n)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
         return RationalMatrix(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            ),
-            n,
+            tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)), n
         )
 
     @property
@@ -159,23 +163,17 @@ class RationalMatrix:
             return RationalMatrix(tuple(() for _ in range(self.ncols)), 0)
         return RationalMatrix(tuple(zip(*self.rows)), self.nrows)
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _entrywise(self, op, other: "RationalMatrix") -> "RationalMatrix":
         return RationalMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
+            tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)),
             self.ncols,
         )
 
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._entrywise(add, other)
+
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-            self.ncols,
-        )
+        return self._entrywise(sub, other)
 
     def scale(self, c) -> "RationalMatrix":
         c = parse_rational(c)
@@ -189,19 +187,14 @@ class RationalMatrix:
                 f"matmul shape mismatch {self.nrows}x{self.ncols} @ "
                 f"{other.nrows}x{other.ncols}"
             )
-        if self.nrows == 0 or other.ncols == 0 or self.ncols == 0:
-            return RationalMatrix.zeros(self.nrows, other.ncols)
         cols = other.transpose().rows
         return RationalMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(sum(map(mul, row, col), Fraction(0)) for col in cols)
                 for row in self.rows
             ),
             other.ncols,
         )
-
-    def apply(self, vec: list) -> list:
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -290,49 +283,6 @@ def row_echelon(work: list) -> tuple:
         pivots.append(col)
         row += 1
     return work, pivots
-
-
-def null_space(matrix: RationalMatrix) -> list:
-    """Basis of {x : Ax = 0} as a list of Fraction column vectors."""
-    n = matrix.ncols
-    if n == 0:
-        return []
-    if matrix.nrows == 0:
-        return [
-            [Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)
-        ]
-    work, pivots = row_echelon([list(r) for r in matrix.rows])
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -work[row_idx][free]
-        basis.append(vec)
-    return basis
-
-
-def solve(matrix: RationalMatrix, rhs: list):
-    """Solve Ax = b exactly.
-
-    Returns (particular, null_basis) or None when inconsistent.
-    """
-    m, n = matrix.nrows, matrix.ncols
-    aug = [list(row) + [parse_rational(b)] for row, b in zip(matrix.rows, rhs)]
-    if m == 0:
-        return [Fraction(0)] * n, null_space(matrix)
-    work, pivots = row_echelon(aug)
-    for row_idx in range(len(pivots), m):
-        if work[row_idx][n] != 0:
-            return None
-    if pivots and pivots[-1] == n:
-        return None
-    particular = [Fraction(0)] * n
-    for row_idx, pcol in enumerate(pivots):
-        particular[pcol] = work[row_idx][n]
-    return particular, null_space(matrix)
 
 
 # ---------------------------------------------------------------------------

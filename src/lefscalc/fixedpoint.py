@@ -64,7 +64,7 @@ class NormalData:
 
     @staticmethod
     def of(entries) -> "NormalData":
-        table = []
+        table = {}
         for idx, matrix in (
             entries.items() if isinstance(entries, dict) else entries
         ):
@@ -77,8 +77,12 @@ class NormalData:
                 raise DegenerateInputError(
                     f"normal matrix for component {idx} is not square"
                 )
-            table.append((int(idx), matrix))
-        return NormalData(tuple(sorted(table)))
+            if int(idx) in table:
+                raise DegenerateInputError(
+                    f"two normal matrices for component {int(idx)}"
+                )
+            table[int(idx)] = matrix
+        return NormalData(tuple(sorted(table.items())))
 
     def matrix_for(self, index: int) -> RationalMatrix | None:
         for idx, matrix in self.matrices:
@@ -113,17 +117,20 @@ class TracedProblem:
 
     @cached_property
     def fixed_locus(self) -> tuple:
-        """(fixed subcomplex, its components), computed once per problem."""
+        """(fixed subcomplex, its components), computed once per problem;
+        normal data naming any other component is refused here."""
         fixed = fixed_subcomplex(self.spec)
-        return fixed, connected_components(fixed)
+        comps = connected_components(fixed)
+        for index, _ in self.normal.matrices if self.normal else ():
+            if not 0 <= index < len(comps):
+                raise _no_component(f"normal data for component {index}", len(comps))
+        return fixed, comps
 
     def component(self, index: int) -> tuple:
         """(component, normal matrix) of one fixed component."""
         comps = self.fixed_locus[1]
         if not 0 <= index < len(comps):
-            raise DegenerateInputError(
-                f"component index {index} out of range 0..{len(comps) - 1}"
-            )
+            raise _no_component(f"component index {index}", len(comps))
         if self.normal is None:
             return comps[index], RationalMatrix.zeros(0, 0)
         matrix = self.normal.matrix_for(index)
@@ -132,6 +139,13 @@ class TracedProblem:
                 f"normal data present but missing component {index}"
             )
         return comps[index], matrix
+
+
+def _no_component(what: str, count: int) -> DegenerateInputError:
+    """The error for an index that names none of `count` fixed components."""
+    if count == 0:
+        return DegenerateInputError(f"{what}: the map has no fixed components")
+    return DegenerateInputError(f"{what} out of range 0..{count - 1}")
 
 
 # ---------------------------------------------------------------------------

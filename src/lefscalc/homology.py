@@ -5,11 +5,16 @@ order, and the boundary uses the usual alternating signs in that order.
 Relative chain complexes are quotients: the bases simply omit the cells of
 the dropped subcomplex and boundary entries landing there are discarded.
 
+Every chain-level matrix (boundaries and chain maps) is a SparseMatrix of
+integer columns, so the checks dd = 0 and df = fd cost O(nonzeros).
+
 Two trace routes are kept deliberately separate:
 
 * hopf_trace: alternating sum of chain-level traces;
 * lefschetz_number: alternating sum of induced traces on homology,
-  obtained by lifting a cycle basis and reducing modulo boundaries.
+  obtained from one column reduction of each boundary matrix: its zero
+  columns give a cycle basis, its reduced columns a boundary basis, and
+  each cycle image is reduced against both.
 
 They must agree; the test suite checks that on hundreds of random maps.
 """
@@ -18,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .complexes import (
     CellularSubset,
@@ -29,20 +36,108 @@ from .complexes import (
     vertex_key,
 )
 from .errors import DegenerateInputError
-from .exact import RationalMatrix, null_space, row_echelon, solve
 from .maps import SelfMapSpec, SimplicialMap, subdivided_complex
+
+# Distinct (complex, dropped cells) pairs kept built; one trace problem
+# touches about ten.
+CHAIN_COMPLEX_CACHE = 32
+
+
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """Integer matrix by columns: columns[j] maps a row to a nonzero entry.
+    Chain complexes are cached and shared, so columns are never mutated."""
+
+    nrows: int
+    ncols: int
+    columns: tuple
+
+    @staticmethod
+    def zeros(m: int, n: int) -> "SparseMatrix":
+        return SparseMatrix(m, n, ({},) * n)
+
+    @property
+    def rows(self) -> tuple:
+        """Dense read-only view, one tuple per row."""
+        grid = [[0] * self.ncols for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                grid[i][j] = x
+        return tuple(map(tuple, grid))
+
+    def trace(self) -> Fraction:
+        if self.nrows != self.ncols:
+            raise DegenerateInputError("trace needs a square matrix")
+        return Fraction(sum(col.get(j, 0) for j, col in enumerate(self.columns)))
+
+    def _times(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.ncols != other.nrows:
+            raise DegenerateInputError(
+                f"matmul shape mismatch {self.nrows}x{self.ncols} @ "
+                f"{other.nrows}x{other.ncols}"
+            )
+        return SparseMatrix(
+            self.nrows, other.ncols, tuple(map(self._apply, other.columns))
+        )
+
+    def _apply(self, vec: dict) -> dict:
+        out = {}
+        for r, b in vec.items():
+            _add_multiple(out, b, self.columns[r])
+        return out
+
+
+def _add_multiple(target: dict, c, source: dict) -> None:
+    """target += c * source, dropping entries that cancel."""
+    for i, x in source.items():
+        y = target.get(i, 0) + c * x
+        if y:
+            target[i] = y
+        else:
+            del target[i]
+
+
+def _ratio(a, b):
+    """a / b, an int whenever b divides a (always when b is +-1)."""
+    q, r = divmod(a, b)
+    return q if r == 0 else Fraction(a, b)
+
+
+def _reduce(boundary: SparseMatrix) -> tuple:
+    """Left-to-right column reduction of one boundary matrix d_k.
+
+    Returns (lows, cycles).  lows maps the largest row of each nonzero
+    reduced column to that column: a basis of the boundaries in C_{k-1}
+    with distinct largest rows.  cycles maps each column j that reduces to
+    zero to the k-cycle that the reduction built, whose largest index is j.
+    Whenever d_{k+1} reduces to a column with largest row j, column j of
+    d_k reduces to zero, so the lows of d_{k+1} are keys of cycles.
+    """
+    lows, cycles = {}, {}
+    for j, col in enumerate(boundary.columns):
+        col, chain = dict(col), {j: 1}
+        while col:
+            low = max(col)
+            if low not in lows:
+                lows[low] = (col, chain)
+                break
+            other, other_chain = lows[low]
+            c = -_ratio(col[low], other[low])
+            _add_multiple(col, c, other)
+            _add_multiple(chain, c, other_chain)
+        else:
+            cycles[j] = chain
+    return {low: col for low, (col, _) in lows.items()}, cycles
 
 
 def _normalize_subcomplex(space: SimplicialComplex, dropped) -> frozenset:
     if dropped is None:
         return frozenset()
     if isinstance(dropped, SimplicialComplex):
-        cells = dropped.simplices
+        dropped = dropped.simplices
     elif isinstance(dropped, CellularSubset):
-        cells = dropped.members
-    else:
-        cells = frozenset(frozenset(c) for c in dropped)
-    cells = frozenset(frozenset(c) for c in cells)
+        dropped = dropped.members
+    cells = frozenset(frozenset(c) for c in dropped)
     for c in sorted(cells, key=cell_sort_key):
         if c not in space.simplices:
             raise DegenerateInputError(
@@ -65,48 +160,53 @@ class ChainComplexQ:
     boundaries: tuple  # boundaries[k]: C_k -> C_{k-1}; boundaries[0] is 0 x n_0
     index: tuple = field(repr=False)  # per degree: {simplex: column}
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.bases) - 1
-
     def basis_size(self, k: int) -> int:
-        if 0 <= k < len(self.bases):
-            return len(self.bases[k])
-        return 0
+        return len(self.bases[k]) if 0 <= k < len(self.bases) else 0
+
+    def _boundary(self, k: int) -> SparseMatrix:
+        if k < len(self.boundaries):
+            return self.boundaries[k]
+        return SparseMatrix.zeros(self.basis_size(k - 1), self.basis_size(k))
+
+    @cached_property
+    def _reductions(self) -> tuple:
+        """_reduce of every boundary matrix, plus an empty one on top."""
+        return tuple(map(_reduce, self.boundaries)) + (({}, {}),)
 
 
 def chain_complex(space: SimplicialComplex, relative_to=None) -> ChainComplexQ:
     space = require_simplicial(space, "chain_complex")
+    absolute = _chain_complex(space, frozenset())  # validates the space first
+    if relative_to is None:
+        return absolute
+    return _chain_complex(space, _normalize_subcomplex(space, relative_to))
+
+
+@lru_cache(maxsize=CHAIN_COMPLEX_CACHE)
+def _chain_complex(space: SimplicialComplex, dropped: frozenset) -> ChainComplexQ:
     require_valid(space)
-    dropped = _normalize_subcomplex(space, relative_to)
-    top = space.dim
-    bases = []
-    for k in range(top + 1):
-        bases.append(tuple(s for s in space.k_cells(k) if s not in dropped))
+    bases = [
+        tuple(s for s in space.k_cells(k) if s not in dropped)
+        for k in range(space.dim + 1)
+    ]
     while bases and not bases[-1]:
         bases.pop()
     index = tuple({s: i for i, s in enumerate(b)} for b in bases)
-    boundaries = []
-    for k in range(len(bases)):
-        if k == 0:
-            boundaries.append(RationalMatrix.zeros(0, len(bases[0])))
-            continue
-        cols = len(bases[k])
-        rows = len(bases[k - 1])
-        grid = [[Fraction(0)] * cols for _ in range(rows)]
-        lower = index[k - 1]
-        for j, s in enumerate(bases[k]):
-            ordered = canonical_tuple(s)
-            for i, v in enumerate(ordered):
-                face = s - {v}
-                row = lower.get(face)
-                if row is not None:
-                    grid[row][j] += Fraction(-1) ** i
-        boundaries.append(RationalMatrix(tuple(map(tuple, grid)), cols))
+    boundaries = [SparseMatrix.zeros(0, len(b)) for b in bases[:1]]
+    for k in range(1, len(bases)):
+        faces = index[k - 1]
+        columns = tuple(
+            {
+                faces[s - {v}]: -1 if i % 2 else 1
+                for i, v in enumerate(canonical_tuple(s))
+                if s - {v} in faces
+            }
+            for s in bases[k]
+        )
+        boundaries.append(SparseMatrix(len(faces), len(columns), columns))
     cc = ChainComplexQ(space, dropped, tuple(bases), tuple(boundaries), index)
     for k in range(2, len(bases)):
-        product = cc.boundaries[k - 1] @ cc.boundaries[k]
-        if any(x != 0 for row in product.rows for x in row):
+        if any(cc.boundaries[k - 1]._times(cc.boundaries[k]).columns):
             raise DegenerateInputError("boundary of boundary is nonzero")
     return cc
 
@@ -114,14 +214,8 @@ def chain_complex(space: SimplicialComplex, relative_to=None) -> ChainComplexQ:
 def betti(cc: ChainComplexQ) -> list:
     """Rational Betti numbers per degree (relative ones if cells were
     dropped at construction)."""
-    out = []
-    for k in range(len(cc.bases)):
-        kernel = len(null_space(cc.boundaries[k]))
-        image = (
-            cc.boundaries[k + 1].rank() if k + 1 < len(cc.boundaries) else 0
-        )
-        out.append(kernel - image)
-    return out
+    red = cc._reductions
+    return [len(red[k][1]) - len(red[k + 1][0]) for k in range(len(cc.bases))]
 
 
 def relative_betti(space: SimplicialComplex, subcomplex) -> list:
@@ -134,45 +228,24 @@ class ChainMapQ:
     target: ChainComplexQ
     matrices: tuple  # per degree, target basis x source basis
 
-    def degree_matrix(self, k: int) -> RationalMatrix:
+    def degree_matrix(self, k: int) -> SparseMatrix:
         if 0 <= k < len(self.matrices):
             return self.matrices[k]
-        return RationalMatrix.zeros(
-            self.target.basis_size(k), self.source.basis_size(k)
-        )
+        return SparseMatrix.zeros(self.target.basis_size(k), self.source.basis_size(k))
 
     def is_endomorphism(self) -> bool:
-        return (
-            self.source.bases == self.target.bases
-            and self.source.dropped == self.target.dropped
-        )
+        source, target = self.source, self.target
+        return source.bases == target.bases and source.dropped == target.dropped
 
 
 def _build_chain_map(source_cc, target_cc, matrices) -> ChainMapQ:
     degrees = max(len(source_cc.bases), len(target_cc.bases))
-    mats = []
-    for k in range(degrees):
-        if k < len(matrices):
-            mats.append(matrices[k])
-        else:
-            mats.append(
-                RationalMatrix.zeros(
-                    target_cc.basis_size(k), source_cc.basis_size(k)
-                )
-            )
-    cm = ChainMapQ(source_cc, target_cc, tuple(mats))
+    short = ChainMapQ(source_cc, target_cc, tuple(matrices[:degrees]))
+    cm = ChainMapQ(source_cc, target_cc, tuple(map(short.degree_matrix, range(degrees))))
     for k in range(1, degrees):
-        lhs = target_cc.boundaries[k] @ cm.degree_matrix(k) if k < len(
-            target_cc.boundaries
-        ) else RationalMatrix.zeros(
-            target_cc.basis_size(k - 1), source_cc.basis_size(k)
-        )
-        rhs = cm.degree_matrix(k - 1) @ source_cc.boundaries[k] if k < len(
-            source_cc.boundaries
-        ) else RationalMatrix.zeros(
-            target_cc.basis_size(k - 1), source_cc.basis_size(k)
-        )
-        if lhs.rows != rhs.rows:
+        lhs = target_cc._boundary(k)._times(cm.degree_matrix(k))
+        rhs = cm.degree_matrix(k - 1)._times(source_cc._boundary(k))
+        if lhs.columns != rhs.columns:
             raise DegenerateInputError(
                 f"chain map fails to commute with the boundary in degree {k}"
             )
@@ -190,23 +263,18 @@ def chain_map_of(m: SimplicialMap) -> ChainMapQ:
     target_cc = chain_complex(m.target)
     matrices = []
     for k in range(len(source_cc.bases)):
-        rows = target_cc.basis_size(k)
-        cols = source_cc.basis_size(k)
-        grid = [[Fraction(0)] * cols for _ in range(rows)]
-        for j, s in enumerate(source_cc.bases[k]):
+        columns = []
+        for s in source_cc.bases[k]:
             images = [m.vertex_map[v] for v in canonical_tuple(s)]
             if len(set(images)) != len(images):
+                columns.append({})
                 continue
             keys = [vertex_key(u) for u in images]
-            inversions = sum(
-                1
-                for a in range(len(keys))
-                for b in range(a + 1, len(keys))
-                if keys[a] > keys[b]
-            )
-            row = target_cc.index[k][frozenset(images)]
-            grid[row][j] += Fraction(-1) ** inversions
-        matrices.append(RationalMatrix(tuple(map(tuple, grid)), cols))
+            sign = (-1) ** sum(a > b for a, b in combinations(keys, 2))
+            columns.append({target_cc.index[k][frozenset(images)]: sign})
+        matrices.append(
+            SparseMatrix(target_cc.basis_size(k), len(columns), tuple(columns))
+        )
     return _build_chain_map(source_cc, target_cc, matrices)
 
 
@@ -226,7 +294,7 @@ def subdivision_chain_map(space: SimplicialComplex) -> ChainMapQ:
         if ordered in memo:
             return memo[ordered]
         if len(ordered) == 1:
-            out = {frozenset([(ordered[0],)]): Fraction(1)}
+            out = {frozenset([(ordered[0],)]): 1}
         else:
             apex = ordered  # barycenter vertex of this simplex
             out = {}
@@ -234,20 +302,18 @@ def subdivision_chain_map(space: SimplicialComplex) -> ChainMapQ:
                 face = ordered[:i] + ordered[i + 1 :]
                 for cell, coeff in sd_chain(face).items():
                     coned = cell | {apex}
-                    sign = Fraction(-1) ** (i + len(cell))
-                    out[coned] = out.get(coned, Fraction(0)) + coeff * sign
+                    out[coned] = out.get(coned, 0) + coeff * (-1) ** (i + len(cell))
         memo[ordered] = out
         return out
 
     matrices = []
     for k in range(len(source_cc.bases)):
-        rows = target_cc.basis_size(k)
-        cols = source_cc.basis_size(k)
-        grid = [[Fraction(0)] * cols for _ in range(rows)]
-        for j, s in enumerate(source_cc.bases[k]):
-            for cell, coeff in sd_chain(canonical_tuple(s)).items():
-                grid[target_cc.index[k][cell]][j] += coeff
-        matrices.append(RationalMatrix(tuple(map(tuple, grid)), cols))
+        rows = target_cc.index[k]
+        columns = tuple(
+            {rows[c]: x for c, x in sd_chain(canonical_tuple(s)).items() if x}
+            for s in source_cc.bases[k]
+        )
+        matrices.append(SparseMatrix(len(rows), len(columns), columns))
     return _build_chain_map(source_cc, target_cc, matrices)
 
 
@@ -256,7 +322,8 @@ def compose_chain_maps(outer: ChainMapQ, inner: ChainMapQ) -> ChainMapQ:
         raise DegenerateInputError("chain maps are not composable")
     degrees = max(len(outer.matrices), len(inner.matrices))
     matrices = [
-        outer.degree_matrix(k) @ inner.degree_matrix(k) for k in range(degrees)
+        outer.degree_matrix(k)._times(inner.degree_matrix(k))
+        for k in range(degrees)
     ]
     return _build_chain_map(inner.source, outer.target, matrices)
 
@@ -269,13 +336,11 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
     carrier, not by looking for accidental cancellation.
     """
     base = spec.base
-    sd_maps = []
-    current = base
+    sd_maps, current = [], base
     for _ in range(spec.level):
         sd_maps.append(subdivision_chain_map(current))
         current = subdivided_complex(current, 1)[0]
-    push = chain_map_of(spec.as_map())
-    endo = push
+    endo = chain_map_of(spec.as_map())
     for sd_map in reversed(sd_maps):
         endo = compose_chain_maps(endo, sd_map)
     if relative_to is None:
@@ -286,24 +351,20 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
             "the dropped subcomplex is not invariant under the map"
         )
     quotient = chain_complex(base, relative_to=dropped)
-    matrices = []
     full = chain_complex(base)
+    matrices = []
     for k in range(len(quotient.bases)):
-        keep = [full.index[k][s] for s in quotient.bases[k]]
-        m = endo.degree_matrix(k)
-        grid = tuple(
-            tuple(m.rows[r][c] for c in keep) for r in keep
+        keep = {full.index[k][s]: i for i, s in enumerate(quotient.bases[k])}
+        columns = endo.degree_matrix(k).columns
+        projected = tuple(
+            {keep[r]: x for r, x in columns[j].items() if r in keep} for j in keep
         )
-        matrices.append(RationalMatrix(grid, len(keep)))
+        matrices.append(SparseMatrix(len(keep), len(keep), projected))
     return _build_chain_map(quotient, quotient, matrices)
 
 
 def _as_endomorphism(target) -> ChainMapQ:
-    endo = (
-        target
-        if isinstance(target, ChainMapQ)
-        else self_map_endomorphism(target)
-    )
+    endo = target if isinstance(target, ChainMapQ) else self_map_endomorphism(target)
     if not endo.is_endomorphism():
         raise DegenerateInputError("a chain self-map is required here")
     return endo
@@ -312,51 +373,41 @@ def _as_endomorphism(target) -> ChainMapQ:
 def hopf_trace(target) -> Fraction:
     """Alternating sum of chain-level traces of a self-map."""
     endo = _as_endomorphism(target)
-    total = Fraction(0)
-    for k in range(len(endo.source.bases)):
-        total += Fraction(-1) ** k * endo.degree_matrix(k).trace()
-    return total
+    mats = map(endo.degree_matrix, range(len(endo.source.bases)))
+    return sum((m.trace() * (-1) ** k for k, m in enumerate(mats)), Fraction(0))
 
 
 def homology_trace(target, k: int) -> Fraction:
     """Trace of the induced map on H_k.
 
-    A basis of cycles is split into boundary part plus a complement; each
-    complement vector's image is solved back in that basis and the diagonal
-    coefficients are summed.  The result is basis independent.
+    The cycles of the reduction of d_k whose index is not the largest row
+    of a reduced column of d_{k+1} represent a basis of H_k.  Each image of
+    such a cycle is reduced, largest index first, against that basis and
+    the boundary columns; the coefficients it meets on its own cycle are
+    summed.  The result is basis independent.
     """
     endo = _as_endomorphism(target)
     cc = endo.source
-    n = cc.basis_size(k)
-    if n == 0:
+    if cc.basis_size(k) == 0:
         return Fraction(0)
-    cycles = null_space(cc.boundaries[k])
-    boundary_cols = []
-    if k + 1 < len(cc.boundaries):
-        bmat = cc.boundaries[k + 1]
-        work, pivots = row_echelon([list(r) for r in bmat.rows])
-        cols = bmat.transpose().rows
-        boundary_cols = [list(cols[j]) for j in pivots]
-    combined = boundary_cols + cycles
-    if not combined:
-        return Fraction(0)
-    w = RationalMatrix(tuple(zip(*combined)))  # columns = combined vectors
-    _, pivots = row_echelon([list(r) for r in w.rows])
-    chosen = [j for j in pivots if j >= len(boundary_cols)]
-    if not chosen:
-        return Fraction(0)
-    rep_cols = boundary_cols + [combined[j] for j in chosen]
-    rep = RationalMatrix(tuple(zip(*rep_cols)))
+    cycles, bounds = cc._reductions[k][1], cc._reductions[k + 1][0]
     mk = endo.degree_matrix(k)
     total = Fraction(0)
-    for pos, j in enumerate(chosen):
-        image = mk.apply(combined[j])
-        solved = solve(rep, image)
-        if solved is None:
-            raise DegenerateInputError(
-                "image of a cycle left the cycle space; not a chain map"
-            )
-        total += solved[0][len(boundary_cols) + pos]
+    for j, cycle in cycles.items():
+        if j in bounds:
+            continue
+        image = mk._apply(cycle)
+        while image:
+            low = max(image)
+            basis = bounds.get(low, cycles.get(low))
+            if basis is None:
+                raise DegenerateInputError(
+                    "image of a cycle left the cycle space; not a chain map"
+                )
+            c = _ratio(image[low], basis[low])
+            if low == j:
+                total += c
+            _add_multiple(image, -c, basis)
     return total
 
 
@@ -371,11 +422,8 @@ def lefschetz_number(target) -> Fraction:
     Accepts a ChainMapQ endomorphism or a SelfMapSpec (which is first
     turned into (map_* o sd^level_*)).
     """
-    endo = _as_endomorphism(target)
-    total = Fraction(0)
-    for k in range(len(endo.source.bases)):
-        total += Fraction(-1) ** k * homology_trace(endo, k)
-    return total
+    traces = homology_traces(target)
+    return sum((t * (-1) ** k for k, t in enumerate(traces)), Fraction(0))
 
 
 def relative_lefschetz_number(spec: SelfMapSpec, subcomplex) -> Fraction:

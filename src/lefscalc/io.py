@@ -98,6 +98,8 @@ def _cell_ref_to_json(cell, space):
 
 
 def _check_keys(block, allowed, where):
+    if not isinstance(block, dict):
+        raise ParseError(f"{where} must be an object")
     extra = sorted(set(block) - allowed)
     if extra:
         raise ParseError(f"unknown keys {extra} in {where}")
@@ -142,6 +144,8 @@ def complex_to_json(space: SimplicialComplex) -> dict:
 
 
 def parse_cells_block(block) -> CellSpace:
+    if not isinstance(block, list):
+        raise ParseError("cells must be a list")
     cells = []
     for entry in block:
         _check_keys(entry, {"id", "dim", "component"}, "cells[]")
@@ -346,12 +350,18 @@ def parse_problem(data) -> Problem:
         block = data["normal_data"]
         if not isinstance(block, dict):
             raise ParseError("normal_data must map component indices to matrices")
-        matrices = {}
+        matrices, keys = {}, {}
         for key, rows in block.items():
             try:
                 index = int(key)
             except ValueError:
                 raise ParseError(f"component index {key!r} is not an integer")
+            if index in keys:
+                raise ParseError(
+                    f"normal_data keys {keys[index]!r} and {key!r} both name "
+                    f"component {index}"
+                )
+            keys[index] = key
             try:
                 matrices[index] = RationalMatrix.of(
                     [[parse_rational(x) for x in row] for row in rows]
@@ -403,7 +413,8 @@ def parse_problem(data) -> Problem:
 def loads(text: str) -> Problem:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers past the digit limit
         raise ParseError(f"not valid JSON: {exc}") from exc
     return parse_problem(data)
 

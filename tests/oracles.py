@@ -4,15 +4,21 @@ Everything here recomputes a quantity the library also computes, but by a
 different algorithm: cofactor determinants, interpolated characteristic
 polynomials, Descartes-based root isolation, basic-solution enumeration
 for feasibility, downward breadth-first search for the closure order, and
-the lower-link formula for multiplicities of the constant function.
+the lower-link formula for multiplicities of the constant function, and
+the dense chain engine: chain complexes and chain maps as dense rational
+matrices, homology traces by row echelon forms and one solve per cycle.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
-from lefscalc.exact import RationalMatrix, RationalPolynomial, solve
+from lefscalc.complexes import canonical_tuple, require_valid, vertex_key
+from lefscalc.errors import DegenerateInputError
+from lefscalc.exact import RationalMatrix, RationalPolynomial, row_echelon
+from lefscalc.maps import subdivided_complex
 
 
 def det_cofactor(m: RationalMatrix) -> Fraction:
@@ -199,3 +205,264 @@ def fixed_members_by_scan(spec) -> frozenset:
         for sigma in spec.base.simplices
         if all(c == {spec.vertex_map[w]} for c, w in over if c <= sigma)
     )
+
+
+# ---------------------------------------------------------------------------
+# dense linear algebra: kernels and exact solves by row echelon form
+
+def apply(matrix: RationalMatrix, vec: list) -> list:
+    return [sum(a * b for a, b in zip(row, vec)) for row in matrix.rows]
+
+
+def null_space(matrix: RationalMatrix) -> list:
+    """Basis of {x : Ax = 0} as a list of Fraction column vectors."""
+    n = matrix.ncols
+    if n == 0:
+        return []
+    if matrix.nrows == 0:
+        return [
+            [Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)
+        ]
+    work, pivots = row_echelon([list(r) for r in matrix.rows])
+    pivot_set = set(pivots)
+    free_cols = [j for j in range(n) if j not in pivot_set]
+    basis = []
+    for free in free_cols:
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for row_idx, pcol in enumerate(pivots):
+            vec[pcol] = -work[row_idx][free]
+        basis.append(vec)
+    return basis
+
+
+def solve(matrix: RationalMatrix, rhs: list):
+    """Solve Ax = b exactly.
+
+    Returns (particular, null_basis) or None when inconsistent.
+    """
+    m, n = matrix.nrows, matrix.ncols
+    aug = [list(row) + [Fraction(b)] for row, b in zip(matrix.rows, rhs)]
+    if m == 0:
+        return [Fraction(0)] * n, null_space(matrix)
+    work, pivots = row_echelon(aug)
+    for row_idx in range(len(pivots), m):
+        if work[row_idx][n] != 0:
+            return None
+    if pivots and pivots[-1] == n:
+        return None
+    particular = [Fraction(0)] * n
+    for row_idx, pcol in enumerate(pivots):
+        particular[pcol] = work[row_idx][n]
+    return particular, null_space(matrix)
+
+
+# ---------------------------------------------------------------------------
+# dense chain engine: the same chain complexes, chain maps and traces as
+# lefscalc.homology, by dense matrices and a fresh solve per cycle
+
+@dataclass(frozen=True, eq=False)
+class DenseChainComplex:
+    bases: tuple
+    index: tuple
+    boundaries: tuple  # RationalMatrix per degree; boundaries[0] is 0 x n_0
+
+    def basis_size(self, k: int) -> int:
+        return len(self.bases[k]) if 0 <= k < len(self.bases) else 0
+
+
+@dataclass(frozen=True, eq=False)
+class DenseChainMap:
+    source: DenseChainComplex
+    target: DenseChainComplex
+    matrices: tuple
+
+    def degree_matrix(self, k: int) -> RationalMatrix:
+        if 0 <= k < len(self.matrices):
+            return self.matrices[k]
+        return RationalMatrix.zeros(
+            self.target.basis_size(k), self.source.basis_size(k)
+        )
+
+
+def _grid(rows: int, cols: int) -> list:
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def dense_chain_complex(space, dropped=frozenset()) -> DenseChainComplex:
+    require_valid(space)
+    bases = [
+        tuple(s for s in space.k_cells(k) if s not in dropped)
+        for k in range(space.dim + 1)
+    ]
+    while bases and not bases[-1]:
+        bases.pop()
+    index = tuple({s: i for i, s in enumerate(b)} for b in bases)
+    boundaries = [RationalMatrix.zeros(0, len(bases[0]))] if bases else []
+    for k in range(1, len(bases)):
+        grid = _grid(len(bases[k - 1]), len(bases[k]))
+        for j, s in enumerate(bases[k]):
+            for i, v in enumerate(canonical_tuple(s)):
+                row = index[k - 1].get(s - {v})
+                if row is not None:
+                    grid[row][j] += Fraction(-1) ** i
+        boundaries.append(RationalMatrix(tuple(map(tuple, grid)), len(bases[k])))
+    for k in range(2, len(bases)):
+        product = boundaries[k - 1] @ boundaries[k]
+        if any(x != 0 for row in product.rows for x in row):
+            raise DegenerateInputError("boundary of boundary is nonzero")
+    return DenseChainComplex(tuple(bases), index, tuple(boundaries))
+
+
+def dense_chain_map(source, target, matrices) -> DenseChainMap:
+    """Pads missing degrees with zeros and checks df = fd."""
+    degrees = max(len(source.bases), len(target.bases))
+    mats = list(matrices[:degrees]) + [
+        RationalMatrix.zeros(target.basis_size(k), source.basis_size(k))
+        for k in range(len(matrices), degrees)
+    ]
+    cm = DenseChainMap(source, target, tuple(mats))
+    for k in range(1, degrees):
+        zero = RationalMatrix.zeros(target.basis_size(k - 1), source.basis_size(k))
+        lhs = (
+            target.boundaries[k] @ cm.degree_matrix(k)
+            if k < len(target.boundaries) else zero
+        )
+        rhs = (
+            cm.degree_matrix(k - 1) @ source.boundaries[k]
+            if k < len(source.boundaries) else zero
+        )
+        if lhs.rows != rhs.rows:
+            raise DegenerateInputError(
+                f"chain map fails to commute with the boundary in degree {k}"
+            )
+    return cm
+
+
+def dense_chain_map_of(m) -> DenseChainMap:
+    source = dense_chain_complex(m.source)
+    target = dense_chain_complex(m.target)
+    matrices = []
+    for k in range(len(source.bases)):
+        grid = _grid(target.basis_size(k), source.basis_size(k))
+        for j, s in enumerate(source.bases[k]):
+            images = [m.vertex_map[v] for v in canonical_tuple(s)]
+            if len(set(images)) != len(images):
+                continue
+            keys = [vertex_key(u) for u in images]
+            inversions = sum(
+                1 for a in range(len(keys)) for b in range(a + 1, len(keys))
+                if keys[a] > keys[b]
+            )
+            grid[target.index[k][frozenset(images)]][j] += Fraction(-1) ** inversions
+        matrices.append(RationalMatrix(tuple(map(tuple, grid)), source.basis_size(k)))
+    return dense_chain_map(source, target, matrices)
+
+
+def dense_subdivision_chain_map(space) -> DenseChainMap:
+    source = dense_chain_complex(space)
+    target = dense_chain_complex(subdivided_complex(space, 1)[0])
+    memo = {}
+
+    def sd_chain(ordered: tuple) -> dict:
+        if ordered not in memo:
+            if len(ordered) == 1:
+                memo[ordered] = {frozenset([(ordered[0],)]): Fraction(1)}
+            else:
+                out = {}
+                for i in range(len(ordered)):
+                    for cell, coeff in sd_chain(ordered[:i] + ordered[i + 1:]).items():
+                        coned = cell | {ordered}
+                        sign = Fraction(-1) ** (i + len(cell))
+                        out[coned] = out.get(coned, Fraction(0)) + coeff * sign
+                memo[ordered] = out
+        return memo[ordered]
+
+    matrices = []
+    for k in range(len(source.bases)):
+        grid = _grid(target.basis_size(k), source.basis_size(k))
+        for j, s in enumerate(source.bases[k]):
+            for cell, coeff in sd_chain(canonical_tuple(s)).items():
+                grid[target.index[k][cell]][j] += coeff
+        matrices.append(RationalMatrix(tuple(map(tuple, grid)), source.basis_size(k)))
+    return dense_chain_map(source, target, matrices)
+
+
+def dense_compose(outer: DenseChainMap, inner: DenseChainMap) -> DenseChainMap:
+    degrees = max(len(outer.matrices), len(inner.matrices))
+    return dense_chain_map(
+        inner.source,
+        outer.target,
+        [outer.degree_matrix(k) @ inner.degree_matrix(k) for k in range(degrees)],
+    )
+
+
+def dense_endomorphism(spec, dropped=frozenset()) -> DenseChainMap:
+    """(map_* o sd^level_*) on C_*(base), projected onto C_*(base, dropped)."""
+    endo = dense_chain_map_of(spec.as_map())
+    complexes = [spec.base]
+    for _ in range(spec.level - 1):
+        complexes.append(subdivided_complex(complexes[-1], 1)[0])
+    for space in reversed(complexes[: spec.level]):
+        endo = dense_compose(endo, dense_subdivision_chain_map(space))
+    if not dropped:
+        return endo
+    full = dense_chain_complex(spec.base)
+    quotient = dense_chain_complex(spec.base, dropped)
+    matrices = []
+    for k in range(len(quotient.bases)):
+        keep = [full.index[k][s] for s in quotient.bases[k]]
+        rows = endo.degree_matrix(k).rows
+        matrices.append(
+            RationalMatrix(tuple(tuple(rows[r][c] for c in keep) for r in keep), len(keep))
+        )
+    return dense_chain_map(quotient, quotient, matrices)
+
+
+def dense_betti(cc: DenseChainComplex) -> list:
+    return [
+        len(null_space(cc.boundaries[k]))
+        - (cc.boundaries[k + 1].rank() if k + 1 < len(cc.boundaries) else 0)
+        for k in range(len(cc.bases))
+    ]
+
+
+def dense_hopf_trace(endo: DenseChainMap) -> Fraction:
+    return sum(
+        (Fraction(-1) ** k * endo.degree_matrix(k).trace()
+         for k in range(len(endo.source.bases))),
+        Fraction(0),
+    )
+
+
+def dense_homology_trace(endo: DenseChainMap, k: int) -> Fraction:
+    """A cycle basis is split into boundary part plus a complement; each
+    complement vector's image is solved back in that basis and the diagonal
+    coefficients are summed."""
+    cc = endo.source
+    if cc.basis_size(k) == 0:
+        return Fraction(0)
+    cycles = null_space(cc.boundaries[k])
+    boundary_cols = []
+    if k + 1 < len(cc.boundaries):
+        bmat = cc.boundaries[k + 1]
+        _, pivots = row_echelon([list(r) for r in bmat.rows])
+        cols = bmat.transpose().rows
+        boundary_cols = [list(cols[j]) for j in pivots]
+    combined = boundary_cols + cycles
+    if not combined:
+        return Fraction(0)
+    _, pivots = row_echelon([list(r) for r in zip(*combined)])
+    chosen = [j for j in pivots if j >= len(boundary_cols)]
+    if not chosen:
+        return Fraction(0)
+    rep = RationalMatrix(tuple(zip(*(boundary_cols + [combined[j] for j in chosen]))))
+    total = Fraction(0)
+    for pos, j in enumerate(chosen):
+        solved = solve(rep, apply(endo.degree_matrix(k), combined[j]))
+        if solved is None:
+            raise DegenerateInputError(
+                "image of a cycle left the cycle space; not a chain map"
+            )
+        total += solved[0][len(boundary_cols) + pos]
+    return total

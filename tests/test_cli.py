@@ -246,6 +246,44 @@ def test_exit_2_ragged_normal_matrix(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("alias", ["00", "+0", " 0"])
+def test_exit_2_aliased_normal_data_keys(tmp_path, capsys, alias):
+    data = traced_problem_to_json(fx.reflection_problem())
+    data["normal_data"][alias] = [["3"]]
+    path = write(tmp_path, "aliased.json", data)
+    assert main(["lefschetz", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert "both name component 0" in err
+    assert "'0'" in err and repr(alias) in err
+
+
+@pytest.mark.parametrize("stray", ["5", "-1"])
+def test_exit_2_normal_data_for_a_missing_component(tmp_path, capsys, stray):
+    data = traced_problem_to_json(fx.reflection_problem())
+    data["normal_data"][stray] = [["7"]]
+    path = write(tmp_path, "stray.json", data)
+    assert main(["lefschetz", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert f"normal data for component {stray} out of range 0..1" in err
+
+
+def test_exit_2_oversize_rational_literal(tmp_path, capsys):
+    data = traced_problem_to_json(fx.reflection_problem())
+    data["normal_data"]["0"] = [["1e1001"]]
+    path = write(tmp_path, "huge.json", data)
+    assert main(["lefschetz", "--input", path]) == 2
+    assert "exceeds the size bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["1" + "0" * 5000, "[" * 100_000])
+def test_exit_2_json_past_the_parser_limits(tmp_path, capsys, literal):
+    text = dumps(traced_problem_to_json(fx.reflection_problem()))
+    path = tmp_path / "limits.json"
+    path.write_text(text.replace('"-1"', literal, 1), encoding="utf-8")
+    assert main(["lefschetz", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: not valid JSON")
+
+
 def test_exit_3_fixed_point_off_vertices(tmp_path, capsys):
     space = fx.interval_complex()
     support = CellularSubset.of(space, {frozenset({"a"})})

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lefscalc import exact
 from lefscalc.errors import DegenerateInputError, ParseError
 from lefscalc.exact import (
     GaussianRational,
@@ -17,9 +18,7 @@ from lefscalc.exact import (
     count_real_roots_geq,
     format_rational,
     has_nonneg_solution,
-    null_space,
     parse_rational,
-    solve,
 )
 
 rationals = st.fractions(
@@ -50,6 +49,18 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+def test_rational_literals_are_bounded_before_parsing():
+    assert parse_rational("1e3") == 1000
+    top = exact.LITERAL_MAX_EXPONENT
+    assert parse_rational(f"1e{top}") == 10 ** top
+    assert parse_rational(f"1e-{top}") == Fraction(1, 10 ** top)
+    longest = "7" * exact.LITERAL_MAX_CHARS
+    assert parse_rational(longest) == int(longest)
+    for text in (f"1e{top + 1}", f"2.5E-{top + 1}", f"1e{top + 1:_}", longest + "7"):
+        with pytest.raises(ParseError, match="exceeds the size bound"):
+            parse_rational(text)
 
 
 def test_format_round_trip():
@@ -90,7 +101,7 @@ def test_det_multiplicative_and_rank_nullity():
         a = rand_matrix(rng, n)
         b = rand_matrix(rng, n)
         assert (a @ b).det() == a.det() * b.det()
-        assert a.rank() + len(null_space(a)) == n
+        assert a.rank() + len(oracles.null_space(a)) == n
 
 
 def test_char_poly_against_interpolation_oracle():
@@ -126,7 +137,7 @@ def test_zero_by_zero_conventions():
 def test_empty_shapes_survive():
     tall = RationalMatrix.zeros(0, 3)
     assert tall.ncols == 3
-    assert len(null_space(tall)) == 3
+    assert len(oracles.null_space(tall)) == 3
     assert (tall.transpose()).nrows == 3
 
 
@@ -136,18 +147,18 @@ def test_solve_consistency():
         n = rng.randint(1, 4)
         m = rand_matrix(rng, n, lo=-3, hi=3, den=2)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        rhs = m.apply(x)
-        result = solve(m, rhs)
+        rhs = oracles.apply(m, x)
+        result = oracles.solve(m, rhs)
         assert result is not None
         particular, basis = result
-        assert m.apply(particular) == rhs
+        assert oracles.apply(m, particular) == rhs
         for vec in basis:
-            assert all(v == 0 for v in m.apply(vec))
+            assert all(v == 0 for v in oracles.apply(m, vec))
 
 
 def test_solve_detects_inconsistency():
     m = RationalMatrix.of([[1, 1], [2, 2]])
-    assert solve(m, [Fraction(0), Fraction(1)]) is None
+    assert oracles.solve(m, [Fraction(0), Fraction(1)]) is None
 
 
 # ---------------------------------------------------------------------------

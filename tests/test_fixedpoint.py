@@ -300,3 +300,40 @@ def test_refused_fixed_locus_is_not_cached():
     for _ in range(2):
         with pytest.raises(FixedPointNotSimplicialError):
             hyperbolicity_report(p)
+
+
+@pytest.mark.parametrize("stray", [-1, 2, 5])
+@pytest.mark.parametrize(
+    "entry", sorted(PER_COMPONENT) + ["localization_report", "hyperbolicity_report"]
+)
+def test_normal_data_for_a_missing_component_is_refused(entry, stray):
+    normal = NormalData.of({0: [[-1]], 1: [[-1]], stray: [[7]]})
+    p = TracedProblem(spec=fx.reflection_spec(), normal=normal)
+    call = {
+        "localization_report": lambda p, i: localization_report(p),
+        "hyperbolicity_report": lambda p, i: hyperbolicity_report(p),
+    }.get(entry, PER_COMPONENT.get(entry))
+    with pytest.raises(
+        DegenerateInputError,
+        match=rf"normal data for component {stray} out of range 0\.\.1",
+    ):
+        call(p, 0)
+
+
+def test_index_without_fixed_components_says_so():
+    p = TracedProblem(spec=fx.rotation_spec())
+    assert not p.fixed_locus[1]
+    with pytest.raises(DegenerateInputError) as info:
+        p.component(0)
+    assert str(info.value) == "component index 0: the map has no fixed components"
+    stray = TracedProblem(spec=fx.rotation_spec(), normal=NormalData.of({0: [[2]]}))
+    with pytest.raises(DegenerateInputError, match="no fixed components"):
+        localization_report(stray)
+
+
+@pytest.mark.parametrize(
+    "entries", [{0: [[1]], "0": [[2]]}, [(1, [[1]]), ("1", [[2]])]]
+)
+def test_normal_data_refuses_two_matrices_for_one_component(entries):
+    with pytest.raises(DegenerateInputError, match="two normal matrices"):
+        NormalData.of(entries)

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lefscalc import fixtures as fx
 from lefscalc.complexes import SimplicialComplex, barycentric_subdivide
 from lefscalc.errors import DegenerateInputError
+from lefscalc.exact import RationalMatrix
 from lefscalc.homology import (
+    ChainMapQ,
+    SparseMatrix,
+    _build_chain_map,
     betti,
     chain_complex,
     chain_map_of,
@@ -25,7 +30,7 @@ from lefscalc.homology import (
     self_map_endomorphism,
     subdivision_chain_map,
 )
-from lefscalc.maps import SelfMapSpec, SimplicialMap, compose, refine
+from lefscalc.maps import SelfMapSpec, SimplicialMap, compose, refine, subdivided_complex
 from lefscalc.verify import random_complex, random_self_map
 
 
@@ -176,3 +181,147 @@ def test_homology_trace_vanishes_in_empty_degree():
     spec = SelfMapSpec.identity(fx.interval_complex())
     endo = self_map_endomorphism(spec)
     assert homology_trace(endo, 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# the sparse engine against the dense oracle
+
+
+def _carrier_map(rng, space, outer):
+    """A self-map at level 1: each barycenter goes to a vertex of its
+    simplex, then through the vertex map `outer` of the base."""
+    finer = subdivided_complex(space, 1)[0]
+    return SelfMapSpec.build(
+        space, 1, {w: outer[rng.choice(w)] for w in finer.vertices}
+    )
+
+
+def _polygon_map(rng, n):
+    """v_i -> v_(s i + r) on an n-gon, or z -> z^2 composed with it at
+    level 1 (the midpoint of v_i v_(i+1) goes to v_(2 s i + s + r))."""
+    names = [f"p{i}" for i in range(n)]
+    space = SimplicialComplex.from_maximal(
+        [(names[i], names[(i + 1) % n]) for i in range(n)]
+    )
+    s, r = rng.choice((1, -1)), rng.randrange(n)
+    if rng.random() < 0.5:
+        return SelfMapSpec.build(space, 0, {names[i]: names[(s * i + r) % n] for i in range(n)})
+    vm = {}
+    for i in range(n):
+        vm[(names[i],)] = names[(2 * s * i + r) % n]
+        edge = tuple(sorted((names[i], names[(i + 1) % n])))
+        vm[edge] = names[(2 * s * i + s + r) % n]
+    return SelfMapSpec.build(space, 1, vm)
+
+
+def _vertex_orbit(spec, v) -> frozenset:
+    """The cells {u} for u in the forward orbit of a base vertex v that
+    the map sends to base vertices: an invariant subcomplex."""
+    orbit = [v]
+    while True:
+        w = orbit[-1]
+        image = spec.vertex_map[(w,) if spec.level else w]
+        if image in orbit:
+            return frozenset(frozenset([u]) for u in orbit)
+        orbit.append(image)
+
+
+def _oracle_cases():
+    """Sixty seeded self-maps: random complexes and maps, level-1 carrier
+    maps, automorphisms and carrier maps of S^2, and rotations,
+    reflections and degree-2 maps of polygons; every second one relative
+    to an invariant subcomplex."""
+    rng = random.Random(20261017)
+    sphere = fx.sphere2()
+    for case in range(60):
+        kind = case % 4
+        if kind == 0:
+            space = random_complex(rng)
+            spec = random_self_map(rng, space)
+        elif kind == 1:
+            space = random_complex(rng, max_vertices=5, max_dim=2, max_simplices=14)
+            spec = _carrier_map(rng, space, random_self_map(rng, space).vertex_map)
+        elif kind == 2:
+            images = list(sphere.vertices)
+            rng.shuffle(images)
+            perm = dict(zip(sphere.vertices, images))
+            spec = (
+                _carrier_map(rng, sphere, perm) if case % 16 == 6
+                else SelfMapSpec.build(sphere, 0, perm)
+            )
+        else:
+            spec = _polygon_map(rng, rng.randint(3, 8))
+        dropped = frozenset()
+        if case % 2 and kind == 0:
+            # the image of a level-zero map is an invariant subcomplex
+            dropped = frozenset(spec.as_map().image_simplex(s) for s in space.simplices)
+        elif case % 2:
+            dropped = _vertex_orbit(spec, rng.choice(spec.base.vertices))
+        yield case, spec, dropped
+
+
+@pytest.mark.parametrize("case, spec, dropped", list(_oracle_cases()))
+def test_sparse_engine_agrees_with_dense_oracle(case, spec, dropped):
+    sparse_cc = chain_complex(spec.base, relative_to=dropped or None)
+    dense_cc = oracles.dense_chain_complex(spec.base, dropped)
+    assert betti(sparse_cc) == oracles.dense_betti(dense_cc)
+    assert sparse_cc.bases == dense_cc.bases
+    pairs = [
+        (chain_map_of(spec.as_map()), oracles.dense_chain_map_of(spec.as_map())),
+        (
+            self_map_endomorphism(spec, relative_to=dropped or None),
+            oracles.dense_endomorphism(spec, dropped),
+        ),
+    ]
+    if spec.level:
+        pairs.append(
+            (
+                subdivision_chain_map(spec.base),
+                oracles.dense_subdivision_chain_map(spec.base),
+            )
+        )
+    for sparse, dense in pairs:
+        assert len(sparse.matrices) == len(dense.matrices)
+        for k in range(len(sparse.matrices)):
+            assert sparse.degree_matrix(k).rows == dense.degree_matrix(k).rows
+    endo, dense_endo = pairs[1]
+    assert hopf_trace(endo) == oracles.dense_hopf_trace(dense_endo)
+    assert homology_traces(endo) == [
+        oracles.dense_homology_trace(dense_endo, k)
+        for k in range(len(dense_endo.source.bases))
+    ]
+
+
+def _flip_one_sign(endo, k):
+    columns = list(endo.degree_matrix(k).columns)
+    j = next(j for j, col in enumerate(columns) if col)
+    row = min(columns[j])
+    columns[j] = {**columns[j], row: -columns[j][row]}
+    return [
+        SparseMatrix(m.nrows, m.ncols, tuple(columns)) if i == k else m
+        for i, m in enumerate(endo.matrices)
+    ]
+
+
+def test_corrupted_sign_is_refused_by_the_commutation_check():
+    endo = self_map_endomorphism(fx.doubling_spec())
+    corrupted = _flip_one_sign(endo, 1)
+    with pytest.raises(DegenerateInputError, match="fails to commute .* degree 1"):
+        _build_chain_map(endo.source, endo.target, corrupted)
+    dense = oracles.dense_endomorphism(fx.doubling_spec())
+    flipped = [RationalMatrix(m.rows, m.ncols) for m in corrupted]
+    with pytest.raises(DegenerateInputError, match="fails to commute"):
+        oracles.dense_chain_map(dense.source, dense.target, flipped)
+
+
+def test_unchecked_non_chain_map_is_caught_by_the_trace():
+    endo = self_map_endomorphism(SelfMapSpec.identity(fx.hexagon()))
+    broken = ChainMapQ(endo.source, endo.target, tuple(_flip_one_sign(endo, 1)))
+    with pytest.raises(DegenerateInputError, match="left the cycle space"):
+        homology_trace(broken, 1)
+
+
+def test_sd2_sphere_identity_traces():
+    finer = subdivided_complex(fx.sphere2(), 2)[0]
+    assert len(finer.simplices) == 434
+    assert homology_traces(SelfMapSpec.identity(finer)) == [1, 0, 1]
