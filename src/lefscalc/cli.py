@@ -266,7 +266,7 @@ def cmd_flag_model(args):
         FlagModelReport(
             n=args.n,
             blocks=blocks,
-            cell_count=len(space.all_cells()),
+            cell_count=len(space.cell_keys),
             chi=chi_c(space),
             component_count=component_count,
         ),

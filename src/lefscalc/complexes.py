@@ -8,7 +8,13 @@ optional component label, no incidence, so operations that need incidence
 
 Cells of a complex are open cells throughout the package: values of
 constructible functions and Euler characteristics with compact support are
-taken cellwise with weight (-1)^dim.
+taken cellwise with weight (-1)^dim.  Both kinds of space answer the same
+cell protocol: `cell_key(ref)` turns a cell reference into the key a cell
+is stored under (a vertex frozenset, or an id string), `cell_dim(key)` is
+its dimension, and `cell_keys` is the set of all keys.
+
+Iterated subdivisions come from one cached tower, `subdivided_complex`:
+level k is one `barycentric_subdivide` of level k - 1.
 
 Everything is deterministic: vertex identifiers are ordered by a fixed
 total key, simplices by (dimension, vertex order), components by their
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -113,6 +120,18 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
+    @property
+    def cell_keys(self) -> frozenset:
+        return self.simplices
+
+    @staticmethod
+    def cell_key(ref) -> frozenset:
+        return frozenset(ref)
+
+    @staticmethod
+    def cell_dim(key) -> int:
+        return len(key) - 1
+
     def has(self, simplex) -> bool:
         return frozenset(simplex) in self.simplices
 
@@ -120,9 +139,6 @@ class SimplicialComplex:
         return sorted(
             (s for s in self.simplices if len(s) == k + 1), key=cell_sort_key
         )
-
-    def all_cells(self) -> list:
-        return sorted(self.simplices, key=cell_sort_key)
 
     def vertex_index(self, v) -> int:
         try:
@@ -164,22 +180,26 @@ class CellSpace:
             rows.append(cell)
         return CellSpace(tuple(sorted(rows, key=lambda c: c.ident)))
 
+    @cached_property
+    def _by_ident(self) -> dict:
+        return {c.ident: c for c in self.cells}
+
     def cell(self, ident: str) -> Cell:
-        for c in self.cells:
-            if c.ident == ident:
-                return c
-        raise DegenerateInputError(f"unknown cell {ident!r}")
+        try:
+            return self._by_ident[ident]
+        except KeyError:
+            raise DegenerateInputError(f"unknown cell {ident!r}") from None
 
-    def all_cells(self) -> list:
-        return [c.ident for c in self.cells]
+    @cached_property
+    def cell_keys(self) -> frozenset:
+        return frozenset(self._by_ident)
 
+    @staticmethod
+    def cell_key(ref) -> str:
+        return str(ref)
 
-def cell_dim(parent, cell) -> int:
-    if isinstance(parent, SimplicialComplex):
-        return len(cell) - 1
-    if isinstance(parent, CellSpace):
-        return parent.cell(cell).dim
-    raise DegenerateInputError(f"not a cell parent: {parent!r}")
+    def cell_dim(self, key) -> int:
+        return self.cell(key).dim
 
 
 def require_simplicial(parent, operation: str) -> SimplicialComplex:
@@ -199,13 +219,8 @@ class CellularSubset:
 
     @staticmethod
     def of(parent, cells) -> "CellularSubset":
-        if isinstance(parent, SimplicialComplex):
-            mem = frozenset(frozenset(c) for c in cells)
-            unknown = [c for c in mem if c not in parent.simplices]
-        else:
-            mem = frozenset(str(c) for c in cells)
-            known = set(parent.all_cells())
-            unknown = [c for c in mem if c not in known]
+        mem = frozenset(parent.cell_key(c) for c in cells)
+        unknown = mem - parent.cell_keys
         if unknown:
             raise DegenerateInputError(
                 f"cells not in parent: {sorted(map(repr, unknown))[:3]}"
@@ -216,15 +231,11 @@ class CellularSubset:
         return sorted(self.members, key=cell_sort_key)
 
     def __contains__(self, cell) -> bool:
-        if isinstance(self.parent, SimplicialComplex):
-            return frozenset(cell) in self.members
-        return cell in self.members
+        return self.parent.cell_key(cell) in self.members
 
 
 def whole_space(parent) -> CellularSubset:
-    if isinstance(parent, SimplicialComplex):
-        return CellularSubset(parent, frozenset(parent.simplices))
-    return CellularSubset(parent, frozenset(parent.all_cells()))
+    return CellularSubset(parent, frozenset(parent.cell_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +363,7 @@ def connected_components(target) -> tuple:
     Simplicial subsets use the shares-a-face relation; cell spaces group by
     their component labels (unlabeled cells are singletons).
     """
-    if isinstance(target, (SimplicialComplex, CellSpace)):
+    if not isinstance(target, CellularSubset):
         target = whole_space(target)
     parent = target.parent
     if isinstance(parent, CellSpace):
@@ -463,17 +474,27 @@ def barycentric_subdivide(space: SimplicialComplex) -> tuple:
     return subdivided, carrier
 
 
-def subdivide_times(space: SimplicialComplex, levels: int) -> tuple:
-    """Iterate barycentric subdivision; carrier composes down to `space`."""
-    if levels < 0:
+@lru_cache(maxsize=None)
+def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
+    """sd^level(base) together with the carrier map down to `base`.
+
+    The tower behind every iterated subdivision: level k is one subdivision
+    of level k - 1, and that step is the cache entry (sd^(k-1) base, 1), so
+    each complex of the tower is subdivided once.  Results are shared
+    between callers; neither the complex nor the carrier may be mutated.
+    """
+    if level < 0:
         raise DegenerateInputError("subdivision level must be >= 0")
-    current = space
-    carrier = {s: s for s in space.simplices}
-    for _ in range(levels):
-        finer, step = barycentric_subdivide(current)
-        carrier = {cell: carrier[step[cell]] for cell in step}
-        current = finer
-    return current, carrier
+    if level == 0:
+        return base, {s: s for s in base.simplices}
+    if level == 1:
+        return barycentric_subdivide(base)
+    coarser, carrier = subdivided_complex(base, level - 1)
+    finer, step = subdivided_complex(coarser, 1)
+    return finer, {cell: carrier[below] for cell, below in step.items()}
+
+
+subdivide_times = subdivided_complex
 
 
 def sd_vertex_position(vertex, base: SimplicialComplex) -> dict:

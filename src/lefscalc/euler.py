@@ -18,22 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (
-    CellSpace,
-    CellularSubset,
-    SimplicialComplex,
-    cell_dim,
-    cell_sort_key,
-)
+from .complexes import CellularSubset, SimplicialComplex, cell_sort_key
 from .errors import DegenerateInputError
 from .exact import GZERO, GaussianRational
 from .maps import SelfMapSpec, SimplicialMap
-
-
-def _freeze_cell(parent, cell):
-    if isinstance(parent, SimplicialComplex):
-        return frozenset(cell)
-    return str(cell)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,13 +34,9 @@ class ConstructibleFunction:
         table = {}
         if isinstance(values, dict):
             values = values.items()
-        known = (
-            parent.simplices
-            if isinstance(parent, SimplicialComplex)
-            else set(parent.all_cells())
-        )
+        known = parent.cell_keys
         for cell, raw in values:
-            cell = _freeze_cell(parent, cell)
+            cell = parent.cell_key(cell)
             if cell not in known:
                 raise DegenerateInputError(f"value on unknown cell {cell!r}")
             value = GaussianRational.of(raw)
@@ -63,11 +47,7 @@ class ConstructibleFunction:
     @staticmethod
     def indicator(parent, cells=None) -> "ConstructibleFunction":
         if cells is None:
-            cells = (
-                parent.simplices
-                if isinstance(parent, SimplicialComplex)
-                else parent.all_cells()
-            )
+            cells = parent.cell_keys
         elif isinstance(cells, CellularSubset):
             cells = cells.members
         return ConstructibleFunction.of(
@@ -75,7 +55,7 @@ class ConstructibleFunction:
         )
 
     def __call__(self, cell) -> GaussianRational:
-        return self.values.get(_freeze_cell(self.parent, cell), GZERO)
+        return self.values.get(self.parent.cell_key(cell), GZERO)
 
     def support(self) -> CellularSubset:
         return CellularSubset(self.parent, frozenset(self.values))
@@ -93,23 +73,17 @@ class ConstructibleFunction:
 
 def chi_c(target) -> int:
     """Compactly supported Euler characteristic of a union of open cells."""
-    if isinstance(target, (SimplicialComplex, CellSpace)):
-        cells = (
-            target.simplices
-            if isinstance(target, SimplicialComplex)
-            else target.all_cells()
-        )
-        parent = target
+    if isinstance(target, CellularSubset):
+        parent, cells = target.parent, target.members
     else:
-        cells = target.members
-        parent = target.parent
-    return sum((-1) ** cell_dim(parent, c) for c in cells)
+        parent, cells = target, target.cell_keys
+    return sum((-1) ** parent.cell_dim(c) for c in cells)
 
 
 def euler_integral(phi: ConstructibleFunction) -> GaussianRational:
     total = GZERO
     for cell, value in phi.values.items():
-        total = total + value * ((-1) ** cell_dim(phi.parent, cell))
+        total = total + value * ((-1) ** phi.parent.cell_dim(cell))
     return total
 
 
@@ -119,7 +93,7 @@ def restrict(phi: ConstructibleFunction, subset) -> ConstructibleFunction:
             raise DegenerateInputError("restriction subset has a different parent")
         members = subset.members
     else:
-        members = {_freeze_cell(phi.parent, c) for c in subset}
+        members = {phi.parent.cell_key(c) for c in subset}
     return ConstructibleFunction(
         phi.parent, {c: v for c, v in phi.values.items() if c in members}
     )

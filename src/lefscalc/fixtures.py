@@ -77,7 +77,7 @@ def disk_boundary_cells() -> set:
     space = disk()
     return {
         cell
-        for cell in space.all_cells()
+        for cell in space.cell_keys
         if "c" not in cell
     }
 

@@ -86,9 +86,6 @@ class BruhatCellSpace:
     space: CellSpace
     perms: tuple  # sorted permutation tuples
 
-    def cell_id(self, perm: tuple) -> str:
-        return perm_name(perm)
-
 
 def flag_cellspace(n: int) -> BruhatCellSpace:
     if not 1 <= n <= MAX_FLAG_N:

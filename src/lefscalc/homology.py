@@ -33,10 +33,11 @@ from .complexes import (
     cell_sort_key,
     require_simplicial,
     require_valid,
+    subdivided_complex,
     vertex_key,
 )
 from .errors import DegenerateInputError
-from .maps import SelfMapSpec, SimplicialMap, subdivided_complex
+from .maps import SelfMapSpec, SimplicialMap
 
 # Distinct (complex, dropped cells) pairs kept built; one trace problem
 # touches about ten.
@@ -336,13 +337,11 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
     carrier, not by looking for accidental cancellation.
     """
     base = spec.base
-    sd_maps, current = [], base
-    for _ in range(spec.level):
-        sd_maps.append(subdivision_chain_map(current))
-        current = subdivided_complex(current, 1)[0]
     endo = chain_map_of(spec.as_map())
-    for sd_map in reversed(sd_maps):
-        endo = compose_chain_maps(endo, sd_map)
+    for k in reversed(range(spec.level)):
+        endo = compose_chain_maps(
+            endo, subdivision_chain_map(subdivided_complex(base, k)[0])
+        )
     if relative_to is None:
         return endo
     dropped = _normalize_subcomplex(base, relative_to)

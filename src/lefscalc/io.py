@@ -21,6 +21,7 @@ from .complexes import (
     canonical_tuple,
     cell_sort_key,
     require_valid,
+    subdivided_complex,
     vertex_key,
 )
 from .errors import DegenerateInputError, ParseError
@@ -156,7 +157,10 @@ def parse_cells_block(block) -> CellSpace:
             raise ParseError(f"malformed cell entry: {exc}") from exc
         if not isinstance(ident, str) or isinstance(dim, bool) or not isinstance(dim, int):
             raise ParseError(f"cell entries need a string id and integer dim")
-        cells.append(Cell(ident, dim, entry.get("component")))
+        component = entry.get("component")
+        if component is not None and not isinstance(component, str):
+            raise ParseError(f"cell {ident!r} needs a string or null component")
+        cells.append(Cell(ident, dim, component))
     return CellSpace.build(cells)
 
 
@@ -256,6 +260,25 @@ class Problem:
         )
 
 
+def _cell_values(data, key: str, space) -> dict:
+    """The {cell: value} table of a list of [cell, value] pairs under
+    `key`; a cell named twice is refused, not overwritten."""
+    entries = data[key]
+    if not isinstance(entries, list):
+        raise ParseError(f"{key} must be a list of [cell, value] pairs")
+    table = {}
+    for pair in entries:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{key} entries must be [cell, value] pairs")
+        cell = _cell_ref_from_json(pair[0], space)
+        if cell in table:
+            raise ParseError(
+                f"{key} name cell {_cell_ref_to_json(cell, space)!r} twice"
+            )
+        table[cell] = parse_gaussian(pair[1])
+    return table
+
+
 def parse_problem(data) -> Problem:
     if not isinstance(data, dict):
         raise ParseError("problem file must be a JSON object")
@@ -305,25 +328,13 @@ def parse_problem(data) -> Problem:
             )
             push_map = SimplicialMap.build(space, target, vm)
         else:
-            if level > 0:
-                known = SelfMapSpec(space, level, {}).source_complex().vertices
-            else:
-                known = space.vertices
+            known = subdivided_complex(space, level)[0].vertices
             vm = _parse_vertex_map(block["vertex_map"], known, space.vertices)
             spec = SelfMapSpec.build(space, level, vm)
 
     phi = None
     if "values" in data:
-        entries = data["values"]
-        if not isinstance(entries, list):
-            raise ParseError("values must be a list of [cell, value] pairs")
-        table = {}
-        for pair in entries:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError("values entries must be [cell, value] pairs")
-            cell = _cell_ref_from_json(pair[0], space)
-            table[cell] = parse_gaussian(pair[1])
-        phi = ConstructibleFunction.of(space, table)
+        phi = ConstructibleFunction.of(space, _cell_values(data, "values", space))
 
     support = None
     if "support" in data:
@@ -334,16 +345,7 @@ def parse_problem(data) -> Problem:
             space, {_cell_ref_from_json(x, space) for x in refs}
         )
 
-    traces = None
-    if "traces" in data:
-        entries = data["traces"]
-        if not isinstance(entries, list):
-            raise ParseError("traces must be a list of [cell, value] pairs")
-        traces = {}
-        for pair in entries:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError("traces entries must be [cell, value] pairs")
-            traces[_cell_ref_from_json(pair[0], space)] = parse_gaussian(pair[1])
+    traces = _cell_values(data, "traces", space) if "traces" in data else None
 
     normal = None
     if "normal_data" in data:

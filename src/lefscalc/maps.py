@@ -10,13 +10,13 @@ the chain endomorphism (map_* o sd^n_*).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .complexes import (
     SimplicialComplex,
     canonical_tuple,
     cell_sort_key,
-    subdivide_times,
+    subdivided_complex,
 )
 from .errors import DegenerateInputError, NonSimplicialMapError
 
@@ -57,9 +57,6 @@ class SimplicialMap:
                 )
         return m
 
-    def image_of(self, v):
-        return self.vertex_map[v]
-
     def image_simplex(self, s) -> frozenset:
         return frozenset(self.vertex_map[v] for v in s)
 
@@ -72,12 +69,6 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
         outer.target,
         {v: outer.vertex_map[inner.vertex_map[v]] for v in inner.source.vertices},
     )
-
-
-@lru_cache(maxsize=None)
-def subdivided_complex(base: SimplicialComplex, level: int):
-    """sd^level(base) together with the carrier map down to `base`."""
-    return subdivide_times(base, level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,10 +89,8 @@ class SelfMapSpec:
 
     @staticmethod
     def build(base, level, vertex_map) -> "SelfMapSpec":
-        if level < 0:
-            raise DegenerateInputError("subdivision level must be >= 0")
         spec = SelfMapSpec(base, level, dict(vertex_map))
-        spec.as_map()  # validates simpliciality eagerly
+        spec.as_map()  # validates simpliciality eagerly, once
         return spec
 
     @staticmethod
@@ -114,10 +103,14 @@ class SelfMapSpec:
     def carrier(self) -> dict:
         return subdivided_complex(self.base, self.level)[1]
 
-    def as_map(self) -> SimplicialMap:
+    @cached_property
+    def _map(self) -> SimplicialMap:
         return SimplicialMap.build(
             self.source_complex(), self.base, self.vertex_map
         )
+
+    def as_map(self) -> SimplicialMap:
+        return self._map
 
     def preserves_subcomplex(self, cells: frozenset) -> bool:
         """True when every subdivision simplex carried by `cells` maps into

@@ -74,7 +74,7 @@ def random_gaussian(rng: random.Random) -> GaussianRational:
 
 
 def random_function(rng: random.Random, space) -> ConstructibleFunction:
-    cells = sorted(space.all_cells(), key=cell_sort_key)
+    cells = sorted(space.cell_keys, key=cell_sort_key)
     table = {}
     for cell in cells:
         if rng.random() < 0.7:

@@ -267,6 +267,38 @@ def test_exit_2_normal_data_for_a_missing_component(tmp_path, capsys, stray):
     assert f"normal data for component {stray} out of range 0..1" in err
 
 
+def test_exit_2_cell_named_twice_in_values(tmp_path, capsys):
+    data = problem_to_json(fx.hexagon())
+    data["values"] = [[["v0", "v1"], "1"], [["v1", "v0"], "5"]]
+    path = write(tmp_path, "twice.json", data)
+    assert main(["integrate", "--input", path]) == 2
+    assert "values name cell ['v0', 'v1'] twice" in capsys.readouterr().err
+    data["values"] = data["values"][:1]
+    path = write(tmp_path, "once.json", data)
+    code, report = run_json(capsys, ["integrate", "--input", path])
+    assert code == 0 and report.integral == g(-1)
+
+
+def test_exit_2_cell_named_twice_in_traces(tmp_path, capsys):
+    data = traced_problem_to_json(fx.reflection_problem())
+    data["traces"] = [[["v0"], "3"], [["v0"], "7"]]
+    path = write(tmp_path, "twice.json", data)
+    assert main(["lefschetz", "--input", path]) == 2
+    assert "traces name cell ['v0'] twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("component", [[1], {"a": 1}, 3, True])
+def test_exit_2_cell_component_that_is_not_a_string(tmp_path, capsys, component):
+    data = problem_to_json(fx.cp1_cellspace())
+    data["cells"][0]["component"] = component
+    path = write(tmp_path, "component.json", data)
+    assert main(["chi", "--input", path]) == 2
+    assert "needs a string or null component" in capsys.readouterr().err
+    data["cells"][0]["component"] = "label"
+    path = write(tmp_path, "labelled.json", data)
+    assert main(["chi", "--input", path]) == 0
+
+
 def test_exit_2_oversize_rational_literal(tmp_path, capsys):
     data = traced_problem_to_json(fx.reflection_problem())
     data["normal_data"]["0"] = [["1e1001"]]

@@ -5,7 +5,8 @@ identity of S^2) are mutated and run through ``cli.main``.  Whatever the
 mutation (dropped keys, values of the wrong type, bools, unknown and nested
 vertices, oversize literals), the driver must return an exit code in 0..6
 and never raise; each of the named malformed mutations, which add ragged
-matrices and aliased or stray normal indices, must end in a refusal, 2..6.
+matrices, aliased or stray normal indices and a cell named twice, must end
+in a refusal, 2..6.
 """
 
 import contextlib
@@ -93,6 +94,9 @@ MALFORMED = {
     "aliased normal key +0": lambda d: _normal(d).update({"+0": [["3"]]}),
     "stray normal index 7": lambda d: _normal(d).update({"7": [["7"]]}),
     "stray normal index -1": lambda d: _normal(d).update({"-1": [["7"]]}),
+    "cell named twice in traces": lambda d: d.update(
+        traces=[[_simplices(d)[0], "3"], [_simplices(d)[0], "7"]]
+    ),
     "oversize exponent": lambda d: _normal(d).update(
         {"0": [[f"1e-{LITERAL_MAX_EXPONENT + 1}"]]}
     ),

@@ -1,5 +1,6 @@
 """Complexes, validation, subsets, and barycentric subdivision."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,9 @@ from lefscalc.complexes import (
     whole_space,
 )
 from lefscalc.errors import DegenerateInputError, InvalidComplexError
+from lefscalc.euler import ConstructibleFunction, chi_c, euler_integral, restrict
+from lefscalc.exact import GaussianRational
+from lefscalc.flags import flag_cellspace
 
 
 def test_vertex_key_total_order():
@@ -87,7 +91,7 @@ def test_star_link_closure_on_disk():
     # link of the center is the boundary hexagon: 6 vertices + 6 edges
     assert len(lk.simplices) == 12
     cl = closure(st)
-    assert cl.members == set(space.all_cells())
+    assert cl.members == space.cell_keys
 
 
 def test_connected_components_simplicial():
@@ -140,6 +144,19 @@ def test_subdivide_times_composes_carriers():
         assert carrier[s] in space.simplices
 
 
+def test_subdivision_tower_matches_iterated_subdivision():
+    space = SimplicialComplex.from_maximal(
+        [("a", "b", "c")], coords={"a": (0, 0), "b": (1, 0), "c": (0, 1)}
+    )
+    current, carrier = space, {s: s for s in space.simplices}
+    for level in range(4):
+        assert subdivide_times(space, level) == (current, carrier)
+        current, step = barycentric_subdivide(current)
+        carrier = {cell: carrier[below] for cell, below in step.items()}
+    with pytest.raises(DegenerateInputError, match="level must be >= 0"):
+        subdivide_times(space, -1)
+
+
 def test_sd_vertex_position():
     space = SimplicialComplex.from_maximal([("a", "b")])
     pos = sd_vertex_position(("a", "b"), space)
@@ -158,6 +175,71 @@ def test_cell_space_rejects_duplicates_and_negative_dims():
         CellSpace.build([Cell("a", 0, None), Cell("a", 1, None)])
     with pytest.raises(DegenerateInputError):
         CellSpace.build([Cell("a", -1, None)])
+
+
+A, B, AB = frozenset("a"), frozenset("b"), frozenset("ab")
+FLAG3 = ["123", "132", "213", "231", "312", "321"]
+# parent; references to a top cell, a vertex and an unknown cell; the keys
+# of the top and the unknown cell; chi of the whole space and of the top
+# cell; the integral of 3 [top] + 1/2 [vertex]; the components by keys
+PROTOCOL_CASES = {
+    "interval": (
+        fx.interval_complex, ["b", "a"], ["a"], ["z"], AB, frozenset("z"),
+        1, -1, "-5/2", [[A, B, AB]],
+    ),
+    "cp1": (
+        fx.cp1_cellspace, "cell2", "pt", "zz", "cell2", "zz",
+        2, 1, "7/2", [["cell2"], ["pt"]],
+    ),
+    "flag3": (
+        lambda: flag_cellspace(3).space, "321", "123", "999", "321", "999",
+        6, 1, "7/2", [FLAG3],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+def test_cell_protocol_on_both_kinds_of_parent(name):
+    case = PROTOCOL_CASES[name]
+    make, top, low, unknown, top_key, bad, chi, chi_top, integral, comps = case
+    parent = make()
+    whole = whole_space(parent)
+    keys = {cell for comp in comps for cell in comp}
+    assert whole.members == keys
+    assert top in whole and low in whole and unknown not in whole
+    with pytest.raises(
+        DegenerateInputError, match=re.escape(f"cells not in parent: {[repr(bad)]}")
+    ):
+        CellularSubset.of(parent, [low, unknown])
+    with pytest.raises(
+        DegenerateInputError, match=re.escape(f"value on unknown cell {bad!r}")
+    ):
+        ConstructibleFunction.of(parent, [(unknown, 1)])
+    one = GaussianRational.of(1)
+    indicator = ConstructibleFunction.indicator(parent)
+    assert indicator.values == {cell: one for cell in keys}
+    assert restrict(indicator, [top]).values == {top_key: one}
+    phi = ConstructibleFunction.of(parent, [(top, 3), (low, "1/2")])
+    assert (phi(top), phi(low), phi(unknown)) == tuple(
+        map(GaussianRational.of, (3, "1/2", 0))
+    )
+    assert chi_c(parent) == chi_c(whole) == chi
+    assert chi_c(CellularSubset.of(parent, [top])) == chi_top
+    assert euler_integral(indicator) == GaussianRational.of(chi)
+    assert euler_integral(phi) == GaussianRational.of(integral)
+    found = [c.sorted_members() for c in connected_components(parent)]
+    assert found == comps
+
+
+def test_cell_space_index_answers_dims_and_refuses_unknown_ids():
+    space = flag_cellspace(3).space
+    assert [space.cell_dim(c) for c in FLAG3] == [0, 2, 2, 4, 4, 6]
+    assert space.cell("231").dim == 4
+    with pytest.raises(DegenerateInputError, match="unknown cell 'zz'"):
+        space.cell("zz")
+    # the index is a cached property, not a field: equality stays on cells
+    assert space == flag_cellspace(3).space
+    assert hash(space) == hash(flag_cellspace(3).space)
 
 
 def test_canonical_tuple_and_sort_key():

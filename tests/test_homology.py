@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lefscalc import complexes
 from lefscalc import fixtures as fx
 from lefscalc.complexes import SimplicialComplex, barycentric_subdivide
 from lefscalc.errors import DegenerateInputError
-from lefscalc.exact import RationalMatrix
+from lefscalc.euler import ConstructibleFunction, euler_integral, pushforward_spec
+from lefscalc.exact import GaussianRational, RationalMatrix
 from lefscalc.homology import (
     ChainMapQ,
     SparseMatrix,
@@ -325,3 +327,52 @@ def test_sd2_sphere_identity_traces():
     finer = subdivided_complex(fx.sphere2(), 2)[0]
     assert len(finer.simplices) == 434
     assert homology_traces(SelfMapSpec.identity(finer)) == [1, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# work done once: each subdivision level and each self-map check
+
+
+def _level2_sphere_map():
+    """A level-2 carrier map of S^2: each sd^2 vertex goes to a seeded
+    vertex of its carrier, so the map is homotopic to the identity."""
+    sphere = fx.sphere2()
+    finer, carrier = subdivided_complex(sphere, 2)
+    rng = random.Random(5)
+    return SelfMapSpec.build(
+        sphere,
+        2,
+        {w: rng.choice(sorted(carrier[frozenset([w])])) for w in finer.vertices},
+    )
+
+
+def test_each_subdivision_level_is_built_once(monkeypatch):
+    sizes = []
+
+    def counting(space):
+        sizes.append(len(space.simplices))
+        return barycentric_subdivide(space)
+
+    subdivided_complex.cache_clear()
+    monkeypatch.setattr(complexes, "barycentric_subdivide", counting)
+    spec = _level2_sphere_map()
+    assert lefschetz_number(spec) == hopf_trace(spec) == 2
+    assert sizes == [14, 74]
+
+
+def test_a_self_map_is_validated_once(monkeypatch):
+    sources = []
+    build = SimplicialMap.build
+
+    def counting(*args):
+        sources.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(SimplicialMap, "build", staticmethod(counting))
+    spec = _level2_sphere_map()
+    assert lefschetz_number(spec) == hopf_trace(spec) == 2
+    assert homology_traces(spec) == [1, 0, 1]
+    assert spec.preserves_subcomplex(frozenset(spec.base.simplices))
+    pushed = pushforward_spec(spec, ConstructibleFunction.indicator(spec.base))
+    assert euler_integral(pushed) == GaussianRational.of(2)
+    assert len(sources) == 1 and sources[0] is spec.source_complex()
