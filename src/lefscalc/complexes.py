@@ -36,19 +36,47 @@ from .errors import (
 from .exact import RationalMatrix, parse_rational
 
 
+# tuple vertex -> (the tuple first seen, its key); ints and strings are keyed
+# inline.  True == 1 as dict keys, so a hit counts only for a tuple of the
+# same types all the way down.
+_VERTEX_KEYS = {}
+
+
+def _same_vertex(a, b) -> bool:
+    """Whether two equal vertices also agree in every component's type."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    return not isinstance(a, tuple) or all(map(_same_vertex, a, b))
+
+
 def vertex_key(v):
     """Total order on vertex identifiers (ints, strings, nested tuples).
 
     Tuples sort by length first, so barycenter vertices of a subdivision
-    sort in face-poset order inside any subdivision simplex.
+    sort in face-poset order inside any subdivision simplex.  The key of a
+    tuple is computed once and kept; anything but an int (not a bool), a
+    string or a tuple of identifiers is refused.
     """
     if isinstance(v, tuple):
-        return (2, len(v), tuple(vertex_key(x) for x in v))
+        try:
+            hit = _VERTEX_KEYS.get(v)
+        except TypeError:  # an unhashable component, refused below
+            hit = None
+        if hit is not None and _same_vertex(hit[0], v):
+            return hit[1]
+        key = (2, len(v), tuple(map(vertex_key, v)))
+        if hit is None:
+            _VERTEX_KEYS[v] = (v, key)
+        return key
     if isinstance(v, str):
         return (1, v)
     if isinstance(v, int) and not isinstance(v, bool):
         return (0, v)
-    return (3, str(v))
+    raise DegenerateInputError(
+        f"invalid vertex {v!r}: vertices are ints, strings and tuples of them"
+    )
 
 
 def canonical_tuple(simplex) -> tuple:
@@ -57,8 +85,14 @@ def canonical_tuple(simplex) -> tuple:
 
 def cell_sort_key(cell):
     if isinstance(cell, frozenset):
-        return (len(cell), tuple(vertex_key(v) for v in canonical_tuple(cell)))
+        return (len(cell), tuple(sorted(map(vertex_key, cell))))
     return vertex_key(cell)
+
+
+def cell_name(key):
+    """A cell key as messages print it: the canonical vertex tuple of a
+    simplex (a frozenset's repr follows the string hash), a cell id as is."""
+    return canonical_tuple(key) if isinstance(key, frozenset) else key
 
 
 @dataclass(frozen=True)
@@ -140,10 +174,14 @@ class SimplicialComplex:
             (s for s in self.simplices if len(s) == k + 1), key=cell_sort_key
         )
 
+    @cached_property
+    def _vertex_index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
     def vertex_index(self, v) -> int:
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self._vertex_index[v]
+        except (KeyError, TypeError):
             raise DegenerateInputError(f"unknown vertex {v!r}") from None
 
     def coord_of(self, v):
@@ -222,8 +260,9 @@ class CellularSubset:
         mem = frozenset(parent.cell_key(c) for c in cells)
         unknown = mem - parent.cell_keys
         if unknown:
+            first = sorted(unknown, key=cell_sort_key)[:3]
             raise DegenerateInputError(
-                f"cells not in parent: {sorted(map(repr, unknown))[:3]}"
+                f"cells not in parent: {[repr(cell_name(c)) for c in first]}"
             )
         return CellularSubset(parent, mem)
 
@@ -258,22 +297,22 @@ def validate(space) -> list:
         if not s:
             out.append(Violation("empty-simplex", "the empty set is not a cell"))
             continue
-        stray = [v for v in canonical_tuple(s) if v not in vset]
+        ordered = canonical_tuple(s)
+        stray = [v for v in ordered if v not in vset]
         if stray:
             out.append(
                 Violation(
                     "unknown-vertex",
-                    f"simplex {canonical_tuple(s)} uses unlisted {stray}",
+                    f"simplex {ordered} uses unlisted {stray}",
                 )
             )
         if len(s) > 1:
-            for v in canonical_tuple(s):
+            for v in ordered:
                 if s - {v} not in space.simplices:
                     out.append(
                         Violation(
                             "not-face-closed",
-                            f"face {canonical_tuple(s - {v})} of "
-                            f"{canonical_tuple(s)} is missing",
+                            f"face {canonical_tuple(s - {v})} of {ordered} is missing",
                         )
                     )
     for v in space.vertices:
@@ -416,7 +455,9 @@ def induced_subcomplex(space: SimplicialComplex, cells) -> SimplicialComplex:
     simps = [frozenset(c) for c in cells]
     for s in simps:
         if s not in space.simplices:
-            raise DegenerateInputError(f"not a simplex of the parent: {s}")
+            raise DegenerateInputError(
+                f"not a simplex of the parent: {canonical_tuple(s)}"
+            )
     sub = SimplicialComplex.from_simplices(simps)
     if validate(sub):
         raise DegenerateInputError("cell family is not face-closed")
@@ -454,11 +495,13 @@ def barycentric_subdivide(space: SimplicialComplex) -> tuple:
         chains_by_top[simplex] = out
         return out
 
+    # one tuple object per new vertex, so its key is found by identity
+    names = {s: canonical_tuple(s) for s in space.simplices}
     new_simplices = set()
     carrier = {}
     for simplex in space.simplices:
         for chain in chains(simplex):
-            cell = frozenset(canonical_tuple(s) for s in chain)
+            cell = frozenset(names[s] for s in chain)
             new_simplices.add(cell)
             carrier[cell] = chain[-1]
     coords = None
@@ -467,7 +510,7 @@ def barycentric_subdivide(space: SimplicialComplex) -> tuple:
         for simplex in space.simplices:
             pts = [space.coord_of(v) for v in simplex]
             n = len(pts)
-            coords[canonical_tuple(simplex)] = tuple(
+            coords[names[simplex]] = tuple(
                 sum(p[i] for p in pts) / Fraction(n) for i in range(len(pts[0]))
             )
     subdivided = SimplicialComplex.from_simplices(new_simplices, coords)

@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import CellularSubset, SimplicialComplex, cell_sort_key
+from .complexes import (
+    CellularSubset,
+    SimplicialComplex,
+    cell_name,
+    cell_sort_key,
+)
 from .errors import DegenerateInputError
 from .exact import GZERO, GaussianRational
 from .maps import SelfMapSpec, SimplicialMap
@@ -38,7 +43,9 @@ class ConstructibleFunction:
         for cell, raw in values:
             cell = parent.cell_key(cell)
             if cell not in known:
-                raise DegenerateInputError(f"value on unknown cell {cell!r}")
+                raise DegenerateInputError(
+                    f"value on unknown cell {cell_name(cell)!r}"
+                )
             value = GaussianRational.of(raw)
             if not value.is_zero():
                 table[cell] = value

@@ -37,6 +37,7 @@ from .complexes import (
     connected_components,
     induced_subcomplex,
     sd_vertex_position,
+    vertex_key,
 )
 from .errors import (
     DegenerateInputError,
@@ -186,7 +187,7 @@ def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
             column[image] = column.get(image, Fraction(0)) - 1
             displacement.append(column)  # position minus image, negated below
             coords |= set(column)
-        coord_list = sorted(coords, key=lambda v: cell_sort_key(frozenset([v])))
+        coord_list = sorted(coords, key=vertex_key)
         rows = [
             [Fraction(-1) * displacement[i].get(u, Fraction(0)) for i in range(len(ws))]
             for u in coord_list

@@ -20,8 +20,10 @@ conditions in both affine charts of each sphere, never tabulated by hand.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .complexes import Cell, CellSpace, CellularSubset
 from .errors import DegenerateInputError
@@ -53,22 +55,31 @@ def longest_element(n: int) -> tuple:
     return tuple(range(n, 0, -1))
 
 
+@lru_cache(maxsize=1 << 16)  # room for every permutation of up to 8 letters
+def _dot_vector(perm: tuple) -> tuple:
+    """For each prefix length i < n and threshold 2 <= j <= n, in that
+    order: how many of the first i entries of perm are >= j."""
+    n = len(perm)
+    counts = [0] * (n + 1)  # counts[j]: prefix entries >= j
+    out = []
+    for x in perm[: n - 1]:
+        for j in range(2, n + 1):
+            if x >= j:
+                counts[j] += 1
+        out.extend(counts[2:])
+    return tuple(out)
+
+
 def bruhat_leq(a: tuple, b: tuple) -> bool:
     """Closure order: the cell of a lies in the closure of the cell of b.
 
     Dot criterion: for every prefix length i and threshold j, the prefix
     of a contains at most as many entries >= j as the prefix of b does.
+    Each permutation's counts are computed once and kept.
     """
     if len(a) != len(b):
         raise DegenerateInputError("permutations of different sizes")
-    n = len(a)
-    for i in range(1, n):
-        for j in range(2, n + 1):
-            ca = sum(1 for k in range(i) if a[k] >= j)
-            cb = sum(1 for k in range(i) if b[k] >= j)
-            if ca > cb:
-                return False
-    return True
+    return all(map(operator.le, _dot_vector(tuple(a)), _dot_vector(tuple(b))))
 
 
 def perm_name(perm: tuple) -> str:
@@ -155,16 +166,19 @@ def fixed_locus_cellspace(n: int, blocks) -> CellSpace:
         raise DegenerateInputError(
             f"flag model supported for 1 <= n <= {MAX_FLAG_N}, got {n}"
         )
-    words = block_words(blocks)
-    cells = []
-    for k, _word in enumerate(words):
-        label = f"c{k}"
-        factor_perms = [permutations_of(size) for size in blocks]
-        for combo in itertools.product(*factor_perms):
-            ident = label + ":" + "|".join(perm_name(w) for w in combo)
-            dim = 2 * sum(inversion_count(w) for w in combo)
-            cells.append(Cell(ident, dim, label))
-    return CellSpace.build(cells)
+    # every component has the same cells: (id suffix, dim) per factor cell
+    factor_cells = [
+        (
+            "|".join(perm_name(w) for w in combo),
+            2 * sum(inversion_count(w) for w in combo),
+        )
+        for combo in itertools.product(*(permutations_of(b) for b in blocks))
+    ]
+    return CellSpace.build(
+        Cell(f"c{k}:{suffix}", dim, f"c{k}")
+        for k in range(len(block_words(blocks)))
+        for suffix, dim in factor_cells
+    )
 
 
 # ---------------------------------------------------------------------------

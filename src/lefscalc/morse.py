@@ -139,8 +139,7 @@ def cc_table(phi: ConstructibleFunction, ell: VertexFunctional) -> MultiplicityT
     _require_generic(space, ell)
     table = {v: GZERO for v in space.vertices}
     for cell, value in phi.values.items():
-        ordered = canonical_tuple(cell)
-        top = max(ordered, key=lambda w: (ell(w), vertex_key(w)))
+        top = max(cell, key=lambda w: (ell(w), vertex_key(w)))
         table[top] = table[top] + value * ((-1) ** (len(cell) - 1))
     return MultiplicityTable(space, table)
 

@@ -7,6 +7,9 @@ for feasibility, downward breadth-first search for the closure order, and
 the lower-link formula for multiplicities of the constant function, and
 the dense chain engine: chain complexes and chain maps as dense rational
 matrices, homology traces by row echelon forms and one solve per cycle.
+It also keeps the slow routes that a memoized one replaced: the vertex
+key rebuilt recursively on every call, and the dot criterion recounting
+every prefix on every comparison.
 """
 
 from __future__ import annotations
@@ -169,6 +172,31 @@ def bruhat_leq_bfs(u: tuple, w: tuple) -> bool:
                         fresh.append(y)
         frontier = fresh
     return u in seen
+
+
+def bruhat_leq_loop(a: tuple, b: tuple) -> bool:
+    """The dot criterion with every prefix count recomputed per call."""
+    n = len(a)
+    for i in range(1, n):
+        for j in range(2, n + 1):
+            ca = sum(1 for k in range(i) if a[k] >= j)
+            cb = sum(1 for k in range(i) if b[k] >= j)
+            if ca > cb:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# vertex order keys, rebuilt on every call
+
+def vertex_key_recursive(v):
+    if isinstance(v, tuple):
+        return (2, len(v), tuple(vertex_key_recursive(x) for x in v))
+    if isinstance(v, str):
+        return (1, v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return (0, v)
+    return (3, str(v))
 
 
 # ---------------------------------------------------------------------------

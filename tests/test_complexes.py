@@ -1,10 +1,17 @@
 """Complexes, validation, subsets, and barycentric subdivision."""
 
+import os
+import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lefscalc
+import oracles
+from lefscalc import complexes
 from lefscalc import fixtures as fx
 from lefscalc.complexes import (
     Cell,
@@ -179,12 +186,13 @@ def test_cell_space_rejects_duplicates_and_negative_dims():
 
 A, B, AB = frozenset("a"), frozenset("b"), frozenset("ab")
 FLAG3 = ["123", "132", "213", "231", "312", "321"]
-# parent; references to a top cell, a vertex and an unknown cell; the keys
-# of the top and the unknown cell; chi of the whole space and of the top
+# parent; references to a top cell, a vertex and an unknown cell; the key
+# of the top cell and the name refusals give the unknown cell (a canonical
+# vertex tuple, never a frozenset); chi of the whole space and of the top
 # cell; the integral of 3 [top] + 1/2 [vertex]; the components by keys
 PROTOCOL_CASES = {
     "interval": (
-        fx.interval_complex, ["b", "a"], ["a"], ["z"], AB, frozenset("z"),
+        fx.interval_complex, ["b", "a"], ["a"], ["z"], AB, ("z",),
         1, -1, "-5/2", [[A, B, AB]],
     ),
     "cp1": (
@@ -248,3 +256,124 @@ def test_canonical_tuple_and_sort_key():
     assert sorted(cells, key=cell_sort_key) == [
         frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})
     ]
+
+
+# ---------------------------------------------------------------------------
+# memoized order keys against the recursive oracle
+
+SUBDIVIDED = {"sd3-disk": (fx.disk, 3), "sd2-s2": (fx.sphere2, 2)}
+
+
+def _fresh_copy(v):
+    """An equal vertex built from new tuple objects."""
+    return tuple(map(_fresh_copy, v)) if isinstance(v, tuple) else v
+
+
+@pytest.mark.parametrize("name", sorted(SUBDIVIDED))
+def test_vertex_key_matches_the_recursive_oracle(name):
+    make, level = SUBDIVIDED[name]
+    space = subdivide_times(make(), level)[0]
+    vertices = list(space.vertices)
+    for seed in range(3):
+        complexes._VERTEX_KEYS.clear()
+        random.Random(seed).shuffle(vertices)
+        expected = [oracles.vertex_key_recursive(v) for v in vertices]
+        assert [vertex_key(v) for v in vertices] == expected
+        # equal vertices made of other objects hit the memo through its
+        # type check and get the same keys
+        assert [vertex_key(_fresh_copy(v)) for v in vertices] == expected
+
+
+@pytest.mark.parametrize("name", sorted(SUBDIVIDED))
+def test_cell_sort_key_matches_canonical_tuple_keys(name):
+    make, level = SUBDIVIDED[name]
+    space = subdivide_times(make(), level)[0]
+    key = oracles.vertex_key_recursive
+
+    def expected(cell):
+        return (len(cell), tuple(map(key, sorted(cell, key=key))))
+
+    for cell in space.simplices:
+        assert cell_sort_key(cell) == expected(cell)
+        assert tuple(map(key, canonical_tuple(cell))) == expected(cell)[1]
+    assert sorted(space.simplices, key=cell_sort_key) == sorted(
+        space.simplices, key=expected
+    )
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, None, (True,), ("a", 2.0), ((None,),)])
+def test_build_refuses_vertices_that_are_not_identifiers(bad):
+    with pytest.raises(DegenerateInputError, match="invalid vertex"):
+        SimplicialComplex.build(["a", bad], [["a"], [bad]])
+    with pytest.raises(DegenerateInputError, match="invalid vertex"):
+        SimplicialComplex.from_maximal([["a", bad]])
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        ((1,), (True,)),
+        ((0, "a"), (False, "a")),
+        (((1,), "b"), ((True,), "b")),
+        ((2, (3,)), (2.0, (3,))),
+        ((4,), (Fraction(4),)),
+    ],
+)
+def test_vertex_key_memo_does_not_depend_on_call_history(good, bad):
+    # the two vertices are equal as dict keys, in either order of calls
+    assert good == bad and hash(good) == hash(bad)
+    for _ in range(2):
+        assert vertex_key(good) == oracles.vertex_key_recursive(good)
+        with pytest.raises(DegenerateInputError, match="invalid vertex"):
+            vertex_key(bad)
+    with pytest.raises(DegenerateInputError, match="invalid vertex"):
+        vertex_key((["a"],))
+
+
+HASH_SEED_SCRIPT = """
+from lefscalc.complexes import CellularSubset, SimplicialComplex, induced_subcomplex
+from lefscalc.euler import ConstructibleFunction
+
+space = SimplicialComplex.from_maximal([("a", "b")])
+for attempt in (
+    lambda: CellularSubset.of(space, [("p", "q"), ("q", "r", "s"), ("z",), ("y",)]),
+    lambda: ConstructibleFunction.of(space, [(("q", "p"), 1)]),
+    lambda: induced_subcomplex(space, [("q", "p")]),
+):
+    try:
+        attempt()
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_refusal_texts_do_not_depend_on_the_string_hash():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lefscalc.__file__)))
+    texts = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        texts.add(run.stdout)
+    assert texts == {
+        "DegenerateInputError cells not in parent: "
+        "[\"('y',)\", \"('z',)\", \"('p', 'q')\"]\n"
+        "DegenerateInputError value on unknown cell ('p', 'q')\n"
+        "DegenerateInputError not a simplex of the parent: ('p', 'q')\n"
+    }
+
+
+def test_vertex_index_is_a_lookup_and_refuses_unknown_vertices():
+    space = subdivide_times(fx.disk(), 2)[0]
+    positions = [space.vertex_index(v) for v in space.vertices]
+    assert positions == list(range(len(space.vertices)))
+    assert space.coord_of(space.vertices[5]) == space.coords[5]
+    with pytest.raises(DegenerateInputError, match="unknown vertex 'zz'"):
+        space.vertex_index("zz")
+    with pytest.raises(DegenerateInputError, match=re.escape("unknown vertex ['c']")):
+        space.vertex_index(["c"])
+    # the index is a cached property, not a field: equality stays on fields
+    assert space == subdivide_times(fx.disk(), 2)[0]

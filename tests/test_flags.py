@@ -6,6 +6,8 @@ of the traced example is re-derived from chart polynomials on every call,
 so the frozen values here pin down the derivation, not a lookup table.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -72,6 +74,32 @@ def test_bruhat_matches_bfs_oracle(n):
     for a in perms:
         for b in perms:
             assert bruhat_leq(a, b) == oracles.bruhat_leq_bfs(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bruhat_matches_the_prefix_loop_on_all_pairs(n):
+    perms = permutations_of(n)
+    for a in perms:
+        for b in perms:
+            assert bruhat_leq(a, b) == oracles.bruhat_leq_loop(a, b)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_bruhat_matches_the_prefix_loop_on_seeded_pairs(n):
+    rng = random.Random(n)
+    perms = permutations_of(n)
+    outcomes = set()
+    for _ in range(3000):
+        a, b = rng.choice(perms), rng.choice(perms)
+        # a transposition that adds inversions gives comparable pairs too
+        i, j = sorted(rng.sample(range(n), 2))
+        c = list(a)
+        c[i], c[j] = c[j], c[i]
+        for x, y in ((a, b), (a, tuple(c)), (tuple(c), a)):
+            got = bruhat_leq(x, y)
+            assert got == oracles.bruhat_leq_loop(x, y)
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_bruhat_known_relations():
@@ -245,3 +273,21 @@ def test_example_support_is_divisor_slice():
     ex = example_3_9()
     support = set(ex.problem.support.members)
     assert support == {"c0:d0", "c0:d2", "c1:d0", "c1:d2", "c2:v0"}
+
+
+# the parent cell models, pinned: ids, dims and labels of every cell
+FIXED_LOCUS_DIGESTS = {
+    (2, 1, 3): "553610d06a4ca0a4827cdf6910ecb480eaa1bfea9cb9a3a8cad8b8b91c010072",
+    (1, 1, 1, 1, 1, 1): "8bb0cf0fff9335281343a890d82b34443c57b2d987f1f88a0a1eebb06a65ee36",
+}
+
+
+def test_fixed_locus_cellspace_is_unchanged():
+    cells = fixed_locus_cellspace(3, (1, 2)).cells
+    assert [(c.ident, c.dim, c.component) for c in cells] == [
+        (f"c{k}:1|{w}", d, f"c{k}") for k in range(3) for w, d in (("12", 0), ("21", 2))
+    ]
+    for blocks, digest in FIXED_LOCUS_DIGESTS.items():
+        cells = fixed_locus_cellspace(6, blocks).cells
+        assert len(cells) == 720
+        assert hashlib.sha256(repr(cells).encode()).hexdigest() == digest
