@@ -10,6 +10,7 @@ CLI's verify command promises.
 
 import sys
 
+from lefscalc.errors import LefscalcError
 from lefscalc.reports import print_report
 from lefscalc.verify import VerifyConfig, run_all
 
@@ -17,7 +18,11 @@ from lefscalc.verify import VerifyConfig, run_all
 def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     cases = int(sys.argv[2]) if len(sys.argv) > 2 else 25
-    config = VerifyConfig(seed=seed, cases=cases)
+    try:
+        config = VerifyConfig(seed=seed, cases=cases)
+    except LefscalcError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     first = run_all(config)
     second = run_all(config)
     text = print_report(first, as_json=False)

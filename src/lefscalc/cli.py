@@ -16,6 +16,7 @@ JSON under --json.  Diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import io
@@ -39,19 +40,7 @@ from .fixedpoint import localization_report
 from .flags import block_words, example_3_9, fixed_locus_cellspace, flag_cellspace
 from .homology import homology_traces
 from .morse import cc_table, index_sum, lefschetz_cycle_table
-from .reports import (
-    CcReport,
-    ChiReport,
-    CycleTableJson,
-    FlagModelReport,
-    IndexCheckReport,
-    IntegralReport,
-    LefschetzReport,
-    LocalizationReport,
-    PushforwardReport,
-    WorkedExampleReport,
-    print_report,
-)
+from .reports import Report, print_report
 from .verify import VerifyConfig, run_all
 
 _EXIT_RULES = (
@@ -121,11 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
                              help="worked example: fixed spheres against the "
                                   "big-cell divisor")
     example.add_argument("--ratio", default="2",
-                         help="eigenvalue ratio surrogate (default 2)")
+                         help="eigenvalue ratio surrogate, a rational such "
+                              "as 7/3 or -3/4 (default 2)")
     verify = sub.add_parser("verify", parents=[common],
                             help="run the deterministic identity battery")
     verify.add_argument("--cases", type=int, default=25,
-                        help="random cases per check (default 25)")
+                        help="random cases per check, at least 1 "
+                             "(default 25)")
     return top
 
 
@@ -149,12 +140,13 @@ def _need_ell(problem: io.Problem):
 
 def cmd_chi(args):
     problem = _load(args)
-    return ChiReport(chi=chi_c(problem.space)), True
+    return Report("chi", chi=chi_c(problem.space)), True
 
 
 def cmd_integrate(args):
     problem = _load(args)
-    return IntegralReport(integral=euler_integral(_need_phi(problem))), True
+    integral = euler_integral(_need_phi(problem))
+    return Report("integral", integral=integral), True
 
 
 def cmd_lefschetz(args):
@@ -167,11 +159,12 @@ def cmd_lefschetz(args):
         or problem.normal is not None
     )
     if traced:
-        report = LocalizationReport(**localization_report(problem.traced()))
+        report = Report("localization", **localization_report(problem.traced()))
         return report, report.equal
     traces = homology_traces(problem.spec)
     total = sum(((-1) ** k) * t for k, t in enumerate(traces))
-    report = LefschetzReport(
+    report = Report(
+        "lefschetz",
         global_trace=GaussianRational.of(total),
         degree_traces=tuple(
             (k, GaussianRational.of(t)) for k, t in enumerate(traces)
@@ -187,7 +180,8 @@ def cmd_morse(args):
     ell = _need_ell(problem)
     result = lefschetz_cycle_table(problem.traced(), args.component, ell)
     return (
-        CycleTableJson(
+        Report(
+            "cycle-table",
             component=result.component,
             regime=result.regime,
             sign=result.sign,
@@ -202,7 +196,9 @@ def cmd_cc(args):
     problem = _load(args)
     table = cc_table(_need_phi(problem), _need_ell(problem))
     return (
-        CcReport(table=tuple(table.sorted_entries()), total=table.total()),
+        Report(
+            "cc", table=tuple(table.sorted_entries()), total=table.total()
+        ),
         True,
     )
 
@@ -214,7 +210,7 @@ def cmd_index_check(args):
     integral = euler_integral(phi)
     equal = total == integral
     return (
-        IndexCheckReport(index_sum=total, integral=integral, equal=equal),
+        Report("index-check", index_sum=total, integral=integral, equal=equal),
         equal,
     )
 
@@ -235,7 +231,8 @@ def cmd_pushforward(args):
     target_integral = euler_integral(pushed)
     equal = source_integral == target_integral
     return (
-        PushforwardReport(
+        Report(
+            "pushforward",
             values=values,
             source_integral=source_integral,
             target_integral=target_integral,
@@ -254,7 +251,7 @@ def _parse_blocks(raw: str) -> tuple:
 
 
 def cmd_flag_model(args):
-    if args.blocks:
+    if args.blocks is not None:
         blocks = _parse_blocks(args.blocks)
         space = fixed_locus_cellspace(args.n, blocks)
         component_count = len(block_words(blocks))
@@ -263,7 +260,8 @@ def cmd_flag_model(args):
         space = flag_cellspace(args.n).space
         component_count = 1
     return (
-        FlagModelReport(
+        Report(
+            "flag-model",
             n=args.n,
             blocks=blocks,
             cell_count=len(space.cell_keys),
@@ -283,7 +281,8 @@ def cmd_example_3_9(args):
     )
     support = example.problem.support
     return (
-        WorkedExampleReport(
+        Report(
+            "worked-example",
             components=components,
             total=example.total(),
             chi_of_divisor=chi_c(support),
@@ -312,9 +311,25 @@ _COMMANDS = {
 }
 
 
+_NEGATIVE = re.compile(r"-[\d.]")
+
+
+def _glue_negative_ratio(argv: list) -> list:
+    """Read `--ratio -3/4` as `--ratio=-3/4`: argparse takes a value that
+    starts with "-" and is not a plain number for an option."""
+    glued = []
+    for arg in argv:
+        if glued and glued[-1] == "--ratio" and _NEGATIVE.match(arg):
+            glued[-1] = f"--ratio={arg}"
+        else:
+            glued.append(arg)
+    return glued
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_glue_negative_ratio(argv))
     handler = _COMMANDS[args.command]
     try:
         report, ok = handler(args)

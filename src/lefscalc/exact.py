@@ -107,6 +107,14 @@ class GaussianRational:
         return f"{format_rational(self.re)}{sign}{imag}"
 
 
+def parse_gaussian(x) -> GaussianRational:
+    """GaussianRational.of, with every refusal as a ParseError."""
+    try:
+        return GaussianRational.of(x)
+    except (ParseError, TypeError, ValueError) as exc:
+        raise ParseError(f"invalid value {x!r}: {exc}") from exc
+
+
 GZERO = GaussianRational()
 
 

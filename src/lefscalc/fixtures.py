@@ -13,7 +13,6 @@ from fractions import Fraction
 from .complexes import Cell, CellSpace, SimplicialComplex
 from .exact import RationalMatrix
 from .fixedpoint import NormalData, TracedProblem
-from .flags import flag_cellspace
 from .maps import SelfMapSpec, SimplicialMap
 from .morse import VertexFunctional
 
@@ -91,10 +90,6 @@ def sphere2() -> SimplicialComplex:
 
 def cp1_cellspace() -> CellSpace:
     return CellSpace.build([Cell("pt", 0, None), Cell("cell2", 2, None)])
-
-
-def flag3_cellspace():
-    return flag_cellspace(3)
 
 
 # ---------------------------------------------------------------------------

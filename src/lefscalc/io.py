@@ -27,9 +27,9 @@ from .complexes import (
 from .errors import DegenerateInputError, ParseError
 from .euler import ConstructibleFunction
 from .exact import (
-    GaussianRational,
     RationalMatrix,
     format_rational,
+    parse_gaussian,
     parse_rational,
 )
 from .fixedpoint import NormalData, TracedProblem
@@ -223,13 +223,6 @@ def vertex_map_to_json(vm: dict, level: int):
     if level == 0 and all(isinstance(k, str) for k in vm):
         return {k: vertex_to_json(v) for k, v in items}
     return [[vertex_to_json(k), vertex_to_json(v)] for k, v in items]
-
-
-def parse_gaussian(x) -> GaussianRational:
-    try:
-        return GaussianRational.of(x)
-    except (ParseError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid value {x!r}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,24 +1,33 @@
-"""Typed command reports with a stable JSON form.
+"""Command reports with a stable JSON form.
 
-Every command prints exactly one report.  Reports serialize to plain JSON
-(sorted keys, deterministic ordering of every list) and parse back to an
-equal report, so downstream tooling can diff command output structurally.
+Every command prints exactly one report: a kind and the fields FIELDS
+lists for it, in the order the text form prints them.  Reports serialize
+to plain JSON (sorted keys, deterministic ordering of every list) and
+parse back to an equal report, so downstream tooling can diff command
+output structurally.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 
 from .errors import ParseError
-from .exact import GaussianRational
+from .exact import GaussianRational, parse_gaussian
 
-
-def _gaussian_from(x) -> GaussianRational:
-    try:
-        return GaussianRational.of(x)
-    except (ParseError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid Gaussian rational {x!r}: {exc}") from exc
+# kind -> field names, in printed order
+FIELDS = {
+    "chi": ("chi",),
+    "integral": ("integral",),
+    "lefschetz": ("global_trace", "degree_traces"),
+    "localization": ("global_trace", "sum_of_local", "equal", "components"),
+    "cycle-table": ("component", "regime", "sign", "table", "total"),
+    "cc": ("table", "total"),
+    "index-check": ("index_sum", "integral", "equal"),
+    "pushforward": ("values", "source_integral", "target_integral", "equal"),
+    "flag-model": ("n", "blocks", "cell_count", "chi", "component_count"),
+    "worked-example": ("components", "total", "chi_of_divisor"),
+    "verify": ("seed", "checks", "all_ok", "digest"),
+}
 
 
 def _plain(value):
@@ -38,157 +47,50 @@ def _frozen(value):
         return tuple(_frozen(v) for v in value)
     if isinstance(value, dict):
         if set(value) == {"re", "im"}:
-            return _gaussian_from(value)
+            return parse_gaussian(value)
         return {k: _frozen(v) for k, v in value.items()}
     return value
 
 
-@dataclass(frozen=True)
 class Report:
-    """Base class; concrete reports define KIND and their payload fields."""
+    """A read-only report of one kind; its fields read as attributes."""
 
-    KIND = "report"
+    def __init__(self, kind: str, **fields):
+        names = FIELDS.get(kind)
+        if names is None:
+            raise TypeError(f"unknown report kind {kind!r}")
+        if set(fields) != set(names):
+            raise TypeError(
+                f"a {kind!r} report takes fields {names}, got {tuple(fields)}"
+            )
+        # __setattr__ refuses every write, so fill the instance dict directly
+        vars(self).update(fields, kind=kind)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"reports are read-only; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Report):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{k}={getattr(self, k)!r}" for k in FIELDS[self.kind])
+        return f"Report({self.kind!r}, {values})"
 
     def to_json(self) -> dict:
-        data = {"kind": type(self).KIND}
-        for f in fields(self):
-            data[f.name] = _plain(getattr(self, f.name))
+        data = {"kind": self.kind}
+        for name in FIELDS[self.kind]:
+            data[name] = _plain(getattr(self, name))
         return data
 
     def to_text(self) -> str:
-        lines = [f"kind: {type(self).KIND}"]
-        for f in fields(self):
-            value = _plain(getattr(self, f.name))
+        lines = []
+        for name, value in self.to_json().items():
             if isinstance(value, (list, dict)):
                 value = json.dumps(value, sort_keys=True)
-            lines.append(f"{f.name}: {value}")
+            lines.append(f"{name}: {value}")
         return "\n".join(lines)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Report":
-        if not isinstance(data, dict):
-            raise ParseError("report must be a JSON object")
-        if data.get("kind") != cls.KIND:
-            raise ParseError(
-                f"expected a {cls.KIND!r} report, got {data.get('kind')!r}"
-            )
-        names = {f.name for f in fields(cls)}
-        extra = sorted(set(data) - names - {"kind"})
-        if extra:
-            raise ParseError(f"unknown report fields {extra}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in data:
-                raise ParseError(f"report misses field {f.name!r}")
-            kwargs[f.name] = _frozen(data[f.name])
-        return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class ChiReport(Report):
-    KIND = "chi"
-    chi: int
-
-
-@dataclass(frozen=True)
-class IntegralReport(Report):
-    KIND = "integral"
-    integral: GaussianRational
-
-
-@dataclass(frozen=True)
-class LefschetzReport(Report):
-    KIND = "lefschetz"
-    global_trace: GaussianRational
-    degree_traces: tuple  # ((k, trace), ...)
-
-
-@dataclass(frozen=True)
-class LocalizationReport(Report):
-    KIND = "localization"
-    global_trace: GaussianRational
-    sum_of_local: GaussianRational
-    equal: bool
-    components: tuple  # ({component, cells, normal_dim, sign, integral, signed_contribution}, ...)
-
-
-@dataclass(frozen=True)
-class CycleTableJson(Report):
-    KIND = "cycle-table"
-    component: int
-    regime: str
-    sign: int
-    table: tuple  # ((vertex, value), ...)
-    total: GaussianRational
-
-
-@dataclass(frozen=True)
-class CcReport(Report):
-    KIND = "cc"
-    table: tuple  # ((vertex, value), ...)
-    total: GaussianRational
-
-
-@dataclass(frozen=True)
-class IndexCheckReport(Report):
-    KIND = "index-check"
-    index_sum: GaussianRational
-    integral: GaussianRational
-    equal: bool
-
-
-@dataclass(frozen=True)
-class PushforwardReport(Report):
-    KIND = "pushforward"
-    values: tuple  # ((cell, value), ...)
-    source_integral: GaussianRational
-    target_integral: GaussianRational
-    equal: bool
-
-
-@dataclass(frozen=True)
-class FlagModelReport(Report):
-    KIND = "flag-model"
-    n: int
-    blocks: tuple
-    cell_count: int
-    chi: int
-    component_count: int
-
-
-@dataclass(frozen=True)
-class WorkedExampleReport(Report):
-    KIND = "worked-example"
-    components: tuple  # ((label, family, contained, points, contribution), ...)
-    total: GaussianRational
-    chi_of_divisor: int
-
-
-@dataclass(frozen=True)
-class VerifyReport(Report):
-    KIND = "verify"
-    seed: int
-    checks: tuple  # ((name, "ok"|"FAIL", detail), ...)
-    all_ok: bool
-    digest: str
-
-
-REPORT_TYPES = {
-    cls.KIND: cls
-    for cls in (
-        ChiReport,
-        IntegralReport,
-        LefschetzReport,
-        LocalizationReport,
-        CycleTableJson,
-        CcReport,
-        IndexCheckReport,
-        PushforwardReport,
-        FlagModelReport,
-        WorkedExampleReport,
-        VerifyReport,
-    )
-}
 
 
 def parse_report(data) -> Report:
@@ -200,9 +102,16 @@ def parse_report(data) -> Report:
     if not isinstance(data, dict) or "kind" not in data:
         raise ParseError("report must be a JSON object with a kind")
     kind = data["kind"]
-    if kind not in REPORT_TYPES:
+    if not isinstance(kind, str) or kind not in FIELDS:
         raise ParseError(f"unknown report kind {kind!r}")
-    return REPORT_TYPES[kind].from_json(data)
+    names = FIELDS[kind]
+    extra = sorted(set(data) - set(names) - {"kind"})
+    if extra:
+        raise ParseError(f"unknown report fields {extra}")
+    for name in names:
+        if name not in data:
+            raise ParseError(f"report misses field {name!r}")
+    return Report(kind, **{name: _frozen(data[name]) for name in names})
 
 
 def print_report(report: Report, as_json: bool) -> str:

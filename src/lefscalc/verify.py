@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import fixtures
 from .complexes import SimplicialComplex, cell_sort_key
-from .errors import NonSimplicialMapError
+from .errors import DegenerateInputError, NonSimplicialMapError
 from .euler import ConstructibleFunction, combine, euler_integral, pushforward
 from .exact import GaussianRational, Rat
 from .fixedpoint import localization_report
@@ -23,7 +23,7 @@ from .flags import example_3_9
 from .homology import hopf_trace, homology_traces, lefschetz_number
 from .maps import SelfMapSpec, SimplicialMap
 from .morse import VertexFunctional, cc_table, index_sum
-from .reports import VerifyReport
+from .reports import Report
 
 
 class CheckFailed(Exception):
@@ -120,6 +120,12 @@ def random_map_between(rng: random.Random, attempts: int = 60) -> SimplicialMap:
 class VerifyConfig:
     seed: int = 0
     cases: int = 25
+
+    def __post_init__(self):
+        if self.cases < 1:
+            raise DegenerateInputError(
+                f"cases must be at least 1, got {self.cases}"
+            )
 
 
 def check_hopf_vs_homology(config: VerifyConfig) -> str:
@@ -229,7 +235,7 @@ CHECKS = (
 )
 
 
-def run_all(config: VerifyConfig) -> VerifyReport:
+def run_all(config: VerifyConfig) -> Report:
     results = []
     for name, check in CHECKS:
         try:
@@ -243,7 +249,8 @@ def run_all(config: VerifyConfig) -> VerifyReport:
     digest = hashlib.sha256(
         json.dumps(material, sort_keys=True).encode("utf-8")
     ).hexdigest()
-    return VerifyReport(
+    return Report(
+        "verify",
         seed=config.seed,
         checks=tuple(tuple(r) for r in results),
         all_ok=all(status == "ok" for _, status, _ in results),

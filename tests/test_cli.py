@@ -194,6 +194,7 @@ def test_flag_model_rejections(capsys):
     assert main(["flag-model", "--n", "9"]) == 2
     assert main(["flag-model", "--n", "3", "--blocks", "2,x"]) == 2
     assert main(["flag-model", "--n", "3", "--blocks", "2,2"]) == 2
+    assert main(["flag-model", "--n", "3", "--blocks", ""]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -207,6 +208,14 @@ def test_example_command(capsys):
     code, other = run_json(capsys, ["example-3-9", "--ratio", "7/3"])
     assert code == 0
     assert other.total == g(5)
+
+
+def test_example_reads_a_negative_ratio_in_both_spellings(capsys):
+    assert main(["example-3-9", "--ratio", "-3/4"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["example-3-9", "--ratio=-3/4"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert "kind: worked-example" in spaced
 
 
 def test_example_rejects_unit_ratio(capsys):
@@ -362,9 +371,9 @@ def test_exit_1_when_an_identity_fails(monkeypatch, capsys):
     import lefscalc.cli as cli
 
     def fake(args):
-        from lefscalc.reports import ChiReport
+        from lefscalc.reports import Report
 
-        return ChiReport(chi=0), False
+        return Report("chi", chi=0), False
 
     monkeypatch.setitem(cli._COMMANDS, "chi", fake)
     assert main(["chi"]) == 1
@@ -405,6 +414,22 @@ def test_verify_is_byte_deterministic_across_processes():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_case(capsys, cases):
+    assert main(["verify", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cases must be at least 1" in captured.err
+
+
+def test_verify_config_refuses_fewer_than_one_case():
+    from lefscalc.verify import VerifyConfig, run_all
+
+    with pytest.raises(DegenerateInputError, match="at least 1"):
+        run_all(VerifyConfig(seed=0, cases=0))
+    assert run_all(VerifyConfig(seed=0, cases=1)).all_ok
 
 
 def test_verify_seed_changes_digest(capsys):

@@ -28,21 +28,7 @@ from lefscalc.io import (
 )
 from lefscalc.maps import SelfMapSpec
 from lefscalc.morse import VertexFunctional
-from lefscalc.reports import (
-    CcReport,
-    ChiReport,
-    CycleTableJson,
-    FlagModelReport,
-    IndexCheckReport,
-    IntegralReport,
-    LefschetzReport,
-    LocalizationReport,
-    PushforwardReport,
-    VerifyReport,
-    WorkedExampleReport,
-    parse_report,
-    print_report,
-)
+from lefscalc.reports import FIELDS, Report, parse_report, print_report
 
 
 def g(x):
@@ -404,12 +390,15 @@ def test_vertex_map_to_json_forms():
 
 def sample_reports():
     return [
-        ChiReport(chi=2),
-        IntegralReport(integral=g("5/2")),
-        LefschetzReport(
-            global_trace=g(-1), degree_traces=((0, g(1)), (1, g(2)))
+        Report("chi", chi=2),
+        Report("integral", integral=g("5/2")),
+        Report(
+            "lefschetz",
+            global_trace=g(-1),
+            degree_traces=((0, g(1)), (1, g(2))),
         ),
-        LocalizationReport(
+        Report(
+            "localization",
             global_trace=g(2),
             sum_of_local=g(2),
             equal=True,
@@ -424,23 +413,33 @@ def sample_reports():
                 },
             ),
         ),
-        CycleTableJson(
+        Report(
+            "cycle-table",
             component=0,
             regime="signed-non-characteristic",
             sign=-1,
             table=(("v0", g(-1)),),
             total=g(-1),
         ),
-        CcReport(table=(("a", g(1)), ("b", g(0))), total=g(1)),
-        IndexCheckReport(index_sum=g(3), integral=g(3), equal=True),
-        PushforwardReport(
+        Report("cc", table=(("a", g(1)), ("b", g(0))), total=g(1)),
+        Report("index-check", index_sum=g(3), integral=g(3), equal=True),
+        Report(
+            "pushforward",
             values=((("p",), g(1)),),
             source_integral=g(1),
             target_integral=g(1),
             equal=True,
         ),
-        FlagModelReport(n=3, blocks=(2, 1), cell_count=6, chi=6, component_count=3),
-        WorkedExampleReport(
+        Report(
+            "flag-model",
+            n=3,
+            blocks=(2, 1),
+            cell_count=6,
+            chi=6,
+            component_count=3,
+        ),
+        Report(
+            "worked-example",
             components=(
                 ("c0", "lines_in_plane", True, 0, g(2)),
                 ("c1", "lines_with_axis", True, 0, g(2)),
@@ -449,7 +448,8 @@ def sample_reports():
             total=g(5),
             chi_of_divisor=5,
         ),
-        VerifyReport(
+        Report(
+            "verify",
             seed=0,
             checks=(("hopf-vs-homology", True, "40 cases"),),
             all_ok=True,
@@ -462,7 +462,7 @@ def test_report_json_roundtrip():
     for report in sample_reports():
         data = json.loads(json.dumps(report.to_json()))
         assert parse_report(data) == report
-        assert data["kind"] == type(report).KIND
+        assert data["kind"] == report.kind
 
 
 def test_report_text_mentions_every_field():
@@ -473,20 +473,59 @@ def test_report_text_mentions_every_field():
             assert ": " in line
 
 
+def test_sample_reports_cover_every_kind():
+    assert [r.kind for r in sample_reports()] == list(FIELDS)
+
+
 def test_parse_report_rejections():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="unknown report kind 'nope'"):
         parse_report({"kind": "nope"})
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="unknown report kind"):
+        parse_report({"kind": ["chi"]})
+    with pytest.raises(ParseError, match="with a kind"):
         parse_report({"chi": 2})
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="misses field 'chi'"):
         parse_report({"kind": "chi"})
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"unknown report fields \['extra'\]"):
         parse_report({"kind": "chi", "chi": 2, "extra": 1})
-    with pytest.raises(ParseError):
-        ChiReport.from_json([1])
+    with pytest.raises(ParseError, match="must be a JSON object"):
+        parse_report([1])
+    with pytest.raises(ParseError, match="not valid JSON"):
+        parse_report("{")
+    with pytest.raises(ParseError, match="invalid value"):
+        parse_report({"kind": "integral", "integral": {"re": "x", "im": "0"}})
+
+
+def test_report_constructor_checks_fields():
+    with pytest.raises(TypeError):
+        Report("nope", chi=2)
+    with pytest.raises(TypeError):
+        Report("chi")
+    with pytest.raises(TypeError):
+        Report("chi", chi=2, extra=1)
+    with pytest.raises(TypeError):
+        Report("index-check", index_sum=g(3), integral=g(3))
+
+
+def test_report_fields_read_as_attributes_and_stay_fixed():
+    report = Report("index-check", index_sum=g(3), integral=g(4), equal=False)
+    assert (report.kind, report.index_sum, report.equal) == (
+        "index-check", g(3), False
+    )
+    with pytest.raises(AttributeError):
+        report.missing
+    with pytest.raises(AttributeError):
+        report.equal = True
+    assert report == Report(
+        "index-check", equal=False, integral=g(4), index_sum=g(3)
+    )
+    assert report != Report(
+        "index-check", index_sum=g(3), integral=g(3), equal=False
+    )
+    assert Report("chi", chi=2) != Report("integral", integral=2)
 
 
 def test_print_report_modes():
-    report = ChiReport(chi=4)
+    report = Report("chi", chi=4)
     assert json.loads(print_report(report, as_json=True)) == report.to_json()
     assert "chi: 4" in print_report(report, as_json=False)
