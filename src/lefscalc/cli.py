@@ -2,7 +2,8 @@
 
 Every command reads an optional problem file (see io.py for the format),
 computes one report, and prints it to stdout, as text by default or as
-JSON under --json.  Diagnostics go to stderr.  Exit codes:
+JSON under --json.  Diagnostics go to stderr.  Each handler imports the
+layers it uses, so a command loads only those.  Exit codes:
 
     0  success (and every checked identity held)
     1  a checked identity failed
@@ -18,9 +19,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import io
-from .complexes import canonical_tuple
 from .errors import (
     CellSpaceUnsupportedError,
     DegenerateInputError,
@@ -34,14 +34,11 @@ from .errors import (
     NotLocalizableError,
     ParseError,
 )
-from .euler import ConstructibleFunction, chi_c, euler_integral, pushforward
-from .exact import GaussianRational, parse_rational
-from .fixedpoint import localization_report
-from .flags import block_words, example_3_9, fixed_locus_cellspace, flag_cellspace
-from .homology import homology_traces
-from .morse import cc_table, index_sum, lefschetz_cycle_table
 from .reports import Report, print_report
-from .verify import VerifyConfig, run_all
+
+if TYPE_CHECKING:
+    from .euler import ConstructibleFunction
+    from .io import Problem
 
 _EXIT_RULES = (
     ((FixedPointNotSimplicialError,), 3),
@@ -69,37 +66,36 @@ def exit_code_for(exc: LefscalcError) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", metavar="PATH", help="problem file to read")
     common.add_argument(
         "--json", action="store_true", help="print the report as JSON"
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for seeded commands"
-    )
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--input", metavar="PATH", help="problem file to read")
+    problem = [reads, common]
     top = argparse.ArgumentParser(
         prog="lefscalc",
         description="exact fixed-point traces on simplicial and cell models",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("chi", parents=[common],
+    sub.add_parser("chi", parents=problem,
                    help="compactly supported Euler characteristic")
-    sub.add_parser("integrate", parents=[common],
+    sub.add_parser("integrate", parents=problem,
                    help="Euler integral of the values table")
     sub.add_parser(
-        "lefschetz", parents=[common],
+        "lefschetz", parents=problem,
         help="global trace; localized over fixed components when the "
              "problem carries support, traces, or normal data",
     )
-    morse = sub.add_parser("morse", parents=[common],
+    morse = sub.add_parser("morse", parents=problem,
                            help="cycle table at one fixed component")
     morse.add_argument("--component", type=int, default=0,
                        help="fixed component index (default 0)")
-    sub.add_parser("cc", parents=[common],
+    sub.add_parser("cc", parents=problem,
                    help="multiplicity table of the values for the functional")
-    sub.add_parser("index-check", parents=[common],
+    sub.add_parser("index-check", parents=problem,
                    help="compare the table total with the Euler integral")
-    sub.add_parser("pushforward", parents=[common],
+    sub.add_parser("pushforward", parents=problem,
                    help="push the values along the map to its target")
     flag = sub.add_parser("flag-model", parents=[common],
                           help="cell model of a flag manifold or fixed locus")
@@ -114,42 +110,56 @@ def build_parser() -> argparse.ArgumentParser:
                               "as 7/3 or -3/4 (default 2)")
     verify = sub.add_parser("verify", parents=[common],
                             help="run the deterministic identity battery")
+    verify.add_argument("--seed", type=int, default=0,
+                        help="seed of the random cases (default 0)")
     verify.add_argument("--cases", type=int, default=25,
                         help="random cases per check, at least 1 "
                              "(default 25)")
     return top
 
 
-def _load(args) -> io.Problem:
+def _load(args) -> Problem:
+    from . import io
+
     if not args.input:
         raise ParseError("this command needs --input PATH")
     return io.load(args.input)
 
 
-def _need_phi(problem: io.Problem) -> ConstructibleFunction:
+def _need_phi(problem: Problem) -> ConstructibleFunction:
+    from .euler import ConstructibleFunction
+
     if problem.phi is not None:
         return problem.phi
     return ConstructibleFunction.indicator(problem.space)
 
 
-def _need_ell(problem: io.Problem):
+def _need_ell(problem: Problem):
     if problem.ell is None:
         raise ParseError("this command needs an 'ell' functional in the input")
     return problem.ell
 
 
 def cmd_chi(args):
+    from .euler import chi_c
+
     problem = _load(args)
     return Report("chi", chi=chi_c(problem.space)), True
 
 
 def cmd_integrate(args):
+    from .euler import euler_integral
+
     problem = _load(args)
     integral = euler_integral(_need_phi(problem))
     return Report("integral", integral=integral), True
 
 
 def cmd_lefschetz(args):
+    from .exact import GaussianRational
+    from .fixedpoint import localization_report
+    from .homology import homology_traces
+
     problem = _load(args)
     if problem.spec is None:
         raise ParseError("the lefschetz command needs a self-map block")
@@ -174,6 +184,8 @@ def cmd_lefschetz(args):
 
 
 def cmd_morse(args):
+    from .morse import lefschetz_cycle_table
+
     problem = _load(args)
     if problem.spec is None:
         raise ParseError("the morse command needs a self-map block")
@@ -193,6 +205,8 @@ def cmd_morse(args):
 
 
 def cmd_cc(args):
+    from .morse import cc_table
+
     problem = _load(args)
     table = cc_table(_need_phi(problem), _need_ell(problem))
     return (
@@ -204,6 +218,9 @@ def cmd_cc(args):
 
 
 def cmd_index_check(args):
+    from .euler import euler_integral
+    from .morse import index_sum
+
     problem = _load(args)
     phi = _need_phi(problem)
     total = index_sum(phi, _need_ell(problem))
@@ -216,6 +233,9 @@ def cmd_index_check(args):
 
 
 def cmd_pushforward(args):
+    from .complexes import canonical_tuple
+    from .euler import euler_integral, pushforward
+
     problem = _load(args)
     if problem.push_map is None:
         raise ParseError(
@@ -251,6 +271,9 @@ def _parse_blocks(raw: str) -> tuple:
 
 
 def cmd_flag_model(args):
+    from .euler import chi_c
+    from .flags import block_words, fixed_locus_cellspace, flag_cellspace
+
     if args.blocks is not None:
         blocks = _parse_blocks(args.blocks)
         space = fixed_locus_cellspace(args.n, blocks)
@@ -273,6 +296,10 @@ def cmd_flag_model(args):
 
 
 def cmd_example_3_9(args):
+    from .euler import chi_c
+    from .exact import parse_rational
+    from .flags import example_3_9
+
     example = example_3_9(parse_rational(args.ratio))
     components = tuple(
         (p.label, p.family, p.contained, p.points,
@@ -292,6 +319,8 @@ def cmd_example_3_9(args):
 
 
 def cmd_verify(args):
+    from .verify import VerifyConfig, run_all
+
     config = VerifyConfig(seed=args.seed, cases=args.cases)
     report = run_all(config)
     return report, report.all_ok

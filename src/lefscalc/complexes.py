@@ -79,6 +79,22 @@ def vertex_key(v):
     )
 
 
+def intern_vertex(v):
+    """One object per distinct tuple vertex: the tuple the key memo saw
+    first, when it agrees with `v` in type all the way down; otherwise `v`
+    itself, now keyed (a bad component is refused as in `vertex_key`).
+    Ints and strings come back as they are."""
+    if isinstance(v, tuple):
+        try:
+            hit = _VERTEX_KEYS.get(v)
+        except TypeError:  # an unhashable component, refused below
+            hit = None
+        if hit is not None and _same_vertex(hit[0], v):
+            return hit[0]
+        vertex_key(v)
+    return v
+
+
 def canonical_tuple(simplex) -> tuple:
     return tuple(sorted(simplex, key=vertex_key))
 
@@ -288,18 +304,28 @@ class Violation:
 
 
 def validate(space) -> list:
-    """Structural diagnostics; empty list means the space is well formed."""
+    """Structural diagnostics; empty list means the space is well formed.
+
+    Every face of an affinely independent simplex is independent, so the
+    rank test runs on the maximal simplices (those that are no codim-1 face
+    of another) and on every simplex only when one of them fails or a
+    vertex is unlisted; the violation list is the same either way.
+    """
     if isinstance(space, CellSpace):
         return []  # construction already enforced the cell-space invariants
     out = []
+    simplices = space.simplices
     vset = set(space.vertices)
-    for s in sorted(space.simplices, key=cell_sort_key):
+    named = [(s, canonical_tuple(s)) for s in sorted(simplices, key=cell_sort_key)]
+    covered = set()  # codim-1 faces of listed simplices
+    stray_seen = False
+    for s, ordered in named:
         if not s:
             out.append(Violation("empty-simplex", "the empty set is not a cell"))
             continue
-        ordered = canonical_tuple(s)
         stray = [v for v in ordered if v not in vset]
         if stray:
+            stray_seen = True
             out.append(
                 Violation(
                     "unknown-vertex",
@@ -307,16 +333,18 @@ def validate(space) -> list:
                 )
             )
         if len(s) > 1:
-            for v in ordered:
-                if s - {v} not in space.simplices:
+            for i, v in enumerate(ordered):
+                face = s - {v}
+                covered.add(face)
+                if face not in simplices:
                     out.append(
                         Violation(
                             "not-face-closed",
-                            f"face {canonical_tuple(s - {v})} of {ordered} is missing",
+                            f"face {ordered[:i] + ordered[i + 1:]} of {ordered} is missing",
                         )
                     )
     for v in space.vertices:
-        if frozenset([v]) not in space.simplices:
+        if frozenset([v]) not in simplices:
             out.append(
                 Violation("vertex-not-a-cell", f"vertex {v!r} has no 0-simplex")
             )
@@ -336,20 +364,25 @@ def validate(space) -> list:
                     Violation("ragged-coordinates", f"mixed lengths {sorted(lengths)}")
                 )
             else:
-                for s in sorted(space.simplices, key=cell_sort_key):
-                    pts = [space.coord_of(v) for v in canonical_tuple(s)]
-                    if len(pts) < 2 or any(p is None for p in pts):
-                        continue
-                    rows = [
-                        [b - a for a, b in zip(pts[0], p)] for p in pts[1:]
-                    ]
-                    if RationalMatrix(tuple(map(tuple, rows))).rank() < len(rows):
-                        out.append(
-                            Violation(
-                                "affinely-dependent",
-                                f"simplex {canonical_tuple(s)} is degenerate",
-                            )
-                        )
+                maximal = [pair for pair in named if pair[0] not in covered]
+                if stray_seen or _degenerate(space, maximal):
+                    out.extend(_degenerate(space, named))
+    return out
+
+
+def _degenerate(space, named) -> list:
+    """An affinely-dependent violation for each degenerate simplex of
+    `named`, a list of (simplex, canonical tuple) pairs."""
+    out = []
+    for _, ordered in named:
+        pts = [space.coord_of(v) for v in ordered]
+        if len(pts) < 2 or any(p is None for p in pts):
+            continue
+        rows = [[b - a for a, b in zip(pts[0], p)] for p in pts[1:]]
+        if RationalMatrix(tuple(map(tuple, rows))).rank() < len(rows):
+            out.append(
+                Violation("affinely-dependent", f"simplex {ordered} is degenerate")
+            )
     return out
 
 

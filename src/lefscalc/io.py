@@ -20,6 +20,7 @@ from .complexes import (
     SimplicialComplex,
     canonical_tuple,
     cell_sort_key,
+    intern_vertex,
     require_valid,
     subdivided_complex,
     vertex_key,
@@ -70,7 +71,7 @@ def vertex_from_json(x):
     if isinstance(x, (int, str)):
         return x
     if isinstance(x, list):
-        return tuple(vertex_from_json(y) for y in x)
+        return intern_vertex(tuple(vertex_from_json(y) for y in x))
     raise ParseError(f"invalid vertex {x!r}")
 
 

@@ -9,7 +9,8 @@ the dense chain engine: chain complexes and chain maps as dense rational
 matrices, homology traces by row echelon forms and one solve per cycle.
 It also keeps the slow routes that a memoized one replaced: the vertex
 key rebuilt recursively on every call, and the dot criterion recounting
-every prefix on every comparison.
+every prefix on every comparison; and complex validation that sorts the
+simplices twice and runs the affine rank test on every simplex.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from lefscalc.complexes import canonical_tuple, require_valid, vertex_key
+from lefscalc.complexes import (
+    CellSpace,
+    Violation,
+    canonical_tuple,
+    cell_sort_key,
+    require_valid,
+    vertex_key,
+)
 from lefscalc.errors import DegenerateInputError
 from lefscalc.exact import RationalMatrix, RationalPolynomial, row_echelon
 from lefscalc.maps import subdivided_complex
@@ -197,6 +205,65 @@ def vertex_key_recursive(v):
     if isinstance(v, int) and not isinstance(v, bool):
         return (0, v)
     return (3, str(v))
+
+
+# ---------------------------------------------------------------------------
+# complex validation, every simplex rank-tested
+
+
+def validate_all_simplices(space) -> list:
+    """`complexes.validate` as it was before the rank test moved to the
+    maximal simplices: the same violations, in the same order."""
+    if isinstance(space, CellSpace):
+        return []
+    out = []
+    vset = set(space.vertices)
+    for s in sorted(space.simplices, key=cell_sort_key):
+        if not s:
+            out.append(Violation("empty-simplex", "the empty set is not a cell"))
+            continue
+        ordered = canonical_tuple(s)
+        stray = [v for v in ordered if v not in vset]
+        if stray:
+            out.append(
+                Violation("unknown-vertex", f"simplex {ordered} uses unlisted {stray}")
+            )
+        if len(s) > 1:
+            for v in ordered:
+                if s - {v} not in space.simplices:
+                    out.append(
+                        Violation(
+                            "not-face-closed",
+                            f"face {canonical_tuple(s - {v})} of {ordered} is missing",
+                        )
+                    )
+    for v in space.vertices:
+        if frozenset([v]) not in space.simplices:
+            out.append(Violation("vertex-not-a-cell", f"vertex {v!r} has no 0-simplex"))
+    if space.coords is not None:
+        missing = [v for v, c in zip(space.vertices, space.coords) if c is None]
+        if missing:
+            out.append(Violation("missing-coordinates", f"coordinates absent for {missing}"))
+        else:
+            lengths = {len(c) for c in space.coords}
+            if len(lengths) > 1:
+                out.append(
+                    Violation("ragged-coordinates", f"mixed lengths {sorted(lengths)}")
+                )
+            else:
+                for s in sorted(space.simplices, key=cell_sort_key):
+                    pts = [space.coord_of(v) for v in canonical_tuple(s)]
+                    if len(pts) < 2 or any(p is None for p in pts):
+                        continue
+                    rows = [[b - a for a, b in zip(pts[0], p)] for p in pts[1:]]
+                    if RationalMatrix(tuple(map(tuple, rows))).rank() < len(rows):
+                        out.append(
+                            Violation(
+                                "affinely-dependent",
+                                f"simplex {canonical_tuple(s)} is degenerate",
+                            )
+                        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,44 @@ def test_exit_1_when_an_identity_fails(monkeypatch, capsys):
     assert main(["chi"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, stray",
+    [
+        (["flag-model", "--n", "3", "--input", "/nonexistent", "--seed", "99"],
+         "--input /nonexistent --seed 99"),
+        (["example-3-9", "--input", "/nonexistent"], "--input /nonexistent"),
+        (["chi", "--input", "{path}", "--seed", "5"], "--seed 5"),
+        (["verify", "--cases", "1", "--input", "{path}"], "--input {path}"),
+    ],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(
+    tmp_path, capsys, argv, stray
+):
+    path = write(tmp_path, "s2.json", problem_to_json(fx.sphere2()))
+    with pytest.raises(SystemExit) as caught:
+        main([arg.format(path=path) for arg in argv])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {stray.format(path=path)}" in captured.err
+
+
+def test_each_command_still_takes_its_own_options(tmp_path, capsys):
+    path = write(tmp_path, "s2.json", problem_to_json(fx.sphere2()))
+    runs = [
+        ["chi", "--input", path],
+        ["flag-model", "--n", "3"],
+        ["example-3-9", "--json", "--ratio", "3"],
+        ["verify", "--seed", "5", "--cases", "1"],
+    ]
+    reports = [run_json(capsys, argv) for argv in runs]
+    assert [code for code, _ in reports] == [0, 0, 0, 0]
+    assert [r.kind for _, r in reports] == [
+        "chi", "flag-model", "worked-example", "verify"
+    ]
+    assert reports[3][1].seed == 5
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -33,7 +33,7 @@ from lefscalc.complexes import (
     vertex_key,
     whole_space,
 )
-from lefscalc.errors import DegenerateInputError, InvalidComplexError
+from lefscalc.errors import DegenerateInputError, InvalidComplexError, LefscalcError
 from lefscalc.euler import ConstructibleFunction, chi_c, euler_integral, restrict
 from lefscalc.exact import GaussianRational
 from lefscalc.flags import flag_cellspace
@@ -377,3 +377,142 @@ def test_vertex_index_is_a_lookup_and_refuses_unknown_vertices():
         space.vertex_index(["c"])
     # the index is a cached property, not a field: equality stays on fields
     assert space == subdivide_times(fx.disk(), 2)[0]
+
+
+# ---------------------------------------------------------------------------
+# validation against the every-simplex oracle
+
+
+def _outcome(check, space):
+    """What a validation call returns, or the type and text it raises."""
+    try:
+        return "returned", check(space)
+    except LefscalcError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_validates_like_oracle(space, monkeypatch):
+    expected = _outcome(oracles.validate_all_simplices, space)
+    assert _outcome(validate, space) == expected
+    actual_message = _outcome(require_valid, space)
+    with monkeypatch.context() as patch:
+        patch.setattr(complexes, "validate", oracles.validate_all_simplices)
+        assert actual_message == _outcome(require_valid, space)
+    return expected
+
+
+FIXTURE_SPACES = (
+    fx.point_complex, fx.interval_complex, fx.hexagon, fx.twelve_gon,
+    fx.disk, fx.sphere2, fx.cp1_cellspace,
+)
+
+
+@pytest.mark.parametrize("make", FIXTURE_SPACES, ids=lambda f: f.__name__)
+def test_validate_matches_oracle_on_fixtures_and_their_subdivisions(make, monkeypatch):
+    space = make()
+    assert assert_validates_like_oracle(space, monkeypatch) == ("returned", [])
+    if getattr(space, "coords", None) is not None:
+        for level in (1, 2):
+            finer = subdivide_times(space, level)[0]
+            assert assert_validates_like_oracle(finer, monkeypatch) == ("returned", [])
+
+
+def _random_complex(rng):
+    names = [f"v{i}" for i in range(rng.randint(3, 7))]
+    maximal = [
+        rng.sample(names, rng.randint(1, min(4, len(names))))
+        for _ in range(rng.randint(1, 5))
+    ]
+    closed = SimplicialComplex.from_maximal(maximal)
+    simplices = set(closed.simplices)
+    if rng.random() < 0.2:  # an occasional missing face
+        simplices.discard(rng.choice(sorted(simplices, key=cell_sort_key)))
+    listed = list(closed.vertices)
+    if rng.random() < 0.1:  # an occasional unlisted vertex
+        listed.remove(rng.choice(listed))
+    dim = rng.randint(1, 3)
+    coords = [
+        tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim))
+        for _ in listed
+    ]
+    return SimplicialComplex.build(tuple(listed), simplices, coords)
+
+
+def test_validate_matches_oracle_on_seeded_complexes(monkeypatch):
+    verdicts = set()
+    for seed in range(300):
+        space = _random_complex(random.Random(f"validate:{seed}"))
+        kind, result = assert_validates_like_oracle(space, monkeypatch)
+        if kind != "returned":
+            verdicts.add(kind)
+        else:
+            verdicts.add("valid" if not result else "invalid")
+            if any(v.kind == "affinely-dependent" for v in result):
+                verdicts.add("degenerate")
+    assert {"valid", "invalid", "degenerate", "DegenerateInputError"} <= verdicts
+
+
+def _with_coords(maximal, points, vertices=None, drop=()):
+    closed = SimplicialComplex.from_maximal(maximal)
+    listed = tuple(points) if vertices is None else vertices
+    simplices = closed.simplices - {frozenset(s) for s in drop}
+    return SimplicialComplex.build(
+        listed, simplices, [tuple(map(Fraction, points[v])) for v in listed]
+    )
+
+
+CRAFTED = {
+    # each edge joins two distinct points; only the triangle is flat
+    "collinear triangle": lambda: _with_coords(
+        [("a", "b", "c")], {"a": (0, 0), "b": (1, 0), "c": (2, 0)}
+    ),
+    # a and b coincide: the edge ab and both triangles on it are degenerate
+    "coincident vertices": lambda: _with_coords(
+        [("a", "b", "c"), ("a", "b", "d")],
+        {"a": (0, 0), "b": (0, 0), "c": (1, 0), "d": (0, 1)},
+    ),
+    # x is unlisted, beside a flat face abc
+    "unlisted vertex beside a degenerate face": lambda: _with_coords(
+        [("a", "b", "c", "x")],
+        {"a": (0, 0), "b": (1, 0), "c": (2, 0)},
+        vertices=("a", "b", "c"),
+    ),
+    # the first simplex to name an unlisted vertex is the 0-simplex x, but
+    # the first maximal one is the edge ay
+    "two unlisted vertices": lambda: _with_coords(
+        [("a", "y"), ("a", "b", "x")], {"a": (0, 0), "b": (1, 0)},
+        vertices=("a", "b"),
+    ),
+    "missing face": lambda: _with_coords(
+        [("a", "b", "c")], {"a": (0, 0), "b": (1, 0), "c": (0, 1)},
+        drop=[("a", "c")],
+    ),
+    "missing face of a flat triangle": lambda: _with_coords(
+        [("a", "b", "c")], {"a": (0, 0), "b": (1, 0), "c": (2, 0)},
+        drop=[("b",)],
+    ),
+    "ragged coordinates": lambda: SimplicialComplex.build(
+        ("a", "b"), [{"a"}, {"b"}, {"a", "b"}], [(0, 0), (1,)]
+    ),
+    "zero-length coordinates": lambda: SimplicialComplex.build(
+        ("a", "b"), [{"a"}, {"b"}, {"a", "b"}], [(), ()]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+def test_validate_matches_oracle_on_crafted_bad_complexes(name, monkeypatch):
+    kind, result = assert_validates_like_oracle(CRAFTED[name](), monkeypatch)
+    assert kind != "returned" or result, "every crafted case is invalid"
+
+
+def test_validate_names_each_degenerate_simplex():
+    kinds = [v.detail for v in validate(CRAFTED["coincident vertices"]())]
+    assert kinds == [
+        "simplex ('a', 'b') is degenerate",
+        "simplex ('a', 'b', 'c') is degenerate",
+        "simplex ('a', 'b', 'd') is degenerate",
+    ]
+    assert [v.detail for v in validate(CRAFTED["collinear triangle"]())] == [
+        "simplex ('a', 'b', 'c') is degenerate"
+    ]

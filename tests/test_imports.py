@@ -1,0 +1,123 @@
+"""What each entry point imports, and the package's public names."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import lefscalc
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(lefscalc.__file__)))
+
+# sorted(lefscalc.__all__) when the package imported every layer eagerly:
+# its re-exports and the layer modules those come from
+PUBLIC_NAMES = [
+    "BruhatCellSpace", "Cell", "CellSpace", "CellSpaceUnsupportedError",
+    "CellularSubset", "ConstructibleFunction", "CycleTableReport",
+    "DegenerateInputError", "FixedPointNotSimplicialError", "GaussianRational",
+    "GenericityError", "InvalidComplexError", "LefscalcError",
+    "MultiplicityTable", "NoApplicableRegimeError", "NonSimplicialMapError",
+    "NormalData", "NotHyperbolicError", "NotLocalizableError", "ParseError",
+    "Rat", "RationalMatrix", "RationalPolynomial", "SelfMapSpec",
+    "SimplicialComplex", "SimplicialMap", "TracedProblem", "VertexFunctional",
+    "barycentric_subdivide", "betti", "bruhat_leq", "canonical_tuple",
+    "cc_table", "chain_complex", "chi_c", "combine", "complexes", "compose",
+    "connected_components", "count_real_roots_geq",
+    "derive_intersection_pattern", "errors", "euler", "euler_characteristic",
+    "euler_integral", "exact", "example_3_9", "fixed_components",
+    "fixed_locus_cellspace", "fixed_subcomplex", "fixedpoint",
+    "flag_cellspace", "flags", "genericity_check", "homology",
+    "homology_trace", "homology_traces", "hopf_trace", "hyperbolicity_report",
+    "index_sum", "induced_subcomplex", "lefschetz_cycle_table",
+    "lefschetz_number", "link", "local_contribution", "local_trace_function",
+    "localization_report", "maps", "microlocal_index", "morse",
+    "morse_multiplicity", "parse_rational", "pullback", "pushforward",
+    "pushforward_spec", "refine", "relative_betti",
+    "relative_lefschetz_number", "restrict", "schubert_subset",
+    "self_map_endomorphism", "signed_local_contribution", "star",
+    "subdivide_times", "validate",
+]
+
+LOADED = """
+import json, sys
+{setup}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("lefscalc"))))
+"""
+
+
+def loaded_modules(setup: str) -> set:
+    """The lefscalc modules a fresh interpreter holds after `setup`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", LOADED.format(setup=setup)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return {name.rpartition(".")[2] for name in json.loads(run.stdout.splitlines()[-1])}
+
+
+def test_importing_the_cli_loads_no_layer_a_command_may_skip():
+    loaded = loaded_modules("import lefscalc.cli")
+    assert {"cli", "reports", "errors"} <= loaded
+    assert not loaded & {
+        "homology", "fixedpoint", "morse", "flags", "io", "verify", "fixtures"
+    }
+
+
+@pytest.mark.parametrize(
+    "argv", [["flag-model", "--n", "3", "--blocks", "2,1"], ["example-3-9", "--ratio", "-3/4"]]
+)
+def test_flag_commands_load_no_problem_layer(argv):
+    loaded = loaded_modules(f"from lefscalc.cli import main; main({argv!r})")
+    assert "flags" in loaded
+    assert not loaded & {"homology", "fixedpoint", "morse", "io", "verify", "fixtures"}
+
+
+def test_problem_commands_load_no_flag_layer(tmp_path):
+    from lefscalc import fixtures
+    from lefscalc.io import dumps, traced_problem_to_json
+
+    path = tmp_path / "reflection.json"
+    path.write_text(dumps(traced_problem_to_json(fixtures.reflection_problem())))
+    loaded = loaded_modules(
+        f"from lefscalc.cli import main; main(['lefschetz', '--input', {str(path)!r}])"
+    )
+    assert {"io", "homology", "fixedpoint"} <= loaded
+    assert not loaded & {"flags", "verify", "fixtures"}
+
+
+def test_importing_the_package_loads_no_layer():
+    assert loaded_modules("import lefscalc") == {"lefscalc"}
+
+
+def test_public_names_are_unchanged():
+    assert sorted(lefscalc.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(lefscalc))
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_public_name_is_the_object_its_module_defines(name):
+    value = getattr(lefscalc, name)
+    module = lefscalc._EXPORTS.get(name)
+    if module is None:
+        assert value is import_module(f"lefscalc.{name}")
+    else:
+        assert value is getattr(import_module(f"lefscalc.{module}"), name)
+
+
+def test_submodules_resolve_as_attributes():
+    for name in ("fixtures", "io", "reports", "verify", "cli", "maps"):
+        assert getattr(lefscalc, name) is import_module(f"lefscalc.{name}")
+    assert lefscalc.fixtures.hexagon() == import_module("lefscalc.fixtures").hexagon()
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lefscalc.no_such_name
+    assert not hasattr(lefscalc, "tests")
+    assert loaded_modules(
+        "import lefscalc\ntry:\n    lefscalc.io_\nexcept AttributeError:\n    pass"
+    ) == {"lefscalc"}

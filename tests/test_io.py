@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 import lefscalc.fixtures as fx
-from lefscalc.complexes import CellularSubset
+import oracles
+from lefscalc import complexes
+from lefscalc.complexes import CellularSubset, subdivide_times, vertex_key
 from lefscalc.errors import DegenerateInputError, ParseError
 from lefscalc.euler import ConstructibleFunction
 from lefscalc.exact import GaussianRational
@@ -50,6 +52,61 @@ def test_vertex_json_roundtrip():
         vertex_from_json(True)
     with pytest.raises(ParseError):
         vertex_from_json(1.5)
+
+
+def _tuples_within(v):
+    """v and every tuple nested in it."""
+    if isinstance(v, tuple):
+        yield v
+        for part in v:
+            yield from _tuples_within(part)
+
+
+def test_parsed_subdivision_vertices_are_one_object_each(monkeypatch):
+    monkeypatch.setattr(complexes, "_VERTEX_KEYS", {})
+    space = subdivide_times(fx.disk(), 2)[0]
+    cells = sorted(space.simplices, key=complexes.cell_sort_key)
+    phi = ConstructibleFunction.of(space, [(c, i + 1) for i, c in enumerate(cells)])
+    ell = VertexFunctional.of(space, {v: i for i, v in enumerate(space.vertices)})
+    text = dumps(problem_to_json(space, phi=phi, ell=ell))
+    monkeypatch.setattr(complexes, "_VERTEX_KEYS", {})
+    problem = loads(text)
+    occurrences = list(problem.space.vertices)
+    for cells_of in (problem.space.simplices, problem.phi.values):
+        occurrences += [v for cell in cells_of for v in cell]
+    occurrences += list(problem.ell.values)
+    objects = {}
+    for vertex in occurrences:
+        for part in _tuples_within(vertex):
+            objects.setdefault(part, set()).add(id(part))
+    assert len(objects) > len(space.vertices)  # nested tuples are counted too
+    assert all(len(ids) == 1 for ids in objects.values())
+    again = loads(text)
+    assert all(a is b for a, b in zip(again.space.vertices, problem.space.vertices))
+    for vertex in problem.space.vertices:
+        assert vertex_key(vertex) == oracles.vertex_key_recursive(vertex)
+    assert problem.space == space and problem.ell.values == ell.values
+    assert len(problem.phi.values) == len(cells)
+
+
+def test_interned_vertex_keeps_component_types():
+    first = vertex_from_json([1, "a"])
+    assert vertex_from_json([1, "a"]) is first
+    assert vertex_from_json([[1], [2]]) == ((1,), (2,))
+    assert vertex_key(vertex_from_json([[1], "a"])) == oracles.vertex_key_recursive(
+        ((1,), "a")
+    )
+
+
+@pytest.mark.parametrize(
+    "raw, text",
+    [([True], "invalid vertex True"), (1.5, "invalid vertex 1.5"),
+     (None, "invalid vertex None"), ([["a"], [None]], "invalid vertex None")],
+)
+def test_bad_vertices_are_refused_with_the_same_text(raw, text):
+    with pytest.raises(ParseError) as caught:
+        vertex_from_json(raw)
+    assert str(caught.value) == text
 
 
 def test_complex_block_roundtrip():
