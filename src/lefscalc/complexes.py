@@ -365,16 +365,20 @@ def validate(space) -> list:
                 )
             else:
                 maximal = [pair for pair in named if pair[0] not in covered]
-                if stray_seen or _degenerate(space, maximal):
-                    out.extend(_degenerate(space, named))
+                if stray_seen or _degenerate(space, maximal, vset):
+                    out.extend(_degenerate(space, named, vset))
     return out
 
 
-def _degenerate(space, named) -> list:
+def _degenerate(space, named, listed) -> list:
     """An affinely-dependent violation for each degenerate simplex of
-    `named`, a list of (simplex, canonical tuple) pairs."""
+    `named`, a list of (simplex, canonical tuple) pairs.  A simplex with a
+    vertex outside `listed` has no coordinates to test and is skipped; its
+    unknown-vertex violation is already in the list."""
     out = []
     for _, ordered in named:
+        if not listed.issuperset(ordered):
+            continue
         pts = [space.coord_of(v) for v in ordered]
         if len(pts) < 2 or any(p is None for p in pts):
             continue

@@ -25,7 +25,7 @@ from .complexes import (
     cell_sort_key,
 )
 from .errors import DegenerateInputError
-from .exact import GZERO, GaussianRational
+from .exact import GZERO, GaussianRational, signed_sum
 from .maps import SelfMapSpec, SimplicialMap
 
 
@@ -88,10 +88,8 @@ def chi_c(target) -> int:
 
 
 def euler_integral(phi: ConstructibleFunction) -> GaussianRational:
-    total = GZERO
-    for cell, value in phi.values.items():
-        total = total + value * ((-1) ** phi.parent.cell_dim(cell))
-    return total
+    dim = phi.parent.cell_dim
+    return signed_sum(((-1) ** dim(cell), value) for cell, value in phi.values.items())
 
 
 def restrict(phi: ConstructibleFunction, subset) -> ConstructibleFunction:
@@ -128,14 +126,17 @@ def pushforward(g: SimplicialMap, phi: ConstructibleFunction):
     """Fibrewise Euler integral along a simplicial map."""
     if phi.parent != g.source:
         raise DegenerateInputError("function does not live on the map's source")
-    table = {}
+    fibres = {}  # image simplex -> signed terms, in first-seen order
     for cell, value in phi.values.items():
         image = g.image_simplex(cell)
         weight = (-1) ** (len(cell) - len(image))
-        table[image] = table.get(image, GZERO) + value * weight
-    return ConstructibleFunction(
-        g.target, {c: v for c, v in table.items() if not v.is_zero()}
-    )
+        fibres.setdefault(image, []).append((weight, value))
+    table = {}
+    for image, terms in fibres.items():
+        total = signed_sum(terms)
+        if not total.is_zero():
+            table[image] = total
+    return ConstructibleFunction(g.target, table)
 
 
 def pullback(g: SimplicialMap, psi: ConstructibleFunction):

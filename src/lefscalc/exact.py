@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add, mul, sub
 
 from .errors import DegenerateInputError, ParseError
@@ -116,6 +117,39 @@ def parse_gaussian(x) -> GaussianRational:
 
 
 GZERO = GaussianRational()
+
+
+def signed_sum(terms) -> GaussianRational:
+    """Exact sum of sign * value over (int sign, GaussianRational) pairs.
+
+    The integer numerators of each part are added per denominator, and
+    each part is normalized once, over the lcm of its few distinct
+    denominators, instead of once per term.  Sums in Q(i) are canonical:
+    the result equals the term-by-term fold from GZERO.  Only the public
+    numerator/denominator are read, so int parts work too.
+    """
+    re_parts = {}
+    im_parts = {}
+    for sign, value in terms:
+        part = value.re
+        num = part.numerator
+        if num:
+            den = part.denominator
+            re_parts[den] = re_parts.get(den, 0) + sign * num
+        part = value.im
+        num = part.numerator
+        if num:
+            den = part.denominator
+            im_parts[den] = im_parts.get(den, 0) + sign * num
+    return GaussianRational(_fold(re_parts), _fold(im_parts))
+
+
+def _fold(parts: dict) -> Fraction:
+    """sum(num / den) over a {den: num} table, normalized once."""
+    common = lcm(*parts)  # 1 for an empty table
+    return Fraction(
+        sum(num * (common // den) for den, num in parts.items()), common
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .exact import (
     RationalMatrix,
     count_real_roots_geq,
     has_nonneg_solution,
+    signed_sum,
 )
 from .homology import lefschetz_number, self_map_endomorphism
 from .maps import SelfMapSpec
@@ -376,13 +377,12 @@ def localization_report(p: TracedProblem) -> dict:
     """Global homological trace versus the sum of signed local terms."""
     phi = local_trace_function(p)
     per_component = []
-    total = GaussianRational.of(0)
+    terms = []
     for index in range(len(p.fixed_locus[1])):
         comp, matrix, sign, integral = _signed_term(
             p, index, "localization undefined", phi
         )
-        signed = integral * Fraction(sign)
-        total = total + signed
+        terms.append((sign, integral))
         per_component.append(
             {
                 "component": index,
@@ -390,10 +390,11 @@ def localization_report(p: TracedProblem) -> dict:
                 "normal_dim": matrix.nrows,
                 "sign": sign,
                 "integral": integral,
-                "signed_contribution": signed,
+                "signed_contribution": integral * Fraction(sign),
             }
         )
     global_trace = GaussianRational.of(_global_trace(p))
+    total = signed_sum(terms)
     return {
         "global_trace": global_trace,
         "sum_of_local": total,

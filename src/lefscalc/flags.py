@@ -29,11 +29,11 @@ from .complexes import Cell, CellSpace, CellularSubset
 from .errors import DegenerateInputError
 from .euler import ConstructibleFunction, chi_c, euler_integral, restrict
 from .exact import (
-    GZERO,
     GaussianRational,
     RationalMatrix,
     RationalPolynomial,
     parse_rational,
+    signed_sum,
 )
 
 
@@ -340,10 +340,7 @@ class Example39Problem:
         return [(p.label, p.family, self.contribution(p.label)) for p in self.patterns]
 
     def total(self) -> GaussianRational:
-        acc = GZERO
-        for _, _, value in self.contributions():
-            acc = acc + value
-        return acc
+        return signed_sum((1, value) for _, _, value in self.contributions())
 
 
 def _component_cells(pattern: FamilyPattern) -> tuple:

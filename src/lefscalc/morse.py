@@ -31,6 +31,7 @@ from fractions import Fraction
 from .complexes import (
     SimplicialComplex,
     canonical_tuple,
+    cell_sort_key,
     induced_subcomplex,
     require_simplicial,
     vertex_key,
@@ -42,7 +43,7 @@ from .errors import (
     NotHyperbolicError,
 )
 from .euler import ConstructibleFunction, restrict
-from .exact import GZERO, GaussianRational, RationalMatrix, parse_rational
+from .exact import GaussianRational, RationalMatrix, parse_rational, signed_sum
 from .fixedpoint import (
     TracedProblem,
     det_sign,
@@ -60,11 +61,7 @@ class VertexFunctional:
     @staticmethod
     def of(space: SimplicialComplex, table) -> "VertexFunctional":
         values = {v: parse_rational(x) for v, x in dict(table).items()}
-        missing = [v for v in space.vertices if v not in values]
-        if missing:
-            raise DegenerateInputError(
-                f"functional undefined on vertices {missing[:4]}"
-            )
+        _require_defined(space, values)
         return VertexFunctional(values)
 
     def __call__(self, v) -> Fraction:
@@ -73,16 +70,31 @@ class VertexFunctional:
     def negated(self) -> "VertexFunctional":
         return VertexFunctional({v: -x for v, x in self.values.items()})
 
+    def __eq__(self, other):
+        return isinstance(other, VertexFunctional) and self.values == other.values
+
+
+def _require_defined(space: SimplicialComplex, values: dict) -> None:
+    missing = [v for v in space.vertices if v not in values]
+    if missing:
+        raise DegenerateInputError(f"functional undefined on vertices {missing[:4]}")
+
 
 def genericity_check(space: SimplicialComplex, ell: VertexFunctional) -> list:
-    """Edges whose two ends take the same value; empty means generic."""
+    """Edges whose two ends take the same value, as canonical tuples in
+    edge order; empty means generic.  A functional missing a vertex is
+    refused, naming the missing vertices in vertex order."""
     space = require_simplicial(space, "genericity_check")
+    values = ell.values
+    _require_defined(space, values)
     ties = []
-    for edge in space.k_cells(1):
-        a, b = canonical_tuple(edge)
-        if ell(a) == ell(b):
-            ties.append((a, b))
-    return ties
+    for edge in space.simplices:
+        if len(edge) == 2:
+            a, b = edge
+            if values[a] == values[b]:
+                ties.append(edge)
+    ties.sort(key=cell_sort_key)
+    return [canonical_tuple(edge) for edge in ties]
 
 
 def _require_generic(space, ell, around=None) -> None:
@@ -102,11 +114,11 @@ def morse_multiplicity(
     space = require_simplicial(phi.parent, "morse_multiplicity")
     _require_generic(space, ell, around=v)
     height = ell(v)
-    total = GZERO
-    for cell, value in phi.values.items():
-        if v in cell and all(ell(w) < height for w in cell if w != v):
-            total = total + value * ((-1) ** (len(cell) - 1))
-    return total
+    return signed_sum(
+        ((-1) ** (len(cell) - 1), value)
+        for cell, value in phi.values.items()
+        if v in cell and all(ell(w) < height for w in cell if w != v)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +127,7 @@ class MultiplicityTable:
     entries: dict  # vertex -> GaussianRational, every vertex present
 
     def total(self) -> GaussianRational:
-        acc = GZERO
-        for value in self.entries.values():
-            acc = acc + value
-        return acc
+        return signed_sum((1, value) for value in self.entries.values())
 
     def sorted_entries(self) -> list:
         return sorted(self.entries.items(), key=lambda kv: vertex_key(kv[0]))
@@ -137,11 +146,14 @@ def cc_table(phi: ConstructibleFunction, ell: VertexFunctional) -> MultiplicityT
     """
     space = require_simplicial(phi.parent, "cc_table")
     _require_generic(space, ell)
-    table = {v: GZERO for v in space.vertices}
+    rank = {v: (ell(v), vertex_key(v)) for v in space.vertices}
+    stars = {}  # top vertex -> signed terms of the cells it tops
     for cell, value in phi.values.items():
-        top = max(cell, key=lambda w: (ell(w), vertex_key(w)))
-        table[top] = table[top] + value * ((-1) ** (len(cell) - 1))
-    return MultiplicityTable(space, table)
+        top = max(cell, key=rank.__getitem__)
+        stars.setdefault(top, []).append(((-1) ** (len(cell) - 1), value))
+    return MultiplicityTable(
+        space, {v: signed_sum(stars.get(v, ())) for v in space.vertices}
+    )
 
 
 def index_sum(phi: ConstructibleFunction, ell: VertexFunctional) -> GaussianRational:

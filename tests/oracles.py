@@ -9,8 +9,10 @@ the dense chain engine: chain complexes and chain maps as dense rational
 matrices, homology traces by row echelon forms and one solve per cycle.
 It also keeps the slow routes that a memoized one replaced: the vertex
 key rebuilt recursively on every call, and the dot criterion recounting
-every prefix on every comparison; and complex validation that sorts the
-simplices twice and runs the affine rank test on every simplex.
+every prefix on every comparison; complex validation that sorts the
+simplices twice and runs the affine rank test on every simplex; and the
+Euler integral, pushforward and multiplicity table summed one Gaussian
+add at a time, with a genericity scan that sorts every edge.
 """
 
 from __future__ import annotations
@@ -27,9 +29,17 @@ from lefscalc.complexes import (
     require_valid,
     vertex_key,
 )
-from lefscalc.errors import DegenerateInputError
-from lefscalc.exact import RationalMatrix, RationalPolynomial, row_echelon
+from lefscalc.errors import DegenerateInputError, GenericityError
+from lefscalc.euler import ConstructibleFunction
+from lefscalc.exact import (
+    GZERO,
+    GaussianRational,
+    RationalMatrix,
+    RationalPolynomial,
+    row_echelon,
+)
 from lefscalc.maps import subdivided_complex
+from lefscalc.morse import MultiplicityTable
 
 
 def det_cofactor(m: RationalMatrix) -> Fraction:
@@ -252,6 +262,8 @@ def validate_all_simplices(space) -> list:
                 )
             else:
                 for s in sorted(space.simplices, key=cell_sort_key):
+                    if not s <= vset:
+                        continue  # already an unknown-vertex violation
                     pts = [space.coord_of(v) for v in canonical_tuple(s)]
                     if len(pts) < 2 or any(p is None for p in pts):
                         continue
@@ -281,6 +293,53 @@ def lower_link_multiplicity(space, ell, v) -> int:
         if all(ell(w) < height for w in s):
             chi += (-1) ** (len(s) - 1)
     return 1 - chi
+
+
+# ---------------------------------------------------------------------------
+# Euler calculus summed one Gaussian add at a time, and the genericity
+# scan over every sorted edge
+
+def euler_integral_loop(phi) -> GaussianRational:
+    total = GZERO
+    for cell, value in phi.values.items():
+        total = total + value * ((-1) ** phi.parent.cell_dim(cell))
+    return total
+
+
+def pushforward_loop(g, phi) -> ConstructibleFunction:
+    if phi.parent != g.source:
+        raise DegenerateInputError("function does not live on the map's source")
+    table = {}
+    for cell, value in phi.values.items():
+        image = g.image_simplex(cell)
+        weight = (-1) ** (len(cell) - len(image))
+        table[image] = table.get(image, GZERO) + value * weight
+    return ConstructibleFunction(
+        g.target, {c: v for c, v in table.items() if not v.is_zero()}
+    )
+
+
+def genericity_check_by_k_cells(space, ell) -> list:
+    ties = []
+    for edge in space.k_cells(1):
+        a, b = canonical_tuple(edge)
+        if ell(a) == ell(b):
+            ties.append((a, b))
+    return ties
+
+
+def cc_table_loop(phi, ell) -> MultiplicityTable:
+    space = phi.parent
+    ties = genericity_check_by_k_cells(space, ell)
+    if ties:
+        raise GenericityError(
+            f"functional is degenerate on edges {ties[:4]}", edges=ties
+        )
+    table = {v: GZERO for v in space.vertices}
+    for cell, value in phi.values.items():
+        top = max(cell, key=lambda w: (ell(w), vertex_key(w)))
+        table[top] = table[top] + value * ((-1) ** (len(cell) - 1))
+    return MultiplicityTable(space, table)
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,28 @@ def test_exit_2_cell_component_that_is_not_a_string(tmp_path, capsys, component)
     assert main(["chi", "--input", path]) == 0
 
 
+def test_exit_2_unlisted_vertex_reads_alike_with_and_without_coordinates(
+    tmp_path, capsys
+):
+    data = problem_to_json(fx.interval_complex())
+    data["complex"] = {
+        "vertices": ["a", "b", "c"],
+        "simplices": [["a"], ["b"], ["c"], ["x"], ["a", "b"], ["a", "x"],
+                      ["b", "x"], ["a", "b", "x"]],
+    }
+    errors = []
+    for coords in (None, [["0", "0"], ["1", "0"], ["0", "1"]]):
+        if coords is not None:
+            data["complex"]["coords"] = coords
+        path = write(tmp_path, "stray.json", data)
+        assert main(["chi", "--input", path]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(
+        "error: 4 violation(s): unknown-vertex: simplex ('x',) uses unlisted ['x']"
+    )
+
+
 def test_exit_2_oversize_rational_literal(tmp_path, capsys):
     data = traced_problem_to_json(fx.reflection_problem())
     data["normal_data"]["0"] = [["1e1001"]]

@@ -449,7 +449,9 @@ def test_validate_matches_oracle_on_seeded_complexes(monkeypatch):
             verdicts.add("valid" if not result else "invalid")
             if any(v.kind == "affinely-dependent" for v in result):
                 verdicts.add("degenerate")
-    assert {"valid", "invalid", "degenerate", "DegenerateInputError"} <= verdicts
+            if any(v.kind == "unknown-vertex" for v in result):
+                verdicts.add("unknown-vertex")
+    assert {"valid", "invalid", "degenerate", "unknown-vertex"} <= verdicts
 
 
 def _with_coords(maximal, points, vertices=None, drop=()):
@@ -504,6 +506,17 @@ CRAFTED = {
 def test_validate_matches_oracle_on_crafted_bad_complexes(name, monkeypatch):
     kind, result = assert_validates_like_oracle(CRAFTED[name](), monkeypatch)
     assert kind != "returned" or result, "every crafted case is invalid"
+
+
+def test_validate_lists_unlisted_vertices_beside_coordinates():
+    details = [
+        (v.kind, v.detail)
+        for v in validate(CRAFTED["unlisted vertex beside a degenerate face"]())
+    ]
+    assert ("affinely-dependent", "simplex ('a', 'b', 'c') is degenerate") in details
+    assert ("unknown-vertex", "simplex ('x',) uses unlisted ['x']") in details
+    others = [detail for kind, detail in details if kind != "unknown-vertex"]
+    assert not any("'x'" in detail for detail in others)
 
 
 def test_validate_names_each_degenerate_simplex():

@@ -183,6 +183,15 @@ def test_problem_roundtrip_with_all_blocks():
     assert parsed.ell.values == ell.values
 
 
+def test_functional_read_back_equals_the_one_written():
+    for space in (fx.hexagon(), subdivide_times(fx.disk(), 1)[0]):
+        ell = VertexFunctional.of(
+            space, {v: Fraction(i, 3) for i, v in enumerate(space.vertices)}
+        )
+        assert loads(dumps(problem_to_json(space, ell=ell))).ell == ell
+        assert ell != ell.negated() and ell != ell.values
+
+
 def test_push_map_roundtrip():
     push = fx.square_projection()
     phi = ConstructibleFunction.indicator(push.source)

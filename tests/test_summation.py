@@ -1,0 +1,213 @@
+"""The exact summation kernel and the Euler calculus routed through it.
+
+Every result is compared with the loop it replaced (oracles.py), which
+adds one Gaussian rational at a time: exact values and their printed
+form, entry order, and, for a functional with tied edges, the ties and
+the refusal text.
+"""
+
+import random
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lefscalc.fixtures as fx
+import oracles
+from lefscalc.complexes import canonical_tuple, cell_sort_key, subdivided_complex
+from lefscalc.errors import DegenerateInputError, GenericityError
+from lefscalc.euler import ConstructibleFunction, euler_integral, pushforward
+from lefscalc.exact import GZERO, GaussianRational, signed_sum
+from lefscalc.maps import SimplicialMap
+from lefscalc.morse import (
+    VertexFunctional,
+    cc_table,
+    genericity_check,
+    index_sum,
+    morse_multiplicity,
+)
+from lefscalc.verify import random_functional
+
+# denominators near 2**70, mixed in with 1..12
+LARGE_DENOMINATORS = (2 ** 70 - 1, 2 ** 70 + 1, 3 ** 44, 2 ** 69 * 5 // 4)
+
+SPACES = {
+    "sd1-disk": (fx.disk, 1),
+    "sd2-disk": (fx.disk, 2),
+    "sd3-disk": (fx.disk, 3),
+    "sd1-sphere": (fx.sphere2, 1),
+}
+
+
+def _part(rng):
+    if rng.random() < 0.05:
+        numerator = rng.randint(-(2 ** 72), 2 ** 72)
+        return Fraction(numerator, rng.choice(LARGE_DENOMINATORS))
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+
+def seeded_function(rng, space, ints=False):
+    table = {}
+    for cell in sorted(space.cell_keys, key=cell_sort_key):
+        if rng.random() < 0.7:
+            if ints:
+                table[cell] = GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+            else:
+                table[cell] = GaussianRational(_part(rng), _part(rng))
+    return ConstructibleFunction.of(space, table)
+
+
+def carrier_map(rng, space, base, carrier):
+    """Each subdivision vertex to a seeded corner of its carrier."""
+    vertex_map = {
+        w: rng.choice(canonical_tuple(carrier[frozenset([w])]))
+        for w in space.vertices
+    }
+    return SimplicialMap.build(space, base, vertex_map)
+
+
+def assert_same_value(actual, expected):
+    assert actual == expected
+    assert type(actual.re) is type(expected.re) is Fraction
+    assert type(actual.im) is type(expected.im) is Fraction
+    assert str(actual) == str(expected)
+    assert actual.to_json() == expected.to_json()
+
+
+def assert_same_table(actual: dict, expected: dict):
+    assert list(actual) == list(expected)
+    for key, value in expected.items():
+        assert_same_value(actual[key], value)
+
+
+def assert_calculus_like_loops(phi, g, ell):
+    assert_same_value(euler_integral(phi), oracles.euler_integral_loop(phi))
+    pushed = pushforward(g, phi)
+    assert_same_table(pushed.values, oracles.pushforward_loop(g, phi).values)
+    assert pushed.parent == g.target
+    table = cc_table(phi, ell)
+    assert_same_table(table.entries, oracles.cc_table_loop(phi, ell).entries)
+    assert_same_value(table.total(), oracles.euler_integral_loop(phi))
+    assert_same_value(index_sum(phi, ell), oracles.euler_integral_loop(phi))
+    if len(phi.parent.vertices) <= 100:
+        for v, entry in table.entries.items():
+            assert_same_value(morse_multiplicity(phi, ell, v), entry)
+
+
+@pytest.mark.parametrize("ints", [False, True], ids=["fractions", "int-parts"])
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_calculus_matches_the_one_add_at_a_time_loops(name, ints):
+    make, level = SPACES[name]
+    base = make()
+    space, carrier = subdivided_complex(base, level)
+    rng = random.Random(f"summation:{name}:{ints}")
+    phi = seeded_function(rng, space, ints)
+    g = carrier_map(rng, space, base, carrier)
+    assert_calculus_like_loops(phi, g, random_functional(rng, space))
+
+
+def test_an_image_whose_terms_cancel_is_dropped():
+    base = fx.disk()
+    space, carrier = subdivided_complex(base, 1)
+    rng = random.Random("summation:cancel")
+    phi = seeded_function(rng, space)
+    g = carrier_map(rng, space, base, carrier)
+    before = oracles.pushforward_loop(g, phi).values
+    table = dict(phi.values)
+    for image in list(before)[:3]:
+        # move one cell over `image` so that its fibre sums to exactly zero
+        cell = next(c for c in table if g.image_simplex(c) == image)
+        weight = (-1) ** (len(cell) - len(image))
+        table[cell] = table[cell] - before[image] * weight
+        if table[cell].is_zero():
+            del table[cell]
+    cancelled = ConstructibleFunction(space, table)
+    pushed = pushforward(g, cancelled).values
+    assert not set(list(before)[:3]) & set(pushed)
+    assert list(pushed) == list(before)[3:]
+    assert_calculus_like_loops(cancelled, g, random_functional(rng, space))
+
+
+def test_collapsing_an_integral_of_zero_leaves_the_empty_function():
+    space, _ = subdivided_complex(fx.disk(), 1)
+    point = fx.point_complex()
+    rng = random.Random("summation:collapse")
+    phi = seeded_function(rng, space)
+    g = SimplicialMap.build(space, point, {v: "p" for v in space.vertices})
+    table = dict(phi.values)
+    vertex = frozenset([space.vertices[0]])
+    table[vertex] = table.get(vertex, GZERO) - oracles.euler_integral_loop(phi)
+    zero = ConstructibleFunction.of(space, table)
+    assert euler_integral(zero) == GZERO
+    assert pushforward(g, zero).values == oracles.pushforward_loop(g, zero).values == {}
+
+
+def test_the_empty_function():
+    base = fx.sphere2()
+    space, carrier = subdivided_complex(base, 1)
+    rng = random.Random("summation:empty")
+    empty = ConstructibleFunction(space, {})
+    assert_calculus_like_loops(
+        empty, carrier_map(rng, space, base, carrier), random_functional(rng, space)
+    )
+    assert_same_value(euler_integral(empty), GZERO)
+
+
+def _outcome(call):
+    try:
+        return "returned", call()
+    except GenericityError as exc:
+        return str(exc), exc.edges
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_tied_edges_are_found_and_refused_like_the_sorted_scan(level):
+    space, _ = subdivided_complex(fx.disk(), level)
+    rng = random.Random(f"summation:ties:{level}")
+    heights = list(range(len(space.vertices) // 2)) * 2 + [-1]
+    rng.shuffle(heights)
+    ell = VertexFunctional.of(space, dict(zip(space.vertices, heights)))
+    ties = genericity_check(space, ell)
+    assert ties and ties == oracles.genericity_check_by_k_cells(space, ell)
+    phi = seeded_function(rng, space)
+    refused = _outcome(lambda: cc_table(phi, ell))
+    assert refused[0] != "returned"
+    assert refused == _outcome(lambda: oracles.cc_table_loop(phi, ell))
+    tied = ties[0][0]
+    assert _outcome(lambda: morse_multiplicity(phi, ell, tied)) == (
+        f"functional is degenerate on edges {[e for e in ties if tied in e][:4]}",
+        tuple(e for e in ties if tied in e),
+    )
+
+
+def test_a_functional_missing_vertices_is_refused_in_vertex_order():
+    partial = VertexFunctional({"v0": 0, "v1": 1, "v2": 2})
+    phi = ConstructibleFunction.indicator(fx.hexagon())
+    message = r"functional undefined on vertices \['v3', 'v4', 'v5'\]"
+    with pytest.raises(DegenerateInputError, match=message):
+        genericity_check(fx.hexagon(), partial)
+    with pytest.raises(DegenerateInputError, match=message):
+        cc_table(phi, partial)
+
+
+parts = st.one_of(
+    st.integers(-(10 ** 6), 10 ** 6),
+    st.fractions(max_denominator=12),
+    st.fractions(max_denominator=2 ** 72),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([-1, 1]), st.builds(GaussianRational, parts, parts)
+        ),
+        max_size=40,
+    )
+)
+def test_signed_sum_equals_the_term_by_term_fold(terms):
+    folded = reduce(lambda acc, term: acc + term[1] * term[0], terms, GZERO)
+    assert_same_value(signed_sum(terms), folded)
