@@ -13,8 +13,9 @@ barycentric subdivision.
 Localization compares two independent computations:
 
 * global side: the alternating sum of homology traces of
-  (map_* o sd^level_*), relative to the support's boundary when the
-  support is a proper locally closed subset;
+  (map_* o sd^level_*) on C_*(base); for a proper locally closed support,
+  of that one endomorphism projected onto the support's cells, which span
+  the chains of (closure, closure minus support);
 * local side: per fixed component, sgn(det(I - A)) times the Euler
   integral of the local trace function over the component, where A is the
   user-supplied normal matrix of the map at that component.
@@ -35,7 +36,6 @@ from .complexes import (
     cell_sort_key,
     closure,
     connected_components,
-    induced_subcomplex,
     sd_vertex_position,
     vertex_key,
 )
@@ -53,7 +53,7 @@ from .exact import (
     has_nonneg_solution,
     signed_sum,
 )
-from .homology import lefschetz_number, self_map_endomorphism
+from .homology import lefschetz_number, project_endomorphism, self_map_endomorphism
 from .maps import SelfMapSpec
 
 
@@ -127,6 +127,11 @@ class TracedProblem:
             if not 0 <= index < len(comps):
                 raise _no_component(f"normal data for component {index}", len(comps))
         return fixed, comps
+
+    @cached_property
+    def local_trace(self) -> ConstructibleFunction:
+        """The local trace function, computed once per problem."""
+        return local_trace_function(self)
 
     def component(self, index: int) -> tuple:
         """(component, normal matrix) of one fixed component."""
@@ -277,37 +282,40 @@ def spectrum_meets_ray(matrix: RationalMatrix) -> bool:
     return matrix.nrows > 0 and count_real_roots_geq(matrix.char_poly(), 1) > 0
 
 
-def _signed_term(p: TracedProblem, index: int, undefined: str, phi=None) -> tuple:
-    """(component, normal matrix, sign, integral) of one component's term;
-    `undefined` ends the message when det(I - A) = 0."""
+def component_sign(p: TracedProblem, index: int) -> tuple:
+    """(component, normal matrix, sgn det(I - A)) of one component: the one
+    route to its sign, refused when det(I - A) = 0."""
     comp, matrix = p.component(index)
     sign = det_sign(matrix)
     if sign == 0:
         raise NotHyperbolicError(
-            f"det(I - A) = 0 on component {index}; {undefined}"
+            f"det(I - A) = 0 on component {index}; the signed term is undefined"
         )
-    phi = local_trace_function(p) if phi is None else phi
-    return comp, matrix, sign, euler_integral(restrict(phi, comp))
+    return comp, matrix, sign
 
 
-def local_contribution(
-    p: TracedProblem, index: int, force: bool = False
-) -> GaussianRational:
+def _signed_term(p: TracedProblem, index: int) -> tuple:
+    """(component, normal matrix, sign, integral) of one component's term."""
+    comp, matrix, sign = component_sign(p, index)
+    return comp, matrix, sign, euler_integral(restrict(p.local_trace, comp))
+
+
+def local_contribution(p: TracedProblem, index: int) -> GaussianRational:
     """Euler integral of the local trace function over one fixed component.
 
     Equals that component's contribution to the global trace when the
     normal spectrum avoids [1, oo) or the problem is complex-analytic.
     """
     comp, matrix = p.component(index)
-    if not force and det_sign(matrix) == 0:
+    if det_sign(matrix) == 0:
         raise NotLocalizableError(
             f"1 is an eigenvalue of the normal matrix on component {index}"
         )
-    return euler_integral(restrict(local_trace_function(p), comp))
+    return euler_integral(restrict(p.local_trace, comp))
 
 
 def signed_local_contribution(p: TracedProblem, index: int) -> GaussianRational:
-    _, _, sign, integral = _signed_term(p, index, "no signed contribution")
+    _, _, sign, integral = _signed_term(p, index)
     return integral * Fraction(sign)
 
 
@@ -336,52 +344,38 @@ def hyperbolicity_report(p: TracedProblem) -> list:
 
 
 def _global_trace(p: TracedProblem) -> Fraction:
+    """The trace on the support.  Its closure Z and boundary B = Z - support
+    are checked invariant on the spec itself: sd^level(Z) is the part of
+    sd^level(base) that Z carries."""
     spec = p.spec
-    base = spec.base
-    if p.support is None or p.support.members == base.simplices:
+    if p.support is None or p.support.members == spec.base.simplices:
         return lefschetz_number(self_map_endomorphism(spec))
-    support = p.support
-    closed = closure(support)
-    boundary = closed.members - support.members
-    for cell in boundary:
-        if len(cell) > 1:
-            for v in cell:
-                if (cell - {v}) in support.members:
-                    raise DegenerateInputError(
-                        "support is not locally closed: a face of a missing "
-                        "cell lies inside it"
-                    )
-    if not spec.preserves_subcomplex(closed.members):
+    support = p.support.members
+    closed = closure(p.support).members
+    boundary = closed - support
+    if any(cell - {v} in support for cell in boundary for v in cell):
+        raise DegenerateInputError(
+            "support is not locally closed: a face of a missing "
+            "cell lies inside it"
+        )
+    if not spec.preserves_subcomplex(closed):
         raise DegenerateInputError("support closure is not map-invariant")
-    sub_cells = closed.members
-    sub = induced_subcomplex(base, sub_cells)
-    source = spec.source_complex()
-    carrier = spec.carrier()
-    restricted_map = {}
-    for w in source.vertices:
-        if carrier[frozenset([w])] in sub_cells:
-            restricted_map[w] = spec.vertex_map[w]
-    sub_spec = SelfMapSpec.build(sub, spec.level, restricted_map)
-    if boundary and not sub_spec.preserves_subcomplex(frozenset(boundary)):
+    if not spec.preserves_subcomplex(boundary):
         raise DegenerateInputError(
             "support boundary is not map-invariant; the relative trace "
             "is undefined"
         )
-    endo = self_map_endomorphism(
-        sub_spec, relative_to=frozenset(boundary) if boundary else None
-    )
-    return lefschetz_number(endo)
+    endo = self_map_endomorphism(spec)
+    return lefschetz_number(project_endomorphism(endo, support))
 
 
 def localization_report(p: TracedProblem) -> dict:
     """Global homological trace versus the sum of signed local terms."""
-    phi = local_trace_function(p)
+    p.local_trace  # its refusals come first, with or without fixed components
     per_component = []
     terms = []
     for index in range(len(p.fixed_locus[1])):
-        comp, matrix, sign, integral = _signed_term(
-            p, index, "localization undefined", phi
-        )
+        comp, matrix, sign, integral = _signed_term(p, index)
         terms.append((sign, integral))
         per_component.append(
             {

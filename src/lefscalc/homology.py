@@ -4,6 +4,8 @@ Orientation convention: a simplex is oriented by its canonical vertex
 order, and the boundary uses the usual alternating signs in that order.
 Relative chain complexes are quotients: the bases simply omit the cells of
 the dropped subcomplex and boundary entries landing there are discarded.
+Dropping the complement of a locally closed family Z minus B (Z and B
+closed) the same way gives the chains of the pair (Z, B).
 
 Every chain-level matrix (boundaries and chain maps) is a SparseMatrix of
 integer columns, so the checks dd = 0 and df = fd cost O(nonzeros).
@@ -349,8 +351,16 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
         raise DegenerateInputError(
             "the dropped subcomplex is not invariant under the map"
         )
-    quotient = chain_complex(base, relative_to=dropped)
-    full = chain_complex(base)
+    return project_endomorphism(endo, base.simplices - dropped)
+
+
+def project_endomorphism(endo: ChainMapQ, cells) -> ChainMapQ:
+    """The part of an endomorphism of C_*(K) on a locally closed family of
+    cells: a closed Z minus a closed part B of it, whose chains are
+    C_*(Z, B).  When Z and B are invariant this is the induced map on
+    C_*(Z, B), and the chain-map check confirms it."""
+    full = endo.source
+    quotient = _chain_complex(full.space, full.space.simplices - frozenset(cells))
     matrices = []
     for k in range(len(quotient.bases)):
         keep = {full.index[k][s]: i for i, s in enumerate(quotient.bases[k])}

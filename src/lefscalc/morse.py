@@ -12,12 +12,15 @@ summing the table recovers the Euler integral of phi because every simplex
 is counted exactly once, at its top vertex.
 
 The cycle table of a traced problem localizes this to one fixed component
-and rescales by a regime-dependent sign:
+and rescales it by sgn det(I - A), the sign of the component's signed
+local term.  A regime must justify the table:
 
-* spectrum-below-one: no real eigenvalue of the normal matrix is >= 1;
-* complex-analytic: the caller asserts a complex model, no gap needed;
-* signed-non-characteristic: the caller asserts transversality and the
-  table carries sgn(det(I - A)).
+* spectrum-below-one: no real eigenvalue of the normal matrix is >= 1,
+  which forces det(I - A) > 0;
+* complex-analytic: the caller asserts a complex model, no gap needed; the
+  real form of a complex-linear map has det(I - A) = |det(I - A_C)|^2 > 0,
+  so det(I - A) < 0 contradicts the assertion and is refused;
+* signed-non-characteristic: the caller asserts transversality.
 
 Without a justifying regime the table is refused rather than silently
 reported.
@@ -36,20 +39,10 @@ from .complexes import (
     require_simplicial,
     vertex_key,
 )
-from .errors import (
-    DegenerateInputError,
-    GenericityError,
-    NoApplicableRegimeError,
-    NotHyperbolicError,
-)
+from .errors import DegenerateInputError, GenericityError, NoApplicableRegimeError
 from .euler import ConstructibleFunction, restrict
 from .exact import GaussianRational, RationalMatrix, parse_rational, signed_sum
-from .fixedpoint import (
-    TracedProblem,
-    det_sign,
-    local_trace_function,
-    spectrum_meets_ray,
-)
+from .fixedpoint import TracedProblem, component_sign, spectrum_meets_ray
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +78,13 @@ def genericity_check(space: SimplicialComplex, ell: VertexFunctional) -> list:
     edge order; empty means generic.  A functional missing a vertex is
     refused, naming the missing vertices in vertex order."""
     space = require_simplicial(space, "genericity_check")
-    values = ell.values
-    _require_defined(space, values)
+    _require_defined(space, ell.values)
+    return _tied_edges(space.simplices, ell.values)
+
+
+def _tied_edges(cells, values) -> list:
     ties = []
-    for edge in space.simplices:
+    for edge in cells:
         if len(edge) == 2:
             a, b = edge
             if values[a] == values[b]:
@@ -97,10 +93,7 @@ def genericity_check(space: SimplicialComplex, ell: VertexFunctional) -> list:
     return [canonical_tuple(edge) for edge in ties]
 
 
-def _require_generic(space, ell, around=None) -> None:
-    ties = genericity_check(space, ell)
-    if around is not None:
-        ties = [e for e in ties if around in e]
+def _refuse_ties(ties: list) -> None:
     if ties:
         raise GenericityError(
             f"functional is degenerate on edges {ties[:4]}", edges=ties
@@ -110,14 +103,18 @@ def _require_generic(space, ell, around=None) -> None:
 def morse_multiplicity(
     phi: ConstructibleFunction, ell: VertexFunctional, v
 ) -> GaussianRational:
-    """Lower-star multiplicity of phi at v for the height ell."""
+    """Lower-star multiplicity of phi at v for the height ell.  Only the
+    cells at v are read, so only the edges at v must separate their ends."""
     space = require_simplicial(phi.parent, "morse_multiplicity")
-    _require_generic(space, ell, around=v)
+    values = ell.values
+    _require_defined(space, values)
+    star = [cell for cell in space.simplices if v in cell]
+    _refuse_ties(_tied_edges(star, values))
     height = ell(v)
     return signed_sum(
-        ((-1) ** (len(cell) - 1), value)
-        for cell, value in phi.values.items()
-        if v in cell and all(ell(w) < height for w in cell if w != v)
+        ((-1) ** (len(cell) - 1), phi.values[cell])
+        for cell in star
+        if cell in phi.values and all(values[w] < height for w in cell if w != v)
     )
 
 
@@ -145,7 +142,7 @@ def cc_table(phi: ConstructibleFunction, ell: VertexFunctional) -> MultiplicityT
     covector field of ell; the total is the Euler integral of phi.
     """
     space = require_simplicial(phi.parent, "cc_table")
-    _require_generic(space, ell)
+    _refuse_ties(genericity_check(space, ell))
     rank = {v: (ell(v), vertex_key(v)) for v in space.vertices}
     stars = {}  # top vertex -> signed terms of the cells it tops
     for cell, value in phi.values.items():
@@ -180,18 +177,19 @@ class CycleTableReport:
         return self.table.total()
 
 
-def _select_regime(p: TracedProblem, matrix: RationalMatrix) -> tuple:
-    sign = det_sign(matrix)
-    if sign == 0:
-        raise NotHyperbolicError(
-            "det(I - A) = 0; the cycle table is undefined at this component"
+def _select_regime(p: TracedProblem, matrix: RationalMatrix, sign: int) -> str:
+    """The regime that justifies the table; `sign` is sgn det(I - A)."""
+    if p.complex_model and sign < 0:
+        raise NoApplicableRegimeError(
+            "det(I - A) < 0 contradicts the complex-model assertion: the real "
+            "form of a complex-linear map has det(I - A) > 0"
         )
     if not spectrum_meets_ray(matrix):
-        return REGIME_SPECTRUM_BELOW_ONE, 1
+        return REGIME_SPECTRUM_BELOW_ONE
     if p.complex_model:
-        return REGIME_COMPLEX_ANALYTIC, 1
+        return REGIME_COMPLEX_ANALYTIC
     if p.non_characteristic:
-        return REGIME_SIGNED, sign
+        return REGIME_SIGNED
     raise NoApplicableRegimeError(
         "normal spectrum meets [1, oo) and neither the complex-model nor "
         "the non-characteristic assertion was supplied"
@@ -204,16 +202,13 @@ def lefschetz_cycle_table(
     """Cycle table of the fixed-point data at one component.
 
     The table is the component's multiplicity table of the local trace
-    function, scaled by the regime sign; its total is the microlocal index.
+    function, scaled by sgn det(I - A); its total is the microlocal index.
     """
-    comp, matrix = p.component(index)
-    regime, sign = _select_regime(p, matrix)
+    comp, matrix, sign = component_sign(p, index)
+    regime = _select_regime(p, matrix, sign)
     component_complex = induced_subcomplex(p.spec.base, comp.members)
-    phi = restrict(local_trace_function(p), comp)
-    local_phi = ConstructibleFunction.of(
-        component_complex,
-        {cell: value for cell, value in phi.values.items()},
-    )
+    phi = restrict(p.local_trace, comp)
+    local_phi = ConstructibleFunction.of(component_complex, phi.values)
     local_ell = VertexFunctional.of(
         component_complex,
         {v: ell(v) for v in component_complex.vertices},

@@ -12,7 +12,9 @@ key rebuilt recursively on every call, and the dot criterion recounting
 every prefix on every comparison; complex validation that sorts the
 simplices twice and runs the affine rank test on every simplex; and the
 Euler integral, pushforward and multiplicity table summed one Gaussian
-add at a time, with a genericity scan that sorts every edge.
+add at a time, with a genericity scan that sorts every edge; and the
+supported global trace taken on a second problem restricted to the
+support's closure.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from lefscalc.complexes import (
     Violation,
     canonical_tuple,
     cell_sort_key,
+    closure,
+    induced_subcomplex,
     require_valid,
     vertex_key,
 )
@@ -38,7 +42,8 @@ from lefscalc.exact import (
     RationalPolynomial,
     row_echelon,
 )
-from lefscalc.maps import subdivided_complex
+from lefscalc.homology import lefschetz_number, self_map_endomorphism
+from lefscalc.maps import SelfMapSpec, subdivided_complex
 from lefscalc.morse import MultiplicityTable
 
 
@@ -359,6 +364,50 @@ def fixed_members_by_scan(spec) -> frozenset:
         for sigma in spec.base.simplices
         if all(c == {spec.vertex_map[w]} for c, w in over if c <= sigma)
     )
+
+
+# ---------------------------------------------------------------------------
+# supported global trace by restricting the problem to the support's closure
+
+def global_trace_by_restriction(p) -> Fraction:
+    """Trace of the problem's map on (closure, closure minus support): a
+    second self-map spec on the closure, with its own subdivision tower,
+    taken relative to the boundary."""
+    spec = p.spec
+    base = spec.base
+    if p.support is None or p.support.members == base.simplices:
+        return lefschetz_number(self_map_endomorphism(spec))
+    support = p.support
+    closed = closure(support)
+    boundary = closed.members - support.members
+    for cell in boundary:
+        if len(cell) > 1:
+            for v in cell:
+                if (cell - {v}) in support.members:
+                    raise DegenerateInputError(
+                        "support is not locally closed: a face of a missing "
+                        "cell lies inside it"
+                    )
+    if not spec.preserves_subcomplex(closed.members):
+        raise DegenerateInputError("support closure is not map-invariant")
+    sub_cells = closed.members
+    sub = induced_subcomplex(base, sub_cells)
+    source = spec.source_complex()
+    carrier = spec.carrier()
+    restricted_map = {}
+    for w in source.vertices:
+        if carrier[frozenset([w])] in sub_cells:
+            restricted_map[w] = spec.vertex_map[w]
+    sub_spec = SelfMapSpec.build(sub, spec.level, restricted_map)
+    if boundary and not sub_spec.preserves_subcomplex(frozenset(boundary)):
+        raise DegenerateInputError(
+            "support boundary is not map-invariant; the relative trace "
+            "is undefined"
+        )
+    endo = self_map_endomorphism(
+        sub_spec, relative_to=frozenset(boundary) if boundary else None
+    )
+    return lefschetz_number(endo)
 
 
 # ---------------------------------------------------------------------------

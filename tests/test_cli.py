@@ -1,5 +1,6 @@
 """Command line driver: reports, exit codes, and determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from lefscalc.errors import (
     ParseError,
 )
 from lefscalc.exact import GaussianRational
+from lefscalc.fixedpoint import NormalData, TracedProblem
 from lefscalc.io import dumps, problem_to_json, traced_problem_to_json
 from lefscalc.morse import VertexFunctional
 from lefscalc.reports import parse_report
@@ -371,6 +373,36 @@ def test_exit_4_no_regime(tmp_path, capsys):
     del data["map"]["non_characteristic"]
     path = write(tmp_path, "bare.json", data)
     assert main(["morse", "--input", path]) == 4
+
+
+# stdout of `lefschetz` on the file below, recorded before the cycle table
+# took the localization's sign
+CONTRADICTED_COMPLEX_MODEL_LEFSCHETZ = {
+    "text": "30a9ab846e0d1b6e47199b6109ee0ff14a453c502226b709ffeb1ea4a6f891f6",
+    "json": "d75475d6c711c1576699ba8ddb27d9a3e55b6d5de4c8ba1fe6b0f6a291e0a7d7",
+}
+
+
+def test_exit_4_complex_model_contradicted_by_the_sign(tmp_path, capsys):
+    # a real form of a complex-linear map has det(I - A) > 0; the doubling's
+    # A = [[2]] has det(I - A) = -1, so its term is -1 and no table of +1
+    # may be reported
+    p = TracedProblem(
+        spec=fx.doubling_spec(),
+        normal=NormalData.of({0: [[2]]}),
+        complex_model=True,
+    )
+    path = write(tmp_path, "cm.json", traced_problem_to_json(p, ell=hexagon_heights()))
+    assert main(["morse", "--input", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "det(I - A) < 0" in captured.err
+    assert "complex-model" in captured.err
+    for mode, flags in (("text", []), ("json", ["--json"])):
+        assert main(["lefschetz", "--input", path, *flags]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == CONTRADICTED_COMPLEX_MODEL_LEFSCHETZ[mode]
 
 
 def test_exit_5_degenerate_functional(tmp_path, capsys):

@@ -8,7 +8,13 @@ import pytest
 import oracles
 
 from lefscalc import fixtures as fx
-from lefscalc.complexes import CellularSubset, SimplicialComplex, canonical_tuple
+from lefscalc import complexes
+from lefscalc.complexes import (
+    CellularSubset,
+    SimplicialComplex,
+    canonical_tuple,
+    cell_sort_key,
+)
 from lefscalc.errors import (
     DegenerateInputError,
     FixedPointNotSimplicialError,
@@ -29,7 +35,7 @@ from lefscalc.fixedpoint import (
 )
 from lefscalc import fixedpoint
 from lefscalc.homology import lefschetz_number
-from lefscalc.maps import SelfMapSpec, refine
+from lefscalc.maps import SelfMapSpec, refine, subdivided_complex
 from lefscalc.morse import VertexFunctional, lefschetz_cycle_table, microlocal_index
 from lefscalc.verify import random_complex, random_self_map
 
@@ -169,8 +175,6 @@ def test_not_hyperbolic_when_one_is_eigenvalue():
         signed_local_contribution(p, 0)
     with pytest.raises(NotLocalizableError):
         local_contribution(p, 0)
-    # force skips the sign and just integrates
-    assert local_contribution(p, 0, force=True) == g(1)
 
 
 def test_hyperbolicity_report_fields():
@@ -253,6 +257,190 @@ def test_support_must_be_locally_closed():
     p = TracedProblem(spec=spec, support=support)
     with pytest.raises(DegenerateInputError):
         localization_report(p)
+
+
+def _outcome(call):
+    try:
+        return "returned", call()
+    except DegenerateInputError as exc:
+        return type(exc), str(exc)
+
+
+def _supported(spec, cells, normal=None) -> TracedProblem:
+    support = CellularSubset.of(spec.base, cells)
+    return TracedProblem(spec=spec, support=support, normal=normal)
+
+
+def _matches_restriction(p) -> tuple:
+    """Outcome of the supported localization's global trace, asserted equal
+    to the restriction oracle's."""
+    actual = _outcome(lambda: localization_report(p)["global_trace"])
+    expected = _outcome(
+        lambda: GaussianRational.of(oracles.global_trace_by_restriction(p))
+    )
+    assert actual == expected
+    return actual
+
+
+def test_supported_trace_matches_the_restriction_oracle_on_fixtures():
+    refl = fx.reflection_problem()
+    interval = SelfMapSpec.identity(fx.interval_complex())
+    cases = [
+        (_supported(refl.spec, {frozenset({"v0"})}, refl.normal), g(1)),
+        (_supported(interval, {frozenset({"a", "b"})}), g(-1)),
+        (_supported(refl.spec, set(), refl.normal), g(0)),
+        (_supported(interval, set()), g(0)),
+    ]
+    for p, trace in cases:
+        assert _matches_restriction(p) == ("returned", trace)
+
+
+def _forward_closed(spec, cells) -> frozenset:
+    """The least face-closed family holding `cells` that the map keeps: with
+    each base cell, the images of the subdivision cells it carries."""
+    m = spec.as_map()
+    images = {}
+    for tau, sigma in spec.carrier().items():
+        images.setdefault(sigma, []).append(m.image_simplex(tau))
+    closed = set()
+    todo = list(cells)
+    while todo:
+        cell = todo.pop()
+        if cell not in closed:
+            closed.add(cell)
+            todo.extend(images[cell])
+            todo.extend(cell - {v} for v in cell if len(cell) > 1)
+    return frozenset(closed)
+
+
+def _seeded_map(rng, level) -> SelfMapSpec:
+    """A level-0 random self-map; at higher levels the same kind of map
+    written on sd^level through a random carrier-vertex map sd^level -> base
+    (each subdivision vertex goes to a vertex of a simplex it is the
+    barycenter of, level by level), which is simplicial."""
+    if level == 0:
+        return random_self_map(rng, random_complex(rng))
+    space = random_complex(rng, max_vertices=5, max_dim=2, max_simplices=20)
+    g = random_self_map(rng, space).vertex_map
+    vertex_map = {}
+    for w in subdivided_complex(space, level)[0].vertices:
+        v = w
+        for _ in range(level):
+            v = rng.choice(v)
+        vertex_map[w] = g[v]
+    return SelfMapSpec.build(space, level, vertex_map)
+
+
+@pytest.mark.parametrize("level, accepted", [(0, 120), (1, 40), (2, 25)])
+def test_supported_trace_matches_the_restriction_oracle_on_seeded_maps(
+    level, accepted
+):
+    # invariant pairs Z minus B, plus arbitrary families that are often
+    # refused: answers and refusals must both agree.  Above level 0 this
+    # checks that sd^level(Z) is the part of sd^level(base) that Z carries,
+    # against the oracle's own tower on Z
+    rng = random.Random("supported-trace" + (f":{level}" if level else ""))
+    outcomes = []
+    with_boundary = 0  # accepted with a non-empty boundary B
+    while (
+        sum(kind == "returned" for kind, _ in outcomes) < accepted
+        or with_boundary < accepted // 4
+    ):
+        assert len(outcomes) < 1000
+        spec = _seeded_map(rng, level)
+        try:
+            TracedProblem(spec=spec).fixed_locus
+        except FixedPointNotSimplicialError:
+            continue
+        cells = sorted(spec.base.simplices, key=cell_sort_key)
+        if rng.random() < 0.25:
+            support = {c for c in cells if rng.random() < 0.4}
+        else:
+            seeds = rng.sample(cells, min(len(cells), rng.randint(1, 3)))
+            closed = _forward_closed(spec, seeds)
+            corners = sorted((c for c in closed if len(c) == 1), key=cell_sort_key)
+            support = closed - _forward_closed(
+                spec, rng.sample(corners, min(len(corners), rng.randint(1, 2)))
+            )
+        p = _supported(spec, support)
+        outcomes.append(_matches_restriction(p))
+        closed = complexes.closure(p.support).members
+        with_boundary += outcomes[-1][0] == "returned" and closed != p.support.members
+    refusals = {text for kind, text in outcomes if kind != "returned"}
+    assert refusals
+    assert len({value for kind, value in outcomes if kind == "returned"}) >= 2
+
+
+@pytest.mark.parametrize("spec", [fx.doubling_spec(), refine(fx.doubling_spec())])
+def test_supported_doubling_matches_the_restriction_oracle(spec):
+    # the level-1 doubling and its refinement onto sd(hexagon): on the
+    # circle relative to its fixed vertex the trace is -2 (degree 2 on H_1)
+    (point,) = fixed_subcomplex(spec).members  # the fixed vertex v0
+    assert _matches_restriction(_supported(spec, {point})) == ("returned", g(1))
+    rest = spec.base.simplices - {point}
+    assert _matches_restriction(_supported(spec, rest)) == ("returned", g(-2))
+
+
+def test_support_refusals_keep_their_type_and_text():
+    triangle = SimplicialComplex.from_maximal([("a", "b", "c")])
+    interval = fx.interval_complex()
+    cases = [
+        (
+            SelfMapSpec.identity(triangle),
+            {frozenset({"a", "b", "c"}), frozenset({"a"})},
+            "support is not locally closed: a face of a missing cell lies "
+            "inside it",
+        ),
+        (fx.rotation_spec(), {frozenset({"v0"})},
+         "support closure is not map-invariant"),
+        (
+            SelfMapSpec.build(interval, 0, {"a": "b", "b": "b"}),
+            {frozenset({"a", "b"}), frozenset({"b"})},
+            "support boundary is not map-invariant; the relative trace is "
+            "undefined",
+        ),
+    ]
+    for spec, cells, message in cases:
+        p = _supported(spec, cells)
+        assert _matches_restriction(p) == (DegenerateInputError, message)
+
+
+def test_supported_trace_subdivides_nothing_beyond_the_spec(monkeypatch):
+    complexes.subdivided_complex.cache_clear()
+    p = _supported(
+        fx.doubling_spec(), {frozenset({"v0"})}, NormalData.of({0: [[2]]})
+    )
+    made = []
+    subdivide = complexes.barycentric_subdivide
+    build = SelfMapSpec.build
+    monkeypatch.setattr(
+        complexes, "barycentric_subdivide",
+        lambda space: made.append(space) or subdivide(space),
+    )
+    monkeypatch.setattr(
+        SelfMapSpec, "build",
+        staticmethod(lambda *args: made.append(args) or build(*args)),
+    )
+    assert localization_report(p)["global_trace"] == g(1)
+    assert made == []
+
+
+def test_local_trace_is_built_once_per_problem(monkeypatch):
+    calls = []
+    original = fixedpoint.local_trace_function
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(fixedpoint, "local_trace_function", counting)
+    p = fx.reflection_problem()
+    localization_report(p)
+    for index in range(2):
+        lefschetz_cycle_table(p, index, _hexagon_heights())
+        signed_local_contribution(p, index)
+        local_contribution(p, index)
+    assert calls == [p]
 
 
 def _hexagon_heights():

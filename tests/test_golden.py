@@ -12,6 +12,8 @@ import pytest
 
 import lefscalc.fixtures as fx
 from lefscalc.cli import main
+from lefscalc.complexes import CellularSubset
+from lefscalc.fixedpoint import TracedProblem
 from lefscalc.io import dumps, problem_to_json, traced_problem_to_json
 from lefscalc.morse import VertexFunctional
 
@@ -25,6 +27,17 @@ def _integrate_problem():
 def _morse_problem():
     ell = VertexFunctional.of(fx.hexagon(), {f"v{i}": i for i in range(6)})
     return traced_problem_to_json(fx.doubling_problem(), ell=ell)
+
+
+def _supported_problem():
+    # the reflection supported off its fixed point v0: a trace relative
+    # to the boundary {v0}, with only v3 left to localize at
+    p = fx.reflection_problem()
+    base = p.spec.base
+    support = CellularSubset.of(base, base.simplices - {frozenset({"v0"})})
+    return traced_problem_to_json(
+        TracedProblem(spec=p.spec, support=support, normal=p.normal)
+    )
 
 
 def _index_check_problem():
@@ -52,6 +65,7 @@ CASES = {
         ["lefschetz"],
         lambda: traced_problem_to_json(fx.reflection_problem()),
     ),
+    "localization-support": (["lefschetz"], _supported_problem),
     "cycle-table": (["morse", "--component", "0"], _morse_problem),
     "cc": (
         ["cc"],
@@ -84,6 +98,8 @@ GOLDEN = {
     ("lefschetz", "json"): "602c2cd8d038fbb60f43d0fefbe9b8ed7d4817e83afb382ec02fa750cf93e180",
     ("localization", "text"): "d65d50ee35331da9f2931338acef15c0794b0a4dc1d4e8549b990b5be6347860",
     ("localization", "json"): "17643e2a1e39d443db21497f7ca47f3a1db62c6b59d46f44a6818bdff62680dc",
+    ("localization-support", "text"): "de5bf2b54bbc901b86cb10918a4c119b4ba4898006d94eb50efad8fa635049ef",
+    ("localization-support", "json"): "7d84968419494cd47729667ef079345baea76aef0be4b24863651874e90a9849",
     ("pushforward", "text"): "9e67ab457cbe1464dde071b5549c8f20e9ea23ffe80e4fa538d8e33d5bee87cf",
     ("pushforward", "json"): "7be74c097489dee0cda8cf66327b2861f1d47a1a1c5e8708c7b14a64fb9e972a",
     ("verify", "text"): "6f3f29d38d4c7db722162e6db1ee5b5869eaa844bf3c3b410b6e5149beecb493",

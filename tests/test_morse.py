@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import lefscalc.fixtures as fx
 import oracles
-from lefscalc.complexes import SimplicialComplex
+from lefscalc.complexes import SimplicialComplex, canonical_tuple
 from lefscalc.errors import (
     CellSpaceUnsupportedError,
     DegenerateInputError,
@@ -23,10 +23,13 @@ from lefscalc.errors import (
     NotHyperbolicError,
 )
 from lefscalc.euler import ConstructibleFunction, combine, euler_integral
-from lefscalc.exact import GaussianRational
+from lefscalc.exact import GaussianRational, RationalMatrix
 from lefscalc.fixedpoint import (
     NormalData,
     TracedProblem,
+    det_sign,
+    hyperbolicity_report,
+    localization_report,
     signed_local_contribution,
 )
 from lefscalc.morse import (
@@ -98,6 +101,49 @@ def test_tie_away_from_vertex_is_harmless_locally():
         morse_multiplicity(phi, ell, "b")
     with pytest.raises(GenericityError):
         cc_table(phi, ell)
+
+
+def test_multiplicity_at_one_vertex_matches_the_table_on_seeded_complexes():
+    rng = random.Random("morse-one-vertex")
+    for _ in range(80):
+        space = random_complex(rng, max_vertices=7, max_dim=3, max_simplices=35)
+        phi = random_function(rng, space)
+        ell = random_functional(rng, space)
+        entries = cc_table(phi, ell).entries
+        for v in space.vertices:
+            assert morse_multiplicity(phi, ell, v) == entries[v]
+
+
+def test_a_seeded_tie_refuses_only_at_its_ends():
+    # one tied edge a - b: cc_table refuses, both ends refuse with the same
+    # text and edges, and every other vertex answers as under heights that
+    # lift b just above a
+    rng = random.Random("morse-one-tie")
+    answered = 0
+    for _ in range(40):
+        space = random_complex(rng, max_vertices=7, max_dim=3, max_simplices=35)
+        if not space.k_cells(1):
+            continue
+        a, b = canonical_tuple(rng.choice(space.k_cells(1)))
+        heights = dict(random_functional(rng, space).values)
+        heights[b] = heights[a]
+        ell = VertexFunctional.of(space, heights)
+        lifted = VertexFunctional.of(space, {**heights, b: heights[a] + Fraction(1, 10 ** 3)})
+        phi = random_function(rng, space)
+        with pytest.raises(GenericityError) as refused:
+            cc_table(phi, ell)
+        assert tuple(refused.value.edges) == ((a, b),)
+        for end in (a, b):
+            with pytest.raises(GenericityError) as info:
+                morse_multiplicity(phi, ell, end)
+            assert str(info.value) == str(refused.value)
+            assert tuple(info.value.edges) == ((a, b),)
+        entries = cc_table(phi, lifted).entries
+        for v in space.vertices:
+            if v not in (a, b):
+                assert morse_multiplicity(phi, ell, v) == entries[v]
+                answered += 1
+    assert answered >= 40
 
 
 def test_simplicial_input_required():
@@ -303,6 +349,79 @@ def test_cycle_table_requires_hyperbolicity():
     )
     with pytest.raises(NotHyperbolicError):
         lefschetz_cycle_table(p, 0, hexagon_heights())
+
+
+def test_det_zero_refusal_reads_alike_on_every_route():
+    p = TracedProblem(
+        spec=fx.doubling_spec(),
+        normal=NormalData.of({0: [[1]]}),
+        non_characteristic=True,
+    )
+    routes = (
+        lambda: localization_report(p),
+        lambda: signed_local_contribution(p, 0),
+        lambda: lefschetz_cycle_table(p, 0, hexagon_heights()),
+    )
+    for route in routes:
+        with pytest.raises(NotHyperbolicError) as info:
+            route()
+        assert str(info.value) == (
+            "det(I - A) = 0 on component 0; the signed term is undefined"
+        )
+
+
+def test_cycle_table_refuses_the_sign_and_regime_before_the_traces():
+    # v1 is not fixed, so this traces table is refused once it is read
+    bad_traces = {("v1",): 2}
+    cases = (([[1]], True, NotHyperbolicError), ([[2]], False, NoApplicableRegimeError))
+    for normal, asserted, error in cases:
+        p = TracedProblem(
+            spec=fx.doubling_spec(),
+            normal=NormalData.of({0: normal}),
+            traces=bad_traces,
+            non_characteristic=asserted,
+        )
+        with pytest.raises(error):
+            lefschetz_cycle_table(p, 0, hexagon_heights())
+        with pytest.raises(DegenerateInputError, match="not fixed"):
+            p.local_trace
+
+
+def _hyperbolic_matrix(rng):
+    while True:
+        n = rng.randint(1, 3)
+        m = RationalMatrix.of(
+            [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        )
+        if det_sign(m):
+            return m
+
+
+@pytest.mark.parametrize("complex_model", [False, True])
+def test_cycle_table_sign_is_the_hyperbolicity_sign(complex_model):
+    # the table takes sgn det(I - A) in every regime; a complex model whose
+    # det(I - A) is negative is refused whatever else is asserted
+    rng = random.Random(f"morse-sign:{complex_model}")
+    signs = []
+    for _ in range(40):
+        p = TracedProblem(
+            spec=fx.reflection_spec(),
+            normal=NormalData.of({i: _hyperbolic_matrix(rng) for i in range(2)}),
+            complex_model=complex_model,
+            non_characteristic=True,
+        )
+        for row in hyperbolicity_report(p):
+            index = row["component"]
+            if complex_model and row["sign"] < 0:
+                with pytest.raises(NoApplicableRegimeError, match=r"det\(I - A\) < 0"):
+                    lefschetz_cycle_table(p, index, hexagon_heights())
+                continue
+            rep = lefschetz_cycle_table(p, index, hexagon_heights())
+            assert rep.sign == row["sign"]
+            assert rep.total() == signed_local_contribution(p, index)
+            signs.append(rep.sign)
+    assert set(signs) == ({1} if complex_model else {-1, 1})
 
 
 def test_cycle_table_component_index_range():
