@@ -577,20 +577,25 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
 subdivide_times = subdivided_complex
 
 
-def sd_vertex_position(vertex, base: SimplicialComplex) -> dict:
-    """Barycentric position of a subdivision vertex over the base vertices.
+def sd_positions(base: SimplicialComplex) -> dict:
+    """Barycentric positions of subdivision vertices over the base vertices.
 
-    Returns a sparse {base vertex: Fraction} map summing to 1.  Works for
-    any nesting level because subdivision vertices are tuples of the level
-    below.
+    positions[w] is a sparse {base vertex: Fraction} map summing to 1,
+    filled in on lookup from the positions of w's parts, so each is
+    computed once.  Works for any nesting level because subdivision
+    vertices are tuples of the level below.  The position maps are shared;
+    do not mutate them.
     """
-    base_set = set(base.vertices)
-    if vertex in base_set:
-        return {vertex: Fraction(1)}
-    if not isinstance(vertex, tuple):
-        raise DegenerateInputError(f"not a subdivision vertex: {vertex!r}")
-    total = {}
-    for part in vertex:
-        for v, w in sd_vertex_position(part, base).items():
-            total[v] = total.get(v, Fraction(0)) + w / len(vertex)
-    return total
+    return _Positions({v: {v: Fraction(1)} for v in base.vertices})
+
+
+class _Positions(dict):
+    def __missing__(self, vertex):
+        if not isinstance(vertex, tuple):
+            raise DegenerateInputError(f"not a subdivision vertex: {vertex!r}")
+        total = {}
+        for part in vertex:
+            for v, w in self[part].items():
+                total[v] = total.get(v, Fraction(0)) + w
+        self[vertex] = position = {v: w / len(vertex) for v, w in total.items()}
+        return position

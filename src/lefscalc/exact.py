@@ -493,23 +493,52 @@ def count_real_roots_geq(p: RationalPolynomial, c) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility (phase-1 simplex, Bland's rule)
+# exact linear feasibility (sign presolve, then phase-1 simplex, Bland's rule)
 
 
 def has_nonneg_solution(rows: list, rhs: list) -> bool:
     """Exact feasibility of {A t = b, t >= 0} over the rationals.
 
-    Bland's pivoting rule guarantees termination; everything stays in
-    Fraction so the verdict is exact.
+    A sign presolve settles most systems without pivoting.  It repeats
+    until nothing changes: a row with b = 0 whose live entries all have
+    one sign forces t_j = 0 on its nonzero columns, which are dropped; a
+    row with b > 0 and no positive live entry, or b < 0 and no negative
+    one, is a Farkas certificate of infeasibility.  Dropped columns are
+    zero in every solution, so the verdict is unchanged.  What survives
+    goes to a phase-1 simplex under Bland's rule, which terminates;
+    everything stays in Fraction so the verdict is exact.
     """
+    if not rows:
+        return True
+    rows = [[parse_rational(x) for x in row] for row in rows]
+    rhs = [parse_rational(b) for b in rhs]
+    live = range(len(rows[0]))
+    changed = True
+    while changed:
+        changed = False
+        for row, b in zip(rows, rhs):
+            pos = any(row[j] > 0 for j in live)
+            neg = any(row[j] < 0 for j in live)
+            if (b > 0 and not pos) or (b < 0 and not neg):
+                return False
+            if b == 0 and pos != neg:
+                live = [j for j in live if row[j] == 0]
+                changed = True
+    if not live:
+        return all(b == 0 for b in rhs)
+    return _phase1([[row[j] for j in live] for row in rows], rhs)
+
+
+def _phase1(rows: list, rhs: list) -> bool:
+    """Phase-1 simplex on {A t = b, t >= 0} in Fractions: one artificial
+    column per row, minimize their sum.  Bland's pivoting rule guarantees
+    termination; every reduced cost is re-summed on each iteration."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
         return True
     table = []
     for row, b in zip(rows, rhs):
-        row = [parse_rational(x) for x in row]
-        b = parse_rational(b)
         if b < 0:
             row = [-x for x in row]
             b = -b

@@ -36,7 +36,7 @@ from .complexes import (
     cell_sort_key,
     closure,
     connected_components,
-    sd_vertex_position,
+    sd_positions,
     vertex_key,
 )
 from .errors import (
@@ -173,10 +173,17 @@ def _fixed_vertices(spec: SelfMapSpec) -> set:
 def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
     """Exact check that the affine map fixes nothing beyond the fixed
     vertices: on each top simplex the fixed points form the cone over the
-    fixed-vertex axes iff a certain rational polytope is empty."""
+    fixed-vertex axes iff a certain rational polytope is empty.
+
+    The polytope asks for weights t >= 0 on the simplex's vertices, summing
+    to 1 over the moved ones, whose combination of displacements (position
+    minus image, one row per base coordinate) is zero.  Most simplices are
+    settled by the LP kernel's sign presolve: a coordinate in which every
+    moved vertex is displaced the same way already separates them."""
     source = spec.source_complex()
     carrier = spec.carrier()
-    base = spec.base
+    positions = sd_positions(spec.base)
+    zero = Fraction(0)
     faces = {s - {v} for s in source.simplices if len(s) > 1 for v in s}
     maximal = source.simplices - faces
     for tau in sorted(maximal, key=cell_sort_key):
@@ -184,24 +191,18 @@ def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
         free = [i for i, w in enumerate(ws) if w not in fixed]
         if not free:
             continue
-        coords = set()
-        displacement = []
+        displacement = []  # position minus image, one column per vertex
         for w in ws:
-            pos = sd_vertex_position(w, base)
+            column = dict(positions[w])
             image = spec.vertex_map[w]
-            column = dict(pos)
-            column[image] = column.get(image, Fraction(0)) - 1
-            displacement.append(column)  # position minus image, negated below
-            coords |= set(column)
-        coord_list = sorted(coords, key=vertex_key)
-        rows = [
-            [Fraction(-1) * displacement[i].get(u, Fraction(0)) for i in range(len(ws))]
-            for u in coord_list
-        ]
+            column[image] = column.get(image, zero) - 1
+            displacement.append(column)
+        coords = sorted(set().union(*displacement), key=vertex_key)
+        rows = [[column.get(u, zero) for column in displacement] for u in coords]
         rows.append(
             [Fraction(1 if i in free else 0) for i in range(len(ws))]
         )
-        rhs = [Fraction(0)] * len(coord_list) + [Fraction(1)]
+        rhs = [zero] * len(coords) + [Fraction(1)]
         if has_nonneg_solution(rows, rhs):
             raise FixedPointNotSimplicialError(
                 "geometric fixed points inside simplex carried by "

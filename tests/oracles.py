@@ -14,7 +14,9 @@ simplices twice and runs the affine rank test on every simplex; and the
 Euler integral, pushforward and multiplicity table summed one Gaussian
 add at a time, with a genericity scan that sorts every edge; and the
 supported global trace taken on a second problem restricted to the
-support's closure.
+support's closure.  The fixed-point refusal is re-derived from
+barycentric weights averaged level by level and basic-solution
+enumeration on every top simplex.
 """
 
 from __future__ import annotations
@@ -364,6 +366,56 @@ def fixed_members_by_scan(spec) -> frozenset:
         for sigma in spec.base.simplices
         if all(c == {spec.vertex_map[w]} for c, w in over if c <= sigma)
     )
+
+
+# ---------------------------------------------------------------------------
+# barycentric weights level by level, and the fixed-point refusal re-derived
+
+def barycentric_weights(vertex, level: int) -> dict:
+    """Position of a vertex of sd^level(base) over the base vertices: the
+    average of its parts' positions one level down.  The level, not
+    membership in the base, ends the recursion."""
+    if level == 0:
+        return {vertex: Fraction(1)}
+    total = {}
+    for part in vertex:
+        for v, w in barycentric_weights(part, level - 1).items():
+            total[v] = total.get(v, Fraction(0)) + w / len(vertex)
+    return total
+
+
+def non_vertex_fixed_point_refusal(spec):
+    """The FixedPointNotSimplicialError text that `fixed_subcomplex` owes
+    `spec`, or None.  Each top simplex of sd^level(base), in cell order, is
+    asked by basic-solution enumeration for weights t >= 0 on its vertices,
+    summing to 1 over the moved ones, with sum t_i (position_i - image_i)
+    = 0; the first that has them is named by its carrier, the union of its
+    vertices' supports."""
+    source = spec.source_complex()
+    simplices = source.simplices
+    weights = {w: barycentric_weights(w, spec.level) for w in source.vertices}
+    for tau in sorted(simplices, key=cell_sort_key):
+        if any(tau | {v} in simplices for v in source.vertices if v not in tau):
+            continue
+        ws = canonical_tuple(tau)
+        images = [spec.vertex_map[w] for w in ws]
+        moved = [weights[w] != {u: 1} for w, u in zip(ws, images)]
+        if not any(moved):
+            continue
+        coords = set(images).union(*(weights[w] for w in ws))
+        rows = [
+            [weights[w].get(u, Fraction(0)) - (image == u) for w, image in zip(ws, images)]
+            for u in sorted(coords, key=vertex_key)
+        ]
+        rows.append([Fraction(int(m)) for m in moved])
+        if feasible_bruteforce(rows, [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]):
+            carrier = frozenset().union(*(weights[w] for w in ws))
+            return (
+                "geometric fixed points inside simplex carried by "
+                f"{canonical_tuple(carrier)} are not vertices; "
+                "subdivide the base complex and restate the map"
+            )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from lefscalc.complexes import (
     induced_subcomplex,
     link,
     require_valid,
-    sd_vertex_position,
+    sd_positions,
     star,
     subdivide_times,
     validate,
@@ -165,10 +165,24 @@ def test_subdivision_tower_matches_iterated_subdivision():
 
 
 def test_sd_vertex_position():
-    space = SimplicialComplex.from_maximal([("a", "b")])
-    pos = sd_vertex_position(("a", "b"), space)
-    assert pos == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
-    assert sd_vertex_position(("a",), space) == {"a": Fraction(1)}
+    positions = sd_positions(SimplicialComplex.from_maximal([("a", "b")]))
+    assert positions[("a", "b")] == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+    assert positions[("a",)] == {"a": Fraction(1)}
+    with pytest.raises(DegenerateInputError, match="not a subdivision vertex: 'c'"):
+        positions[("a", "c")]
+
+
+@pytest.mark.parametrize(
+    "base", [fx.interval_complex(), fx.hexagon(), fx.disk(), fx.sphere2()],
+    ids=["interval", "hexagon", "disk", "sphere2"],
+)
+def test_sd_positions_match_level_by_level_weights(base):
+    sd3, _ = subdivide_times(base, 3)
+    positions = sd_positions(base)
+    for w in sd3.vertices:
+        position = positions[w]
+        assert position == oracles.barycentric_weights(w, 3)
+        assert sum(position.values()) == 1
 
 
 def test_cellular_subset_membership_is_validated():

@@ -226,3 +226,52 @@ def test_feasibility_against_bruteforce():
         ]
         rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m_)]
         assert has_nonneg_solution(rows, rhs) == oracles.feasible_bruteforce(rows, rhs)
+
+
+lp_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@st.composite
+def lp_systems(draw):
+    """{A t = b}: up to four rows and columns, either with any signs on b,
+    or shaped like the fixed-point check: homogeneous coordinate rows,
+    zero columns for fixed vertices, and one normalisation row with b = 1."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        rows = [[draw(lp_entries) for _ in range(n)] for _ in range(m)]
+        return rows, [draw(lp_entries) for _ in range(m)]
+    n = max(n, 1)
+    fixed = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    rows = [
+        [Fraction(0) if j in fixed else draw(lp_entries) for j in range(n)]
+        for _ in range(m)
+    ]
+    rows.append([Fraction(0 if j in fixed else 1) for j in range(n)])
+    return rows, [Fraction(0)] * m + [Fraction(1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_systems())
+def test_feasibility_matches_simplex_and_bruteforce_oracles(system):
+    # exact._phase1 is the simplex alone, with no sign presolve
+    rows, rhs = system
+    expected = oracles.feasible_bruteforce(rows, rhs)
+    assert exact._phase1(rows, rhs) == expected
+    assert has_nonneg_solution(rows, rhs) == expected
+
+
+def test_feasibility_sign_certificates():
+    # a homogeneous row with one sign forces its columns to zero, which
+    # leaves the normalisation row without a positive entry
+    rows = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(1), Fraction(1), Fraction(0)]]
+    assert not has_nonneg_solution(rows, [Fraction(0), Fraction(1)])
+    # the same, with the surviving column free to carry the solution
+    rows = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
+    assert has_nonneg_solution(rows, [Fraction(0), Fraction(1)])
+    # b < 0 needs a negative entry, b > 0 a positive one
+    assert not has_nonneg_solution([[Fraction(2), Fraction(0)]], [Fraction(-1)])
+    assert has_nonneg_solution([[Fraction(-2), Fraction(0)]], [Fraction(-1)])
+    # every column dropped: feasible exactly when b = 0
+    assert has_nonneg_solution([[Fraction(1)], [Fraction(0)]], [Fraction(0), Fraction(0)])
+    assert not has_nonneg_solution([[Fraction(1)], [Fraction(0)]], [Fraction(0), Fraction(1)])

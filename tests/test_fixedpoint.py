@@ -33,7 +33,7 @@ from lefscalc.fixedpoint import (
     localization_report,
     signed_local_contribution,
 )
-from lefscalc import fixedpoint
+from lefscalc import exact, fixedpoint
 from lefscalc.homology import lefschetz_number
 from lefscalc.maps import SelfMapSpec, refine, subdivided_complex
 from lefscalc.morse import VertexFunctional, lefschetz_cycle_table, microlocal_index
@@ -59,29 +59,97 @@ def test_fixed_subcomplex_of_identity_is_everything():
     assert len(fixed_components(spec)) == 1
 
 
+def midpoint_swap_spec() -> SelfMapSpec:
+    space = SimplicialComplex.from_maximal([("a", "b")])
+    return SelfMapSpec.build(space, 0, {"a": "b", "b": "a"})
+
+
+def power_spec(n: int, level: int, rotation: int) -> SelfMapSpec:
+    """z -> zeta z^(2^level) on the n-gon u0..u(n-1): the level-k vertex at
+    angle m / (n 2^k) of a full turn goes to u_(m + rotation mod n)."""
+    base = SimplicialComplex.from_maximal(
+        [(f"u{i}", f"u{(i + 1) % n}") for i in range(n)]
+    )
+    vm = {}
+    for w in subdivided_complex(base, level)[0].vertices:
+        weights = oracles.barycentric_weights(w, level)
+        index = {v: int(v[1:]) for v in weights}
+        wraps = len(index) > 1 and {0, n - 1} <= set(index.values())
+        angle = sum(
+            x * (n if wraps and index[v] == 0 else index[v])
+            for v, x in weights.items()
+        )
+        vm[w] = f"u{(int(angle * 2 ** level) + rotation) % n}"
+    return SelfMapSpec.build(base, level, vm)
+
+
+def assert_fixed_subcomplex_matches_oracles(spec) -> bool:
+    """fixed_subcomplex refuses exactly when the oracle finds a fixed point
+    off the vertices, with the oracle's text; otherwise it agrees with the
+    scan.  Returns whether it refused."""
+    expected = oracles.non_vertex_fixed_point_refusal(spec)
+    if expected is None:
+        assert fixed_subcomplex(spec).members == oracles.fixed_members_by_scan(spec)
+        return False
+    with pytest.raises(FixedPointNotSimplicialError) as err:
+        fixed_subcomplex(spec)
+    assert str(err.value) == expected
+    return True
+
+
 def test_fixed_subcomplex_matches_scan_oracle():
-    specs = [fx.reflection_spec(), fx.doubling_spec(), refine(fx.doubling_spec())]
+    specs = [
+        fx.reflection_spec(), fx.doubling_spec(), refine(fx.doubling_spec()),
+        midpoint_swap_spec(),
+    ]
     rng = random.Random(5)
-    for _ in range(60):
+    for _ in range(300):
         space = random_complex(rng)
         specs.append(random_self_map(rng, space))
-    checked = 0
-    for spec in specs:
-        try:
-            members = fixed_subcomplex(spec).members
-        except FixedPointNotSimplicialError:
-            continue
-        assert members == oracles.fixed_members_by_scan(spec)
-        checked += 1
-    assert checked >= 30
+    refused = [assert_fixed_subcomplex_matches_oracles(spec) for spec in specs]
+    assert refused[3]
+    assert sum(refused) >= 80 and refused.count(False) >= 150
+
+
+def test_power_maps_are_refused_exactly_at_non_vertex_fixed_points():
+    refused = [
+        assert_fixed_subcomplex_matches_oracles(power_spec(n, level, rotation))
+        for n in (3, 5, 6, 7)
+        for level in (1, 2, 3)
+        for rotation in range(n)
+    ]
+    assert sum(refused) >= 20 and refused.count(False) >= 20
+
+
+def count_simplex_runs(monkeypatch) -> list:
+    runs = []
+    phase1 = exact._phase1
+
+    def counting(rows, rhs):
+        runs.append(len(rows))
+        return phase1(rows, rhs)
+
+    monkeypatch.setattr(exact, "_phase1", counting)
+    return runs
+
+
+def test_sign_presolve_settles_the_power_map_without_pivots(monkeypatch):
+    runs = count_simplex_runs(monkeypatch)
+    assert len(fixed_components(power_spec(7, 3, 0))) == 7
+    assert runs == []
+
+
+def test_midpoint_swap_still_reaches_the_simplex(monkeypatch):
+    runs = count_simplex_runs(monkeypatch)
+    with pytest.raises(FixedPointNotSimplicialError):
+        fixed_subcomplex(midpoint_swap_spec())
+    assert runs
 
 
 def test_swap_edge_has_midpoint_fixed_point():
     # swapping the ends of an edge fixes its midpoint, which is not a vertex
-    space = SimplicialComplex.from_maximal([("a", "b")])
-    spec = SelfMapSpec.build(space, 0, {"a": "b", "b": "a"})
     with pytest.raises(FixedPointNotSimplicialError) as err:
-        fixed_subcomplex(spec)
+        fixed_subcomplex(midpoint_swap_spec())
     assert "subdiv" in str(err.value).lower()
 
 
