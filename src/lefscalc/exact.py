@@ -20,7 +20,6 @@ from .errors import DegenerateInputError, ParseError
 
 Rat = Fraction
 
-CHAR_POLY_MAX_DIM = 8
 # Largest rational literal read: Fraction("1e5000") would build a
 # 16 610-bit integer from six characters.
 LITERAL_MAX_CHARS = 1000
@@ -247,57 +246,53 @@ class RationalMatrix:
         return [[format_rational(x) for x in row] for row in self.rows]
 
     def det(self) -> Fraction:
+        """det A = (-1)^n chi_A(0)."""
         if not self.is_square():
             raise DegenerateInputError("det needs a square matrix")
-        n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        work = [list(row) for row in self.rows]
-        sign = 1
-        result = Fraction(1)
-        for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if work[r][col] != 0), None
-            )
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                sign = -sign
-            pivot = work[col][col]
-            result *= pivot
-            for r in range(col + 1, n):
-                factor = work[r][col] / pivot
-                if factor == 0:
-                    continue
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return sign * result
+        return (-1) ** self.nrows * self.char_poly().coeffs[0]
 
     def rank(self) -> int:
         return len(row_echelon([list(r) for r in self.rows])[1])
 
     def char_poly(self) -> "RationalPolynomial":
-        """Characteristic polynomial det(tI - A), monic, exact.
+        """Characteristic polynomial chi_A(t) = det(tI - A), monic, exact.
 
-        Faddeev-LeVerrier recursion; the artifact bound keeps dimensions
-        small enough that the O(n^4) cost is irrelevant.
+        Hessenberg reduction by similarity, then the recurrence on the
+        leading principal minors of tI - H (Cohen, A Course in
+        Computational Algebraic Number Theory, Algorithm 2.2.9): O(n^3).
         """
         if not self.is_square():
             raise DegenerateInputError("char_poly needs a square matrix")
         n = self.nrows
-        if n > CHAR_POLY_MAX_DIM:
-            raise DegenerateInputError(
-                f"char_poly dimension {n} exceeds bound {CHAR_POLY_MAX_DIM}"
-            )
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        m = RationalMatrix.identity(n)
-        for k in range(1, n + 1):
-            am = self @ m
-            c = -am.trace() / k
-            coeffs[n - k] = c
-            m = am + RationalMatrix.identity(n).scale(c)
-        return RationalPolynomial(tuple(coeffs))
+        h = [list(row) for row in self.rows]
+        for m in range(1, n - 1):
+            # zero column m - 1 below the subdiagonal, pivoting on row m
+            i = next((r for r in range(m, n) if h[r][m - 1] != 0), None)
+            if i is None:
+                continue
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+            pivot = Fraction(h[m][m - 1])
+            for r in range(m + 1, n):
+                u = h[r][m - 1] / pivot
+                h[r] = [a - u * b for a, b in zip(h[r], h[m])]
+                for row in h:
+                    row[m] += u * row[r]
+        # p[k]: the leading k x k minor of tI - H, lowest degree first
+        p = [[Fraction(1)]]
+        for k in range(n):
+            nxt = [Fraction(0)] + p[k]
+            chain = 1  # h[k][k-1] * ... * h[i+1][i]
+            for i in range(k, -1, -1):
+                coef = h[i][k] * chain
+                for j, c in enumerate(p[i]):
+                    nxt[j] -= coef * c
+                chain = chain * h[i][i - 1] if i else 0
+                if not chain:
+                    break
+            p.append(nxt)
+        return RationalPolynomial(tuple(p[n]))
 
 
 def row_echelon(work: list) -> tuple:
@@ -316,7 +311,7 @@ def row_echelon(work: list) -> tuple:
         if pivot_row is None:
             continue
         work[row], work[pivot_row] = work[pivot_row], work[row]
-        pivot = work[row][col]
+        pivot = Fraction(work[row][col])
         work[row] = [a / pivot for a in work[row]]
         for r in range(nrows):
             if r != row and work[r][col] != 0:
@@ -506,12 +501,11 @@ def has_nonneg_solution(rows: list, rhs: list) -> bool:
     one, is a Farkas certificate of infeasibility.  Dropped columns are
     zero in every solution, so the verdict is unchanged.  What survives
     goes to a phase-1 simplex under Bland's rule, which terminates;
-    everything stays in Fraction so the verdict is exact.
+    everything stays in Fraction so the verdict is exact.  Entries and
+    right-hand sides are ints or Fractions; they are not parsed again.
     """
     if not rows:
         return True
-    rows = [[parse_rational(x) for x in row] for row in rows]
-    rhs = [parse_rational(b) for b in rhs]
     live = range(len(rows[0]))
     changed = True
     while changed:
@@ -533,10 +527,9 @@ def _phase1(rows: list, rhs: list) -> bool:
     """Phase-1 simplex on {A t = b, t >= 0} in Fractions: one artificial
     column per row, minimize their sum.  Bland's pivoting rule guarantees
     termination; every reduced cost is re-summed on each iteration."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0:
+    if not rows:
         return True
+    m, n = len(rows), len(rows[0])
     table = []
     for row, b in zip(rows, rhs):
         if b < 0:
@@ -561,14 +554,14 @@ def _phase1(rows: list, rhs: list) -> bool:
         if entering is None:
             break
         candidates = [
-            (table[i][-1] / table[i][entering], basis[i], i)
+            (Fraction(table[i][-1], table[i][entering]), basis[i], i)
             for i in range(m)
             if table[i][entering] > 0
         ]
         if not candidates:
             break  # phase-1 objective is bounded; defensive only
         _, _, leave = min(candidates)
-        pivot = table[leave][entering]
+        pivot = Fraction(table[leave][entering])
         table[leave] = [x / pivot for x in table[leave]]
         for i in range(m):
             if i != leave and table[i][entering] != 0:

@@ -26,7 +26,7 @@ the expanding directions accounted for by the sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,6 +49,7 @@ from .euler import ConstructibleFunction, euler_integral, restrict
 from .exact import (
     GaussianRational,
     RationalMatrix,
+    RationalPolynomial,
     count_real_roots_geq,
     has_nonneg_solution,
     signed_sum,
@@ -94,6 +95,22 @@ class NormalData:
 
 
 @dataclass(frozen=True, eq=False)
+class FixedComponent:
+    """A fixed component and its normal matrix A, with chi_A(t) = det(tI - A)
+    and sign = sgn chi_A(1) = sgn det(I - A), 0 iff 1 is an eigenvalue."""
+
+    cells: CellularSubset
+    matrix: RationalMatrix
+    char_poly: RationalPolynomial
+    sign: int
+
+    @cached_property
+    def meets_ray(self) -> bool:
+        """Does the real spectrum of A meet [1, oo)?  Counted on first read."""
+        return count_real_roots_geq(self.char_poly, 1) > 0
+
+
+@dataclass(frozen=True, eq=False)
 class TracedProblem:
     """A self-map plus the sheaf-side data needed for localization.
 
@@ -116,6 +133,7 @@ class TracedProblem:
     normal: NormalData | None = None
     complex_model: bool = False
     non_characteristic: bool = False
+    _components: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def fixed_locus(self) -> tuple:
@@ -133,19 +151,24 @@ class TracedProblem:
         """The local trace function, computed once per problem."""
         return local_trace_function(self)
 
-    def component(self, index: int) -> tuple:
-        """(component, normal matrix) of one fixed component."""
-        comps = self.fixed_locus[1]
-        if not 0 <= index < len(comps):
-            raise _no_component(f"component index {index}", len(comps))
-        if self.normal is None:
-            return comps[index], RationalMatrix.zeros(0, 0)
-        matrix = self.normal.matrix_for(index)
-        if matrix is None:
-            raise DegenerateInputError(
-                f"normal data present but missing component {index}"
-            )
-        return comps[index], matrix
+    def component(self, index: int) -> FixedComponent:
+        """One fixed component and its normal facts, computed once per index."""
+        if index not in self._components:
+            comps = self.fixed_locus[1]
+            if not 0 <= index < len(comps):
+                raise _no_component(f"component index {index}", len(comps))
+            matrix = RationalMatrix.zeros(0, 0)
+            if self.normal is not None:
+                matrix = self.normal.matrix_for(index)
+            if matrix is None:
+                raise DegenerateInputError(
+                    f"normal data present but missing component {index}"
+                )
+            chi = matrix.char_poly()
+            at_one = chi(1)  # det(I - A)
+            sign = (at_one > 0) - (at_one < 0)
+            self._components[index] = FixedComponent(comps[index], matrix, chi, sign)
+        return self._components[index]
 
 
 def _no_component(what: str, count: int) -> DegenerateInputError:
@@ -272,33 +295,20 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
     return ConstructibleFunction.of(base, values)
 
 
-def det_sign(matrix: RationalMatrix) -> int:
-    """Sign of det(I - A); 0 exactly when 1 is an eigenvalue of A."""
-    d = (RationalMatrix.identity(matrix.nrows) - matrix).det()
-    return (d > 0) - (d < 0)
-
-
-def spectrum_meets_ray(matrix: RationalMatrix) -> bool:
-    """Does the real spectrum of A meet [1, oo)?"""
-    return matrix.nrows > 0 and count_real_roots_geq(matrix.char_poly(), 1) > 0
-
-
-def component_sign(p: TracedProblem, index: int) -> tuple:
-    """(component, normal matrix, sgn det(I - A)) of one component: the one
-    route to its sign, refused when det(I - A) = 0."""
-    comp, matrix = p.component(index)
-    sign = det_sign(matrix)
-    if sign == 0:
+def component_sign(p: TracedProblem, index: int) -> FixedComponent:
+    """The component, if its signed term is defined: det(I - A) != 0."""
+    comp = p.component(index)
+    if comp.sign == 0:
         raise NotHyperbolicError(
             f"det(I - A) = 0 on component {index}; the signed term is undefined"
         )
-    return comp, matrix, sign
+    return comp
 
 
 def _signed_term(p: TracedProblem, index: int) -> tuple:
-    """(component, normal matrix, sign, integral) of one component's term."""
-    comp, matrix, sign = component_sign(p, index)
-    return comp, matrix, sign, euler_integral(restrict(p.local_trace, comp))
+    """(component, integral) of one component's signed term."""
+    comp = component_sign(p, index)
+    return comp, euler_integral(restrict(p.local_trace, comp.cells))
 
 
 def local_contribution(p: TracedProblem, index: int) -> GaussianRational:
@@ -307,37 +317,34 @@ def local_contribution(p: TracedProblem, index: int) -> GaussianRational:
     Equals that component's contribution to the global trace when the
     normal spectrum avoids [1, oo) or the problem is complex-analytic.
     """
-    comp, matrix = p.component(index)
-    if det_sign(matrix) == 0:
+    comp = p.component(index)
+    if comp.sign == 0:
         raise NotLocalizableError(
             f"1 is an eigenvalue of the normal matrix on component {index}"
         )
-    return euler_integral(restrict(p.local_trace, comp))
+    return euler_integral(restrict(p.local_trace, comp.cells))
 
 
 def signed_local_contribution(p: TracedProblem, index: int) -> GaussianRational:
-    _, _, sign, integral = _signed_term(p, index)
-    return integral * Fraction(sign)
+    comp, integral = _signed_term(p, index)
+    return integral * Fraction(comp.sign)
 
 
 def hyperbolicity_report(p: TracedProblem) -> list:
     """Per component: is 1 an eigenvalue, does the real spectrum meet
     [1, oo), and the sign of det(I - A)."""
-    out = []
-    for index in range(len(p.fixed_locus[1])):
-        comp, matrix = p.component(index)
-        sign = det_sign(matrix)
-        out.append(
-            {
-                "component": index,
-                "cells": len(comp.members),
-                "normal_dim": matrix.nrows,
-                "one_is_eigenvalue": sign == 0,
-                "meets_R_geq_1": spectrum_meets_ray(matrix),
-                "sign": sign,
-            }
-        )
-    return out
+    comps = [p.component(index) for index in range(len(p.fixed_locus[1]))]
+    return [
+        {
+            "component": index,
+            "cells": len(comp.cells.members),
+            "normal_dim": comp.matrix.nrows,
+            "one_is_eigenvalue": comp.sign == 0,
+            "meets_R_geq_1": comp.meets_ray,
+            "sign": comp.sign,
+        }
+        for index, comp in enumerate(comps)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +383,16 @@ def localization_report(p: TracedProblem) -> dict:
     per_component = []
     terms = []
     for index in range(len(p.fixed_locus[1])):
-        comp, matrix, sign, integral = _signed_term(p, index)
-        terms.append((sign, integral))
+        comp, integral = _signed_term(p, index)
+        terms.append((comp.sign, integral))
         per_component.append(
             {
                 "component": index,
-                "cells": tuple(canonical_tuple(c) for c in comp.sorted_members()),
-                "normal_dim": matrix.nrows,
-                "sign": sign,
+                "cells": tuple(canonical_tuple(c) for c in comp.cells.sorted_members()),
+                "normal_dim": comp.matrix.nrows,
+                "sign": comp.sign,
                 "integral": integral,
-                "signed_contribution": integral * Fraction(sign),
+                "signed_contribution": integral * Fraction(comp.sign),
             }
         )
     global_trace = GaussianRational.of(_global_trace(p))

@@ -41,8 +41,8 @@ from .complexes import (
 )
 from .errors import DegenerateInputError, GenericityError, NoApplicableRegimeError
 from .euler import ConstructibleFunction, restrict
-from .exact import GaussianRational, RationalMatrix, parse_rational, signed_sum
-from .fixedpoint import TracedProblem, component_sign, spectrum_meets_ray
+from .exact import GaussianRational, parse_rational, signed_sum
+from .fixedpoint import FixedComponent, TracedProblem, component_sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,14 +177,14 @@ class CycleTableReport:
         return self.table.total()
 
 
-def _select_regime(p: TracedProblem, matrix: RationalMatrix, sign: int) -> str:
-    """The regime that justifies the table; `sign` is sgn det(I - A)."""
-    if p.complex_model and sign < 0:
+def _select_regime(p: TracedProblem, comp: FixedComponent) -> str:
+    """The regime that justifies the table at one component."""
+    if p.complex_model and comp.sign < 0:
         raise NoApplicableRegimeError(
             "det(I - A) < 0 contradicts the complex-model assertion: the real "
             "form of a complex-linear map has det(I - A) > 0"
         )
-    if not spectrum_meets_ray(matrix):
+    if not comp.meets_ray:
         return REGIME_SPECTRUM_BELOW_ONE
     if p.complex_model:
         return REGIME_COMPLEX_ANALYTIC
@@ -204,17 +204,17 @@ def lefschetz_cycle_table(
     The table is the component's multiplicity table of the local trace
     function, scaled by sgn det(I - A); its total is the microlocal index.
     """
-    comp, matrix, sign = component_sign(p, index)
-    regime = _select_regime(p, matrix, sign)
-    component_complex = induced_subcomplex(p.spec.base, comp.members)
-    phi = restrict(p.local_trace, comp)
+    comp = component_sign(p, index)
+    regime = _select_regime(p, comp)
+    component_complex = induced_subcomplex(p.spec.base, comp.cells.members)
+    phi = restrict(p.local_trace, comp.cells)
     local_phi = ConstructibleFunction.of(component_complex, phi.values)
     local_ell = VertexFunctional.of(
         component_complex,
         {v: ell(v) for v in component_complex.vertices},
     )
-    table = cc_table(local_phi, local_ell).scaled(sign)
-    return CycleTableReport(index, regime, sign, table)
+    table = cc_table(local_phi, local_ell).scaled(comp.sign)
+    return CycleTableReport(index, regime, comp.sign, table)
 
 
 def microlocal_index(

@@ -2,21 +2,23 @@
 
 Everything here recomputes a quantity the library also computes, but by a
 different algorithm: cofactor determinants, interpolated characteristic
-polynomials, Descartes-based root isolation, basic-solution enumeration
-for feasibility, downward breadth-first search for the closure order, and
-the lower-link formula for multiplicities of the constant function, and
-the dense chain engine: chain complexes and chain maps as dense rational
-matrices, homology traces by row echelon forms and one solve per cycle.
-It also keeps the slow routes that a memoized one replaced: the vertex
-key rebuilt recursively on every call, and the dot criterion recounting
-every prefix on every comparison; complex validation that sorts the
-simplices twice and runs the affine rank test on every simplex; and the
-Euler integral, pushforward and multiplicity table summed one Gaussian
-add at a time, with a genericity scan that sorts every edge; and the
-supported global trace taken on a second problem restricted to the
-support's closure.  The fixed-point refusal is re-derived from
-barycentric weights averaged level by level and basic-solution
-enumeration on every top simplex.
+polynomials and the Faddeev-LeVerrier recursion that the Hessenberg
+reduction replaced, Descartes-based root isolation, basic-solution
+enumeration for feasibility, downward breadth-first search for the closure
+order, and the lower-link formula for multiplicities of the constant
+function, and the dense chain engine: chain complexes and chain maps as
+dense rational matrices, homology traces by row echelon forms and one
+solve per cycle.  It also keeps the slow routes that a memoized one
+replaced: the vertex key rebuilt recursively on every call, and the dot
+criterion recounting every prefix on every comparison; complex validation
+that sorts the simplices twice and runs the affine rank test on every
+simplex; and the Euler integral, pushforward and multiplicity table summed
+one Gaussian add at a time, with a genericity scan that sorts every edge;
+and the supported global trace taken on a second problem restricted to the
+support's closure.  The fixed-point refusal is re-derived from barycentric
+weights averaged level by level and basic-solution enumeration on every
+top simplex.  Matrices with a known characteristic polynomial come from
+companion matrices under a seeded similarity.
 """
 
 from __future__ import annotations
@@ -62,6 +64,59 @@ def det_cofactor(m: RationalMatrix) -> Fraction:
         )
         total += (Fraction(-1) ** j) * m.entry(0, j) * det_cofactor(minor)
     return total
+
+
+def char_poly_faddeev_leverrier(m: RationalMatrix) -> RationalPolynomial:
+    """det(tI - A) by the Faddeev-LeVerrier recursion: n products of
+    n x n matrices, O(n^4)."""
+    n = m.nrows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    acc = RationalMatrix.identity(n)
+    for k in range(1, n + 1):
+        am = m @ acc
+        c = -am.trace() / k
+        coeffs[n - k] = c
+        acc = am + RationalMatrix.identity(n).scale(c)
+    return RationalPolynomial(tuple(coeffs))
+
+
+def companion(coeffs) -> RationalMatrix:
+    """The companion matrix of t^n + coeffs[n-1] t^(n-1) + ... + coeffs[0],
+    whose characteristic polynomial is that one."""
+    n = len(coeffs)
+    return RationalMatrix.of(
+        [
+            [int(j == i - 1) - (coeffs[i] if j == n - 1 else 0) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def unit_upper_triangular(rng, n: int) -> tuple:
+    """A seeded unit upper-triangular rational matrix U and U^-1, the
+    inverse by back substitution."""
+    u = [
+        [
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if j > i else Fraction(int(i == j))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum(u[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+    return RationalMatrix.of(u), RationalMatrix.of(inv)
+
+
+def similar_matrix(rng, m: RationalMatrix) -> RationalMatrix:
+    """P m P^-1 for a seeded P = L U, L unit lower- and U unit
+    upper-triangular: dense, with the characteristic polynomial of m."""
+    n = m.nrows
+    u, u_inv = unit_upper_triangular(rng, n)
+    v, v_inv = unit_upper_triangular(rng, n)
+    return v.transpose() @ u @ m @ u_inv @ v_inv.transpose()
 
 
 def char_poly_interpolated(m: RationalMatrix) -> RationalPolynomial:

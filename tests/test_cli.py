@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import lefscalc.fixtures as fx
+import oracles
 from lefscalc.cli import exit_code_for, main
 from lefscalc.complexes import CellularSubset, SimplicialComplex
 from lefscalc.errors import (
@@ -20,7 +22,7 @@ from lefscalc.errors import (
     NotHyperbolicError,
     ParseError,
 )
-from lefscalc.exact import GaussianRational
+from lefscalc.exact import GaussianRational, RationalMatrix
 from lefscalc.fixedpoint import NormalData, TracedProblem
 from lefscalc.io import dumps, problem_to_json, traced_problem_to_json
 from lefscalc.morse import VertexFunctional
@@ -128,6 +130,34 @@ def test_morse_command(tmp_path, capsys):
     assert report.sign == -1
     assert report.total == g(-1)
     assert dict(report.table)["v0"] == g(-1)
+
+
+def expanding_normal_9x9() -> RationalMatrix:
+    """A dense 9 x 9 matrix similar to diag(2, 1/2, ..., 1/2): one
+    expanding direction, so det(I - A) < 0 as for the doubling's [[2]]."""
+    diagonal = [2] + [Fraction(1, 2)] * 8
+    d = RationalMatrix.of(
+        [[x if i == j else 0 for j in range(9)] for i, x in enumerate(diagonal)]
+    )
+    return oracles.similar_matrix(random.Random("cli:normal-9x9"), d)
+
+
+def test_morse_takes_a_9x9_normal_matrix_with_the_sign_of_lefschetz(tmp_path, capsys):
+    # the characteristic polynomial has no size bound, so the regime of a
+    # 9 x 9 normal matrix is decided like that of a 1 x 1 one
+    p = TracedProblem(
+        spec=fx.doubling_spec(),
+        normal=NormalData.of({0: expanding_normal_9x9()}),
+        non_characteristic=True,
+    )
+    path = write(tmp_path, "nine.json", traced_problem_to_json(p, ell=hexagon_heights()))
+    code, localized = run_json(capsys, ["lefschetz", "--input", path])
+    assert code == 0 and localized.equal
+    code, table = run_json(capsys, ["morse", "--input", path, "--component", "0"])
+    assert code == 0
+    assert table.sign == localized.components[0]["sign"] == -1
+    assert table.regime == "signed-non-characteristic"
+    assert table.total == localized.components[0]["signed_contribution"]
 
 
 def test_morse_needs_ell(tmp_path, capsys):

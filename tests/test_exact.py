@@ -19,6 +19,7 @@ from lefscalc.exact import (
     format_rational,
     has_nonneg_solution,
     parse_rational,
+    row_echelon,
 )
 
 rationals = st.fractions(
@@ -104,11 +105,35 @@ def test_det_multiplicative_and_rank_nullity():
         assert a.rank() + len(oracles.null_space(a)) == n
 
 
+def sparse_matrix(rng, n):
+    """Half the entries zero, so sub-diagonal pivots are often missing."""
+    return RationalMatrix.of(
+        [
+            [
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else 0
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
 def test_char_poly_against_interpolation_oracle():
+    # [1][0] = 0 below a nonzero [2][0] forces a row and column swap; an
+    # all-zero column below the sub-diagonal is skipped
+    matrices = [
+        RationalMatrix.of([[1, 2, 3], [0, 4, 5], [6, 7, 8]]),
+        RationalMatrix.of([[1, 2, 3], [0, 4, 5], [0, 7, 8]]),
+        RationalMatrix.of([[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [1, 0, 1, 0]]),
+    ]
     rng = random.Random(303)
     for _ in range(60):
-        m = rand_matrix(rng, rng.randint(1, 4), lo=-3, hi=3, den=2)
-        assert m.char_poly().coeffs == oracles.char_poly_interpolated(m).coeffs
+        matrices.append(rand_matrix(rng, rng.randint(1, 4), lo=-3, hi=3, den=2))
+    matrices += [sparse_matrix(rng, rng.randint(0, 6)) for _ in range(40)]
+    for m in matrices:
+        expected = oracles.char_poly_interpolated(m).coeffs
+        assert m.char_poly().coeffs == expected
+        assert oracles.char_poly_faddeev_leverrier(m).coeffs == expected
 
 
 def test_char_poly_of_companion_matrix():
@@ -117,9 +142,46 @@ def test_char_poly_of_companion_matrix():
     assert m.char_poly().coeffs == (Fraction(5), Fraction(-2), Fraction(0), Fraction(1))
 
 
-def test_char_poly_dimension_cap():
-    with pytest.raises(DegenerateInputError):
-        RationalMatrix.identity(9).char_poly()
+def test_char_poly_of_a_conjugated_12x12_companion():
+    # P C P^-1 with P unit upper-triangular is still upper Hessenberg; the
+    # dense similar_matrix makes the reduction do the work
+    rng = random.Random(505)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)]
+    expected = tuple(coeffs) + (Fraction(1),)
+    c = oracles.companion(coeffs)
+    u, u_inv = oracles.unit_upper_triangular(rng, 12)
+    assert u @ u_inv == RationalMatrix.identity(12)
+    assert (u @ c @ u_inv).char_poly().coeffs == expected
+    assert oracles.similar_matrix(rng, c).char_poly().coeffs == expected
+
+
+def test_int_entries_give_exact_results():
+    m = RationalMatrix(((2, 1), (1, 3)))
+    assert type(m.det()) is Fraction and m.det() == 5
+    assert m.rank() == 2
+    work, pivots = row_echelon([[2, 1], [1, 3]])
+    assert pivots == [0, 1]
+    assert {type(x) for row in work for x in row} == {Fraction}
+    # a 3 x 3 matrix makes the Hessenberg reduction divide by 4
+    m = RationalMatrix(((1, 2, 3), (4, 5, 6), (7, 8, 10)))
+    assert type(m.det()) is Fraction and m.det() == -3
+    chi = m.char_poly()
+    assert {type(c) for c in chi.coeffs} == {Fraction}
+    assert chi.coeffs == oracles.char_poly_interpolated(m).coeffs
+    # near-ties that a float quotient rounds away: in the pivot (3t = 1
+    # forces t = 1/3, and 10^17 / 3 is not 33333333333333333) and in the
+    # ratio test
+    big = 10**17
+    cases = [
+        ([[3], [big]], [1, big // 3], False),
+        ([[3 * big - 3, big], [3, 0]], [2 * big, 2], True),
+        ([[0, 3 * big - 2, 0], [1, 3 * big - 1, 0]], [2 * big, 2 * big], False),
+    ]
+    for rows, rhs, expected in cases:
+        assert exact._phase1(rows, rhs) is expected
+        assert has_nonneg_solution(rows, rhs) is expected
+        exact_rows = [[Fraction(x) for x in row] for row in rows]
+        assert oracles.feasible_bruteforce(exact_rows, list(map(Fraction, rhs))) is expected
 
 
 def test_ragged_rows_are_refused():

@@ -21,7 +21,7 @@ from lefscalc.errors import (
     NotHyperbolicError,
     NotLocalizableError,
 )
-from lefscalc.exact import GaussianRational, Rat, RationalMatrix
+from lefscalc.exact import GaussianRational, Rat, RationalMatrix, RationalPolynomial
 from lefscalc.fixedpoint import (
     NormalData,
     TracedProblem,
@@ -547,6 +547,92 @@ def test_fixed_locus_is_computed_once_per_problem(monkeypatch):
         lefschetz_cycle_table(p, index, _hexagon_heights())
     hyperbolicity_report(p)
     assert len(calls) == 1
+
+
+def count_normal_facts(monkeypatch) -> dict:
+    """Counts characteristic polynomials and Sturm counts as they run."""
+    calls = {"char_poly": 0, "sturm": 0}
+    char_poly = RationalMatrix.char_poly
+    sturm = fixedpoint.count_real_roots_geq
+
+    def counting_char_poly(matrix):
+        calls["char_poly"] += 1
+        return char_poly(matrix)
+
+    def counting_sturm(poly, c):
+        calls["sturm"] += 1
+        return sturm(poly, c)
+
+    monkeypatch.setattr(RationalMatrix, "char_poly", counting_char_poly)
+    monkeypatch.setattr(fixedpoint, "count_real_roots_geq", counting_sturm)
+    return calls
+
+
+def heptagon_power_problem() -> tuple:
+    """z -> z^8 on the heptagon (level 3): seven expanding fixed points."""
+    spec = power_spec(7, 3, 0)
+    p = TracedProblem(
+        spec=spec,
+        normal=NormalData.of({i: [[8]] for i in range(7)}),
+        non_characteristic=True,
+    )
+    return p, VertexFunctional.of(spec.base, {f"u{i}": i for i in range(7)})
+
+
+@pytest.mark.parametrize("case", ["heptagon", "doubling"])
+def test_normal_facts_are_computed_once_per_component(monkeypatch, case):
+    p, ell = (
+        heptagon_power_problem()
+        if case == "heptagon"
+        else (fx.doubling_problem(), _hexagon_heights())
+    )
+    count = len(p.fixed_locus[1])
+    calls = count_normal_facts(monkeypatch)
+    for index in range(count):
+        assert lefschetz_cycle_table(p, index, ell).sign == -1
+        signed_local_contribution(p, index)
+    rows = hyperbolicity_report(p)
+    assert [row["meets_R_geq_1"] for row in rows] == [True] * count
+    assert calls == {"char_poly": count, "sturm": count}
+
+
+def test_localization_report_runs_no_sturm_count(monkeypatch):
+    p, _ = heptagon_power_problem()
+    calls = count_normal_facts(monkeypatch)
+    assert localization_report(p)["equal"]
+    assert calls == {"char_poly": 7, "sturm": 0}
+
+
+def test_hyperbolicity_row_of_a_12x12_normal_matrix():
+    # similar to the companion matrix of (t^2 + 1)(t - 3/2)(t + 2)(t - 1/3)^2
+    # (t + 1/2)^3 (t + 5/4)(t - 2/3)(t + 3): one real root, 3/2, lies in
+    # [1, oo), so its value at 1 is negative
+    factors = [[1, 0, 1], [Fraction(-3, 2), 1], [2, 1], [Fraction(-1, 3), 1],
+               [Fraction(-1, 3), 1], [Fraction(1, 2), 1], [Fraction(1, 2), 1],
+               [Fraction(1, 2), 1], [Fraction(5, 4), 1], [Fraction(-2, 3), 1],
+               [3, 1]]
+    chi = RationalPolynomial.of([1])
+    for factor in factors:
+        chi = chi * RationalPolynomial.of(factor)
+    assert chi.degree == 12
+    rng = random.Random("fixedpoint:normal-12x12")
+    matrix = oracles.similar_matrix(rng, oracles.companion(chi.coeffs[:-1]))
+    p = TracedProblem(
+        spec=SelfMapSpec.identity(fx.point_complex()),
+        normal=NormalData.of({0: matrix}),
+    )
+    [row] = hyperbolicity_report(p)
+    oracle = oracles.char_poly_faddeev_leverrier(matrix)
+    assert oracle.coeffs == chi.coeffs
+    assert oracle(1) < 0 and oracles.count_real_roots_geq_oracle(oracle, 1) == 1
+    assert row == {
+        "component": 0,
+        "cells": 1,
+        "normal_dim": 12,
+        "one_is_eigenvalue": False,
+        "meets_R_geq_1": True,
+        "sign": -1,
+    }
 
 
 def test_refused_fixed_locus_is_not_cached():

@@ -27,7 +27,6 @@ from lefscalc.exact import GaussianRational, RationalMatrix
 from lefscalc.fixedpoint import (
     NormalData,
     TracedProblem,
-    det_sign,
     hyperbolicity_report,
     localization_report,
     signed_local_contribution,
@@ -394,7 +393,7 @@ def _hyperbolic_matrix(rng):
             [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
              for _ in range(n)]
         )
-        if det_sign(m):
+        if oracles.det_cofactor(RationalMatrix.identity(n) - m):
             return m
 
 
