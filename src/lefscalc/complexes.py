@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 
 from .errors import (
     CellSpaceUnsupportedError,
@@ -77,22 +78,6 @@ def vertex_key(v):
     raise DegenerateInputError(
         f"invalid vertex {v!r}: vertices are ints, strings and tuples of them"
     )
-
-
-def intern_vertex(v):
-    """One object per distinct tuple vertex: the tuple the key memo saw
-    first, when it agrees with `v` in type all the way down; otherwise `v`
-    itself, now keyed (a bad component is refused as in `vertex_key`).
-    Ints and strings come back as they are."""
-    if isinstance(v, tuple):
-        try:
-            hit = _VERTEX_KEYS.get(v)
-        except TypeError:  # an unhashable component, refused below
-            hit = None
-        if hit is not None and _same_vertex(hit[0], v):
-            return hit[0]
-        vertex_key(v)
-    return v
 
 
 def canonical_tuple(simplex) -> tuple:
@@ -575,6 +560,21 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
 
 
 subdivide_times = subdivided_complex
+
+
+def subdivision_f_vectors(base: SimplicialComplex):
+    """The f-vectors of sd^0, sd^1, ... of a valid complex, predicted
+    without subdividing.  A j-simplex of sd K is a chain of j + 1 faces, and
+    (j+1)! S(i+1, j+1) chains end in a given i-face: the surjections of its
+    i + 1 vertices onto j + 1 ranks (Brenti and Welker, "f-vectors of
+    barycentric subdivisions", Math. Z. 2008)."""
+    sizes = range(1, max(base.dim, 0) + 2)
+    f = [sum(len(s) == n for s in base.simplices) for n in sizes]
+    onto = [[sum((-1) ** t * comb(k, t) * (k - t) ** n for t in range(k + 1))
+             for k in sizes] for n in sizes]
+    while True:
+        yield tuple(f)
+        f = [sum(n * onto[i][j] for i, n in enumerate(f)) for j in range(len(f))]
 
 
 def sd_positions(base: SimplicialComplex) -> dict:

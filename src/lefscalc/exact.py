@@ -64,6 +64,8 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, dict):
+            if not set(value) <= {"re", "im"}:
+                raise ParseError(f"a Gaussian value has keys 're', 'im': {value!r}")
             return GaussianRational(
                 parse_rational(value.get("re", 0)), parse_rational(value.get("im", 0))
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .complexes import (
     Cell,
@@ -20,9 +21,9 @@ from .complexes import (
     SimplicialComplex,
     canonical_tuple,
     cell_sort_key,
-    intern_vertex,
     require_valid,
     subdivided_complex,
+    subdivision_f_vectors,
     vertex_key,
 )
 from .errors import DegenerateInputError, ParseError
@@ -33,9 +34,11 @@ from .exact import (
     parse_gaussian,
     parse_rational,
 )
-from .fixedpoint import NormalData, TracedProblem
 from .maps import SelfMapSpec, SimplicialMap
-from .morse import VertexFunctional
+
+if TYPE_CHECKING:  # the fixed-point and Morse layers load only when used
+    from .fixedpoint import NormalData, TracedProblem
+    from .morse import VertexFunctional
 
 SCHEMA = "lefscalc/1"
 
@@ -65,26 +68,70 @@ def vertex_to_json(v):
     return v
 
 
-def vertex_from_json(x):
-    if isinstance(x, bool):
-        raise ParseError(f"invalid vertex {x!r}")
-    if isinstance(x, (int, str)):
-        return x
+def vertex_from_json(x, table=None):
+    """An int, a string, or a tuple read from an array.  A parse passes one
+    dict `table`, so each distinct tuple it reads is one object."""
     if isinstance(x, list):
-        return intern_vertex(tuple(vertex_from_json(y) for y in x))
-    raise ParseError(f"invalid vertex {x!r}")
+        v = tuple([vertex_from_json(y, table) for y in x])
+        return v if table is None else table.setdefault(v, v)
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ParseError(f"invalid vertex {x!r}")
+    return x
 
 
 def simplex_to_json(cell) -> list:
     return [vertex_to_json(v) for v in canonical_tuple(cell)]
 
 
-def _cell_ref_from_json(x, space):
+def _array(x, what: str, pairs: bool = False) -> list:
+    """`x` when it is a JSON array, of [key, value] pairs with `pairs`: the
+    one way input arrays are read."""
+    if not isinstance(x, list) or pairs and not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in x
+    ):
+        raise ParseError(f"{what} must be an array{' of pairs' * pairs}")
+    return x
+
+
+def _rational_rows(raw, what: str) -> tuple:
+    """An array of arrays of rationals: `complex.coords` or a normal matrix."""
+    return tuple(
+        tuple(map(parse_rational, _array(row, f"each row of {what}")))
+        for row in _array(raw, what)
+    )
+
+
+def _vertex_table(raw, known, what: str, role: str = "vertex") -> dict:
+    """{vertex: JSON value} of an object keyed by vertex name or a list of
+    [vertex, value] pairs.  Each vertex is one of `known`, comes back as
+    that object, and is named once."""
+    if not isinstance(raw, (dict, list)):
+        raise ParseError(f"{what} must be an object or a pair list")
+    index = {v: v for v in known}
+    out = {}
+    entries = raw.items() if isinstance(raw, dict) else _array(raw, what, True)
+    for name, value in entries:
+        try:  # an object key names a string vertex or else an integer one
+            v = index.get(
+                vertex_from_json(name) if isinstance(raw, list)
+                else name if name in index else int(name)
+            )
+        except ValueError:
+            v = None
+        if v is None:
+            raise ParseError(f"unknown {role} {name!r} in {what}")
+        if v in out:
+            raise ParseError(f"{what} names {role} {name!r} twice")
+        out[v] = value
+    return out
+
+
+def _cell_ref_from_json(x, space, table=None):
     """A cell reference: vertex array for simplicial, id string for cells."""
     if isinstance(space, SimplicialComplex):
-        if not isinstance(x, list):
-            raise ParseError(f"simplex reference must be an array, got {x!r}")
-        cell = frozenset(vertex_from_json(v) for v in x)
+        cell = frozenset(
+            vertex_from_json(v, table) for v in _array(x, "a simplex reference")
+        )
         if not space.has(cell):
             raise ParseError(f"unknown simplex {x!r}")
         return cell
@@ -94,9 +141,7 @@ def _cell_ref_from_json(x, space):
 
 
 def _cell_ref_to_json(cell, space):
-    if isinstance(space, SimplicialComplex):
-        return simplex_to_json(cell)
-    return cell
+    return simplex_to_json(cell) if isinstance(space, SimplicialComplex) else cell
 
 
 def _check_keys(block, allowed, where):
@@ -107,24 +152,24 @@ def _check_keys(block, allowed, where):
         raise ParseError(f"unknown keys {extra} in {where}")
 
 
-def parse_complex_block(block) -> SimplicialComplex:
+def parse_complex_block(block, table=None) -> SimplicialComplex:
     _check_keys(block, {"vertices", "coords", "simplices"}, "complex")
     try:
-        vertices = [vertex_from_json(v) for v in block["vertices"]]
-        simplices = [
-            frozenset(vertex_from_json(v) for v in s)
-            for s in block["simplices"]
+        vertices = [
+            vertex_from_json(v, table)
+            for v in _array(block["vertices"], "complex.vertices")
         ]
-    except (KeyError, TypeError) as exc:
+        simplices = [
+            frozenset(vertex_from_json(v, table) for v in _array(s, "a simplex"))
+            for s in _array(block["simplices"], "complex.simplices")
+        ]
+    except KeyError as exc:
         raise ParseError(f"malformed complex block: {exc}") from exc
-    coords = None
-    if block.get("coords") is not None:
-        raw = block["coords"]
-        if len(raw) != len(vertices):
+    coords = block.get("coords")
+    if coords is not None:
+        coords = _rational_rows(coords, "complex.coords")
+        if len(coords) != len(vertices):
             raise ParseError("coords must align with the vertex list")
-        coords = tuple(
-            tuple(parse_rational(x) for x in row) for row in raw
-        )
     space = SimplicialComplex.build(tuple(vertices), simplices, coords)
     require_valid(space)
     return space
@@ -146,15 +191,12 @@ def complex_to_json(space: SimplicialComplex) -> dict:
 
 
 def parse_cells_block(block) -> CellSpace:
-    if not isinstance(block, list):
-        raise ParseError("cells must be a list")
     cells = []
-    for entry in block:
+    for entry in _array(block, "cells"):
         _check_keys(entry, {"id", "dim", "component"}, "cells[]")
         try:
-            ident = entry["id"]
-            dim = entry["dim"]
-        except (KeyError, TypeError) as exc:
+            ident, dim = entry["id"], entry["dim"]
+        except KeyError as exc:
             raise ParseError(f"malformed cell entry: {exc}") from exc
         if not isinstance(ident, str) or isinstance(dim, bool) or not isinstance(dim, int):
             raise ParseError(f"cell entries need a string id and integer dim")
@@ -172,50 +214,28 @@ def cells_to_json(space: CellSpace) -> list:
     ]
 
 
-def _keyed_by_vertex(raw: dict, vertices, unknown: str) -> list:
-    """(vertex, value) pairs of a JSON object keyed by vertex.  Object keys
-    are strings, so a key names a string vertex or else an integer one;
-    `unknown` formats the error for a key that names neither."""
-    strings = {v for v in vertices if isinstance(v, str)}
-    ints = {v for v in vertices if isinstance(v, int)}
-    pairs = []
-    for key, value in raw.items():
-        if key not in strings:
-            try:
-                num = int(key)
-            except ValueError:
-                raise ParseError(unknown.format(key))
-            if num not in ints:
-                raise ParseError(unknown.format(key))
-            key = num
-        pairs.append((key, value))
-    return pairs
-
-
-def _parse_vertex_map(raw, source_vertices, image_vertices) -> dict:
-    vm = {}
-    if isinstance(raw, dict):
-        for src, dst in _keyed_by_vertex(
-            raw, source_vertices, "unknown source vertex {!r}"
-        ):
-            vm[src] = vertex_from_json(dst)
-    elif isinstance(raw, list):
-        for pair in raw:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError("vertex_map pairs must be [source, target]")
-            vm[vertex_from_json(pair[0])] = vertex_from_json(pair[1])
-    else:
+def _parse_vertex_map(raw, space, level: int, images) -> dict:
+    """The vertex map from sd^level(space) to `images`.  Its entries name
+    distinct sources, so it names them all once it has as many entries as
+    sd^level's predicted vertex count; a map with fewer is refused before
+    anything is subdivided."""
+    if not isinstance(raw, (dict, list)):
         raise ParseError("vertex_map must be an object or a pair list")
-    source_set = set(source_vertices)
-    image_set = set(image_vertices)
+    for k, f in zip(range(level + 1), subdivision_f_vectors(space)):
+        if f[0] > len(raw):
+            raise ParseError(
+                f"vertex_map misses sources: {len(raw)} entries for subdivision "
+                f"level {level}, but sd^{k} has {f[0]} vertices"
+            )
+        if len(f) == 1:  # sd keeps a complex of points as it is
+            break
+    sources = subdivided_complex(space, level)[0].vertices
+    images = {v: v for v in images}
+    vm = _vertex_table(raw, sources, "vertex_map", "source vertex")
     for src, dst in vm.items():
-        if src not in source_set:
-            raise ParseError(f"unknown source vertex {src!r} in vertex_map")
-        if dst not in image_set:
+        vm[src] = images.get(vertex_from_json(dst))
+        if vm[src] is None:
             raise ParseError(f"unknown target vertex {dst!r} in vertex_map")
-    missing = [v for v in source_vertices if v not in vm]
-    if missing:
-        raise ParseError(f"vertex_map misses sources {missing[:4]}")
     return vm
 
 
@@ -242,35 +262,29 @@ class Problem:
     ell: VertexFunctional | None
 
     def traced(self) -> TracedProblem:
+        from .fixedpoint import TracedProblem
+
         if self.spec is None:
             raise ParseError("this problem has no self-map block")
         return TracedProblem(
-            spec=self.spec,
-            support=self.support,
-            traces=self.traces,
-            normal=self.normal,
-            complex_model=self.complex_model,
+            spec=self.spec, support=self.support, traces=self.traces,
+            normal=self.normal, complex_model=self.complex_model,
             non_characteristic=self.non_characteristic,
         )
 
 
-def _cell_values(data, key: str, space) -> dict:
+def _cell_values(data, key: str, space, table) -> dict:
     """The {cell: value} table of a list of [cell, value] pairs under
     `key`; a cell named twice is refused, not overwritten."""
-    entries = data[key]
-    if not isinstance(entries, list):
-        raise ParseError(f"{key} must be a list of [cell, value] pairs")
-    table = {}
-    for pair in entries:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"{key} entries must be [cell, value] pairs")
-        cell = _cell_ref_from_json(pair[0], space)
-        if cell in table:
+    values = {}
+    for ref, value in _array(data[key], key, pairs=True):
+        cell = _cell_ref_from_json(ref, space, table)
+        if cell in values:
             raise ParseError(
                 f"{key} name cell {_cell_ref_to_json(cell, space)!r} twice"
             )
-        table[cell] = parse_gaussian(pair[1])
-    return table
+        values[cell] = parse_gaussian(value)
+    return values
 
 
 def parse_problem(data) -> Problem:
@@ -285,15 +299,14 @@ def parse_problem(data) -> Problem:
     has_cells = "cells" in data
     if has_complex == has_cells:
         raise ParseError("exactly one of 'complex' or 'cells' is required")
+    table = {}  # this parse's tuple vertices, one object each
     if has_complex:
-        space = parse_complex_block(data["complex"])
+        space = parse_complex_block(data["complex"], table)
     else:
         space = parse_cells_block(data["cells"])
 
-    spec = None
-    push_map = None
-    complex_model = False
-    non_characteristic = False
+    spec = push_map = None
+    complex_model = non_characteristic = False
     if "map" in data:
         block = data["map"]
         if not isinstance(block, dict):
@@ -316,33 +329,26 @@ def parse_problem(data) -> Problem:
                 raise ParseError(
                     "a map with a separate target cannot be subdivided"
                 )
-            target = parse_complex_block(block["target"])
-            vm = _parse_vertex_map(
-                block["vertex_map"], space.vertices, target.vertices
-            )
+            target = parse_complex_block(block["target"], table)
+            vm = _parse_vertex_map(block["vertex_map"], space, 0, target.vertices)
             push_map = SimplicialMap.build(space, target, vm)
         else:
-            known = subdivided_complex(space, level)[0].vertices
-            vm = _parse_vertex_map(block["vertex_map"], known, space.vertices)
+            vm = _parse_vertex_map(block["vertex_map"], space, level, space.vertices)
             spec = SelfMapSpec.build(space, level, vm)
 
-    phi = None
+    phi = support = traces = normal = ell = None
     if "values" in data:
-        phi = ConstructibleFunction.of(space, _cell_values(data, "values", space))
-
-    support = None
+        values = _cell_values(data, "values", space, table)
+        phi = ConstructibleFunction.of(space, values)
     if "support" in data:
-        refs = data["support"]
-        if not isinstance(refs, list):
-            raise ParseError("support must be a list of cells")
-        support = CellularSubset.of(
-            space, {_cell_ref_from_json(x, space) for x in refs}
-        )
-
-    traces = _cell_values(data, "traces", space) if "traces" in data else None
-
-    normal = None
+        refs = _array(data["support"], "support")
+        cells = {_cell_ref_from_json(x, space, table) for x in refs}
+        support = CellularSubset.of(space, cells)
+    if "traces" in data:
+        traces = _cell_values(data, "traces", space, table)
     if "normal_data" in data:
+        from .fixedpoint import NormalData
+
         block = data["normal_data"]
         if not isinstance(block, dict):
             raise ParseError("normal_data must map component indices to matrices")
@@ -358,57 +364,39 @@ def parse_problem(data) -> Problem:
                     f"component {index}"
                 )
             keys[index] = key
-            try:
-                matrices[index] = RationalMatrix.of(
-                    [[parse_rational(x) for x in row] for row in rows]
-                )
-            except (TypeError, ParseError) as exc:
-                raise ParseError(f"bad normal matrix for {key!r}: {exc}") from exc
+            rows = _rational_rows(rows, f"normal_data[{key!r}]")
+            matrices[index] = RationalMatrix(rows)
         normal = NormalData.of(matrices)
-
-    ell = None
     if "ell" in data:
+        from .morse import VertexFunctional
+
         if not isinstance(space, SimplicialComplex):
             raise ParseError("a functional needs a simplicial complex")
-        raw = data["ell"]
-        if isinstance(raw, dict):
-            entries = _keyed_by_vertex(
-                raw, space.vertices, "unknown vertex {!r} in ell"
-            )
-        elif isinstance(raw, list):
-            entries = [
-                (vertex_from_json(pair[0]), pair[1])
-                for pair in raw
-                if isinstance(pair, list) and len(pair) == 2
-            ]
-            if len(entries) != len(raw):
-                raise ParseError("ell pairs must be [vertex, value]")
-        else:
-            raise ParseError("ell must be an object or a pair list")
+        entries = _vertex_table(data["ell"], space.vertices, "ell")
         try:
-            ell = VertexFunctional.of(space, dict(entries))
-        except (ParseError, ValueError, TypeError) as exc:
-            raise ParseError(f"bad functional: {exc}") from exc
-        except DegenerateInputError as exc:
+            ell = VertexFunctional.of(space, entries)
+        except (ParseError, DegenerateInputError) as exc:
             raise ParseError(f"bad functional: {exc}") from exc
 
     return Problem(
-        space=space,
-        spec=spec,
-        push_map=push_map,
-        phi=phi,
-        support=support,
-        traces=traces,
-        normal=normal,
-        complex_model=complex_model,
-        non_characteristic=non_characteristic,
-        ell=ell,
+        space=space, spec=spec, push_map=push_map, phi=phi, support=support,
+        traces=traces, normal=normal, complex_model=complex_model,
+        non_characteristic=non_characteristic, ell=ell,
     )
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for key in obj if keys.count(key) > 1)
+        raise ParseError(f"key {twice!r} repeated in a JSON object")
+    return obj
 
 
 def loads(text: str) -> Problem:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and integers past the digit limit
         raise ParseError(f"not valid JSON: {exc}") from exc
@@ -417,8 +405,7 @@ def loads(text: str) -> Problem:
 
 def load(path) -> Problem:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return loads(text)
+        return loads(handle.read())
 
 
 # ---------------------------------------------------------------------------

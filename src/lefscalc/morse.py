@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .complexes import (
     SimplicialComplex,
@@ -42,7 +43,9 @@ from .complexes import (
 from .errors import DegenerateInputError, GenericityError, NoApplicableRegimeError
 from .euler import ConstructibleFunction, restrict
 from .exact import GaussianRational, parse_rational, signed_sum
-from .fixedpoint import FixedComponent, TracedProblem, component_sign
+
+if TYPE_CHECKING:  # the fixed-point layer loads with the first cycle table
+    from .fixedpoint import FixedComponent, TracedProblem
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +207,8 @@ def lefschetz_cycle_table(
     The table is the component's multiplicity table of the local trace
     function, scaled by sgn det(I - A); its total is the microlocal index.
     """
+    from .fixedpoint import component_sign
+
     comp = component_sign(p, index)
     regime = _select_regime(p, comp)
     component_complex = induced_subcomplex(p.spec.base, comp.cells.members)

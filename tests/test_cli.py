@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -377,6 +378,83 @@ def test_exit_2_json_past_the_parser_limits(tmp_path, capsys, literal):
     path.write_text(text.replace('"-1"', literal, 1), encoding="utf-8")
     assert main(["lefschetz", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: not valid JSON")
+
+
+def triangle_with_a_map():
+    data = problem_to_json(SimplicialComplex.from_maximal([("a", "b", "c")]))
+    data["map"] = {"vertex_map": {"a": "b", "b": "c", "c": "a"}}
+    data["ell"] = [["a", "0"], ["b", "1"], ["c", "2"]]
+    return data
+
+
+def _pairs_with_the_first_twice(block, key):
+    pairs = block[key]
+    if isinstance(pairs, dict):
+        pairs = [[k, v] for k, v in pairs.items()]
+    block[key] = pairs + pairs[:1]
+
+
+# Inputs each read without a refusal (or with a TypeError) before every JSON
+# shape got one checked reader; the text edits rewrite the written file.
+SHAPE_LEAKS = {
+    "coords is a number": lambda d: d["complex"].update(coords=5),
+    "a coords row is a number": lambda d: d["complex"].update(
+        coords=[["0", "0"], 5, ["0", "1"]]
+    ),
+    "vertices is a string": lambda d: d["complex"].update(vertices="abc"),
+    "a simplex is a string": lambda d: d["complex"]["simplices"].append("ab"),
+    "normal matrix is a string": lambda d: d.update(normal_data={"0": "5"}),
+    "a normal row is a string": lambda d: d.update(
+        normal_data={"0": [["-1", "0"], "34"]}
+    ),
+    "vertex_map names a source twice": lambda d: _pairs_with_the_first_twice(
+        d["map"], "vertex_map"
+    ),
+    "ell names a vertex twice": lambda d: _pairs_with_the_first_twice(d, "ell"),
+    "Gaussian value with key zz": lambda d: d.update(
+        values=[[["a"], {"re": "1", "zz": 2}]]
+    ),
+    "subdivision level 30": lambda d: d["map"].update(subdivision_level=30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_LEAKS) + ["repeated JSON key"])
+def test_exit_2_input_shapes_each_have_one_checked_reader(tmp_path, capsys, name):
+    data = triangle_with_a_map()
+    path = write(tmp_path, "ok.json", data)
+    assert main(["chi", "--input", path]) == 0
+    capsys.readouterr()
+    if name in SHAPE_LEAKS:
+        SHAPE_LEAKS[name](data)
+        path = write(tmp_path, "leak.json", data)
+    else:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read().replace('"ell"', '"ell": [], "ell"', 1)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    assert main(["chi", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exit_2_level_30_before_anything_is_subdivided(tmp_path, capsys, monkeypatch):
+    from lefscalc import complexes
+
+    calls = []
+    real = complexes.barycentric_subdivide
+    monkeypatch.setattr(
+        complexes, "barycentric_subdivide", lambda space: calls.append(1) or real(space)
+    )
+    data = triangle_with_a_map()
+    data["map"] = {"subdivision_level": 30, "vertex_map": {}}
+    path = write(tmp_path, "level30.json", data)
+    start = time.perf_counter()
+    assert main(["chi", "--input", path]) == 2
+    assert time.perf_counter() - start < 0.3
+    assert calls == []
+    assert capsys.readouterr().err.startswith(
+        "error: vertex_map misses sources: 0 entries for subdivision level 30"
+    )
 
 
 def test_exit_3_fixed_point_off_vertices(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Mutated problem files through the command line driver.
 
-Valid problem files (the hexagon reflection, the angle doubling and the
-identity of S^2) are mutated and run through ``cli.main``.  Whatever the
-mutation (dropped keys, values of the wrong type, bools, unknown and nested
-vertices, oversize literals), the driver must return an exit code in 0..6
-and never raise; each of the named malformed mutations, which add ragged
-matrices, aliased or stray normal indices and a cell named twice, must end
+Valid problem files (the hexagon reflection, the angle doubling, and the
+identities of S^2 and of the disk with its coordinates) are mutated and run
+through ``cli.main``.  Whatever the mutation (dropped keys, values of the
+wrong type, bools, digit strings, unknown and nested vertices, oversize
+literals), the driver must return an exit code in 0..6 and never raise;
+each of the named malformed mutations, which add ragged matrices, strings
+where arrays belong, aliased or stray normal indices, a cell, vertex or
+JSON key named twice and a subdivision level past the vertex map, must end
 in a refusal, 2..6.
 """
 
@@ -29,11 +31,12 @@ BASES = {
     "reflection": traced_problem_to_json(fx.reflection_problem()),
     "doubling": traced_problem_to_json(fx.doubling_problem()),
     "s2-identity": traced_problem_to_json(fx.identity_problem(fx.sphere2())),
+    "disk-identity": traced_problem_to_json(fx.identity_problem(fx.disk())),
 }
 COMMANDS = ("lefschetz", "chi", "integrate")
 ODD_VALUES = (
     None, True, False, 0, -1, 1.5, "", "zz", "v0", "1/0", [], {}, [[]],
-    ["v0"], [["v0"]], {"re": "1"}, f"1e{LITERAL_MAX_EXPONENT + 1}",
+    ["v0"], [["v0"]], {"re": "1"}, f"1e{LITERAL_MAX_EXPONENT + 1}", "5",
 )
 
 
@@ -58,6 +61,34 @@ def _normal(doc) -> dict:
 
 def _simplices(doc) -> list:
     return doc["complex"]["simplices"]
+
+
+def _coords(doc) -> list:
+    """The coordinate rows of the complex, zeros where it has none."""
+    block = doc["complex"]
+    return block.setdefault("coords", [["0", "0"] for _ in block["vertices"]])
+
+
+def _vertex_map_pairs(doc) -> list:
+    """The vertex map, turned into a pair list if it is an object."""
+    vm = doc["map"]["vertex_map"]
+    if isinstance(vm, dict):
+        vm = doc["map"]["vertex_map"] = [[k, v] for k, v in vm.items()]
+    return vm
+
+
+def _ell_with_a_vertex_twice(doc) -> None:
+    vertices = doc["complex"]["vertices"]
+    doc["ell"] = [[v, str(i)] for i, v in enumerate(vertices)]
+    doc["ell"].append([vertices[0], "-1"])
+
+
+class _FirstKeyTwice(dict):
+    """An object that json.dump writes with its first key twice."""
+
+    def items(self):
+        pairs = list(super().items())
+        return pairs[:1] + pairs
 
 
 def _first_vertex_map_value(doc, value):
@@ -103,6 +134,25 @@ MALFORMED = {
     "oversize literal": lambda d: _normal(d).update(
         {"0": [["7" * (LITERAL_MAX_CHARS + 1)]]}
     ),
+    "coords is a number": lambda d: d["complex"].update(coords=5),
+    "a coords row is a number": lambda d: _coords(d).__setitem__(0, 5),
+    "vertices is a string": lambda d: d["complex"].update(vertices="abc"),
+    "a simplex is a string": lambda d: _simplices(d).append(
+        str(_simplices(d)[0][0])
+    ),
+    "normal matrix is a digit string": lambda d: _normal(d).update({"0": "5"}),
+    "a normal row is a digit string": lambda d: _normal(d).update(
+        {"0": [["-1", "0"], "34"]}
+    ),
+    "vertex_map names a source twice": lambda d: _vertex_map_pairs(d).append(
+        _vertex_map_pairs(d)[0]
+    ),
+    "ell names a vertex twice": _ell_with_a_vertex_twice,
+    "repeated JSON key": lambda d: d.update(map=_FirstKeyTwice(d["map"])),
+    "Gaussian value with key zz": lambda d: d.update(
+        values=[[_simplices(d)[0], {"re": "1", "zz": 2}]]
+    ),
+    "subdivision level 30": lambda d: d["map"].update(subdivision_level=30),
 }
 
 

@@ -29,6 +29,7 @@ from lefscalc.complexes import (
     sd_positions,
     star,
     subdivide_times,
+    subdivision_f_vectors,
     validate,
     vertex_key,
     whole_space,
@@ -162,6 +163,33 @@ def test_subdivision_tower_matches_iterated_subdivision():
         carrier = {cell: carrier[below] for cell, below in step.items()}
     with pytest.raises(DegenerateInputError, match="level must be >= 0"):
         subdivide_times(space, -1)
+
+
+FIXTURE_COMPLEXES = {
+    "point": fx.point_complex, "interval": fx.interval_complex,
+    "hexagon": fx.hexagon, "twelve-gon": fx.twelve_gon, "disk": fx.disk,
+    "sphere": fx.sphere2, "square": lambda: fx.square_projection().source,
+    "collapse-target": lambda: fx.collapse_map().target,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_COMPLEXES))
+def test_predicted_f_vectors_match_the_built_tower(name):
+    space = FIXTURE_COMPLEXES[name]()
+    predicted = subdivision_f_vectors(space)
+    for level in range(4):
+        built = subdivide_times(space, level)[0]
+        counts = [0] * (space.dim + 1)
+        for s in built.simplices:
+            counts[len(s) - 1] += 1
+        assert next(predicted) == tuple(counts), level
+
+
+def test_predicted_f_vectors_of_a_triangle_and_an_empty_complex():
+    triangle = SimplicialComplex.from_maximal([("a", "b", "c")])
+    levels = subdivision_f_vectors(triangle)
+    assert [next(levels) for _ in range(3)] == [(3, 3, 1), (7, 12, 6), (25, 60, 36)]
+    assert next(subdivision_f_vectors(SimplicialComplex.build((), ()))) == (0,)
 
 
 def test_sd_vertex_position():

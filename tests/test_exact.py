@@ -85,6 +85,15 @@ def test_gaussian_json_round_trip():
     assert GaussianRational.of(a.to_json()) == a
 
 
+@pytest.mark.parametrize(
+    "value", [{"re": "1", "zz": 2}, {"im": "1", "Re": "1"}, {"x": 0}]
+)
+def test_gaussian_value_with_a_stray_key_is_refused(value):
+    with pytest.raises(ParseError, match="keys 're', 'im'"):
+        GaussianRational.of(value)
+    assert GaussianRational.of({"im": "1/2"}) == GaussianRational(Rat(0), Rat(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # matrices
 

@@ -89,6 +89,40 @@ def test_problem_commands_load_no_flag_layer(tmp_path):
     assert not loaded & {"flags", "verify", "fixtures"}
 
 
+def _problem_files(tmp_path) -> dict:
+    """A problem file for each command that reads neither homology nor
+    fixed points: a self-map without normal data, values and a functional,
+    and a map with a target."""
+    from lefscalc import fixtures
+    from lefscalc.io import dumps, problem_to_json
+
+    hexagon = fixtures.hexagon()
+    ell = {f"v{i}": i for i in range(6)}
+    push = fixtures.square_projection()
+    files = {
+        "map": problem_to_json(hexagon, spec=fixtures.rotation_spec()),
+        "ell": dict(problem_to_json(hexagon), ell=list(map(list, ell.items()))),
+        "push": problem_to_json(push.source, push_map=push),
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(dumps(data))
+    return {name: str(tmp_path / f"{name}.json") for name in files}
+
+
+@pytest.mark.parametrize(
+    "command, file",
+    [("chi", "map"), ("integrate", "map"), ("cc", "ell"),
+     ("index-check", "ell"), ("pushforward", "push")],
+)
+def test_problem_commands_without_fixed_points_load_no_fixed_point_layer(
+    tmp_path, command, file
+):
+    argv = [command, "--input", _problem_files(tmp_path)[file]]
+    loaded = loaded_modules(f"from lefscalc.cli import main\nassert main({argv!r}) == 0")
+    assert "io" in loaded
+    assert not loaded & {"homology", "fixedpoint"}
+
+
 def test_importing_the_package_loads_no_layer():
     assert loaded_modules("import lefscalc") == {"lefscalc"}
 

@@ -1,6 +1,7 @@
 """Problem files and report payloads: round-trips and rejection paths."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,21 +82,40 @@ def test_parsed_subdivision_vertices_are_one_object_each(monkeypatch):
             objects.setdefault(part, set()).add(id(part))
     assert len(objects) > len(space.vertices)  # nested tuples are counted too
     assert all(len(ids) == 1 for ids in objects.values())
-    again = loads(text)
-    assert all(a is b for a, b in zip(again.space.vertices, problem.space.vertices))
     for vertex in problem.space.vertices:
+        assert vertex_key(vertex) == oracles.vertex_key_recursive(vertex)
+    # a second parse reads its own objects, and their keys come out alike
+    again = loads(text)
+    assert again.space == problem.space
+    for vertex in again.space.vertices:
         assert vertex_key(vertex) == oracles.vertex_key_recursive(vertex)
     assert problem.space == space and problem.ell.values == ell.values
     assert len(problem.phi.values) == len(cells)
 
 
-def test_interned_vertex_keeps_component_types():
-    first = vertex_from_json([1, "a"])
-    assert vertex_from_json([1, "a"]) is first
-    assert vertex_from_json([[1], [2]]) == ((1,), (2,))
-    assert vertex_key(vertex_from_json([[1], "a"])) == oracles.vertex_key_recursive(
-        ((1,), "a")
-    )
+def test_one_parse_reads_each_vertex_once_with_its_own_types():
+    table = {}
+    first = vertex_from_json([1, "a"], table)
+    assert vertex_from_json([1, "a"], table) is first
+    nested = vertex_from_json([[1], [2]], table)
+    assert nested == ((1,), (2,)) and nested[0] is vertex_from_json([1], table)
+    mixed = vertex_from_json([[1], "a"], table)
+    assert mixed[0] is nested[0]
+    assert vertex_key(mixed) == oracles.vertex_key_recursive(((1,), "a"))
+    # within one file, (1,) and ("1",) stay two vertices of their own types
+    problem = loads(json.dumps({
+        "schema": SCHEMA,
+        "complex": {"vertices": [[1], ["1"], [[1], "1"]],
+                    "simplices": [[[1]], [["1"]], [[[1], "1"]]]},
+        "ell": [[[1], "0"], [["1"], "1"], [[[1], "1"], "2"]],
+    }))
+    one, text_one, pair = problem.space.vertices
+    assert (one, text_one, pair) == ((1,), ("1",), ((1,), "1"))
+    assert pair[0] is one and pair[1] == "1"
+    assert [type(v[0]) for v in (one, text_one)] == [int, str]
+    assert [problem.ell(v) for v in (one, text_one, pair)] == [0, 1, 2]
+    for vertex in problem.space.vertices:
+        assert vertex_key(vertex) == oracles.vertex_key_recursive(vertex)
 
 
 @pytest.mark.parametrize(
@@ -426,6 +446,145 @@ def test_ell_accepted_forms():
     data["ell"] = [["a", "1/2"], ["b", "3"]]
     parsed = parse_problem(data)
     assert parsed.ell.values == {"a": Fraction(1, 2), "b": Fraction(3)}
+
+
+def test_ell_pair_list_is_read_like_the_object():
+    data = minimal()
+    data["ell"] = [["a", "0"], ["b", "1"], ["z", "2"]]
+    with pytest.raises(ParseError, match="unknown vertex 'z' in ell"):
+        parse_problem(data)
+    data["ell"] = [["a", "0"], ["b", "1"], ["a", "2"]]
+    with pytest.raises(ParseError, match="ell names vertex 'a' twice"):
+        parse_problem(data)
+    data["ell"] = [["a", "0"], ["b"]]
+    with pytest.raises(ParseError, match="ell must be an array of pairs"):
+        parse_problem(data)
+
+
+# ---------------------------------------------------------------------------
+# one checked reader per JSON shape
+
+
+def triangle():
+    return {
+        "schema": SCHEMA,
+        "complex": {
+            "vertices": ["a", "b", "c"],
+            "simplices": [["a"], ["b"], ["c"], ["a", "b"], ["a", "c"],
+                          ["b", "c"], ["a", "b", "c"]],
+        },
+    }
+
+
+# Strings and numbers where arrays belong; each was read as an array (or
+# raised a TypeError) before every JSON array went through one reader.
+NOT_ARRAYS = {
+    "vertices": (lambda d: d["complex"].update(vertices="abc"),
+                 "complex.vertices must be an array"),
+    "simplex": (lambda d: d["complex"]["simplices"].append("ab"),
+                "a simplex must be an array"),
+    "coords": (lambda d: d["complex"].update(coords=5),
+               "complex.coords must be an array"),
+    "coords row": (
+        lambda d: d["complex"].update(coords=[["0", "0"], 5, ["0", "1"]]),
+        "each row of complex.coords must be an array",
+    ),
+    "normal matrix": (lambda d: d.update(normal_data={"0": "5"}),
+                      "normal_data['0'] must be an array"),
+    "normal row": (lambda d: d.update(normal_data={"0": [["-1", "0"], "34"]}),
+                   "each row of normal_data['0'] must be an array"),
+    "support": (lambda d: d.update(support="ab"), "support must be an array"),
+    "cell reference": (lambda d: d.update(values=[["a", "1"]]),
+                       "a simplex reference must be an array"),
+    "values pair": (lambda d: d.update(values=[[["a"], "1", "2"]]),
+                    "values must be an array of pairs"),
+    "cells": (lambda d: d.update(cells="ab") or d.pop("complex"),
+              "cells must be an array"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ARRAYS))
+def test_only_arrays_are_read_as_arrays(name):
+    data = triangle()
+    edit, text = NOT_ARRAYS[name]
+    edit(data)
+    with pytest.raises(ParseError) as caught:
+        parse_problem(data)
+    assert str(caught.value) == text
+
+
+def test_coords_and_normal_rows_are_read_alike():
+    data = triangle()
+    data["complex"]["coords"] = [["0", "0"], ["1", "0"], [0, "1/2"]]
+    data["normal_data"] = {"0": [["0", "0"], ["1", "0"]]}
+    parsed = parse_problem(data)
+    assert parsed.space.coord_of("c") == (Fraction(0), Fraction(1, 2))
+    assert parsed.normal.matrix_for(0).rows == ((0, 0), (1, 0))
+    for rows in ([["1/0"]], [[1.5]], [[True]]):
+        data["complex"]["coords"] = rows * 3
+        with pytest.raises(ParseError):
+            parse_problem(data)
+        data["complex"].pop("coords")
+        data["normal_data"] = {"0": rows}
+        with pytest.raises(ParseError):
+            parse_problem(data)
+
+
+def test_vertex_map_refuses_a_source_named_twice():
+    data = triangle()
+    data["map"] = {"vertex_map": [["a", "a"], ["b", "b"], ["c", "c"], ["a", "b"]]}
+    with pytest.raises(ParseError, match="vertex_map names source vertex 'a' twice"):
+        parse_problem(data)
+    data["map"] = {"vertex_map": [["a", "a"], ["b", "b"], ["z", "c"]]}
+    with pytest.raises(ParseError, match="unknown source vertex 'z' in vertex_map"):
+        parse_problem(data)
+    data = {"schema": SCHEMA, "complex": {"vertices": [7, 8], "simplices": [[7], [8]]}}
+    data["map"] = {"vertex_map": {"7": 8, "8": 7}}
+    assert parse_problem(data).spec.vertex_map == {7: 8, 8: 7}
+    data["map"] = {"vertex_map": {"7": 8, "8": 7, "07": 7}}
+    with pytest.raises(ParseError, match="names source vertex '07' twice"):
+        parse_problem(data)
+
+
+def test_a_repeated_json_key_is_refused():
+    text = dumps(triangle())
+    assert loads(text).space.vertices == ("a", "b", "c")
+    with pytest.raises(ParseError, match="key 'schema' repeated in a JSON object"):
+        loads(text.replace('"schema"', '"schema": "lefscalc/1", "schema"'))
+    with pytest.raises(ParseError, match="key 'vertices' repeated"):
+        loads(text.replace('"vertices"', '"vertices": [], "vertices"'))
+
+
+def test_a_gaussian_value_with_a_stray_key_is_refused():
+    data = triangle()
+    data["values"] = [[["a"], {"re": "1", "zz": 2}]]
+    with pytest.raises(ParseError, match="keys 're', 'im'"):
+        parse_problem(data)
+
+
+def test_a_level_past_the_vertex_map_is_refused_before_subdividing(monkeypatch):
+    calls = []
+    real = complexes.barycentric_subdivide
+    monkeypatch.setattr(
+        complexes, "barycentric_subdivide", lambda space: calls.append(1) or real(space)
+    )
+    data = triangle()
+    data["map"] = {"subdivision_level": 30, "vertex_map": {}}
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as caught:
+        parse_problem(data)
+    assert time.perf_counter() - start < 0.3
+    assert calls == []
+    assert str(caught.value) == (
+        "vertex_map misses sources: 0 entries for subdivision level 30, "
+        "but sd^0 has 3 vertices"
+    )
+    # sd^1 of the triangle has 7 vertices: six entries fall short of them
+    data["map"] = {"subdivision_level": 1, "vertex_map": [[[v], v] for v in "abcabc"]}
+    with pytest.raises(ParseError, match="6 entries for subdivision level 1, but sd"
+                       r"\^1 has 7 vertices"):
+        parse_problem(data)
+    assert calls == []
 
 
 def test_traced_requires_map():
