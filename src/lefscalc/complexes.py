@@ -23,7 +23,6 @@ smallest cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -35,6 +34,7 @@ from .errors import (
     InvalidComplexError,
 )
 from .exact import RationalMatrix, parse_rational
+from .records import Value, set_field
 
 
 # tuple vertex -> (the tuple first seen, its key); ints and strings are keyed
@@ -96,11 +96,17 @@ def cell_name(key):
     return canonical_tuple(key) if isinstance(key, frozenset) else key
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    vertices: tuple
-    simplices: frozenset
-    coords: tuple | None = None  # coordinate tuples aligned with vertices
+class SimplicialComplex(Value):
+    _fields = ("vertices", "simplices", "coords")
+
+    def __init__(self, vertices: tuple, simplices: frozenset, coords=None):
+        """coords: coordinate tuples aligned with vertices, or None."""
+        set_field(self, "vertices", vertices)
+        set_field(self, "simplices", simplices)
+        set_field(self, "coords", coords)
+
+    def _key(self) -> tuple:
+        return self.vertices, self.simplices, self.coords
 
     @staticmethod
     def build(vertices, simplices, coords=None) -> "SimplicialComplex":
@@ -191,16 +197,26 @@ class SimplicialComplex:
         return self.coords[self.vertex_index(v)]
 
 
-@dataclass(frozen=True)
-class Cell:
-    ident: str
-    dim: int
-    component: str | None = None
+class Cell(Value):
+    __slots__ = _fields = ("ident", "dim", "component")
+
+    def __init__(self, ident: str, dim: int, component: str | None = None):
+        set_field(self, "ident", ident)
+        set_field(self, "dim", dim)
+        set_field(self, "component", component)
+
+    def _key(self) -> tuple:
+        return self.ident, self.dim, self.component
 
 
-@dataclass(frozen=True)
-class CellSpace:
-    cells: tuple
+class CellSpace(Value):
+    _fields = ("cells",)
+
+    def __init__(self, cells: tuple):
+        set_field(self, "cells", cells)
+
+    def _key(self) -> tuple:
+        return (self.cells,)
 
     @staticmethod
     def build(cells) -> "CellSpace":
@@ -249,12 +265,17 @@ def require_simplicial(parent, operation: str) -> SimplicialComplex:
     )
 
 
-@dataclass(frozen=True)
-class CellularSubset:
+class CellularSubset(Value):
     """A union of open cells of one parent space."""
 
-    parent: object
-    members: frozenset
+    __slots__ = _fields = ("parent", "members")
+
+    def __init__(self, parent, members: frozenset):
+        set_field(self, "parent", parent)
+        set_field(self, "members", members)
+
+    def _key(self) -> tuple:
+        return self.parent, self.members
 
     @staticmethod
     def of(parent, cells) -> "CellularSubset":
@@ -282,10 +303,15 @@ def whole_space(parent) -> CellularSubset:
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
+class Violation(Value):
+    __slots__ = _fields = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str):
+        set_field(self, "kind", kind)
+        set_field(self, "detail", detail)
+
+    def _key(self) -> tuple:
+        return self.kind, self.detail
 
 
 def validate(space) -> list:
@@ -545,8 +571,10 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
 
     The tower behind every iterated subdivision: level k is one subdivision
     of level k - 1, and that step is the cache entry (sd^(k-1) base, 1), so
-    each complex of the tower is subdivided once.  Results are shared
-    between callers; neither the complex nor the carrier may be mutated.
+    each complex of the tower is subdivided once.  The tower is built
+    bottom-up, each level cached before the next, so no call recurses more
+    than one level deep.  Results are shared between callers; neither the
+    complex nor the carrier may be mutated.
     """
     if level < 0:
         raise DegenerateInputError("subdivision level must be >= 0")
@@ -554,6 +582,8 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
         return base, {s: s for s in base.simplices}
     if level == 1:
         return barycentric_subdivide(base)
+    for k in range(2, level):
+        subdivided_complex(base, k)
     coarser, carrier = subdivided_complex(base, level - 1)
     finer, step = subdivided_complex(coarser, 1)
     return finer, {cell: carrier[below] for cell, below in step.items()}

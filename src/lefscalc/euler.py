@@ -16,8 +16,6 @@ integral(phi) holds identically (checked in bulk by the test suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .complexes import (
     CellularSubset,
     SimplicialComplex,
@@ -27,12 +25,17 @@ from .complexes import (
 from .errors import DegenerateInputError
 from .exact import GZERO, GaussianRational, signed_sum
 from .maps import SelfMapSpec, SimplicialMap
+from .records import Record, set_field
 
 
-@dataclass(frozen=True, eq=False)
-class ConstructibleFunction:
-    parent: object
-    values: dict = field(repr=False)  # cell -> GaussianRational, zero omitted
+class ConstructibleFunction(Record):
+    __slots__ = ("parent", "values")
+    _fields = ("parent",)  # repr leaves out values
+
+    def __init__(self, parent, values: dict):
+        """values: cell -> GaussianRational, zero values omitted."""
+        set_field(self, "parent", parent)
+        set_field(self, "values", values)
 
     @staticmethod
     def of(parent, values) -> "ConstructibleFunction":

@@ -3,7 +3,7 @@
 Everything downstream (boundary matrices, traces, eigenvalue predicates)
 routes through this module; no floating point exists anywhere in the
 package.  Rationals are plain fractions.Fraction; Gaussian rationals are a
-thin frozen pair on top.  Eigenvalues are never materialized: spectral
+thin immutable pair on top.  Eigenvalues are never materialized: spectral
 predicates are answered through det(I - A) and Sturm counts on the
 characteristic polynomial.
 """
@@ -11,12 +11,12 @@ characteristic polynomial.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
 
 from .errors import DegenerateInputError, ParseError
+from .records import Value, set_field
 
 Rat = Fraction
 
@@ -52,12 +52,17 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Value):
     """Element of Q(i), kept exact; serialized as {"re": "p/q", "im": "p/q"}."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = _fields = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        set_field(self, "re", re)
+        set_field(self, "im", im)
+
+    def _key(self) -> tuple:
+        return self.re, self.im
 
     @staticmethod
     def of(value) -> "GaussianRational":
@@ -157,19 +162,24 @@ def _fold(parts: dict) -> Fraction:
 # dense rational matrices
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    rows: tuple      # tuple of tuples of Fraction
-    cols: int = -1   # explicit width; -1 means infer (needed for 0-row shapes)
+class RationalMatrix(Value):
+    __slots__ = _fields = ("rows", "cols")
 
-    def __post_init__(self):
-        if self.cols == -1:
-            object.__setattr__(self, "cols", len(self.rows[0]) if self.rows else 0)
-        for row in self.rows:
-            if len(row) != self.cols:
+    def __init__(self, rows: tuple, cols: int = -1):
+        """rows: a tuple of tuples of Fraction; cols: the explicit width,
+        -1 to infer it (a 0-row shape needs it given)."""
+        if cols == -1:
+            cols = len(rows[0]) if rows else 0
+        for row in rows:
+            if len(row) != cols:
                 raise DegenerateInputError(
-                    f"row width {len(row)} disagrees with cols {self.cols}"
+                    f"row width {len(row)} disagrees with cols {cols}"
                 )
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+
+    def _key(self) -> tuple:
+        return self.rows, self.cols
 
     @staticmethod
     def of(rows) -> "RationalMatrix":
@@ -328,11 +338,18 @@ def row_echelon(work: list) -> tuple:
 # univariate rational polynomials
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(Value):
     """Coefficients lowest degree first, trailing zeros stripped."""
 
-    coeffs: tuple
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        if coeffs and coeffs[-1] == 0:
+            coeffs = RationalPolynomial.of(coeffs).coeffs
+        set_field(self, "coeffs", coeffs)
+
+    def _key(self) -> tuple:
+        return (self.coeffs,)
 
     @staticmethod
     def of(coeffs) -> "RationalPolynomial":
@@ -348,12 +365,6 @@ class RationalPolynomial:
     @staticmethod
     def x_minus(c) -> "RationalPolynomial":
         return RationalPolynomial.of([-parse_rational(c), 1])
-
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
-            object.__setattr__(
-                self, "coeffs", RationalPolynomial.of(self.coeffs).coeffs
-            )
 
     @property
     def degree(self) -> int:

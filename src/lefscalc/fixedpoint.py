@@ -26,7 +26,6 @@ the expanding directions accounted for by the sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -56,14 +55,21 @@ from .exact import (
 )
 from .homology import lefschetz_number, project_endomorphism, self_map_endomorphism
 from .maps import SelfMapSpec
+from .records import Record, Value, set_field
 
 
-@dataclass(frozen=True)
-class NormalData:
+class NormalData(Value):
     """One square matrix per fixed component: the differential of the map
     in the directions normal to that component, in any rational basis."""
 
-    matrices: tuple  # tuple of (component index, RationalMatrix)
+    __slots__ = _fields = ("matrices",)
+
+    def __init__(self, matrices: tuple):
+        """matrices: a tuple of (component index, RationalMatrix)."""
+        set_field(self, "matrices", matrices)
+
+    def _key(self) -> tuple:
+        return (self.matrices,)
 
     @staticmethod
     def of(entries) -> "NormalData":
@@ -94,15 +100,20 @@ class NormalData:
         return None
 
 
-@dataclass(frozen=True, eq=False)
-class FixedComponent:
+class FixedComponent(Record):
     """A fixed component and its normal matrix A, with chi_A(t) = det(tI - A)
     and sign = sgn chi_A(1) = sgn det(I - A), 0 iff 1 is an eigenvalue."""
 
-    cells: CellularSubset
-    matrix: RationalMatrix
-    char_poly: RationalPolynomial
-    sign: int
+    _fields = ("cells", "matrix", "char_poly", "sign")
+
+    def __init__(
+        self, cells: CellularSubset, matrix: RationalMatrix,
+        char_poly: RationalPolynomial, sign: int,
+    ):
+        set_field(self, "cells", cells)
+        set_field(self, "matrix", matrix)
+        set_field(self, "char_poly", char_poly)
+        set_field(self, "sign", sign)
 
     @cached_property
     def meets_ray(self) -> bool:
@@ -110,8 +121,7 @@ class FixedComponent:
         return count_real_roots_geq(self.char_poly, 1) > 0
 
 
-@dataclass(frozen=True, eq=False)
-class TracedProblem:
+class TracedProblem(Record):
     """A self-map plus the sheaf-side data needed for localization.
 
     support: locally closed union of cells carrying the constant sheaf
@@ -127,13 +137,26 @@ class TracedProblem:
         normal spectrum meets [1, oo).
     """
 
-    spec: SelfMapSpec
-    support: CellularSubset | None = None
-    traces: dict | None = None
-    normal: NormalData | None = None
-    complex_model: bool = False
-    non_characteristic: bool = False
-    _components: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = (
+        "spec", "support", "traces", "normal", "complex_model", "non_characteristic"
+    )
+
+    def __init__(
+        self,
+        spec: SelfMapSpec,
+        support: CellularSubset | None = None,
+        traces: dict | None = None,
+        normal: NormalData | None = None,
+        complex_model: bool = False,
+        non_characteristic: bool = False,
+    ):
+        set_field(self, "spec", spec)
+        set_field(self, "support", support)
+        set_field(self, "traces", traces)
+        set_field(self, "normal", normal)
+        set_field(self, "complex_model", complex_model)
+        set_field(self, "non_characteristic", non_characteristic)
+        set_field(self, "_components", {})  # index -> FixedComponent, see component()
 
     @cached_property
     def fixed_locus(self) -> tuple:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +34,7 @@ from .exact import (
     parse_rational,
     signed_sum,
 )
+from .records import Record, Value, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +89,16 @@ def perm_name(perm: tuple) -> str:
 MAX_FLAG_N = 6
 
 
-@dataclass(frozen=True, eq=False)
-class BruhatCellSpace:
+class BruhatCellSpace(Record):
     """Cell space of a full flag manifold together with its indexing."""
 
-    n: int
-    space: CellSpace
-    perms: tuple  # sorted permutation tuples
+    __slots__ = _fields = ("n", "space", "perms")
+
+    def __init__(self, n: int, space: CellSpace, perms: tuple):
+        """perms: the sorted permutation tuples."""
+        set_field(self, "n", n)
+        set_field(self, "space", space)
+        set_field(self, "perms", perms)
 
 
 def flag_cellspace(n: int) -> BruhatCellSpace:
@@ -187,14 +190,22 @@ def fixed_locus_cellspace(n: int, blocks) -> CellSpace:
 FAMILY_NAMES = ("lines_in_plane", "lines_with_axis", "planes_with_axis")
 
 
-@dataclass(frozen=True)
-class FamilyPattern:
-    """How one fixed sphere meets the big-cell complement."""
+class FamilyPattern(Value):
+    """How one fixed sphere meets the big-cell complement: its component
+    label (c0, c1, c2), the geometric name of the sphere, whether the whole
+    sphere lies in the divisor, and the number of intersection points when
+    it does not."""
 
-    label: str          # component label c0, c1, c2
-    family: str         # geometric name of the sphere
-    contained: bool     # the whole sphere lies in the divisor
-    points: int         # number of intersection points when not contained
+    __slots__ = _fields = ("label", "family", "contained", "points")
+
+    def __init__(self, label: str, family: str, contained: bool, points: int):
+        set_field(self, "label", label)
+        set_field(self, "family", family)
+        set_field(self, "contained", contained)
+        set_field(self, "points", points)
+
+    def _key(self) -> tuple:
+        return self.label, self.family, self.contained, self.points
 
     def chi(self) -> int:
         return 2 if self.contained else self.points
@@ -296,14 +307,20 @@ def derive_intersection_pattern() -> list:
     return patterns
 
 
-@dataclass(frozen=True, eq=False)
-class CellTracedProblem:
+class CellTracedProblem(Record):
     """Trace data on a cell space: support of the sheaf and normal maps."""
 
-    space: CellSpace
-    support: CellularSubset
-    normal: dict          # component label -> RationalMatrix
-    complex_model: bool
+    __slots__ = _fields = ("space", "support", "normal", "complex_model")
+
+    def __init__(
+        self, space: CellSpace, support: CellularSubset, normal: dict,
+        complex_model: bool,
+    ):
+        """normal: component label -> RationalMatrix."""
+        set_field(self, "space", space)
+        set_field(self, "support", support)
+        set_field(self, "normal", normal)
+        set_field(self, "complex_model", complex_model)
 
     def trace_function(self) -> ConstructibleFunction:
         return ConstructibleFunction.indicator(
@@ -311,11 +328,17 @@ class CellTracedProblem:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Example39Problem:
-    problem: CellTracedProblem
-    patterns: tuple       # FamilyPattern per component, in label order
-    ratio: Fraction       # surrogate for the eigenvalue ratio b/a
+class Example39Problem(Record):
+    __slots__ = _fields = ("problem", "patterns", "ratio")
+
+    def __init__(
+        self, problem: CellTracedProblem, patterns: tuple, ratio: Fraction
+    ):
+        """patterns: a FamilyPattern per component, in label order; ratio:
+        the surrogate for the eigenvalue ratio b/a."""
+        set_field(self, "problem", problem)
+        set_field(self, "patterns", patterns)
+        set_field(self, "ratio", ratio)
 
     def component_labels(self) -> list:
         return [p.label for p in self.patterns]

@@ -23,7 +23,6 @@ They must agree; the test suite checks that on hundreds of random maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -40,20 +39,23 @@ from .complexes import (
 )
 from .errors import DegenerateInputError
 from .maps import SelfMapSpec, SimplicialMap
+from .records import Record, set_field
 
 # Distinct (complex, dropped cells) pairs kept built; one trace problem
 # touches about ten.
 CHAIN_COMPLEX_CACHE = 32
 
 
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
+class SparseMatrix(Record):
     """Integer matrix by columns: columns[j] maps a row to a nonzero entry.
     Chain complexes are cached and shared, so columns are never mutated."""
 
-    nrows: int
-    ncols: int
-    columns: tuple
+    __slots__ = _fields = ("nrows", "ncols", "columns")
+
+    def __init__(self, nrows: int, ncols: int, columns: tuple):
+        set_field(self, "nrows", nrows)
+        set_field(self, "ncols", ncols)
+        set_field(self, "columns", columns)
 
     @staticmethod
     def zeros(m: int, n: int) -> "SparseMatrix":
@@ -155,13 +157,21 @@ def _normalize_subcomplex(space: SimplicialComplex, dropped) -> frozenset:
     return cells
 
 
-@dataclass(frozen=True, eq=False)
-class ChainComplexQ:
-    space: SimplicialComplex
-    dropped: frozenset
-    bases: tuple       # per degree: tuple of simplices in canonical order
-    boundaries: tuple  # boundaries[k]: C_k -> C_{k-1}; boundaries[0] is 0 x n_0
-    index: tuple = field(repr=False)  # per degree: {simplex: column}
+class ChainComplexQ(Record):
+    _fields = ("space", "dropped", "bases", "boundaries")  # repr leaves out index
+
+    def __init__(
+        self, space: SimplicialComplex, dropped: frozenset, bases: tuple,
+        boundaries: tuple, index: tuple,
+    ):
+        """bases: per degree, a tuple of simplices in canonical order;
+        boundaries[k]: C_k -> C_{k-1}, boundaries[0] is 0 x n_0;
+        index: per degree, {simplex: column}."""
+        set_field(self, "space", space)
+        set_field(self, "dropped", dropped)
+        set_field(self, "bases", bases)
+        set_field(self, "boundaries", boundaries)
+        set_field(self, "index", index)
 
     def basis_size(self, k: int) -> int:
         return len(self.bases[k]) if 0 <= k < len(self.bases) else 0
@@ -225,11 +235,16 @@ def relative_betti(space: SimplicialComplex, subcomplex) -> list:
     return betti(chain_complex(space, relative_to=subcomplex))
 
 
-@dataclass(frozen=True, eq=False)
-class ChainMapQ:
-    source: ChainComplexQ
-    target: ChainComplexQ
-    matrices: tuple  # per degree, target basis x source basis
+class ChainMapQ(Record):
+    __slots__ = _fields = ("source", "target", "matrices")
+
+    def __init__(
+        self, source: ChainComplexQ, target: ChainComplexQ, matrices: tuple
+    ):
+        """matrices: per degree, target basis x source basis."""
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "matrices", matrices)
 
     def degree_matrix(self, k: int) -> SparseMatrix:
         if 0 <= k < len(self.matrices):

@@ -11,7 +11,6 @@ arrays, and subdivision vertices as nested arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .complexes import (
@@ -35,6 +34,7 @@ from .exact import (
     parse_rational,
 )
 from .maps import SelfMapSpec, SimplicialMap
+from .records import Record, set_field
 
 if TYPE_CHECKING:  # the fixed-point and Morse layers load only when used
     from .fixedpoint import NormalData, TracedProblem
@@ -214,11 +214,22 @@ def cells_to_json(space: CellSpace) -> list:
     ]
 
 
+def _nested(x, depth: int) -> bool:
+    """Whether `x` is an array `depth` deep along its first elements, as the
+    JSON form of every vertex of sd^depth is."""
+    for _ in range(depth):
+        if not isinstance(x, list) or not x:
+            return False
+        x = x[0]
+    return True
+
+
 def _parse_vertex_map(raw, space, level: int, images) -> dict:
     """The vertex map from sd^level(space) to `images`.  Its entries name
     distinct sources, so it names them all once it has as many entries as
     sd^level's predicted vertex count; a map with fewer is refused before
-    anything is subdivided."""
+    anything is subdivided, and so is a source nested less than `level`
+    deep, which also bounds the level by JSON's own nesting limit."""
     if not isinstance(raw, (dict, list)):
         raise ParseError("vertex_map must be an object or a pair list")
     for k, f in zip(range(level + 1), subdivision_f_vectors(space)):
@@ -229,6 +240,15 @@ def _parse_vertex_map(raw, space, level: int, images) -> dict:
             )
         if len(f) == 1:  # sd keeps a complex of points as it is
             break
+    names = raw if isinstance(raw, dict) else (
+        pair[0] for pair in _array(raw, "vertex_map", True)
+    )
+    for name in names:
+        if not _nested(name, level):
+            raise ParseError(
+                f"source vertex {name!r} in vertex_map is not nested {level} "
+                f"deep, as every vertex of sd^{level} is"
+            )
     sources = subdivided_complex(space, level)[0].vertices
     images = {v: v for v in images}
     vm = _vertex_table(raw, sources, "vertex_map", "source vertex")
@@ -246,20 +266,37 @@ def vertex_map_to_json(vm: dict, level: int):
     return [[vertex_to_json(k), vertex_to_json(v)] for k, v in items]
 
 
-@dataclass(frozen=True, eq=False)
-class Problem:
+class Problem(Record):
     """Everything a problem file can describe, already validated."""
 
-    space: object                       # SimplicialComplex | CellSpace
-    spec: SelfMapSpec | None
-    push_map: SimplicialMap | None      # present when the map has a target
-    phi: ConstructibleFunction | None
-    support: CellularSubset | None
-    traces: dict | None
-    normal: NormalData | None
-    complex_model: bool
-    non_characteristic: bool
-    ell: VertexFunctional | None
+    __slots__ = _fields = (
+        "space", "spec", "push_map", "phi", "support", "traces", "normal",
+        "complex_model", "non_characteristic", "ell",
+    )
+
+    def __init__(
+        self,
+        space,  # SimplicialComplex | CellSpace
+        spec: SelfMapSpec | None,
+        push_map: SimplicialMap | None,  # present when the map has a target
+        phi: ConstructibleFunction | None,
+        support: CellularSubset | None,
+        traces: dict | None,
+        normal: NormalData | None,
+        complex_model: bool,
+        non_characteristic: bool,
+        ell: VertexFunctional | None,
+    ):
+        set_field(self, "space", space)
+        set_field(self, "spec", spec)
+        set_field(self, "push_map", push_map)
+        set_field(self, "phi", phi)
+        set_field(self, "support", support)
+        set_field(self, "traces", traces)
+        set_field(self, "normal", normal)
+        set_field(self, "complex_model", complex_model)
+        set_field(self, "non_characteristic", non_characteristic)
+        set_field(self, "ell", ell)
 
     def traced(self) -> TracedProblem:
         from .fixedpoint import TracedProblem

@@ -9,7 +9,6 @@ the chain endomorphism (map_* o sd^n_*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .complexes import (
@@ -19,13 +18,18 @@ from .complexes import (
     subdivided_complex,
 )
 from .errors import DegenerateInputError, NonSimplicialMapError
+from .records import Record, set_field
 
 
-@dataclass(frozen=True, eq=False)
-class SimplicialMap:
-    source: SimplicialComplex
-    target: SimplicialComplex
-    vertex_map: dict
+class SimplicialMap(Record):
+    __slots__ = _fields = ("source", "target", "vertex_map")
+
+    def __init__(
+        self, source: SimplicialComplex, target: SimplicialComplex, vertex_map: dict
+    ):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "vertex_map", vertex_map)
 
     def __eq__(self, other):
         return (
@@ -71,13 +75,15 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SelfMapSpec:
+class SelfMapSpec(Record):
     """A self-map of |base| written as a vertex map sd^level(base) -> base."""
 
-    base: SimplicialComplex
-    level: int
-    vertex_map: dict
+    _fields = ("base", "level", "vertex_map")
+
+    def __init__(self, base: SimplicialComplex, level: int, vertex_map: dict):
+        set_field(self, "base", base)
+        set_field(self, "level", level)
+        set_field(self, "vertex_map", vertex_map)
 
     def __eq__(self, other):
         return (

@@ -28,7 +28,6 @@ reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -43,16 +42,19 @@ from .complexes import (
 from .errors import DegenerateInputError, GenericityError, NoApplicableRegimeError
 from .euler import ConstructibleFunction, restrict
 from .exact import GaussianRational, parse_rational, signed_sum
+from .records import Record, set_field
 
 if TYPE_CHECKING:  # the fixed-point layer loads with the first cycle table
     from .fixedpoint import FixedComponent, TracedProblem
 
 
-@dataclass(frozen=True, eq=False)
-class VertexFunctional:
+class VertexFunctional(Record):
     """Exact rational height values, one per vertex."""
 
-    values: dict
+    __slots__ = _fields = ("values",)
+
+    def __init__(self, values: dict):
+        set_field(self, "values", values)
 
     @staticmethod
     def of(space: SimplicialComplex, table) -> "VertexFunctional":
@@ -121,10 +123,13 @@ def morse_multiplicity(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplicityTable:
-    space: SimplicialComplex
-    entries: dict  # vertex -> GaussianRational, every vertex present
+class MultiplicityTable(Record):
+    __slots__ = _fields = ("space", "entries")
+
+    def __init__(self, space: SimplicialComplex, entries: dict):
+        """entries: vertex -> GaussianRational, every vertex present."""
+        set_field(self, "space", space)
+        set_field(self, "entries", entries)
 
     def total(self) -> GaussianRational:
         return signed_sum((1, value) for value in self.entries.values())
@@ -169,12 +174,16 @@ REGIME_COMPLEX_ANALYTIC = "complex-analytic"
 REGIME_SIGNED = "signed-non-characteristic"
 
 
-@dataclass(frozen=True, eq=False)
-class CycleTableReport:
-    component: int
-    regime: str
-    sign: int
-    table: MultiplicityTable
+class CycleTableReport(Record):
+    __slots__ = _fields = ("component", "regime", "sign", "table")
+
+    def __init__(
+        self, component: int, regime: str, sign: int, table: MultiplicityTable
+    ):
+        set_field(self, "component", component)
+        set_field(self, "regime", regime)
+        set_field(self, "sign", sign)
+        set_field(self, "table", table)
 
     def total(self) -> GaussianRational:
         return self.table.total()

@@ -1,0 +1,50 @@
+"""The base of every record the package builds.
+
+A record is a plain class with a hand-written `__init__` that stores its
+fields through `set_field`.  Afterwards assignment and deletion raise
+AttributeError, and the repr reads `Name(field=value, ...)`.  A `Value`
+record also compares and hashes by its fields; any other record compares
+by identity, unless it defines its own `__eq__`.  Records with no
+`cached_property` declare `__slots__`.
+"""
+
+# Stores one field from __init__, past the __setattr__ that refuses writes.
+set_field = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+    _fields = ()  # the field names repr shows, in order
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """Fields restored by copy and pickle, which would otherwise write
+        them through __setattr__; a slotted record's state is (None, slots)."""
+        if isinstance(state, tuple):
+            state = state[1]
+        for name, value in state.items():
+            set_field(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """A record equal to one of its own class with equal fields, and hashed
+    by them: `_key()` is the tuple of fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
 
 from . import fixtures
 from .complexes import SimplicialComplex, cell_sort_key
@@ -23,6 +22,7 @@ from .flags import example_3_9
 from .homology import hopf_trace, homology_traces, lefschetz_number
 from .maps import SelfMapSpec, SimplicialMap
 from .morse import VertexFunctional, cc_table, index_sum
+from .records import Value, set_field
 from .reports import Report
 
 
@@ -116,16 +116,17 @@ def random_map_between(rng: random.Random, attempts: int = 60) -> SimplicialMap:
 # ---------------------------------------------------------------------------
 # the battery
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    seed: int = 0
-    cases: int = 25
+class VerifyConfig(Value):
+    __slots__ = _fields = ("seed", "cases")
 
-    def __post_init__(self):
-        if self.cases < 1:
-            raise DegenerateInputError(
-                f"cases must be at least 1, got {self.cases}"
-            )
+    def __init__(self, seed: int = 0, cases: int = 25):
+        if cases < 1:
+            raise DegenerateInputError(f"cases must be at least 1, got {cases}")
+        set_field(self, "seed", seed)
+        set_field(self, "cases", cases)
+
+    def _key(self) -> tuple:
+        return self.seed, self.cases
 
 
 def check_hopf_vs_homology(config: VerifyConfig) -> str:

@@ -25,7 +25,7 @@ from lefscalc.errors import (
 )
 from lefscalc.exact import GaussianRational, RationalMatrix
 from lefscalc.fixedpoint import NormalData, TracedProblem
-from lefscalc.io import dumps, problem_to_json, traced_problem_to_json
+from lefscalc.io import SCHEMA, dumps, problem_to_json, traced_problem_to_json
 from lefscalc.morse import VertexFunctional
 from lefscalc.reports import parse_report
 
@@ -454,6 +454,23 @@ def test_exit_2_level_30_before_anything_is_subdivided(tmp_path, capsys, monkeyp
     assert calls == []
     assert capsys.readouterr().err.startswith(
         "error: vertex_map misses sources: 0 entries for subdivision level 30"
+    )
+
+
+def test_exit_2_deep_level_of_a_point(tmp_path, capsys):
+    # sd keeps a point a point, so the vertex count bounds no level; the
+    # nesting of the map's source does, before anything is subdivided
+    data = {
+        "schema": SCHEMA,
+        "complex": {"vertices": ["a"], "simplices": [["a"]]},
+        "map": {"subdivision_level": 3000, "vertex_map": [["a", "a"]]},
+    }
+    path = write(tmp_path, "deep.json", data)
+    start = time.perf_counter()
+    assert main(["chi", "--input", path]) == 2
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().err.startswith(
+        "error: source vertex 'a' in vertex_map is not nested 3000 deep"
     )
 
 

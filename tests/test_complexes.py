@@ -165,6 +165,22 @@ def test_subdivision_tower_matches_iterated_subdivision():
         subdivide_times(space, -1)
 
 
+def test_a_tower_past_the_recursion_limit_is_built_bottom_up():
+    point = SimplicialComplex.from_maximal([("p",)])
+    level = sys.getrecursionlimit() + 100
+    space, carrier = subdivide_times(point, level)
+    (vertex,) = space.vertices
+    for _ in range(level):
+        (vertex,) = vertex
+    assert vertex == "p" and set(carrier.values()) == {frozenset({"p"})}
+    # every level below stays cached
+    before = complexes.subdivided_complex.cache_info()
+    for k in (1, 2, level // 2, level - 1):
+        subdivide_times(point, k)
+    after = complexes.subdivided_complex.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 4, before.misses)
+
+
 FIXTURE_COMPLEXES = {
     "point": fx.point_complex, "interval": fx.interval_complex,
     "hexagon": fx.hexagon, "twelve-gon": fx.twelve_gon, "disk": fx.disk,

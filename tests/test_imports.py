@@ -44,19 +44,27 @@ PUBLIC_NAMES = [
 LOADED = """
 import json, sys
 {setup}
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("lefscalc"))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_modules(setup: str) -> set:
-    """The lefscalc modules a fresh interpreter holds after `setup`."""
+def modules_after(setup: str) -> set:
+    """Every module a fresh interpreter holds after `setup`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", LOADED.format(setup=setup)],
         capture_output=True, text=True, env=env, check=True,
     )
-    return {name.rpartition(".")[2] for name in json.loads(run.stdout.splitlines()[-1])}
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def loaded_modules(setup: str) -> set:
+    """The lefscalc modules a fresh interpreter holds after `setup`."""
+    return {
+        name.rpartition(".")[2]
+        for name in modules_after(setup) if name.startswith("lefscalc")
+    }
 
 
 def test_importing_the_cli_loads_no_layer_a_command_may_skip():
@@ -155,3 +163,53 @@ def test_unknown_attribute_is_an_attribute_error():
     assert loaded_modules(
         "import lefscalc\ntry:\n    lefscalc.io_\nexcept AttributeError:\n    pass"
     ) == {"lefscalc"}
+
+
+# The standard library's class generator and the introspection it pulls in
+# (ast, dis, tokenize) cost a command more than lefscalc's own import.
+INTROSPECTION = {"dataclasses", "inspect"}
+
+
+def _layers() -> list:
+    package = os.path.dirname(lefscalc.__file__)
+    return sorted(
+        f"lefscalc.{name[:-3]}" for name in os.listdir(package)
+        if name.endswith(".py") and name != "__init__.py"
+    )
+
+
+@pytest.mark.parametrize(
+    "setup", ["import lefscalc.cli", "import " + ", ".join(_layers())],
+    ids=["cli", "every layer"],
+)
+def test_no_layer_imports_dataclasses_or_inspect(setup):
+    assert not modules_after(setup) & INTROSPECTION
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    from lefscalc import fixtures
+    from lefscalc.io import dumps, traced_problem_to_json
+    from lefscalc.morse import VertexFunctional
+
+    files = _problem_files(tmp_path)
+    ell = VertexFunctional.of(fixtures.hexagon(), {f"v{i}": i for i in range(6)})
+    traced = traced_problem_to_json(fixtures.doubling_problem(), ell=ell)
+    files["traced"] = str(tmp_path / "traced.json")
+    (tmp_path / "traced.json").write_text(dumps(traced))
+    commands = [
+        ["chi", "--input", files["map"]],
+        ["integrate", "--input", files["map"]],
+        ["lefschetz", "--input", files["map"]],
+        ["lefschetz", "--input", files["traced"]],
+        ["morse", "--input", files["traced"], "--component", "0"],
+        ["cc", "--input", files["ell"]],
+        ["index-check", "--input", files["ell"]],
+        ["pushforward", "--input", files["push"]],
+        ["flag-model", "--n", "3", "--blocks", "2,1"],
+        ["example-3-9", "--ratio", "-3/4"],
+        ["verify", "--cases", "1"],
+    ]
+    setup = "from lefscalc.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in commands
+    )
+    assert not modules_after(setup) & INTROSPECTION

@@ -1,6 +1,7 @@
 """Problem files and report payloads: round-trips and rejection paths."""
 
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -543,6 +544,30 @@ def test_vertex_map_refuses_a_source_named_twice():
     assert parse_problem(data).spec.vertex_map == {7: 8, 8: 7}
     data["map"] = {"vertex_map": {"7": 8, "8": 7, "07": 7}}
     with pytest.raises(ParseError, match="names source vertex '07' twice"):
+        parse_problem(data)
+
+
+@pytest.mark.parametrize(
+    "source, refusal",
+    [("a", "not nested 2 deep"), (["a"], "not nested 2 deep"),
+     ([[]], "not nested 2 deep"), ([], "not nested 2 deep"),
+     ({"a": 1}, "not nested 2 deep"), (7, "not nested 2 deep"),
+     ([[["a"]]], "unknown source vertex"), ([["a"], ["a"]], "unknown source vertex")],
+)
+def test_vertex_map_source_nested_less_than_the_level_is_refused(source, refusal):
+    # the one vertex of sd^2 of a point is [["a"]]
+    data = {"schema": SCHEMA, "complex": {"vertices": ["a"], "simplices": [["a"]]}}
+    data["map"] = {"subdivision_level": 2, "vertex_map": [[[["a"]], "a"]]}
+    assert parse_problem(data).spec.vertex_map == {(("a",),): "a"}
+    data["map"]["vertex_map"] = [[source, "a"]]
+    with pytest.raises(ParseError, match=re.escape(refusal)):
+        parse_problem(data)
+
+
+def test_object_vertex_map_above_level_0_is_refused():
+    data = triangle()
+    data["map"] = {"subdivision_level": 1, "vertex_map": dict.fromkeys("abcdefg", "a")}
+    with pytest.raises(ParseError, match="source vertex 'a' in vertex_map is not nested"):
         parse_problem(data)
 
 
