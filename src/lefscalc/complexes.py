@@ -37,40 +37,18 @@ from .exact import RationalMatrix, parse_rational
 from .records import Value, set_field
 
 
-# tuple vertex -> (the tuple first seen, its key); ints and strings are keyed
-# inline.  True == 1 as dict keys, so a hit counts only for a tuple of the
-# same types all the way down.
-_VERTEX_KEYS = {}
-
-
-def _same_vertex(a, b) -> bool:
-    """Whether two equal vertices also agree in every component's type."""
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    return not isinstance(a, tuple) or all(map(_same_vertex, a, b))
-
-
 def vertex_key(v):
     """Total order on vertex identifiers (ints, strings, nested tuples).
 
     Tuples sort by length first, so barycenter vertices of a subdivision
-    sort in face-poset order inside any subdivision simplex.  The key of a
-    tuple is computed once and kept; anything but an int (not a bool), a
-    string or a tuple of identifiers is refused.
+    sort in face-poset order inside any subdivision simplex.  A TupleVertex
+    carries its key; anything but an int (not a bool), a string or a tuple
+    of identifiers is refused.
     """
+    if isinstance(v, TupleVertex):
+        return v.key
     if isinstance(v, tuple):
-        try:
-            hit = _VERTEX_KEYS.get(v)
-        except TypeError:  # an unhashable component, refused below
-            hit = None
-        if hit is not None and _same_vertex(hit[0], v):
-            return hit[1]
-        key = (2, len(v), tuple(map(vertex_key, v)))
-        if hit is None:
-            _VERTEX_KEYS[v] = (v, key)
-        return key
+        return (2, len(v), tuple(map(vertex_key, v)))
     if isinstance(v, str):
         return (1, v)
     if isinstance(v, int) and not isinstance(v, bool):
@@ -78,6 +56,19 @@ def vertex_key(v):
     raise DegenerateInputError(
         f"invalid vertex {v!r}: vertices are ints, strings and tuples of them"
     )
+
+
+class TupleVertex(tuple):
+    """A tuple vertex carrying its order key, computed once from its parts.
+    It equals, hashes and prints as the plain tuple does; a copy or a
+    pickle of it is an equal TupleVertex."""
+
+    __repr__ = tuple.__repr__
+
+    def __new__(cls, parts):
+        self = super().__new__(cls, parts)
+        self.key = (2, len(self), tuple(map(vertex_key, self)))
+        return self
 
 
 def canonical_tuple(simplex) -> tuple:
@@ -543,8 +534,7 @@ def barycentric_subdivide(space: SimplicialComplex) -> tuple:
         chains_by_top[simplex] = out
         return out
 
-    # one tuple object per new vertex, so its key is found by identity
-    names = {s: canonical_tuple(s) for s in space.simplices}
+    names = {s: TupleVertex(canonical_tuple(s)) for s in space.simplices}
     new_simplices = set()
     carrier = {}
     for simplex in space.simplices:

@@ -18,6 +18,7 @@ from .complexes import (
     CellSpace,
     CellularSubset,
     SimplicialComplex,
+    TupleVertex,
     canonical_tuple,
     cell_sort_key,
     require_valid,
@@ -70,10 +71,12 @@ def vertex_to_json(v):
 
 def vertex_from_json(x, table=None):
     """An int, a string, or a tuple read from an array.  A parse passes one
-    dict `table`, so each distinct tuple it reads is one object."""
+    dict `table`, so each distinct tuple it reads is one TupleVertex."""
     if isinstance(x, list):
         v = tuple([vertex_from_json(y, table) for y in x])
-        return v if table is None else table.setdefault(v, v)
+        if table is not None and v not in table:
+            table[v] = TupleVertex(v)
+        return v if table is None else table[v]
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ParseError(f"invalid vertex {x!r}")
     return x

@@ -134,10 +134,14 @@ def refine(spec: SelfMapSpec) -> SelfMapSpec:
 
     Exists exactly when the vertex map is injective on every subdivision
     simplex (then barycenters map to barycenters); otherwise the refined
-    vertex map would need images that are not vertices.
+    vertex map would need images that are not vertices.  Keys and images
+    are the vertex objects of the refined source and base.
     """
     source = spec.source_complex()
     refined_base = subdivided_complex(spec.base, 1)[0]
+    refined = subdivided_complex(refined_base, spec.level)[0]
+    sources = {v: v for v in refined.vertices}
+    targets = {v: v for v in refined_base.vertices}
     new_map = {}
     for tau in source.simplices:
         images = {spec.vertex_map[v] for v in tau}
@@ -146,5 +150,5 @@ def refine(spec: SelfMapSpec) -> SelfMapSpec:
                 "refinement needs a map that is injective on every "
                 "subdivision simplex"
             )
-        new_map[canonical_tuple(tau)] = canonical_tuple(images)
+        new_map[sources[canonical_tuple(tau)]] = targets[canonical_tuple(images)]
     return SelfMapSpec.build(refined_base, spec.level, new_map)

@@ -8,17 +8,21 @@ enumeration for feasibility, downward breadth-first search for the closure
 order, and the lower-link formula for multiplicities of the constant
 function, and the dense chain engine: chain complexes and chain maps as
 dense rational matrices, homology traces by row echelon forms and one
-solve per cycle.  It also keeps the slow routes that a memoized one
-replaced: the vertex key rebuilt recursively on every call, and the dot
-criterion recounting every prefix on every comparison; complex validation
-that sorts the simplices twice and runs the affine rank test on every
-simplex; and the Euler integral, pushforward and multiplicity table summed
-one Gaussian add at a time, with a genericity scan that sorts every edge;
-and the supported global trace taken on a second problem restricted to the
-support's closure.  The fixed-point refusal is re-derived from barycentric
-weights averaged level by level and basic-solution enumeration on every
-top simplex.  Matrices with a known characteristic polynomial come from
-companion matrices under a seeded similarity.
+solve per cycle.  It also keeps the slow routes that a faster one
+replaced: the vertex key rebuilt recursively on every call, where a
+subdivision vertex carries its own, and the dot criterion recounting every
+prefix on every comparison; complex validation that sorts the simplices
+twice and runs the affine rank test on every simplex; and the Euler
+integral, pushforward and multiplicity table summed one Gaussian add at a
+time, with a genericity scan that sorts every edge; and the supported
+global trace taken on a second problem restricted to the support's
+closure.  The local index of each fixed component, the chain-level Hopf
+trace over the base simplices that meet it, checks the signed local
+contributions without their normal data.  The fixed-point refusal is
+re-derived from barycentric weights averaged level by level and
+basic-solution enumeration on every top simplex.  Matrices with a known
+characteristic polynomial come from companion matrices under a seeded
+similarity.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from lefscalc.exact import (
     RationalPolynomial,
     row_echelon,
 )
+from lefscalc.fixedpoint import fixed_components
 from lefscalc.homology import lefschetz_number, self_map_endomorphism
 from lefscalc.maps import SelfMapSpec, subdivided_complex
 from lefscalc.morse import MultiplicityTable
@@ -471,6 +476,32 @@ def non_vertex_fixed_point_refusal(spec):
                 "subdivide the base complex and restate the map"
             )
     return None
+
+
+# ---------------------------------------------------------------------------
+# local indices: the chain-level Hopf trace near each fixed component
+
+def local_indices(spec) -> list:
+    """index(Z) = sum of (-1)^dim sigma E[sigma, sigma] over the base
+    simplices sigma that meet Z, per fixed component Z in order, where
+    E = self_map_endomorphism(spec).  No normal data enters.  A closed
+    simplex meets Z when it shares a vertex with it; one that meets two
+    components is refused, since only a subdivision separates them."""
+    endo = self_map_endomorphism(spec)
+    near = [frozenset().union(*comp.members) for comp in fixed_components(spec)]
+    indices = [Fraction(0)] * len(near)
+    for k, basis in enumerate(endo.source.bases):
+        columns = endo.degree_matrix(k).columns
+        for j, sigma in enumerate(basis):
+            met = [i for i, vertices in enumerate(near) if sigma & vertices]
+            if len(met) > 1:
+                raise DegenerateInputError(
+                    f"simplex {canonical_tuple(sigma)} meets fixed components "
+                    f"{met}; subdivide the base complex"
+                )
+            if met:
+                indices[met[0]] += (-1) ** k * columns[j].get(j, 0)
+    return indices
 
 
 # ---------------------------------------------------------------------------

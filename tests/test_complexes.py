@@ -1,6 +1,8 @@
 """Complexes, validation, subsets, and barycentric subdivision."""
 
+import copy
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -18,6 +20,7 @@ from lefscalc.complexes import (
     CellSpace,
     CellularSubset,
     SimplicialComplex,
+    TupleVertex,
     barycentric_subdivide,
     canonical_tuple,
     cell_sort_key,
@@ -38,6 +41,7 @@ from lefscalc.errors import DegenerateInputError, InvalidComplexError, LefscalcE
 from lefscalc.euler import ConstructibleFunction, chi_c, euler_integral, restrict
 from lefscalc.exact import GaussianRational
 from lefscalc.flags import flag_cellspace
+from lefscalc.io import vertex_to_json
 
 
 def test_vertex_key_total_order():
@@ -317,13 +321,13 @@ def test_canonical_tuple_and_sort_key():
 
 
 # ---------------------------------------------------------------------------
-# memoized order keys against the recursive oracle
+# order keys against the recursive oracle
 
 SUBDIVIDED = {"sd3-disk": (fx.disk, 3), "sd2-s2": (fx.sphere2, 2)}
 
 
 def _fresh_copy(v):
-    """An equal vertex built from new tuple objects."""
+    """An equal vertex built from new plain tuple objects."""
     return tuple(map(_fresh_copy, v)) if isinstance(v, tuple) else v
 
 
@@ -332,14 +336,51 @@ def test_vertex_key_matches_the_recursive_oracle(name):
     make, level = SUBDIVIDED[name]
     space = subdivide_times(make(), level)[0]
     vertices = list(space.vertices)
-    for seed in range(3):
-        complexes._VERTEX_KEYS.clear()
-        random.Random(seed).shuffle(vertices)
-        expected = [oracles.vertex_key_recursive(v) for v in vertices]
-        assert [vertex_key(v) for v in vertices] == expected
-        # equal vertices made of other objects hit the memo through its
-        # type check and get the same keys
-        assert [vertex_key(_fresh_copy(v)) for v in vertices] == expected
+    assert all(type(v) is TupleVertex for v in vertices)
+    expected = [oracles.vertex_key_recursive(v) for v in vertices]
+    # the tower's vertices carry their keys; equal plain tuples are keyed
+    # by the recursion, and both agree with the oracle
+    assert [vertex_key(v) for v in vertices] == expected
+    copies = [_fresh_copy(v) for v in vertices]
+    assert not any(isinstance(v, TupleVertex) for v in copies)
+    assert [vertex_key(v) for v in copies] == expected
+
+
+def _tuple_vertex(v):
+    """v rebuilt from TupleVertex objects, nested parts first."""
+    return TupleVertex(map(_tuple_vertex, v)) if isinstance(v, tuple) else v
+
+
+@pytest.mark.parametrize(
+    "plain",
+    [(), (1,), ("a", 2), ((1,), "b"), (((1, 2), (1,)), ((1,),), "c")],
+    ids=repr,
+)
+def test_tuple_vertex_behaves_as_its_plain_tuple(plain):
+    v = _tuple_vertex(plain)
+    assert v == plain and plain == v and hash(v) == hash(plain)
+    assert {plain: "found"}[v] == "found" and len({v, plain}) == 1
+    assert repr(v) == repr(plain) and str(v) == str(plain)
+    assert f"{v!r} {v}" == f"{plain!r} {plain}"
+    assert vertex_to_json(v) == vertex_to_json(plain)
+    assert vertex_key(v) is v.key
+    assert v.key == vertex_key(plain) == oracles.vertex_key_recursive(plain)
+    twins = [copy.copy(v), copy.deepcopy(v)] + [
+        pickle.loads(pickle.dumps(v, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in twins:
+        assert type(twin) is TupleVertex and twin == plain
+        assert repr(twin) == repr(plain) and vertex_to_json(twin) == vertex_to_json(plain)
+        assert twin.key == v.key
+
+
+@pytest.mark.parametrize(
+    "bad", [(True,), (0, False), ((1,), (True,)), (1.5,), (None,), (["a"],)]
+)
+def test_tuple_vertex_refuses_parts_that_are_not_identifiers(bad):
+    with pytest.raises(DegenerateInputError, match="invalid vertex"):
+        TupleVertex(bad)
 
 
 @pytest.mark.parametrize("name", sorted(SUBDIVIDED))

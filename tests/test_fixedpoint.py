@@ -233,6 +233,55 @@ def test_local_contribution_and_signed_agree_on_fixtures():
     assert signed_local_contribution(p2, 1) == g(1)
 
 
+# ---------------------------------------------------------------------------
+# local indices: the Hopf trace near each component, with no normal data
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (fx.reflection_problem, [1, 1]),
+        (fx.doubling_problem, [-1]),
+        (lambda: fx.identity_problem(fx.sphere2()), [2]),
+        (lambda: fx.identity_problem(fx.hexagon()), [0]),
+    ],
+    ids=["reflection", "doubling", "s2-identity", "hexagon-identity"],
+)
+def test_local_indices_match_the_signed_contributions_on_fixtures(make, expected):
+    p = make()
+    assert oracles.local_indices(p.spec) == expected
+    assert [signed_local_contribution(p, i) for i in range(len(expected))] == [
+        g(x) for x in expected
+    ]
+
+
+def test_local_indices_sum_to_the_lefschetz_number_on_seeded_maps():
+    rng = random.Random(7)
+    accepted = 0
+    for _ in range(320):
+        spec = random_self_map(rng, random_complex(rng))
+        try:
+            indices = oracles.local_indices(spec)
+        except FixedPointNotSimplicialError:
+            continue
+        accepted += 1
+        assert sum(indices) == lefschetz_number(spec)
+    assert accepted >= 200
+
+
+def test_local_indices_refuse_a_simplex_that_meets_two_components():
+    # each vertex of the triangle's boundary is fixed and each edge's
+    # midpoint goes to the opposite vertex: three point components, and
+    # every edge meets two of them
+    base = SimplicialComplex.from_maximal([("a", "b"), ("a", "c"), ("b", "c")])
+    vm = {(v,): v for v in "abc"}
+    vm.update({("a", "b"): "c", ("a", "c"): "b", ("b", "c"): "a"})
+    spec = SelfMapSpec.build(base, 1, vm)
+    assert len(fixed_components(spec)) == 3
+    with pytest.raises(DegenerateInputError, match="meets fixed components"):
+        oracles.local_indices(spec)
+
+
 def test_not_hyperbolic_when_one_is_eigenvalue():
     p = TracedProblem(
         spec=fx.reflection_spec(),

@@ -145,6 +145,23 @@ def test_identity_refines_to_identity():
     assert finer.level == spec.level
 
 
+@pytest.mark.parametrize(
+    "make",
+    [fx.reflection_spec, fx.doubling_spec, lambda: refine(fx.doubling_spec())],
+    ids=["reflection", "doubling", "doubling-refined"],
+)
+def test_refine_names_vertices_by_the_refined_complexes_own_objects(make):
+    spec = make()
+    finer = refine(spec)
+    assert finer.base is subdivided_complex(spec.base, 1)[0]
+    source = finer.source_complex()
+    sources = {id(v) for v in source.vertices}
+    targets = {id(v) for v in finer.base.vertices}
+    assert len(finer.vertex_map) == len(source.vertices)
+    assert all(id(v) in sources for v in finer.vertex_map)
+    assert all(id(v) in targets for v in finer.vertex_map.values())
+
+
 def test_trace_commutes_under_composition():
     # tr(AB) = tr(BA) realized by the two endomorphism factorizations
     spec = fx.doubling_spec()

@@ -1,4 +1,5 @@
-"""What each entry point imports, and the package's public names."""
+"""What each entry point imports, the package's public names, and the
+module state a workload leaves behind."""
 
 import json
 import os
@@ -213,3 +214,47 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
         f"assert main({argv!r}) == 0\n" for argv in commands
     )
     assert not modules_after(setup) & INTROSPECTION
+
+
+# Every layer is imported first; then the workload subdivides the disk
+# twice, round-trips the result through a problem file, and takes the
+# Lefschetz number of its identity.  Each module-level dict, list or set
+# whose size changed is printed.
+MODULE_STATE = """
+import importlib, json, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+from lefscalc import fixtures, io
+from lefscalc.complexes import subdivided_complex
+from lefscalc.homology import lefschetz_number
+from lefscalc.maps import SelfMapSpec
+
+def sizes():
+    return {
+        f"{name}.{attr}": len(value)
+        for name, module in list(sys.modules.items()) if name.startswith("lefscalc")
+        for attr, value in vars(module).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+before = sizes()
+space = subdivided_complex(fixtures.disk(), 2)[0]
+parsed = io.loads(io.dumps(io.problem_to_json(space))).space
+assert parsed == space and len(space.simplices) > 400
+assert lefschetz_number(SelfMapSpec.identity(parsed)) == 1
+after = sizes()
+print(json.dumps({k: [before.get(k), n] for k, n in after.items() if n != before.get(k)}))
+"""
+
+
+def test_no_module_level_container_grows_while_the_library_works():
+    # a module-global memo would keep every vertex or complex it has seen
+    # alive for the life of the process; lru_caches are functions and are
+    # not counted
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", MODULE_STATE, *_layers()],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(run.stdout.splitlines()[-1]) == {}

@@ -10,7 +10,7 @@ import pytest
 import lefscalc.fixtures as fx
 import oracles
 from lefscalc import complexes
-from lefscalc.complexes import CellularSubset, subdivide_times, vertex_key
+from lefscalc.complexes import CellularSubset, TupleVertex, subdivide_times, vertex_key
 from lefscalc.errors import DegenerateInputError, ParseError
 from lefscalc.euler import ConstructibleFunction
 from lefscalc.exact import GaussianRational
@@ -64,14 +64,12 @@ def _tuples_within(v):
             yield from _tuples_within(part)
 
 
-def test_parsed_subdivision_vertices_are_one_object_each(monkeypatch):
-    monkeypatch.setattr(complexes, "_VERTEX_KEYS", {})
+def test_parsed_subdivision_vertices_are_one_object_each():
     space = subdivide_times(fx.disk(), 2)[0]
     cells = sorted(space.simplices, key=complexes.cell_sort_key)
     phi = ConstructibleFunction.of(space, [(c, i + 1) for i, c in enumerate(cells)])
     ell = VertexFunctional.of(space, {v: i for i, v in enumerate(space.vertices)})
     text = dumps(problem_to_json(space, phi=phi, ell=ell))
-    monkeypatch.setattr(complexes, "_VERTEX_KEYS", {})
     problem = loads(text)
     occurrences = list(problem.space.vertices)
     for cells_of in (problem.space.simplices, problem.phi.values):
@@ -83,6 +81,11 @@ def test_parsed_subdivision_vertices_are_one_object_each(monkeypatch):
             objects.setdefault(part, set()).add(id(part))
     assert len(objects) > len(space.vertices)  # nested tuples are counted too
     assert all(len(ids) == 1 for ids in objects.values())
+    # every tuple read, nested or not, is a TupleVertex carrying its key
+    assert all(
+        type(part) is TupleVertex
+        for vertex in occurrences for part in _tuples_within(vertex)
+    )
     for vertex in problem.space.vertices:
         assert vertex_key(vertex) == oracles.vertex_key_recursive(vertex)
     # a second parse reads its own objects, and their keys come out alike
