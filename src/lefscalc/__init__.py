@@ -29,7 +29,7 @@ _EXPORTS = {
             "induced_subcomplex",
             "link",
             "star",
-            "subdivide_times",
+            "subdivided_complex",
             "validate",
         ),
         "complexes",

@@ -21,47 +21,16 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (
-    CellSpaceUnsupportedError,
-    DegenerateInputError,
-    FixedPointNotSimplicialError,
-    GenericityError,
-    InvalidComplexError,
-    LefscalcError,
-    NoApplicableRegimeError,
-    NonSimplicialMapError,
-    NotHyperbolicError,
-    NotLocalizableError,
-    ParseError,
-)
+from .errors import LefscalcError, ParseError
 from .reports import Report, print_report
 
 if TYPE_CHECKING:
     from .euler import ConstructibleFunction
     from .io import Problem
 
-_EXIT_RULES = (
-    ((FixedPointNotSimplicialError,), 3),
-    ((NotHyperbolicError, NotLocalizableError, NoApplicableRegimeError), 4),
-    ((GenericityError,), 5),
-    ((NonSimplicialMapError,), 6),
-    (
-        (
-            ParseError,
-            InvalidComplexError,
-            CellSpaceUnsupportedError,
-            DegenerateInputError,
-        ),
-        2,
-    ),
-)
-
 
 def exit_code_for(exc: LefscalcError) -> int:
-    for types, code in _EXIT_RULES:
-        if isinstance(exc, types):
-            return code
-    return 2
+    return exc.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -187,6 +187,11 @@ class SimplicialComplex(Value):
             return None
         return self.coords[self.vertex_index(v)]
 
+    @cached_property
+    def violations(self) -> tuple:
+        """validate(self), run once per complex."""
+        return tuple(validate(self))
+
 
 class Cell(Value):
     __slots__ = _fields = ("ident", "dim", "component")
@@ -202,6 +207,7 @@ class Cell(Value):
 
 class CellSpace(Value):
     _fields = ("cells",)
+    violations = ()  # construction enforces the cell-space invariants
 
     def __init__(self, cells: tuple):
         set_field(self, "cells", cells)
@@ -393,7 +399,7 @@ def _degenerate(space, named, listed) -> list:
 
 
 def require_valid(space) -> None:
-    problems = validate(space)
+    problems = space.violations
     if problems:
         heads = "; ".join(f"{p.kind}: {p.detail}" for p in problems[:3])
         raise InvalidComplexError(f"{len(problems)} violation(s): {heads}")
@@ -577,9 +583,6 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
     coarser, carrier = subdivided_complex(base, level - 1)
     finer, step = subdivided_complex(coarser, 1)
     return finer, {cell: carrier[below] for cell, below in step.items()}
-
-
-subdivide_times = subdivided_complex
 
 
 def subdivision_f_vectors(base: SimplicialComplex):

@@ -1,13 +1,15 @@
 """Typed errors shared across the package.
 
 Every rejection the library performs deliberately gets its own class so
-callers (and the command line driver) can map failures to exit codes
-without string matching.
+callers can tell failures apart without string matching.  Each class
+carries the command line's exit code for it: 2 unless it says otherwise.
 """
 
 
 class LefscalcError(Exception):
     """Base class for all deliberate rejections."""
+
+    exit_code = 2
 
 
 class ParseError(LefscalcError):
@@ -25,6 +27,8 @@ class CellSpaceUnsupportedError(LefscalcError):
 class NonSimplicialMapError(LefscalcError):
     """A vertex map sends some simplex to a non-simplex of the target."""
 
+    exit_code = 6
+
 
 class FixedPointNotSimplicialError(LefscalcError):
     """The map has geometric fixed points that are not fixed vertices.
@@ -33,17 +37,25 @@ class FixedPointNotSimplicialError(LefscalcError):
     offending fixed points become vertices.
     """
 
+    exit_code = 3
+
 
 class NotHyperbolicError(LefscalcError):
     """det(I - A) = 0 for some component's normal matrix A."""
+
+    exit_code = 4
 
 
 class NotLocalizableError(LefscalcError):
     """1 is an eigenvalue of the normal map; the local term is undefined."""
 
+    exit_code = 4
+
 
 class GenericityError(LefscalcError):
     """A vertex functional takes equal values on the ends of an edge."""
+
+    exit_code = 5
 
     def __init__(self, message: str, edges=()):
         super().__init__(message)
@@ -54,6 +66,8 @@ class NoApplicableRegimeError(LefscalcError):
     """No hypothesis justifies equating the cycle table with the fixed-point
     cycle: spectrum meets [1, oo) and neither the complex-model nor the
     non-characteristic assertion was supplied."""
+
+    exit_code = 4
 
 
 class DegenerateInputError(LefscalcError):

@@ -38,11 +38,11 @@ from .complexes import (
     vertex_key,
 )
 from .errors import DegenerateInputError
-from .maps import SelfMapSpec, SimplicialMap
+from .maps import SelfMapSpec
 from .records import Record, set_field
 
 # Distinct (complex, dropped cells) pairs kept built; one trace problem
-# touches about ten.
+# touches about five.
 CHAIN_COMPLEX_CACHE = 32
 
 
@@ -176,11 +176,6 @@ class ChainComplexQ(Record):
     def basis_size(self, k: int) -> int:
         return len(self.bases[k]) if 0 <= k < len(self.bases) else 0
 
-    def _boundary(self, k: int) -> SparseMatrix:
-        if k < len(self.boundaries):
-            return self.boundaries[k]
-        return SparseMatrix.zeros(self.basis_size(k - 1), self.basis_size(k))
-
     @cached_property
     def _reductions(self) -> tuple:
         """_reduce of every boundary matrix, plus an empty one on top."""
@@ -256,13 +251,14 @@ class ChainMapQ(Record):
         return source.bases == target.bases and source.dropped == target.dropped
 
 
-def _build_chain_map(source_cc, target_cc, matrices) -> ChainMapQ:
-    degrees = max(len(source_cc.bases), len(target_cc.bases))
-    short = ChainMapQ(source_cc, target_cc, tuple(matrices[:degrees]))
-    cm = ChainMapQ(source_cc, target_cc, tuple(map(short.degree_matrix, range(degrees))))
-    for k in range(1, degrees):
-        lhs = target_cc._boundary(k)._times(cm.degree_matrix(k))
-        rhs = cm.degree_matrix(k - 1)._times(source_cc._boundary(k))
+def _build_chain_map(cc: ChainComplexQ, matrices) -> ChainMapQ:
+    """The endomorphism of `cc` with these degree matrices, checked to
+    commute with the boundary."""
+    cm = ChainMapQ(cc, cc, tuple(matrices))
+    for k in range(1, len(cc.bases)):
+        boundary = cc.boundaries[k]
+        lhs = boundary._times(cm.degree_matrix(k))
+        rhs = cm.degree_matrix(k - 1)._times(boundary)
         if lhs.columns != rhs.columns:
             raise DegenerateInputError(
                 f"chain map fails to commute with the boundary in degree {k}"
@@ -270,95 +266,67 @@ def _build_chain_map(source_cc, target_cc, matrices) -> ChainMapQ:
     return cm
 
 
-def chain_map_of(m: SimplicialMap) -> ChainMapQ:
-    """Matrix form of the induced map on oriented simplicial chains.
-
-    A simplex collapsing onto a lower-dimensional image contributes zero;
-    otherwise the image is reordered into canonical form and the column
-    picks up the sign of that reordering.
-    """
-    source_cc = chain_complex(m.source)
-    target_cc = chain_complex(m.target)
-    matrices = []
-    for k in range(len(source_cc.bases)):
-        columns = []
-        for s in source_cc.bases[k]:
-            images = [m.vertex_map[v] for v in canonical_tuple(s)]
-            if len(set(images)) != len(images):
-                columns.append({})
-                continue
-            keys = [vertex_key(u) for u in images]
-            sign = (-1) ** sum(a > b for a, b in combinations(keys, 2))
-            columns.append({target_cc.index[k][frozenset(images)]: sign})
-        matrices.append(
-            SparseMatrix(target_cc.basis_size(k), len(columns), tuple(columns))
-        )
-    return _build_chain_map(source_cc, target_cc, matrices)
+def _subdivision_signs(base: SimplicialComplex, level: int) -> dict:
+    """sd^level_* on C_*(base) as signs: sd_* sends a simplex to the
+    fundamental chain of its subdivision (Munkres, Elements of Algebraic
+    Topology, section 17).  The cells of that chain are those of sd^level
+    whose carrier at every step of the tower has their own dimension; each
+    maps to its sign.  A cell tau over rho is the flag of faces
+    rho_0 < ... < rho_d = rho, its vertices in canonical order (tuple
+    vertices sort by length first); with w_i the vertex of rho_i not in
+    rho_(i-1), its barycentric coordinates are triangular in w_0 ... w_d
+    with a positive diagonal, so tau's sign against rho is the parity of
+    w_0 ... w_d in rho's canonical order."""
+    signs = dict.fromkeys(base.simplices, 1)
+    for k in range(level):
+        step = subdivided_complex(subdivided_complex(base, k)[0], 1)[1]
+        signs = {
+            tau: signs[rho] * _flag_sign(tau)
+            for tau, rho in step.items()
+            if len(tau) == len(rho) and rho in signs
+        }
+    return signs
 
 
-def subdivision_chain_map(space: SimplicialComplex) -> ChainMapQ:
-    """The chain equivalence sd_*: C_*(K) -> C_*(sd K).
-
-    Built by the cone recursion: sd of a vertex is its barycenter vertex,
-    and sd of a simplex cones the subdivided boundary over the simplex's
-    own barycenter.
-    """
-    finer = subdivided_complex(space, 1)[0]
-    source_cc = chain_complex(space)
-    target_cc = chain_complex(finer)
-    memo = {}
-
-    def sd_chain(ordered: tuple) -> dict:
-        if ordered in memo:
-            return memo[ordered]
-        if len(ordered) == 1:
-            out = {frozenset([(ordered[0],)]): 1}
-        else:
-            apex = ordered  # barycenter vertex of this simplex
-            out = {}
-            for i in range(len(ordered)):
-                face = ordered[:i] + ordered[i + 1 :]
-                for cell, coeff in sd_chain(face).items():
-                    coned = cell | {apex}
-                    out[coned] = out.get(coned, 0) + coeff * (-1) ** (i + len(cell))
-        memo[ordered] = out
-        return out
-
-    matrices = []
-    for k in range(len(source_cc.bases)):
-        rows = target_cc.index[k]
-        columns = tuple(
-            {rows[c]: x for c, x in sd_chain(canonical_tuple(s)).items() if x}
-            for s in source_cc.bases[k]
-        )
-        matrices.append(SparseMatrix(len(rows), len(columns), columns))
-    return _build_chain_map(source_cc, target_cc, matrices)
-
-
-def compose_chain_maps(outer: ChainMapQ, inner: ChainMapQ) -> ChainMapQ:
-    if outer.source.bases != inner.target.bases:
-        raise DegenerateInputError("chain maps are not composable")
-    degrees = max(len(outer.matrices), len(inner.matrices))
-    matrices = [
-        outer.degree_matrix(k)._times(inner.degree_matrix(k))
-        for k in range(degrees)
-    ]
-    return _build_chain_map(inner.source, outer.target, matrices)
+def _flag_sign(tau: frozenset) -> int:
+    flag = sorted(tau, key=len)  # its last vertex names rho, in canonical order
+    order = {v: i for i, v in enumerate(flag[-1])}
+    ranks, seen = [], set()
+    for face in flag:
+        (w,) = seen.symmetric_difference(face)
+        seen.add(w)
+        ranks.append(order[w])
+    return (-1) ** sum(a > b for a, b in combinations(ranks, 2))
 
 
 def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
     """The chain endomorphism (map_* o sd^level_*) on C_*(base).
 
-    With `relative_to` the endomorphism is projected onto the quotient by
-    an invariant subcomplex; invariance is checked geometrically via the
-    carrier, not by looking for accidental cancellation.
+    The column of a base simplex sums, over the cells tau of the fundamental
+    chain of its subdivision, tau's sign times map_*(tau): zero when the
+    image collapses, else the image simplex signed by the reordering of its
+    vertices into canonical form.  With `relative_to` the endomorphism is
+    projected onto the quotient by an invariant subcomplex; invariance is
+    checked geometrically via the carrier, not by looking for accidental
+    cancellation.
     """
     base = spec.base
-    endo = chain_map_of(spec.as_map())
-    for k in reversed(range(spec.level)):
-        endo = compose_chain_maps(
-            endo, subdivision_chain_map(subdivided_complex(base, k)[0])
-        )
+    cc = chain_complex(base)
+    require_valid(spec.source_complex())
+    vertex_map, carrier = spec.as_map().vertex_map, spec.carrier()
+    columns = {s: {} for s in base.simplices}
+    for tau, sign in _subdivision_signs(base, spec.level).items():
+        images = [vertex_map[v] for v in canonical_tuple(tau)]
+        if len(set(images)) != len(images):
+            continue
+        keys = [vertex_key(u) for u in images]
+        sign *= (-1) ** sum(a > b for a, b in combinations(keys, 2))
+        row = cc.index[len(tau) - 1][frozenset(images)]
+        _add_multiple(columns[carrier[tau]], sign, {row: 1})
+    endo = _build_chain_map(cc, [
+        SparseMatrix(len(basis), len(basis), tuple(columns[s] for s in basis))
+        for basis in cc.bases
+    ])
     if relative_to is None:
         return endo
     dropped = _normalize_subcomplex(base, relative_to)
@@ -384,7 +352,7 @@ def project_endomorphism(endo: ChainMapQ, cells) -> ChainMapQ:
             {keep[r]: x for r, x in columns[j].items() if r in keep} for j in keep
         )
         matrices.append(SparseMatrix(len(keep), len(keep), projected))
-    return _build_chain_map(quotient, quotient, matrices)
+    return _build_chain_map(quotient, matrices)
 
 
 def _as_endomorphism(target) -> ChainMapQ:

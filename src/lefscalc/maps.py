@@ -41,10 +41,15 @@ class SimplicialMap(Record):
 
     @staticmethod
     def build(source, target, vertex_map) -> "SimplicialMap":
-        vm = dict(vertex_map)
-        missing = [v for v in source.vertices if v not in vm]
+        """A checked map, keyed by the source's own vertex objects."""
+        given = dict(vertex_map)
+        missing = [v for v in source.vertices if v not in given]
         if missing:
             raise NonSimplicialMapError(f"vertices without images: {missing[:4]}")
+        if len(given) != len(source.vertices):
+            extra = sorted(set(given).difference(source.vertices), key=repr)
+            raise NonSimplicialMapError(f"keys outside source: {extra[:4]}")
+        vm = {v: given[v] for v in source.vertices}
         target_vertices = set(target.vertices)
         stray = sorted(
             (v for v in vm.values() if v not in target_vertices), key=repr
@@ -52,13 +57,13 @@ class SimplicialMap(Record):
         if stray:
             raise NonSimplicialMapError(f"images outside target: {stray[:4]}")
         m = SimplicialMap(source, target, vm)
-        for s in sorted(source.simplices, key=cell_sort_key):
-            image = m.image_simplex(s)
-            if image not in target.simplices:
-                raise NonSimplicialMapError(
-                    f"simplex {canonical_tuple(s)} maps onto "
-                    f"{canonical_tuple(image)}, not a simplex of the target"
-                )
+        bad = [s for s in source.simplices if m.image_simplex(s) not in target.simplices]
+        if bad:
+            s = min(bad, key=cell_sort_key)  # named in cell order
+            raise NonSimplicialMapError(
+                f"simplex {canonical_tuple(s)} maps onto "
+                f"{canonical_tuple(m.image_simplex(s))}, not a simplex of the target"
+            )
         return m
 
     def image_simplex(self, s) -> frozenset:
@@ -95,8 +100,11 @@ class SelfMapSpec(Record):
 
     @staticmethod
     def build(base, level, vertex_map) -> "SelfMapSpec":
-        spec = SelfMapSpec(base, level, dict(vertex_map))
-        spec.as_map()  # validates simpliciality eagerly, once
+        """A spec whose map is checked once, here, and keyed by the vertex
+        objects of sd^level(base)."""
+        m = SimplicialMap.build(subdivided_complex(base, level)[0], base, vertex_map)
+        spec = SelfMapSpec(base, level, m.vertex_map)
+        set_field(spec, "_map", m)  # fills the cached property
         return spec
 
     @staticmethod

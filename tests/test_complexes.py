@@ -31,7 +31,7 @@ from lefscalc.complexes import (
     require_valid,
     sd_positions,
     star,
-    subdivide_times,
+    subdivided_complex,
     subdivision_f_vectors,
     validate,
     vertex_key,
@@ -148,9 +148,9 @@ def test_subdivision_of_triangle_counts():
     assert not validate(finer)
 
 
-def test_subdivide_times_composes_carriers():
+def test_subdivided_complex_composes_carriers():
     space = fx.interval_complex()
-    twice, carrier = subdivide_times(space, 2)
+    twice, carrier = subdivided_complex(space, 2)
     assert len(twice.k_cells(1)) == 4
     for s in twice.simplices:
         assert carrier[s] in space.simplices
@@ -162,17 +162,17 @@ def test_subdivision_tower_matches_iterated_subdivision():
     )
     current, carrier = space, {s: s for s in space.simplices}
     for level in range(4):
-        assert subdivide_times(space, level) == (current, carrier)
+        assert subdivided_complex(space, level) == (current, carrier)
         current, step = barycentric_subdivide(current)
         carrier = {cell: carrier[below] for cell, below in step.items()}
     with pytest.raises(DegenerateInputError, match="level must be >= 0"):
-        subdivide_times(space, -1)
+        subdivided_complex(space, -1)
 
 
 def test_a_tower_past_the_recursion_limit_is_built_bottom_up():
     point = SimplicialComplex.from_maximal([("p",)])
     level = sys.getrecursionlimit() + 100
-    space, carrier = subdivide_times(point, level)
+    space, carrier = subdivided_complex(point, level)
     (vertex,) = space.vertices
     for _ in range(level):
         (vertex,) = vertex
@@ -180,7 +180,7 @@ def test_a_tower_past_the_recursion_limit_is_built_bottom_up():
     # every level below stays cached
     before = complexes.subdivided_complex.cache_info()
     for k in (1, 2, level // 2, level - 1):
-        subdivide_times(point, k)
+        subdivided_complex(point, k)
     after = complexes.subdivided_complex.cache_info()
     assert (after.hits, after.misses) == (before.hits + 4, before.misses)
 
@@ -198,7 +198,7 @@ def test_predicted_f_vectors_match_the_built_tower(name):
     space = FIXTURE_COMPLEXES[name]()
     predicted = subdivision_f_vectors(space)
     for level in range(4):
-        built = subdivide_times(space, level)[0]
+        built = subdivided_complex(space, level)[0]
         counts = [0] * (space.dim + 1)
         for s in built.simplices:
             counts[len(s) - 1] += 1
@@ -225,7 +225,7 @@ def test_sd_vertex_position():
     ids=["interval", "hexagon", "disk", "sphere2"],
 )
 def test_sd_positions_match_level_by_level_weights(base):
-    sd3, _ = subdivide_times(base, 3)
+    sd3, _ = subdivided_complex(base, 3)
     positions = sd_positions(base)
     for w in sd3.vertices:
         position = positions[w]
@@ -334,7 +334,7 @@ def _fresh_copy(v):
 @pytest.mark.parametrize("name", sorted(SUBDIVIDED))
 def test_vertex_key_matches_the_recursive_oracle(name):
     make, level = SUBDIVIDED[name]
-    space = subdivide_times(make(), level)[0]
+    space = subdivided_complex(make(), level)[0]
     vertices = list(space.vertices)
     assert all(type(v) is TupleVertex for v in vertices)
     expected = [oracles.vertex_key_recursive(v) for v in vertices]
@@ -386,7 +386,7 @@ def test_tuple_vertex_refuses_parts_that_are_not_identifiers(bad):
 @pytest.mark.parametrize("name", sorted(SUBDIVIDED))
 def test_cell_sort_key_matches_canonical_tuple_keys(name):
     make, level = SUBDIVIDED[name]
-    space = subdivide_times(make(), level)[0]
+    space = subdivided_complex(make(), level)[0]
     key = oracles.vertex_key_recursive
 
     def expected(cell):
@@ -466,7 +466,7 @@ def test_refusal_texts_do_not_depend_on_the_string_hash():
 
 
 def test_vertex_index_is_a_lookup_and_refuses_unknown_vertices():
-    space = subdivide_times(fx.disk(), 2)[0]
+    space = subdivided_complex(fx.disk(), 2)[0]
     positions = [space.vertex_index(v) for v in space.vertices]
     assert positions == list(range(len(space.vertices)))
     assert space.coord_of(space.vertices[5]) == space.coords[5]
@@ -475,7 +475,7 @@ def test_vertex_index_is_a_lookup_and_refuses_unknown_vertices():
     with pytest.raises(DegenerateInputError, match=re.escape("unknown vertex ['c']")):
         space.vertex_index(["c"])
     # the index is a cached property, not a field: equality stays on fields
-    assert space == subdivide_times(fx.disk(), 2)[0]
+    assert space == subdivided_complex(fx.disk(), 2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +490,40 @@ def _outcome(check, space):
         return type(exc).__name__, str(exc)
 
 
+def _unvalidated_copy(space):
+    """An equal space with no validation verdict cached on it yet."""
+    return type(space)(*(getattr(space, name) for name in space._fields))
+
+
 def assert_validates_like_oracle(space, monkeypatch):
     expected = _outcome(oracles.validate_all_simplices, space)
     assert _outcome(validate, space) == expected
-    actual_message = _outcome(require_valid, space)
+    actual_message = _outcome(require_valid, _unvalidated_copy(space))
     with monkeypatch.context() as patch:
         patch.setattr(complexes, "validate", oracles.validate_all_simplices)
-        assert actual_message == _outcome(require_valid, space)
+        assert actual_message == _outcome(require_valid, _unvalidated_copy(space))
     return expected
+
+
+def test_a_complex_is_validated_once(monkeypatch):
+    runs = []
+
+    def counting(space):
+        runs.append(space)
+        return validate(space)
+
+    monkeypatch.setattr(complexes, "validate", counting)
+    space = SimplicialComplex.from_maximal([("a", "b", "c")])
+    require_valid(space)
+    require_valid(space)
+    assert runs == [space]
+    broken = CRAFTED["missing face"]()
+    for _ in range(2):
+        with pytest.raises(InvalidComplexError, match="not-face-closed"):
+            require_valid(broken)
+    assert runs == [space, broken]
+    require_valid(fx.cp1_cellspace())
+    assert len(runs) == 2
 
 
 FIXTURE_SPACES = (
@@ -512,7 +538,7 @@ def test_validate_matches_oracle_on_fixtures_and_their_subdivisions(make, monkey
     assert assert_validates_like_oracle(space, monkeypatch) == ("returned", [])
     if getattr(space, "coords", None) is not None:
         for level in (1, 2):
-            finer = subdivide_times(space, level)[0]
+            finer = subdivided_complex(space, level)[0]
             assert assert_validates_like_oracle(finer, monkeypatch) == ("returned", [])
 
 

@@ -1,6 +1,7 @@
 """Chain complexes, homology traces, and subdivision invariance."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lefscalc import complexes
+from lefscalc import complexes, homology
 from lefscalc import fixtures as fx
-from lefscalc.complexes import SimplicialComplex, barycentric_subdivide
-from lefscalc.errors import DegenerateInputError
+from lefscalc.complexes import (
+    SimplicialComplex,
+    barycentric_subdivide,
+    canonical_tuple,
+    sd_positions,
+)
+from lefscalc.errors import DegenerateInputError, NonSimplicialMapError
 from lefscalc.euler import ConstructibleFunction, euler_integral, pushforward_spec
 from lefscalc.exact import GaussianRational, RationalMatrix
 from lefscalc.homology import (
@@ -20,8 +26,6 @@ from lefscalc.homology import (
     _build_chain_map,
     betti,
     chain_complex,
-    chain_map_of,
-    compose_chain_maps,
     euler_characteristic,
     hopf_trace,
     homology_trace,
@@ -30,7 +34,6 @@ from lefscalc.homology import (
     relative_betti,
     relative_lefschetz_number,
     self_map_endomorphism,
-    subdivision_chain_map,
 )
 from lefscalc.maps import SelfMapSpec, SimplicialMap, compose, refine, subdivided_complex
 from lefscalc.verify import random_complex, random_self_map
@@ -106,8 +109,10 @@ def test_chain_map_functoriality():
     h = SimplicialMap.build(
         g.target, fx.point_complex(), {"a": "p", "b": "p"}
     )
-    composed = chain_map_of(compose(h, g))
-    stacked = compose_chain_maps(chain_map_of(h), chain_map_of(g))
+    composed = oracles.dense_chain_map_of(compose(h, g))
+    stacked = oracles.dense_compose(
+        oracles.dense_chain_map_of(h), oracles.dense_chain_map_of(g)
+    )
     for k in range(len(composed.source.bases)):
         assert composed.degree_matrix(k).rows == stacked.degree_matrix(k).rows
 
@@ -121,7 +126,7 @@ def test_subdivision_preserves_betti():
 
 def test_subdivision_chain_map_is_quasi_iso_on_edge():
     space = fx.interval_complex()
-    sd_map = subdivision_chain_map(space)
+    sd_map = oracles.dense_subdivision_chain_map(space)
     # the subdivided edge [a,b] maps to [(a,), m] - [(b,), m] style chains;
     # total degree-1 coefficient mass over the two halves is +-1 each
     m1 = sd_map.degree_matrix(1)
@@ -162,14 +167,41 @@ def test_refine_names_vertices_by_the_refined_complexes_own_objects(make):
     assert all(id(v) in targets for v in finer.vertex_map.values())
 
 
+def test_a_vertex_map_names_only_the_source_vertices():
+    hexagon = fx.hexagon()
+    vm = {**{v: v for v in hexagon.vertices}, "zz": "v0", ("v1",): "v1"}
+    refusal = re.escape("keys outside source: ['zz', ('v1',)]")
+    with pytest.raises(NonSimplicialMapError, match=refusal):
+        SimplicialMap.build(hexagon, hexagon, vm)
+    with pytest.raises(NonSimplicialMapError, match=refusal):
+        SelfMapSpec.build(hexagon, 0, vm)
+
+
+def test_a_non_simplicial_map_is_named_by_its_first_bad_simplex():
+    hexagon = fx.hexagon()
+    swap = {"v3": "v4", "v4": "v3"}  # breaks the edges v2v3 and v4v5
+    vm = {v: swap.get(v, v) for v in hexagon.vertices}
+    refusal = re.escape("simplex ('v2', 'v3') maps onto ('v2', 'v4'), not a simplex")
+    with pytest.raises(NonSimplicialMapError, match=refusal):
+        SimplicialMap.build(hexagon, hexagon, vm)
+
+
+def test_a_spec_is_keyed_by_the_towers_own_vertex_objects():
+    spec = fx.doubling_spec()
+    sources = {id(v) for v in spec.source_complex().vertices}
+    assert len(spec.vertex_map) == len(sources) == 12
+    assert all(id(v) in sources for v in spec.vertex_map)
+    assert spec.as_map().vertex_map is spec.vertex_map
+
+
 def test_trace_commutes_under_composition():
     # tr(AB) = tr(BA) realized by the two endomorphism factorizations
     spec = fx.doubling_spec()
     endo = self_map_endomorphism(spec)
-    sd_map = subdivision_chain_map(spec.base)
-    g_map = chain_map_of(spec.as_map())
-    ab = compose_chain_maps(g_map, sd_map)
-    ba = compose_chain_maps(sd_map, g_map)
+    sd_map = oracles.dense_subdivision_chain_map(spec.base)
+    g_map = oracles.dense_chain_map_of(spec.as_map())
+    ab = oracles.dense_compose(g_map, sd_map)
+    ba = oracles.dense_compose(sd_map, g_map)
     total_ab = sum(
         Fraction(-1) ** k * ab.degree_matrix(k).trace()
         for k in range(len(ab.source.bases))
@@ -206,13 +238,14 @@ def test_homology_trace_vanishes_in_empty_degree():
 # the sparse engine against the dense oracle
 
 
-def _carrier_map(rng, space, outer):
-    """A self-map at level 1: each barycenter goes to a vertex of its
-    simplex, then through the vertex map `outer` of the base."""
-    finer = subdivided_complex(space, 1)[0]
-    return SelfMapSpec.build(
-        space, 1, {w: outer[rng.choice(w)] for w in finer.vertices}
-    )
+def _carrier_map(rng, space, outer, level=1):
+    """A self-map at `level`: each vertex of sd^level goes to a vertex of
+    its carrier, then through the vertex map `outer` of the base."""
+    finer, carrier = subdivided_complex(space, level)
+    return SelfMapSpec.build(space, level, {
+        w: outer[rng.choice(canonical_tuple(carrier[frozenset([w])]))]
+        for w in finer.vertices
+    })
 
 
 def _polygon_map(rng, n):
@@ -233,13 +266,39 @@ def _polygon_map(rng, n):
     return SelfMapSpec.build(space, 1, vm)
 
 
+def _power_map(rng, n, level):
+    """z -> z^(2^level) on an n-gon with integer vertices, composed with
+    i -> s i + r: the vertex of sd^level at t = i + x, x of the way along
+    the edge from i to i + 1, goes to 2^level s t + r."""
+    space = SimplicialComplex.from_maximal([(i, (i + 1) % n) for i in range(n)])
+    s, r = rng.choice((1, -1)), rng.randrange(n)
+    positions = sd_positions(space)
+    vm = {}
+    for w in subdivided_complex(space, level)[0].vertices:
+        weights = positions[w]
+        i = next((v for v in weights if (v + 1) % n in weights), min(weights))
+        t = i + weights.get((i + 1) % n, 0)
+        vm[w] = int(2 ** level * s * t + r) % n
+    return SelfMapSpec.build(space, level, vm)
+
+
+def _triangle_carrier_map(rng, level):
+    """A carrier map of the closed triangle at `level`, relative to the
+    triangle's boundary, which every carrier map preserves."""
+    space = SimplicialComplex.from_maximal([("a", "b", "c")])
+    spec = _carrier_map(rng, space, {v: v for v in space.vertices}, level)
+    return spec, frozenset(s for s in space.simplices if len(s) < 3)
+
+
 def _vertex_orbit(spec, v) -> frozenset:
     """The cells {u} for u in the forward orbit of a base vertex v that
     the map sends to base vertices: an invariant subcomplex."""
     orbit = [v]
     while True:
         w = orbit[-1]
-        image = spec.vertex_map[(w,) if spec.level else w]
+        for _ in range(spec.level):
+            w = (w,)
+        image = spec.vertex_map[w]
         if image in orbit:
             return frozenset(frozenset([u]) for u in orbit)
         orbit.append(image)
@@ -249,7 +308,9 @@ def _oracle_cases():
     """Sixty seeded self-maps: random complexes and maps, level-1 carrier
     maps, automorphisms and carrier maps of S^2, and rotations,
     reflections and degree-2 maps of polygons; every second one relative
-    to an invariant subcomplex."""
+    to an invariant subcomplex.  Then deeper towers: z -> z^4 and z -> z^8
+    on polygons at levels 2 and 3, and a level-2 carrier map of a triangle
+    relative to its boundary."""
     rng = random.Random(20261017)
     sphere = fx.sphere2()
     for case in range(60):
@@ -277,6 +338,10 @@ def _oracle_cases():
         elif case % 2:
             dropped = _vertex_orbit(spec, rng.choice(spec.base.vertices))
         yield case, spec, dropped
+    for case, (n, level) in enumerate(((3, 2), (5, 2), (4, 2), (6, 2), (3, 3), (4, 3)), 60):
+        spec = _power_map(rng, n, level)
+        yield case, spec, _vertex_orbit(spec, rng.randrange(n)) if case % 2 else frozenset()
+    yield (66, *_triangle_carrier_map(rng, 2))
 
 
 @pytest.mark.parametrize("case, spec, dropped", list(_oracle_cases()))
@@ -285,25 +350,11 @@ def test_sparse_engine_agrees_with_dense_oracle(case, spec, dropped):
     dense_cc = oracles.dense_chain_complex(spec.base, dropped)
     assert betti(sparse_cc) == oracles.dense_betti(dense_cc)
     assert sparse_cc.bases == dense_cc.bases
-    pairs = [
-        (chain_map_of(spec.as_map()), oracles.dense_chain_map_of(spec.as_map())),
-        (
-            self_map_endomorphism(spec, relative_to=dropped or None),
-            oracles.dense_endomorphism(spec, dropped),
-        ),
-    ]
-    if spec.level:
-        pairs.append(
-            (
-                subdivision_chain_map(spec.base),
-                oracles.dense_subdivision_chain_map(spec.base),
-            )
-        )
-    for sparse, dense in pairs:
-        assert len(sparse.matrices) == len(dense.matrices)
-        for k in range(len(sparse.matrices)):
-            assert sparse.degree_matrix(k).rows == dense.degree_matrix(k).rows
-    endo, dense_endo = pairs[1]
+    endo = self_map_endomorphism(spec, relative_to=dropped or None)
+    dense_endo = oracles.dense_endomorphism(spec, dropped)
+    assert len(endo.matrices) == len(dense_endo.matrices)
+    for k in range(len(endo.matrices)):
+        assert endo.degree_matrix(k).rows == dense_endo.degree_matrix(k).rows
     assert hopf_trace(endo) == oracles.dense_hopf_trace(dense_endo)
     assert homology_traces(endo) == [
         oracles.dense_homology_trace(dense_endo, k)
@@ -326,7 +377,7 @@ def test_corrupted_sign_is_refused_by_the_commutation_check():
     endo = self_map_endomorphism(fx.doubling_spec())
     corrupted = _flip_one_sign(endo, 1)
     with pytest.raises(DegenerateInputError, match="fails to commute .* degree 1"):
-        _build_chain_map(endo.source, endo.target, corrupted)
+        _build_chain_map(endo.source, corrupted)
     dense = oracles.dense_endomorphism(fx.doubling_spec())
     flipped = [RationalMatrix(m.rows, m.ncols) for m in corrupted]
     with pytest.raises(DegenerateInputError, match="fails to commute"):
@@ -375,6 +426,23 @@ def test_each_subdivision_level_is_built_once(monkeypatch):
     spec = _level2_sphere_map()
     assert lefschetz_number(spec) == hopf_trace(spec) == 2
     assert sizes == [14, 74]
+
+
+def test_a_level_two_trace_builds_chains_of_the_base_only(monkeypatch):
+    built = []
+    build = homology._chain_complex
+
+    def counting(space, dropped):
+        built.append((space, dropped))
+        return build(space, dropped)
+
+    monkeypatch.setattr(homology, "_chain_complex", counting)
+    spec = _level2_sphere_map()
+    point = frozenset([frozenset([1])])
+    assert lefschetz_number(spec) == hopf_trace(spec) == 2
+    assert relative_lefschetz_number(spec, point) == 1
+    assert {space for space, _ in built} == {spec.base}
+    assert {dropped for _, dropped in built} == {frozenset(), point}
 
 
 def test_a_self_map_is_validated_once(monkeypatch):

@@ -39,7 +39,7 @@ PUBLIC_NAMES = [
     "pushforward_spec", "refine", "relative_betti",
     "relative_lefschetz_number", "restrict", "schubert_subset",
     "self_map_endomorphism", "signed_local_contribution", "star",
-    "subdivide_times", "validate",
+    "subdivided_complex", "validate",
 ]
 
 LOADED = """

@@ -10,7 +10,7 @@ import pytest
 import lefscalc.fixtures as fx
 import oracles
 from lefscalc import complexes
-from lefscalc.complexes import CellularSubset, TupleVertex, subdivide_times, vertex_key
+from lefscalc.complexes import CellularSubset, TupleVertex, subdivided_complex, vertex_key
 from lefscalc.errors import DegenerateInputError, ParseError
 from lefscalc.euler import ConstructibleFunction
 from lefscalc.exact import GaussianRational
@@ -65,7 +65,7 @@ def _tuples_within(v):
 
 
 def test_parsed_subdivision_vertices_are_one_object_each():
-    space = subdivide_times(fx.disk(), 2)[0]
+    space = subdivided_complex(fx.disk(), 2)[0]
     cells = sorted(space.simplices, key=complexes.cell_sort_key)
     phi = ConstructibleFunction.of(space, [(c, i + 1) for i, c in enumerate(cells)])
     ell = VertexFunctional.of(space, {v: i for i, v in enumerate(space.vertices)})
@@ -208,7 +208,7 @@ def test_problem_roundtrip_with_all_blocks():
 
 
 def test_functional_read_back_equals_the_one_written():
-    for space in (fx.hexagon(), subdivide_times(fx.disk(), 1)[0]):
+    for space in (fx.hexagon(), subdivided_complex(fx.disk(), 1)[0]):
         ell = VertexFunctional.of(
             space, {v: Fraction(i, 3) for i, v in enumerate(space.vertices)}
         )
