@@ -26,14 +26,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .errors import (
     CellSpaceUnsupportedError,
     DegenerateInputError,
     InvalidComplexError,
 )
-from .exact import RationalMatrix, parse_rational
+from .exact import parse_rational
 from .records import Value, set_field
 
 
@@ -314,43 +314,31 @@ class Violation(Value):
 def validate(space) -> list:
     """Structural diagnostics; empty list means the space is well formed.
 
-    Every face of an affinely independent simplex is independent, so the
-    rank test runs on the maximal simplices (those that are no codim-1 face
-    of another) and on every simplex only when one of them fails or a
-    vertex is unlisted; the violation list is the same either way.
+    The simplices are walked in no order.  Each simplex keeps its own
+    violations, and only the simplices that have one are sorted into cell
+    order at the end, so a valid complex is never sorted.  Every face of an
+    affinely independent simplex is independent, so the rank test runs on
+    the maximal simplices (those that are no codim-1 face of another) and
+    on every simplex only when one of them fails or a vertex is unlisted;
+    the violation list is the same either way.
     """
     if isinstance(space, CellSpace):
         return []  # construction already enforced the cell-space invariants
-    out = []
     simplices = space.simplices
     vset = set(space.vertices)
-    named = [(s, canonical_tuple(s)) for s in sorted(simplices, key=cell_sort_key)]
-    covered = set()  # codim-1 faces of listed simplices
+    flagged = {}  # simplex -> its violations
+    covered = set()  # codim-1 faces of listed simplices, for the rank test
+    ranked = space.coords is not None
     stray_seen = False
-    for s, ordered in named:
-        if not s:
-            out.append(Violation("empty-simplex", "the empty set is not a cell"))
-            continue
-        stray = [v for v in ordered if v not in vset]
-        if stray:
-            stray_seen = True
-            out.append(
-                Violation(
-                    "unknown-vertex",
-                    f"simplex {ordered} uses unlisted {stray}",
-                )
-            )
-        if len(s) > 1:
-            for i, v in enumerate(ordered):
-                face = s - {v}
-                covered.add(face)
-                if face not in simplices:
-                    out.append(
-                        Violation(
-                            "not-face-closed",
-                            f"face {ordered[:i] + ordered[i + 1:]} of {ordered} is missing",
-                        )
-                    )
+    for s in simplices:
+        faces = [s - {v} for v in s] if len(s) > 1 else ()
+        if ranked:
+            covered.update(faces)
+        stray = not vset.issuperset(s)
+        if stray or not simplices.issuperset(faces) or not s:
+            stray_seen |= stray
+            flagged[s] = _simplex_violations(s, simplices, vset)
+    out = [p for s in sorted(flagged, key=cell_sort_key) for p in flagged[s]]
     for v in space.vertices:
         if frozenset([v]) not in simplices:
             out.append(
@@ -371,31 +359,87 @@ def validate(space) -> list:
                 out.append(
                     Violation("ragged-coordinates", f"mixed lengths {sorted(lengths)}")
                 )
-            else:
-                maximal = [pair for pair in named if pair[0] not in covered]
-                if stray_seen or _degenerate(space, maximal, vset):
-                    out.extend(_degenerate(space, named, vset))
+            elif stray_seen or any(_degenerate(space, simplices - covered, vset)):
+                flat = sorted(_degenerate(space, simplices, vset), key=cell_sort_key)
+                out.extend(
+                    Violation(
+                        "affinely-dependent",
+                        f"simplex {canonical_tuple(s)} is degenerate",
+                    )
+                    for s in flat
+                )
     return out
 
 
-def _degenerate(space, named, listed) -> list:
-    """An affinely-dependent violation for each degenerate simplex of
-    `named`, a list of (simplex, canonical tuple) pairs.  A simplex with a
-    vertex outside `listed` has no coordinates to test and is skipped; its
-    unknown-vertex violation is already in the list."""
+def _simplex_violations(s, simplices, listed) -> list:
+    """The violations of one simplex: empty, unknown-vertex, then each
+    missing face, in canonical order."""
+    if not s:
+        return [Violation("empty-simplex", "the empty set is not a cell")]
     out = []
-    for _, ordered in named:
-        if not listed.issuperset(ordered):
-            continue
-        pts = [space.coord_of(v) for v in ordered]
-        if len(pts) < 2 or any(p is None for p in pts):
-            continue
-        rows = [[b - a for a, b in zip(pts[0], p)] for p in pts[1:]]
-        if RationalMatrix(tuple(map(tuple, rows))).rank() < len(rows):
-            out.append(
-                Violation("affinely-dependent", f"simplex {ordered} is degenerate")
-            )
+    ordered = canonical_tuple(s)
+    stray = [v for v in ordered if v not in listed]
+    if stray:
+        out.append(
+            Violation("unknown-vertex", f"simplex {ordered} uses unlisted {stray}")
+        )
+    if len(s) > 1:
+        for i, v in enumerate(ordered):
+            if s - {v} not in simplices:
+                out.append(
+                    Violation(
+                        "not-face-closed",
+                        f"face {ordered[:i] + ordered[i + 1:]} of {ordered} is missing",
+                    )
+                )
     return out
+
+
+def _degenerate(space, cells, listed):
+    """The affinely dependent simplices among `cells`, in no order.  A
+    simplex with a vertex outside `listed` has no coordinates to test and
+    is skipped; its unknown-vertex violation is already in the list.
+
+    Each axis of a simplex is scaled to integers by the lcm of the
+    simplex's own denominators on it; a positive diagonal scaling keeps
+    the affine rank.  One scale per axis for the whole complex would carry
+    every denominator of the complex into every row."""
+    coords = dict(zip(space.vertices, space.coords))
+    for s in cells:
+        if len(s) < 2 or not listed.issuperset(s):
+            continue
+        points = [coords[v] for v in s]
+        scales = [lcm(*[x.denominator for x in axis]) for axis in zip(*points)]
+        origin, *others = [
+            [x.numerator * (m // x.denominator) for x, m in zip(p, scales)]
+            for p in points
+        ]
+        rows = [[b - a for a, b in zip(origin, p)] for p in others]
+        if not _full_row_rank(rows):
+            yield s
+
+
+def _full_row_rank(rows: list) -> bool:
+    """Whether integer rows are linearly independent, by fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968); consumes `rows`.  Each
+    step pivots on the first nonzero entry of the last remaining row, and
+    every division is exact.  A remaining row is a nonzero multiple of its
+    original row plus a combination of the pivot rows, so it is zero
+    exactly when its original row depends on theirs."""
+    previous = 1
+    while rows:
+        pivot_row = rows.pop()
+        j = next((j for j, x in enumerate(pivot_row) if x), None)
+        if j is None:
+            return False
+        pivot = pivot_row[j]
+        rows = [
+            [(pivot * a - c * b) // previous for a, b in zip(row, pivot_row)]
+            for row in rows
+            for c in (row[j],)
+        ]
+        previous = pivot
+    return True
 
 
 def require_valid(space) -> None:

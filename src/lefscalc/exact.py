@@ -65,16 +65,15 @@ class GaussianRational(Value):
         return self.re, self.im
 
     @staticmethod
-    def of(value) -> "GaussianRational":
+    def of(value, parse=parse_rational) -> "GaussianRational":
+        """`value` as a Gaussian rational; `parse` reads each rational part."""
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, dict):
             if not set(value) <= {"re", "im"}:
                 raise ParseError(f"a Gaussian value has keys 're', 'im': {value!r}")
-            return GaussianRational(
-                parse_rational(value.get("re", 0)), parse_rational(value.get("im", 0))
-            )
-        return GaussianRational(parse_rational(value))
+            return GaussianRational(parse(value.get("re", 0)), parse(value.get("im", 0)))
+        return GaussianRational(parse(value))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         other = GaussianRational.of(other)
@@ -114,10 +113,10 @@ class GaussianRational(Value):
         return f"{format_rational(self.re)}{sign}{imag}"
 
 
-def parse_gaussian(x) -> GaussianRational:
+def parse_gaussian(x, parse=parse_rational) -> GaussianRational:
     """GaussianRational.of, with every refusal as a ParseError."""
     try:
-        return GaussianRational.of(x)
+        return GaussianRational.of(x, parse)
     except (ParseError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid value {x!r}: {exc}") from exc
 

@@ -53,7 +53,7 @@ from .exact import (
     has_nonneg_solution,
     signed_sum,
 )
-from .homology import lefschetz_number, project_endomorphism, self_map_endomorphism
+from .homology import lefschetz_number, project_endomorphism
 from .maps import SelfMapSpec
 from .records import Record, Value, set_field
 
@@ -380,7 +380,7 @@ def _global_trace(p: TracedProblem) -> Fraction:
     sd^level(base) that Z carries."""
     spec = p.spec
     if p.support is None or p.support.members == spec.base.simplices:
-        return lefschetz_number(self_map_endomorphism(spec))
+        return lefschetz_number(spec.endomorphism)
     support = p.support.members
     closed = closure(p.support).members
     boundary = closed - support
@@ -396,8 +396,7 @@ def _global_trace(p: TracedProblem) -> Fraction:
             "support boundary is not map-invariant; the relative trace "
             "is undefined"
         )
-    endo = self_map_endomorphism(spec)
-    return lefschetz_number(project_endomorphism(endo, support))
+    return lefschetz_number(project_endomorphism(spec.endomorphism, support))
 
 
 def localization_report(p: TracedProblem) -> dict:

@@ -305,12 +305,21 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
     The column of a base simplex sums, over the cells tau of the fundamental
     chain of its subdivision, tau's sign times map_*(tau): zero when the
     image collapses, else the image simplex signed by the reordering of its
-    vertices into canonical form.  With `relative_to` the endomorphism is
-    projected onto the quotient by an invariant subcomplex; invariance is
-    checked geometrically via the carrier, not by looking for accidental
-    cancellation.
+    vertices into canonical form.  Callers read it as `spec.endomorphism`,
+    which calls this once per spec.  With `relative_to`, the spec's own
+    endomorphism is projected onto the quotient by an invariant subcomplex;
+    invariance is checked geometrically via the carrier, not by looking for
+    accidental cancellation.  A relative endomorphism is not kept.
     """
     base = spec.base
+    if relative_to is not None:
+        endo = spec.endomorphism
+        dropped = _normalize_subcomplex(base, relative_to)
+        if not spec.preserves_subcomplex(dropped):
+            raise DegenerateInputError(
+                "the dropped subcomplex is not invariant under the map"
+            )
+        return project_endomorphism(endo, base.simplices - dropped)
     cc = chain_complex(base)
     require_valid(spec.source_complex())
     vertex_map, carrier = spec.as_map().vertex_map, spec.carrier()
@@ -323,18 +332,10 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
         sign *= (-1) ** sum(a > b for a, b in combinations(keys, 2))
         row = cc.index[len(tau) - 1][frozenset(images)]
         _add_multiple(columns[carrier[tau]], sign, {row: 1})
-    endo = _build_chain_map(cc, [
+    return _build_chain_map(cc, [
         SparseMatrix(len(basis), len(basis), tuple(columns[s] for s in basis))
         for basis in cc.bases
     ])
-    if relative_to is None:
-        return endo
-    dropped = _normalize_subcomplex(base, relative_to)
-    if not spec.preserves_subcomplex(dropped):
-        raise DegenerateInputError(
-            "the dropped subcomplex is not invariant under the map"
-        )
-    return project_endomorphism(endo, base.simplices - dropped)
 
 
 def project_endomorphism(endo: ChainMapQ, cells) -> ChainMapQ:
@@ -356,7 +357,7 @@ def project_endomorphism(endo: ChainMapQ, cells) -> ChainMapQ:
 
 
 def _as_endomorphism(target) -> ChainMapQ:
-    endo = target if isinstance(target, ChainMapQ) else self_map_endomorphism(target)
+    endo = target if isinstance(target, ChainMapQ) else target.endomorphism
     if not endo.is_endomorphism():
         raise DegenerateInputError("a chain self-map is required here")
     return endo

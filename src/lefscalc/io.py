@@ -71,12 +71,18 @@ def vertex_to_json(v):
 
 def vertex_from_json(x, table=None):
     """An int, a string, or a tuple read from an array.  A parse passes one
-    dict `table`, so each distinct tuple it reads is one TupleVertex."""
+    dict `table`, keyed by each array's text, so each distinct array it
+    reads is read once, into one TupleVertex.  The text of a decoded JSON
+    value tells its types apart, so two arrays share it only when they
+    name the same vertex."""
     if isinstance(x, list):
-        v = tuple([vertex_from_json(y, table) for y in x])
-        if table is not None and v not in table:
-            table[v] = TupleVertex(v)
-        return v if table is None else table[v]
+        if table is None:
+            return tuple([vertex_from_json(y) for y in x])
+        text = repr(x)
+        v = table.get(text)
+        if v is None:
+            v = table[text] = TupleVertex([vertex_from_json(y, table) for y in x])
+        return v
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ParseError(f"invalid vertex {x!r}")
     return x
@@ -96,18 +102,32 @@ def _array(x, what: str, pairs: bool = False) -> list:
     return x
 
 
-def _rational_rows(raw, what: str) -> tuple:
+class _Literals(dict):
+    """One parse's table of rational literals: each distinct string is
+    parsed once.  It is kept apart from the vertex table, whose keys are
+    array texts."""
+
+    def __missing__(self, text):
+        self[text] = value = parse_rational(text)
+        return value
+
+    def rational(self, x):
+        """parse_rational, through the table when `x` is a string."""
+        return self[x] if isinstance(x, str) else parse_rational(x)
+
+
+def _rational_rows(raw, what: str, literals: _Literals) -> tuple:
     """An array of arrays of rationals: `complex.coords` or a normal matrix."""
     return tuple(
-        tuple(map(parse_rational, _array(row, f"each row of {what}")))
+        tuple(map(literals.rational, _array(row, f"each row of {what}")))
         for row in _array(raw, what)
     )
 
 
-def _vertex_table(raw, known, what: str, role: str = "vertex") -> dict:
+def _vertex_table(raw, known, what: str, role: str = "vertex", table=None) -> dict:
     """{vertex: JSON value} of an object keyed by vertex name or a list of
     [vertex, value] pairs.  Each vertex is one of `known`, comes back as
-    that object, and is named once."""
+    that object, and is named once; `table` is the parse's vertex table."""
     if not isinstance(raw, (dict, list)):
         raise ParseError(f"{what} must be an object or a pair list")
     index = {v: v for v in known}
@@ -116,7 +136,7 @@ def _vertex_table(raw, known, what: str, role: str = "vertex") -> dict:
     for name, value in entries:
         try:  # an object key names a string vertex or else an integer one
             v = index.get(
-                vertex_from_json(name) if isinstance(raw, list)
+                vertex_from_json(name, table) if isinstance(raw, list)
                 else name if name in index else int(name)
             )
         except ValueError:
@@ -155,7 +175,9 @@ def _check_keys(block, allowed, where):
         raise ParseError(f"unknown keys {extra} in {where}")
 
 
-def parse_complex_block(block, table=None) -> SimplicialComplex:
+def parse_complex_block(block, table=None, literals=None) -> SimplicialComplex:
+    """The complex of a `complex` block; `table` and `literals` are the
+    parse's vertex and literal tables."""
     _check_keys(block, {"vertices", "coords", "simplices"}, "complex")
     try:
         vertices = [
@@ -170,7 +192,8 @@ def parse_complex_block(block, table=None) -> SimplicialComplex:
         raise ParseError(f"malformed complex block: {exc}") from exc
     coords = block.get("coords")
     if coords is not None:
-        coords = _rational_rows(coords, "complex.coords")
+        literals = _Literals() if literals is None else literals
+        coords = _rational_rows(coords, "complex.coords", literals)
         if len(coords) != len(vertices):
             raise ParseError("coords must align with the vertex list")
     space = SimplicialComplex.build(tuple(vertices), simplices, coords)
@@ -313,7 +336,7 @@ class Problem(Record):
         )
 
 
-def _cell_values(data, key: str, space, table) -> dict:
+def _cell_values(data, key: str, space, table, literals) -> dict:
     """The {cell: value} table of a list of [cell, value] pairs under
     `key`; a cell named twice is refused, not overwritten."""
     values = {}
@@ -323,7 +346,7 @@ def _cell_values(data, key: str, space, table) -> dict:
             raise ParseError(
                 f"{key} name cell {_cell_ref_to_json(cell, space)!r} twice"
             )
-        values[cell] = parse_gaussian(value)
+        values[cell] = parse_gaussian(value, literals.rational)
     return values
 
 
@@ -340,8 +363,9 @@ def parse_problem(data) -> Problem:
     if has_complex == has_cells:
         raise ParseError("exactly one of 'complex' or 'cells' is required")
     table = {}  # this parse's tuple vertices, one object each
+    literals = _Literals()
     if has_complex:
-        space = parse_complex_block(data["complex"], table)
+        space = parse_complex_block(data["complex"], table, literals)
     else:
         space = parse_cells_block(data["cells"])
 
@@ -369,7 +393,7 @@ def parse_problem(data) -> Problem:
                 raise ParseError(
                     "a map with a separate target cannot be subdivided"
                 )
-            target = parse_complex_block(block["target"], table)
+            target = parse_complex_block(block["target"], table, literals)
             vm = _parse_vertex_map(block["vertex_map"], space, 0, target.vertices)
             push_map = SimplicialMap.build(space, target, vm)
         else:
@@ -378,14 +402,14 @@ def parse_problem(data) -> Problem:
 
     phi = support = traces = normal = ell = None
     if "values" in data:
-        values = _cell_values(data, "values", space, table)
+        values = _cell_values(data, "values", space, table, literals)
         phi = ConstructibleFunction.of(space, values)
     if "support" in data:
         refs = _array(data["support"], "support")
         cells = {_cell_ref_from_json(x, space, table) for x in refs}
         support = CellularSubset.of(space, cells)
     if "traces" in data:
-        traces = _cell_values(data, "traces", space, table)
+        traces = _cell_values(data, "traces", space, table, literals)
     if "normal_data" in data:
         from .fixedpoint import NormalData
 
@@ -404,7 +428,7 @@ def parse_problem(data) -> Problem:
                     f"component {index}"
                 )
             keys[index] = key
-            rows = _rational_rows(rows, f"normal_data[{key!r}]")
+            rows = _rational_rows(rows, f"normal_data[{key!r}]", literals)
             matrices[index] = RationalMatrix(rows)
         normal = NormalData.of(matrices)
     if "ell" in data:
@@ -412,9 +436,11 @@ def parse_problem(data) -> Problem:
 
         if not isinstance(space, SimplicialComplex):
             raise ParseError("a functional needs a simplicial complex")
-        entries = _vertex_table(data["ell"], space.vertices, "ell")
+        entries = _vertex_table(data["ell"], space.vertices, "ell", table=table)
         try:
-            ell = VertexFunctional.of(space, entries)
+            ell = VertexFunctional.of(
+                space, {v: literals.rational(x) for v, x in entries.items()}
+            )
         except (ParseError, DegenerateInputError) as exc:
             raise ParseError(f"bad functional: {exc}") from exc
 

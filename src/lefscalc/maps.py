@@ -4,7 +4,7 @@ A simplicial self-map that genuinely moves points often cannot be written
 on the original vertices, so a self-map is specified on the n-fold
 barycentric subdivision: a vertex map sd^n(K) -> K whose induced affine map
 realizes the intended geometric map.  All traces downstream are taken of
-the chain endomorphism (map_* o sd^n_*).
+the chain endomorphism (map_* o sd^n_*), which a spec builds once and keeps.
 """
 
 from __future__ import annotations
@@ -125,6 +125,22 @@ class SelfMapSpec(Record):
 
     def as_map(self) -> SimplicialMap:
         return self._map
+
+    @property
+    def endomorphism(self):
+        """The chain endomorphism (map_* o sd^level_*) on C_*(base).  The
+        spec builds it once, by homology.self_map_endomorphism, and keeps
+        it while it is an endomorphism of the chain complex that homology
+        holds for the base; one that homology has let go of and built
+        again is not kept alive by the spec."""
+        from . import homology
+
+        cc = homology.chain_complex(self.base)
+        endo = self.__dict__.get("_endomorphism")
+        if endo is None or endo.source is not cc:
+            endo = homology.self_map_endomorphism(self)
+            set_field(self, "_endomorphism", endo)
+        return endo
 
     def preserves_subcomplex(self, cells: frozenset) -> bool:
         """True when every subdivision simplex carried by `cells` maps into

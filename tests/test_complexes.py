@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -39,7 +40,7 @@ from lefscalc.complexes import (
 )
 from lefscalc.errors import DegenerateInputError, InvalidComplexError, LefscalcError
 from lefscalc.euler import ConstructibleFunction, chi_c, euler_integral, restrict
-from lefscalc.exact import GaussianRational
+from lefscalc.exact import GaussianRational, RationalMatrix
 from lefscalc.flags import flag_cellspace
 from lefscalc.io import vertex_to_json
 
@@ -654,3 +655,137 @@ def test_validate_names_each_degenerate_simplex():
     assert [v.detail for v in validate(CRAFTED["collinear triangle"]())] == [
         "simplex ('a', 'b', 'c') is degenerate"
     ]
+
+
+# ---------------------------------------------------------------------------
+# the integer rank test and the unsorted walk
+
+
+def _seeded_points(rng, count: int, axes: int) -> list:
+    """Points with mixed denominators up to 10**6; some repeat an earlier
+    point and some lie on the line through two earlier ones."""
+    def coordinate():
+        den = rng.choice((1, 2, 3, 10**6, rng.randint(1, 10**6)))
+        return Fraction(rng.randint(-10**6, 10**6), den)
+
+    points = []
+    for _ in range(count):
+        roll = rng.random()
+        if points and roll < 0.2:
+            points.append(rng.choice(points))
+        elif len(points) >= 2 and roll < 0.4:
+            p, q = rng.sample(points, 2)
+            t = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            points.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+        else:
+            points.append(tuple(coordinate() for _ in range(axes)))
+    return points
+
+
+def test_integer_rank_test_agrees_with_rational_rank(monkeypatch):
+    verdicts = set()
+    for seed in range(300):
+        rng = random.Random(f"rank:{seed}")
+        axes = rng.choice((0, 1, 2, 3, 4))
+        points = _seeded_points(rng, rng.randint(2, 5), axes)
+        names = [f"p{i}" for i in range(len(points))]
+        space = SimplicialComplex.from_maximal([names], dict(zip(names, points)))
+        rows = tuple(tuple(b - a for a, b in zip(points[0], p)) for p in points[1:])
+        independent = RationalMatrix(rows, axes).rank() == len(rows)
+        integer_rows = [  # each row scaled by the lcm of its own denominators
+            [x.numerator * (m // x.denominator) for x in row]
+            for row in rows
+            for m in (lcm(*(x.denominator for x in row)),)
+        ]
+        assert complexes._full_row_rank(integer_rows) == independent
+        simplex = frozenset(names)
+        flat = list(complexes._degenerate(space, [simplex], set(names)))
+        assert flat == ([] if independent else [simplex])
+        kind, result = assert_validates_like_oracle(space, monkeypatch)
+        assert kind == "returned" and bool(result) == (not independent)
+        verdicts.add((axes > 0, independent))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def _malformed_sd2(rng, defects) -> SimplicialComplex:
+    """sd^2(disk) with seeded defects: a dropped edge, a triangle flattened
+    by moving a vertex to the midpoint of the opposite edge, and a vertex
+    left out of the vertex list."""
+    space = subdivided_complex(fx.disk(), 2)[0]
+    cells = sorted(space.simplices, key=cell_sort_key)
+    simplices = set(cells)
+    coords = dict(zip(space.vertices, space.coords))
+    listed = list(space.vertices)
+    if "dropped face" in defects:
+        simplices.discard(rng.choice([s for s in cells if len(s) == 2]))
+    if "flattened simplex" in defects:
+        a, b, c = canonical_tuple(rng.choice([s for s in cells if len(s) == 3]))
+        coords[c] = tuple((x + y) / 2 for x, y in zip(coords[a], coords[b]))
+    if "unlisted vertex" in defects:
+        listed.remove(rng.choice(listed))
+    return SimplicialComplex.build(tuple(listed), simplices, [coords[v] for v in listed])
+
+
+SD2_DEFECTS = ("dropped face", "flattened simplex", "unlisted vertex")
+
+
+@pytest.mark.parametrize(
+    "defects", [(d,) for d in SD2_DEFECTS] + [SD2_DEFECTS], ids=" + ".join
+)
+def test_validate_matches_oracle_on_a_malformed_sd2_complex(defects, monkeypatch):
+    space = _malformed_sd2(random.Random(f"sd2:{defects}"), defects)
+    kind, result = assert_validates_like_oracle(space, monkeypatch)
+    assert kind == "returned"
+    kinds = {v.kind for v in result}
+    expected = {
+        "dropped face": "not-face-closed",
+        "flattened simplex": "affinely-dependent",
+        "unlisted vertex": "unknown-vertex",
+    }
+    assert {expected[d] for d in defects} <= kinds
+
+
+def test_validating_a_valid_complex_names_no_simplex_and_builds_no_matrix(monkeypatch):
+    named, matrices = [], []
+    build = RationalMatrix.__init__
+
+    def counting_init(self, *args):
+        matrices.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(
+        complexes, "canonical_tuple", lambda s: named.append(s) or canonical_tuple(s)
+    )
+    monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
+    space = subdivided_complex(fx.disk(), 2)[0]
+    assert len(space.simplices) == 673
+    assert validate(_unvalidated_copy(space)) == []
+    assert named == [] and matrices == []
+    # the counters do see a complex with a violation
+    assert validate(CRAFTED["missing face"]())
+    assert named
+
+
+def test_the_rank_test_scales_each_simplex_by_its_own_denominators(monkeypatch):
+    """With a distinct prime denominator per vertex, one scale per axis for
+    the whole complex would carry every prime; a simplex's own scales carry
+    only its three vertices' primes."""
+    primes = [p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    names = [f"v{i}" for i in range(200)]
+    points = {
+        v: (Fraction(i + 1, primes[i]), Fraction(i * i + 1, primes[i + 1]))
+        for i, v in enumerate(names)
+    }
+    space = SimplicialComplex.from_maximal(
+        [names[i:i + 3] for i in range(len(names) - 2)], points
+    )
+    widths = []
+    check = complexes._full_row_rank
+
+    def recording(rows):
+        widths.append(max(abs(x).bit_length() for row in rows for x in row))
+        return check(rows)
+
+    monkeypatch.setattr(complexes, "_full_row_rank", recording)
+    assert validate(_unvalidated_copy(space)) == oracles.validate_all_simplices(space)
+    assert widths and max(widths) < 100

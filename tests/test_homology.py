@@ -1,5 +1,7 @@
 """Chain complexes, homology traces, and subdivision invariance."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -461,3 +463,81 @@ def test_a_self_map_is_validated_once(monkeypatch):
     pushed = pushforward_spec(spec, ConstructibleFunction.indicator(spec.base))
     assert euler_integral(pushed) == GaussianRational.of(2)
     assert len(sources) == 1 and sources[0] is spec.source_complex()
+
+
+# ---------------------------------------------------------------------------
+# one endomorphism per spec
+
+
+def _counting_endomorphisms(monkeypatch) -> list:
+    """Patch homology.self_map_endomorphism to record each spec it builds
+    an absolute endomorphism for."""
+    built = []
+    build = homology.self_map_endomorphism
+
+    def counting(spec, relative_to=None):
+        if relative_to is None:
+            built.append(spec)
+        return build(spec, relative_to)
+
+    monkeypatch.setattr(homology, "self_map_endomorphism", counting)
+    return built
+
+
+def test_a_spec_builds_its_endomorphism_once(monkeypatch):
+    from lefscalc.fixedpoint import localization_report
+
+    built = _counting_endomorphisms(monkeypatch)
+    problem = fx.doubling_problem()
+    spec = problem.spec
+    assert lefschetz_number(spec) == hopf_trace(spec) == -1
+    assert homology_traces(spec) == [1, 2]
+    assert localization_report(problem)["equal"]
+    assert built == [spec]
+    assert spec.endomorphism.source is chain_complex(spec.base)
+
+
+def test_a_relative_endomorphism_is_not_kept_for_absolute_callers(monkeypatch):
+    built = _counting_endomorphisms(monkeypatch)
+    spec = _level2_sphere_map()
+    point = frozenset([frozenset([1])])
+    assert relative_lefschetz_number(spec, point) == 1
+    assert spec.endomorphism.source.dropped == frozenset()
+    assert lefschetz_number(spec) == hopf_trace(spec) == 2
+    assert relative_lefschetz_number(spec, point) == 1
+    relative = self_map_endomorphism(spec, relative_to=point)
+    assert relative is not spec.endomorphism
+    assert relative.source.dropped == point
+    assert built == [spec]
+
+
+def test_equal_specs_build_their_own_endomorphisms(monkeypatch):
+    built = _counting_endomorphisms(monkeypatch)
+    first, second = fx.doubling_spec(), fx.doubling_spec()
+    assert first == second and first is not second
+    assert lefschetz_number(first) == lefschetz_number(second) == -1
+    assert hopf_trace(first) == hopf_trace(second) == -1
+    assert len(built) == 2 and built[0] is first and built[1] is second
+
+
+def test_a_spec_rebuilds_when_homology_lets_its_chain_complex_go(monkeypatch):
+    built = _counting_endomorphisms(monkeypatch)
+    spec = fx.doubling_spec()
+    kept = spec.endomorphism
+    homology._chain_complex.cache_clear()
+    assert lefschetz_number(spec) == -1
+    assert spec.endomorphism is not kept
+    assert spec.endomorphism.source is chain_complex(spec.base)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))])
+def test_a_copied_spec_gives_the_same_traces(roundtrip):
+    for spec in (fx.doubling_spec(), _level2_sphere_map()):
+        expected = (homology_traces(spec), hopf_trace(spec))
+        twin = roundtrip(spec)
+        assert twin == spec
+        assert (homology_traces(twin), hopf_trace(twin)) == expected
+        fresh = roundtrip(fx.doubling_spec())
+        assert lefschetz_number(fresh) == -1

@@ -9,11 +9,11 @@ import pytest
 
 import lefscalc.fixtures as fx
 import oracles
-from lefscalc import complexes
+from lefscalc import complexes, io
 from lefscalc.complexes import CellularSubset, TupleVertex, subdivided_complex, vertex_key
 from lefscalc.errors import DegenerateInputError, ParseError
 from lefscalc.euler import ConstructibleFunction
-from lefscalc.exact import GaussianRational
+from lefscalc.exact import GaussianRational, parse_gaussian
 from lefscalc.fixedpoint import NormalData, TracedProblem
 from lefscalc.io import (
     SCHEMA,
@@ -120,6 +120,62 @@ def test_one_parse_reads_each_vertex_once_with_its_own_types():
     assert [problem.ell(v) for v in (one, text_one, pair)] == [0, 1, 2]
     for vertex in problem.space.vertices:
         assert vertex_key(vertex) == oracles.vertex_key_recursive(vertex)
+
+
+def test_one_parse_reads_each_array_and_each_literal_once(monkeypatch):
+    space = subdivided_complex(fx.disk(), 2)[0]
+    cells = sorted(space.simplices, key=complexes.cell_sort_key)
+    literals = [Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(4)]
+    phi = ConstructibleFunction.of(
+        space, [(c, literals[i % 4]) for i, c in enumerate(cells)]
+    )
+    text = dumps(problem_to_json(space, phi=phi))
+    parsed, arrays = [], []
+    read = io.parse_rational
+
+    def counting(x):
+        parsed.append(x)
+        return read(x)
+
+    monkeypatch.setattr(io, "parse_rational", counting)
+    problem = loads(text)
+    strings = [x for x in parsed if isinstance(x, str)]
+    assert len(strings) == len(set(strings))  # each literal string parsed once
+    assert {"1/3", "-2", "5/7", "4", "0"} <= set(strings)
+    values = [problem.phi.values[c] for c in cells]
+    assert values == [g(literals[i % 4]) for i in range(len(cells))]
+    assert values[0].re is values[4].re and values[1].im is values[2].im
+    assert problem.space == space
+    # the vertex table is keyed by array text, one entry per distinct array
+    table = {}
+    for raw in (["a"], [["a"], ["a", "b"]], ["a"], [1], ["1"]):
+        arrays.append(vertex_from_json(raw, table))
+    assert arrays[0] is arrays[2] is arrays[1][0]
+    assert arrays[3] != arrays[4]
+    assert sorted(table) == sorted(map(repr, (["a"], ["a", "b"], [["a"], ["a", "b"]], [1], ["1"])))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"re": "1/0"}, {"re": 1.5}, {"im": True}, {"re": "1", "x": "2"}, "abc",
+     1.5, None, ["1"], "1e999999", {"re": "x" * 5000}],
+)
+def test_values_read_through_the_literal_table_keep_their_refusals(raw):
+    expected = _refusal(lambda: parse_gaussian(raw))
+    assert expected is not None
+    data = minimal()
+    data["values"] = [[["a"], raw]]
+    assert _refusal(lambda: parse_problem(data)) == expected
+    data["values"] = [[["a"], "1/2"], [["b"], raw]]
+    assert _refusal(lambda: parse_problem(data)) == expected
+
+
+def _refusal(attempt):
+    try:
+        attempt()
+    except ParseError as exc:
+        return str(exc)
+    return None
 
 
 @pytest.mark.parametrize(
