@@ -506,33 +506,50 @@ def count_real_roots_geq(p: RationalPolynomial, c) -> int:
 def has_nonneg_solution(rows: list, rhs: list) -> bool:
     """Exact feasibility of {A t = b, t >= 0} over the rationals.
 
-    A sign presolve settles most systems without pivoting.  It repeats
-    until nothing changes: a row with b = 0 whose live entries all have
-    one sign forces t_j = 0 on its nonzero columns, which are dropped; a
-    row with b > 0 and no positive live entry, or b < 0 and no negative
-    one, is a Farkas certificate of infeasibility.  Dropped columns are
-    zero in every solution, so the verdict is unchanged.  What survives
-    goes to a phase-1 simplex under Bland's rule, which terminates;
-    everything stays in Fraction so the verdict is exact.  Entries and
-    right-hand sides are ints or Fractions; they are not parsed again.
+    The sign presolve (`_sign_presolve`) settles most systems without
+    pivoting.  What survives goes to a phase-1 simplex under Bland's rule,
+    which terminates; everything stays in Fraction so the verdict is exact.
+    Entries and right-hand sides are ints or Fractions; they are not parsed
+    again.
     """
     if not rows:
         return True
+    live = _sign_presolve(
+        [[_sign(x) for x in row] for row in rows], [_sign(b) for b in rhs]
+    )
+    if live is None:
+        return False
+    if not live:
+        return all(b == 0 for b in rhs)
+    return _phase1([[row[j] for j in live] for row in rows], rhs)
+
+
+def _sign_presolve(rows: list, rhs: list):
+    """The sign part of {A t = b, t >= 0}, on the signs (-1, 0, 1) of A's
+    rows and of b: None when a row is a Farkas certificate of
+    infeasibility, otherwise the indices of the columns left live.
+
+    It repeats until nothing changes: a row with b = 0 whose live entries
+    all have one sign forces t_j = 0 on its nonzero columns, which are
+    dropped; a row with b > 0 and no positive live entry, or b < 0 and no
+    negative one, is a certificate.  Dropped columns are zero in every
+    solution, so the verdict is unchanged.  Dropping only shrinks the live
+    set and a row stays one-signed or a certificate as it shrinks, so the
+    result does not depend on the order of the rows.
+    """
     live = range(len(rows[0]))
     changed = True
     while changed:
         changed = False
         for row, b in zip(rows, rhs):
-            pos = any(row[j] > 0 for j in live)
-            neg = any(row[j] < 0 for j in live)
+            seen = {row[j] for j in live}
+            pos, neg = 1 in seen, -1 in seen
             if (b > 0 and not pos) or (b < 0 and not neg):
-                return False
+                return None
             if b == 0 and pos != neg:
                 live = [j for j in live if row[j] == 0]
                 changed = True
-    if not live:
-        return all(b == 0 for b in rhs)
-    return _phase1([[row[j] for j in live] for row in rows], rhs)
+    return live
 
 
 def _phase1(rows: list, rhs: list) -> bool:

@@ -45,12 +45,12 @@ from .errors import (
     NotLocalizableError,
 )
 from .euler import ConstructibleFunction, euler_integral, restrict
+from . import exact
 from .exact import (
     GaussianRational,
     RationalMatrix,
     RationalPolynomial,
     count_real_roots_geq,
-    has_nonneg_solution,
     signed_sum,
 )
 from .homology import lefschetz_number, project_endomorphism
@@ -223,20 +223,35 @@ def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
 
     The polytope asks for weights t >= 0 on the simplex's vertices, summing
     to 1 over the moved ones, whose combination of displacements (position
-    minus image, one row per base coordinate) is zero.  Most simplices are
-    settled by the LP kernel's sign presolve: a coordinate in which every
-    moved vertex is displaced the same way already separates them."""
+    minus image, one row per base coordinate) is zero.  The signs of those
+    rows follow from the carrier alone: a subdivision vertex's position is
+    positive exactly on the vertices of its carrier, and at most 1 at its
+    image.  The LP kernel's sign presolve on them settles most simplices
+    (a coordinate in which every moved vertex is displaced the same way
+    already separates them); only the simplices it leaves open get their
+    exact rows, and are solved in cell order."""
     source = spec.source_complex()
     carrier = spec.carrier()
+    signs = {}  # moved vertex -> signs of its displacement, by coordinate
+    for w in source.vertices:
+        if w not in fixed:
+            signs[w] = column = dict.fromkeys(carrier[frozenset([w])], 1)
+            column[spec.vertex_map[w]] = -1
+    faces = {s - {v} for s in source.simplices if len(s) > 1 for v in s}
+    undecided = []
+    for tau in source.simplices - faces:
+        columns = [signs[w] for w in tau if w in signs]
+        if not columns:
+            continue
+        coords = set().union(*columns)
+        rows = [[column.get(u, 0) for column in columns] for u in coords]
+        rows.append([1] * len(columns))
+        if exact._sign_presolve(rows, [0] * len(coords) + [1]) is not None:
+            undecided.append(tau)
     positions = sd_positions(spec.base)
     zero = Fraction(0)
-    faces = {s - {v} for s in source.simplices if len(s) > 1 for v in s}
-    maximal = source.simplices - faces
-    for tau in sorted(maximal, key=cell_sort_key):
+    for tau in sorted(undecided, key=cell_sort_key):
         ws = canonical_tuple(tau)
-        free = [i for i, w in enumerate(ws) if w not in fixed]
-        if not free:
-            continue
         displacement = []  # position minus image, one column per vertex
         for w in ws:
             column = dict(positions[w])
@@ -245,11 +260,9 @@ def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
             displacement.append(column)
         coords = sorted(set().union(*displacement), key=vertex_key)
         rows = [[column.get(u, zero) for column in displacement] for u in coords]
-        rows.append(
-            [Fraction(1 if i in free else 0) for i in range(len(ws))]
-        )
+        rows.append([Fraction(0 if w in fixed else 1) for w in ws])
         rhs = [zero] * len(coords) + [Fraction(1)]
-        if has_nonneg_solution(rows, rhs):
+        if exact.has_nonneg_solution(rows, rhs):
             raise FixedPointNotSimplicialError(
                 "geometric fixed points inside simplex carried by "
                 f"{canonical_tuple(carrier[tau])} are not vertices; "

@@ -20,7 +20,9 @@ closure.  The local index of each fixed component, the chain-level Hopf
 trace over the base simplices that meet it, checks the signed local
 contributions without their normal data.  The fixed-point refusal is
 re-derived from barycentric weights averaged level by level and
-basic-solution enumeration on every top simplex.  Matrices with a known
+basic-solution enumeration on every top simplex; the route that the
+carrier signs replaced, exact displacement rows for every top simplex
+solved by the LP kernel, is kept beside it.  Matrices with a known
 characteristic polynomial come from companion matrices under a seeded
 similarity.
 """
@@ -39,6 +41,7 @@ from lefscalc.complexes import (
     closure,
     induced_subcomplex,
     require_valid,
+    sd_positions,
     vertex_key,
 )
 from lefscalc.errors import DegenerateInputError, GenericityError
@@ -48,6 +51,7 @@ from lefscalc.exact import (
     GaussianRational,
     RationalMatrix,
     RationalPolynomial,
+    has_nonneg_solution,
     row_echelon,
 )
 from lefscalc.fixedpoint import fixed_components
@@ -473,6 +477,41 @@ def non_vertex_fixed_point_refusal(spec):
             return (
                 "geometric fixed points inside simplex carried by "
                 f"{canonical_tuple(carrier)} are not vertices; "
+                "subdivide the base complex and restate the map"
+            )
+    return None
+
+
+def fixed_point_refusal_by_fraction_lp(spec):
+    """The same refusal text, or None, with exact Fraction displacement
+    rows built from `sd_positions` for every top simplex, in cell order,
+    and each system decided by `has_nonneg_solution`."""
+    source = spec.source_complex()
+    carrier = spec.carrier()
+    positions = sd_positions(spec.base)
+    zero = Fraction(0)
+    fixed = {
+        w for w in source.vertices
+        if carrier[frozenset([w])] == {spec.vertex_map[w]}
+    }
+    faces = {s - {v} for s in source.simplices if len(s) > 1 for v in s}
+    for tau in sorted(source.simplices - faces, key=cell_sort_key):
+        ws = canonical_tuple(tau)
+        if all(w in fixed for w in ws):
+            continue
+        displacement = []
+        for w in ws:
+            column = dict(positions[w])
+            image = spec.vertex_map[w]
+            column[image] = column.get(image, zero) - 1
+            displacement.append(column)
+        coords = sorted(set().union(*displacement), key=vertex_key)
+        rows = [[column.get(u, zero) for column in displacement] for u in coords]
+        rows.append([Fraction(0 if w in fixed else 1) for w in ws])
+        if has_nonneg_solution(rows, [zero] * len(coords) + [Fraction(1)]):
+            return (
+                "geometric fixed points inside simplex carried by "
+                f"{canonical_tuple(carrier[tau])} are not vertices; "
                 "subdivide the base complex and restate the map"
             )
     return None

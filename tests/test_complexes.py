@@ -226,12 +226,16 @@ def test_sd_vertex_position():
     ids=["interval", "hexagon", "disk", "sphere2"],
 )
 def test_sd_positions_match_level_by_level_weights(base):
-    sd3, _ = subdivided_complex(base, 3)
     positions = sd_positions(base)
-    for w in sd3.vertices:
-        position = positions[w]
-        assert position == oracles.barycentric_weights(w, 3)
-        assert sum(position.values()) == 1
+    for level in range(4):
+        sd, carrier = subdivided_complex(base, level)
+        for w in sd.vertices:
+            position = positions[w]
+            assert position == oracles.barycentric_weights(w, level)
+            assert sum(position.values()) == 1
+            # the fixed-point check reads its signs off this support
+            assert position.keys() == carrier[frozenset([w])]
+            assert all(x > 0 for x in position.values())
 
 
 def test_cellular_subset_membership_is_validated():

@@ -14,6 +14,7 @@ from lefscalc.complexes import (
     SimplicialComplex,
     canonical_tuple,
     cell_sort_key,
+    vertex_key,
 )
 from lefscalc.errors import (
     DegenerateInputError,
@@ -86,8 +87,10 @@ def power_spec(n: int, level: int, rotation: int) -> SelfMapSpec:
 def assert_fixed_subcomplex_matches_oracles(spec) -> bool:
     """fixed_subcomplex refuses exactly when the oracle finds a fixed point
     off the vertices, with the oracle's text; otherwise it agrees with the
-    scan.  Returns whether it refused."""
+    scan.  The exact LP on every top simplex refuses the same way.  Returns
+    whether it refused."""
     expected = oracles.non_vertex_fixed_point_refusal(spec)
+    assert oracles.fixed_point_refusal_by_fraction_lp(spec) == expected
     if expected is None:
         assert fixed_subcomplex(spec).members == oracles.fixed_members_by_scan(spec)
         return False
@@ -121,29 +124,86 @@ def test_power_maps_are_refused_exactly_at_non_vertex_fixed_points():
     assert sum(refused) >= 20 and refused.count(False) >= 20
 
 
-def count_simplex_runs(monkeypatch) -> list:
+def count_calls(monkeypatch, name: str) -> list:
+    """Patch exact.<name> to record the row count of each call."""
     runs = []
-    phase1 = exact._phase1
+    solve = getattr(exact, name)
 
     def counting(rows, rhs):
         runs.append(len(rows))
-        return phase1(rows, rhs)
+        return solve(rows, rhs)
 
-    monkeypatch.setattr(exact, "_phase1", counting)
+    monkeypatch.setattr(exact, name, counting)
     return runs
 
 
 def test_sign_presolve_settles_the_power_map_without_pivots(monkeypatch):
-    runs = count_simplex_runs(monkeypatch)
+    runs = count_calls(monkeypatch, "_phase1")
     assert len(fixed_components(power_spec(7, 3, 0))) == 7
     assert runs == []
 
 
 def test_midpoint_swap_still_reaches_the_simplex(monkeypatch):
-    runs = count_simplex_runs(monkeypatch)
+    runs = count_calls(monkeypatch, "_phase1")
     with pytest.raises(FixedPointNotSimplicialError):
         fixed_subcomplex(midpoint_swap_spec())
     assert runs
+
+
+def min_vertex_sphere_spec() -> SelfMapSpec:
+    """Each vertex of sd^2(S^2) goes to the least vertex of its carrier, so
+    the fixed points are exactly the base vertices."""
+    base = fx.sphere2()
+    sd, carrier = subdivided_complex(base, 2)
+    vm = {w: min(carrier[frozenset([w])], key=vertex_key) for w in sd.vertices}
+    return SelfMapSpec.build(base, 2, vm)
+
+
+def octagon_reflection_spec(axis: int) -> SelfMapSpec:
+    """The reflection i -> axis - i of the octagon, axis odd: no vertex is
+    fixed, and the midpoints of the two edges it swaps end for end are."""
+    base = SimplicialComplex.from_maximal(
+        [(f"u{i}", f"u{(i + 1) % 8}") for i in range(8)]
+    )
+    return SelfMapSpec.build(base, 0, {f"u{i}": f"u{(axis - i) % 8}" for i in range(8)})
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: power_spec(7, 3, 0), min_vertex_sphere_spec],
+    ids=["power-n7k3", "min-vertex-s2"],
+)
+def test_carrier_signs_settle_maps_without_an_exact_solve(monkeypatch, make):
+    spec = make()
+    calls = count_calls(monkeypatch, "has_nonneg_solution")
+    assert fixed_subcomplex(spec).members == oracles.fixed_members_by_scan(spec)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make", [midpoint_swap_spec, lambda: octagon_reflection_spec(1)],
+    ids=["midpoint-swap", "octagon-reflection"],
+)
+def test_refusals_are_decided_by_the_exact_solve(monkeypatch, make):
+    spec = make()
+    calls = count_calls(monkeypatch, "has_nonneg_solution")
+    with pytest.raises(FixedPointNotSimplicialError):
+        fixed_subcomplex(spec)
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "axis, named", [(1, "('u0', 'u1')"), (3, "('u1', 'u2')"),
+                    (5, "('u2', 'u3')"), (7, "('u0', 'u7')")],
+)
+def test_refusal_names_the_first_fixed_simplex_in_cell_order(axis, named):
+    spec = octagon_reflection_spec(axis)
+    with pytest.raises(FixedPointNotSimplicialError) as err:
+        fixed_subcomplex(spec)
+    assert str(err.value) == (
+        f"geometric fixed points inside simplex carried by {named} are not "
+        "vertices; subdivide the base complex and restate the map"
+    )
+    assert assert_fixed_subcomplex_matches_oracles(spec)
 
 
 def test_swap_edge_has_midpoint_fixed_point():
