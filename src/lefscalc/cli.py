@@ -241,12 +241,12 @@ def _parse_blocks(raw: str) -> tuple:
 
 def cmd_flag_model(args):
     from .euler import chi_c
-    from .flags import block_words, fixed_locus_cellspace, flag_cellspace
+    from .flags import fixed_component_count, fixed_locus_cellspace, flag_cellspace
 
     if args.blocks is not None:
         blocks = _parse_blocks(args.blocks)
         space = fixed_locus_cellspace(args.n, blocks)
-        component_count = len(block_words(blocks))
+        component_count = fixed_component_count(blocks)
     else:
         blocks = ()
         space = flag_cellspace(args.n).space

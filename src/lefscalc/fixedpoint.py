@@ -216,6 +216,21 @@ def _fixed_vertices(spec: SelfMapSpec) -> set:
     return fixed
 
 
+def _top_simplices(base, carrier: dict) -> list:
+    """The maximal simplices of the subdivision whose carrier map down to
+    base is `carrier`, in no order.  A simplex of sd L is maximal exactly
+    when it is a complete flag of faces of a maximal simplex of L, so, by
+    induction on the level, a simplex of sd^k(base) is maximal exactly when
+    it has as many vertices as its carrier and the carrier is maximal in
+    base.  Only the base's facets are listed."""
+    facets = {s - {v} for s in base.simplices if len(s) > 1 for v in s}
+    maximal = base.simplices - facets
+    return [
+        tau for tau, sigma in carrier.items()
+        if len(tau) == len(sigma) and sigma in maximal
+    ]
+
+
 def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
     """Exact check that the affine map fixes nothing beyond the fixed
     vertices: on each top simplex the fixed points form the cone over the
@@ -237,9 +252,8 @@ def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
         if w not in fixed:
             signs[w] = column = dict.fromkeys(carrier[frozenset([w])], 1)
             column[spec.vertex_map[w]] = -1
-    faces = {s - {v} for s in source.simplices if len(s) > 1 for v in s}
     undecided = []
-    for tau in source.simplices - faces:
+    for tau in _top_simplices(spec.base, carrier):
         columns = [signs[w] for w in tau if w in signs]
         if not columns:
             continue

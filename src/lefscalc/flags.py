@@ -20,7 +20,7 @@ conditions in both affine charts of each sphere, never tabulated by hand.
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -56,18 +56,42 @@ def longest_element(n: int) -> tuple:
 
 
 @lru_cache(maxsize=1 << 16)  # room for every permutation of up to 8 letters
-def _dot_vector(perm: tuple) -> tuple:
+def _dot_vector(perm: tuple) -> int:
     """For each prefix length i < n and threshold 2 <= j <= n, in that
-    order: how many of the first i entries of perm are >= j."""
+    order: how many of the first i entries of perm are >= j, packed into
+    one int, one field of _field_width(n) bits per count, lowest first."""
     n = len(perm)
+    width = _field_width(n)
     counts = [0] * (n + 1)  # counts[j]: prefix entries >= j
-    out = []
+    packed = shift = 0
     for x in perm[: n - 1]:
         for j in range(2, n + 1):
             if x >= j:
                 counts[j] += 1
-        out.extend(counts[2:])
-    return tuple(out)
+        for c in counts[2:]:
+            packed |= c << shift
+            shift += width
+    return packed
+
+
+def _field_width(n: int) -> int:
+    """Bits per dot count: a count is at most n - 1 < 2^(width - 1), so
+    the top bit of every field is free to guard it."""
+    return n.bit_length() + 1
+
+
+@lru_cache(maxsize=16)
+def _guard(n: int) -> int:
+    """The packed word with only each field's top (guard) bit set.
+
+    a's counts are all at most b's exactly when
+    ((b | guard) - a) & guard == guard: each field of the difference holds
+    2^(width-1) + b_i - a_i >= 1, so no borrow crosses a field, and its
+    guard bit survives exactly when b_i >= a_i (Lamport, "Multiple byte
+    processing with full-word instructions", CACM 1975).
+    """
+    width = _field_width(n)
+    return sum(1 << (width * k + width - 1) for k in range((n - 1) ** 2))
 
 
 def bruhat_leq(a: tuple, b: tuple) -> bool:
@@ -75,15 +99,24 @@ def bruhat_leq(a: tuple, b: tuple) -> bool:
 
     Dot criterion: for every prefix length i and threshold j, the prefix
     of a contains at most as many entries >= j as the prefix of b does.
-    Each permutation's counts are computed once and kept.
+    Each permutation's counts are computed once, packed into one int, and
+    all of them are compared by one integer test.
     """
     if len(a) != len(b):
         raise DegenerateInputError("permutations of different sizes")
-    return all(map(operator.le, _dot_vector(tuple(a)), _dot_vector(tuple(b))))
+    guard = _guard(len(a))
+    return ((_dot_vector(tuple(b)) | guard) - _dot_vector(tuple(a))) & guard == guard
 
 
 def perm_name(perm: tuple) -> str:
     return "".join(str(x) for x in perm)
+
+
+@lru_cache(maxsize=16)
+def _perm_cells(n: int) -> tuple:
+    """(name, real dimension) of the cell of each permutation of n
+    letters, in permutations_of(n) order."""
+    return tuple((perm_name(w), 2 * inversion_count(w)) for w in permutations_of(n))
 
 
 MAX_FLAG_N = 6
@@ -95,7 +128,8 @@ class BruhatCellSpace(Record):
     __slots__ = _fields = ("n", "space", "perms")
 
     def __init__(self, n: int, space: CellSpace, perms: tuple):
-        """perms: the sorted permutation tuples."""
+        """perms: the sorted permutation tuples, permutations_of(n), in
+        the order in which _perm_cells(n) lists their cells."""
         set_field(self, "n", n)
         set_field(self, "space", space)
         set_field(self, "perms", perms)
@@ -106,22 +140,26 @@ def flag_cellspace(n: int) -> BruhatCellSpace:
         raise DegenerateInputError(
             f"flag model supported for 1 <= n <= {MAX_FLAG_N}, got {n}"
         )
-    perms = tuple(permutations_of(n))
-    cells = [
-        Cell(perm_name(w), 2 * inversion_count(w), "flag") for w in perms
-    ]
-    return BruhatCellSpace(n, CellSpace.build(cells), perms)
+    cells = [Cell(name, dim, "flag") for name, dim in _perm_cells(n)]
+    return BruhatCellSpace(n, CellSpace.build(cells), tuple(permutations_of(n)))
 
 
 def schubert_subset(
     model: BruhatCellSpace, perm: tuple, closed: bool = True
 ) -> CellularSubset:
-    """The cell of perm, or its closure in the Bruhat order."""
+    """The cell of perm, or its closure in the Bruhat order: the cells
+    whose packed dot counts pass the test of _guard against perm's."""
     perm = tuple(perm)
     if perm not in model.perms:
         raise DegenerateInputError(f"{perm} is not a permutation of the model")
     if closed:
-        members = {perm_name(w) for w in model.perms if bruhat_leq(w, perm)}
+        guard = _guard(model.n)
+        top = _dot_vector(perm) | guard
+        members = {
+            name
+            for w, (name, _) in zip(model.perms, _perm_cells(model.n))
+            if (top - _dot_vector(w)) & guard == guard
+        }
     else:
         members = {perm_name(perm)}
     return CellularSubset.of(model.space, members)
@@ -153,6 +191,15 @@ def block_words(blocks: tuple) -> list:
     return sorted(set(itertools.permutations(letters)))
 
 
+def fixed_component_count(blocks: tuple) -> int:
+    """len(block_words(blocks)), counted without listing the words: the
+    multinomial n!/(n_1!...n_r!)."""
+    count = math.factorial(sum(blocks))
+    for size in blocks:
+        count //= math.factorial(size)
+    return count
+
+
 def fixed_locus_cellspace(n: int, blocks) -> CellSpace:
     """Cell model of the fixed flags of a block-diagonal matrix.
 
@@ -171,15 +218,12 @@ def fixed_locus_cellspace(n: int, blocks) -> CellSpace:
         )
     # every component has the same cells: (id suffix, dim) per factor cell
     factor_cells = [
-        (
-            "|".join(perm_name(w) for w in combo),
-            2 * sum(inversion_count(w) for w in combo),
-        )
-        for combo in itertools.product(*(permutations_of(b) for b in blocks))
+        ("|".join(name for name, _ in combo), sum(dim for _, dim in combo))
+        for combo in itertools.product(*map(_perm_cells, blocks))
     ]
     return CellSpace.build(
         Cell(f"c{k}:{suffix}", dim, f"c{k}")
-        for k in range(len(block_words(blocks)))
+        for k in range(fixed_component_count(blocks))
         for suffix, dim in factor_cells
     )
 

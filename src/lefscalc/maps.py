@@ -67,7 +67,7 @@ class SimplicialMap(Record):
         return m
 
     def image_simplex(self, s) -> frozenset:
-        return frozenset(self.vertex_map[v] for v in s)
+        return frozenset(map(self.vertex_map.__getitem__, s))
 
 
 def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:

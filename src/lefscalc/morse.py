@@ -41,7 +41,7 @@ from .complexes import (
 )
 from .errors import DegenerateInputError, GenericityError, NoApplicableRegimeError
 from .euler import ConstructibleFunction, restrict
-from .exact import GaussianRational, parse_rational, signed_sum
+from .exact import GZERO, GaussianRational, parse_rational, signed_sum
 from .records import Record, set_field
 
 if TYPE_CHECKING:  # the fixed-point layer loads with the first cycle table
@@ -148,17 +148,27 @@ def cc_table(phi: ConstructibleFunction, ell: VertexFunctional) -> MultiplicityT
 
     This realizes the characteristic-cycle data of phi as measured by the
     covector field of ell; the total is the Euler integral of phi.
+
+    The vertices are ranked by one stable sort on their values: they are
+    listed in vertex_key order, so the rank order is (ell, vertex_key), and
+    each cell's top vertex is the one of largest integer rank.  Equal values
+    are neighbours in that order, so the edges are scanned for ties only
+    when two neighbours are equal.
     """
     space = require_simplicial(phi.parent, "cc_table")
-    _refuse_ties(genericity_check(space, ell))
-    rank = {v: (ell(v), vertex_key(v)) for v in space.vertices}
+    values = ell.values
+    _require_defined(space, values)
+    order = sorted(space.vertices, key=values.__getitem__)
+    rank = {v: i for i, v in enumerate(order)}
+    if any(values[a] == values[b] for a, b in zip(order, order[1:])):
+        _refuse_ties(_tied_edges(space.simplices, values))
     stars = {}  # top vertex -> signed terms of the cells it tops
     for cell, value in phi.values.items():
-        top = max(cell, key=rank.__getitem__)
+        top = order[max(map(rank.__getitem__, cell))]
         stars.setdefault(top, []).append(((-1) ** (len(cell) - 1), value))
-    return MultiplicityTable(
-        space, {v: signed_sum(stars.get(v, ())) for v in space.vertices}
-    )
+    return MultiplicityTable(space, {
+        v: signed_sum(stars[v]) if v in stars else GZERO for v in space.vertices
+    })
 
 
 def index_sum(phi: ConstructibleFunction, ell: VertexFunctional) -> GaussianRational:

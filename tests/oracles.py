@@ -11,7 +11,10 @@ dense rational matrices, homology traces by row echelon forms and one
 solve per cycle.  It also keeps the slow routes that a faster one
 replaced: the vertex key rebuilt recursively on every call, where a
 subdivision vertex carries its own, and the dot criterion recounting every
-prefix on every comparison; complex validation that sorts the simplices
+prefix on every comparison, or keeping each permutation's counts as a tuple
+compared entry by entry, where one packed integer test now compares them;
+the maximal simplices of a subdivision found by listing every facet, where
+the carrier now decides; complex validation that sorts the simplices
 twice and runs the affine rank test on every simplex; and the Euler
 integral, pushforward and multiplicity table summed one Gaussian add at a
 time, with a genericity scan that sorts every edge; and the supported
@@ -30,6 +33,7 @@ similarity.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -275,6 +279,34 @@ def bruhat_leq_loop(a: tuple, b: tuple) -> bool:
     return True
 
 
+def dot_vector_tuple(perm: tuple) -> tuple:
+    """The dot counts as a tuple: for each prefix length i < n and
+    threshold 2 <= j <= n, in that order, how many of the first i entries
+    of perm are >= j."""
+    n = len(perm)
+    counts = [0] * (n + 1)  # counts[j]: prefix entries >= j
+    out = []
+    for x in perm[: n - 1]:
+        for j in range(2, n + 1):
+            if x >= j:
+                counts[j] += 1
+        out.extend(counts[2:])
+    return tuple(out)
+
+
+def schubert_members_by_dot_tuples(model, perm: tuple) -> set:
+    """Names of the cells in the closure of perm's cell, each permutation's
+    dot tuple compared with perm's entry by entry."""
+    from lefscalc.flags import perm_name
+
+    target = dot_vector_tuple(perm)
+    return {
+        perm_name(w)
+        for w in model.perms
+        if all(map(operator.le, dot_vector_tuple(w), target))
+    }
+
+
 # ---------------------------------------------------------------------------
 # vertex order keys, rebuilt on every call
 
@@ -411,6 +443,13 @@ def cc_table_loop(phi, ell) -> MultiplicityTable:
         top = max(cell, key=lambda w: (ell(w), vertex_key(w)))
         table[top] = table[top] + value * ((-1) ** (len(cell) - 1))
     return MultiplicityTable(space, table)
+
+
+def top_simplices_by_facet_scan(space) -> frozenset:
+    """The simplices that are no facet of another, found by listing every
+    facet of every simplex."""
+    facets = {s - {v} for s in space.simplices if len(s) > 1 for v in s}
+    return space.simplices - facets
 
 
 # ---------------------------------------------------------------------------

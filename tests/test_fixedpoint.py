@@ -100,6 +100,23 @@ def assert_fixed_subcomplex_matches_oracles(spec) -> bool:
     return True
 
 
+@pytest.mark.parametrize(
+    "base",
+    [
+        fx.interval_complex(), fx.hexagon(), fx.disk(), fx.sphere2(),
+        # maximal simplices of three dimensions, one an isolated vertex
+        SimplicialComplex.from_maximal([("a", "b", "c"), ("c", "d"), ("e",)]),
+    ],
+    ids=["interval", "hexagon", "disk", "sphere2", "mixed"],
+)
+def test_carrier_rule_picks_the_top_simplices_of_the_facet_scan(base):
+    for level in range(4):
+        sd, carrier = subdivided_complex(base, level)
+        tops = fixedpoint._top_simplices(base, carrier)
+        assert len(tops) == len(set(tops))
+        assert set(tops) == oracles.top_simplices_by_facet_scan(sd)
+
+
 def test_fixed_subcomplex_matches_scan_oracle():
     specs = [
         fx.reflection_spec(), fx.doubling_spec(), refine(fx.doubling_spec()),

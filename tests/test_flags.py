@@ -1,7 +1,9 @@
 """Bruhat cell models, fixed loci of diagonal actions, the traced example.
 
 The Bruhat order is cross-checked against a breadth-first search over
-length-decreasing transpositions (oracles.py).  The intersection pattern
+length-decreasing transpositions and against the dot criterion counted
+prefix by prefix (oracles.py); the closures against each permutation's dot
+counts compared as tuples.  The intersection pattern
 of the traced example is re-derived from chart polynomials on every call,
 so the frozen values here pin down the derivation, not a lookup table.
 """
@@ -24,6 +26,7 @@ from lefscalc.flags import (
     bruhat_leq,
     derive_intersection_pattern,
     example_3_9,
+    fixed_component_count,
     fixed_locus_cellspace,
     flag_cellspace,
     inversion_count,
@@ -76,7 +79,7 @@ def test_bruhat_matches_bfs_oracle(n):
             assert bruhat_leq(a, b) == oracles.bruhat_leq_bfs(a, b)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bruhat_matches_the_prefix_loop_on_all_pairs(n):
     perms = permutations_of(n)
     for a in perms:
@@ -84,12 +87,14 @@ def test_bruhat_matches_the_prefix_loop_on_all_pairs(n):
             assert bruhat_leq(a, b) == oracles.bruhat_leq_loop(a, b)
 
 
-@pytest.mark.parametrize("n", [5, 6])
+# n = 7 and 8 lie beyond MAX_FLAG_N: they pin the width of the packed
+# fields for the letters a raised cap would bring
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_bruhat_matches_the_prefix_loop_on_seeded_pairs(n):
     rng = random.Random(n)
     perms = permutations_of(n)
     outcomes = set()
-    for _ in range(3000):
+    for _ in range(3000 if n <= 6 else 1000):
         a, b = rng.choice(perms), rng.choice(perms)
         # a transposition that adds inversions gives comparable pairs too
         i, j = sorted(rng.sample(range(n), 2))
@@ -149,6 +154,32 @@ def test_schubert_subsets():
         schubert_subset(model, (1, 2), closed=True)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_closure_matches_the_dot_tuples(n):
+    model = flag_cellspace(n)
+    for w in model.perms:
+        expected = oracles.schubert_members_by_dot_tuples(model, w)
+        assert schubert_subset(model, w).members == expected
+
+
+def test_seeded_closures_match_the_dot_tuples_at_six_letters():
+    model = flag_cellspace(6)
+    sizes = set()
+    for w in random.Random(6).sample(model.perms, 20):
+        closed = schubert_subset(model, w).members
+        assert closed == oracles.schubert_members_by_dot_tuples(model, w)
+        sizes.add(len(closed))
+    assert len(sizes) > 10
+
+
+def test_closures_refuse_cells_outside_the_model():
+    # the closure's names still pass the membership check of its space
+    model = flag_cellspace(3)
+    smaller = type(model)(3, flag_cellspace(2).space, model.perms)
+    with pytest.raises(DegenerateInputError, match="cells not in parent"):
+        schubert_subset(smaller, (2, 3, 1))
+
+
 def test_open_cell_complement_chi():
     model = flag_cellspace(3)
     divisor = open_cell_complement(model)
@@ -168,6 +199,12 @@ def test_block_words_are_sorted_arrangements():
     assert block_words((2, 1)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert len(block_words((1, 1, 1))) == 6
     assert block_words((3,)) == [(0, 0, 0)]
+
+
+@pytest.mark.parametrize("n", range(1, MAX_FLAG_N + 1))
+def test_component_count_is_the_number_of_block_words(n):
+    for blocks in compositions(n):
+        assert fixed_component_count(blocks) == len(block_words(blocks))
 
 
 def multinomial(n, blocks):

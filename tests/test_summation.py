@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 import lefscalc.fixtures as fx
 import oracles
-from lefscalc.complexes import canonical_tuple, cell_sort_key, subdivided_complex
+from lefscalc.complexes import (
+    SimplicialComplex,
+    canonical_tuple,
+    cell_sort_key,
+    subdivided_complex,
+)
 from lefscalc.errors import DegenerateInputError, GenericityError
 from lefscalc.euler import ConstructibleFunction, euler_integral, pushforward
 from lefscalc.exact import GZERO, GaussianRational, signed_sum
@@ -180,6 +185,44 @@ def test_tied_edges_are_found_and_refused_like_the_sorted_scan(level):
         f"functional is degenerate on edges {[e for e in ties if tied in e][:4]}",
         tuple(e for e in ties if tied in e),
     )
+
+
+def test_a_tie_between_vertices_without_an_edge_is_accepted():
+    # v0 and v3 are opposite corners of the hexagon; v1 and v5 are both
+    # neighbours of v0, not of each other
+    space = fx.hexagon()
+    heights = {"v0": 4, "v1": 2, "v2": 0, "v3": 4, "v4": 1, "v5": 2}
+    ell = VertexFunctional.of(space, heights)
+    assert genericity_check(space, ell) == []
+    phi = seeded_function(random.Random("summation:apart"), space)
+    assert_same_table(cc_table(phi, ell).entries, oracles.cc_table_loop(phi, ell).entries)
+
+
+def test_only_the_tied_edges_are_refused():
+    # v0 = v1 ties an edge; v2 = v4 and v3 = v5 tie vertices that share none
+    space = fx.hexagon()
+    heights = {"v0": 7, "v1": 7, "v2": 3, "v3": 5, "v4": 3, "v5": 5}
+    ell = VertexFunctional.of(space, heights)
+    phi = seeded_function(random.Random("summation:edge"), space)
+    refused = _outcome(lambda: cc_table(phi, ell))
+    assert refused == _outcome(lambda: oracles.cc_table_loop(phi, ell))
+    assert refused == ("functional is degenerate on edges [('v0', 'v1')]", (("v0", "v1"),))
+
+
+def test_a_tie_inside_a_simplex_is_broken_by_vertex_key():
+    # a triangle listed without its edge {2, 10}: the tie between 2 and 10
+    # is no tied edge, and the triangle's top is the later vertex in
+    # vertex_key order, 10, although "10" sorts before "2" as text
+    space = SimplicialComplex.build(
+        ["m", 10, 2],
+        [{2}, {10}, {"m"}, {2, "m"}, {10, "m"}, {2, 10, "m"}],
+    )
+    ell = VertexFunctional.of(space, {2: 1, 10: 1, "m": 0})
+    phi = ConstructibleFunction.indicator(space)
+    table = cc_table(phi, ell)
+    assert_same_table(table.entries, oracles.cc_table_loop(phi, ell).entries)
+    assert table.entries[10] == GaussianRational.of(1)
+    assert table.entries[2] == GaussianRational.of(0)
 
 
 def test_a_functional_missing_vertices_is_refused_in_vertex_order():
