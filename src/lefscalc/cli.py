@@ -29,10 +29,6 @@ if TYPE_CHECKING:
     from .io import Problem
 
 
-def exit_code_for(exc: LefscalcError) -> int:
-    return exc.exit_code
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -333,7 +329,7 @@ def main(argv=None) -> int:
         report, ok = handler(args)
     except LefscalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -87,6 +87,16 @@ def cell_name(key):
     return canonical_tuple(key) if isinstance(key, frozenset) else key
 
 
+def _faces(simplices) -> set:
+    """Every nonempty face of the given simplices, each a frozenset."""
+    closed = set()
+    for s in simplices:
+        items = tuple(s)
+        for k in range(1, len(items) + 1):
+            closed.update(map(frozenset, combinations(items, k)))
+    return closed
+
+
 class SimplicialComplex(Value):
     _fields = ("vertices", "simplices", "coords")
 
@@ -140,13 +150,7 @@ class SimplicialComplex(Value):
     @staticmethod
     def from_maximal(maximal, coords=None) -> "SimplicialComplex":
         """Close the given simplices under taking faces."""
-        closed = set()
-        for s in maximal:
-            s = tuple(s)
-            for k in range(1, len(s) + 1):
-                for face in combinations(s, k):
-                    closed.add(frozenset(face))
-        return SimplicialComplex.from_simplices(closed, coords)
+        return SimplicialComplex.from_simplices(_faces(maximal), coords)
 
     @property
     def dim(self) -> int:
@@ -462,13 +466,7 @@ def star(space: SimplicialComplex, v) -> CellularSubset:
 
 def closure(subset: CellularSubset) -> CellularSubset:
     parent = require_simplicial(subset.parent, "closure")
-    closed = set()
-    for s in subset.members:
-        items = tuple(s)
-        for k in range(1, len(items) + 1):
-            for face in combinations(items, k):
-                closed.add(frozenset(face))
-    return CellularSubset(parent, frozenset(closed))
+    return CellularSubset(parent, frozenset(_faces(subset.members)))
 
 
 def link(space: SimplicialComplex, v) -> SimplicialComplex:

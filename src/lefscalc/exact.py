@@ -1,11 +1,13 @@
 """Exact scalar, matrix, and polynomial arithmetic over Q and Q(i).
 
-Everything downstream (boundary matrices, traces, eigenvalue predicates)
-routes through this module; no floating point exists anywhere in the
-package.  Rationals are plain fractions.Fraction; Gaussian rationals are a
-thin immutable pair on top.  Eigenvalues are never materialized: spectral
-predicates are answered through det(I - A) and Sturm counts on the
-characteristic polynomial.
+Rational literals, Gaussian sums, the small normal matrices that users
+supply, eigenvalue predicates and LP feasibility route through this
+module; no floating point exists anywhere in the package.  Chain-level
+matrices are sparse integer columns in `homology`.  Rationals are plain
+fractions.Fraction; Gaussian rationals are a thin immutable pair on top.
+Eigenvalues are never materialized: spectral predicates are answered
+through the characteristic polynomial chi_A, its value chi_A(1) =
+det(I - A) and Sturm counts on it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add, mul, sub
 
 from .errors import DegenerateInputError, ParseError
 from .records import Value, set_field
@@ -158,10 +159,14 @@ def _fold(parts: dict) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense rational matrices
+# normal matrices
 
 
 class RationalMatrix(Value):
+    """A small dense rational matrix, the normal data of a fixed component:
+    parsed, scaled, written back, and read through its characteristic
+    polynomial."""
+
     __slots__ = _fields = ("rows", "cols")
 
     def __init__(self, rows: tuple, cols: int = -1):
@@ -210,60 +215,14 @@ class RationalMatrix(Value):
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def transpose(self) -> "RationalMatrix":
-        if not self.rows:
-            return RationalMatrix(tuple(() for _ in range(self.ncols)), 0)
-        return RationalMatrix(tuple(zip(*self.rows)), self.nrows)
-
-    def _entrywise(self, op, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._entrywise(add, other)
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._entrywise(sub, other)
-
     def scale(self, c) -> "RationalMatrix":
         c = parse_rational(c)
         return RationalMatrix(
             tuple(tuple(c * a for a in row) for row in self.rows), self.ncols
         )
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.nrows:
-            raise DegenerateInputError(
-                f"matmul shape mismatch {self.nrows}x{self.ncols} @ "
-                f"{other.nrows}x{other.ncols}"
-            )
-        cols = other.transpose().rows
-        return RationalMatrix(
-            tuple(
-                tuple(sum(map(mul, row, col), Fraction(0)) for col in cols)
-                for row in self.rows
-            ),
-            other.ncols,
-        )
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise DegenerateInputError("trace needs a square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
-
     def to_json(self) -> list:
         return [[format_rational(x) for x in row] for row in self.rows]
-
-    def det(self) -> Fraction:
-        """det A = (-1)^n chi_A(0)."""
-        if not self.is_square():
-            raise DegenerateInputError("det needs a square matrix")
-        return (-1) ** self.nrows * self.char_poly().coeffs[0]
-
-    def rank(self) -> int:
-        return len(row_echelon([list(r) for r in self.rows])[1])
 
     def char_poly(self) -> "RationalPolynomial":
         """Characteristic polynomial chi_A(t) = det(tI - A), monic, exact.
@@ -304,33 +263,6 @@ class RationalMatrix(Value):
                     break
             p.append(nxt)
         return RationalPolynomial(tuple(p[n]))
-
-
-def row_echelon(work: list) -> tuple:
-    """In-place forward elimination; returns (work, pivot_columns).
-
-    Deterministic: always the first nonzero entry of the current column.
-    """
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        pivot_row = next((r for r in range(row, nrows) if work[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        pivot = Fraction(work[row][col])
-        work[row] = [a / pivot for a in work[row]]
-        for r in range(nrows):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-    return work, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Simplicial chain complexes over Q, chain maps, and trace computations.
+"""Simplicial chain complexes over Q, chain endomorphisms, and traces.
 
 Orientation convention: a simplex is oriented by its canonical vertex
 order, and the boundary uses the usual alternating signs in that order.
@@ -7,8 +7,8 @@ the dropped subcomplex and boundary entries landing there are discarded.
 Dropping the complement of a locally closed family Z minus B (Z and B
 closed) the same way gives the chains of the pair (Z, B).
 
-Every chain-level matrix (boundaries and chain maps) is a SparseMatrix of
-integer columns, so the checks dd = 0 and df = fd cost O(nonzeros).
+Every chain-level matrix (boundaries and endomorphisms) is a SparseMatrix
+of integer columns, so the checks dd = 0 and df = fd cost O(nonzeros).
 
 Two trace routes are kept deliberately separate:
 
@@ -56,10 +56,6 @@ class SparseMatrix(Record):
         set_field(self, "nrows", nrows)
         set_field(self, "ncols", ncols)
         set_field(self, "columns", columns)
-
-    @staticmethod
-    def zeros(m: int, n: int) -> "SparseMatrix":
-        return SparseMatrix(m, n, ({},) * n)
 
     @property
     def rows(self) -> tuple:
@@ -200,7 +196,7 @@ def _chain_complex(space: SimplicialComplex, dropped: frozenset) -> ChainComplex
     while bases and not bases[-1]:
         bases.pop()
     index = tuple({s: i for i, s in enumerate(b)} for b in bases)
-    boundaries = [SparseMatrix.zeros(0, len(b)) for b in bases[:1]]
+    boundaries = [SparseMatrix(0, len(b), ({},) * len(b)) for b in bases[:1]]
     for k in range(1, len(bases)):
         faces = index[k - 1]
         columns = tuple(
@@ -231,34 +227,24 @@ def relative_betti(space: SimplicialComplex, subcomplex) -> list:
 
 
 class ChainMapQ(Record):
-    __slots__ = _fields = ("source", "target", "matrices")
+    """A chain endomorphism of one complex."""
 
-    def __init__(
-        self, source: ChainComplexQ, target: ChainComplexQ, matrices: tuple
-    ):
-        """matrices: per degree, target basis x source basis."""
+    __slots__ = _fields = ("source", "matrices")
+
+    def __init__(self, source: ChainComplexQ, matrices: tuple):
+        """matrices: one square SparseMatrix per degree of `source`."""
         set_field(self, "source", source)
-        set_field(self, "target", target)
         set_field(self, "matrices", matrices)
-
-    def degree_matrix(self, k: int) -> SparseMatrix:
-        if 0 <= k < len(self.matrices):
-            return self.matrices[k]
-        return SparseMatrix.zeros(self.target.basis_size(k), self.source.basis_size(k))
-
-    def is_endomorphism(self) -> bool:
-        source, target = self.source, self.target
-        return source.bases == target.bases and source.dropped == target.dropped
 
 
 def _build_chain_map(cc: ChainComplexQ, matrices) -> ChainMapQ:
     """The endomorphism of `cc` with these degree matrices, checked to
     commute with the boundary."""
-    cm = ChainMapQ(cc, cc, tuple(matrices))
+    cm = ChainMapQ(cc, tuple(matrices))
     for k in range(1, len(cc.bases)):
         boundary = cc.boundaries[k]
-        lhs = boundary._times(cm.degree_matrix(k))
-        rhs = cm.degree_matrix(k - 1)._times(boundary)
+        lhs = boundary._times(cm.matrices[k])
+        rhs = cm.matrices[k - 1]._times(boundary)
         if lhs.columns != rhs.columns:
             raise DegenerateInputError(
                 f"chain map fails to commute with the boundary in degree {k}"
@@ -348,7 +334,7 @@ def project_endomorphism(endo: ChainMapQ, cells) -> ChainMapQ:
     matrices = []
     for k in range(len(quotient.bases)):
         keep = {full.index[k][s]: i for i, s in enumerate(quotient.bases[k])}
-        columns = endo.degree_matrix(k).columns
+        columns = endo.matrices[k].columns
         projected = tuple(
             {keep[r]: x for r, x in columns[j].items() if r in keep} for j in keep
         )
@@ -357,16 +343,12 @@ def project_endomorphism(endo: ChainMapQ, cells) -> ChainMapQ:
 
 
 def _as_endomorphism(target) -> ChainMapQ:
-    endo = target if isinstance(target, ChainMapQ) else target.endomorphism
-    if not endo.is_endomorphism():
-        raise DegenerateInputError("a chain self-map is required here")
-    return endo
+    return target if isinstance(target, ChainMapQ) else target.endomorphism
 
 
 def hopf_trace(target) -> Fraction:
     """Alternating sum of chain-level traces of a self-map."""
-    endo = _as_endomorphism(target)
-    mats = map(endo.degree_matrix, range(len(endo.source.bases)))
+    mats = _as_endomorphism(target).matrices
     return sum((m.trace() * (-1) ** k for k, m in enumerate(mats)), Fraction(0))
 
 
@@ -384,7 +366,7 @@ def homology_trace(target, k: int) -> Fraction:
     if cc.basis_size(k) == 0:
         return Fraction(0)
     cycles, bounds = cc._reductions[k][1], cc._reductions[k + 1][0]
-    mk = endo.degree_matrix(k)
+    mk = endo.matrices[k]
     total = Fraction(0)
     for j, cycle in cycles.items():
         if j in bounds:

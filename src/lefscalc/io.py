@@ -69,15 +69,13 @@ def vertex_to_json(v):
     return v
 
 
-def vertex_from_json(x, table=None):
+def vertex_from_json(x, table: dict):
     """An int, a string, or a tuple read from an array.  A parse passes one
     dict `table`, keyed by each array's text, so each distinct array it
     reads is read once, into one TupleVertex.  The text of a decoded JSON
     value tells its types apart, so two arrays share it only when they
     name the same vertex."""
     if isinstance(x, list):
-        if table is None:
-            return tuple([vertex_from_json(y) for y in x])
         text = repr(x)
         v = table.get(text)
         if v is None:
@@ -124,7 +122,7 @@ def _rational_rows(raw, what: str, literals: _Literals) -> tuple:
     )
 
 
-def _vertex_table(raw, known, what: str, role: str = "vertex", table=None) -> dict:
+def _vertex_table(raw, known, what: str, table: dict, role: str = "vertex") -> dict:
     """{vertex: JSON value} of an object keyed by vertex name or a list of
     [vertex, value] pairs.  Each vertex is one of `known`, comes back as
     that object, and is named once; `table` is the parse's vertex table."""
@@ -149,7 +147,7 @@ def _vertex_table(raw, known, what: str, role: str = "vertex", table=None) -> di
     return out
 
 
-def _cell_ref_from_json(x, space, table=None):
+def _cell_ref_from_json(x, space, table: dict):
     """A cell reference: vertex array for simplicial, id string for cells."""
     if isinstance(space, SimplicialComplex):
         cell = frozenset(
@@ -179,6 +177,7 @@ def parse_complex_block(block, table=None, literals=None) -> SimplicialComplex:
     """The complex of a `complex` block; `table` and `literals` are the
     parse's vertex and literal tables."""
     _check_keys(block, {"vertices", "coords", "simplices"}, "complex")
+    table = {} if table is None else table
     try:
         vertices = [
             vertex_from_json(v, table)
@@ -250,7 +249,7 @@ def _nested(x, depth: int) -> bool:
     return True
 
 
-def _parse_vertex_map(raw, space, level: int, images) -> dict:
+def _parse_vertex_map(raw, space, level: int, images, table: dict) -> dict:
     """The vertex map from sd^level(space) to `images`.  Its entries name
     distinct sources, so it names them all once it has as many entries as
     sd^level's predicted vertex count; a map with fewer is refused before
@@ -277,9 +276,9 @@ def _parse_vertex_map(raw, space, level: int, images) -> dict:
             )
     sources = subdivided_complex(space, level)[0].vertices
     images = {v: v for v in images}
-    vm = _vertex_table(raw, sources, "vertex_map", "source vertex")
+    vm = _vertex_table(raw, sources, "vertex_map", table, "source vertex")
     for src, dst in vm.items():
-        vm[src] = images.get(vertex_from_json(dst))
+        vm[src] = images.get(vertex_from_json(dst, table))
         if vm[src] is None:
             raise ParseError(f"unknown target vertex {dst!r} in vertex_map")
     return vm
@@ -394,10 +393,14 @@ def parse_problem(data) -> Problem:
                     "a map with a separate target cannot be subdivided"
                 )
             target = parse_complex_block(block["target"], table, literals)
-            vm = _parse_vertex_map(block["vertex_map"], space, 0, target.vertices)
+            vm = _parse_vertex_map(
+                block["vertex_map"], space, 0, target.vertices, table
+            )
             push_map = SimplicialMap.build(space, target, vm)
         else:
-            vm = _parse_vertex_map(block["vertex_map"], space, level, space.vertices)
+            vm = _parse_vertex_map(
+                block["vertex_map"], space, level, space.vertices, table
+            )
             spec = SelfMapSpec.build(space, level, vm)
 
     phi = support = traces = normal = ell = None
@@ -436,7 +439,7 @@ def parse_problem(data) -> Problem:
 
         if not isinstance(space, SimplicialComplex):
             raise ParseError("a functional needs a simplicial complex")
-        entries = _vertex_table(data["ell"], space.vertices, "ell", table=table)
+        entries = _vertex_table(data["ell"], space.vertices, "ell", table)
         try:
             ell = VertexFunctional.of(
                 space, {v: literals.rational(x) for v, x in entries.items()}

@@ -27,11 +27,14 @@ basic-solution enumeration on every top simplex; the route that the
 carrier signs replaced, exact displacement rows for every top simplex
 solved by the LP kernel, is kept beside it.  Matrices with a known
 characteristic polynomial come from companion matrices under a seeded
-similarity.
+similarity.  The dense matrix algebra these references share (products,
+sums, transposes, traces, ranks and row echelon forms) lives here too:
+the library's RationalMatrix keeps only what a normal matrix needs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -56,12 +59,85 @@ from lefscalc.exact import (
     RationalMatrix,
     RationalPolynomial,
     has_nonneg_solution,
-    row_echelon,
 )
 from lefscalc.fixedpoint import fixed_components
 from lefscalc.homology import lefschetz_number, self_map_endomorphism
 from lefscalc.maps import SelfMapSpec, subdivided_complex
 from lefscalc.morse import MultiplicityTable
+
+
+# ---------------------------------------------------------------------------
+# dense matrix algebra on RationalMatrix, which the library keeps only for
+# normal matrices
+
+
+def transpose(m: RationalMatrix) -> RationalMatrix:
+    if not m.rows:
+        return RationalMatrix(tuple(() for _ in range(m.ncols)), 0)
+    return RationalMatrix(tuple(zip(*m.rows)), m.nrows)
+
+
+def add(a: RationalMatrix, b: RationalMatrix, sign: int = 1) -> RationalMatrix:
+    """a + sign * b, entry by entry."""
+    return RationalMatrix(
+        tuple(
+            tuple(x + sign * y for x, y in zip(ra, rb))
+            for ra, rb in zip(a.rows, b.rows)
+        ),
+        a.ncols,
+    )
+
+
+def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    if a.ncols != b.nrows:
+        raise DegenerateInputError(
+            f"matmul shape mismatch {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}"
+        )
+    cols = transpose(b).rows
+    return RationalMatrix(
+        tuple(
+            tuple(sum(map(operator.mul, row, col), Fraction(0)) for col in cols)
+            for row in a.rows
+        ),
+        b.ncols,
+    )
+
+
+def trace(m: RationalMatrix) -> Fraction:
+    if not m.is_square():
+        raise DegenerateInputError("trace needs a square matrix")
+    return sum((m.rows[i][i] for i in range(m.nrows)), Fraction(0))
+
+
+def row_echelon(work: list) -> tuple:
+    """In-place forward elimination; returns (work, pivot_columns).
+
+    Deterministic: always the first nonzero entry of the current column.
+    """
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        pivot_row = next((r for r in range(row, nrows) if work[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[row], work[pivot_row] = work[pivot_row], work[row]
+        pivot = Fraction(work[row][col])
+        work[row] = [a / pivot for a in work[row]]
+        for r in range(nrows):
+            if r != row and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
+        pivots.append(col)
+        row += 1
+    return work, pivots
+
+
+def rank(m: RationalMatrix) -> int:
+    return len(row_echelon([list(r) for r in m.rows])[1])
 
 
 def det_cofactor(m: RationalMatrix) -> Fraction:
@@ -87,10 +163,10 @@ def char_poly_faddeev_leverrier(m: RationalMatrix) -> RationalPolynomial:
     coeffs[n] = Fraction(1)
     acc = RationalMatrix.identity(n)
     for k in range(1, n + 1):
-        am = m @ acc
-        c = -am.trace() / k
+        am = matmul(m, acc)
+        c = -trace(am) / k
         coeffs[n - k] = c
-        acc = am + RationalMatrix.identity(n).scale(c)
+        acc = add(am, RationalMatrix.identity(n).scale(c))
     return RationalPolynomial(tuple(coeffs))
 
 
@@ -129,7 +205,7 @@ def similar_matrix(rng, m: RationalMatrix) -> RationalMatrix:
     n = m.nrows
     u, u_inv = unit_upper_triangular(rng, n)
     v, v_inv = unit_upper_triangular(rng, n)
-    return v.transpose() @ u @ m @ u_inv @ v_inv.transpose()
+    return functools.reduce(matmul, [transpose(v), u, m, u_inv, transpose(v_inv)])
 
 
 def char_poly_interpolated(m: RationalMatrix) -> RationalPolynomial:
@@ -137,7 +213,7 @@ def char_poly_interpolated(m: RationalMatrix) -> RationalPolynomial:
     n = m.nrows
     pts = [Fraction(k) for k in range(n + 1)]
     vals = [
-        det_cofactor(RationalMatrix.identity(n).scale(x) - m) for x in pts
+        det_cofactor(add(RationalMatrix.identity(n).scale(x), m, -1)) for x in pts
     ]
     poly = RationalPolynomial.of([])
     for i, xi in enumerate(pts):
@@ -371,7 +447,7 @@ def validate_all_simplices(space) -> list:
                     if len(pts) < 2 or any(p is None for p in pts):
                         continue
                     rows = [[b - a for a, b in zip(pts[0], p)] for p in pts[1:]]
-                    if RationalMatrix(tuple(map(tuple, rows))).rank() < len(rows):
+                    if rank(RationalMatrix(tuple(map(tuple, rows)))) < len(rows):
                         out.append(
                             Violation(
                                 "affinely-dependent",
@@ -569,7 +645,7 @@ def local_indices(spec) -> list:
     near = [frozenset().union(*comp.members) for comp in fixed_components(spec)]
     indices = [Fraction(0)] * len(near)
     for k, basis in enumerate(endo.source.bases):
-        columns = endo.degree_matrix(k).columns
+        columns = endo.matrices[k].columns
         for j, sigma in enumerate(basis):
             met = [i for i, vertices in enumerate(near) if sigma & vertices]
             if len(met) > 1:
@@ -727,7 +803,7 @@ def dense_chain_complex(space, dropped=frozenset()) -> DenseChainComplex:
                     grid[row][j] += Fraction(-1) ** i
         boundaries.append(RationalMatrix(tuple(map(tuple, grid)), len(bases[k])))
     for k in range(2, len(bases)):
-        product = boundaries[k - 1] @ boundaries[k]
+        product = matmul(boundaries[k - 1], boundaries[k])
         if any(x != 0 for row in product.rows for x in row):
             raise DegenerateInputError("boundary of boundary is nonzero")
     return DenseChainComplex(tuple(bases), index, tuple(boundaries))
@@ -744,11 +820,11 @@ def dense_chain_map(source, target, matrices) -> DenseChainMap:
     for k in range(1, degrees):
         zero = RationalMatrix.zeros(target.basis_size(k - 1), source.basis_size(k))
         lhs = (
-            target.boundaries[k] @ cm.degree_matrix(k)
+            matmul(target.boundaries[k], cm.degree_matrix(k))
             if k < len(target.boundaries) else zero
         )
         rhs = (
-            cm.degree_matrix(k - 1) @ source.boundaries[k]
+            matmul(cm.degree_matrix(k - 1), source.boundaries[k])
             if k < len(source.boundaries) else zero
         )
         if lhs.rows != rhs.rows:
@@ -812,7 +888,10 @@ def dense_compose(outer: DenseChainMap, inner: DenseChainMap) -> DenseChainMap:
     return dense_chain_map(
         inner.source,
         outer.target,
-        [outer.degree_matrix(k) @ inner.degree_matrix(k) for k in range(degrees)],
+        [
+            matmul(outer.degree_matrix(k), inner.degree_matrix(k))
+            for k in range(degrees)
+        ],
     )
 
 
@@ -841,14 +920,14 @@ def dense_endomorphism(spec, dropped=frozenset()) -> DenseChainMap:
 def dense_betti(cc: DenseChainComplex) -> list:
     return [
         len(null_space(cc.boundaries[k]))
-        - (cc.boundaries[k + 1].rank() if k + 1 < len(cc.boundaries) else 0)
+        - (rank(cc.boundaries[k + 1]) if k + 1 < len(cc.boundaries) else 0)
         for k in range(len(cc.bases))
     ]
 
 
 def dense_hopf_trace(endo: DenseChainMap) -> Fraction:
     return sum(
-        (Fraction(-1) ** k * endo.degree_matrix(k).trace()
+        (Fraction(-1) ** k * trace(endo.degree_matrix(k))
          for k in range(len(endo.source.bases))),
         Fraction(0),
     )
@@ -866,7 +945,7 @@ def dense_homology_trace(endo: DenseChainMap, k: int) -> Fraction:
     if k + 1 < len(cc.boundaries):
         bmat = cc.boundaries[k + 1]
         _, pivots = row_echelon([list(r) for r in bmat.rows])
-        cols = bmat.transpose().rows
+        cols = transpose(bmat).rows
         boundary_cols = [list(cols[j]) for j in pivots]
     combined = boundary_cols + cycles
     if not combined:

@@ -227,7 +227,7 @@ def test_criterion_8_eigenvalue_predicates():
                 ]
             )
             row = hyperbolicity_report(one_component_problem(matrix))[0]
-            gap = RationalMatrix.identity(n) - matrix
+            gap = oracles.add(RationalMatrix.identity(n), matrix, -1)
             det = oracles.det_cofactor(gap)
             char = oracles.char_poly_interpolated(matrix)
             assert row["normal_dim"] == n

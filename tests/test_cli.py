@@ -12,7 +12,7 @@ import pytest
 
 import lefscalc.fixtures as fx
 import oracles
-from lefscalc.cli import exit_code_for, main
+from lefscalc.cli import main
 from lefscalc.complexes import CellularSubset, SimplicialComplex
 from lefscalc.errors import (
     DegenerateInputError,
@@ -260,13 +260,13 @@ def test_example_rejects_unit_ratio(capsys):
 
 
 def test_exit_code_table():
-    assert exit_code_for(FixedPointNotSimplicialError("x")) == 3
-    assert exit_code_for(NotHyperbolicError("x")) == 4
-    assert exit_code_for(NoApplicableRegimeError("x")) == 4
-    assert exit_code_for(GenericityError("x")) == 5
-    assert exit_code_for(NonSimplicialMapError("x")) == 6
-    assert exit_code_for(ParseError("x")) == 2
-    assert exit_code_for(DegenerateInputError("x")) == 2
+    assert FixedPointNotSimplicialError("x").exit_code == 3
+    assert NotHyperbolicError("x").exit_code == 4
+    assert NoApplicableRegimeError("x").exit_code == 4
+    assert GenericityError("x").exit_code == 5
+    assert NonSimplicialMapError("x").exit_code == 6
+    assert ParseError("x").exit_code == 2
+    assert DegenerateInputError("x").exit_code == 2
 
 
 def test_exit_2_bad_input(tmp_path, capsys):

@@ -695,7 +695,7 @@ def test_integer_rank_test_agrees_with_rational_rank(monkeypatch):
         names = [f"p{i}" for i in range(len(points))]
         space = SimplicialComplex.from_maximal([names], dict(zip(names, points)))
         rows = tuple(tuple(b - a for a, b in zip(points[0], p)) for p in points[1:])
-        independent = RationalMatrix(rows, axes).rank() == len(rows)
+        independent = oracles.rank(RationalMatrix(rows, axes)) == len(rows)
         integer_rows = [  # each row scaled by the lcm of its own denominators
             [x.numerator * (m // x.denominator) for x in row]
             for row in rows

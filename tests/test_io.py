@@ -49,11 +49,11 @@ def reparse(data):
 
 def test_vertex_json_roundtrip():
     for v in ("a", 3, ("a", "b"), (("u", "v"), ("v", "w"))):
-        assert vertex_from_json(vertex_to_json(v)) == v
+        assert vertex_from_json(vertex_to_json(v), {}) == v
     with pytest.raises(ParseError):
-        vertex_from_json(True)
+        vertex_from_json(True, {})
     with pytest.raises(ParseError):
-        vertex_from_json(1.5)
+        vertex_from_json(1.5, {})
 
 
 def _tuples_within(v):
@@ -185,7 +185,7 @@ def _refusal(attempt):
 )
 def test_bad_vertices_are_refused_with_the_same_text(raw, text):
     with pytest.raises(ParseError) as caught:
-        vertex_from_json(raw)
+        vertex_from_json(raw, {})
     assert str(caught.value) == text
 
 

@@ -393,7 +393,7 @@ def _hyperbolic_matrix(rng):
             [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
              for _ in range(n)]
         )
-        if oracles.det_cofactor(RationalMatrix.identity(n) - m):
+        if oracles.det_cofactor(oracles.add(RationalMatrix.identity(n), m, -1)):
             return m
 
 

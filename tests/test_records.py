@@ -78,8 +78,8 @@ IDENTITIES = {
         ("space", "dropped", "bases", "boundaries", "index"),
     ),
     "ChainMapQ": (
-        lambda: ChainMapQ(chain_complex(edge()), chain_complex(edge()), ()),
-        ("source", "target", "matrices"),
+        lambda: ChainMapQ(chain_complex(edge()), ()),
+        ("source", "matrices"),
     ),
     "FixedComponent": (
         lambda: FixedComponent(
