@@ -609,10 +609,10 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
 
     The tower behind every iterated subdivision: level k is one subdivision
     of level k - 1, and that step is the cache entry (sd^(k-1) base, 1), so
-    each complex of the tower is subdivided once.  The tower is built
-    bottom-up, each level cached before the next, so no call recurses more
-    than one level deep.  Results are shared between callers; neither the
-    complex nor the carrier may be mutated.
+    each complex of the tower is subdivided once.  Level k walks those
+    steps up from level 1 and composes their carriers; only the level asked
+    for keeps its composed carrier.  Results are shared between callers;
+    neither the complex nor the carrier may be mutated.
     """
     if level < 0:
         raise DegenerateInputError("subdivision level must be >= 0")
@@ -620,11 +620,11 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
         return base, {s: s for s in base.simplices}
     if level == 1:
         return barycentric_subdivide(base)
-    for k in range(2, level):
-        subdivided_complex(base, k)
-    coarser, carrier = subdivided_complex(base, level - 1)
-    finer, step = subdivided_complex(coarser, 1)
-    return finer, {cell: carrier[below] for cell, below in step.items()}
+    finer, carrier = subdivided_complex(base, 1)
+    for _ in range(level - 1):
+        finer, step = subdivided_complex(finer, 1)
+        carrier = {cell: carrier[below] for cell, below in step.items()}
+    return finer, carrier
 
 
 def subdivision_f_vectors(base: SimplicialComplex):

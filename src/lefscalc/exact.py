@@ -406,8 +406,11 @@ def _variations(signs: list) -> int:
 
 
 def count_real_roots_gt(p: RationalPolynomial, c) -> int:
-    """Distinct real roots of squarefree p in the open interval (c, +oo);
-    requires p(c) != 0."""
+    """Distinct real roots of p in the open interval (c, +oo); requires
+    p(c) != 0.  p need not be squarefree: its Sturm chain ends in
+    g = gcd(p, p'), divided by g it is a Sturm sequence of p / g, and g != 0
+    wherever p != 0 (Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry)."""
     c = parse_rational(c)
     if p.degree <= 0:
         return 0
@@ -422,13 +425,10 @@ def count_real_roots_geq(p: RationalPolynomial, c) -> int:
     if p.is_zero():
         raise DegenerateInputError("root counting on the zero polynomial")
     c = parse_rational(c)
-    sf = p.squarefree_part()
-    if sf.degree <= 0:
-        return 0
-    if sf(c) == 0:
-        reduced = sf.divmod(RationalPolynomial.x_minus(c))[0]
-        return 1 + count_real_roots_gt(reduced, c)
-    return count_real_roots_gt(sf, c)
+    at_c = 0
+    while p(c) == 0:  # the Sturm count below needs p(c) != 0
+        p, at_c = p.divmod(RationalPolynomial.x_minus(c))[0], 1
+    return at_c + count_real_roots_gt(p, c)
 
 
 # ---------------------------------------------------------------------------

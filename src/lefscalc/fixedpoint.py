@@ -205,17 +205,6 @@ def _no_component(what: str, count: int) -> DegenerateInputError:
 # the fixed subcomplex
 
 
-def _fixed_vertices(spec: SelfMapSpec) -> set:
-    source = spec.source_complex()
-    carrier = spec.carrier()
-    fixed = set()
-    for w in source.vertices:
-        base_cell = carrier[frozenset([w])]
-        if len(base_cell) == 1 and spec.vertex_map[w] in base_cell:
-            fixed.add(w)
-    return fixed
-
-
 def _top_simplices(base, carrier: dict) -> list:
     """The maximal simplices of the subdivision whose carrier map down to
     base is `carrier`, in no order.  A simplex of sd L is maximal exactly
@@ -231,27 +220,21 @@ def _top_simplices(base, carrier: dict) -> list:
     ]
 
 
-def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
+def _assert_fixed_points_are_vertices(spec: SelfMapSpec, signs: dict) -> None:
     """Exact check that the affine map fixes nothing beyond the fixed
     vertices: on each top simplex the fixed points form the cone over the
     fixed-vertex axes iff a certain rational polytope is empty.
 
     The polytope asks for weights t >= 0 on the simplex's vertices, summing
     to 1 over the moved ones, whose combination of displacements (position
-    minus image, one row per base coordinate) is zero.  The signs of those
-    rows follow from the carrier alone: a subdivision vertex's position is
-    positive exactly on the vertices of its carrier, and at most 1 at its
-    image.  The LP kernel's sign presolve on them settles most simplices
-    (a coordinate in which every moved vertex is displaced the same way
-    already separates them); only the simplices it leaves open get their
-    exact rows, and are solved in cell order."""
-    source = spec.source_complex()
+    minus image, one row per base coordinate) is zero.  `signs` holds the
+    signs of those rows, one column per moved vertex (a fixed vertex has
+    none); they follow from the carrier alone.  The LP kernel's sign
+    presolve on them settles most simplices (a coordinate in which every
+    moved vertex is displaced the same way already separates them); only
+    the simplices it leaves open get their exact rows, and are solved in
+    cell order."""
     carrier = spec.carrier()
-    signs = {}  # moved vertex -> signs of its displacement, by coordinate
-    for w in source.vertices:
-        if w not in fixed:
-            signs[w] = column = dict.fromkeys(carrier[frozenset([w])], 1)
-            column[spec.vertex_map[w]] = -1
     undecided = []
     for tau in _top_simplices(spec.base, carrier):
         columns = [signs[w] for w in tau if w in signs]
@@ -274,7 +257,7 @@ def _assert_fixed_points_are_vertices(spec: SelfMapSpec, fixed: set) -> None:
             displacement.append(column)
         coords = sorted(set().union(*displacement), key=vertex_key)
         rows = [[column.get(u, zero) for column in displacement] for u in coords]
-        rows.append([Fraction(0 if w in fixed else 1) for w in ws])
+        rows.append([Fraction(1 if w in signs else 0) for w in ws])
         rhs = [zero] * len(coords) + [Fraction(1)]
         if exact.has_nonneg_solution(rows, rhs):
             raise FixedPointNotSimplicialError(
@@ -290,13 +273,17 @@ def fixed_subcomplex(spec: SelfMapSpec) -> CellularSubset:
     Raises FixedPointNotSimplicialError when the geometric fixed set is
     larger than the realization of that subcomplex.
     """
-    fixed = _fixed_vertices(spec)
-    _assert_fixed_points_are_vertices(spec, fixed)
-    moved = {
-        base_cell
-        for cell, base_cell in spec.carrier().items()
-        if len(cell) == 1 and not cell <= fixed
-    }
+    carrier = spec.carrier()
+    signs = {}  # moved vertex -> signs of its displacement, by coordinate
+    moved = set()  # the base cells that carry a moved vertex
+    for w, image in spec.vertex_map.items():
+        base_cell = carrier[frozenset([w])]
+        # w's position is positive exactly on base_cell, and at most 1 at image
+        if len(base_cell) > 1 or image not in base_cell:
+            signs[w] = column = dict.fromkeys(base_cell, 1)
+            column[image] = -1
+            moved.add(base_cell)
+    _assert_fixed_points_are_vertices(spec, signs)
     # sigma is a member when no face of it carries a moved vertex; by size,
     # that is: sigma carries none and its facets are members
     members = set()

@@ -264,8 +264,9 @@ def _subdivision_signs(base: SimplicialComplex, level: int) -> dict:
     with a positive diagonal, so tau's sign against rho is the parity of
     w_0 ... w_d in rho's canonical order."""
     signs = dict.fromkeys(base.simplices, 1)
-    for k in range(level):
-        step = subdivided_complex(subdivided_complex(base, k)[0], 1)[1]
+    finer = base
+    for _ in range(level):
+        finer, step = subdivided_complex(finer, 1)
         signs = {
             tau: signs[rho] * _flag_sign(tau)
             for tau, rho in step.items()

@@ -29,7 +29,9 @@ solved by the LP kernel, is kept beside it.  Matrices with a known
 characteristic polynomial come from companion matrices under a seeded
 similarity.  The dense matrix algebra these references share (products,
 sums, transposes, traces, ranks and row echelon forms) lives here too:
-the library's RationalMatrix keeps only what a normal matrix needs.
+the library's RationalMatrix keeps only what a normal matrix needs.  Root
+counts are also taken by Sturm's theorem on the squarefree part, the route
+that one Sturm chain on p itself replaced.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from lefscalc.exact import (
     GaussianRational,
     RationalMatrix,
     RationalPolynomial,
+    count_real_roots_gt,
     has_nonneg_solution,
 )
 from lefscalc.fixedpoint import fixed_components
@@ -275,6 +278,19 @@ def cauchy_bound(q: RationalPolynomial) -> Fraction:
     lead = abs(q.leading())
     rest = [abs(c) for c in q.coeffs[:-1]]
     return Fraction(1) + (max(rest) / lead if rest else Fraction(0))
+
+
+def count_real_roots_geq_squarefree(p: RationalPolynomial, c) -> int:
+    """The route one Sturm chain on p replaced: Sturm on the squarefree
+    part, after dividing out (t - c) once when c is a root."""
+    sf = p.squarefree_part()
+    if sf.degree <= 0:
+        return 0
+    c = Fraction(c)
+    if sf(c) == 0:
+        reduced = sf.divmod(RationalPolynomial.x_minus(c))[0]
+        return 1 + count_real_roots_gt(reduced, c)
+    return count_real_roots_gt(sf, c)
 
 
 def count_real_roots_geq_oracle(p: RationalPolynomial, c) -> int:

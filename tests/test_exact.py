@@ -266,6 +266,11 @@ def test_polynomial_basics():
         ([2, -3, 1], 1, 2),      # roots 1 and 2
         ([0, 1], 1, 0),          # root 0 only
         ([-6, 11, -6, 1], 1, 3), # roots 1, 2, 3
+        ([1, -2, 1], 1, 1),      # (t-1)^2
+        ([-2, 5, -4, 1], 1, 2),  # (t-1)^2 (t-2)
+        ([4, -4, 1], 1, 1),      # (t-2)^2
+        ([1, 0, -2, 0, 1], 1, 1),  # (t^2-1)^2: roots -1 and 1
+        ([-1, 3, -3, 1], 1, 1),  # (t-1)^3
     ],
 )
 def test_count_real_roots_geq_known(coeffs, c, expected):
@@ -274,12 +279,29 @@ def test_count_real_roots_geq_known(coeffs, c, expected):
 
 
 def test_count_real_roots_geq_against_isolation_oracle():
+    """Random polynomials, then products f^2 g, some times (t - 1) or
+    (t - 1)^2, which have a repeated factor: one Sturm chain on p agrees
+    with root isolation and with Sturm on the squarefree part."""
     rng = random.Random(505)
+
+    def draw(low, top):
+        deg = rng.randint(low, top)
+        return RationalPolynomial.of(
+            [rng.randint(-4, 4) for _ in range(deg)] + [rng.randint(1, 4)]
+        )
+
+    at_one = RationalPolynomial.of([-1, 1])
+    polys = [draw(1, 5) for _ in range(300)]
     for _ in range(300):
-        deg = rng.randint(1, 5)
-        coeffs = [rng.randint(-4, 4) for _ in range(deg)] + [rng.randint(1, 4)]
-        p = RationalPolynomial.of(coeffs)
-        assert count_real_roots_geq(p, 1) == oracles.count_real_roots_geq_oracle(p, 1)
+        f = draw(1, 2)
+        p = f * f * draw(0, 2)
+        for _ in range(rng.randint(0, 2)):
+            p = p * at_one
+        polys.append(p)
+    for p in polys:
+        expected = oracles.count_real_roots_geq_oracle(p, 1)
+        assert count_real_roots_geq(p, 1) == expected, p.coeffs
+        assert oracles.count_real_roots_geq_squarefree(p, 1) == expected, p.coeffs
 
 
 @settings(max_examples=60, deadline=None)
