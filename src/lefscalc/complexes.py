@@ -106,9 +106,6 @@ class SimplicialComplex(Value):
         set_field(self, "simplices", simplices)
         set_field(self, "coords", coords)
 
-    def _key(self) -> tuple:
-        return self.vertices, self.simplices, self.coords
-
     @staticmethod
     def build(vertices, simplices, coords=None) -> "SimplicialComplex":
         verts = tuple(sorted(set(vertices), key=vertex_key))
@@ -205,9 +202,6 @@ class Cell(Value):
         set_field(self, "dim", dim)
         set_field(self, "component", component)
 
-    def _key(self) -> tuple:
-        return self.ident, self.dim, self.component
-
 
 class CellSpace(Value):
     _fields = ("cells",)
@@ -216,18 +210,11 @@ class CellSpace(Value):
     def __init__(self, cells: tuple):
         set_field(self, "cells", cells)
 
-    def _key(self) -> tuple:
-        return (self.cells,)
-
     @staticmethod
     def build(cells) -> "CellSpace":
         rows = []
         seen = set()
-        for c in cells:
-            if isinstance(c, Cell):
-                cell = c
-            else:
-                cell = Cell(str(c["id"]), int(c["dim"]), c.get("component"))
+        for cell in cells:
             if cell.ident in seen:
                 raise DegenerateInputError(f"duplicate cell id {cell.ident!r}")
             if cell.dim < 0:
@@ -275,9 +262,6 @@ class CellularSubset(Value):
         set_field(self, "parent", parent)
         set_field(self, "members", members)
 
-    def _key(self) -> tuple:
-        return self.parent, self.members
-
     @staticmethod
     def of(parent, cells) -> "CellularSubset":
         mem = frozenset(parent.cell_key(c) for c in cells)
@@ -310,9 +294,6 @@ class Violation(Value):
     def __init__(self, kind: str, detail: str):
         set_field(self, "kind", kind)
         set_field(self, "detail", detail)
-
-    def _key(self) -> tuple:
-        return self.kind, self.detail
 
 
 def validate(space) -> list:
@@ -583,13 +564,10 @@ def barycentric_subdivide(space: SimplicialComplex) -> tuple:
         return out
 
     names = {s: TupleVertex(canonical_tuple(s)) for s in space.simplices}
-    new_simplices = set()
     carrier = {}
     for simplex in space.simplices:
         for chain in chains(simplex):
-            cell = frozenset(names[s] for s in chain)
-            new_simplices.add(cell)
-            carrier[cell] = chain[-1]
+            carrier[frozenset(names[s] for s in chain)] = chain[-1]
     coords = None
     if space.coords is not None:
         coords = {}
@@ -599,8 +577,7 @@ def barycentric_subdivide(space: SimplicialComplex) -> tuple:
             coords[names[simplex]] = tuple(
                 sum(p[i] for p in pts) / Fraction(n) for i in range(len(pts[0]))
             )
-    subdivided = SimplicialComplex.from_simplices(new_simplices, coords)
-    return subdivided, carrier
+    return SimplicialComplex.build(names.values(), carrier, coords), carrier
 
 
 @lru_cache(maxsize=None)

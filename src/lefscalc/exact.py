@@ -62,9 +62,6 @@ class GaussianRational(Value):
         set_field(self, "re", re)
         set_field(self, "im", im)
 
-    def _key(self) -> tuple:
-        return self.re, self.im
-
     @staticmethod
     def of(value, parse=parse_rational) -> "GaussianRational":
         """`value` as a Gaussian rational; `parse` reads each rational part."""
@@ -182,9 +179,6 @@ class RationalMatrix(Value):
         set_field(self, "rows", rows)
         set_field(self, "cols", cols)
 
-    def _key(self) -> tuple:
-        return self.rows, self.cols
-
     @staticmethod
     def of(rows) -> "RationalMatrix":
         return RationalMatrix(
@@ -278,9 +272,6 @@ class RationalPolynomial(Value):
         if coeffs and coeffs[-1] == 0:
             coeffs = RationalPolynomial.of(coeffs).coeffs
         set_field(self, "coeffs", coeffs)
-
-    def _key(self) -> tuple:
-        return (self.coeffs,)
 
     @staticmethod
     def of(coeffs) -> "RationalPolynomial":

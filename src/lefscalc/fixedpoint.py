@@ -68,9 +68,6 @@ class NormalData(Value):
         """matrices: a tuple of (component index, RationalMatrix)."""
         set_field(self, "matrices", matrices)
 
-    def _key(self) -> tuple:
-        return (self.matrices,)
-
     @staticmethod
     def of(entries) -> "NormalData":
         table = {}

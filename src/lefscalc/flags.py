@@ -248,9 +248,6 @@ class FamilyPattern(Value):
         set_field(self, "contained", contained)
         set_field(self, "points", points)
 
-    def _key(self) -> tuple:
-        return self.label, self.family, self.contained, self.points
-
     def chi(self) -> int:
         return 2 if self.contained else self.points
 

@@ -18,10 +18,10 @@ from .complexes import (
     subdivided_complex,
 )
 from .errors import DegenerateInputError, NonSimplicialMapError
-from .records import Record, set_field
+from .records import Value, set_field
 
 
-class SimplicialMap(Record):
+class SimplicialMap(Value):
     __slots__ = _fields = ("source", "target", "vertex_map")
 
     def __init__(
@@ -30,14 +30,6 @@ class SimplicialMap(Record):
         set_field(self, "source", source)
         set_field(self, "target", target)
         set_field(self, "vertex_map", vertex_map)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.vertex_map == other.vertex_map
-        )
 
     @staticmethod
     def build(source, target, vertex_map) -> "SimplicialMap":
@@ -80,7 +72,7 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
     )
 
 
-class SelfMapSpec(Record):
+class SelfMapSpec(Value):
     """A self-map of |base| written as a vertex map sd^level(base) -> base."""
 
     _fields = ("base", "level", "vertex_map")
@@ -89,14 +81,6 @@ class SelfMapSpec(Record):
         set_field(self, "base", base)
         set_field(self, "level", level)
         set_field(self, "vertex_map", vertex_map)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SelfMapSpec)
-            and self.base == other.base
-            and self.level == other.level
-            and self.vertex_map == other.vertex_map
-        )
 
     @staticmethod
     def build(base, level, vertex_map) -> "SelfMapSpec":

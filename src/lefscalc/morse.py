@@ -42,13 +42,13 @@ from .complexes import (
 from .errors import DegenerateInputError, GenericityError, NoApplicableRegimeError
 from .euler import ConstructibleFunction, restrict
 from .exact import GZERO, GaussianRational, parse_rational, signed_sum
-from .records import Record, set_field
+from .records import Record, Value, set_field
 
 if TYPE_CHECKING:  # the fixed-point layer loads with the first cycle table
     from .fixedpoint import FixedComponent, TracedProblem
 
 
-class VertexFunctional(Record):
+class VertexFunctional(Value):
     """Exact rational height values, one per vertex."""
 
     __slots__ = _fields = ("values",)
@@ -67,9 +67,6 @@ class VertexFunctional(Record):
 
     def negated(self) -> "VertexFunctional":
         return VertexFunctional({v: -x for v, x in self.values.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, VertexFunctional) and self.values == other.values
 
 
 def _require_defined(space: SimplicialComplex, values: dict) -> None:

@@ -2,10 +2,13 @@
 
 A record is a plain class with a hand-written `__init__` that stores its
 fields through `set_field`.  Afterwards assignment and deletion raise
-AttributeError, and the repr reads `Name(field=value, ...)`.  A `Value`
-record also compares and hashes by its fields; any other record compares
-by identity, unless it defines its own `__eq__`.  Records with no
-`cached_property` declare `__slots__`.
+AttributeError, and the repr reads `Name(field=value, ...)`, one entry per
+name in `_fields`.  Records come in two kinds: a `Value` compares and
+hashes by the tuple of its `_fields` (one holding a dict stays unhashable,
+since hashing the dict raises TypeError), and any other `Record` compares
+by identity.  The one exception is `euler.ConstructibleFunction`, which
+compares by a field its repr leaves out and so defines its own `__eq__`.
+Records with no `cached_property` declare `__slots__`.
 """
 
 # Stores one field from __init__, past the __setattr__ that refuses writes.
@@ -40,6 +43,9 @@ class Value(Record):
     by them: `_key()` is the tuple of fields."""
 
     __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -13,6 +13,7 @@ import json
 
 from .errors import ParseError
 from .exact import GaussianRational, parse_gaussian
+from .records import Value
 
 # kind -> field names, in printed order
 FIELDS = {
@@ -52,8 +53,11 @@ def _frozen(value):
     return value
 
 
-class Report:
-    """A read-only report of one kind; its fields read as attributes."""
+class Report(Value):
+    """A read-only report of one kind; its fields read as attributes, and
+    `_fields` is the kind followed by the fields FIELDS lists for it."""
+
+    __hash__ = None  # fields may hold dicts and lists
 
     def __init__(self, kind: str, **fields):
         names = FIELDS.get(kind)
@@ -64,25 +68,10 @@ class Report:
                 f"a {kind!r} report takes fields {names}, got {tuple(fields)}"
             )
         # __setattr__ refuses every write, so fill the instance dict directly
-        vars(self).update(fields, kind=kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"reports are read-only; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, Report):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        values = ", ".join(f"{k}={getattr(self, k)!r}" for k in FIELDS[self.kind])
-        return f"Report({self.kind!r}, {values})"
+        vars(self).update(fields, kind=kind, _fields=("kind", *names))
 
     def to_json(self) -> dict:
-        data = {"kind": self.kind}
-        for name in FIELDS[self.kind]:
-            data[name] = _plain(getattr(self, name))
-        return data
+        return {name: _plain(getattr(self, name)) for name in self._fields}
 
     def to_text(self) -> str:
         lines = []

@@ -125,9 +125,6 @@ class VerifyConfig(Value):
         set_field(self, "seed", seed)
         set_field(self, "cases", cases)
 
-    def _key(self) -> tuple:
-        return self.seed, self.cases
-
 
 def check_hopf_vs_homology(config: VerifyConfig) -> str:
     rng = _rng(config.seed, "hopf")

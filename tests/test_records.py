@@ -29,6 +29,7 @@ from lefscalc.homology import ChainComplexQ, ChainMapQ, SparseMatrix, chain_comp
 from lefscalc.io import Problem
 from lefscalc.maps import SelfMapSpec, SimplicialMap
 from lefscalc.morse import CycleTableReport, MultiplicityTable, VertexFunctional
+from lefscalc.reports import Report, parse_report
 from lefscalc.verify import VerifyConfig
 
 
@@ -118,7 +119,9 @@ IDENTITIES = {
          "complex_model", "non_characteristic", "ell"),
     ),
 }
-# Compared by their own __eq__, and so unhashable.
+# Equal with equal fields but unhashable: SimplicialMap, SelfMapSpec and
+# VertexFunctional compare as Values, and hashing their dict field raises
+# TypeError; ConstructibleFunction keeps its own __eq__.
 OWN_EQ = {
     "SimplicialMap": (
         lambda: SimplicialMap(edge(), edge(), {"a": "a", "b": "b"}),
@@ -155,7 +158,7 @@ def test_record_contract(name):
     fields = tuple(getattr(a, field) for field in names)
     assert a != fields and fields != a
     if name in VALUES:
-        assert a == b and hash(a) == hash(b)
+        assert a == b and hash(a) == hash(b) and hash(a) == hash(fields)
         assert pickle.loads(pickle.dumps(a)) == a
     elif name in IDENTITIES:
         assert a == a and a != b and hash(a) != hash(b)
@@ -167,6 +170,27 @@ def test_record_contract(name):
     assert all(getattr(again, field) is getattr(a, field) for field in names)
     with pytest.raises(AttributeError):
         setattr(again, names[0], 0)
+
+
+def test_report_is_a_read_only_unhashable_record():
+    report = Report("chi", chi=2)
+    with pytest.raises(AttributeError):
+        del report.chi
+    with pytest.raises(AttributeError):
+        report.chi = 3
+    assert report.chi == 2 and report.to_json() == {"kind": "chi", "chi": 2}
+    assert repr(report) == "Report(kind='chi', chi=2)"
+    two = GaussianRational(Fraction(2))
+    nested = Report(
+        "localization", global_trace=two, sum_of_local=two, equal=True,
+        components=({"index": 0, "term": two},),
+    )
+    for r in (report, nested):
+        for again in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert again == r and again.to_json() == r.to_json()
+        with pytest.raises(TypeError):
+            hash(r)
+        assert parse_report(r.to_json()) == r
 
 
 def test_constructor_checks_keep_their_texts():
