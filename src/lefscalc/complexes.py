@@ -264,7 +264,16 @@ class CellularSubset(Value):
 
     @staticmethod
     def of(parent, cells) -> "CellularSubset":
-        mem = frozenset(parent.cell_key(c) for c in cells)
+        """The one reader for a family of cells of `parent`: references the
+        parent's cell_key reads, a SimplicialComplex (its simplices), or a
+        CellularSubset of an equal parent, returned as it is."""
+        if isinstance(cells, CellularSubset):
+            if cells.parent != parent:
+                raise DegenerateInputError("cells of a different parent")
+            return cells
+        if isinstance(cells, SimplicialComplex):
+            cells = cells.simplices
+        mem = frozenset(map(parent.cell_key, cells))
         unknown = mem - parent.cell_keys
         if unknown:
             first = sorted(unknown, key=cell_sort_key)[:3]
@@ -282,6 +291,16 @@ class CellularSubset(Value):
 
 def whole_space(parent) -> CellularSubset:
     return CellularSubset(parent, frozenset(parent.cell_keys))
+
+
+def _unclosed_at(cells: frozenset):
+    """The first simplex of a family, in cell order, with a facet outside
+    the family; None when the family is face-closed."""
+    return min(
+        (c for c in cells if len(c) > 1 and not all(c - {v} in cells for v in c)),
+        key=cell_sort_key,
+        default=None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +459,7 @@ def require_valid(space) -> None:
 
 def star(space: SimplicialComplex, v) -> CellularSubset:
     space = require_simplicial(space, "star")
+    space.vertex_index(v)  # refuses a vertex the space does not have
     return CellularSubset(
         space, frozenset(s for s in space.simplices if v in s)
     )
@@ -452,6 +472,7 @@ def closure(subset: CellularSubset) -> CellularSubset:
 
 def link(space: SimplicialComplex, v) -> SimplicialComplex:
     space = require_simplicial(space, "link")
+    space.vertex_index(v)
     simps = [
         s for s in space.simplices if v not in s and (s | {v}) in space.simplices
     ]
@@ -468,22 +489,19 @@ def connected_components(target) -> tuple:
     """Partition into components; deterministic, smallest cell first.
 
     Simplicial subsets use the shares-a-face relation; cell spaces group by
-    their component labels (unlabeled cells are singletons).
+    their component labels (unlabeled cells are singletons).  Cells are
+    walked in cell order, so groups are met in that of their smallest cells.
     """
     if not isinstance(target, CellularSubset):
         target = whole_space(target)
     parent = target.parent
+    groups = {}
     if isinstance(parent, CellSpace):
-        groups = {}
         for ident in sorted(target.members):
             label = parent.cell(ident).component
-            groups.setdefault(label if label is not None else f"~{ident}", []).append(
-                ident
-            )
-        comps = [CellularSubset(parent, frozenset(g)) for g in groups.values()]
-        return tuple(
-            sorted(comps, key=lambda c: cell_sort_key(c.sorted_members()[0]))
-        )
+            key = ("cell", ident) if label is None else ("label", label)
+            groups.setdefault(key, []).append(ident)
+        return tuple(CellularSubset(parent, frozenset(g)) for g in groups.values())
     cells = target.sorted_members()
     index = {c: i for i, c in enumerate(cells)}
     parent_arr = list(range(len(cells)))
@@ -507,28 +525,18 @@ def connected_components(target) -> tuple:
     for bucket in by_vertex.values():
         for other in bucket[1:]:
             union(bucket[0], other)
-    groups = {}
     for c in cells:
         groups.setdefault(find(index[c]), []).append(c)
-    comps = [
-        CellularSubset(parent, frozenset(g))
-        for _, g in sorted(groups.items())
-    ]
-    return tuple(sorted(comps, key=lambda c: cell_sort_key(c.sorted_members()[0])))
+    return tuple(CellularSubset(parent, frozenset(g)) for g in groups.values())
 
 
 def induced_subcomplex(space: SimplicialComplex, cells) -> SimplicialComplex:
     """The subcomplex on a face-closed family of simplices of `space`."""
     space = require_simplicial(space, "induced_subcomplex")
-    simps = [frozenset(c) for c in cells]
-    for s in simps:
-        if s not in space.simplices:
-            raise DegenerateInputError(
-                f"not a simplex of the parent: {canonical_tuple(s)}"
-            )
-    sub = SimplicialComplex.from_simplices(simps)
-    if validate(sub):
+    members = CellularSubset.of(space, cells).members
+    if _unclosed_at(members) is not None:
         raise DegenerateInputError("cell family is not face-closed")
+    sub = SimplicialComplex.from_simplices(members)
     if space.coords is not None:
         coords = {v: space.coord_of(v) for v in sub.vertices}
         return SimplicialComplex.build(sub.vertices, sub.simplices, coords)

@@ -56,13 +56,13 @@ class ConstructibleFunction(Record):
 
     @staticmethod
     def indicator(parent, cells=None) -> "ConstructibleFunction":
+        """1 on the given family of cells (every cell when None), else 0."""
         if cells is None:
-            cells = parent.cell_keys
-        elif isinstance(cells, CellularSubset):
-            cells = cells.members
-        return ConstructibleFunction.of(
-            parent, {cell: GaussianRational.of(1) for cell in cells}
-        )
+            members = parent.cell_keys
+        else:
+            members = CellularSubset.of(parent, cells).members
+        one = GaussianRational.of(1)
+        return ConstructibleFunction(parent, dict.fromkeys(members, one))
 
     def __call__(self, cell) -> GaussianRational:
         return self.values.get(self.parent.cell_key(cell), GZERO)
@@ -96,12 +96,7 @@ def euler_integral(phi: ConstructibleFunction) -> GaussianRational:
 
 
 def restrict(phi: ConstructibleFunction, subset) -> ConstructibleFunction:
-    if isinstance(subset, CellularSubset):
-        if subset.parent != phi.parent:
-            raise DegenerateInputError("restriction subset has a different parent")
-        members = subset.members
-    else:
-        members = {phi.parent.cell_key(c) for c in subset}
+    members = CellularSubset.of(phi.parent, subset).members
     return ConstructibleFunction(
         phi.parent, {c: v for c, v in phi.values.items() if c in members}
     )

@@ -31,6 +31,7 @@ from functools import cached_property
 
 from .complexes import (
     CellularSubset,
+    _unclosed_at,
     canonical_tuple,
     cell_sort_key,
     closure,
@@ -74,20 +75,21 @@ class NormalData(Value):
         for idx, matrix in (
             entries.items() if isinstance(entries, dict) else entries
         ):
-            matrix = (
-                matrix
-                if isinstance(matrix, RationalMatrix)
-                else RationalMatrix.of(matrix)
-            )
+            if isinstance(idx, str) and idx.removeprefix("-").isdecimal():
+                idx = int(idx)
+            if isinstance(idx, bool) or not isinstance(idx, int):
+                raise DegenerateInputError(
+                    f"normal data names component {idx!r}, not an integer"
+                )
+            if not isinstance(matrix, RationalMatrix):
+                matrix = RationalMatrix.of(matrix)
             if not matrix.is_square():
                 raise DegenerateInputError(
                     f"normal matrix for component {idx} is not square"
                 )
-            if int(idx) in table:
-                raise DegenerateInputError(
-                    f"two normal matrices for component {int(idx)}"
-                )
-            table[int(idx)] = matrix
+            if idx in table:
+                raise DegenerateInputError(f"two normal matrices for component {idx}")
+            table[idx] = matrix
         return NormalData(tuple(sorted(table.items())))
 
     def matrix_for(self, index: int) -> RationalMatrix | None:
@@ -121,8 +123,8 @@ class FixedComponent(Record):
 class TracedProblem(Record):
     """A self-map plus the sheaf-side data needed for localization.
 
-    support: locally closed union of cells carrying the constant sheaf
-        (None means the whole base);
+    support: locally closed union of cells carrying the constant sheaf, in
+        any form CellularSubset.of reads (None means the whole base);
     traces: optional explicit stalkwise trace values on fixed cells,
         overriding the constant-sheaf default of 1;
     normal: normal matrices per fixed component (omitting the block means
@@ -308,12 +310,10 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
     """
     base = p.spec.base
     fixed = p.fixed_locus[0]
-    cells = set(fixed.members)
+    cells = fixed.members
     if p.support is not None:
-        if p.support.parent != base:
-            raise DegenerateInputError("support lives on a different complex")
-        cells &= set(p.support.members)
-    values = {cell: GaussianRational.of(1) for cell in cells}
+        cells &= CellularSubset.of(base, p.support).members
+    values = dict.fromkeys(cells, GaussianRational.of(1))
     if p.traces:
         for cell, raw in p.traces.items():
             cell = frozenset(cell)
@@ -326,7 +326,7 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
                 values.pop(cell, None)
             else:
                 values[cell] = value
-    return ConstructibleFunction.of(base, values)
+    return ConstructibleFunction(base, values)
 
 
 def component_sign(p: TracedProblem, index: int) -> FixedComponent:
@@ -390,12 +390,14 @@ def _global_trace(p: TracedProblem) -> Fraction:
     are checked invariant on the spec itself: sd^level(Z) is the part of
     sd^level(base) that Z carries."""
     spec = p.spec
-    if p.support is None or p.support.members == spec.base.simplices:
+    if p.support is None:
         return lefschetz_number(spec.endomorphism)
-    support = p.support.members
-    closed = closure(p.support).members
-    boundary = closed - support
-    if any(cell - {v} in support for cell in boundary for v in cell):
+    support = CellularSubset.of(spec.base, p.support)
+    if support.members == spec.base.simplices:
+        return lefschetz_number(spec.endomorphism)
+    closed = closure(support).members
+    boundary = closed - support.members
+    if _unclosed_at(boundary) is not None:
         raise DegenerateInputError(
             "support is not locally closed: a face of a missing "
             "cell lies inside it"

@@ -364,9 +364,7 @@ class CellTracedProblem(Record):
         set_field(self, "complex_model", complex_model)
 
     def trace_function(self) -> ConstructibleFunction:
-        return ConstructibleFunction.indicator(
-            self.space, self.support.sorted_members()
-        )
+        return ConstructibleFunction.indicator(self.space, self.support)
 
 
 class Example39Problem(Record):
@@ -397,8 +395,7 @@ class Example39Problem(Record):
         }
         if not members:
             raise DegenerateInputError(f"unknown component label {label!r}")
-        comp = CellularSubset.of(self.problem.space, members)
-        return euler_integral(restrict(self.problem.trace_function(), comp))
+        return euler_integral(restrict(self.problem.trace_function(), members))
 
     def contributions(self) -> list:
         return [(p.label, p.family, self.contribution(p.label)) for p in self.patterns]

@@ -30,8 +30,8 @@ from itertools import combinations
 from .complexes import (
     CellularSubset,
     SimplicialComplex,
+    _unclosed_at,
     canonical_tuple,
-    cell_sort_key,
     require_simplicial,
     require_valid,
     subdivided_complex,
@@ -134,22 +134,12 @@ def _reduce(boundary: SparseMatrix) -> tuple:
 def _normalize_subcomplex(space: SimplicialComplex, dropped) -> frozenset:
     if dropped is None:
         return frozenset()
-    if isinstance(dropped, SimplicialComplex):
-        dropped = dropped.simplices
-    elif isinstance(dropped, CellularSubset):
-        dropped = dropped.members
-    cells = frozenset(frozenset(c) for c in dropped)
-    for c in sorted(cells, key=cell_sort_key):
-        if c not in space.simplices:
-            raise DegenerateInputError(
-                f"subcomplex cell {canonical_tuple(c)} is not in the parent"
-            )
-        if len(c) > 1:
-            for v in c:
-                if c - {v} not in cells:
-                    raise DegenerateInputError(
-                        f"subcomplex is not face-closed at {canonical_tuple(c)}"
-                    )
+    cells = CellularSubset.of(space, dropped).members
+    unclosed = _unclosed_at(cells)
+    if unclosed is not None:
+        raise DegenerateInputError(
+            f"subcomplex is not face-closed at {canonical_tuple(unclosed)}"
+        )
     return cells
 
 
@@ -331,7 +321,8 @@ def project_endomorphism(endo: ChainMapQ, cells) -> ChainMapQ:
     C_*(Z, B).  When Z and B are invariant this is the induced map on
     C_*(Z, B), and the chain-map check confirms it."""
     full = endo.source
-    quotient = _chain_complex(full.space, full.space.simplices - frozenset(cells))
+    kept = CellularSubset.of(full.space, cells).members
+    quotient = _chain_complex(full.space, full.space.simplices - kept)
     matrices = []
     for k in range(len(quotient.bases)):
         keep = {full.index[k][s]: i for i, s in enumerate(quotient.bases[k])}

@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .complexes import (
+    CellularSubset,
     SimplicialComplex,
     canonical_tuple,
     cell_sort_key,
@@ -126,9 +127,11 @@ class SelfMapSpec(Value):
             set_field(self, "_endomorphism", endo)
         return endo
 
-    def preserves_subcomplex(self, cells: frozenset) -> bool:
-        """True when every subdivision simplex carried by `cells` maps into
-        `cells`; this is the geometric invariance g(|L|) <= |L|."""
+    def preserves_subcomplex(self, cells) -> bool:
+        """True when every subdivision simplex carried by `cells`, a family
+        of the base's cells, maps into `cells`; this is the geometric
+        invariance g(|L|) <= |L|."""
+        cells = CellularSubset.of(self.base, cells).members
         m = self.as_map()
         carrier = self.carrier()
         for tau, sigma in carrier.items():

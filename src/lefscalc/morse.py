@@ -108,6 +108,7 @@ def morse_multiplicity(
     """Lower-star multiplicity of phi at v for the height ell.  Only the
     cells at v are read, so only the edges at v must separate their ends."""
     space = require_simplicial(phi.parent, "morse_multiplicity")
+    space.vertex_index(v)  # refuses a vertex the space does not have
     values = ell.values
     _require_defined(space, values)
     star = [cell for cell in space.simplices if v in cell]
@@ -227,7 +228,7 @@ def lefschetz_cycle_table(
 
     comp = component_sign(p, index)
     regime = _select_regime(p, comp)
-    component_complex = induced_subcomplex(p.spec.base, comp.cells.members)
+    component_complex = induced_subcomplex(p.spec.base, comp.cells)
     phi = restrict(p.local_trace, comp.cells)
     local_phi = ConstructibleFunction.of(component_complex, phi.values)
     local_ell = VertexFunctional.of(

@@ -107,6 +107,18 @@ def test_star_link_closure_on_disk():
     assert cl.members == space.cell_keys
 
 
+@pytest.mark.parametrize("vertex", ["zz", ["c"]])
+def test_star_refuses_a_vertex_the_space_does_not_have(vertex):
+    with pytest.raises(DegenerateInputError, match="unknown vertex"):
+        star(fx.disk(), vertex)
+
+
+@pytest.mark.parametrize("vertex", ["zz", ["c"]])
+def test_link_refuses_a_vertex_the_space_does_not_have(vertex):
+    with pytest.raises(DegenerateInputError, match="unknown vertex"):
+        link(fx.disk(), vertex)
+
+
 def test_connected_components_simplicial():
     space = SimplicialComplex.from_maximal([("a", "b"), ("x", "y"), ("y", "z")])
     comps = connected_components(whole_space(space))
@@ -121,6 +133,12 @@ def test_connected_components_cellspace_by_label():
     )
     comps = connected_components(space)
     assert [sorted(c.sorted_members()) for c in comps] == [["u0", "u2"], ["w0"]]
+
+
+def test_a_label_never_merges_with_an_unlabelled_cell():
+    space = CellSpace.build([Cell("a", 0, "~b"), Cell("b", 0, None)])
+    comps = connected_components(space)
+    assert [c.sorted_members() for c in comps] == [["a"], ["b"]]
 
 
 def test_induced_subcomplex_checks_closure():
@@ -469,7 +487,7 @@ def test_refusal_texts_do_not_depend_on_the_string_hash():
         "DegenerateInputError cells not in parent: "
         "[\"('y',)\", \"('z',)\", \"('p', 'q')\"]\n"
         "DegenerateInputError value on unknown cell ('p', 'q')\n"
-        "DegenerateInputError not a simplex of the parent: ('p', 'q')\n"
+        "DegenerateInputError cells not in parent: [\"('p', 'q')\"]\n"
     }
 
 

@@ -805,3 +805,15 @@ def test_index_without_fixed_components_says_so():
 def test_normal_data_refuses_two_matrices_for_one_component(entries):
     with pytest.raises(DegenerateInputError, match="two normal matrices"):
         NormalData.of(entries)
+
+
+@pytest.mark.parametrize("index", ["a", 1.5, True, None, (0,), "1.0", " 1"])
+def test_normal_data_refuses_component_indices_that_are_not_integers(index):
+    with pytest.raises(DegenerateInputError) as info:
+        NormalData.of({index: [[1]]})
+    assert str(info.value) == f"normal data names component {index!r}, not an integer"
+
+
+def test_normal_data_reads_ints_and_decimal_strings():
+    entries = {0: [[1]], "1": [[2]], "-1": [[3]]}
+    assert [i for i, _ in NormalData.of(entries).matrices] == [-1, 0, 1]

@@ -90,6 +90,15 @@ def test_cc_table_rejects_ties_with_edge_payload():
     assert tuple(info.value.edges) == (("a", "b"),)
 
 
+@pytest.mark.parametrize("vertex", ["zz", ["a"]])
+def test_multiplicity_refuses_a_vertex_the_space_does_not_have(vertex):
+    space = fx.interval_complex()
+    ell = VertexFunctional.of(space, {"a": 0, "b": 1})
+    phi = ConstructibleFunction.indicator(space)
+    with pytest.raises(DegenerateInputError, match="unknown vertex"):
+        morse_multiplicity(phi, ell, vertex)
+
+
 def test_tie_away_from_vertex_is_harmless_locally():
     # path a - b - c with the tie on the far edge
     space = SimplicialComplex.from_maximal([("a", "b"), ("b", "c")])
