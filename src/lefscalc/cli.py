@@ -3,7 +3,9 @@
 Every command reads an optional problem file (see io.py for the format),
 computes one report, and prints it to stdout, as text by default or as
 JSON under --json.  Diagnostics go to stderr.  Each handler imports the
-layers it uses, so a command loads only those.  Exit codes:
+layers it uses, so a command loads only those, and returns its report;
+main exits 1 exactly when the report's identity field, `equal` or
+`all_ok`, is false (Report.holds).  Exit codes:
 
     0  success (and every checked identity held)
     1  a checked identity failed
@@ -30,6 +32,8 @@ if TYPE_CHECKING:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command table: each subparser names its handler, which returns
+    the command's report."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="print the report as JSON"
@@ -43,36 +47,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("chi", parents=problem,
-                   help="compactly supported Euler characteristic")
-    sub.add_parser("integrate", parents=problem,
-                   help="Euler integral of the values table")
+    sub.add_parser(
+        "chi", parents=problem, help="compactly supported Euler characteristic"
+    ).set_defaults(handler=cmd_chi)
+    sub.add_parser(
+        "integrate", parents=problem, help="Euler integral of the values table"
+    ).set_defaults(handler=cmd_integrate)
     sub.add_parser(
         "lefschetz", parents=problem,
         help="global trace; localized over fixed components when the "
              "problem carries support, traces, or normal data",
-    )
+    ).set_defaults(handler=cmd_lefschetz)
     morse = sub.add_parser("morse", parents=problem,
                            help="cycle table at one fixed component")
     morse.add_argument("--component", type=int, default=0,
                        help="fixed component index (default 0)")
-    sub.add_parser("cc", parents=problem,
-                   help="multiplicity table of the values for the functional")
-    sub.add_parser("index-check", parents=problem,
-                   help="compare the table total with the Euler integral")
-    sub.add_parser("pushforward", parents=problem,
-                   help="push the values along the map to its target")
+    morse.set_defaults(handler=cmd_morse)
+    sub.add_parser(
+        "cc", parents=problem,
+        help="multiplicity table of the values for the functional",
+    ).set_defaults(handler=cmd_cc)
+    sub.add_parser(
+        "index-check", parents=problem,
+        help="compare the table total with the Euler integral",
+    ).set_defaults(handler=cmd_index_check)
+    sub.add_parser(
+        "pushforward", parents=problem,
+        help="push the values along the map to its target",
+    ).set_defaults(handler=cmd_pushforward)
     flag = sub.add_parser("flag-model", parents=[common],
                           help="cell model of a flag manifold or fixed locus")
     flag.add_argument("--n", type=int, required=True, help="ambient dimension")
     flag.add_argument("--blocks", default=None,
                       help="comma separated eigenvalue multiplicities")
+    flag.set_defaults(handler=cmd_flag_model)
     example = sub.add_parser("example-3-9", parents=[common],
                              help="worked example: fixed spheres against the "
                                   "big-cell divisor")
     example.add_argument("--ratio", default="2",
                          help="eigenvalue ratio surrogate, a rational such "
                               "as 7/3 or -3/4 (default 2)")
+    example.set_defaults(handler=cmd_example_3_9)
     verify = sub.add_parser("verify", parents=[common],
                             help="run the deterministic identity battery")
     verify.add_argument("--seed", type=int, default=0,
@@ -80,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cases", type=int, default=25,
                         help="random cases per check, at least 1 "
                              "(default 25)")
+    verify.set_defaults(handler=cmd_verify)
     return top
 
 
@@ -108,16 +124,13 @@ def _need_ell(problem: Problem):
 def cmd_chi(args):
     from .euler import chi_c
 
-    problem = _load(args)
-    return Report("chi", chi=chi_c(problem.space)), True
+    return Report("chi", chi=chi_c(_load(args).space))
 
 
 def cmd_integrate(args):
     from .euler import euler_integral
 
-    problem = _load(args)
-    integral = euler_integral(_need_phi(problem))
-    return Report("integral", integral=integral), True
+    return Report("integral", integral=euler_integral(_need_phi(_load(args))))
 
 
 def cmd_lefschetz(args):
@@ -125,47 +138,38 @@ def cmd_lefschetz(args):
     from .fixedpoint import localization_report
     from .homology import homology_traces
 
-    problem = _load(args)
-    if problem.spec is None:
-        raise ParseError("the lefschetz command needs a self-map block")
-    traced = (
+    problem = _load(args).traced()
+    if (
         problem.support is not None
         or problem.traces is not None
         or problem.normal is not None
-    )
-    if traced:
-        report = Report("localization", **localization_report(problem.traced()))
-        return report, report.equal
+    ):
+        return Report("localization", **localization_report(problem))
     traces = homology_traces(problem.spec)
     total = sum(((-1) ** k) * t for k, t in enumerate(traces))
-    report = Report(
+    return Report(
         "lefschetz",
         global_trace=GaussianRational.of(total),
         degree_traces=tuple(
             (k, GaussianRational.of(t)) for k, t in enumerate(traces)
         ),
     )
-    return report, True
 
 
 def cmd_morse(args):
     from .morse import lefschetz_cycle_table
 
     problem = _load(args)
-    if problem.spec is None:
-        raise ParseError("the morse command needs a self-map block")
-    ell = _need_ell(problem)
-    result = lefschetz_cycle_table(problem.traced(), args.component, ell)
-    return (
-        Report(
-            "cycle-table",
-            component=result.component,
-            regime=result.regime,
-            sign=result.sign,
-            table=tuple(result.table.sorted_entries()),
-            total=result.total(),
-        ),
-        True,
+    result = lefschetz_cycle_table(
+        problem.traced(), args.component, _need_ell(problem)
+    )
+    return Report(
+        "cycle-table",
+        component=result.component,
+        regime=result.regime,
+        sign=result.sign,
+        table=tuple(result.table.sorted_entries()),
+        total=result.total(),
     )
 
 
@@ -174,12 +178,7 @@ def cmd_cc(args):
 
     problem = _load(args)
     table = cc_table(_need_phi(problem), _need_ell(problem))
-    return (
-        Report(
-            "cc", table=tuple(table.sorted_entries()), total=table.total()
-        ),
-        True,
-    )
+    return Report("cc", table=tuple(table.sorted_entries()), total=table.total())
 
 
 def cmd_index_check(args):
@@ -190,10 +189,8 @@ def cmd_index_check(args):
     phi = _need_phi(problem)
     total = index_sum(phi, _need_ell(problem))
     integral = euler_integral(phi)
-    equal = total == integral
-    return (
-        Report("index-check", index_sum=total, integral=integral, equal=equal),
-        equal,
+    return Report(
+        "index-check", index_sum=total, integral=integral, equal=total == integral
     )
 
 
@@ -214,16 +211,12 @@ def cmd_pushforward(args):
     )
     source_integral = euler_integral(phi)
     target_integral = euler_integral(pushed)
-    equal = source_integral == target_integral
-    return (
-        Report(
-            "pushforward",
-            values=values,
-            source_integral=source_integral,
-            target_integral=target_integral,
-            equal=equal,
-        ),
-        equal,
+    return Report(
+        "pushforward",
+        values=values,
+        source_integral=source_integral,
+        target_integral=target_integral,
+        equal=source_integral == target_integral,
     )
 
 
@@ -247,16 +240,13 @@ def cmd_flag_model(args):
         blocks = ()
         space = flag_cellspace(args.n).space
         component_count = 1
-    return (
-        Report(
-            "flag-model",
-            n=args.n,
-            blocks=blocks,
-            cell_count=len(space.cell_keys),
-            chi=chi_c(space),
-            component_count=component_count,
-        ),
-        True,
+    return Report(
+        "flag-model",
+        n=args.n,
+        blocks=blocks,
+        cell_count=len(space.cell_keys),
+        chi=chi_c(space),
+        component_count=component_count,
     )
 
 
@@ -271,38 +261,18 @@ def cmd_example_3_9(args):
          example.contribution(p.label))
         for p in example.patterns
     )
-    support = example.problem.support
-    return (
-        Report(
-            "worked-example",
-            components=components,
-            total=example.total(),
-            chi_of_divisor=chi_c(support),
-        ),
-        True,
+    return Report(
+        "worked-example",
+        components=components,
+        total=example.total(),
+        chi_of_divisor=chi_c(example.problem.support),
     )
 
 
 def cmd_verify(args):
     from .verify import VerifyConfig, run_all
 
-    config = VerifyConfig(seed=args.seed, cases=args.cases)
-    report = run_all(config)
-    return report, report.all_ok
-
-
-_COMMANDS = {
-    "chi": cmd_chi,
-    "integrate": cmd_integrate,
-    "lefschetz": cmd_lefschetz,
-    "morse": cmd_morse,
-    "cc": cmd_cc,
-    "index-check": cmd_index_check,
-    "pushforward": cmd_pushforward,
-    "flag-model": cmd_flag_model,
-    "example-3-9": cmd_example_3_9,
-    "verify": cmd_verify,
-}
+    return run_all(VerifyConfig(seed=args.seed, cases=args.cases))
 
 
 _NEGATIVE = re.compile(r"-[\d.]")
@@ -324,9 +294,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_glue_negative_ratio(argv))
-    handler = _COMMANDS[args.command]
     try:
-        report, ok = handler(args)
+        report = args.handler(args)
     except LefscalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -334,7 +303,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(print_report(report, args.json))
-    return 0 if ok else 1
+    return 0 if report.holds else 1
 
 
 if __name__ == "__main__":

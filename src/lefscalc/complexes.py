@@ -159,14 +159,17 @@ class SimplicialComplex(Value):
 
     @staticmethod
     def cell_key(ref) -> frozenset:
-        return frozenset(ref)
+        try:
+            return frozenset(ref)
+        except TypeError:
+            raise DegenerateInputError(f"not a simplex: {ref!r}") from None
 
     @staticmethod
     def cell_dim(key) -> int:
         return len(key) - 1
 
     def has(self, simplex) -> bool:
-        return frozenset(simplex) in self.simplices
+        return self.cell_key(simplex) in self.simplices
 
     def k_cells(self, k: int) -> list:
         return sorted(
@@ -259,6 +262,12 @@ class CellularSubset(Value):
     __slots__ = _fields = ("parent", "members")
 
     def __init__(self, parent, members: frozenset):
+        """members: cell keys of `parent`; a key the parent lacks is refused."""
+        if not members <= parent.cell_keys:
+            first = sorted(members - parent.cell_keys, key=cell_sort_key)[:3]
+            raise DegenerateInputError(
+                f"cells not in parent: {[repr(cell_name(c)) for c in first]}"
+            )
         set_field(self, "parent", parent)
         set_field(self, "members", members)
 
@@ -273,14 +282,7 @@ class CellularSubset(Value):
             return cells
         if isinstance(cells, SimplicialComplex):
             cells = cells.simplices
-        mem = frozenset(map(parent.cell_key, cells))
-        unknown = mem - parent.cell_keys
-        if unknown:
-            first = sorted(unknown, key=cell_sort_key)[:3]
-            raise DegenerateInputError(
-                f"cells not in parent: {[repr(cell_name(c)) for c in first]}"
-            )
-        return CellularSubset(parent, mem)
+        return CellularSubset(parent, frozenset(map(parent.cell_key, cells)))
 
     def sorted_members(self) -> list:
         return sorted(self.members, key=cell_sort_key)
@@ -488,9 +490,12 @@ def link(space: SimplicialComplex, v) -> SimplicialComplex:
 def connected_components(target) -> tuple:
     """Partition into components; deterministic, smallest cell first.
 
-    Simplicial subsets use the shares-a-face relation; cell spaces group by
-    their component labels (unlabeled cells are singletons).  Cells are
-    walked in cell order, so groups are met in that of their smallest cells.
+    In a simplicial subset a cell is joined to each of its faces in the
+    family, found through its facets and through the faces the family
+    lacks, so two open edges without their common vertex are two
+    components.  Cell spaces group by their component labels (unlabeled
+    cells are singletons).  Cells are walked in cell order, so groups are
+    met in that of their smallest cells.
     """
     if not isinstance(target, CellularSubset):
         target = whole_space(target)
@@ -517,14 +522,17 @@ def connected_components(target) -> tuple:
         if ri != rj:
             parent_arr[max(ri, rj)] = min(ri, rj)
 
-    # two cells touch when they share a face, i.e. intersect as vertex sets
-    by_vertex = {}
     for c in cells:
-        for v in c:
-            by_vertex.setdefault(v, []).append(index[c])
-    for bucket in by_vertex.values():
-        for other in bucket[1:]:
-            union(bucket[0], other)
+        below, missing = [c], set()  # faces of c to scan, faces not in the family
+        while below:
+            cell = below.pop()
+            for v in cell:
+                face = cell - {v}
+                if face in index:
+                    union(index[c], index[face])
+                elif len(face) > 1 and face not in missing:
+                    missing.add(face)
+                    below.append(face)
     for c in cells:
         groups.setdefault(find(index[c]), []).append(c)
     return tuple(CellularSubset(parent, frozenset(g)) for g in groups.values())

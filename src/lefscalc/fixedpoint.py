@@ -316,7 +316,7 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
     values = dict.fromkeys(cells, GaussianRational.of(1))
     if p.traces:
         for cell, raw in p.traces.items():
-            cell = frozenset(cell)
+            cell = base.cell_key(cell)
             if cell not in fixed.members:
                 raise DegenerateInputError(
                     f"trace value on {canonical_tuple(cell)}, which is not fixed"

@@ -70,6 +70,11 @@ class Report(Value):
         # __setattr__ refuses every write, so fill the instance dict directly
         vars(self).update(fields, kind=kind, _fields=("kind", *names))
 
+    @property
+    def holds(self) -> bool:
+        """False when the report's identity field, `equal` or `all_ok`, is."""
+        return getattr(self, "equal", True) and getattr(self, "all_ok", True)
+
     def to_json(self) -> dict:
         return {name: _plain(getattr(self, name)) for name in self._fields}
 

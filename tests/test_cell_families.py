@@ -9,6 +9,8 @@ from lefscalc import fixtures as fx
 from lefscalc.complexes import CellularSubset, SimplicialComplex, induced_subcomplex
 from lefscalc.errors import DegenerateInputError, LefscalcError
 from lefscalc.euler import ConstructibleFunction, restrict
+from lefscalc.fixedpoint import TracedProblem, local_trace_function
+from lefscalc.flags import flag_cellspace
 from lefscalc.homology import (
     betti,
     chain_complex,
@@ -138,3 +140,33 @@ def test_the_reader_returns_a_subset_of_an_equal_parent_as_it_is():
         CellularSubset.of(fx.twelve_gon(), subset)
     whole = CellularSubset.of(base, base)
     assert whole.members == base.simplices
+
+
+def test_a_subset_is_checked_when_it_is_built():
+    with pytest.raises(DegenerateInputError) as caught:
+        CellularSubset(fx.hexagon(), frozenset({frozenset({"zz"})}))
+    assert str(caught.value) == """cells not in parent: ["('zz',)"]"""
+    with pytest.raises(DegenerateInputError) as caught:
+        CellularSubset(flag_cellspace(3).space, frozenset({"zz"}))
+    assert str(caught.value) == """cells not in parent: ["'zz'"]"""
+
+
+@pytest.mark.parametrize(
+    "call, reference",
+    [
+        (lambda: relative_betti(fx.sphere2(), [1, 2]), "1"),
+        (lambda: relative_betti(fx.sphere2(), [[1], [[2]]]), "[[2]]"),
+        (lambda: ConstructibleFunction.of(fx.sphere2(), {1: 2}), "1"),
+        (lambda: fx.sphere2().has(1), "1"),
+        (
+            lambda: local_trace_function(
+                TracedProblem(spec=SelfMapSpec.identity(fx.sphere2()), traces={1: 2})
+            ),
+            "1",
+        ),
+    ],
+)
+def test_a_malformed_simplex_reference_is_refused(call, reference):
+    with pytest.raises(DegenerateInputError) as caught:
+        call()
+    assert str(caught.value) == f"not a simplex: {reference}"

@@ -27,7 +27,7 @@ from lefscalc.exact import GaussianRational, RationalMatrix
 from lefscalc.fixedpoint import NormalData, TracedProblem
 from lefscalc.io import SCHEMA, dumps, problem_to_json, traced_problem_to_json
 from lefscalc.morse import VertexFunctional
-from lefscalc.reports import parse_report
+from lefscalc.reports import FIELDS, Report, parse_report
 
 
 def g(x):
@@ -549,13 +549,42 @@ def test_exit_6_non_simplicial_map(tmp_path, capsys):
 def test_exit_1_when_an_identity_fails(monkeypatch, capsys):
     import lefscalc.cli as cli
 
-    def fake(args):
-        from lefscalc.reports import Report
+    failed = Report("index-check", index_sum=g(1), integral=g(2), equal=False)
+    monkeypatch.setattr(cli, "cmd_index_check", lambda args: failed)
+    assert main(["index-check"]) == 1
+    assert "equal: False" in capsys.readouterr().out
 
-        return Report("chi", chi=0), False
 
-    monkeypatch.setitem(cli._COMMANDS, "chi", fake)
-    assert main(["chi"]) == 1
+# report kind -> its identity field; no other kind checks an identity
+IDENTITY = {
+    "localization": "equal",
+    "index-check": "equal",
+    "pushforward": "equal",
+    "verify": "all_ok",
+}
+
+
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_main_exits_1_exactly_when_the_reports_identity_is_false(
+    monkeypatch, capsys, kind, held
+):
+    import lefscalc.cli as cli
+
+    # 0 is false, so an identity field missing from IDENTITY would exit 1
+    fields = dict.fromkeys(FIELDS[kind], 0)
+    if kind in IDENTITY:
+        fields[IDENTITY[kind]] = held
+    monkeypatch.setattr(cli, "cmd_chi", lambda args: Report(kind, **fields))
+    assert main(["chi"]) == (1 if kind in IDENTITY and not held else 0)
+    assert capsys.readouterr().out.startswith(f"kind: {kind}\n")
+
+
+@pytest.mark.parametrize("command", ["lefschetz", "morse"])
+def test_exit_2_a_map_command_on_a_problem_without_a_map(tmp_path, capsys, command):
+    path = write(tmp_path, "s2.json", problem_to_json(fx.sphere2()))
+    assert main([command, "--input", path]) == 2
+    assert capsys.readouterr().err == "error: this problem has no self-map block\n"
 
 
 @pytest.mark.parametrize(

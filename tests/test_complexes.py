@@ -127,6 +127,22 @@ def test_connected_components_simplicial():
     assert sizes == [3, 5]
 
 
+def test_components_of_a_family_that_is_not_closed():
+    """Cells are joined when one is a face of the other: two open edges
+    without their common vertex are two arcs, an open triangle with one
+    corner is one piece."""
+    hexagon = fx.hexagon()
+    arcs = [("v0", "v1"), ("v1", "v2")]
+    assert len(connected_components(CellularSubset.of(hexagon, arcs))) == 2
+    joined = CellularSubset.of(hexagon, [*arcs, ("v1",)])
+    assert len(connected_components(joined)) == 1
+    triangle = SimplicialComplex.from_maximal([("a", "b", "c")])
+    cornered = CellularSubset.of(triangle, [("a", "b", "c"), ("a",)])
+    assert len(connected_components(cornered)) == 1
+    apart = CellularSubset.of(triangle, [("a", "b"), ("c",)])
+    assert len(connected_components(apart)) == 2
+
+
 def test_connected_components_cellspace_by_label():
     space = CellSpace.build(
         [Cell("u0", 0, "u"), Cell("u2", 2, "u"), Cell("w0", 0, "w")]
