@@ -33,7 +33,7 @@ from .errors import (
     DegenerateInputError,
     InvalidComplexError,
 )
-from .exact import parse_rational
+from .exact import parse_integer, parse_rational
 from .records import Value, set_field
 
 
@@ -87,10 +87,46 @@ def cell_name(key):
     return canonical_tuple(key) if isinstance(key, frozenset) else key
 
 
+def read_table(entries, what: str, key=None) -> dict:
+    """The one reader of a key-value table: a dict, or an iterable of
+    (key, value) pairs, each a tuple or list of two items.  Each key is
+    read through `key` when it is given; a malformed pair, an unhashable
+    key and two entries whose keys read the same are refused, the last
+    as "two <what> <key>"."""
+    if isinstance(entries, dict):
+        if key is None:
+            return dict(entries)
+        entries = entries.items()
+    elif not hasattr(entries, "__iter__"):
+        raise DegenerateInputError(f"not a table of (key, value) pairs: {entries!r}")
+    table = {}
+    for pair in entries:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise DegenerateInputError(f"not a (key, value) pair: {pair!r}")
+        k = pair[0] if key is None else key(pair[0])
+        try:
+            seen = k in table
+        except TypeError:
+            raise DegenerateInputError(f"unhashable key {k!r}") from None
+        if seen:
+            raise DegenerateInputError(f"two {what} {cell_name(k)!r}")
+        table[k] = pair[1]
+    return table
+
+
+def read_cells(cells, key) -> frozenset:
+    """The keys of a family of cell references, each read through `key`
+    (a space's cell_key); a family that is not iterable is refused.
+    CellularSubset.of and the complex constructors read families here."""
+    if not hasattr(cells, "__iter__"):
+        raise DegenerateInputError(f"not a family of cells: {cells!r}")
+    return frozenset(map(key, cells))
+
+
 def _faces(simplices) -> set:
     """Every nonempty face of the given simplices, each a frozenset."""
     closed = set()
-    for s in simplices:
+    for s in read_cells(simplices, SimplicialComplex.cell_key):
         items = tuple(s)
         for k in range(1, len(items) + 1):
             closed.update(map(frozenset, combinations(items, k)))
@@ -109,7 +145,7 @@ class SimplicialComplex(Value):
     @staticmethod
     def build(vertices, simplices, coords=None) -> "SimplicialComplex":
         verts = tuple(sorted(set(vertices), key=vertex_key))
-        simps = frozenset(frozenset(s) for s in simplices)
+        simps = read_cells(simplices, SimplicialComplex.cell_key)
         coord_field = None
         if coords is not None:
             if isinstance(coords, dict):
@@ -138,7 +174,7 @@ class SimplicialComplex(Value):
 
     @staticmethod
     def from_simplices(simplices, coords=None) -> "SimplicialComplex":
-        simps = [frozenset(s) for s in simplices]
+        simps = read_cells(simplices, SimplicialComplex.cell_key)
         verts = set()
         for s in simps:
             verts |= s
@@ -282,7 +318,7 @@ class CellularSubset(Value):
             return cells
         if isinstance(cells, SimplicialComplex):
             cells = cells.simplices
-        return CellularSubset(parent, frozenset(map(parent.cell_key, cells)))
+        return CellularSubset(parent, read_cells(cells, parent.cell_key))
 
     def sorted_members(self) -> list:
         return sorted(self.members, key=cell_sort_key)
@@ -596,7 +632,7 @@ def barycentric_subdivide(space: SimplicialComplex) -> tuple:
     return SimplicialComplex.build(names.values(), carrier, coords), carrier
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so True misses level 1's entry
 def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
     """sd^level(base) together with the carrier map down to `base`.
 
@@ -607,8 +643,7 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
     for keeps its composed carrier.  Results are shared between callers;
     neither the complex nor the carrier may be mutated.
     """
-    if level < 0:
-        raise DegenerateInputError("subdivision level must be >= 0")
+    level = parse_integer(level, "subdivision level", least=0)
     if level == 0:
         return base, {s: s for s in base.simplices}
     if level == 1:

@@ -21,6 +21,7 @@ from .complexes import (
     SimplicialComplex,
     cell_name,
     cell_sort_key,
+    read_table,
 )
 from .errors import DegenerateInputError
 from .exact import GZERO, GaussianRational, signed_sum
@@ -40,11 +41,9 @@ class ConstructibleFunction(Record):
     @staticmethod
     def of(parent, values) -> "ConstructibleFunction":
         table = {}
-        if isinstance(values, dict):
-            values = values.items()
         known = parent.cell_keys
-        for cell, raw in values:
-            cell = parent.cell_key(cell)
+        given = read_table(values, "values for cell", parent.cell_key)
+        for cell, raw in given.items():
             if cell not in known:
                 raise DegenerateInputError(
                     f"value on unknown cell {cell_name(cell)!r}"

@@ -49,6 +49,22 @@ def parse_rational(value) -> Fraction:
     raise ParseError(f"not a rational: {value!r}")
 
 
+def parse_integer(value, what: str, least=None, most=None) -> int:
+    """The one reader of the library's integer arguments: an int that is
+    not a bool, at least `least` and at most `most` where they are given
+    (`most` only with `least`).  A refusal prints an integer past 64 bits
+    by its size: Python refuses to print one of more than 4300 digits."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        rule, got = "an integer", repr(value)
+    elif (least is None or value >= least) and (most is None or value <= most):
+        return value
+    else:
+        rule = f"at least {least}" if most is None else f"in {least}..{most}"
+        bits = value.bit_length()
+        got = value if bits <= 64 else f"an integer of {bits} bits"
+    raise DegenerateInputError(f"{what} must be {rule}, got {got}")
+
+
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 

@@ -36,6 +36,7 @@ from .complexes import (
     cell_sort_key,
     closure,
     connected_components,
+    read_table,
     sd_positions,
     vertex_key,
 )
@@ -52,6 +53,7 @@ from .exact import (
     RationalMatrix,
     RationalPolynomial,
     count_real_roots_geq,
+    parse_integer,
     signed_sum,
 )
 from .homology import lefschetz_number, project_endomorphism
@@ -71,25 +73,14 @@ class NormalData(Value):
 
     @staticmethod
     def of(entries) -> "NormalData":
-        table = {}
-        for idx, matrix in (
-            entries.items() if isinstance(entries, dict) else entries
-        ):
-            if isinstance(idx, str) and idx.removeprefix("-").isdecimal():
-                idx = int(idx)
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise DegenerateInputError(
-                    f"normal data names component {idx!r}, not an integer"
-                )
+        table = read_table(entries, "normal matrices for component", _component_index)
+        for idx, matrix in table.items():
             if not isinstance(matrix, RationalMatrix):
-                matrix = RationalMatrix.of(matrix)
+                table[idx] = matrix = RationalMatrix.of(matrix)
             if not matrix.is_square():
                 raise DegenerateInputError(
                     f"normal matrix for component {idx} is not square"
                 )
-            if idx in table:
-                raise DegenerateInputError(f"two normal matrices for component {idx}")
-            table[idx] = matrix
         return NormalData(tuple(sorted(table.items())))
 
     def matrix_for(self, index: int) -> RationalMatrix | None:
@@ -97,6 +88,17 @@ class NormalData(Value):
             if idx == index:
                 return matrix
         return None
+
+
+def _component_index(idx) -> int:
+    """A component index of normal data: an int or a decimal string."""
+    if isinstance(idx, str) and idx.removeprefix("-").isdecimal():
+        return int(idx)
+    if isinstance(idx, bool) or not isinstance(idx, int):
+        raise DegenerateInputError(
+            f"normal data names component {idx!r}, not an integer"
+        )
+    return idx
 
 
 class FixedComponent(Record):
@@ -175,6 +177,7 @@ class TracedProblem(Record):
 
     def component(self, index: int) -> FixedComponent:
         """One fixed component and its normal facts, computed once per index."""
+        index = parse_integer(index, "component index")
         if index not in self._components:
             comps = self.fixed_locus[1]
             if not 0 <= index < len(comps):
@@ -315,8 +318,8 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
         cells &= CellularSubset.of(base, p.support).members
     values = dict.fromkeys(cells, GaussianRational.of(1))
     if p.traces:
-        for cell, raw in p.traces.items():
-            cell = base.cell_key(cell)
+        traces = read_table(p.traces, "trace values for cell", base.cell_key)
+        for cell, raw in traces.items():
             if cell not in fixed.members:
                 raise DegenerateInputError(
                     f"trace value on {canonical_tuple(cell)}, which is not fixed"

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .complexes import Cell, CellSpace, CellularSubset
 from .errors import DegenerateInputError
@@ -31,6 +31,7 @@ from .exact import (
     GaussianRational,
     RationalMatrix,
     RationalPolynomial,
+    parse_integer,
     parse_rational,
     signed_sum,
 )
@@ -120,6 +121,7 @@ def _perm_cells(n: int) -> tuple:
 
 
 MAX_FLAG_N = 6
+_flag_size = partial(parse_integer, what="flag size n", least=1, most=MAX_FLAG_N)
 
 
 class BruhatCellSpace(Record):
@@ -136,10 +138,7 @@ class BruhatCellSpace(Record):
 
 
 def flag_cellspace(n: int) -> BruhatCellSpace:
-    if not 1 <= n <= MAX_FLAG_N:
-        raise DegenerateInputError(
-            f"flag model supported for 1 <= n <= {MAX_FLAG_N}, got {n}"
-        )
+    n = _flag_size(n)
     cells = [Cell(name, dim, "flag") for name, dim in _perm_cells(n)]
     return BruhatCellSpace(n, CellSpace.build(cells), tuple(permutations_of(n)))
 
@@ -203,19 +202,16 @@ def fixed_component_count(blocks: tuple) -> int:
 def fixed_locus_cellspace(n: int, blocks) -> CellSpace:
     """Cell model of the fixed flags of a block-diagonal matrix.
 
-    blocks are the eigenvalue multiplicities; each component is a product
-    of flag manifolds of the block sizes and is labeled c0, c1, ... in the
-    lexicographic order of its arrangement word.
+    blocks, a tuple or list, are the eigenvalue multiplicities; each
+    component is a product of flag manifolds of the block sizes and is
+    labeled c0, c1, ... in the lexicographic order of its arrangement word.
     """
-    blocks = tuple(int(b) for b in blocks)
-    if any(b <= 0 for b in blocks) or sum(blocks) != n:
-        raise DegenerateInputError(
-            f"block sizes {blocks} do not partition {n}"
-        )
-    if not 1 <= n <= MAX_FLAG_N:
-        raise DegenerateInputError(
-            f"flag model supported for 1 <= n <= {MAX_FLAG_N}, got {n}"
-        )
+    n = _flag_size(n)
+    if not isinstance(blocks, (tuple, list)):
+        raise DegenerateInputError(f"block sizes must be a sequence, got {blocks!r}")
+    blocks = tuple(parse_integer(b, "block size", least=1) for b in blocks)
+    if sum(blocks) != n:
+        raise DegenerateInputError(f"block sizes {blocks} do not partition {n}")
     # every component has the same cells: (id suffix, dim) per factor cell
     factor_cells = [
         ("|".join(name for name, _ in combo), sum(dim for _, dim in combo))

@@ -38,6 +38,7 @@ from .complexes import (
     vertex_key,
 )
 from .errors import DegenerateInputError
+from .exact import parse_integer
 from .maps import SelfMapSpec
 from .records import Record, set_field
 
@@ -353,6 +354,7 @@ def homology_trace(target, k: int) -> Fraction:
     the boundary columns; the coefficients it meets on its own cycle are
     summed.  The result is basis independent.
     """
+    k = parse_integer(k, "degree")
     endo = _as_endomorphism(target)
     cc = endo.source
     if cc.basis_size(k) == 0:

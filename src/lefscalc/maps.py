@@ -16,9 +16,11 @@ from .complexes import (
     SimplicialComplex,
     canonical_tuple,
     cell_sort_key,
+    read_table,
     subdivided_complex,
 )
 from .errors import DegenerateInputError, NonSimplicialMapError
+from .exact import parse_integer
 from .records import Value, set_field
 
 
@@ -35,7 +37,7 @@ class SimplicialMap(Value):
     @staticmethod
     def build(source, target, vertex_map) -> "SimplicialMap":
         """A checked map, keyed by the source's own vertex objects."""
-        given = dict(vertex_map)
+        given = read_table(vertex_map, "images for vertex")
         missing = [v for v in source.vertices if v not in given]
         if missing:
             raise NonSimplicialMapError(f"vertices without images: {missing[:4]}")
@@ -43,10 +45,11 @@ class SimplicialMap(Value):
             extra = sorted(set(given).difference(source.vertices), key=repr)
             raise NonSimplicialMapError(f"keys outside source: {extra[:4]}")
         vm = {v: given[v] for v in source.vertices}
-        target_vertices = set(target.vertices)
-        stray = sorted(
-            (v for v in vm.values() if v not in target_vertices), key=repr
-        )
+        targets = set(target.vertices)
+        try:
+            stray = sorted((v for v in vm.values() if v not in targets), key=repr)
+        except TypeError as exc:  # an unhashable image
+            raise NonSimplicialMapError(f"images outside target: {exc}") from None
         if stray:
             raise NonSimplicialMapError(f"images outside target: {stray[:4]}")
         m = SimplicialMap(source, target, vm)
@@ -87,6 +90,7 @@ class SelfMapSpec(Value):
     def build(base, level, vertex_map) -> "SelfMapSpec":
         """A spec whose map is checked once, here, and keyed by the vertex
         objects of sd^level(base)."""
+        level = parse_integer(level, "subdivision level", least=0)
         m = SimplicialMap.build(subdivided_complex(base, level)[0], base, vertex_map)
         spec = SelfMapSpec(base, level, m.vertex_map)
         set_field(spec, "_map", m)  # fills the cached property

@@ -36,6 +36,7 @@ from .complexes import (
     canonical_tuple,
     cell_sort_key,
     induced_subcomplex,
+    read_table,
     require_simplicial,
     vertex_key,
 )
@@ -58,7 +59,8 @@ class VertexFunctional(Value):
 
     @staticmethod
     def of(space: SimplicialComplex, table) -> "VertexFunctional":
-        values = {v: parse_rational(x) for v, x in dict(table).items()}
+        given = read_table(table, "heights for vertex")
+        values = {v: parse_rational(x) for v, x in given.items()}
         _require_defined(space, values)
         return VertexFunctional(values)
 

@@ -14,9 +14,9 @@ import random
 
 from . import fixtures
 from .complexes import SimplicialComplex, cell_sort_key
-from .errors import DegenerateInputError, NonSimplicialMapError
+from .errors import NonSimplicialMapError
 from .euler import ConstructibleFunction, combine, euler_integral, pushforward
-from .exact import GaussianRational, Rat
+from .exact import GaussianRational, Rat, parse_integer
 from .fixedpoint import localization_report
 from .flags import example_3_9
 from .homology import hopf_trace, homology_traces, lefschetz_number
@@ -120,10 +120,8 @@ class VerifyConfig(Value):
     __slots__ = _fields = ("seed", "cases")
 
     def __init__(self, seed: int = 0, cases: int = 25):
-        if cases < 1:
-            raise DegenerateInputError(f"cases must be at least 1, got {cases}")
-        set_field(self, "seed", seed)
-        set_field(self, "cases", cases)
+        set_field(self, "seed", parse_integer(seed, "seed"))
+        set_field(self, "cases", parse_integer(cases, "cases", least=1))
 
 
 def check_hopf_vs_homology(config: VerifyConfig) -> str:

@@ -1,0 +1,267 @@
+"""Malformed arguments through the library's entry points.
+
+Each name of `lefscalc._EXPORTS` that takes a subdivision level, a flag
+size or block sizes, a component index or degree, a key-value table or a
+family of simplices is called with drawn values of the wrong kind: bools,
+floats, digit strings, None, nested lists and tuples, malformed pairs,
+repeated keys and unknown vertices.  Each call must return or raise a
+LefscalcError, and nothing else.
+
+Two wrong objects stay Python's own TypeError and are not drawn: an object
+that is no complex where a complex is expected (such as None), and an
+unhashable level given to `subdivided_complex` itself, whose cache hashes
+its arguments before any reader runs.  A normal matrix is drawn as a list
+of rows, since the shape of a matrix has no reader of its own.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lefscalc as lc
+from lefscalc import fixtures as fx
+from lefscalc.errors import DegenerateInputError, LefscalcError
+
+SPHERE = fx.sphere2()
+CP1 = fx.cp1_cellspace()
+REFLECTION = fx.reflection_problem()
+HEXAGON = REFLECTION.spec.base
+HEIGHTS = lc.VertexFunctional.of(HEXAGON, {f"v{i}": i for i in range(6)})
+ONE = lc.ConstructibleFunction.indicator(SPHERE)
+
+FUZZ = settings(
+    max_examples=30, deadline=None, derandomize=True, report_multiple_bugs=False
+)
+
+SCALARS = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.integers(-2, 2),
+    st.none(),
+    st.from_regex(r"-?[0-9]{1,2}", fullmatch=True),
+    st.sampled_from(["", "zz", "1/2", "v0", "pt"]),
+)
+HASHABLE = st.recursive(SCALARS, lambda inner: st.tuples(inner, inner), max_leaves=4)
+ODD = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner),
+    max_leaves=5,
+)
+# vertices and cells of the spaces called on, and an unknown vertex
+KNOWN = st.sampled_from(
+    [1, 2, 4, "v0", "v3", (1,), (1, 2), (2, 1), "pt", "cell2", 0, "1", 9]
+)
+KEYS = st.one_of(KNOWN, ODD)
+VALUES = st.one_of(st.sampled_from(["1", "-1/2", 3, 0, {"re": "1"}]), ODD)
+MATRICES = st.one_of(
+    st.sampled_from([[[-1]], [["2"]], [[1, 0], [0, 3]]]),
+    st.lists(st.lists(st.one_of(SCALARS, VALUES), max_size=2), max_size=2),
+)
+SIMPLEX = st.one_of(
+    st.lists(st.one_of(st.integers(1, 4), st.just("zz")), max_size=4),
+    st.tuples(st.integers(1, 4)),
+    ODD,
+)
+
+
+def tables(values=VALUES):
+    """A dict, a list of pairs with malformed pairs in it, the same with a
+    key given twice, or something that is no table at all."""
+    malformed = st.lists(st.one_of(KEYS, values), max_size=3) | ODD
+    pairs = st.lists(st.tuples(KEYS, values) | malformed, max_size=4)
+    repeated = st.tuples(pairs, KEYS, values, values).map(
+        lambda t: t[0] + [(t[1], t[2]), [t[1], t[3]]]
+    )
+    dicts = st.dictionaries(st.one_of(KNOWN, HASHABLE), values, max_size=4)
+    return st.one_of(dicts, pairs, repeated, ODD)
+
+
+def _identity_map(space, junk):
+    """The identity vertex map of `space` with `junk` pairs added."""
+    return [(v, v) for v in space.vertices] + junk
+
+
+def _settles(call, *args):
+    try:
+        call(*args)
+    except LefscalcError:
+        pass
+
+
+LEVEL_CALLS = {
+    "subdivided_complex": lambda level: lc.subdivided_complex(SPHERE, level),
+    "SelfMapSpec.build": lambda level: lc.SelfMapSpec.build(
+        SPHERE, level, _identity_map(SPHERE, [])
+    ),
+}
+FLAG_CALLS = {
+    "flag_cellspace": lambda n, blocks: lc.flag_cellspace(n),
+    "fixed_locus_cellspace": lc.fixed_locus_cellspace,
+}
+INDEX_CALLS = {
+    "signed_local_contribution": lambda i: lc.signed_local_contribution(
+        REFLECTION, i
+    ),
+    "local_contribution": lambda i: lc.local_contribution(REFLECTION, i),
+    "lefschetz_cycle_table": lambda i: lc.lefschetz_cycle_table(
+        REFLECTION, i, HEIGHTS
+    ),
+    "microlocal_index": lambda i: lc.microlocal_index(REFLECTION, i, HEIGHTS),
+    "homology_trace": lambda k: lc.homology_trace(REFLECTION.spec, k),
+}
+TABLE_CALLS = {
+    "SimplicialMap.build": lambda t: lc.SimplicialMap.build(SPHERE, SPHERE, t),
+    "SelfMapSpec.build": lambda t: lc.SelfMapSpec.build(SPHERE, 0, t),
+    "VertexFunctional.of": lambda t: lc.VertexFunctional.of(SPHERE, t),
+    "ConstructibleFunction.of": lambda t: lc.ConstructibleFunction.of(SPHERE, t),
+    "local_trace_function": lambda t: lc.local_trace_function(
+        lc.TracedProblem(spec=REFLECTION.spec, traces=t)
+    ),
+}
+FAMILY_CALLS = {
+    "SimplicialComplex.build": lambda f: lc.SimplicialComplex.build([1, 2], f),
+    "SimplicialComplex.from_simplices": lc.SimplicialComplex.from_simplices,
+    "SimplicialComplex.from_maximal": lc.SimplicialComplex.from_maximal,
+    "CellularSubset.of": lambda f: lc.CellularSubset.of(SPHERE, f),
+    "induced_subcomplex": lambda f: lc.induced_subcomplex(SPHERE, f),
+    "relative_betti": lambda f: lc.relative_betti(SPHERE, f),
+    "restrict": lambda f: lc.restrict(ONE, f),
+    "ConstructibleFunction.indicator": lambda f: (
+        lc.ConstructibleFunction.indicator(SPHERE, f)
+    ),
+    "relative_lefschetz_number": lambda f: lc.relative_lefschetz_number(
+        REFLECTION.spec, f
+    ),
+    "localization_report": lambda f: lc.localization_report(
+        lc.TracedProblem(spec=REFLECTION.spec, support=f)
+    ),
+}
+
+
+def test_every_fuzzed_name_is_exported():
+    names = {*LEVEL_CALLS, *FLAG_CALLS, *INDEX_CALLS, *TABLE_CALLS, *FAMILY_CALLS}
+    assert {name.split(".")[0] for name in names} <= set(lc._EXPORTS)
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(sorted(LEVEL_CALLS)),
+    level=st.one_of(st.integers(-3, 1), HASHABLE),
+    unhashable=ODD,
+)
+def test_a_level_is_an_int_that_is_not_a_bool(name, level, unhashable):
+    _settles(LEVEL_CALLS[name], level)
+    _settles(LEVEL_CALLS["SelfMapSpec.build"], unhashable)
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(sorted(FLAG_CALLS)),
+    n=st.one_of(st.integers(-1, 7), ODD),
+    blocks=st.one_of(st.lists(st.one_of(st.integers(0, 3), SCALARS), max_size=3), ODD),
+)
+def test_flag_sizes_and_blocks_are_ints_that_are_not_bools(name, n, blocks):
+    _settles(FLAG_CALLS[name], n, blocks)
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(sorted(INDEX_CALLS)), index=st.one_of(st.integers(-2, 3), ODD)
+)
+def test_component_indices_and_degrees_are_ints_that_are_not_bools(name, index):
+    _settles(INDEX_CALLS[name], index)
+
+
+@FUZZ
+@given(name=st.sampled_from(sorted(TABLE_CALLS)), table=tables())
+def test_a_table_is_read_by_one_reader(name, table):
+    _settles(TABLE_CALLS[name], table)
+
+
+@FUZZ
+@given(junk=tables(), cell_table=tables(), normal=tables(MATRICES))
+def test_whole_tables_with_junk_added(junk, cell_table, normal):
+    """A complete vertex map or functional with junk pairs after it, values
+    on the cells of a cell space, and normal data."""
+    pairs = junk if isinstance(junk, list) else []
+    _settles(lc.SelfMapSpec.build, SPHERE, 0, _identity_map(SPHERE, pairs))
+    _settles(lc.VertexFunctional.of, SPHERE, _identity_map(SPHERE, pairs))
+    _settles(lc.ConstructibleFunction.of, CP1, cell_table)
+    _settles(lc.NormalData.of, normal)
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(sorted(FAMILY_CALLS)),
+    family=st.one_of(st.lists(SIMPLEX, max_size=4), ODD),
+)
+def test_a_family_is_read_simplex_by_simplex(name, family):
+    _settles(FAMILY_CALLS[name], family)
+
+
+# each refusal's text, and a call that raised a raw TypeError, or read its
+# argument as something else, before the readers
+PROBES = {
+    "subdivision level must be an integer, got '2'": lambda: lc.subdivided_complex(
+        SPHERE, "2"
+    ),
+    "subdivision level must be an integer, got True": lambda: lc.subdivided_complex(
+        SPHERE, True
+    ),
+    "subdivision level must be an integer, got [0]": lambda: lc.SelfMapSpec.build(
+        SPHERE, [0], {}
+    ),
+    "subdivision level must be at least 0, got an integer of 16610 bits": lambda: (
+        lc.subdivided_complex(SPHERE, -(10**5000))
+    ),
+    "flag size n must be an integer, got '3'": lambda: lc.flag_cellspace("3"),
+    "flag size n must be in 1..6, got 7": lambda: lc.flag_cellspace(7),
+    "block sizes must be a sequence, got '12'": lambda: lc.fixed_locus_cellspace(
+        3, "12"
+    ),
+    "block size must be an integer, got True": lambda: lc.fixed_locus_cellspace(
+        3, (1, True, 1)
+    ),
+    "block size must be at least 1, got 0": lambda: lc.fixed_locus_cellspace(3, (3, 0)),
+    "component index must be an integer, got '0'": lambda: (
+        lc.signed_local_contribution(REFLECTION, "0")
+    ),
+    "component index must be an integer, got True": lambda: (
+        lc.signed_local_contribution(REFLECTION, True)
+    ),
+    "degree must be an integer, got True": lambda: lc.homology_trace(
+        REFLECTION.spec, True
+    ),
+    "not a (key, value) pair: 1": lambda: lc.NormalData.of([1]),
+    "not a table of (key, value) pairs: 5": lambda: lc.NormalData.of(5),
+    "two images for vertex 1": lambda: lc.SimplicialMap.build(
+        SPHERE, SPHERE, _identity_map(SPHERE, [(1, 2)])
+    ),
+    "two heights for vertex 1": lambda: lc.VertexFunctional.of(
+        SPHERE, [(1, 0), (1, 5), ([2], 1)]
+    ),
+    "unhashable key [2]": lambda: lc.VertexFunctional.of(SPHERE, [([2], 1)]),
+    "two values for cell (1, 2)": lambda: lc.ConstructibleFunction.of(
+        SPHERE, {(1, 2): 1, (2, 1): 2}
+    ),
+    "two trace values for cell ('v0',)": lambda: lc.local_trace_function(
+        lc.TracedProblem(spec=REFLECTION.spec, traces=[(("v0",), 2), (["v0"], 3)])
+    ),
+    "two normal matrices for component 0": lambda: lc.NormalData.of(
+        [(0, [[1]]), ("0", [[2]])]
+    ),
+    "not a family of cells: 5": lambda: lc.CellularSubset.of(SPHERE, 5),
+    "not a family of cells: None": lambda: lc.SimplicialComplex.from_maximal(None),
+}
+
+
+@pytest.mark.parametrize("text", sorted(PROBES))
+def test_each_probe_is_refused_with_its_text(text):
+    with pytest.raises(DegenerateInputError) as caught:
+        PROBES[text]()
+    assert str(caught.value) == text
+
+
+def test_an_unhashable_image_is_no_vertex_of_the_target():
+    with pytest.raises(lc.NonSimplicialMapError, match="images outside target"):
+        lc.SimplicialMap.build(SPHERE, SPHERE, {v: [v] for v in SPHERE.vertices})

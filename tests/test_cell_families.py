@@ -164,6 +164,9 @@ def test_a_subset_is_checked_when_it_is_built():
             ),
             "1",
         ),
+        (lambda: SimplicialComplex.from_simplices([1]), "1"),
+        (lambda: SimplicialComplex.from_maximal([("a",), 2]), "2"),
+        (lambda: SimplicialComplex.build(["a"], [1]), "1"),
     ],
 )
 def test_a_malformed_simplex_reference_is_refused(call, reference):

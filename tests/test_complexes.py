@@ -200,8 +200,21 @@ def test_subdivision_tower_matches_iterated_subdivision():
         assert subdivided_complex(space, level) == (current, carrier)
         current, step = barycentric_subdivide(current)
         carrier = {cell: carrier[below] for cell, below in step.items()}
-    with pytest.raises(DegenerateInputError, match="level must be >= 0"):
+    with pytest.raises(
+        DegenerateInputError, match="^subdivision level must be at least 0, got -1$"
+    ):
         subdivided_complex(space, -1)
+
+
+def test_a_bool_level_misses_the_cached_integer_level():
+    # the tower stays an lru_cache, whose counters the benchmark reads
+    assert subdivided_complex.cache_parameters() == {"maxsize": None, "typed": True}
+    space = fx.sphere2()
+    subdivided_complex(space, 1)
+    with pytest.raises(
+        DegenerateInputError, match="^subdivision level must be an integer, got True$"
+    ):
+        subdivided_complex(space, True)
 
 
 def test_a_tower_past_the_recursion_limit_is_built_bottom_up():
