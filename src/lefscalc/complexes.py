@@ -32,8 +32,9 @@ from .errors import (
     CellSpaceUnsupportedError,
     DegenerateInputError,
     InvalidComplexError,
+    shown,
 )
-from .exact import parse_integer, parse_rational
+from .exact import parse_integer, read_rows
 from .records import Value, set_field
 
 
@@ -42,8 +43,8 @@ def vertex_key(v):
 
     Tuples sort by length first, so barycenter vertices of a subdivision
     sort in face-poset order inside any subdivision simplex.  A TupleVertex
-    carries its key; anything but an int (not a bool), a string or a tuple
-    of identifiers is refused.
+    carries its key; anything but a string, an int of at most 64 bits (not
+    a bool) or a tuple of identifiers is refused.
     """
     if isinstance(v, TupleVertex):
         return v.key
@@ -51,10 +52,11 @@ def vertex_key(v):
         return (2, len(v), tuple(map(vertex_key, v)))
     if isinstance(v, str):
         return (1, v)
-    if isinstance(v, int) and not isinstance(v, bool):
+    if isinstance(v, int) and not isinstance(v, bool) and v.bit_length() <= 64:
         return (0, v)
     raise DegenerateInputError(
-        f"invalid vertex {v!r}: vertices are ints, strings and tuples of them"
+        f"invalid vertex {shown(v)}: vertices are strings, ints of at most "
+        "64 bits and tuples of them"
     )
 
 
@@ -87,6 +89,11 @@ def cell_name(key):
     return canonical_tuple(key) if isinstance(key, frozenset) else key
 
 
+def _iterable(x) -> bool:
+    """Whether `x` can be read as a collection: iterable, and not a string."""
+    return hasattr(x, "__iter__") and not isinstance(x, (str, bytes))
+
+
 def read_table(entries, what: str, key=None) -> dict:
     """The one reader of a key-value table: a dict, or an iterable of
     (key, value) pairs, each a tuple or list of two items.  Each key is
@@ -97,29 +104,29 @@ def read_table(entries, what: str, key=None) -> dict:
         if key is None:
             return dict(entries)
         entries = entries.items()
-    elif not hasattr(entries, "__iter__"):
-        raise DegenerateInputError(f"not a table of (key, value) pairs: {entries!r}")
+    elif not _iterable(entries):
+        raise DegenerateInputError(f"not a table of (key, value) pairs: {shown(entries)}")
     table = {}
     for pair in entries:
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-            raise DegenerateInputError(f"not a (key, value) pair: {pair!r}")
+            raise DegenerateInputError(f"not a (key, value) pair: {shown(pair)}")
         k = pair[0] if key is None else key(pair[0])
         try:
             seen = k in table
         except TypeError:
-            raise DegenerateInputError(f"unhashable key {k!r}") from None
+            raise DegenerateInputError(f"unhashable key {shown(k)}") from None
         if seen:
-            raise DegenerateInputError(f"two {what} {cell_name(k)!r}")
+            raise DegenerateInputError(f"two {what} {shown(cell_name(k))}")
         table[k] = pair[1]
     return table
 
 
 def read_cells(cells, key) -> frozenset:
     """The keys of a family of cell references, each read through `key`
-    (a space's cell_key); a family that is not iterable is refused.
+    (a space's cell_key); a string or a non-iterable is no family.
     CellularSubset.of and the complex constructors read families here."""
-    if not hasattr(cells, "__iter__"):
-        raise DegenerateInputError(f"not a family of cells: {cells!r}")
+    if not _iterable(cells):
+        raise DegenerateInputError(f"not a family of cells: {shown(cells)}")
     return frozenset(map(key, cells))
 
 
@@ -144,31 +151,29 @@ class SimplicialComplex(Value):
 
     @staticmethod
     def build(vertices, simplices, coords=None) -> "SimplicialComplex":
-        verts = tuple(sorted(set(vertices), key=vertex_key))
+        """coords: a dict of each vertex's coordinate row, or a list of rows
+        aligned with the vertex sequence; read_rows reads the rows."""
+        if not _iterable(vertices):
+            raise DegenerateInputError(f"not a vertex list: {shown(vertices)}")
+        keyed = {vertex_key(v): v for v in vertices}  # read, never hashed
+        verts = tuple(v for _, v in sorted(keyed.items()))
         simps = read_cells(simplices, SimplicialComplex.cell_key)
         coord_field = None
         if coords is not None:
             if isinstance(coords, dict):
-                table = {
-                    v: tuple(parse_rational(x) for x in xs)
-                    for v, xs in coords.items()
-                }
+                names, coords = list(coords), list(coords.values())
+            elif isinstance(vertices, (set, frozenset)):
+                raise DegenerateInputError(
+                    "aligned coordinates need an ordered vertex sequence"
+                )
             else:
-                # a row sequence aligned with the given vertex order
-                if isinstance(vertices, (set, frozenset)):
-                    raise DegenerateInputError(
-                        "aligned coordinates need an ordered vertex sequence"
-                    )
-                rows = list(coords)
                 names = list(vertices)
-                if len(rows) != len(names):
-                    raise DegenerateInputError(
-                        "coordinate rows do not align with the vertex list"
-                    )
-                table = {
-                    v: tuple(parse_rational(x) for x in rows[i])
-                    for i, v in enumerate(names)
-                }
+            rows = read_rows(coords, "coordinates")
+            if len(rows) != len(names):
+                raise DegenerateInputError(
+                    "coordinate rows do not align with the vertex list"
+                )
+            table = dict(zip(names, rows))
             coord_field = tuple(table.get(v) for v in verts)
         return SimplicialComplex(verts, simps, coord_field)
 
@@ -195,10 +200,13 @@ class SimplicialComplex(Value):
 
     @staticmethod
     def cell_key(ref) -> frozenset:
-        try:
-            return frozenset(ref)
-        except TypeError:
-            raise DegenerateInputError(f"not a simplex: {ref!r}") from None
+        """A simplex reference is a list, tuple, set or frozenset of vertices."""
+        if isinstance(ref, (frozenset, list, tuple, set)):
+            try:
+                return frozenset(ref)
+            except TypeError:  # an unhashable vertex
+                pass
+        raise DegenerateInputError(f"not a simplex: {shown(ref)}")
 
     @staticmethod
     def cell_dim(key) -> int:
@@ -220,7 +228,7 @@ class SimplicialComplex(Value):
         try:
             return self._vertex_index[v]
         except (KeyError, TypeError):
-            raise DegenerateInputError(f"unknown vertex {v!r}") from None
+            raise DegenerateInputError(f"unknown vertex {shown(v)}") from None
 
     def coord_of(self, v):
         if self.coords is None:
@@ -251,16 +259,29 @@ class CellSpace(Value):
 
     @staticmethod
     def build(cells) -> "CellSpace":
-        rows = []
-        seen = set()
+        """The space of the given Cells: a string id named once, a dim of at
+        least 0 and a string component or None.  A flag model has thousands
+        of cells, so cell_key and parse_integer see only a failing field."""
+        if not _iterable(cells):
+            raise DegenerateInputError(f"not a family of cells: {shown(cells)}")
+        rows = {}
         for cell in cells:
-            if cell.ident in seen:
-                raise DegenerateInputError(f"duplicate cell id {cell.ident!r}")
-            if cell.dim < 0:
-                raise DegenerateInputError(f"cell {cell.ident!r} has negative dim")
-            seen.add(cell.ident)
-            rows.append(cell)
-        return CellSpace(tuple(sorted(rows, key=lambda c: c.ident)))
+            if not isinstance(cell, Cell):
+                raise DegenerateInputError(f"not a cell: {shown(cell)}")
+            ident, dim, component = cell.ident, cell.dim, cell.component
+            if not isinstance(ident, str):
+                CellSpace.cell_key(ident)
+            if ident in rows:
+                raise DegenerateInputError(f"duplicate cell id {ident!r}")
+            if type(dim) is not int or dim < 0:
+                parse_integer(dim, f"the dim of cell {ident!r}", least=0)
+            if component is not None and not isinstance(component, str):
+                raise DegenerateInputError(
+                    f"the component of cell {ident!r} must be a string or None, "
+                    f"got {shown(component)}"
+                )
+            rows[ident] = cell
+        return CellSpace(tuple([rows[ident] for ident in sorted(rows)]))
 
     @cached_property
     def _by_ident(self) -> dict:
@@ -270,7 +291,7 @@ class CellSpace(Value):
         try:
             return self._by_ident[ident]
         except KeyError:
-            raise DegenerateInputError(f"unknown cell {ident!r}") from None
+            raise DegenerateInputError(f"unknown cell {shown(ident)}") from None
 
     @cached_property
     def cell_keys(self) -> frozenset:
@@ -278,7 +299,10 @@ class CellSpace(Value):
 
     @staticmethod
     def cell_key(ref) -> str:
-        return str(ref)
+        """A cell reference is its id, a string."""
+        if isinstance(ref, str):
+            return ref
+        raise DegenerateInputError(f"not a cell id: {shown(ref)}")
 
     def cell_dim(self, key) -> int:
         return self.cell(key).dim
@@ -685,7 +709,7 @@ def sd_positions(base: SimplicialComplex) -> dict:
 class _Positions(dict):
     def __missing__(self, vertex):
         if not isinstance(vertex, tuple):
-            raise DegenerateInputError(f"not a subdivision vertex: {vertex!r}")
+            raise DegenerateInputError(f"not a subdivision vertex: {shown(vertex)}")
         total = {}
         for part in vertex:
             for v, w in self[part].items():

@@ -3,7 +3,20 @@
 Every rejection the library performs deliberately gets its own class so
 callers can tell failures apart without string matching.  Each class
 carries the command line's exit code for it: 2 unless it says otherwise.
+A refusal prints the value it refuses through `shown`.
 """
+
+
+def shown(value) -> str:
+    """A user's value as a refusal prints it: its repr, but an int past 64
+    bits by its size, since Python refuses to print one of more than 4300
+    digits, and a value holding such an int by its type."""
+    if isinstance(value, int) and not isinstance(value, bool) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an integer too large to print"
 
 
 class LefscalcError(Exception):

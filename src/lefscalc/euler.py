@@ -23,7 +23,7 @@ from .complexes import (
     cell_sort_key,
     read_table,
 )
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, shown
 from .exact import GZERO, GaussianRational, signed_sum
 from .maps import SelfMapSpec, SimplicialMap
 from .records import Record, set_field
@@ -46,7 +46,7 @@ class ConstructibleFunction(Record):
         for cell, raw in given.items():
             if cell not in known:
                 raise DegenerateInputError(
-                    f"value on unknown cell {cell_name(cell)!r}"
+                    f"value on unknown cell {shown(cell_name(cell))}"
                 )
             value = GaussianRational.of(raw)
             if not value.is_zero():

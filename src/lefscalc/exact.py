@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import DegenerateInputError, ParseError
+from .errors import DegenerateInputError, ParseError, shown
 from .records import Value, set_field
 
 Rat = Fraction
@@ -46,23 +46,48 @@ def parse_rational(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {value!r}") from exc
-    raise ParseError(f"not a rational: {value!r}")
+    raise ParseError(f"not a rational: {shown(value)}")
 
 
 def parse_integer(value, what: str, least=None, most=None) -> int:
     """The one reader of the library's integer arguments: an int that is
     not a bool, at least `least` and at most `most` where they are given
-    (`most` only with `least`).  A refusal prints an integer past 64 bits
-    by its size: Python refuses to print one of more than 4300 digits."""
+    (`most` only with `least`)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        rule, got = "an integer", repr(value)
+        rule = "an integer"
     elif (least is None or value >= least) and (most is None or value <= most):
         return value
     else:
         rule = f"at least {least}" if most is None else f"in {least}..{most}"
-        bits = value.bit_length()
-        got = value if bits <= 64 else f"an integer of {bits} bits"
-    raise DegenerateInputError(f"{what} must be {rule}, got {got}")
+    raise DegenerateInputError(f"{what} must be {rule}, got {shown(value)}")
+
+
+def decimal_integer(text: str) -> int | None:
+    """The int a decimal string such as "7", "-7" or "07" spells, as a JSON
+    object key names one; None for other strings and past the digit limit."""
+    if text.removeprefix("-").isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # more than 4300 digits
+            pass
+    return None
+
+
+def read_rows(rows, what: str) -> tuple:
+    """The one reader of an array of arrays of rationals, such as a matrix
+    or the coordinates of a complex: a list or tuple of rows, each a list or
+    tuple of rationals.  A string or a number is refused as `what` and as
+    one of its rows."""
+    return tuple(
+        tuple(map(parse_rational, _sequence(row, f"a row of {what}")))
+        for row in _sequence(rows, what)
+    )
+
+
+def _sequence(x, what: str):
+    if isinstance(x, (list, tuple)):
+        return x
+    raise DegenerateInputError(f"not {what}: {shown(x)}")
 
 
 def format_rational(x: Fraction) -> str:
@@ -79,15 +104,17 @@ class GaussianRational(Value):
         set_field(self, "im", im)
 
     @staticmethod
-    def of(value, parse=parse_rational) -> "GaussianRational":
-        """`value` as a Gaussian rational; `parse` reads each rational part."""
+    def of(value) -> "GaussianRational":
+        """`value` as a Gaussian rational: a rational, or a dict of its
+        rational parts "re" and "im"."""
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, dict):
             if not set(value) <= {"re", "im"}:
-                raise ParseError(f"a Gaussian value has keys 're', 'im': {value!r}")
-            return GaussianRational(parse(value.get("re", 0)), parse(value.get("im", 0)))
-        return GaussianRational(parse(value))
+                raise ParseError(f"a Gaussian value has keys 're', 'im': {shown(value)}")
+            re, im = value.get("re", 0), value.get("im", 0)
+            return GaussianRational(parse_rational(re), parse_rational(im))
+        return GaussianRational(parse_rational(value))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         other = GaussianRational.of(other)
@@ -127,12 +154,12 @@ class GaussianRational(Value):
         return f"{format_rational(self.re)}{sign}{imag}"
 
 
-def parse_gaussian(x, parse=parse_rational) -> GaussianRational:
+def parse_gaussian(x) -> GaussianRational:
     """GaussianRational.of, with every refusal as a ParseError."""
     try:
-        return GaussianRational.of(x, parse)
+        return GaussianRational.of(x)
     except (ParseError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid value {x!r}: {exc}") from exc
+        raise ParseError(f"invalid value {shown(x)}: {exc}") from exc
 
 
 GZERO = GaussianRational()
@@ -197,9 +224,8 @@ class RationalMatrix(Value):
 
     @staticmethod
     def of(rows) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(tuple(parse_rational(x) for x in row) for row in rows)
-        )
+        """The matrix of a list of rows of rationals, read by read_rows."""
+        return RationalMatrix(read_rows(rows, "a matrix"))
 
     @staticmethod
     def zeros(m: int, n: int) -> "RationalMatrix":

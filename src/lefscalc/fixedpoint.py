@@ -45,6 +45,7 @@ from .errors import (
     FixedPointNotSimplicialError,
     NotHyperbolicError,
     NotLocalizableError,
+    shown,
 )
 from .euler import ConstructibleFunction, euler_integral, restrict
 from . import exact
@@ -92,13 +93,12 @@ class NormalData(Value):
 
 def _component_index(idx) -> int:
     """A component index of normal data: an int or a decimal string."""
-    if isinstance(idx, str) and idx.removeprefix("-").isdecimal():
-        return int(idx)
-    if isinstance(idx, bool) or not isinstance(idx, int):
+    index = exact.decimal_integer(idx) if isinstance(idx, str) else idx
+    if isinstance(index, bool) or not isinstance(index, int):
         raise DegenerateInputError(
-            f"normal data names component {idx!r}, not an integer"
+            f"normal data names component {shown(idx)}, not an integer"
         )
-    return idx
+    return index
 
 
 class FixedComponent(Record):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .complexes import Cell, CellSpace, CellularSubset
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, shown
 from .euler import ConstructibleFunction, chi_c, euler_integral, restrict
 from .exact import (
     GaussianRational,
@@ -208,7 +208,7 @@ def fixed_locus_cellspace(n: int, blocks) -> CellSpace:
     """
     n = _flag_size(n)
     if not isinstance(blocks, (tuple, list)):
-        raise DegenerateInputError(f"block sizes must be a sequence, got {blocks!r}")
+        raise DegenerateInputError(f"block sizes must be a sequence, got {shown(blocks)}")
     blocks = tuple(parse_integer(b, "block size", least=1) for b in blocks)
     if sum(blocks) != n:
         raise DegenerateInputError(f"block sizes {blocks} do not partition {n}")
@@ -292,7 +292,7 @@ def _family_charts(family: str) -> tuple:
         finite = (_poly_vec([0, 0, 1]), (_poly_vec([1, t, 0]), _poly_vec([0, 0, 1])))
         opposite = (_poly_vec([0, 0, 1]), (_poly_vec([t, 1, 0]), _poly_vec([0, 0, 1])))
     else:
-        raise DegenerateInputError(f"unknown family {family!r}")
+        raise DegenerateInputError(f"unknown family {shown(family)}")
     return finite, opposite
 
 
@@ -390,7 +390,7 @@ class Example39Problem(Record):
             c.ident for c in self.problem.space.cells if c.component == label
         }
         if not members:
-            raise DegenerateInputError(f"unknown component label {label!r}")
+            raise DegenerateInputError(f"unknown component label {shown(label)}")
         return euler_integral(restrict(self.problem.trace_function(), members))
 
     def contributions(self) -> list:

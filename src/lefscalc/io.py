@@ -6,11 +6,16 @@ trace overrides, normal data, and a vertex functional.  Rational numbers
 travel as strings "p/q" (the "/q" omitted when the denominator is one),
 Gaussian rationals as {"re": ..., "im": ...}, simplices as sorted vertex
 arrays, and subdivision vertices as nested arrays.
+
+Reading checks the JSON (syntax, repeated keys, schema) and decodes vertex
+names; each table, family, matrix, level and cell then goes to the library
+reader that owns it, and that reader makes its own refusals.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .complexes import (
@@ -21,19 +26,15 @@ from .complexes import (
     TupleVertex,
     canonical_tuple,
     cell_sort_key,
+    read_table,
     require_valid,
     subdivided_complex,
     subdivision_f_vectors,
     vertex_key,
 )
-from .errors import DegenerateInputError, ParseError
+from .errors import ParseError, shown
 from .euler import ConstructibleFunction
-from .exact import (
-    RationalMatrix,
-    format_rational,
-    parse_gaussian,
-    parse_rational,
-)
+from .exact import GaussianRational, decimal_integer, format_rational, parse_integer
 from .maps import SelfMapSpec, SimplicialMap
 from .records import Record, set_field
 
@@ -82,7 +83,7 @@ def vertex_from_json(x, table: dict):
             v = table[text] = TupleVertex([vertex_from_json(y, table) for y in x])
         return v
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ParseError(f"invalid vertex {x!r}")
+        raise ParseError(f"invalid vertex {shown(x)}")
     return x
 
 
@@ -91,8 +92,9 @@ def simplex_to_json(cell) -> list:
 
 
 def _array(x, what: str, pairs: bool = False) -> list:
-    """`x` when it is a JSON array, of [key, value] pairs with `pairs`: the
-    one way input arrays are read."""
+    """`x` when it is a JSON array, of [key, value] pairs with `pairs`: an
+    array io walks itself, to decode the names in it or to check its
+    entries before the library reads them."""
     if not isinstance(x, list) or pairs and not all(
         isinstance(pair, list) and len(pair) == 2 for pair in x
     ):
@@ -100,65 +102,36 @@ def _array(x, what: str, pairs: bool = False) -> list:
     return x
 
 
-class _Literals(dict):
-    """One parse's table of rational literals: each distinct string is
-    parsed once.  It is kept apart from the vertex table, whose keys are
-    array texts."""
+def _read_names(raw, what: str, where: str, known, decode, role="vertex") -> dict:
+    """read_table of the JSON table `raw` under `where`: a pair's name is
+    decoded by `decode`, an object key names a string vertex or cell or else
+    the int it spells in decimal, and a name outside `known` is refused."""
 
-    def __missing__(self, text):
-        self[text] = value = parse_rational(text)
-        return value
+    def key(name):
+        if not isinstance(raw, dict):
+            k = decode(name)
+        elif name in known:
+            k = name
+        else:
+            k = decimal_integer(name)
+        if k not in known:
+            raise ParseError(f"unknown {role} {shown(name)} in {where}")
+        return k
 
-    def rational(self, x):
-        """parse_rational, through the table when `x` is a string."""
-        return self[x] if isinstance(x, str) else parse_rational(x)
-
-
-def _rational_rows(raw, what: str, literals: _Literals) -> tuple:
-    """An array of arrays of rationals: `complex.coords` or a normal matrix."""
-    return tuple(
-        tuple(map(literals.rational, _array(row, f"each row of {what}")))
-        for row in _array(raw, what)
-    )
-
-
-def _vertex_table(raw, known, what: str, table: dict, role: str = "vertex") -> dict:
-    """{vertex: JSON value} of an object keyed by vertex name or a list of
-    [vertex, value] pairs.  Each vertex is one of `known`, comes back as
-    that object, and is named once; `table` is the parse's vertex table."""
-    if not isinstance(raw, (dict, list)):
-        raise ParseError(f"{what} must be an object or a pair list")
-    index = {v: v for v in known}
-    out = {}
-    entries = raw.items() if isinstance(raw, dict) else _array(raw, what, True)
-    for name, value in entries:
-        try:  # an object key names a string vertex or else an integer one
-            v = index.get(
-                vertex_from_json(name, table) if isinstance(raw, list)
-                else name if name in index else int(name)
-            )
-        except ValueError:
-            v = None
-        if v is None:
-            raise ParseError(f"unknown {role} {name!r} in {what}")
-        if v in out:
-            raise ParseError(f"{what} names {role} {name!r} twice")
-        out[v] = value
-    return out
+    return read_table(raw, what, key)
 
 
 def _cell_ref_from_json(x, space, table: dict):
-    """A cell reference: vertex array for simplicial, id string for cells."""
+    """A cell reference, its vertex array decoded; the space's cell_key reads it."""
     if isinstance(space, SimplicialComplex):
-        cell = frozenset(
-            vertex_from_json(v, table) for v in _array(x, "a simplex reference")
-        )
-        if not space.has(cell):
-            raise ParseError(f"unknown simplex {x!r}")
-        return cell
-    if not isinstance(x, str):
-        raise ParseError(f"cell reference must be an id string, got {x!r}")
-    return x
+        x = [vertex_from_json(v, table) for v in _array(x, "a simplex reference")]
+    return space.cell_key(x)
+
+
+def _cell_table(data, where: str, what: str, space, table: dict) -> dict:
+    """The {cell: JSON value} table under `where`."""
+    decode = partial(_cell_ref_from_json, space=space, table=table)
+    return _read_names(data[where], what, where, space.cell_keys, decode, "cell")
 
 
 def _cell_ref_to_json(cell, space):
@@ -173,9 +146,9 @@ def _check_keys(block, allowed, where):
         raise ParseError(f"unknown keys {extra} in {where}")
 
 
-def parse_complex_block(block, table=None, literals=None) -> SimplicialComplex:
-    """The complex of a `complex` block; `table` and `literals` are the
-    parse's vertex and literal tables."""
+def parse_complex_block(block, table=None) -> SimplicialComplex:
+    """The complex of a `complex` block; `table` is the parse's vertex
+    table."""
     _check_keys(block, {"vertices", "coords", "simplices"}, "complex")
     table = {} if table is None else table
     try:
@@ -184,18 +157,15 @@ def parse_complex_block(block, table=None, literals=None) -> SimplicialComplex:
             for v in _array(block["vertices"], "complex.vertices")
         ]
         simplices = [
-            frozenset(vertex_from_json(v, table) for v in _array(s, "a simplex"))
+            [vertex_from_json(v, table) for v in _array(s, "a simplex")]
             for s in _array(block["simplices"], "complex.simplices")
         ]
     except KeyError as exc:
         raise ParseError(f"malformed complex block: {exc}") from exc
-    coords = block.get("coords")
+    coords = block.get("coords")  # rows: a JSON key names no int or tuple vertex
     if coords is not None:
-        literals = _Literals() if literals is None else literals
-        coords = _rational_rows(coords, "complex.coords", literals)
-        if len(coords) != len(vertices):
-            raise ParseError("coords must align with the vertex list")
-    space = SimplicialComplex.build(tuple(vertices), simplices, coords)
+        _array(coords, "complex.coords")
+    space = SimplicialComplex.build(vertices, simplices, coords)
     require_valid(space)
     return space
 
@@ -220,15 +190,9 @@ def parse_cells_block(block) -> CellSpace:
     for entry in _array(block, "cells"):
         _check_keys(entry, {"id", "dim", "component"}, "cells[]")
         try:
-            ident, dim = entry["id"], entry["dim"]
+            cells.append(Cell(entry["id"], entry["dim"], entry.get("component")))
         except KeyError as exc:
             raise ParseError(f"malformed cell entry: {exc}") from exc
-        if not isinstance(ident, str) or isinstance(dim, bool) or not isinstance(dim, int):
-            raise ParseError(f"cell entries need a string id and integer dim")
-        component = entry.get("component")
-        if component is not None and not isinstance(component, str):
-            raise ParseError(f"cell {ident!r} needs a string or null component")
-        cells.append(Cell(ident, dim, component))
     return CellSpace.build(cells)
 
 
@@ -271,16 +235,19 @@ def _parse_vertex_map(raw, space, level: int, images, table: dict) -> dict:
     for name in names:
         if not _nested(name, level):
             raise ParseError(
-                f"source vertex {name!r} in vertex_map is not nested {level} "
+                f"source vertex {shown(name)} in vertex_map is not nested {level} "
                 f"deep, as every vertex of sd^{level} is"
             )
-    sources = subdivided_complex(space, level)[0].vertices
+    sources = frozenset(subdivided_complex(space, level)[0].vertices)
+    vm = _read_names(
+        raw, "images for vertex", "vertex_map", sources,
+        partial(vertex_from_json, table=table), "source vertex",
+    )
     images = {v: v for v in images}
-    vm = _vertex_table(raw, sources, "vertex_map", table, "source vertex")
     for src, dst in vm.items():
         vm[src] = images.get(vertex_from_json(dst, table))
         if vm[src] is None:
-            raise ParseError(f"unknown target vertex {dst!r} in vertex_map")
+            raise ParseError(f"unknown target vertex {shown(dst)} in vertex_map")
     return vm
 
 
@@ -335,36 +302,21 @@ class Problem(Record):
         )
 
 
-def _cell_values(data, key: str, space, table, literals) -> dict:
-    """The {cell: value} table of a list of [cell, value] pairs under
-    `key`; a cell named twice is refused, not overwritten."""
-    values = {}
-    for ref, value in _array(data[key], key, pairs=True):
-        cell = _cell_ref_from_json(ref, space, table)
-        if cell in values:
-            raise ParseError(
-                f"{key} name cell {_cell_ref_to_json(cell, space)!r} twice"
-            )
-        values[cell] = parse_gaussian(value, literals.rational)
-    return values
-
-
 def parse_problem(data) -> Problem:
     if not isinstance(data, dict):
         raise ParseError("problem file must be a JSON object")
     _check_keys(data, _TOP_KEYS, "problem")
     if data.get("schema") != SCHEMA:
         raise ParseError(
-            f"unsupported schema {data.get('schema')!r}; expected {SCHEMA!r}"
+            f"unsupported schema {shown(data.get('schema'))}; expected {SCHEMA!r}"
         )
     has_complex = "complex" in data
     has_cells = "cells" in data
     if has_complex == has_cells:
         raise ParseError("exactly one of 'complex' or 'cells' is required")
     table = {}  # this parse's tuple vertices, one object each
-    literals = _Literals()
     if has_complex:
-        space = parse_complex_block(data["complex"], table, literals)
+        space = parse_complex_block(data["complex"], table)
     else:
         space = parse_cells_block(data["cells"])
 
@@ -378,8 +330,7 @@ def parse_problem(data) -> Problem:
         if not isinstance(space, SimplicialComplex):
             raise ParseError("maps are only supported on simplicial complexes")
         level = block.get("subdivision_level", 0)
-        if isinstance(level, bool) or not isinstance(level, int) or level < 0:
-            raise ParseError("subdivision_level must be a non-negative integer")
+        level = parse_integer(level, "subdivision level", least=0)
         for flag in ("complex_model", "non_characteristic"):
             if flag in block and not isinstance(block[flag], bool):
                 raise ParseError(f"{flag} must be a boolean")
@@ -392,7 +343,7 @@ def parse_problem(data) -> Problem:
                 raise ParseError(
                     "a map with a separate target cannot be subdivided"
                 )
-            target = parse_complex_block(block["target"], table, literals)
+            target = parse_complex_block(block["target"], table)
             vm = _parse_vertex_map(
                 block["vertex_map"], space, 0, target.vertices, table
             )
@@ -405,47 +356,31 @@ def parse_problem(data) -> Problem:
 
     phi = support = traces = normal = ell = None
     if "values" in data:
-        values = _cell_values(data, "values", space, table, literals)
+        values = _cell_table(data, "values", "values for cell", space, table)
         phi = ConstructibleFunction.of(space, values)
     if "support" in data:
         refs = _array(data["support"], "support")
-        cells = {_cell_ref_from_json(x, space, table) for x in refs}
+        cells = [_cell_ref_from_json(x, space, table) for x in refs]
         support = CellularSubset.of(space, cells)
     if "traces" in data:
-        traces = _cell_values(data, "traces", space, table, literals)
+        traces = _cell_table(data, "traces", "trace values for cell", space, table)
+        traces = {cell: GaussianRational.of(x) for cell, x in traces.items()}
     if "normal_data" in data:
         from .fixedpoint import NormalData
 
-        block = data["normal_data"]
-        if not isinstance(block, dict):
+        if not isinstance(data["normal_data"], dict):
             raise ParseError("normal_data must map component indices to matrices")
-        matrices, keys = {}, {}
-        for key, rows in block.items():
-            try:
-                index = int(key)
-            except ValueError:
-                raise ParseError(f"component index {key!r} is not an integer")
-            if index in keys:
-                raise ParseError(
-                    f"normal_data keys {keys[index]!r} and {key!r} both name "
-                    f"component {index}"
-                )
-            keys[index] = key
-            rows = _rational_rows(rows, f"normal_data[{key!r}]", literals)
-            matrices[index] = RationalMatrix(rows)
-        normal = NormalData.of(matrices)
+        normal = NormalData.of(data["normal_data"])
     if "ell" in data:
         from .morse import VertexFunctional
 
         if not isinstance(space, SimplicialComplex):
             raise ParseError("a functional needs a simplicial complex")
-        entries = _vertex_table(data["ell"], space.vertices, "ell", table)
-        try:
-            ell = VertexFunctional.of(
-                space, {v: literals.rational(x) for v, x in entries.items()}
-            )
-        except (ParseError, DegenerateInputError) as exc:
-            raise ParseError(f"bad functional: {exc}") from exc
+        heights = _read_names(
+            data["ell"], "heights for vertex", "ell", frozenset(space.vertices),
+            partial(vertex_from_json, table=table),
+        )
+        ell = VertexFunctional.of(space, heights)
 
     return Problem(
         space=space, spec=spec, push_map=push_map, phi=phi, support=support,

@@ -1,17 +1,19 @@
 """Malformed arguments through the library's entry points.
 
 Each name of `lefscalc._EXPORTS` that takes a subdivision level, a flag
-size or block sizes, a component index or degree, a key-value table or a
-family of simplices is called with drawn values of the wrong kind: bools,
-floats, digit strings, None, nested lists and tuples, malformed pairs,
-repeated keys and unknown vertices.  Each call must return or raise a
-LefscalcError, and nothing else.
+size or block sizes, a component index or degree, a key-value table, a
+family of simplices, a normal matrix or the fields of a cell is called with
+drawn values of the wrong kind: bools, floats, digit strings, None, nested
+lists and tuples, malformed pairs, repeated keys and unknown vertices.
+Each call must return or raise a LefscalcError, and nothing else.  A call
+that returns passes, so the pinned probes below also check that a string
+is read as neither a simplex nor a family, nor a matrix, coordinates or a
+vertex list.
 
 Two wrong objects stay Python's own TypeError and are not drawn: an object
 that is no complex where a complex is expected (such as None), and an
 unhashable level given to `subdivided_complex` itself, whose cache hashes
-its arguments before any reader runs.  A normal matrix is drawn as a list
-of rows, since the shape of a matrix has no reader of its own.
+its arguments before any reader runs.
 """
 
 import pytest
@@ -28,6 +30,8 @@ REFLECTION = fx.reflection_problem()
 HEXAGON = REFLECTION.spec.base
 HEIGHTS = lc.VertexFunctional.of(HEXAGON, {f"v{i}": i for i in range(6)})
 ONE = lc.ConstructibleFunction.indicator(SPHERE)
+PATH = lc.SimplicialComplex.from_maximal([("a", "b"), ("b", "c")])
+HUGE = 10**5000
 
 FUZZ = settings(
     max_examples=30, deadline=None, derandomize=True, report_multiple_bugs=False
@@ -53,10 +57,7 @@ KNOWN = st.sampled_from(
 )
 KEYS = st.one_of(KNOWN, ODD)
 VALUES = st.one_of(st.sampled_from(["1", "-1/2", 3, 0, {"re": "1"}]), ODD)
-MATRICES = st.one_of(
-    st.sampled_from([[[-1]], [["2"]], [[1, 0], [0, 3]]]),
-    st.lists(st.lists(st.one_of(SCALARS, VALUES), max_size=2), max_size=2),
-)
+MATRICES = st.one_of(st.sampled_from([[[-1]], [["2"]], [[1, 0], [0, 3]]]), ODD)
 SIMPLEX = st.one_of(
     st.lists(st.one_of(st.integers(1, 4), st.just("zz")), max_size=4),
     st.tuples(st.integers(1, 4)),
@@ -191,12 +192,29 @@ def test_whole_tables_with_junk_added(junk, cell_table, normal):
 
 
 @FUZZ
+@given(matrix=MATRICES)
+def test_a_matrix_is_read_row_by_row(matrix):
+    _settles(lc.RationalMatrix.of, matrix)
+    _settles(lc.NormalData.of, {0: matrix})
+
+
+@FUZZ
 @given(
     name=st.sampled_from(sorted(FAMILY_CALLS)),
     family=st.one_of(st.lists(SIMPLEX, max_size=4), ODD),
 )
 def test_a_family_is_read_simplex_by_simplex(name, family):
     _settles(FAMILY_CALLS[name], family)
+
+
+@FUZZ
+@given(
+    ident=st.one_of(st.sampled_from(["pt", "cell2"]), ODD),
+    dim=st.one_of(st.integers(-1, 2), ODD),
+    component=st.one_of(st.sampled_from([None, "c0"]), ODD),
+)
+def test_a_cell_is_read_field_by_field(ident, dim, component):
+    _settles(lc.CellSpace.build, [lc.Cell("pt", 0), lc.Cell(ident, dim, component)])
 
 
 # each refusal's text, and a call that raised a raw TypeError, or read its
@@ -259,6 +277,90 @@ PROBES = {
 def test_each_probe_is_refused_with_its_text(text):
     with pytest.raises(DegenerateInputError) as caught:
         PROBES[text]()
+    assert str(caught.value) == text
+
+
+# a call (by its text) and its refusal: strings, each read before as the
+# simplex, family, vertex list or rows of its characters; matrices and cell
+# fields, which had no reader; and ints of 16 610 bits, which Python will
+# not print, so a refusal prints them by their size
+NAMED_PROBES = {
+    "PATH.has('ab')": (lambda: PATH.has("ab"), "not a simplex: 'ab'"),
+    "from_maximal(['ab', 'bc'])": (
+        lambda: lc.SimplicialComplex.from_maximal(["ab", "bc"]), "not a simplex: 'ab'"
+    ),
+    "ConstructibleFunction.of(PATH, [('ab', 1)])": (
+        lambda: lc.ConstructibleFunction.of(PATH, [("ab", 1)]), "not a simplex: 'ab'"
+    ),
+    "CellularSubset.of(PATH, 'ab')": (
+        lambda: lc.CellularSubset.of(PATH, "ab"), "not a family of cells: 'ab'"
+    ),
+    "SimplicialComplex.build('abc', ...)": (
+        lambda: lc.SimplicialComplex.build("abc", [("a",)]), "not a vertex list: 'abc'"
+    ),
+    "SimplicialComplex.build(['a', 'b'], ..., ['00', '11'])": (
+        lambda: lc.SimplicialComplex.build(["a", "b"], [["a"], ["b"]], ["00", "11"]),
+        "not a row of coordinates: '00'",
+    ),
+    "NormalData.of({0: '5'})": (lambda: lc.NormalData.of({0: "5"}), "not a matrix: '5'"),
+    "NormalData.of({0: 5})": (lambda: lc.NormalData.of({0: 5}), "not a matrix: 5"),
+    "RationalMatrix.of([[1, 2], '34'])": (
+        lambda: lc.RationalMatrix.of([[1, 2], "34"]), "not a row of a matrix: '34'"
+    ),
+    "CellSpace.build([Cell('a', '1')])": (
+        lambda: lc.CellSpace.build([lc.Cell("a", "1")]),
+        "the dim of cell 'a' must be an integer, got '1'",
+    ),
+    "CellSpace.build([Cell('a', True)])": (
+        lambda: lc.CellSpace.build([lc.Cell("a", True)]),
+        "the dim of cell 'a' must be an integer, got True",
+    ),
+    "CellularSubset.of(CP1, [5])": (
+        lambda: lc.CellularSubset.of(CP1, [5]), "not a cell id: 5"
+    ),
+    "NormalData.of([HUGE])": (
+        lambda: lc.NormalData.of([HUGE]),
+        "not a (key, value) pair: an integer of 16610 bits",
+    ),
+    "SimplicialComplex.cell_key(HUGE)": (
+        lambda: lc.SimplicialComplex.cell_key(HUGE),
+        "not a simplex: an integer of 16610 bits",
+    ),
+    "read_cells(HUGE, SPHERE.cell_key)": (
+        lambda: lc.complexes.read_cells(HUGE, SPHERE.cell_key),
+        "not a family of cells: an integer of 16610 bits",
+    ),
+    "CellularSubset.of(SPHERE, [HUGE])": (
+        lambda: lc.CellularSubset.of(SPHERE, [HUGE]),
+        "not a simplex: an integer of 16610 bits",
+    ),
+    "SPHERE.vertex_index(HUGE)": (
+        lambda: SPHERE.vertex_index(HUGE), "unknown vertex an integer of 16610 bits"
+    ),
+    "SimplicialComplex.build([HUGE], [])": (
+        lambda: lc.SimplicialComplex.build([HUGE], []),
+        "invalid vertex an integer of 16610 bits: vertices are strings, ints of at "
+        "most 64 bits and tuples of them",
+    ),
+    "NormalData.of({'9' * 5000: [[1]]})": (
+        lambda: lc.NormalData.of({"9" * 5000: [[1]]}),
+        f"normal data names component {'9' * 5000!r}, not an integer",
+    ),
+    "SimplicialComplex.build([[1]], [])": (
+        lambda: lc.SimplicialComplex.build([[1]], []),
+        "invalid vertex [1]: vertices are strings, ints of at most 64 bits and "
+        "tuples of them",
+    ),
+    "CellSpace.build(5)": (lambda: lc.CellSpace.build(5), "not a family of cells: 5"),
+    "CellSpace.build([5])": (lambda: lc.CellSpace.build([5]), "not a cell: 5"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NAMED_PROBES))
+def test_each_named_probe_is_refused_with_its_text(call):
+    attempt, text = NAMED_PROBES[call]
+    with pytest.raises(DegenerateInputError) as caught:
+        attempt()
     assert str(caught.value) == text
 
 

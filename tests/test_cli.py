@@ -288,15 +288,32 @@ def test_exit_2_ragged_normal_matrix(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# NormalData.of reads a key as a decimal string: "00" names component 0
+# a second time, and "+0" and " 0" name no integer.
+ALIAS_REFUSALS = {
+    "00": "two normal matrices for component 0",
+    "+0": "normal data names component '+0', not an integer",
+    " 0": "normal data names component ' 0', not an integer",
+}
+
+
 @pytest.mark.parametrize("alias", ["00", "+0", " 0"])
 def test_exit_2_aliased_normal_data_keys(tmp_path, capsys, alias):
     data = traced_problem_to_json(fx.reflection_problem())
     data["normal_data"][alias] = [["3"]]
     path = write(tmp_path, "aliased.json", data)
     assert main(["lefschetz", "--input", path]) == 2
+    assert capsys.readouterr().err == f"error: {ALIAS_REFUSALS[alias]}\n"
+
+
+def test_exit_2_normal_data_key_past_the_digit_limit(tmp_path, capsys):
+    key = "9" * 5000  # decimal, but past the digits int() reads
+    data = traced_problem_to_json(fx.reflection_problem())
+    data["normal_data"][key] = [["3"]]
+    path = write(tmp_path, "huge.json", data)
+    assert main(["lefschetz", "--input", path]) == 2
     err = capsys.readouterr().err
-    assert "both name component 0" in err
-    assert "'0'" in err and repr(alias) in err
+    assert err == f"error: normal data names component {key!r}, not an integer\n"
 
 
 @pytest.mark.parametrize("stray", ["5", "-1"])
@@ -314,7 +331,7 @@ def test_exit_2_cell_named_twice_in_values(tmp_path, capsys):
     data["values"] = [[["v0", "v1"], "1"], [["v1", "v0"], "5"]]
     path = write(tmp_path, "twice.json", data)
     assert main(["integrate", "--input", path]) == 2
-    assert "values name cell ['v0', 'v1'] twice" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: two values for cell ('v0', 'v1')\n"
     data["values"] = data["values"][:1]
     path = write(tmp_path, "once.json", data)
     code, report = run_json(capsys, ["integrate", "--input", path])
@@ -326,7 +343,7 @@ def test_exit_2_cell_named_twice_in_traces(tmp_path, capsys):
     data["traces"] = [[["v0"], "3"], [["v0"], "7"]]
     path = write(tmp_path, "twice.json", data)
     assert main(["lefschetz", "--input", path]) == 2
-    assert "traces name cell ['v0'] twice" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: two trace values for cell ('v0',)\n"
 
 
 @pytest.mark.parametrize("component", [[1], {"a": 1}, 3, True])
@@ -335,7 +352,10 @@ def test_exit_2_cell_component_that_is_not_a_string(tmp_path, capsys, component)
     data["cells"][0]["component"] = component
     path = write(tmp_path, "component.json", data)
     assert main(["chi", "--input", path]) == 2
-    assert "needs a string or null component" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: the component of cell 'cell2' must be a string or None, "
+        f"got {component!r}\n"
+    )
     data["cells"][0]["component"] = "label"
     path = write(tmp_path, "labelled.json", data)
     assert main(["chi", "--input", path]) == 0

@@ -3,17 +3,19 @@
 import json
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import lefscalc.fixtures as fx
 import oracles
-from lefscalc import complexes, io
+from lefscalc import complexes
 from lefscalc.complexes import CellularSubset, TupleVertex, subdivided_complex, vertex_key
 from lefscalc.errors import DegenerateInputError, ParseError
 from lefscalc.euler import ConstructibleFunction
-from lefscalc.exact import GaussianRational, parse_gaussian
+from lefscalc import exact
+from lefscalc.exact import GaussianRational
 from lefscalc.fixedpoint import NormalData, TracedProblem
 from lefscalc.io import (
     SCHEMA,
@@ -129,22 +131,24 @@ def test_one_parse_reads_each_array_and_each_literal_once(monkeypatch):
     phi = ConstructibleFunction.of(
         space, [(c, literals[i % 4]) for i, c in enumerate(cells)]
     )
-    text = dumps(problem_to_json(space, phi=phi))
+    data = problem_to_json(space, phi=phi)
+    text = dumps(data)
+    strings = [x for row in data["complex"]["coords"] for x in row]
+    strings += [x for _, value in data["values"] for x in value.values()]
+    assert {"1/3", "-2", "5/7", "4", "0"} <= set(strings)
     parsed, arrays = [], []
-    read = io.parse_rational
+    read = exact.parse_rational
 
     def counting(x):
         parsed.append(x)
         return read(x)
 
-    monkeypatch.setattr(io, "parse_rational", counting)
+    monkeypatch.setattr(exact, "parse_rational", counting)
     problem = loads(text)
-    strings = [x for x in parsed if isinstance(x, str)]
-    assert len(strings) == len(set(strings))  # each literal string parsed once
-    assert {"1/3", "-2", "5/7", "4", "0"} <= set(strings)
+    # each literal in the file is read once, by the reader of its value
+    assert Counter(x for x in parsed if isinstance(x, str)) == Counter(strings)
     values = [problem.phi.values[c] for c in cells]
     assert values == [g(literals[i % 4]) for i in range(len(cells))]
-    assert values[0].re is values[4].re and values[1].im is values[2].im
     assert problem.space == space
     # the vertex table is keyed by array text, one entry per distinct array
     table = {}
@@ -161,7 +165,8 @@ def test_one_parse_reads_each_array_and_each_literal_once(monkeypatch):
      1.5, None, ["1"], "1e999999", {"re": "x" * 5000}],
 )
 def test_values_read_through_the_literal_table_keep_their_refusals(raw):
-    expected = _refusal(lambda: parse_gaussian(raw))
+    # a value is read by GaussianRational.of alone, and refused as it refuses
+    expected = _refusal(lambda: GaussianRational.of(raw))
     assert expected is not None
     data = minimal()
     data["values"] = [[["a"], raw]]
@@ -200,7 +205,9 @@ def test_complex_block_rejections():
         parse_complex_block({"vertices": ["a"], "simplices": [["a"]], "junk": 1})
     with pytest.raises(ParseError):
         parse_complex_block({"vertices": ["a"]})
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        DegenerateInputError, match="^coordinate rows do not align with the vertex list$"
+    ):
         parse_complex_block(
             {"vertices": ["a", "b"], "simplices": [["a"]], "coords": [[0]]}
         )
@@ -216,9 +223,11 @@ def test_cells_block_rejections():
         parse_cells_block([{"id": "x", "dim": 0, "extra": 1}])
     with pytest.raises(ParseError):
         parse_cells_block([{"id": "x"}])
-    with pytest.raises(ParseError):
+    with pytest.raises(DegenerateInputError, match="^not a cell id: 3$"):
         parse_cells_block([{"id": 3, "dim": 0}])
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        DegenerateInputError, match="^the dim of cell 'x' must be an integer, got True$"
+    ):
         parse_cells_block([{"id": "x", "dim": True}])
 
 
@@ -311,6 +320,44 @@ def test_vertex_map_object_form_with_integer_keys():
     assert parsed.spec == SelfMapSpec.identity(space)
 
 
+HUGE_REFUSALS = {  # a value parse_problem is given directly, not through JSON
+    "ell name": (lambda d: d.update(ell=[[10**5000, "1"]]),
+                 "unknown vertex an integer of 16610 bits in ell"),
+    "map target": (
+        lambda d: d.update(map={"vertex_map": {"a": 10**5000, "b": "b"}}),
+        "unknown target vertex an integer of 16610 bits in vertex_map",
+    ),
+    "schema": (lambda d: d.update(schema=10**5000),
+               "unsupported schema an integer of 16610 bits; expected 'lefscalc/1'"),
+    "vertex": (lambda d: d["complex"].update(vertices=[{"x": 10**5000}]),
+               "invalid vertex a dict holding an integer too large to print"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_REFUSALS))
+def test_an_integer_too_large_to_print_is_refused_by_its_size(name):
+    data = minimal()
+    edit, text = HUGE_REFUSALS[name]
+    edit(data)
+    with pytest.raises(ParseError) as caught:
+        parse_problem(data)
+    assert str(caught.value) == text
+
+
+@pytest.mark.parametrize(
+    "key", ["+7", " 7", "7 ", "7_0", pytest.param("9" * 5000, id="5000 digits")]
+)
+def test_an_object_key_names_an_int_vertex_only_in_decimal(key):
+    # the one decimal-key reader NormalData.of's component indices go through
+    data = {"schema": SCHEMA, "complex": {"vertices": [7], "simplices": [[7]]}}
+    data["ell"] = {"07": "1"}
+    assert parse_problem(data).ell.values == {7: 1}
+    data["ell"] = {key: "1"}
+    with pytest.raises(ParseError) as caught:
+        parse_problem(data)
+    assert str(caught.value) == f"unknown vertex {key!r} in ell"
+
+
 def test_dumps_is_deterministic():
     p = fx.doubling_problem()
     a = dumps(traced_problem_to_json(p))
@@ -374,10 +421,14 @@ def test_map_block_rejections():
     with pytest.raises(ParseError):
         parse_problem(data)
     data["map"] = {"vertex_map": {"a": "a", "b": "b"}, "subdivision_level": -1}
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        DegenerateInputError, match="^subdivision level must be at least 0, got -1$"
+    ):
         parse_problem(data)
     data["map"] = {"vertex_map": {"a": "a", "b": "b"}, "subdivision_level": True}
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        DegenerateInputError, match="^subdivision level must be an integer, got True$"
+    ):
         parse_problem(data)
     data["map"] = {"vertex_map": {"a": "a", "b": "b"}, "complex_model": "yes"}
     with pytest.raises(ParseError):
@@ -429,7 +480,9 @@ def test_values_rejections():
     with pytest.raises(ParseError):
         parse_problem(data)
     data["values"] = [[["a"], 1, 2]]
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        DegenerateInputError, match=re.escape("not a (key, value) pair: [['a'], 1, 2]")
+    ):
         parse_problem(data)
     data["values"] = [[["z"], 1]]
     with pytest.raises(ParseError):
@@ -449,7 +502,9 @@ def test_support_and_traces_rejections():
         parse_problem(data)
     data = minimal()
     data["support"] = [["z"]]
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        DegenerateInputError, match=re.escape("""cells not in parent: ["('z',)"]""")
+    ):
         parse_problem(data)
     data = minimal()
     data["traces"] = [[["a"], True]]
@@ -463,7 +518,9 @@ def test_support_and_traces_rejections():
 def test_normal_data_rejections():
     data = minimal()
     data["normal_data"] = {"zero": [[1]]}
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        DegenerateInputError, match="^normal data names component 'zero', not an integer$"
+    ):
         parse_problem(data)
     data["normal_data"] = {"0": [["1/x"]]}
     with pytest.raises(ParseError):
@@ -479,7 +536,9 @@ def test_normal_data_rejections():
 def test_ell_rejections():
     data = minimal()
     data["ell"] = {"a": "0"}
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        DegenerateInputError, match=re.escape("functional undefined on vertices ['b']")
+    ):
         parse_problem(data)
     data["ell"] = {"a": "0", "b": "1", "z": "2"}
     with pytest.raises(ParseError):
@@ -491,7 +550,10 @@ def test_ell_rejections():
     with pytest.raises(ParseError):
         parse_problem(data)
     data["ell"] = "increasing"
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        DegenerateInputError,
+        match=re.escape("not a table of (key, value) pairs: 'increasing'"),
+    ):
         parse_problem(data)
     data = {"schema": SCHEMA, "cells": [{"id": "x", "dim": 0}], "ell": {}}
     with pytest.raises(ParseError):
@@ -514,10 +576,12 @@ def test_ell_pair_list_is_read_like_the_object():
     with pytest.raises(ParseError, match="unknown vertex 'z' in ell"):
         parse_problem(data)
     data["ell"] = [["a", "0"], ["b", "1"], ["a", "2"]]
-    with pytest.raises(ParseError, match="ell names vertex 'a' twice"):
+    with pytest.raises(DegenerateInputError, match="^two heights for vertex 'a'$"):
         parse_problem(data)
     data["ell"] = [["a", "0"], ["b"]]
-    with pytest.raises(ParseError, match="ell must be an array of pairs"):
+    with pytest.raises(
+        DegenerateInputError, match=re.escape("not a (key, value) pair: ['b']")
+    ):
         parse_problem(data)
 
 
@@ -537,40 +601,47 @@ def triangle():
 
 
 # Strings and numbers where arrays belong; each was read as an array (or
-# raised a TypeError) before every JSON array went through one reader.
+# raised a TypeError) before every JSON array went through one reader.  io
+# refuses an array of names it decodes; the library reader that owns a
+# matrix, coordinates or a table refuses the rest.
 NOT_ARRAYS = {
     "vertices": (lambda d: d["complex"].update(vertices="abc"),
-                 "complex.vertices must be an array"),
+                 ParseError, "complex.vertices must be an array"),
     "simplex": (lambda d: d["complex"]["simplices"].append("ab"),
-                "a simplex must be an array"),
+                ParseError, "a simplex must be an array"),
     "coords": (lambda d: d["complex"].update(coords=5),
-               "complex.coords must be an array"),
+               ParseError, "complex.coords must be an array"),
+    "coords object": (
+        lambda d: d["complex"].update(coords={"a": ["0"], "b": ["1"], "c": ["2"]}),
+        ParseError, "complex.coords must be an array",
+    ),
     "coords row": (
         lambda d: d["complex"].update(coords=[["0", "0"], 5, ["0", "1"]]),
-        "each row of complex.coords must be an array",
+        DegenerateInputError, "not a row of coordinates: 5",
     ),
     "normal matrix": (lambda d: d.update(normal_data={"0": "5"}),
-                      "normal_data['0'] must be an array"),
+                      DegenerateInputError, "not a matrix: '5'"),
     "normal row": (lambda d: d.update(normal_data={"0": [["-1", "0"], "34"]}),
-                   "each row of normal_data['0'] must be an array"),
-    "support": (lambda d: d.update(support="ab"), "support must be an array"),
+                   DegenerateInputError, "not a row of a matrix: '34'"),
+    "support": (lambda d: d.update(support="ab"),
+                ParseError, "support must be an array"),
     "cell reference": (lambda d: d.update(values=[["a", "1"]]),
-                       "a simplex reference must be an array"),
+                       ParseError, "a simplex reference must be an array"),
     "values pair": (lambda d: d.update(values=[[["a"], "1", "2"]]),
-                    "values must be an array of pairs"),
+                    DegenerateInputError, "not a (key, value) pair: [['a'], '1', '2']"),
     "cells": (lambda d: d.update(cells="ab") or d.pop("complex"),
-              "cells must be an array"),
+              ParseError, "cells must be an array"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NOT_ARRAYS))
 def test_only_arrays_are_read_as_arrays(name):
     data = triangle()
-    edit, text = NOT_ARRAYS[name]
+    edit, error, text = NOT_ARRAYS[name]
     edit(data)
-    with pytest.raises(ParseError) as caught:
+    with pytest.raises(error) as caught:
         parse_problem(data)
-    assert str(caught.value) == text
+    assert type(caught.value) is error and str(caught.value) == text
 
 
 def test_coords_and_normal_rows_are_read_alike():
@@ -593,7 +664,7 @@ def test_coords_and_normal_rows_are_read_alike():
 def test_vertex_map_refuses_a_source_named_twice():
     data = triangle()
     data["map"] = {"vertex_map": [["a", "a"], ["b", "b"], ["c", "c"], ["a", "b"]]}
-    with pytest.raises(ParseError, match="vertex_map names source vertex 'a' twice"):
+    with pytest.raises(DegenerateInputError, match="^two images for vertex 'a'$"):
         parse_problem(data)
     data["map"] = {"vertex_map": [["a", "a"], ["b", "b"], ["z", "c"]]}
     with pytest.raises(ParseError, match="unknown source vertex 'z' in vertex_map"):
@@ -602,7 +673,7 @@ def test_vertex_map_refuses_a_source_named_twice():
     data["map"] = {"vertex_map": {"7": 8, "8": 7}}
     assert parse_problem(data).spec.vertex_map == {7: 8, 8: 7}
     data["map"] = {"vertex_map": {"7": 8, "8": 7, "07": 7}}
-    with pytest.raises(ParseError, match="names source vertex '07' twice"):
+    with pytest.raises(DegenerateInputError, match="^two images for vertex 7$"):
         parse_problem(data)
 
 
