@@ -155,7 +155,8 @@ class SimplicialComplex(Value):
         aligned with the vertex sequence; read_rows reads the rows."""
         if not _iterable(vertices):
             raise DegenerateInputError(f"not a vertex list: {shown(vertices)}")
-        keyed = {vertex_key(v): v for v in vertices}  # read, never hashed
+        listed = list(vertices)  # read once, so a one-shot iterable aligns too
+        keyed = {vertex_key(v): v for v in listed}  # read, never hashed
         verts = tuple(v for _, v in sorted(keyed.items()))
         simps = read_cells(simplices, SimplicialComplex.cell_key)
         coord_field = None
@@ -167,7 +168,7 @@ class SimplicialComplex(Value):
                     "aligned coordinates need an ordered vertex sequence"
                 )
             else:
-                names = list(vertices)
+                names = listed
             rows = read_rows(coords, "coordinates")
             if len(rows) != len(names):
                 raise DegenerateInputError(

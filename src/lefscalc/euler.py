@@ -17,6 +17,7 @@ integral(phi) holds identically (checked in bulk by the test suite).
 from __future__ import annotations
 
 from .complexes import (
+    CellSpace,
     CellularSubset,
     SimplicialComplex,
     cell_name,
@@ -81,7 +82,11 @@ class ConstructibleFunction(Record):
 
 
 def chi_c(target) -> int:
-    """Compactly supported Euler characteristic of a union of open cells."""
+    """Compactly supported Euler characteristic of a union of open cells:
+    a CellularSubset, or a whole space (a CellSpace's cells carry their
+    dims)."""
+    if isinstance(target, CellSpace):
+        return sum((-1) ** c.dim for c in target.cells)
     if isinstance(target, CellularSubset):
         parent, cells = target.parent, target.members
     else:

@@ -166,28 +166,42 @@ GZERO = GaussianRational()
 
 
 def signed_sum(terms) -> GaussianRational:
-    """Exact sum of sign * value over (int sign, GaussianRational) pairs.
+    """Exact sum of sign * value over (int sign, GaussianRational) pairs:
+    signed_sums with one group."""
+    return signed_sums(1, ((0, sign, value) for sign, value in terms))[0]
+
+
+def signed_sums(count: int, terms) -> list:
+    """Exact sums of sign * value, one per group, over (int index, int
+    sign, GaussianRational) triples whose index in range(count) names the
+    group.
 
     The integer numerators of each part are added per denominator, and
     each part is normalized once, over the lcm of its few distinct
     denominators, instead of once per term.  Sums in Q(i) are canonical:
-    the result equals the term-by-term fold from GZERO.  Only the public
-    numerator/denominator are read, so int parts work too.
+    each result equals the term-by-term fold from GZERO, and a group with
+    no nonzero term is GZERO itself.  Only the public numerator/denominator are
+    read, so int parts work too.
     """
-    re_parts = {}
-    im_parts = {}
-    for sign, value in terms:
+    re_parts = [{} for _ in range(count)]  # by group: {denominator: numerator}
+    im_parts = [{} for _ in range(count)]
+    for index, sign, value in terms:
         part = value.re
         num = part.numerator
         if num:
+            parts = re_parts[index]
             den = part.denominator
-            re_parts[den] = re_parts.get(den, 0) + sign * num
+            parts[den] = parts.get(den, 0) + sign * num
         part = value.im
         num = part.numerator
         if num:
+            parts = im_parts[index]
             den = part.denominator
-            im_parts[den] = im_parts.get(den, 0) + sign * num
-    return GaussianRational(_fold(re_parts), _fold(im_parts))
+            parts[den] = parts.get(den, 0) + sign * num
+    return [
+        GaussianRational(_fold(re), _fold(im)) if re or im else GZERO
+        for re, im in zip(re_parts, im_parts)
+    ]
 
 
 def _fold(parts: dict) -> Fraction:

@@ -212,16 +212,26 @@ def fixed_locus_cellspace(n: int, blocks) -> CellSpace:
     blocks = tuple(parse_integer(b, "block size", least=1) for b in blocks)
     if sum(blocks) != n:
         raise DegenerateInputError(f"block sizes {blocks} do not partition {n}")
-    # every component has the same cells: (id suffix, dim) per factor cell
+    # every component has the same cells: (id suffix, dim) per factor cell,
+    # in string order, since each factor's names are digit strings of one
+    # length listed in permutations_of order
     factor_cells = [
         ("|".join(name for name, _ in combo), sum(dim for _, dim in combo))
         for combo in itertools.product(*map(_perm_cells, blocks))
     ]
-    return CellSpace.build(
-        Cell(f"c{k}:{suffix}", dim, f"c{k}")
-        for k in range(fixed_component_count(blocks))
-        for suffix, dim in factor_cells
+    # The ids are distinct by construction, and listed in CellSpace.build's
+    # order: ids of two components compare as their "label:" prefixes do
+    # (":" sorts after every digit, so "c10:" comes before "c1:"), and ids
+    # of one component as their suffixes.
+    labels = sorted(
+        (f"c{k}" for k in range(fixed_component_count(blocks))),
+        key=lambda label: label + ":",
     )
+    return CellSpace(tuple([
+        Cell(f"{label}:{suffix}", dim, label)
+        for label in labels
+        for suffix, dim in factor_cells
+    ]))
 
 
 # ---------------------------------------------------------------------------

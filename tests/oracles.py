@@ -17,9 +17,11 @@ the maximal simplices of a subdivision found by listing every facet, where
 the carrier now decides; complex validation that sorts the simplices
 twice and runs the affine rank test on every simplex; and the Euler
 integral, pushforward and multiplicity table summed one Gaussian add at a
-time, with a genericity scan that sorts every edge; and the supported
-global trace taken on a second problem restricted to the support's
-closure.  The local index of each fixed component, the chain-level Hopf
+time, with a genericity scan that sorts every edge; the multiplicity
+table ranked by a sort of Fraction heights and summed one signed_sum per
+lower star, where heights scaled to ints and one pass over the cells now
+build it; and the supported global trace taken on a second problem
+restricted to the support's closure.  The local index of each fixed component, the chain-level Hopf
 trace over the base simplices that meet it, checks the signed local
 contributions without their normal data.  The fixed-point refusal is
 re-derived from barycentric weights averaged level by level and
@@ -49,6 +51,7 @@ from lefscalc.complexes import (
     cell_sort_key,
     closure,
     induced_subcomplex,
+    require_simplicial,
     require_valid,
     sd_positions,
     vertex_key,
@@ -62,11 +65,17 @@ from lefscalc.exact import (
     RationalPolynomial,
     count_real_roots_gt,
     has_nonneg_solution,
+    signed_sum,
 )
 from lefscalc.fixedpoint import fixed_components
 from lefscalc.homology import lefschetz_number, self_map_endomorphism
 from lefscalc.maps import SelfMapSpec, subdivided_complex
-from lefscalc.morse import MultiplicityTable
+from lefscalc.morse import (
+    MultiplicityTable,
+    _refuse_ties,
+    _require_defined,
+    _tied_edges,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +544,26 @@ def cc_table_loop(phi, ell) -> MultiplicityTable:
         top = max(cell, key=lambda w: (ell(w), vertex_key(w)))
         table[top] = table[top] + value * ((-1) ** (len(cell) - 1))
     return MultiplicityTable(space, table)
+
+
+def cc_table_by_fraction_sort(phi, ell) -> MultiplicityTable:
+    """The table as it was built before the heights were scaled to ints:
+    one stable sort of the vertices on their Fraction heights, the cells
+    grouped into one list per top vertex, and one signed_sum per star."""
+    space = require_simplicial(phi.parent, "cc_table")
+    values = ell.values
+    _require_defined(space, values)
+    order = sorted(space.vertices, key=values.__getitem__)
+    rank = {v: i for i, v in enumerate(order)}
+    if any(values[a] == values[b] for a, b in zip(order, order[1:])):
+        _refuse_ties(_tied_edges(space.simplices, values))
+    stars = {}  # top vertex -> signed terms of the cells it tops
+    for cell, value in phi.values.items():
+        top = order[max(map(rank.__getitem__, cell))]
+        stars.setdefault(top, []).append(((-1) ** (len(cell) - 1), value))
+    return MultiplicityTable(space, {
+        v: signed_sum(stars[v]) if v in stars else GZERO for v in space.vertices
+    })
 
 
 def top_simplices_by_facet_scan(space) -> frozenset:

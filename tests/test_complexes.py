@@ -96,6 +96,21 @@ def test_validate_coordinates():
     assert not validate(fx.disk())
 
 
+def test_build_reads_the_vertex_list_once():
+    # a one-shot iterable aligns with its coordinate rows, as the list does
+    rows = [["0"], ["1"]]
+    once = SimplicialComplex.build((v for v in "ab"), [["a"], ["b"]], rows)
+    assert once == SimplicialComplex.build(["a", "b"], [["a"], ["b"]], rows)
+    assert once.coords == ((Fraction(0),), (Fraction(1),))
+    # a set has no order to align rows with
+    for unordered in ({"a", "b"}, frozenset("ab")):
+        with pytest.raises(
+            DegenerateInputError,
+            match="^aligned coordinates need an ordered vertex sequence$",
+        ):
+            SimplicialComplex.build(unordered, [["a"], ["b"]], rows)
+
+
 def test_star_link_closure_on_disk():
     space = fx.disk()
     st = star(space, "c")

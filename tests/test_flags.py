@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+import lefscalc.fixtures as fx
 import oracles
-from lefscalc.complexes import CellularSubset
+from lefscalc.complexes import CellSpace, CellularSubset, whole_space
 from lefscalc.errors import DegenerateInputError
 from lefscalc.euler import chi_c
 from lefscalc.exact import GaussianRational, RationalMatrix
@@ -222,6 +223,32 @@ def test_fixed_locus_chi_is_factorial(n):
         assert chi_c(space) == factorial(n)
         labels = {c.component for c in space.cells}
         assert len(labels) == multinomial(n, blocks)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_FLAG_N + 1))
+def test_fixed_locus_is_listed_as_the_checked_build_lists_it(n):
+    # the cell space is built without CellSpace.build; its cells come in
+    # build's order (ids as strings, so "c10:" before "c1:")
+    for blocks in compositions(n):
+        space = fixed_locus_cellspace(n, blocks)
+        assert space == CellSpace.build(space.cells)
+        assert space == CellSpace.build(reversed(space.cells))
+
+
+def _whole_spaces():
+    yield fx.cp1_cellspace()
+    for n in range(1, MAX_FLAG_N + 1):
+        yield flag_cellspace(n).space
+        for blocks in compositions(n):
+            yield fixed_locus_cellspace(n, blocks)
+
+
+def test_chi_of_a_whole_cell_space_is_the_sum_over_its_members():
+    # chi_c reads a whole space's dims off its cells; the members of the
+    # whole space, read through cell_dim, give the same sum
+    for space in _whole_spaces():
+        whole = sum((-1) ** space.cell_dim(c) for c in whole_space(space).members)
+        assert chi_c(space) == chi_c(whole_space(space)) == whole
 
 
 def test_fixed_locus_component_chis():

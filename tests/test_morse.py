@@ -7,14 +7,20 @@ value of every multiplicity.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lefscalc.fixtures as fx
 import oracles
-from lefscalc.complexes import SimplicialComplex, canonical_tuple
+from lefscalc.complexes import (
+    SimplicialComplex,
+    canonical_tuple,
+    cell_sort_key,
+    subdivided_complex,
+)
 from lefscalc.errors import (
     CellSpaceUnsupportedError,
     DegenerateInputError,
@@ -289,6 +295,145 @@ def test_cc_table_is_linear():
         tb = cc_table(psi, ell).entries
         for v in space.vertices:
             assert lhs.get(v, g(0)) == a * ta[v] + b * tb[v]
+
+
+# ---------------------------------------------------------------------------
+# the table on integer heights against the routes it replaced: a sort of
+# Fraction heights with one signed_sum per star, and one Gaussian add at a
+# time
+
+
+def _primes_20(count):
+    """The first `count` primes past 2**19; each is below 2**20, so trial
+    division by the primes below 2**10 decides it."""
+    small = [d for d in range(2, 1 << 10) if all(d % e for e in range(2, d))]
+    out, p = [], 1 << 19
+    while len(out) < count:
+        p += 1
+        if all(p % d for d in small):
+            out.append(p)
+    assert p < 1 << 20
+    return tuple(out)
+
+
+# distinct 20-bit primes, enough for every vertex and part of sd^2(disk),
+# and the Mersenne primes of 521 and 607 bits, whose heights scale to ints
+# of over a thousand bits
+PRIMES_20 = _primes_20(1500)
+HUGE_PRIMES = (2 ** 521 - 1, 2 ** 607 - 1)
+HEIGHT_KINDS = ("small", "ints", "primes", "huge")
+VALUE_KINDS = ("small", "int-parts", "primes", "cancel", "empty")
+
+
+def _heights(rng, space, kind, primes):
+    n = len(space.vertices)
+    nums = rng.sample(range(-40 * n - 1, 40 * n + 2), n)
+    if kind == "ints":
+        return dict(zip(space.vertices, nums))  # int heights, not Fractions
+    if kind == "small":
+        dens = [rng.randint(1, 12) for _ in nums]
+    elif kind == "primes":
+        dens = [next(primes) for _ in nums]
+    else:
+        dens = [rng.choice(HUGE_PRIMES) for _ in nums]
+    return {v: Fraction(x, d) for v, x, d in zip(space.vertices, nums, dens)}
+
+
+def _function(rng, space, kind, primes, ell):
+    if kind == "empty":
+        return ConstructibleFunction(space, {})
+    table = {}
+    for cell in sorted(space.simplices, key=cell_sort_key):
+        if rng.random() < 0.7:
+            if kind == "int-parts":
+                value = GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+            elif kind == "primes":
+                value = GaussianRational(
+                    Fraction(rng.randint(-99, 99), next(primes)),
+                    Fraction(rng.randint(-99, 99), next(primes)),
+                )
+            else:
+                value = GaussianRational(
+                    Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+                    Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+                )
+            if not value.is_zero():
+                table[cell] = value
+    if kind == "cancel" and not genericity_check(space, ell):
+        # the vertex cell {v} is in v's lower star with sign +1: taking the
+        # star's sum off it makes the star cancel to zero
+        entries = oracles.cc_table_loop(ConstructibleFunction(space, table), ell).entries
+        for v in rng.sample(space.vertices, (len(space.vertices) + 1) // 2):
+            vertex = frozenset([v])
+            value = table.get(vertex, GaussianRational()) - entries[v]
+            if value.is_zero():
+                table.pop(vertex, None)
+            else:
+                table[vertex] = value
+    return ConstructibleFunction(space, table)
+
+
+def _table_outcome(table_of, phi, ell):
+    try:
+        entries = table_of(phi, ell).entries
+    except GenericityError as exc:
+        return str(exc), exc.edges
+    for value in entries.values():
+        assert type(value.re) is type(value.im) is Fraction
+    return "returned", [(v, str(x), x.to_json()) for v, x in entries.items()]
+
+
+def assert_table_like_the_oracles(phi, ell):
+    outcome = _table_outcome(cc_table, phi, ell)
+    assert outcome == _table_outcome(oracles.cc_table_by_fraction_sort, phi, ell)
+    assert outcome == _table_outcome(oracles.cc_table_loop, phi, ell)
+    if outcome[0] == "returned":
+        assert [v for v, _, _ in outcome[1]] == list(phi.parent.vertices)
+    return outcome
+
+
+@given(
+    seed=st.integers(0, 10 ** 6),
+    heights=st.sampled_from(HEIGHT_KINDS),
+    values=st.sampled_from(VALUE_KINDS),
+    tie=st.booleans(),
+)
+@example(seed=0, heights="primes", values="primes", tie=False)
+@example(seed=1, heights="huge", values="cancel", tie=False)
+@example(seed=2, heights="ints", values="int-parts", tie=True)
+@settings(max_examples=120, deadline=None)
+def test_cc_table_matches_the_fraction_sort_and_the_loop(seed, heights, values, tie):
+    rng = random.Random(f"morse-differential:{seed}")
+    primes = iter(PRIMES_20)
+    space = random_complex(rng, max_vertices=7, max_dim=3, max_simplices=35)
+    table = _heights(rng, space, heights, primes)
+    edges = space.k_cells(1)
+    if tie and edges:
+        a, b = canonical_tuple(rng.choice(edges))
+        table[b] = table[a]
+    ell = VertexFunctional(table)
+    phi = _function(rng, space, values, primes, ell)
+    outcome = assert_table_like_the_oracles(phi, ell)
+    if tie and edges:
+        assert outcome[0].startswith("functional is degenerate on edges")
+        assert (a, b) in outcome[1]
+
+
+def test_distinct_prime_denominators_on_sd2_disk():
+    # every height and every part over its own 20-bit prime: the heights
+    # scale to ints of thousands of bits, while each star still folds over
+    # its own few denominators
+    space = subdivided_complex(fx.disk(), 2)[0]
+    rng = random.Random("morse-distinct-primes")
+    primes = iter(PRIMES_20)
+    heights = _heights(rng, space, "primes", primes)
+    scale = lcm(*(x.denominator for x in heights.values()))
+    assert scale.bit_length() > 1000
+    ell = VertexFunctional(heights)
+    phi = _function(rng, space, "primes", primes, ell)
+    outcome = assert_table_like_the_oracles(phi, ell)
+    assert outcome[0] == "returned"
+    assert index_sum(phi, ell) == euler_integral(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from lefscalc.complexes import (
 )
 from lefscalc.errors import DegenerateInputError, GenericityError
 from lefscalc.euler import ConstructibleFunction, euler_integral, pushforward
-from lefscalc.exact import GZERO, GaussianRational, signed_sum
+from lefscalc.exact import GZERO, GaussianRational, signed_sum, signed_sums
 from lefscalc.maps import SimplicialMap
 from lefscalc.morse import (
     VertexFunctional,
@@ -254,3 +254,26 @@ parts = st.one_of(
 def test_signed_sum_equals_the_term_by_term_fold(terms):
     folded = reduce(lambda acc, term: acc + term[1] * term[0], terms, GZERO)
     assert_same_value(signed_sum(terms), folded)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.sampled_from([-1, 1]),
+            st.builds(GaussianRational, parts, parts),
+        ),
+        max_size=40,
+    )
+)
+def test_signed_sums_equal_one_term_by_term_fold_per_group(terms):
+    sums = signed_sums(5, terms)
+    assert len(sums) == 5
+    for group, total in enumerate(sums):
+        folded = reduce(
+            lambda acc, term: acc + term[2] * term[1] if term[0] == group else acc,
+            terms,
+            GZERO,
+        )
+        assert_same_value(total, folded)
