@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""The mutation register: deliberate faults the test suite must catch.
+
+Usage: python scripts/mutants.py
+
+Each row of MUTANTS names a mutant, the file it edits, the exact old text,
+the new text, and the pytest arguments that select the tests meant to
+catch it.  The script copies the repository to a temporary directory and,
+for each row, applies the mutant there, runs its selection, and puts the
+file back.  A mutant is killed when its selection fails or times out (a
+mutant can make a loop run forever); it survives when its selection
+passes.
+
+A row whose old text does not occur exactly once in its file is refused,
+so a refactor must re-aim a mutant rather than drop it silently, and each
+selection must pass on the unmutated copy first, so that a kill means the
+mutant was caught.  Standard library only; the selections need pytest and
+hypothesis.
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when a
+row is refused or a selection fails on the unmutated copy.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+# pytest's exit statuses for a bad command line and for no test collected
+_NOT_RUN = (4, 5)
+KILLED = ("failed", "timed out")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple  # pytest arguments
+
+
+MUTANTS = (
+    Mutant(
+        "parse_rational refuses a bad literal with ParseError",
+        "src/lefscalc/exact.py",
+        '            raise DegenerateInputError(f"bad rational literal {value!r}") from exc',
+        "            from .errors import ParseError\n\n"
+        '            raise ParseError(f"bad rational literal {value!r}") from exc',
+        ("tests/test_api_fuzz.py",),
+    ),
+    Mutant(
+        "the permutation reader accepts bools",
+        "src/lefscalc/flags.py",
+        "ints = all(isinstance(x, int) and not isinstance(x, bool) for x in perm)",
+        "ints = all(isinstance(x, int) for x in perm)",
+        ("tests/test_api_fuzz.py",),
+    ),
+    Mutant(
+        "RationalPolynomial.of reads coefficients without _sequence",
+        "src/lefscalc/exact.py",
+        'cs = [parse_rational(c) for c in _sequence(coeffs, "a coefficient list")]',
+        "cs = [parse_rational(c) for c in coeffs]",
+        ("tests/test_api_fuzz.py",),
+    ),
+    Mutant(
+        "VertexFunctional.of reads keys without its vertex reader",
+        "src/lefscalc/morse.py",
+        'given = read_table(table, "heights for vertex", vertex)',
+        'given = read_table(table, "heights for vertex")',
+        ("tests/test_api_fuzz.py",),
+    ),
+    Mutant(
+        "flag_cellspace lists its cells in reverse order",
+        "src/lefscalc/flags.py",
+        '[Cell(name, dim, "flag") for name, dim in _perm_cells(n)]',
+        '[Cell(name, dim, "flag") for name, dim in _perm_cells(n)][::-1]',
+        ("tests/test_flags.py",),
+    ),
+)
+
+
+def run_tests(tree: Path, tests: tuple) -> str:
+    """'passed', 'failed', 'timed out' or 'ran no test': the selection
+    `tests` run on the copy `tree`."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        result = subprocess.run(
+            command, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    if result.returncode in _NOT_RUN:
+        return "ran no test"
+    return "passed" if result.returncode == 0 else "failed"
+
+
+def refusals(tree: Path, mutants) -> list:
+    """Why each row that cannot be applied to `tree` is refused."""
+    out = []
+    for m in mutants:
+        count = (tree / m.path).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            out.append(f"{m.name}: its old text occurs {count} times in {m.path}")
+    return out
+
+
+def check(tree: Path, mutants) -> int:
+    refused = refusals(tree, mutants)
+    for selection in dict.fromkeys(m.tests for m in mutants):
+        outcome = run_tests(tree, selection)
+        if outcome != "passed":
+            refused.append(f"{' '.join(selection)} {outcome} without a mutant")
+    for reason in refused:
+        print(f"refused: {reason}")
+    if refused:
+        return 2
+    survivors = 0
+    for m in mutants:
+        path = tree / m.path
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+        try:
+            outcome = run_tests(tree, m.tests)
+        finally:
+            path.write_text(text, encoding="utf-8")
+        survivors += outcome not in KILLED
+        verdict = f"killed ({outcome})" if outcome in KILLED else f"SURVIVED ({outcome})"
+        print(f"{verdict}: {m.name}")
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
+    return 1 if survivors else 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch) / "repo"
+        shutil.copytree(
+            ROOT,
+            tree,
+            ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_*"
+            ),
+        )
+        return check(tree, MUTANTS)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -261,21 +261,17 @@ class CellSpace(Value):
     @staticmethod
     def build(cells) -> "CellSpace":
         """The space of the given Cells: a string id named once, a dim of at
-        least 0 and a string component or None.  A flag model has thousands
-        of cells, so cell_key and parse_integer see only a failing field."""
+        least 0 and a string component or None."""
         if not _iterable(cells):
             raise DegenerateInputError(f"not a family of cells: {shown(cells)}")
         rows = {}
         for cell in cells:
             if not isinstance(cell, Cell):
                 raise DegenerateInputError(f"not a cell: {shown(cell)}")
-            ident, dim, component = cell.ident, cell.dim, cell.component
-            if not isinstance(ident, str):
-                CellSpace.cell_key(ident)
+            ident, component = CellSpace.cell_key(cell.ident), cell.component
             if ident in rows:
                 raise DegenerateInputError(f"duplicate cell id {ident!r}")
-            if type(dim) is not int or dim < 0:
-                parse_integer(dim, f"the dim of cell {ident!r}", least=0)
+            parse_integer(cell.dim, f"the dim of cell {ident!r}", least=0)
             if component is not None and not isinstance(component, str):
                 raise DegenerateInputError(
                     f"the component of cell {ident!r} must be a string or None, "

@@ -84,5 +84,6 @@ class NoApplicableRegimeError(LefscalcError):
 
 
 class DegenerateInputError(LefscalcError):
-    """Input is structurally inconsistent (mismatched parents, bad pattern,
-    missing normal data, out-of-range size bounds)."""
+    """A library reader refused an argument (a bad literal, level, table,
+    family, matrix or permutation), or input is structurally inconsistent
+    (mismatched parents, missing normal data, out-of-range size bounds)."""

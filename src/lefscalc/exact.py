@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import DegenerateInputError, ParseError, shown
+from .errors import DegenerateInputError, shown
 from .records import Value, set_field
 
 Rat = Fraction
@@ -31,7 +31,7 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 def parse_rational(value) -> Fraction:
     """Accept "p/q" / "p" strings or ints; reject floats (inexact)."""
     if isinstance(value, bool):
-        raise ParseError(f"not a rational: {value!r}")
+        raise DegenerateInputError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Fraction):
@@ -41,12 +41,14 @@ def parse_rational(value) -> Fraction:
         if len(value) > LITERAL_MAX_CHARS or (
             exponent and int(exponent[1].replace("_", "") or 0) > LITERAL_MAX_EXPONENT
         ):
-            raise ParseError(f"rational literal {value[:20]!r} exceeds the size bound")
+            raise DegenerateInputError(
+                f"rational literal {value[:20]!r} exceeds the size bound"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}") from exc
-    raise ParseError(f"not a rational: {shown(value)}")
+            raise DegenerateInputError(f"bad rational literal {value!r}") from exc
+    raise DegenerateInputError(f"not a rational: {shown(value)}")
 
 
 def parse_integer(value, what: str, least=None, most=None) -> int:
@@ -111,7 +113,9 @@ class GaussianRational(Value):
             return value
         if isinstance(value, dict):
             if not set(value) <= {"re", "im"}:
-                raise ParseError(f"a Gaussian value has keys 're', 'im': {shown(value)}")
+                raise DegenerateInputError(
+                    f"a Gaussian value has keys 're', 'im': {shown(value)}"
+                )
             re, im = value.get("re", 0), value.get("im", 0)
             return GaussianRational(parse_rational(re), parse_rational(im))
         return GaussianRational(parse_rational(value))
@@ -152,14 +156,6 @@ class GaussianRational(Value):
             return imag
         sign = "+" if self.im > 0 else ""
         return f"{format_rational(self.re)}{sign}{imag}"
-
-
-def parse_gaussian(x) -> GaussianRational:
-    """GaussianRational.of, with every refusal as a ParseError."""
-    try:
-        return GaussianRational.of(x)
-    except (ParseError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid value {shown(x)}: {exc}") from exc
 
 
 GZERO = GaussianRational()
@@ -331,7 +327,9 @@ class RationalPolynomial(Value):
 
     @staticmethod
     def of(coeffs) -> "RationalPolynomial":
-        cs = [parse_rational(c) for c in coeffs]
+        """A list or tuple of rationals, lowest degree first; a string or a
+        number is refused."""
+        cs = [parse_rational(c) for c in _sequence(coeffs, "a coefficient list")]
         while cs and cs[-1] == 0:
             cs.pop()
         return RationalPolynomial(tuple(cs))

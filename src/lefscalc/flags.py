@@ -95,6 +95,19 @@ def _guard(n: int) -> int:
     return sum(1 << (width * k + width - 1) for k in range((n - 1) ** 2))
 
 
+def _permutation(perm, n=None) -> tuple:
+    """The one reader of a permutation argument, in one-line notation: a
+    tuple or list of ints, not bools, holding each of 1..len(perm) once,
+    and of n letters where n is given."""
+    if isinstance(perm, (tuple, list)):
+        ints = all(isinstance(x, int) and not isinstance(x, bool) for x in perm)
+        if ints and sorted(perm) == list(range(1, len(perm) + 1)):
+            if n is None or len(perm) == n:
+                return tuple(perm)
+            raise DegenerateInputError(f"{tuple(perm)} is not a permutation of the model")
+    raise DegenerateInputError(f"not a permutation: {shown(perm)}")
+
+
 def bruhat_leq(a: tuple, b: tuple) -> bool:
     """Closure order: the cell of a lies in the closure of the cell of b.
 
@@ -103,10 +116,11 @@ def bruhat_leq(a: tuple, b: tuple) -> bool:
     Each permutation's counts are computed once, packed into one int, and
     all of them are compared by one integer test.
     """
+    a, b = _permutation(a), _permutation(b)
     if len(a) != len(b):
         raise DegenerateInputError("permutations of different sizes")
     guard = _guard(len(a))
-    return ((_dot_vector(tuple(b)) | guard) - _dot_vector(tuple(a))) & guard == guard
+    return ((_dot_vector(b) | guard) - _dot_vector(a)) & guard == guard
 
 
 def perm_name(perm: tuple) -> str:
@@ -139,8 +153,10 @@ class BruhatCellSpace(Record):
 
 def flag_cellspace(n: int) -> BruhatCellSpace:
     n = _flag_size(n)
-    cells = [Cell(name, dim, "flag") for name, dim in _perm_cells(n)]
-    return BruhatCellSpace(n, CellSpace.build(cells), tuple(permutations_of(n)))
+    # The names are distinct, and listed in CellSpace.build's order: they
+    # are strings of n single digits in permutations_of order.
+    space = CellSpace(tuple([Cell(name, dim, "flag") for name, dim in _perm_cells(n)]))
+    return BruhatCellSpace(n, space, tuple(permutations_of(n)))
 
 
 def schubert_subset(
@@ -148,9 +164,7 @@ def schubert_subset(
 ) -> CellularSubset:
     """The cell of perm, or its closure in the Bruhat order: the cells
     whose packed dot counts pass the test of _guard against perm's."""
-    perm = tuple(perm)
-    if perm not in model.perms:
-        raise DegenerateInputError(f"{perm} is not a permutation of the model")
+    perm = _permutation(perm, model.n)
     if closed:
         guard = _guard(model.n)
         top = _dot_vector(perm) | guard
@@ -170,11 +184,7 @@ def open_cell_complement(model: BruhatCellSpace, perm=None) -> CellularSubset:
     For the big cell this is the union of all proper closed cells, the
     boundary divisor the worked example traces against.
     """
-    if perm is None:
-        perm = longest_element(model.n)
-    perm = tuple(perm)
-    if perm not in model.perms:
-        raise DegenerateInputError(f"{perm} is not a permutation of the model")
+    perm = longest_element(model.n) if perm is None else _permutation(perm, model.n)
     members = {perm_name(w) for w in model.perms if w != perm}
     return CellularSubset.of(model.space, members)
 

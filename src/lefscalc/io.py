@@ -15,6 +15,7 @@ reader that owns it, and that reader makes its own refusals.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -390,10 +391,12 @@ def parse_problem(data) -> Problem:
 
 
 def _unique_keys(pairs: list) -> dict:
+    """The object of `pairs`; the first repeated key, in the order keys
+    first occur, is refused."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        twice = next(key for key in obj if keys.count(key) > 1)
+        counts = Counter(key for key, _ in pairs)
+        twice = next(key for key in obj if counts[key] > 1)
         raise ParseError(f"key {twice!r} repeated in a JSON object")
     return obj
 

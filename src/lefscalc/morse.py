@@ -60,7 +60,14 @@ class VertexFunctional(Value):
 
     @staticmethod
     def of(space: SimplicialComplex, table) -> "VertexFunctional":
-        given = read_table(table, "heights for vertex")
+        """Heights keyed by the vertices of `space`: each key is read as a
+        vertex, and a vertex the space lacks is refused."""
+
+        def vertex(v):
+            vertex_key(v)
+            return space.vertices[space.vertex_index(v)]
+
+        given = read_table(table, "heights for vertex", vertex)
         values = {v: parse_rational(x) for v, x in given.items()}
         _require_defined(space, values)
         return VertexFunctional(values)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
-from .exact import GaussianRational, parse_gaussian
+from .errors import DegenerateInputError, ParseError, shown
+from .exact import GaussianRational
 from .records import Value
 
 # kind -> field names, in printed order
@@ -48,7 +48,10 @@ def _frozen(value):
         return tuple(_frozen(v) for v in value)
     if isinstance(value, dict):
         if set(value) == {"re", "im"}:
-            return parse_gaussian(value)
+            try:
+                return GaussianRational.of(value)
+            except DegenerateInputError as exc:
+                raise ParseError(f"invalid value {shown(value)}: {exc}") from exc
         return {k: _frozen(v) for k, v in value.items()}
     return value
 

@@ -2,13 +2,15 @@
 
 Each name of `lefscalc._EXPORTS` that takes a subdivision level, a flag
 size or block sizes, a component index or degree, a key-value table, a
-family of simplices, a normal matrix or the fields of a cell is called with
-drawn values of the wrong kind: bools, floats, digit strings, None, nested
-lists and tuples, malformed pairs, repeated keys and unknown vertices.
-Each call must return or raise a LefscalcError, and nothing else.  A call
-that returns passes, so the pinned probes below also check that a string
-is read as neither a simplex nor a family, nor a matrix, coordinates or a
-vertex list.
+family of simplices, a normal matrix, the fields of a cell, a permutation
+or a coefficient list is called with drawn values of the wrong kind:
+bools, floats, digit strings, None, nested lists and tuples, malformed
+pairs, repeated keys and unknown vertices.  Each call must return or raise
+a LefscalcError, and nothing else.  A call that returns passes, so the
+pinned probes below also check that a string is read as neither a simplex
+nor a family, nor a matrix, coordinates, a vertex list or a coefficient
+list.  A permutation call returns only on a permutation, and a bad rational
+literal is refused by every library reader with DegenerateInputError.
 
 Two wrong objects stay Python's own TypeError and are not drawn: an object
 that is no complex where a complex is expected (such as None), and an
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 import lefscalc as lc
 from lefscalc import fixtures as fx
 from lefscalc.errors import DegenerateInputError, LefscalcError
+from lefscalc.flags import open_cell_complement
 
 SPHERE = fx.sphere2()
 CP1 = fx.cp1_cellspace()
@@ -31,6 +34,7 @@ HEXAGON = REFLECTION.spec.base
 HEIGHTS = lc.VertexFunctional.of(HEXAGON, {f"v{i}": i for i in range(6)})
 ONE = lc.ConstructibleFunction.indicator(SPHERE)
 PATH = lc.SimplicialComplex.from_maximal([("a", "b"), ("b", "c")])
+FLAG3 = lc.flag_cellspace(3)
 HUGE = 10**5000
 
 FUZZ = settings(
@@ -58,6 +62,14 @@ KNOWN = st.sampled_from(
 KEYS = st.one_of(KNOWN, ODD)
 VALUES = st.one_of(st.sampled_from(["1", "-1/2", 3, 0, {"re": "1"}]), ODD)
 MATRICES = st.one_of(st.sampled_from([[[-1]], [["2"]], [[1, 0], [0, 3]]]), ODD)
+PERMUTATIONS = st.one_of(
+    st.permutations([1, 2, 3]).map(tuple),
+    st.permutations([True, 2, 3]),
+    st.permutations([1, 2, 3.0]).map(tuple),
+    st.lists(st.one_of(st.integers(0, 4), SCALARS), max_size=4),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    ODD,
+)
 SIMPLEX = st.one_of(
     st.lists(st.one_of(st.integers(1, 4), st.just("zz")), max_size=4),
     st.tuples(st.integers(1, 4)),
@@ -217,6 +229,74 @@ def test_a_cell_is_read_field_by_field(ident, dim, component):
     _settles(lc.CellSpace.build, [lc.Cell("pt", 0), lc.Cell(ident, dim, component)])
 
 
+def _is_permutation(x) -> bool:
+    return (
+        isinstance(x, (tuple, list))
+        and all(type(i) is int for i in x)
+        and sorted(x) == list(range(1, len(x) + 1))
+    )
+
+
+# each call returns only on a permutation of 1..3
+PERMUTATION_CALLS = {
+    "bruhat_leq": lambda w: lc.bruhat_leq(w, (3, 2, 1)),
+    "schubert_subset": lambda w: lc.schubert_subset(FLAG3, w),
+    "open_cell_complement": lambda w: open_cell_complement(FLAG3, w),
+}
+
+
+@FUZZ
+@given(name=st.sampled_from(sorted(PERMUTATION_CALLS)), perm=PERMUTATIONS)
+def test_a_permutation_is_read_by_one_reader(name, perm):
+    try:
+        PERMUTATION_CALLS[name](perm)
+    except LefscalcError:
+        return
+    assert _is_permutation(perm) and len(perm) == 3
+
+
+@FUZZ
+@given(coeffs=st.one_of(st.lists(st.one_of(st.integers(-2, 2), SCALARS), max_size=3), ODD))
+def test_a_coefficient_list_is_read_by_one_reader(coeffs):
+    try:
+        p = lc.RationalPolynomial.of(coeffs)
+    except LefscalcError:
+        return
+    assert isinstance(coeffs, (list, tuple))
+    assert p.coeffs == tuple(map(lc.parse_rational, coeffs))[: len(p.coeffs)]
+
+
+POINT = lc.SimplicialComplex.from_maximal([("p",)])
+# every library reader of a rational literal, each given one bad literal
+LITERAL_READERS = {
+    "parse_rational": lc.parse_rational,
+    "GaussianRational.of": lc.GaussianRational.of,
+    "GaussianRational.of, a part": lambda x: lc.GaussianRational.of({"re": 1, "im": x}),
+    "RationalMatrix.of": lambda x: lc.RationalMatrix.of([[x]]),
+    "NormalData.of": lambda x: lc.NormalData.of({0: [[1, 0], [0, x]]}),
+    "VertexFunctional.of": lambda x: lc.VertexFunctional.of(POINT, {"p": x}),
+    "ConstructibleFunction.of": lambda x: lc.ConstructibleFunction.of(POINT, {("p",): x}),
+}
+BAD_LITERALS = {
+    "bool": True, "float": 1.5, "none": None, "list": [1], "word": "x",
+    "zero-denominator": "1/0", "empty": "", "exponent": "1e1001", "long": "7" * 1001,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_READERS))
+@pytest.mark.parametrize("kind", sorted(BAD_LITERALS))
+def test_a_bad_rational_literal_is_refused_alike_by_every_reader(name, kind):
+    """DegenerateInputError with parse_rational's text, never the ParseError
+    of a file reader."""
+    literal = BAD_LITERALS[kind]
+    with pytest.raises(DegenerateInputError) as direct:
+        lc.parse_rational(literal)
+    with pytest.raises(LefscalcError) as caught:
+        LITERAL_READERS[name](literal)
+    assert type(caught.value) is DegenerateInputError
+    assert str(caught.value) == str(direct.value)
+
+
 # each refusal's text, and a call that raised a raw TypeError, or read its
 # argument as something else, before the readers
 PROBES = {
@@ -258,7 +338,32 @@ PROBES = {
     "two heights for vertex 1": lambda: lc.VertexFunctional.of(
         SPHERE, [(1, 0), (1, 5), ([2], 1)]
     ),
-    "unhashable key [2]": lambda: lc.VertexFunctional.of(SPHERE, [([2], 1)]),
+    "unhashable key [2]": lambda: lc.SimplicialMap.build(SPHERE, SPHERE, [([2], 1)]),
+    "invalid vertex [2]: vertices are strings, ints of at most 64 bits and tuples "
+    "of them": lambda: lc.VertexFunctional.of(SPHERE, [([2], 1)]),
+    "invalid vertex 1.5: vertices are strings, ints of at most 64 bits and tuples "
+    "of them": lambda: lc.VertexFunctional.of(HEXAGON, {**HEIGHTS.values, 1.5: 9}),
+    "invalid vertex True: vertices are strings, ints of at most 64 bits and tuples "
+    "of them": lambda: lc.VertexFunctional.of(SPHERE, {True: 0, 2: 1, 3: 2, 4: 3}),
+    "unknown vertex 'zz'": lambda: lc.VertexFunctional.of(
+        HEXAGON, {**HEIGHTS.values, "zz": 9}
+    ),
+    "bad rational literal 'x'": lambda: lc.NormalData.of({0: [["x"]]}),
+    "not a permutation: (1, 1, 1)": lambda: lc.bruhat_leq((1, 1, 1), (3, 2, 1)),
+    "not a permutation: ('a', 'b')": lambda: lc.bruhat_leq(("a", "b"), (1, 2)),
+    "not a permutation: (2, 2)": lambda: lc.bruhat_leq((1, 2), (2, 2)),
+    "permutations of different sizes": lambda: lc.bruhat_leq((1, 2), (1, 2, 3)),
+    "not a permutation: 5": lambda: lc.schubert_subset(FLAG3, 5),
+    "not a permutation: (True, 3, 2)": lambda: lc.schubert_subset(FLAG3, (True, 3, 2)),
+    "(1, 2) is not a permutation of the model": lambda: lc.schubert_subset(
+        FLAG3, [1, 2]
+    ),
+    "not a permutation: [4, 3, 2]": lambda: open_cell_complement(FLAG3, [4, 3, 2]),
+    "(2, 1) is not a permutation of the model": lambda: open_cell_complement(
+        FLAG3, (2, 1)
+    ),
+    "not a coefficient list: '12'": lambda: lc.RationalPolynomial.of("12"),
+    "not a coefficient list: 12": lambda: lc.RationalPolynomial.of(12),
     "two values for cell (1, 2)": lambda: lc.ConstructibleFunction.of(
         SPHERE, {(1, 2): 1, (2, 1): 2}
     ),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lefscalc import exact
-from lefscalc.errors import DegenerateInputError, ParseError
+from lefscalc.errors import DegenerateInputError
 from lefscalc.exact import (
     GaussianRational,
     Rat,
@@ -47,7 +47,7 @@ def test_parse_rational_forms():
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, "x", "1/0", None, [1]])
 def test_parse_rational_rejects(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(DegenerateInputError):
         parse_rational(bad)
 
 
@@ -59,7 +59,7 @@ def test_rational_literals_are_bounded_before_parsing():
     longest = "7" * exact.LITERAL_MAX_CHARS
     assert parse_rational(longest) == int(longest)
     for text in (f"1e{top + 1}", f"2.5E-{top + 1}", f"1e{top + 1:_}", longest + "7"):
-        with pytest.raises(ParseError, match="exceeds the size bound"):
+        with pytest.raises(DegenerateInputError, match="exceeds the size bound"):
             parse_rational(text)
 
 
@@ -88,7 +88,7 @@ def test_gaussian_json_round_trip():
     "value", [{"re": "1", "zz": 2}, {"im": "1", "Re": "1"}, {"x": 0}]
 )
 def test_gaussian_value_with_a_stray_key_is_refused(value):
-    with pytest.raises(ParseError, match="keys 're', 'im'"):
+    with pytest.raises(DegenerateInputError, match="keys 're', 'im'"):
         GaussianRational.of(value)
     assert GaussianRational.of({"im": "1/2"}) == GaussianRational(Rat(0), Rat(1, 2))
 

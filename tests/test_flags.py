@@ -226,6 +226,15 @@ def test_fixed_locus_chi_is_factorial(n):
 
 
 @pytest.mark.parametrize("n", range(1, MAX_FLAG_N + 1))
+def test_flag_model_is_listed_as_the_checked_build_lists_it(n):
+    # the cell space is built without CellSpace.build; its cells come in
+    # build's order
+    space = flag_cellspace(n).space
+    assert space == CellSpace.build(space.cells)
+    assert space == CellSpace.build(reversed(space.cells))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_FLAG_N + 1))
 def test_fixed_locus_is_listed_as_the_checked_build_lists_it(n):
     # the cell space is built without CellSpace.build; its cells come in
     # build's order (ids as strings, so "c10:" before "c1:")

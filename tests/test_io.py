@@ -178,7 +178,7 @@ def test_values_read_through_the_literal_table_keep_their_refusals(raw):
 def _refusal(attempt):
     try:
         attempt()
-    except ParseError as exc:
+    except DegenerateInputError as exc:
         return str(exc)
     return None
 
@@ -488,7 +488,7 @@ def test_values_rejections():
     with pytest.raises(ParseError):
         parse_problem(data)
     data["values"] = [[["a"], 1.5]]
-    with pytest.raises(ParseError):
+    with pytest.raises(DegenerateInputError, match="^not a rational: 1.5$"):
         parse_problem(data)
     data["values"] = [["a", 1]]  # not an array reference
     with pytest.raises(ParseError):
@@ -508,7 +508,7 @@ def test_support_and_traces_rejections():
         parse_problem(data)
     data = minimal()
     data["traces"] = [[["a"], True]]
-    with pytest.raises(ParseError):
+    with pytest.raises(DegenerateInputError, match="^not a rational: True$"):
         parse_problem(data)
     data["traces"] = {"a": 1}
     with pytest.raises(ParseError):
@@ -523,7 +523,7 @@ def test_normal_data_rejections():
     ):
         parse_problem(data)
     data["normal_data"] = {"0": [["1/x"]]}
-    with pytest.raises(ParseError):
+    with pytest.raises(DegenerateInputError, match="^bad rational literal '1/x'$"):
         parse_problem(data)
     data["normal_data"] = {"0": [["1", "2"]]}
     with pytest.raises(DegenerateInputError):
@@ -547,7 +547,7 @@ def test_ell_rejections():
     with pytest.raises(ParseError, match="unknown vertex '7' in ell"):
         parse_problem(data)
     data["ell"] = {"a": "0", "b": "oops"}
-    with pytest.raises(ParseError):
+    with pytest.raises(DegenerateInputError, match="^bad rational literal 'oops'$"):
         parse_problem(data)
     data["ell"] = "increasing"
     with pytest.raises(
@@ -653,11 +653,11 @@ def test_coords_and_normal_rows_are_read_alike():
     assert parsed.normal.matrix_for(0).rows == ((0, 0), (1, 0))
     for rows in ([["1/0"]], [[1.5]], [[True]]):
         data["complex"]["coords"] = rows * 3
-        with pytest.raises(ParseError):
+        with pytest.raises(DegenerateInputError):
             parse_problem(data)
         data["complex"].pop("coords")
         data["normal_data"] = {"0": rows}
-        with pytest.raises(ParseError):
+        with pytest.raises(DegenerateInputError):
             parse_problem(data)
 
 
@@ -710,10 +710,26 @@ def test_a_repeated_json_key_is_refused():
         loads(text.replace('"vertices"', '"vertices": [], "vertices"'))
 
 
+def test_the_first_repeated_key_is_named_in_the_order_keys_first_occur():
+    with pytest.raises(ParseError, match="^key 'b' repeated in a JSON object$"):
+        loads('{"b": 1, "a": 1, "a": 2, "b": 2}')
+
+
+def test_a_repeated_key_in_a_large_object_is_found_in_linear_time():
+    # one pass over the keys: a count per key made this take seconds
+    pairs = ", ".join(f'"k{i}": 0' for i in range(50_000))
+    text = f'{{"schema": "lefscalc/1", "x": {{{pairs}, "k49999": 1}}}}'
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as caught:
+        loads(text)
+    assert time.perf_counter() - start < 1
+    assert str(caught.value) == "key 'k49999' repeated in a JSON object"
+
+
 def test_a_gaussian_value_with_a_stray_key_is_refused():
     data = triangle()
     data["values"] = [[["a"], {"re": "1", "zz": 2}]]
-    with pytest.raises(ParseError, match="keys 're', 'im'"):
+    with pytest.raises(DegenerateInputError, match="keys 're', 'im'"):
         parse_problem(data)
 
 

@@ -1,5 +1,7 @@
-"""The two documented scripts run to completion in a fresh process."""
+"""The two documented scripts run to completion in a fresh process, and
+each row of the mutation register aims at one place in the code."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -34,3 +36,13 @@ def test_run_verify_script_prints_the_seed_0_digest():
     result = run_script("run_verify.py")
     assert result.returncode == 0, result.stderr
     assert f"two runs with seed 0 agree ({SEED_0_DIGEST}" in result.stdout
+
+
+def test_each_mutant_of_the_register_aims_at_one_place():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.refusals(ROOT, mutants.MUTANTS) == []
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    assert all(m.old != m.new for m in mutants.MUTANTS)
