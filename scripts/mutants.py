@@ -72,9 +72,51 @@ MUTANTS = (
     Mutant(
         "VertexFunctional.of reads keys without its vertex reader",
         "src/lefscalc/morse.py",
-        'given = read_table(table, "heights for vertex", vertex)',
+        'given = read_table(table, "heights for vertex", space.vertex)',
         'given = read_table(table, "heights for vertex")',
         ("tests/test_api_fuzz.py",),
+    ),
+    Mutant(
+        "the vertex reader looks a vertex up without vertex_key",
+        "src/lefscalc/complexes.py",
+        "        vertex_key(v)\n        return self.vertices[self.vertex_index(v)]",
+        "        return self.vertices[self.vertex_index(v)]",
+        ("tests/test_api_fuzz.py",),
+    ),
+    Mutant(
+        "TracedProblem stores its normal data unread",
+        "src/lefscalc/fixedpoint.py",
+        "normal = NormalData.of(normal)",
+        "normal = normal",
+        ("tests/test_api_fuzz.py",),
+    ),
+    Mutant(
+        "TracedProblem stores its flags unread",
+        "src/lefscalc/fixedpoint.py",
+        "if not isinstance(flag, bool):",
+        "if False:",
+        ("tests/test_api_fuzz.py",),
+    ),
+    Mutant(
+        "the JSON reader keeps the last of a repeated key",
+        "src/lefscalc/reports.py",
+        "json.loads(text, object_pairs_hook=_unique_keys)",
+        "json.loads(text)",
+        ("tests/test_api_fuzz.py",),
+    ),
+    Mutant(
+        "a root at c is divided out of the ray count only once",
+        "src/lefscalc/exact.py",
+        "    while p(c) == 0:",
+        "    if p(c) == 0:",
+        ("tests/test_exact.py",),
+    ),
+    Mutant(
+        "a vertex whose image lies in its carrier counts as fixed",
+        "src/lefscalc/fixedpoint.py",
+        "if len(base_cell) > 1 or image not in base_cell:",
+        "if image not in base_cell:",
+        ("tests/test_fixedpoint.py",),
     ),
     Mutant(
         "flag_cellspace lists its cells in reverse order",

@@ -231,6 +231,14 @@ class SimplicialComplex(Value):
         except (KeyError, TypeError):
             raise DegenerateInputError(f"unknown vertex {shown(v)}") from None
 
+    def vertex(self, v):
+        """The one reader of a vertex argument: `v` is read through
+        vertex_key, so a bool, a float or an int past 64 bits is no vertex
+        even when it equals one, and a vertex the space lacks is refused.
+        Returns the space's own vertex object."""
+        vertex_key(v)
+        return self.vertices[self.vertex_index(v)]
+
     def coord_of(self, v):
         if self.coords is None:
             return None
@@ -518,7 +526,7 @@ def require_valid(space) -> None:
 
 def star(space: SimplicialComplex, v) -> CellularSubset:
     space = require_simplicial(space, "star")
-    space.vertex_index(v)  # refuses a vertex the space does not have
+    v = space.vertex(v)
     return CellularSubset(
         space, frozenset(s for s in space.simplices if v in s)
     )
@@ -531,7 +539,7 @@ def closure(subset: CellularSubset) -> CellularSubset:
 
 def link(space: SimplicialComplex, v) -> SimplicialComplex:
     space = require_simplicial(space, "link")
-    space.vertex_index(v)
+    v = space.vertex(v)
     simps = [
         s for s in space.simplices if v not in s and (s | {v}) in space.simplices
     ]

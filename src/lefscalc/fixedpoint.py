@@ -74,6 +74,10 @@ class NormalData(Value):
 
     @staticmethod
     def of(entries) -> "NormalData":
+        """Normal data from a table of (component index, matrix) pairs, or
+        a NormalData, returned as it is."""
+        if isinstance(entries, NormalData):
+            return entries
         table = read_table(entries, "normal matrices for component", _component_index)
         for idx, matrix in table.items():
             if not isinstance(matrix, RationalMatrix):
@@ -123,19 +127,24 @@ class FixedComponent(Record):
 
 
 class TracedProblem(Record):
-    """A self-map plus the sheaf-side data needed for localization.
+    """A self-map plus the sheaf-side data needed for localization.  Each
+    field is read once, when the problem is built, by the reader of its
+    kind; what needs the fixed locus is refused on first use.
 
     support: locally closed union of cells carrying the constant sheaf, in
-        any form CellularSubset.of reads (None means the whole base);
+        any form CellularSubset.of reads (None means the whole base), kept
+        as a CellularSubset;
     traces: optional explicit stalkwise trace values on fixed cells,
-        overriding the constant-sheaf default of 1;
-    normal: normal matrices per fixed component (omitting the block means
-        every component is full-dimensional, d = 0);
+        overriding the constant-sheaf default of 1: a table read_table
+        reads, kept as {cell key: GaussianRational};
+    normal: normal matrices per fixed component, in any form NormalData.of
+        reads (omitting the block means every component is
+        full-dimensional, d = 0);
     complex_model: caller asserts the problem is the real form of a
         complex-analytic one, so localization needs no spectral gap;
     non_characteristic: caller asserts the graph crosses the conormal
         geometry transversally, enabling the signed regime even when the
-        normal spectrum meets [1, oo).
+        normal spectrum meets [1, oo).  Both flags are bools.
     """
 
     _fields = (
@@ -145,12 +154,25 @@ class TracedProblem(Record):
     def __init__(
         self,
         spec: SelfMapSpec,
-        support: CellularSubset | None = None,
-        traces: dict | None = None,
-        normal: NormalData | None = None,
+        support=None,
+        traces=None,
+        normal=None,
         complex_model: bool = False,
         non_characteristic: bool = False,
     ):
+        base = spec.base
+        if support is not None:
+            support = CellularSubset.of(base, support)
+        if traces is not None:
+            table = read_table(traces, "trace values for cell", base.cell_key)
+            traces = {cell: GaussianRational.of(x) for cell, x in table.items()}
+        if normal is not None:
+            normal = NormalData.of(normal)
+        for name, flag in (
+            ("complex_model", complex_model), ("non_characteristic", non_characteristic)
+        ):
+            if not isinstance(flag, bool):
+                raise DegenerateInputError(f"{name} must be a boolean, got {shown(flag)}")
         set_field(self, "spec", spec)
         set_field(self, "support", support)
         set_field(self, "traces", traces)
@@ -311,25 +333,21 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
     Constant-sheaf model: the indicator of support /\\ fixed subcomplex.
     Explicit traces override individual cells.
     """
-    base = p.spec.base
     fixed = p.fixed_locus[0]
     cells = fixed.members
     if p.support is not None:
-        cells &= CellularSubset.of(base, p.support).members
+        cells &= p.support.members
     values = dict.fromkeys(cells, GaussianRational.of(1))
-    if p.traces:
-        traces = read_table(p.traces, "trace values for cell", base.cell_key)
-        for cell, raw in traces.items():
-            if cell not in fixed.members:
-                raise DegenerateInputError(
-                    f"trace value on {canonical_tuple(cell)}, which is not fixed"
-                )
-            value = GaussianRational.of(raw)
-            if value.is_zero():
-                values.pop(cell, None)
-            else:
-                values[cell] = value
-    return ConstructibleFunction(base, values)
+    for cell, value in (p.traces or {}).items():
+        if cell not in fixed.members:
+            raise DegenerateInputError(
+                f"trace value on {canonical_tuple(cell)}, which is not fixed"
+            )
+        if value.is_zero():
+            values.pop(cell, None)
+        else:
+            values[cell] = value
+    return ConstructibleFunction(p.spec.base, values)
 
 
 def component_sign(p: TracedProblem, index: int) -> FixedComponent:
@@ -392,11 +410,8 @@ def _global_trace(p: TracedProblem) -> Fraction:
     """The trace on the support.  Its closure Z and boundary B = Z - support
     are checked invariant on the spec itself: sd^level(Z) is the part of
     sd^level(base) that Z carries."""
-    spec = p.spec
-    if p.support is None:
-        return lefschetz_number(spec.endomorphism)
-    support = CellularSubset.of(spec.base, p.support)
-    if support.members == spec.base.simplices:
+    spec, support = p.spec, p.support
+    if support is None or support.members == spec.base.simplices:
         return lefschetz_number(spec.endomorphism)
     closed = closure(support).members
     boundary = closed - support.members

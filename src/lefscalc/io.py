@@ -15,7 +15,6 @@ reader that owns it, and that reader makes its own refusals.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -38,6 +37,7 @@ from .euler import ConstructibleFunction
 from .exact import GaussianRational, decimal_integer, format_rational, parse_integer
 from .maps import SelfMapSpec, SimplicialMap
 from .records import Record, set_field
+from .reports import read_json
 
 if TYPE_CHECKING:  # the fixed-point and Morse layers load only when used
     from .fixedpoint import NormalData, TracedProblem
@@ -390,24 +390,8 @@ def parse_problem(data) -> Problem:
     )
 
 
-def _unique_keys(pairs: list) -> dict:
-    """The object of `pairs`; the first repeated key, in the order keys
-    first occur, is refused."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        counts = Counter(key for key, _ in pairs)
-        twice = next(key for key in obj if counts[key] > 1)
-        raise ParseError(f"key {twice!r} repeated in a JSON object")
-    return obj
-
-
 def loads(text: str) -> Problem:
-    try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers malformed JSON and integers past the digit limit
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    return parse_problem(data)
+    return parse_problem(read_json(text))
 
 
 def load(path) -> Problem:

@@ -60,14 +60,9 @@ class VertexFunctional(Value):
 
     @staticmethod
     def of(space: SimplicialComplex, table) -> "VertexFunctional":
-        """Heights keyed by the vertices of `space`: each key is read as a
-        vertex, and a vertex the space lacks is refused."""
-
-        def vertex(v):
-            vertex_key(v)
-            return space.vertices[space.vertex_index(v)]
-
-        given = read_table(table, "heights for vertex", vertex)
+        """Heights keyed by the vertices of `space`, each key read by
+        space.vertex."""
+        given = read_table(table, "heights for vertex", space.vertex)
         values = {v: parse_rational(x) for v, x in given.items()}
         _require_defined(space, values)
         return VertexFunctional(values)
@@ -118,7 +113,7 @@ def morse_multiplicity(
     """Lower-star multiplicity of phi at v for the height ell.  Only the
     cells at v are read, so only the edges at v must separate their ends."""
     space = require_simplicial(phi.parent, "morse_multiplicity")
-    space.vertex_index(v)  # refuses a vertex the space does not have
+    v = space.vertex(v)
     values = ell.values
     _require_defined(space, values)
     star = [cell for cell in space.simplices if v in cell]
@@ -258,12 +253,10 @@ def lefschetz_cycle_table(
     comp = component_sign(p, index)
     regime = _select_regime(p, comp)
     component_complex = induced_subcomplex(p.spec.base, comp.cells)
+    _require_defined(component_complex, ell.values)
     phi = restrict(p.local_trace, comp.cells)
-    local_phi = ConstructibleFunction.of(component_complex, phi.values)
-    local_ell = VertexFunctional.of(
-        component_complex,
-        {v: ell(v) for v in component_complex.vertices},
-    )
+    local_phi = ConstructibleFunction(component_complex, phi.values)
+    local_ell = VertexFunctional({v: ell(v) for v in component_complex.vertices})
     table = cc_table(local_phi, local_ell).scaled(comp.sign)
     return CycleTableReport(index, regime, comp.sign, table)
 

@@ -10,6 +10,7 @@ output structurally.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .errors import DegenerateInputError, ParseError, shown
 from .exact import GaussianRational
@@ -29,6 +30,28 @@ FIELDS = {
     "worked-example": ("components", "total", "chi_of_divisor"),
     "verify": ("seed", "checks", "all_ok", "digest"),
 }
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object of `pairs`; the first repeated key, in the order keys
+    first occur, is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        twice = next(key for key in obj if counts[key] > 1)
+        raise ParseError(f"key {twice!r} repeated in a JSON object")
+    return obj
+
+
+def read_json(text: str):
+    """The one reader of JSON text, for problem files and report payloads:
+    a repeated key in any object, malformed JSON, an integer past Python's
+    digit limit and nesting past the recursion limit are each a ParseError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers past the digit limit
+        raise ParseError(f"not valid JSON: {exc}") from exc
 
 
 def _plain(value):
@@ -92,10 +115,7 @@ class Report(Value):
 
 def parse_report(data) -> Report:
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
+        data = read_json(data)
     if not isinstance(data, dict) or "kind" not in data:
         raise ParseError("report must be a JSON object with a kind")
     kind = data["kind"]

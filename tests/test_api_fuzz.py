@@ -2,15 +2,19 @@
 
 Each name of `lefscalc._EXPORTS` that takes a subdivision level, a flag
 size or block sizes, a component index or degree, a key-value table, a
-family of simplices, a normal matrix, the fields of a cell, a permutation
-or a coefficient list is called with drawn values of the wrong kind:
-bools, floats, digit strings, None, nested lists and tuples, malformed
-pairs, repeated keys and unknown vertices.  Each call must return or raise
-a LefscalcError, and nothing else.  A call that returns passes, so the
-pinned probes below also check that a string is read as neither a simplex
-nor a family, nor a matrix, coordinates, a vertex list or a coefficient
-list.  A permutation call returns only on a permutation, and a bad rational
-literal is refused by every library reader with DegenerateInputError.
+family of simplices, a normal matrix, the fields of a cell, a permutation,
+a coefficient list, a vertex or the fields of a traced problem is called
+with drawn values of the wrong kind: bools, floats, digit strings, None,
+nested lists and tuples, malformed pairs, repeated keys, ints past 64 bits
+and unknown vertices.  Each call must return or raise a LefscalcError, and
+nothing else.  A call that returns passes, so the pinned probes below also
+check that a string is read as neither a simplex nor a family, nor a
+matrix, coordinates, a vertex list or a coefficient list.  A permutation
+call returns only on a permutation, a vertex call only on a vertex, a
+traced problem is built only from fields its readers accept, and a bad
+rational literal is refused by every library reader with
+DegenerateInputError.  Report payloads are read as strictly as problem
+files.
 
 Two wrong objects stay Python's own TypeError and are not drawn: an object
 that is no complex where a complex is expected (such as None), and an
@@ -19,13 +23,15 @@ its arguments before any reader runs.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lefscalc as lc
 from lefscalc import fixtures as fx
-from lefscalc.errors import DegenerateInputError, LefscalcError
+from lefscalc import io
+from lefscalc.errors import DegenerateInputError, LefscalcError, ParseError
 from lefscalc.flags import open_cell_complement
+from lefscalc.reports import parse_report
 
 SPHERE = fx.sphere2()
 CP1 = fx.cp1_cellspace()
@@ -36,6 +42,7 @@ ONE = lc.ConstructibleFunction.indicator(SPHERE)
 PATH = lc.SimplicialComplex.from_maximal([("a", "b"), ("b", "c")])
 FLAG3 = lc.flag_cellspace(3)
 HUGE = 10**5000
+INTERVAL_HEIGHTS = lc.VertexFunctional.of(fx.interval_complex(), {"a": 0, "b": 1})
 
 FUZZ = settings(
     max_examples=30, deadline=None, derandomize=True, report_multiple_bugs=False
@@ -152,7 +159,10 @@ FAMILY_CALLS = {
 
 
 def test_every_fuzzed_name_is_exported():
-    names = {*LEVEL_CALLS, *FLAG_CALLS, *INDEX_CALLS, *TABLE_CALLS, *FAMILY_CALLS}
+    names = {
+        *LEVEL_CALLS, *FLAG_CALLS, *INDEX_CALLS, *TABLE_CALLS, *FAMILY_CALLS,
+        *VERTEX_CALLS,
+    }
     assert {name.split(".")[0] for name in names} <= set(lc._EXPORTS)
 
 
@@ -266,6 +276,143 @@ def test_a_coefficient_list_is_read_by_one_reader(coeffs):
     assert p.coeffs == tuple(map(lc.parse_rational, coeffs))[: len(p.coeffs)]
 
 
+TRIANGLE = lc.SimplicialComplex.build([0, 1, 2], [[0], [1], [2], [0, 1], [1, 2], [0, 2]])
+TRIANGLE_ONE = lc.ConstructibleFunction.indicator(TRIANGLE)
+TRIANGLE_HEIGHTS = lc.VertexFunctional.of(TRIANGLE, {0: 0, 1: 1, 2: 2})
+VERTICES = st.one_of(
+    st.sampled_from([0, 1, 2, 2**64, -(2**64) - 1, 10**30, "zz", (1,), [1], 1.0]),
+    st.integers(-2, 3),
+    HASHABLE,
+    ODD,
+)
+# each call returns only on a vertex of TRIANGLE, and the table of
+# VertexFunctional.of only when its drawn key is vertex 0
+VERTEX_CALLS = {
+    "star": lambda v: lc.star(TRIANGLE, v),
+    "link": lambda v: lc.link(TRIANGLE, v),
+    "morse_multiplicity": lambda v: lc.morse_multiplicity(
+        TRIANGLE_ONE, TRIANGLE_HEIGHTS, v
+    ),
+    "VertexFunctional.of": lambda v: lc.VertexFunctional.of(
+        TRIANGLE, [(v, 5), (1, 1), (2, 2)]
+    ),
+}
+
+
+@FUZZ
+@given(name=st.sampled_from(sorted(VERTEX_CALLS)), vertex=VERTICES)
+@example(name="star", vertex=True)
+@example(name="link", vertex=1.0)
+@example(name="morse_multiplicity", vertex=True)
+@example(name="VertexFunctional.of", vertex=False)
+def test_a_vertex_is_read_by_one_reader(name, vertex):
+    try:
+        VERTEX_CALLS[name](vertex)
+    except LefscalcError:
+        return
+    assert type(vertex) is int and vertex in TRIANGLE.vertices
+
+
+# the fields of a traced problem on the reflected hexagon: the open star of
+# v0, a trace value there, and both normal matrices, each in the typed form
+# the problem keeps and in the other forms its readers accept
+STAR_V0 = [("v0",), ("v0", "v1"), ("v5", "v0")]
+SUPPORTS = {
+    "tuples": STAR_V0,
+    "frozensets": set(map(frozenset, STAR_V0)),
+}
+TRACES = {"dict": {("v0",): 3}, "pairs": [(["v0"], "3")]}
+NORMALS = {
+    "dict": {0: [[-1]], 1: [[-1]]},
+    "pairs": [(0, [["-1"]]), ("1", lc.RationalMatrix.of([[-1]]))],
+}
+TYPED = lc.TracedProblem(
+    spec=REFLECTION.spec,
+    support=lc.CellularSubset.of(HEXAGON, STAR_V0),
+    traces={frozenset(["v0"]): lc.GaussianRational.of(3)},
+    normal=REFLECTION.normal,
+)
+
+
+@pytest.mark.parametrize("normal", sorted(NORMALS))
+@pytest.mark.parametrize("traces", sorted(TRACES))
+@pytest.mark.parametrize("support", sorted(SUPPORTS))
+def test_every_accepted_form_of_a_traced_problem_reads_the_same(support, traces, normal):
+    """The same report as the typed fields give, and the same problem file,
+    which reads back to that report."""
+    p = lc.TracedProblem(
+        spec=REFLECTION.spec, support=SUPPORTS[support], traces=TRACES[traces],
+        normal=NORMALS[normal],
+    )
+    report = lc.localization_report(TYPED)
+    assert lc.localization_report(p) == report
+    data = io.traced_problem_to_json(p)
+    assert data == io.traced_problem_to_json(TYPED)
+    assert lc.localization_report(io.loads(io.dumps(data)).traced()) == report
+
+
+FLAGS = st.one_of(st.booleans(), st.integers(0, 1), SCALARS, ODD)
+
+
+@FUZZ
+@given(
+    support=st.one_of(st.none(), st.lists(SIMPLEX, max_size=4), ODD),
+    traces=st.one_of(st.none(), tables()),
+    normal=st.one_of(st.none(), tables(MATRICES)),
+    complex_model=FLAGS,
+    non_characteristic=FLAGS,
+)
+@example(
+    support=None, traces=None, normal={0: [[-1]], 1: [[-1]]}, complex_model=False,
+    non_characteristic=1,
+)
+def test_a_traced_problem_reads_its_fields_when_it_is_built(
+    support, traces, normal, complex_model, non_characteristic
+):
+    """Built only from fields its readers accept, and kept in their typed
+    forms; the report then returns or refuses."""
+    try:
+        p = lc.TracedProblem(
+            spec=REFLECTION.spec, support=support, traces=traces, normal=normal,
+            complex_model=complex_model, non_characteristic=non_characteristic,
+        )
+    except LefscalcError:
+        return
+    assert p.support is None or isinstance(p.support, lc.CellularSubset)
+    assert p.traces is None or all(
+        isinstance(value, lc.GaussianRational) for value in p.traces.values()
+    )
+    assert p.normal is None or isinstance(p.normal, lc.NormalData)
+    assert type(p.complex_model) is bool and type(p.non_characteristic) is bool
+    _settles(lc.localization_report, p)
+
+
+# a report payload read as strictly as a problem file
+PAYLOADS = {
+    "repeated key": (
+        '{"kind": "chi", "chi": 1, "chi": 2}', "key 'chi' repeated in a JSON object"
+    ),
+    "5000-digit integer": (
+        '{"kind": "chi", "chi": ' + "7" * 5000 + "}",
+        "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "100000-deep array": (
+        "[" * 100_000 + "]" * 100_000, "not valid JSON: maximum recursion depth exceeded"
+    ),
+}
+
+
+@pytest.mark.parametrize("payload", sorted(PAYLOADS))
+def test_a_report_payload_is_read_by_the_strict_json_reader(payload):
+    text, refusal = PAYLOADS[payload]
+    with pytest.raises(ParseError) as caught:
+        parse_report(text)
+    assert str(caught.value).startswith(refusal)
+    with pytest.raises(ParseError) as as_problem:
+        io.loads(text)
+    assert str(as_problem.value) == str(caught.value)
+
+
 POINT = lc.SimplicialComplex.from_maximal([("p",)])
 # every library reader of a rational literal, each given one bad literal
 LITERAL_READERS = {
@@ -374,6 +521,31 @@ PROBES = {
         [(0, [[1]]), ("0", [[2]])]
     ),
     "not a family of cells: 5": lambda: lc.CellularSubset.of(SPHERE, 5),
+    "complex_model must be a boolean, got 'no'": lambda: lc.TracedProblem(
+        REFLECTION.spec, complex_model="no"
+    ),
+    "complex_model must be a boolean, got 0": lambda: lc.TracedProblem(
+        REFLECTION.spec, complex_model=0
+    ),
+    "non_characteristic must be a boolean, got 1": lambda: lc.TracedProblem(
+        REFLECTION.spec, non_characteristic=1
+    ),
+    "not a family of cells: 'v0'": lambda: lc.TracedProblem(
+        REFLECTION.spec, support="v0"
+    ),
+    "cells not in parent: [\"('zz',)\"]": lambda: lc.TracedProblem(
+        REFLECTION.spec, support=[("zz",)]
+    ),
+    "not a table of (key, value) pairs: 'v0'": lambda: lc.TracedProblem(
+        REFLECTION.spec, traces="v0"
+    ),
+    "bad rational literal 'y'": lambda: lc.TracedProblem(
+        REFLECTION.spec, traces={("v0",): "y"}
+    ),
+    "not a matrix: 'x'": lambda: lc.TracedProblem(REFLECTION.spec, normal={0: "x"}),
+    "normal matrix for component 1 is not square": lambda: lc.TracedProblem(
+        REFLECTION.spec, normal=[(0, [[-1]]), (1, [[1, 2]])]
+    ),
     "not a family of cells: None": lambda: lc.SimplicialComplex.from_maximal(None),
 }
 
@@ -457,6 +629,34 @@ NAMED_PROBES = {
         "tuples of them",
     ),
     "CellSpace.build(5)": (lambda: lc.CellSpace.build(5), "not a family of cells: 5"),
+    "star(TRIANGLE, True)": (
+        lambda: lc.star(TRIANGLE, True),
+        "invalid vertex True: vertices are strings, ints of at most 64 bits and "
+        "tuples of them",
+    ),
+    "link(TRIANGLE, 1.0)": (
+        lambda: lc.link(TRIANGLE, 1.0),
+        "invalid vertex 1.0: vertices are strings, ints of at most 64 bits and "
+        "tuples of them",
+    ),
+    "morse_multiplicity(TRIANGLE_ONE, TRIANGLE_HEIGHTS, True)": (
+        lambda: lc.morse_multiplicity(TRIANGLE_ONE, TRIANGLE_HEIGHTS, True),
+        "invalid vertex True: vertices are strings, ints of at most 64 bits and "
+        "tuples of them",
+    ),
+    "star(TRIANGLE, 2**64)": (
+        lambda: lc.star(TRIANGLE, 2**64),
+        "invalid vertex an integer of 65 bits: vertices are strings, ints of at most "
+        "64 bits and tuples of them",
+    ),
+    "lefschetz_cycle_table(doubling, 0, heights on the interval)": (
+        lambda: lc.lefschetz_cycle_table(fx.doubling_problem(), 0, INTERVAL_HEIGHTS),
+        "functional undefined on vertices ['v0']",
+    ),
+    "microlocal_index(doubling, 0, heights on the interval)": (
+        lambda: lc.microlocal_index(fx.doubling_problem(), 0, INTERVAL_HEIGHTS),
+        "functional undefined on vertices ['v0']",
+    ),
     "CellSpace.build([5])": (lambda: lc.CellSpace.build([5]), "not a cell: 5"),
 }
 

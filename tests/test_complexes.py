@@ -122,15 +122,21 @@ def test_star_link_closure_on_disk():
     assert cl.members == space.cell_keys
 
 
+def no_vertex(v) -> str:
+    """The start of the vertex reader's refusal of `v`: a string the space
+    lacks is unknown, and a list is no vertex of any space."""
+    return re.escape(f"{'unknown' if isinstance(v, str) else 'invalid'} vertex {v!r}")
+
+
 @pytest.mark.parametrize("vertex", ["zz", ["c"]])
 def test_star_refuses_a_vertex_the_space_does_not_have(vertex):
-    with pytest.raises(DegenerateInputError, match="unknown vertex"):
+    with pytest.raises(DegenerateInputError, match=no_vertex(vertex)):
         star(fx.disk(), vertex)
 
 
 @pytest.mark.parametrize("vertex", ["zz", ["c"]])
 def test_link_refuses_a_vertex_the_space_does_not_have(vertex):
-    with pytest.raises(DegenerateInputError, match="unknown vertex"):
+    with pytest.raises(DegenerateInputError, match=no_vertex(vertex)):
         link(fx.disk(), vertex)
 
 

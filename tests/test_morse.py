@@ -6,6 +6,7 @@ value of every multiplicity.
 """
 
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -101,7 +102,9 @@ def test_multiplicity_refuses_a_vertex_the_space_does_not_have(vertex):
     space = fx.interval_complex()
     ell = VertexFunctional.of(space, {"a": 0, "b": 1})
     phi = ConstructibleFunction.indicator(space)
-    with pytest.raises(DegenerateInputError, match="unknown vertex"):
+    word = "unknown" if isinstance(vertex, str) else "invalid"  # a list is no vertex
+    refusal = re.escape(f"{word} vertex {vertex!r}")
+    with pytest.raises(DegenerateInputError, match=refusal):
         morse_multiplicity(phi, ell, vertex)
 
 
