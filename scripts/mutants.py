@@ -112,6 +112,34 @@ MUTANTS = (
         ("tests/test_exact.py",),
     ),
     Mutant(
+        "a linear root count compares with > instead of >=",
+        "src/lefscalc/exact.py",
+        "return int((a0 * d + a1 * n) * a1 <= 0)",
+        "return int((a0 * d + a1 * n) * a1 < 0)",
+        ("tests/test_exact.py", "-k", "low_degree"),
+    ),
+    Mutant(
+        "a quadratic root count leaves a root at c outside [c, oo)",
+        "src/lefscalc/exact.py",
+        "return 1 + (b1 * a2 < 0)",
+        "return b1 * a2 < 0",
+        ("tests/test_exact.py", "-k", "low_degree"),
+    ),
+    Mutant(
+        "the sign presolve also drops a row with both signs live",
+        "src/lefscalc/exact.py",
+        "if b == 0 and pos != neg:",
+        "if b == 0 and (pos or neg):",
+        ("tests/test_exact.py", "-k", "presolve"),
+    ),
+    Mutant(
+        "the sign presolve makes one pass only",
+        "src/lefscalc/exact.py",
+        "                changed = True",
+        "                pass",
+        ("tests/test_exact.py", "-k", "presolve"),
+    ),
+    Mutant(
         "a vertex whose image lies in its carrier counts as fixed",
         "src/lefscalc/fixedpoint.py",
         "if len(base_cell) > 1 or image not in base_cell:",

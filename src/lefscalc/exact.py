@@ -7,7 +7,8 @@ matrices are sparse integer columns in `homology`.  Rationals are plain
 fractions.Fraction; Gaussian rationals are a thin immutable pair on top.
 Eigenvalues are never materialized: spectral predicates are answered
 through the characteristic polynomial chi_A, its value chi_A(1) =
-det(I - A) and Sturm counts on it.
+det(I - A) and real-root counts on it (closed form to degree 2, Sturm
+chains beyond).
 """
 
 from __future__ import annotations
@@ -466,14 +467,50 @@ def count_real_roots_gt(p: RationalPolynomial, c) -> int:
 
 
 def count_real_roots_geq(p: RationalPolynomial, c) -> int:
-    """Number of distinct real roots of p in [c, +oo), multiplicity ignored."""
+    """Number of distinct real roots of p in [c, +oo), multiplicity ignored.
+    Degree <= 2 is decided in closed form; from degree 3 on, roots at c
+    are divided out and one Sturm chain counts the rest."""
     if p.is_zero():
         raise DegenerateInputError("root counting on the zero polynomial")
     c = parse_rational(c)
+    if p.degree <= 2:
+        return _count_low_degree_geq(p.coeffs, c)
     at_c = 0
     while p(c) == 0:  # the Sturm count below needs p(c) != 0
         p, at_c = p.divmod(RationalPolynomial.x_minus(c))[0], 1
     return at_c + count_real_roots_gt(p, c)
+
+
+def _count_low_degree_geq(coeffs: tuple, c: Fraction) -> int:
+    """Distinct real roots in [c, +oo) of the nonzero polynomial with
+    `coeffs`, lowest degree first, of degree at most 2.  A line's root r
+    is >= c exactly when p(c) = a1 (c - r) does not have a1's sign.  A
+    quadratic is shifted to q(s) = p(s + c) = a2 s^2 + b1 s + b0, which
+    has p's discriminant, and asked for its roots s >= 0: by the signs of
+    their product b0 / a2 and their sum -b1 / a2.  Only signs are read,
+    so p is first scaled to integers by the lcm of its denominators and
+    by powers of c's denominator, all positive, and nothing is divided."""
+    if len(coeffs) == 1:
+        return 0
+    scale = lcm(*(a.denominator for a in coeffs))
+    scaled = [a.numerator * (scale // a.denominator) for a in coeffs]
+    n, d = c.numerator, c.denominator
+    if len(scaled) == 2:
+        a0, a1 = scaled
+        return int((a0 * d + a1 * n) * a1 <= 0)  # p(c), times scale * d
+    a0, a1, a2 = scaled
+    disc = a1 * a1 - 4 * a0 * a2
+    if disc < 0:
+        return 0
+    b1 = a1 * d + 2 * a2 * n  # p'(c), times scale * d
+    if disc == 0:  # the double root s = -b1 / 2 a2
+        return int(b1 * a2 <= 0)
+    b0 = (a0 * d + a1 * n) * d + a2 * n * n  # p(c), times scale * d^2
+    if b0 == 0:  # s = 0 and s = -b1 / a2
+        return 1 + (b1 * a2 < 0)
+    if b0 * a2 < 0:
+        return 1
+    return 2 if b1 * a2 < 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,28 +520,32 @@ def count_real_roots_geq(p: RationalPolynomial, c) -> int:
 def has_nonneg_solution(rows: list, rhs: list) -> bool:
     """Exact feasibility of {A t = b, t >= 0} over the rationals.
 
-    The sign presolve (`_sign_presolve`) settles most systems without
-    pivoting.  What survives goes to a phase-1 simplex under Bland's rule,
-    which terminates; everything stays in Fraction so the verdict is exact.
-    Entries and right-hand sides are ints or Fractions; they are not parsed
-    again.
+    The sign presolve (`_sign_presolve`), on the signs of A's columns and
+    of b, settles most systems without pivoting.  What survives goes to a
+    phase-1 simplex under Bland's rule, which terminates; everything stays
+    in Fraction so the verdict is exact.  Entries and right-hand sides are
+    ints or Fractions; they are not parsed again.
     """
     if not rows:
         return True
-    live = _sign_presolve(
-        [[_sign(x) for x in row] for row in rows], [_sign(b) for b in rhs]
-    )
+    columns = [
+        {i: _sign(row[j]) for i, row in enumerate(rows) if row[j]}
+        for j in range(len(rows[0]))
+    ]
+    live = _sign_presolve(columns, {i: _sign(b) for i, b in enumerate(rhs) if b})
     if live is None:
         return False
     if not live:
-        return all(b == 0 for b in rhs)
+        return True
     return _phase1([[row[j] for j in live] for row in rows], rhs)
 
 
-def _sign_presolve(rows: list, rhs: list):
-    """The sign part of {A t = b, t >= 0}, on the signs (-1, 0, 1) of A's
-    rows and of b: None when a row is a Farkas certificate of
-    infeasibility, otherwise the indices of the columns left live.
+def _sign_presolve(columns: list, rhs: dict):
+    """The sign part of {A t = b, t >= 0}: `columns` holds A's columns as
+    {row: +-1} dicts of their nonzero entries' signs, `rhs` the signs of
+    b's nonzero entries as {row: +-1}.  None when a row is a Farkas
+    certificate of infeasibility, otherwise the indices of the columns
+    left live, in order.
 
     It repeats until nothing changes: a row with b = 0 whose live entries
     all have one sign forces t_j = 0 on its nonzero columns, which are
@@ -512,19 +553,24 @@ def _sign_presolve(rows: list, rhs: list):
     negative one, is a certificate.  Dropped columns are zero in every
     solution, so the verdict is unchanged.  Dropping only shrinks the live
     set and a row stays one-signed or a certificate as it shrinks, so the
-    result does not depend on the order of the rows.
+    result does not depend on the order of the rows.  Once no column is
+    live, every row with b != 0 is a certificate.
     """
-    live = range(len(rows[0]))
+    live = list(range(len(columns)))
+    rows = set(rhs).union(*columns)
     changed = True
     while changed:
         changed = False
-        for row, b in zip(rows, rhs):
-            seen = {row[j] for j in live}
+        for r in rows:
+            if not live:
+                return None if rhs else live
+            seen = {columns[j].get(r, 0) for j in live}
             pos, neg = 1 in seen, -1 in seen
+            b = rhs.get(r, 0)
             if (b > 0 and not pos) or (b < 0 and not neg):
                 return None
             if b == 0 and pos != neg:
-                live = [j for j in live if row[j] == 0]
+                live = [j for j in live if r not in columns[j]]
                 changed = True
     return live
 

@@ -254,20 +254,17 @@ def _assert_fixed_points_are_vertices(spec: SelfMapSpec, signs: dict) -> None:
     minus image, one row per base coordinate) is zero.  `signs` holds the
     signs of those rows, one column per moved vertex (a fixed vertex has
     none); they follow from the carrier alone.  The LP kernel's sign
-    presolve on them settles most simplices (a coordinate in which every
-    moved vertex is displaced the same way already separates them); only
+    presolve reads those columns as they are, with no right-hand side, and
+    settles most simplices: when it leaves no moved vertex live, the
+    weights summing to 1 are a certificate (a coordinate in which every
+    moved vertex is displaced the same way already separates them).  Only
     the simplices it leaves open get their exact rows, and are solved in
     cell order."""
     carrier = spec.carrier()
     undecided = []
     for tau in _top_simplices(spec.base, carrier):
         columns = [signs[w] for w in tau if w in signs]
-        if not columns:
-            continue
-        coords = set().union(*columns)
-        rows = [[column.get(u, 0) for column in columns] for u in coords]
-        rows.append([1] * len(columns))
-        if exact._sign_presolve(rows, [0] * len(coords) + [1]) is not None:
+        if columns and exact._sign_presolve(columns, {}):
             undecided.append(tau)
     positions = sd_positions(spec.base)
     zero = Fraction(0)

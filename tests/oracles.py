@@ -33,7 +33,11 @@ similarity.  The dense matrix algebra these references share (products,
 sums, transposes, traces, ranks and row echelon forms) lives here too:
 the library's RationalMatrix keeps only what a normal matrix needs.  Root
 counts are also taken by Sturm's theorem on the squarefree part, the route
-that one Sturm chain on p itself replaced.
+that one Sturm chain on p itself replaced, and by that one Sturm chain at
+every degree, the route that the closed form replaced for degree <= 2.
+The sign presolve of the LP kernel is kept in its dense form, on rows of
+signs and a list of right-hand side signs, the form that sparse sign
+columns replaced.
 """
 
 from __future__ import annotations
@@ -302,6 +306,16 @@ def count_real_roots_geq_squarefree(p: RationalPolynomial, c) -> int:
     return count_real_roots_gt(sf, c)
 
 
+def count_real_roots_geq_by_sturm(p: RationalPolynomial, c) -> int:
+    """The route the closed form replaced for degree <= 2: roots at c
+    divided out, then one Sturm chain on what is left."""
+    c = Fraction(c)
+    at_c = 0
+    while p(c) == 0:
+        p, at_c = p.divmod(RationalPolynomial.x_minus(c))[0], 1
+    return at_c + count_real_roots_gt(p, c)
+
+
 def count_real_roots_geq_oracle(p: RationalPolynomial, c) -> int:
     """Number of distinct real roots of p that are >= c."""
     q = p.squarefree_part()
@@ -339,6 +353,26 @@ def feasible_bruteforce(rows, rhs) -> bool:
             if all(x >= 0 for x in particular):
                 return True
     return False
+
+
+def sign_presolve_dense(rows: list, rhs: list):
+    """The sign presolve on dense rows: `rows` holds the signs (-1, 0, 1)
+    of A's rows and `rhs` those of b.  None on a Farkas certificate,
+    otherwise the live column indices, by full passes over the rows until
+    a pass drops nothing."""
+    live = range(len(rows[0]))
+    changed = True
+    while changed:
+        changed = False
+        for row, b in zip(rows, rhs):
+            seen = {row[j] for j in live}
+            pos, neg = 1 in seen, -1 in seen
+            if (b > 0 and not pos) or (b < 0 and not neg):
+                return None
+            if b == 0 and pos != neg:
+                live = [j for j in live if row[j] == 0]
+                changed = True
+    return list(live)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,69 @@ def test_count_real_roots_property(coeffs, lead):
     assert count_real_roots_geq(p, 1) == oracles.count_real_roots_geq_oracle(p, 1)
 
 
+GRID_ROOTS = sorted({Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3)})
+GRID_CS = (Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(5, 3))
+GRID_LEADS = (Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-2, 3))
+
+
+def low_degree_grid():
+    """(p, c, the real roots of p) over degrees 1 and 2 and every c of
+    GRID_CS: real roots from GRID_ROOTS and at c itself, double roots, and
+    complex pairs u +- vi, under leading coefficients of both signs."""
+    for c in GRID_CS:
+        roots = sorted(set(GRID_ROOTS) | {c})
+        for lead in GRID_LEADS:
+            for i, r in enumerate(roots):
+                yield RationalPolynomial.of([-lead * r, lead]), c, {r}
+                for s in roots[i:]:
+                    coeffs = [lead * r * s, -lead * (r + s), lead]
+                    yield RationalPolynomial.of(coeffs), c, {r, s}
+            for u in (c, Fraction(0), Fraction(2), Fraction(-1, 2)):
+                for v in (Fraction(1, 3), Fraction(1), Fraction(2)):
+                    coeffs = [lead * (u * u + v * v), -2 * lead * u, lead]
+                    yield RationalPolynomial.of(coeffs), c, set()
+
+
+def test_low_degree_counts_match_the_sturm_route_on_a_grid():
+    seen = set()
+    for p, c, roots in low_degree_grid():
+        expected = sum(1 for r in roots if r >= c)
+        assert count_real_roots_geq(p, c) == expected, (p.coeffs, c)
+        assert oracles.count_real_roots_geq_by_sturm(p, c) == expected, (p.coeffs, c)
+        seen.add((p.degree, expected))
+    assert seen == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rationals, max_size=2), rationals.filter(bool), rationals)
+def test_low_degree_counts_match_the_sturm_route(coeffs, lead, c):
+    p = RationalPolynomial.of(coeffs + [lead])
+    assert count_real_roots_geq(p, c) == oracles.count_real_roots_geq_by_sturm(p, c)
+
+
+def test_low_degree_counts_stay_exact_on_int_coefficients():
+    # polynomials built from ints directly, whose roots sit at c = 1/3:
+    # -a0 / a1 would be the float 0.333..., just below 1/3
+    third = Fraction(1, 3)
+    assert count_real_roots_geq(RationalPolynomial((-1, 3)), third) == 1
+    assert count_real_roots_geq(RationalPolynomial((1, -3)), third) == 1
+    assert count_real_roots_geq(RationalPolynomial((-1, 0, 9)), third) == 1
+    assert count_real_roots_geq(RationalPolynomial((1, -6, 9)), third) == 1
+
+
+def test_from_degree_three_the_sturm_chain_counts():
+    # the closed form stops at degree 2: a cubic with a double root at c
+    # reaches the Sturm chain, which divides that root out as often as
+    # it occurs
+    c = Fraction(5, 3)
+    at_c = RationalPolynomial.x_minus(c)
+    for rest, expected in (([-2, 1], 2), ([3, 1], 1), ([1, 0, 1], 1)):
+        p = at_c * at_c * RationalPolynomial.of(rest)
+        assert p.degree >= 3
+        assert count_real_roots_geq(p, c) == expected, rest
+        assert oracles.count_real_roots_geq_oracle(p, c) == expected, rest
+
+
 # ---------------------------------------------------------------------------
 # feasibility
 
@@ -382,3 +445,51 @@ def test_feasibility_sign_certificates():
     # every column dropped: feasible exactly when b = 0
     assert has_nonneg_solution([[Fraction(1)], [Fraction(0)]], [Fraction(0), Fraction(0)])
     assert not has_nonneg_solution([[Fraction(1)], [Fraction(0)]], [Fraction(0), Fraction(1)])
+
+
+def sparse_columns(rows: list) -> list:
+    """The columns of dense sign rows as {row: sign} dicts of their nonzero
+    entries, the form the sign presolve reads."""
+    return [
+        {i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))
+    ]
+
+
+signs = st.integers(-1, 1)
+sign_systems = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(signs, min_size=n, max_size=n), min_size=m, max_size=m),
+            st.lists(signs, min_size=m, max_size=m),
+        )
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sign_systems)
+def test_sparse_sign_presolve_matches_the_dense_one(system):
+    rows, rhs = system
+    expected = oracles.sign_presolve_dense(rows, rhs)
+    got = exact._sign_presolve(sparse_columns(rows), {i: b for i, b in enumerate(rhs) if b})
+    assert got == expected
+
+
+def test_sparse_sign_presolve_matches_the_dense_one_under_any_row_labels():
+    # rows keyed by labels in shuffled order, so that the presolve's set of
+    # rows is walked in an order unrelated to the dense rows'
+    rng = random.Random(707)
+    verdicts = set()
+    for _ in range(4000):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.choice((-1, 0, 0, 0, 1)) for _ in range(m)]
+        labels = rng.sample([f"r{i}" for i in range(9)] + list(range(9)), m)
+        columns = [
+            {labels[i]: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)
+        ]
+        expected = oracles.sign_presolve_dense(rows, rhs)
+        got = exact._sign_presolve(columns, {labels[i]: b for i, b in enumerate(rhs) if b})
+        assert got == expected, (rows, rhs)
+        verdicts.add("certificate" if got is None else len(got) < n)
+    assert verdicts == {"certificate", True, False}

@@ -14,6 +14,7 @@ from lefscalc.complexes import (
     SimplicialComplex,
     canonical_tuple,
     cell_sort_key,
+    sd_positions,
     vertex_key,
 )
 from lefscalc.errors import (
@@ -206,6 +207,124 @@ def test_refusals_are_decided_by_the_exact_solve(monkeypatch, make):
     with pytest.raises(FixedPointNotSimplicialError):
         fixed_subcomplex(spec)
     assert calls
+
+
+def assert_presolves_agree_on_top_simplices(spec) -> int:
+    """On every top simplex with a moved vertex, the sparse presolve gives
+    the dense oracle's verdict and live set twice: on the vertex test's own
+    sign columns with no right-hand side, where no live column stands for
+    the certificate that the all-ones row gives the dense presolve, and on
+    the system that has_nonneg_solution gets, with fixed vertices as zero
+    columns.  The signs are those of the exact displacements.  Returns how
+    many simplices the presolve leaves open."""
+    carrier = spec.carrier()
+    positions = sd_positions(spec.base)
+    undecided = 0
+    for tau in fixedpoint._top_simplices(spec.base, carrier):
+        ws = canonical_tuple(tau)
+        displacement = []  # signs of position minus image, by coordinate
+        for w in ws:
+            column = dict(positions[w])
+            image = spec.vertex_map[w]
+            column[image] = column.get(image, 0) - 1
+            displacement.append({u: exact._sign(x) for u, x in column.items() if x})
+        moved = [column for column in displacement if column]
+        if not moved:
+            continue
+        coords = sorted(set().union(*moved), key=vertex_key)
+        rhs = [0] * len(coords) + [1]
+        live = exact._sign_presolve(moved, {})
+        rows = [[column.get(u, 0) for column in moved] for u in coords]
+        assert (live or None) == oracles.sign_presolve_dense(rows + [[1] * len(moved)], rhs)
+        undecided += bool(live)
+        rows = [[column.get(u, 0) for column in displacement] for u in coords]
+        rows.append([int(bool(column)) for column in displacement])
+        columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(ws))]
+        assert exact._sign_presolve(columns, {len(coords): 1}) == (
+            oracles.sign_presolve_dense(rows, rhs)
+        )
+    return undecided
+
+
+def carrier_choice_spec(rng, spec: SelfMapSpec) -> SelfMapSpec:
+    """A level-0 spec written at level 1: each vertex of sd(base) goes
+    where spec sends a seeded choice among its carrier's vertices."""
+    sd, carrier = subdivided_complex(spec.base, 1)
+    vm = {
+        w: spec.vertex_map[rng.choice(canonical_tuple(carrier[frozenset([w])]))]
+        for w in sd.vertices
+    }
+    return SelfMapSpec.build(spec.base, 1, vm)
+
+
+def test_sparse_presolve_matches_the_dense_one_on_every_top_simplex():
+    specs = [
+        fx.rotation_spec(), fx.reflection_spec(), fx.doubling_spec(),
+        refine(fx.doubling_spec()), midpoint_swap_spec(), power_spec(7, 3, 0),
+        min_vertex_sphere_spec(), octagon_reflection_spec(1),
+        SelfMapSpec.identity(fx.sphere2()),
+    ]
+    rng = random.Random(31)
+    for _ in range(200):
+        spec = random_self_map(rng, random_complex(rng))
+        specs += [spec, carrier_choice_spec(rng, spec)]
+    undecided = [assert_presolves_agree_on_top_simplices(spec) for spec in specs]
+    # the midpoint swap reaches the exact solve; the min-vertex map does not
+    assert undecided[4] and not undecided[6]
+    assert sum(map(bool, undecided[9:])) >= 40 and undecided[9:].count(0) >= 100
+
+
+def reversed_names(space: SimplicialComplex) -> dict:
+    """A renaming of the vertices of `space` that reverses their order."""
+    ordered = sorted(space.vertices, key=vertex_key)
+    return {v: f"y{len(ordered) - i:02d}" for i, v in enumerate(ordered)}
+
+
+def test_fixed_locus_commutes_with_a_renaming_that_reverses_the_vertex_order():
+    rng = random.Random(1431)
+    refused = kept = 0
+    for _ in range(100):
+        space = random_complex(rng)
+        spec = random_self_map(rng, space)
+        names = reversed_names(space)
+        renamed = SelfMapSpec.build(
+            SimplicialComplex.from_maximal(
+                [tuple(names[v] for v in s) for s in space.simplices]
+            ),
+            0,
+            {names[v]: names[u] for v, u in spec.vertex_map.items()},
+        )
+        try:
+            fixed = fixed_subcomplex(spec)
+        except FixedPointNotSimplicialError:
+            with pytest.raises(FixedPointNotSimplicialError):
+                fixed_subcomplex(renamed)
+            refused += 1
+            continue
+        def rename(cells):
+            return frozenset(frozenset(names[v] for v in c) for c in cells)
+
+        assert fixed_subcomplex(renamed).members == rename(fixed.members)
+        comps = [rename(c.members) for c in fixed_components(spec)]
+        renamed_comps = [c.members for c in fixed_components(renamed)]
+        assert sorted(map(len, comps)) == sorted(map(len, renamed_comps))
+        assert set(comps) == set(renamed_comps)
+        matrices = []
+        for _ in comps:
+            n = rng.randint(0, 3)
+            matrices.append([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        p = TracedProblem(spec, normal=dict(enumerate(matrices)))
+        q = TracedProblem(
+            renamed,
+            normal={renamed_comps.index(c): m for c, m in zip(comps, matrices)},
+        )
+        rows, renamed_rows = hyperbolicity_report(p), hyperbolicity_report(q)
+        for i, c in enumerate(comps):
+            j = renamed_comps.index(c)
+            assert q.component(j).meets_ray == p.component(i).meets_ray
+            assert {**renamed_rows[j], "component": i} == rows[i]
+        kept += 1
+    assert refused >= 20 and kept >= 50
 
 
 @pytest.mark.parametrize(
