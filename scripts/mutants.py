@@ -112,6 +112,34 @@ MUTANTS = (
         ("tests/test_exact.py",),
     ),
     Mutant(
+        "a Sturm count past a root of p is not refused",
+        "src/lefscalc/exact.py",
+        "    if not at_c[0]:",
+        "    if False:",
+        ("tests/test_exact.py", "-k", "past_a_root"),
+    ),
+    Mutant(
+        "the multi-denominator fold sums im over the re lcm",
+        "src/lefscalc/exact.py",
+        "im_common = lcm(*{im_den for _, im_den in table})",
+        "im_common = re_common",
+        ("tests/test_summation.py", "-k", "part_by_part"),
+    ),
+    Mutant(
+        "format_rational prints what is not a Fraction as it is",
+        "src/lefscalc/exact.py",
+        "return str(x if isinstance(x, Fraction) else Fraction(x))",
+        "return str(x)",
+        ("tests/test_exact.py", "-k", "format"),
+    ),
+    Mutant(
+        "slot_setters lists the slots in name order",
+        "src/lefscalc/records.py",
+        "for name in cls.__slots__)",
+        "for name in sorted(cls.__slots__))",
+        ("tests/test_records.py",),
+    ),
+    Mutant(
         "a linear root count compares with > instead of >=",
         "src/lefscalc/exact.py",
         "return int((a0 * d + a1 * n) * a1 <= 0)",
@@ -145,6 +173,20 @@ MUTANTS = (
         "if len(base_cell) > 1 or image not in base_cell:",
         "if image not in base_cell:",
         ("tests/test_fixedpoint.py",),
+    ),
+    Mutant(
+        "the pushforward weight drops the image's length",
+        "src/lefscalc/euler.py",
+        "-1 if (len(cell) - len(image)) & 1 else 1",
+        "-1 if len(cell) & 1 else 1",
+        ("tests/test_summation.py", "-k", "pushforward"),
+    ),
+    Mutant(
+        "the packed dot table is off by one permutation",
+        "src/lefscalc/flags.py",
+        "return tuple(map(_dot_vector, permutations_of(n)))",
+        "return tuple(map(_dot_vector, permutations_of(n)[1:] + permutations_of(n)[:1]))",
+        ("tests/test_flags.py", "-k", "closure"),
     ),
     Mutant(
         "flag_cellspace lists its cells in reverse order",

@@ -35,7 +35,7 @@ from .errors import (
     shown,
 )
 from .exact import parse_integer, read_rows
-from .records import Value, set_field
+from .records import Value, set_field, slot_setters
 
 
 def vertex_key(v):
@@ -254,9 +254,12 @@ class Cell(Value):
     __slots__ = _fields = ("ident", "dim", "component")
 
     def __init__(self, ident: str, dim: int, component: str | None = None):
-        set_field(self, "ident", ident)
-        set_field(self, "dim", dim)
-        set_field(self, "component", component)
+        _set_ident(self, ident)
+        _set_dim(self, dim)
+        _set_component(self, component)
+
+
+_set_ident, _set_dim, _set_component = slot_setters(Cell)
 
 
 class CellSpace(Value):

@@ -25,7 +25,7 @@ from .complexes import (
     read_table,
 )
 from .errors import DegenerateInputError, shown
-from .exact import GZERO, GaussianRational, signed_sum
+from .exact import GZERO, GaussianRational, signed_sum, signed_sums
 from .maps import SelfMapSpec, SimplicialMap
 from .records import Record, set_field
 
@@ -125,19 +125,22 @@ def scale(c, phi: ConstructibleFunction) -> ConstructibleFunction:
 
 
 def pushforward(g: SimplicialMap, phi: ConstructibleFunction):
-    """Fibrewise Euler integral along a simplicial map."""
+    """Fibrewise Euler integral along a simplicial map: the image simplices
+    are numbered in first-seen order, and one signed_sums pass sums every
+    fibre."""
     if phi.parent != g.source:
         raise DegenerateInputError("function does not live on the map's source")
-    fibres = {}  # image simplex -> signed terms, in first-seen order
+    groups = {}  # image simplex -> its number, in first-seen order
+    terms = []
     for cell, value in phi.values.items():
         image = g.image_simplex(cell)
-        weight = (-1) ** (len(cell) - len(image))
-        fibres.setdefault(image, []).append((weight, value))
-    table = {}
-    for image, terms in fibres.items():
-        total = signed_sum(terms)
-        if not total.is_zero():
-            table[image] = total
+        group = groups.setdefault(image, len(groups))
+        terms.append((group, -1 if (len(cell) - len(image)) & 1 else 1, value))
+    table = {
+        image: total
+        for image, total in zip(groups, signed_sums(len(groups), terms))
+        if not total.is_zero()
+    }
     return ConstructibleFunction(g.target, table)
 
 

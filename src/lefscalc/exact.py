@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DegenerateInputError, shown
-from .records import Value, set_field
+from .records import Value, set_field, slot_setters
 
 Rat = Fraction
 
@@ -94,7 +94,8 @@ def _sequence(x, what: str):
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """x in lowest terms, "p/q" or "p"; a Fraction is printed as it is."""
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 class GaussianRational(Value):
@@ -103,8 +104,8 @@ class GaussianRational(Value):
     __slots__ = _fields = ("re", "im")
 
     def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
-        set_field(self, "re", re)
-        set_field(self, "im", im)
+        _set_re(self, re)
+        _set_im(self, im)
 
     @staticmethod
     def of(value) -> "GaussianRational":
@@ -159,6 +160,7 @@ class GaussianRational(Value):
         return f"{format_rational(self.re)}{sign}{imag}"
 
 
+_set_re, _set_im = slot_setters(GaussianRational)
 GZERO = GaussianRational()
 
 
@@ -173,40 +175,45 @@ def signed_sums(count: int, terms) -> list:
     sign, GaussianRational) triples whose index in range(count) names the
     group.
 
-    The integer numerators of each part are added per denominator, and
-    each part is normalized once, over the lcm of its few distinct
-    denominators, instead of once per term.  Sums in Q(i) are canonical:
-    each result equals the term-by-term fold from GZERO, and a group with
-    no nonzero term is GZERO itself.  Only the public numerator/denominator are
-    read, so int parts work too.
+    Each part is read once, as an integer ratio, and its signed numerator
+    is added into its group's table under the pair of its re and im
+    denominators.  Each part is normalized once, over the lcm of the few
+    denominators it meets, and a table with one key builds one Fraction
+    per part directly.  Sums in Q(i) are canonical: each result equals the
+    term-by-term fold from GZERO, and a group with no nonzero term is
+    GZERO itself.  Parts are read through as_integer_ratio, so int parts
+    work too.
     """
-    re_parts = [{} for _ in range(count)]  # by group: {denominator: numerator}
-    im_parts = [{} for _ in range(count)]
+    # by group: {(re denominator, im denominator): [re numerator, im numerator]}
+    tables = [{} for _ in range(count)]
     for index, sign, value in terms:
-        part = value.re
-        num = part.numerator
-        if num:
-            parts = re_parts[index]
-            den = part.denominator
-            parts[den] = parts.get(den, 0) + sign * num
-        part = value.im
-        num = part.numerator
-        if num:
-            parts = im_parts[index]
-            den = part.denominator
-            parts[den] = parts.get(den, 0) + sign * num
-    return [
-        GaussianRational(_fold(re), _fold(im)) if re or im else GZERO
-        for re, im in zip(re_parts, im_parts)
-    ]
+        re_num, re_den = value.re.as_integer_ratio()
+        im_num, im_den = value.im.as_integer_ratio()
+        if re_num or im_num:
+            table = tables[index]
+            key = (re_den, im_den)
+            sums = table.get(key)
+            if sums is None:
+                table[key] = [sign * re_num, sign * im_num]
+            else:
+                sums[0] += sign * re_num
+                sums[1] += sign * im_num
+    return [_fold(table) if table else GZERO for table in tables]
 
 
-def _fold(parts: dict) -> Fraction:
-    """sum(num / den) over a {den: num} table, normalized once."""
-    common = lcm(*parts)  # 1 for an empty table
-    return Fraction(
-        sum(num * (common // den) for den, num in parts.items()), common
-    )
+def _fold(table: dict) -> GaussianRational:
+    """The sum of a nonempty {(re den, im den): [re num, im num]} table,
+    each part over the lcm of its own denominators."""
+    if len(table) == 1:
+        ((re_den, im_den), (re_num, im_num)), = table.items()
+        return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+    re_common = lcm(*{re_den for re_den, _ in table})
+    im_common = lcm(*{im_den for _, im_den in table})
+    re_num = im_num = 0
+    for (re_den, im_den), (re_part, im_part) in table.items():
+        re_num += re_part * (re_common // re_den)
+        im_num += im_part * (im_common // im_den)
+    return GaussianRational(Fraction(re_num, re_common), Fraction(im_num, im_common))
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +459,20 @@ def _variations(signs: list) -> int:
 
 
 def count_real_roots_gt(p: RationalPolynomial, c) -> int:
-    """Distinct real roots of p in the open interval (c, +oo); requires
-    p(c) != 0.  p need not be squarefree: its Sturm chain ends in
-    g = gcd(p, p'), divided by g it is a Sturm sequence of p / g, and g != 0
-    wherever p != 0 (Basu, Pollack and Roy, Algorithms in Real Algebraic
-    Geometry)."""
+    """Distinct real roots of p in the open interval (c, +oo); p(c) = 0 is
+    refused, since the sign variations at a root of p miscount.  p need
+    not be squarefree: its Sturm chain ends in g = gcd(p, p'), divided by
+    g it is a Sturm sequence of p / g, and g != 0 wherever p != 0 (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry)."""
     c = parse_rational(c)
-    if p.degree <= 0:
+    if p.degree == 0:
         return 0
-    chain = sturm_chain(p)
+    chain = sturm_chain(p)  # [p] for the zero polynomial
     at_c = [_sign(q(c)) for q in chain]
+    if not at_c[0]:
+        raise DegenerateInputError(
+            f"root counting past {format_rational(c)}, a root of the polynomial"
+        )
     at_inf = [_sign(q.leading()) for q in chain]
     return _variations(at_c) - _variations(at_inf)
 

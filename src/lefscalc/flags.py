@@ -134,6 +134,13 @@ def _perm_cells(n: int) -> tuple:
     return tuple((perm_name(w), 2 * inversion_count(w)) for w in permutations_of(n))
 
 
+@lru_cache(maxsize=16)
+def _dot_vectors(n: int) -> tuple:
+    """The packed dot counts of each permutation of n letters, in
+    permutations_of(n) order."""
+    return tuple(map(_dot_vector, permutations_of(n)))
+
+
 MAX_FLAG_N = 6
 _flag_size = partial(parse_integer, what="flag size n", least=1, most=MAX_FLAG_N)
 
@@ -170,8 +177,8 @@ def schubert_subset(
         top = _dot_vector(perm) | guard
         members = {
             name
-            for w, (name, _) in zip(model.perms, _perm_cells(model.n))
-            if (top - _dot_vector(w)) & guard == guard
+            for dots, (name, _) in zip(_dot_vectors(model.n), _perm_cells(model.n))
+            if (top - dots) & guard == guard
         }
     else:
         members = {perm_name(perm)}

@@ -1,7 +1,8 @@
 """The base of every record the package builds.
 
 A record is a plain class with a hand-written `__init__` that stores its
-fields through `set_field`.  Afterwards assignment and deletion raise
+fields through `set_field`, or, in a hot constructor, through its slots'
+setters (`slot_setters`).  Afterwards assignment and deletion raise
 AttributeError, and the repr reads `Name(field=value, ...)`, one entry per
 name in `_fields`.  Records come in two kinds: a `Value` compares and
 hashes by the tuple of its `_fields` (one holding a dict stays unhashable,
@@ -13,6 +14,14 @@ Records with no `cached_property` declare `__slots__`.
 
 # Stores one field from __init__, past the __setattr__ that refuses writes.
 set_field = object.__setattr__
+
+
+def slot_setters(cls) -> tuple:
+    """The `__set__` of each of cls's own slots, in `__slots__` order.  A
+    hot constructor stores its fields through these, past the refusing
+    __setattr__ like set_field, but without set_field's lookup of each
+    slot by name."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class Record:

@@ -37,7 +37,9 @@ that one Sturm chain on p itself replaced, and by that one Sturm chain at
 every degree, the route that the closed form replaced for degree <= 2.
 The sign presolve of the LP kernel is kept in its dense form, on rows of
 signs and a list of right-hand side signs, the form that sparse sign
-columns replaced.
+columns replaced.  The summation kernel is kept in the form that folds
+each part through its own {denominator: numerator} dict, where one table
+per group, keyed by the pair of denominators, now sums both parts.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from lefscalc.complexes import (
     CellSpace,
@@ -414,6 +417,7 @@ def bruhat_leq_loop(a: tuple, b: tuple) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)  # every closure at n = 6 reads all 720
 def dot_vector_tuple(perm: tuple) -> tuple:
     """The dot counts as a tuple: for each prefix length i < n and
     threshold 2 <= j <= n, in that order, how many of the first i entries
@@ -531,6 +535,36 @@ def lower_link_multiplicity(space, ell, v) -> int:
         if all(ell(w) < height for w in s):
             chi += (-1) ** (len(s) - 1)
     return 1 - chi
+
+
+# ---------------------------------------------------------------------------
+# signed sums folded part by part
+
+def signed_sums_by_part(count: int, terms) -> list:
+    """exact.signed_sums with the numerators of each part added per
+    denominator in a dict of its own, and each part folded over the lcm
+    of its dict's keys."""
+    re_parts = [{} for _ in range(count)]  # by group: {denominator: numerator}
+    im_parts = [{} for _ in range(count)]
+    for index, sign, value in terms:
+        for part, tables in ((value.re, re_parts), (value.im, im_parts)):
+            num = part.numerator
+            if num:
+                parts = tables[index]
+                den = part.denominator
+                parts[den] = parts.get(den, 0) + sign * num
+    return [
+        GaussianRational(_fold_by_part(re), _fold_by_part(im)) if re or im else GZERO
+        for re, im in zip(re_parts, im_parts)
+    ]
+
+
+def _fold_by_part(parts: dict) -> Fraction:
+    """sum(num / den) over a {den: num} table, normalized once."""
+    common = lcm(*parts)  # 1 for an empty table
+    return Fraction(
+        sum(num * (common // den) for den, num in parts.items()), common
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from lefscalc.exact import (
     RationalMatrix,
     RationalPolynomial,
     count_real_roots_geq,
+    count_real_roots_gt,
     format_rational,
     has_nonneg_solution,
     parse_rational,
@@ -66,6 +67,14 @@ def test_rational_literals_are_bounded_before_parsing():
 def test_format_round_trip():
     for x in [Fraction(0), Fraction(-3), Fraction(5, 9), Fraction(-7, 2)]:
         assert parse_rational(format_rational(x)) == x
+
+
+def test_format_prints_a_fraction_as_it_is_and_reads_the_rest_as_one():
+    assert [format_rational(x) for x in (Fraction(-6, 4), Fraction(5), 7, -2)] == [
+        "-3/2", "5", "7", "-2"
+    ]
+    assert format_rational(True) == "1"
+    assert str(GaussianRational(Fraction(1, 2), True)) == "1/2+1i"
 
 
 def test_gaussian_arithmetic():
@@ -372,6 +381,26 @@ def test_from_degree_three_the_sturm_chain_counts():
         assert p.degree >= 3
         assert count_real_roots_geq(p, c) == expected, rest
         assert oracles.count_real_roots_geq_oracle(p, c) == expected, rest
+
+
+def test_a_count_past_a_root_is_refused():
+    # (t - 1)^2 (t - 2) has one root past 1, but the sign variations of its
+    # Sturm chain at the root 1 read none
+    at_one = RationalPolynomial.x_minus(1)
+    p = at_one * at_one * RationalPolynomial.x_minus(2)
+    for q, c, shown in ((p, 1, "1"), (p, 2, "2"), (at_one, 1, "1"),
+                        (RationalPolynomial.of([]), Fraction(-1, 3), "-1/3")):
+        message = f"^root counting past {shown}, a root of the polynomial$"
+        with pytest.raises(DegenerateInputError, match=message):
+            count_real_roots_gt(q, c)
+    assert count_real_roots_gt(p, Fraction(1, 2)) == 2
+    assert count_real_roots_gt(p, Fraction(3, 2)) == 1
+    assert count_real_roots_gt(RationalPolynomial.of([3]), 0) == 0
+    # the routes that reach it divide the roots at c out first
+    assert count_real_roots_geq(p, 1) == 2
+    assert oracles.count_real_roots_geq_squarefree(p, 1) == 2
+    assert oracles.count_real_roots_geq_by_sturm(p, 1) == 2
+    assert oracles.count_real_roots_geq_by_sturm(p, 2) == 1
 
 
 # ---------------------------------------------------------------------------

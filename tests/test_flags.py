@@ -155,22 +155,12 @@ def test_schubert_subsets():
         schubert_subset(model, (1, 2), closed=True)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, MAX_FLAG_N + 1))
 def test_every_closure_matches_the_dot_tuples(n):
     model = flag_cellspace(n)
     for w in model.perms:
         expected = oracles.schubert_members_by_dot_tuples(model, w)
         assert schubert_subset(model, w).members == expected
-
-
-def test_seeded_closures_match_the_dot_tuples_at_six_letters():
-    model = flag_cellspace(6)
-    sizes = set()
-    for w in random.Random(6).sample(model.perms, 20):
-        closed = schubert_subset(model, w).members
-        assert closed == oracles.schubert_members_by_dot_tuples(model, w)
-        sizes.add(len(closed))
-    assert len(sizes) > 10
 
 
 def test_closures_refuse_cells_outside_the_model():

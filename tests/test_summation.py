@@ -3,7 +3,8 @@
 Every result is compared with the loop it replaced (oracles.py), which
 adds one Gaussian rational at a time: exact values and their printed
 form, entry order, and, for a functional with tied edges, the ties and
-the refusal text.
+the refusal text.  The kernel itself is also compared with the fold it
+replaced, which sums each part through a dict of its own.
 """
 
 import random
@@ -33,7 +34,7 @@ from lefscalc.morse import (
     index_sum,
     morse_multiplicity,
 )
-from lefscalc.verify import random_functional
+from lefscalc.verify import random_functional, random_map_between
 
 # denominators near 2**70, mixed in with 1..12
 LARGE_DENOMINATORS = (2 ** 70 - 1, 2 ** 70 + 1, 3 ** 44, 2 ** 69 * 5 // 4)
@@ -111,6 +112,20 @@ def test_calculus_matches_the_one_add_at_a_time_loops(name, ints):
     phi = seeded_function(rng, space, ints)
     g = carrier_map(rng, space, base, carrier)
     assert_calculus_like_loops(phi, g, random_functional(rng, space))
+
+
+@pytest.mark.parametrize("ints", [False, True], ids=["fractions", "int-parts"])
+def test_pushforward_matches_the_loop_on_seeded_maps(ints):
+    rng = random.Random(f"summation:maps:{ints}")
+    images = set()
+    for _ in range(100):
+        g = random_map_between(rng)
+        phi = seeded_function(rng, g.source, ints)
+        pushed = pushforward(g, phi)
+        assert pushed.parent == g.target
+        assert_same_table(pushed.values, oracles.pushforward_loop(g, phi).values)
+        images.add(len(pushed.values))
+    assert len(images) > 5
 
 
 def test_an_image_whose_terms_cancel_is_dropped():
@@ -277,3 +292,31 @@ def test_signed_sums_equal_one_term_by_term_fold_per_group(terms):
             GZERO,
         )
         assert_same_value(total, folded)
+
+
+@st.composite
+def grouped_terms(draw):
+    """(index, sign, value) triples over five groups, some of them followed
+    by their negatives so that their groups sum to zero."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from([-1, 1]),
+                st.builds(GaussianRational, parts, parts),
+            ),
+            max_size=40,
+        )
+    )
+    cancelled = draw(st.sets(st.integers(0, 4)))
+    return terms + [(i, -sign, value) for i, sign, value in terms if i in cancelled]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_terms())
+def test_signed_sums_equal_the_part_by_part_fold(terms):
+    expected_sums = oracles.signed_sums_by_part(5, terms)
+    for group, (total, expected) in enumerate(zip(signed_sums(5, terms), expected_sums)):
+        assert_same_value(total, expected)
+        nonzero = any(i == group and not value.is_zero() for i, _, value in terms)
+        assert (total is GZERO) == (expected is GZERO) == (not nonzero)
