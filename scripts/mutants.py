@@ -4,18 +4,19 @@
 Usage: python scripts/mutants.py
 
 Each row of MUTANTS names a mutant, the file it edits, the exact old text,
-the new text, and the pytest arguments that select the tests meant to
-catch it.  The script copies the repository to a temporary directory and,
-for each row, applies the mutant there, runs its selection, and puts the
-file back.  A mutant is killed when its selection fails or times out (a
-mutant can make a loop run forever); it survives when its selection
-passes.
+the new text, and its selection: a test file and the pytest -k expression
+that picks, in that file, the tests meant to catch it.  The script copies
+the repository to a temporary directory and, for each row, applies the
+mutant there, runs its selection, and puts the file back.  A mutant is
+killed when its selection fails or times out (a mutant can make a loop run
+forever); it survives when its selection passes or selects no test.
 
 A row whose old text does not occur exactly once in its file is refused,
-so a refactor must re-aim a mutant rather than drop it silently, and each
+so a refactor must re-aim a mutant rather than drop it silently, and every
 selection must pass on the unmutated copy first, so that a kill means the
-mutant was caught.  Standard library only; the selections need pytest and
-hypothesis.
+mutant was caught; that check runs each test file once, on the union of
+its rows' selections.  The script prints its wall time.  Standard library
+only; the selections need pytest and hypothesis.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when a
 row is refused or a selection fails on the unmutated copy.
@@ -28,6 +29,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,7 +45,8 @@ class Mutant(NamedTuple):
     path: str  # relative to the repository root
     old: str
     new: str
-    tests: tuple  # pytest arguments
+    tests: str  # the test file meant to catch it
+    keyword: str  # pytest -k expression: which of its tests
 
 
 MUTANTS = (
@@ -53,157 +56,203 @@ MUTANTS = (
         '            raise DegenerateInputError(f"bad rational literal {value!r}") from exc',
         "            from .errors import ParseError\n\n"
         '            raise ParseError(f"bad rational literal {value!r}") from exc',
-        ("tests/test_api_fuzz.py",),
+        "tests/test_api_fuzz.py",
+        "bad_rational_literal",
     ),
     Mutant(
         "the permutation reader accepts bools",
         "src/lefscalc/flags.py",
         "ints = all(isinstance(x, int) and not isinstance(x, bool) for x in perm)",
         "ints = all(isinstance(x, int) for x in perm)",
-        ("tests/test_api_fuzz.py",),
+        "tests/test_api_fuzz.py",
+        "permutation_is_read",
     ),
     Mutant(
         "RationalPolynomial.of reads coefficients without _sequence",
         "src/lefscalc/exact.py",
         'cs = [parse_rational(c) for c in _sequence(coeffs, "a coefficient list")]',
         "cs = [parse_rational(c) for c in coeffs]",
-        ("tests/test_api_fuzz.py",),
+        "tests/test_api_fuzz.py",
+        "coefficient_list_is_read",
     ),
     Mutant(
         "VertexFunctional.of reads keys without its vertex reader",
         "src/lefscalc/morse.py",
         'given = read_table(table, "heights for vertex", space.vertex)',
         'given = read_table(table, "heights for vertex")',
-        ("tests/test_api_fuzz.py",),
+        "tests/test_api_fuzz.py",
+        "vertex_is_read",
     ),
     Mutant(
         "the vertex reader looks a vertex up without vertex_key",
         "src/lefscalc/complexes.py",
         "        vertex_key(v)\n        return self.vertices[self.vertex_index(v)]",
         "        return self.vertices[self.vertex_index(v)]",
-        ("tests/test_api_fuzz.py",),
+        "tests/test_api_fuzz.py",
+        "vertex_is_read",
     ),
     Mutant(
         "TracedProblem stores its normal data unread",
         "src/lefscalc/fixedpoint.py",
         "normal = NormalData.of(normal)",
         "normal = normal",
-        ("tests/test_api_fuzz.py",),
+        "tests/test_api_fuzz.py",
+        "accepted_form_of_a_traced_problem",
     ),
     Mutant(
         "TracedProblem stores its flags unread",
         "src/lefscalc/fixedpoint.py",
         "if not isinstance(flag, bool):",
         "if False:",
-        ("tests/test_api_fuzz.py",),
+        "tests/test_api_fuzz.py",
+        "reads_its_fields_when_it_is_built",
     ),
     Mutant(
         "the JSON reader keeps the last of a repeated key",
         "src/lefscalc/reports.py",
         "json.loads(text, object_pairs_hook=_unique_keys)",
         "json.loads(text)",
-        ("tests/test_api_fuzz.py",),
+        "tests/test_api_fuzz.py",
+        "strict_json_reader",
     ),
     Mutant(
         "a root at c is divided out of the ray count only once",
         "src/lefscalc/exact.py",
         "    while p(c) == 0:",
         "    if p(c) == 0:",
-        ("tests/test_exact.py",),
+        "tests/test_exact.py",
+        "count_real_roots_geq_known",
     ),
     Mutant(
         "a Sturm count past a root of p is not refused",
         "src/lefscalc/exact.py",
         "    if not at_c[0]:",
         "    if False:",
-        ("tests/test_exact.py", "-k", "past_a_root"),
+        "tests/test_exact.py",
+        "past_a_root",
     ),
     Mutant(
         "the multi-denominator fold sums im over the re lcm",
         "src/lefscalc/exact.py",
         "im_common = lcm(*{im_den for _, im_den in table})",
         "im_common = re_common",
-        ("tests/test_summation.py", "-k", "part_by_part"),
+        "tests/test_summation.py",
+        "part_by_part",
     ),
     Mutant(
         "format_rational prints what is not a Fraction as it is",
         "src/lefscalc/exact.py",
         "return str(x if isinstance(x, Fraction) else Fraction(x))",
         "return str(x)",
-        ("tests/test_exact.py", "-k", "format"),
+        "tests/test_exact.py",
+        "format",
     ),
     Mutant(
         "slot_setters lists the slots in name order",
         "src/lefscalc/records.py",
         "for name in cls.__slots__)",
         "for name in sorted(cls.__slots__))",
-        ("tests/test_records.py",),
+        "tests/test_records.py",
+        "reprs_keep_the_field_style",
     ),
     Mutant(
         "a linear root count compares with > instead of >=",
         "src/lefscalc/exact.py",
         "return int((a0 * d + a1 * n) * a1 <= 0)",
         "return int((a0 * d + a1 * n) * a1 < 0)",
-        ("tests/test_exact.py", "-k", "low_degree"),
+        "tests/test_exact.py",
+        "low_degree",
     ),
     Mutant(
         "a quadratic root count leaves a root at c outside [c, oo)",
         "src/lefscalc/exact.py",
         "return 1 + (b1 * a2 < 0)",
         "return b1 * a2 < 0",
-        ("tests/test_exact.py", "-k", "low_degree"),
+        "tests/test_exact.py",
+        "low_degree",
     ),
     Mutant(
         "the sign presolve also drops a row with both signs live",
         "src/lefscalc/exact.py",
         "if b == 0 and pos != neg:",
         "if b == 0 and (pos or neg):",
-        ("tests/test_exact.py", "-k", "presolve"),
+        "tests/test_exact.py",
+        "presolve",
     ),
     Mutant(
         "the sign presolve makes one pass only",
         "src/lefscalc/exact.py",
         "                changed = True",
         "                pass",
-        ("tests/test_exact.py", "-k", "presolve"),
+        "tests/test_exact.py",
+        "presolve",
     ),
     Mutant(
         "a vertex whose image lies in its carrier counts as fixed",
         "src/lefscalc/fixedpoint.py",
         "if len(base_cell) > 1 or image not in base_cell:",
         "if image not in base_cell:",
-        ("tests/test_fixedpoint.py",),
+        "tests/test_fixedpoint.py",
+        "swap_resolved_by_subdividing",
     ),
     Mutant(
         "the pushforward weight drops the image's length",
         "src/lefscalc/euler.py",
         "-1 if (len(cell) - len(image)) & 1 else 1",
         "-1 if len(cell) & 1 else 1",
-        ("tests/test_summation.py", "-k", "pushforward"),
+        "tests/test_summation.py",
+        "pushforward",
     ),
     Mutant(
         "the packed dot table is off by one permutation",
         "src/lefscalc/flags.py",
         "return tuple(map(_dot_vector, permutations_of(n)))",
         "return tuple(map(_dot_vector, permutations_of(n)[1:] + permutations_of(n)[:1]))",
-        ("tests/test_flags.py", "-k", "closure"),
+        "tests/test_flags.py",
+        "closure",
     ),
     Mutant(
         "flag_cellspace lists its cells in reverse order",
         "src/lefscalc/flags.py",
         '[Cell(name, dim, "flag") for name, dim in _perm_cells(n)]',
         '[Cell(name, dim, "flag") for name, dim in _perm_cells(n)][::-1]',
-        ("tests/test_flags.py",),
+        "tests/test_flags.py",
+        "flag_model_is_listed_as_the_checked_build",
+    ),
+    Mutant(
+        "the shared record constructor skips its arity check",
+        "src/lefscalc/records.py",
+        "if named or len(values) != len(fields):",
+        "if named:",
+        "tests/test_records.py",
+        "shared_constructor",
+    ),
+    Mutant(
+        "the shared record constructor stores the fields in reverse order",
+        "src/lefscalc/records.py",
+        "for name, value in zip(fields, values):",
+        "for name, value in zip(fields[::-1], values):",
+        "tests/test_records.py",
+        "shared_constructor",
+    ),
+    Mutant(
+        "the worked example integrates each whole sphere, not its support",
+        "src/lefscalc/flags.py",
+        "ConstructibleFunction.indicator(self.space, self.support)",
+        "ConstructibleFunction.indicator(self.space)",
+        "tests/test_flags.py",
+        "example_contributions",
     ),
 )
 
 
-def run_tests(tree: Path, tests: tuple) -> str:
-    """'passed', 'failed', 'timed out' or 'ran no test': the selection
-    `tests` run on the copy `tree`."""
+def run_tests(tree: Path, tests: str, keyword: str) -> str:
+    """'passed', 'failed', 'timed out' or 'ran no test': the tests of the
+    file `tests` that `keyword` selects, run on the copy `tree`."""
     path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    command += [tests, "-k", keyword]
     try:
         result = subprocess.run(
             command, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
@@ -227,10 +276,13 @@ def refusals(tree: Path, mutants) -> list:
 
 def check(tree: Path, mutants) -> int:
     refused = refusals(tree, mutants)
-    for selection in dict.fromkeys(m.tests for m in mutants):
-        outcome = run_tests(tree, selection)
+    keywords = {}  # test file -> its rows' -k expressions, once each
+    for m in mutants:
+        keywords.setdefault(m.tests, {})[f"({m.keyword})"] = None
+    for tests, union in keywords.items():
+        outcome = run_tests(tree, tests, " or ".join(union))
         if outcome != "passed":
-            refused.append(f"{' '.join(selection)} {outcome} without a mutant")
+            refused.append(f"{tests} {outcome} without a mutant")
     for reason in refused:
         print(f"refused: {reason}")
     if refused:
@@ -241,7 +293,7 @@ def check(tree: Path, mutants) -> int:
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace(m.old, m.new), encoding="utf-8")
         try:
-            outcome = run_tests(tree, m.tests)
+            outcome = run_tests(tree, m.tests, m.keyword)
         finally:
             path.write_text(text, encoding="utf-8")
         survivors += outcome not in KILLED
@@ -252,6 +304,7 @@ def check(tree: Path, mutants) -> int:
 
 
 def main() -> int:
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch) / "repo"
         shutil.copytree(
@@ -261,7 +314,9 @@ def main() -> int:
                 ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_*"
             ),
         )
-        return check(tree, MUTANTS)
+        status = check(tree, MUTANTS)
+    print(f"wall time {time.perf_counter() - start:.1f} s")
+    return status
 
 
 if __name__ == "__main__":

@@ -265,7 +265,7 @@ def cmd_example_3_9(args):
         "worked-example",
         components=components,
         total=example.total(),
-        chi_of_divisor=chi_c(example.problem.support),
+        chi_of_divisor=chi_c(example.support),
     )
 
 

@@ -141,13 +141,10 @@ def _faces(simplices) -> set:
 
 
 class SimplicialComplex(Value):
-    _fields = ("vertices", "simplices", "coords")
+    """vertices in vertex_key order; coords: coordinate tuples aligned with
+    vertices, or None."""
 
-    def __init__(self, vertices: tuple, simplices: frozenset, coords=None):
-        """coords: coordinate tuples aligned with vertices, or None."""
-        set_field(self, "vertices", vertices)
-        set_field(self, "simplices", simplices)
-        set_field(self, "coords", coords)
+    _fields = ("vertices", "simplices", "coords")
 
     @staticmethod
     def build(vertices, simplices, coords=None) -> "SimplicialComplex":
@@ -266,9 +263,6 @@ class CellSpace(Value):
     _fields = ("cells",)
     violations = ()  # construction enforces the cell-space invariants
 
-    def __init__(self, cells: tuple):
-        set_field(self, "cells", cells)
-
     @staticmethod
     def build(cells) -> "CellSpace":
         """The space of the given Cells: a string id named once, a dim of at
@@ -379,10 +373,6 @@ def _unclosed_at(cells: frozenset):
 
 class Violation(Value):
     __slots__ = _fields = ("kind", "detail")
-
-    def __init__(self, kind: str, detail: str):
-        set_field(self, "kind", kind)
-        set_field(self, "detail", detail)
 
 
 def validate(space) -> list:

@@ -52,7 +52,6 @@ from . import exact
 from .exact import (
     GaussianRational,
     RationalMatrix,
-    RationalPolynomial,
     count_real_roots_geq,
     parse_integer,
     signed_sum,
@@ -64,13 +63,10 @@ from .records import Record, Value, set_field
 
 class NormalData(Value):
     """One square matrix per fixed component: the differential of the map
-    in the directions normal to that component, in any rational basis."""
+    in the directions normal to that component, in any rational basis.
+    matrices: a tuple of (component index, RationalMatrix)."""
 
     __slots__ = _fields = ("matrices",)
-
-    def __init__(self, matrices: tuple):
-        """matrices: a tuple of (component index, RationalMatrix)."""
-        set_field(self, "matrices", matrices)
 
     @staticmethod
     def of(entries) -> "NormalData":
@@ -110,15 +106,6 @@ class FixedComponent(Record):
     and sign = sgn chi_A(1) = sgn det(I - A), 0 iff 1 is an eigenvalue."""
 
     _fields = ("cells", "matrix", "char_poly", "sign")
-
-    def __init__(
-        self, cells: CellularSubset, matrix: RationalMatrix,
-        char_poly: RationalPolynomial, sign: int,
-    ):
-        set_field(self, "cells", cells)
-        set_field(self, "matrix", matrix)
-        set_field(self, "char_poly", char_poly)
-        set_field(self, "sign", sign)
 
     @cached_property
     def meets_ray(self) -> bool:

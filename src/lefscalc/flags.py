@@ -29,13 +29,12 @@ from .errors import DegenerateInputError, shown
 from .euler import ConstructibleFunction, chi_c, euler_integral, restrict
 from .exact import (
     GaussianRational,
-    RationalMatrix,
     RationalPolynomial,
     parse_integer,
     parse_rational,
     signed_sum,
 )
-from .records import Record, Value, set_field
+from .records import Record, Value
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +145,11 @@ _flag_size = partial(parse_integer, what="flag size n", least=1, most=MAX_FLAG_N
 
 
 class BruhatCellSpace(Record):
-    """Cell space of a full flag manifold together with its indexing."""
+    """Cell space of a full flag manifold together with its indexing.
+    perms: the sorted permutation tuples, permutations_of(n), in the order
+    in which _perm_cells(n) lists their cells."""
 
     __slots__ = _fields = ("n", "space", "perms")
-
-    def __init__(self, n: int, space: CellSpace, perms: tuple):
-        """perms: the sorted permutation tuples, permutations_of(n), in
-        the order in which _perm_cells(n) lists their cells."""
-        set_field(self, "n", n)
-        set_field(self, "space", space)
-        set_field(self, "perms", perms)
 
 
 def flag_cellspace(n: int) -> BruhatCellSpace:
@@ -265,12 +259,6 @@ class FamilyPattern(Value):
 
     __slots__ = _fields = ("label", "family", "contained", "points")
 
-    def __init__(self, label: str, family: str, contained: bool, points: int):
-        set_field(self, "label", label)
-        set_field(self, "family", family)
-        set_field(self, "contained", contained)
-        set_field(self, "points", points)
-
     def chi(self) -> int:
         return 2 if self.contained else self.points
 
@@ -371,36 +359,12 @@ def derive_intersection_pattern() -> list:
     return patterns
 
 
-class CellTracedProblem(Record):
-    """Trace data on a cell space: support of the sheaf and normal maps."""
-
-    __slots__ = _fields = ("space", "support", "normal", "complex_model")
-
-    def __init__(
-        self, space: CellSpace, support: CellularSubset, normal: dict,
-        complex_model: bool,
-    ):
-        """normal: component label -> RationalMatrix."""
-        set_field(self, "space", space)
-        set_field(self, "support", support)
-        set_field(self, "normal", normal)
-        set_field(self, "complex_model", complex_model)
-
-    def trace_function(self) -> ConstructibleFunction:
-        return ConstructibleFunction.indicator(self.space, self.support)
-
-
 class Example39Problem(Record):
-    __slots__ = _fields = ("problem", "patterns", "ratio")
+    """The fixed spheres' cells, the support of the sheaf on them, a
+    FamilyPattern per component in label order, and ratio, the surrogate
+    for the eigenvalue ratio b/a."""
 
-    def __init__(
-        self, problem: CellTracedProblem, patterns: tuple, ratio: Fraction
-    ):
-        """patterns: a FamilyPattern per component, in label order; ratio:
-        the surrogate for the eigenvalue ratio b/a."""
-        set_field(self, "problem", problem)
-        set_field(self, "patterns", patterns)
-        set_field(self, "ratio", ratio)
+    __slots__ = _fields = ("space", "support", "patterns", "ratio")
 
     def component_labels(self) -> list:
         return [p.label for p in self.patterns]
@@ -413,12 +377,11 @@ class Example39Problem(Record):
         raise DegenerateInputError("derivation lost the plane family")
 
     def contribution(self, label: str) -> GaussianRational:
-        members = {
-            c.ident for c in self.problem.space.cells if c.component == label
-        }
+        members = {c.ident for c in self.space.cells if c.component == label}
         if not members:
             raise DegenerateInputError(f"unknown component label {shown(label)}")
-        return euler_integral(restrict(self.problem.trace_function(), members))
+        on_support = ConstructibleFunction.indicator(self.space, self.support)
+        return euler_integral(restrict(on_support, members))
 
     def contributions(self) -> list:
         return [(p.label, p.family, self.contribution(p.label)) for p in self.patterns]
@@ -456,8 +419,9 @@ def example_3_9(ratio=Fraction(2)) -> Example39Problem:
     """Fixed spheres of diag(a, a, b) on Fl(C^3) traced against the divisor.
 
     The intersection pattern is re-derived from the chart polynomials on
-    every call; the normal data is the real shadow of scalar multiplication
-    by the eigenvalue ratio on the two normal complex directions.
+    every call.  The contributions are unsigned Euler integrals: normal to
+    each sphere the map scales C^2 by the ratio, and a complex-linear A has
+    det(I - A) = |det_C(I - A)|^2 > 0, so every sign is +1.
     """
     ratio = parse_rational(ratio)
     if ratio in (0, 1):
@@ -467,12 +431,10 @@ def example_3_9(ratio=Fraction(2)) -> Example39Problem:
     patterns = tuple(derive_intersection_pattern())
     all_cells = []
     support = set()
-    normal = {}
     for pattern in patterns:
         cells, in_divisor = _component_cells(pattern)
         all_cells.extend(cells)
         support |= in_divisor
-        normal[pattern.label] = RationalMatrix.identity(4).scale(ratio)
     space = CellSpace.build(all_cells)
     for pattern in patterns:
         members = {c.ident for c in all_cells if c.component == pattern.label}
@@ -480,10 +442,4 @@ def example_3_9(ratio=Fraction(2)) -> Example39Problem:
             raise DegenerateInputError(
                 f"component {pattern.label} does not assemble to a sphere"
             )
-    problem = CellTracedProblem(
-        space=space,
-        support=CellularSubset.of(space, support),
-        normal=normal,
-        complex_model=True,
-    )
-    return Example39Problem(problem, patterns, ratio)
+    return Example39Problem(space, CellularSubset.of(space, support), patterns, ratio)

@@ -53,11 +53,6 @@ class SparseMatrix(Record):
 
     __slots__ = _fields = ("nrows", "ncols", "columns")
 
-    def __init__(self, nrows: int, ncols: int, columns: tuple):
-        set_field(self, "nrows", nrows)
-        set_field(self, "ncols", ncols)
-        set_field(self, "columns", columns)
-
     @property
     def rows(self) -> tuple:
         """Dense read-only view, one tuple per row."""
@@ -218,14 +213,10 @@ def relative_betti(space: SimplicialComplex, subcomplex) -> list:
 
 
 class ChainMapQ(Record):
-    """A chain endomorphism of one complex."""
+    """A chain endomorphism of one complex.  matrices: one square
+    SparseMatrix per degree of `source`."""
 
     __slots__ = _fields = ("source", "matrices")
-
-    def __init__(self, source: ChainComplexQ, matrices: tuple):
-        """matrices: one square SparseMatrix per degree of `source`."""
-        set_field(self, "source", source)
-        set_field(self, "matrices", matrices)
 
 
 def _build_chain_map(cc: ChainComplexQ, matrices) -> ChainMapQ:

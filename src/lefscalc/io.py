@@ -36,12 +36,11 @@ from .errors import ParseError, shown
 from .euler import ConstructibleFunction
 from .exact import GaussianRational, decimal_integer, format_rational, parse_integer
 from .maps import SelfMapSpec, SimplicialMap
-from .records import Record, set_field
+from .records import Record
 from .reports import read_json
 
-if TYPE_CHECKING:  # the fixed-point and Morse layers load only when used
-    from .fixedpoint import NormalData, TracedProblem
-    from .morse import VertexFunctional
+if TYPE_CHECKING:  # the fixed-point layer loads only when used
+    from .fixedpoint import TracedProblem
 
 SCHEMA = "lefscalc/1"
 
@@ -260,36 +259,14 @@ def vertex_map_to_json(vm: dict, level: int):
 
 
 class Problem(Record):
-    """Everything a problem file can describe, already validated."""
+    """Everything a problem file can describe, already validated.  space:
+    a SimplicialComplex or a CellSpace; push_map: present when the map has
+    a target; any other block the file leaves out is None, or False."""
 
     __slots__ = _fields = (
         "space", "spec", "push_map", "phi", "support", "traces", "normal",
         "complex_model", "non_characteristic", "ell",
     )
-
-    def __init__(
-        self,
-        space,  # SimplicialComplex | CellSpace
-        spec: SelfMapSpec | None,
-        push_map: SimplicialMap | None,  # present when the map has a target
-        phi: ConstructibleFunction | None,
-        support: CellularSubset | None,
-        traces: dict | None,
-        normal: NormalData | None,
-        complex_model: bool,
-        non_characteristic: bool,
-        ell: VertexFunctional | None,
-    ):
-        set_field(self, "space", space)
-        set_field(self, "spec", spec)
-        set_field(self, "push_map", push_map)
-        set_field(self, "phi", phi)
-        set_field(self, "support", support)
-        set_field(self, "traces", traces)
-        set_field(self, "normal", normal)
-        set_field(self, "complex_model", complex_model)
-        set_field(self, "non_characteristic", non_characteristic)
-        set_field(self, "ell", ell)
 
     def traced(self) -> TracedProblem:
         from .fixedpoint import TracedProblem

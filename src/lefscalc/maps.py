@@ -27,13 +27,6 @@ from .records import Value, set_field
 class SimplicialMap(Value):
     __slots__ = _fields = ("source", "target", "vertex_map")
 
-    def __init__(
-        self, source: SimplicialComplex, target: SimplicialComplex, vertex_map: dict
-    ):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "vertex_map", vertex_map)
-
     @staticmethod
     def build(source, target, vertex_map) -> "SimplicialMap":
         """A checked map, keyed by the source's own vertex objects."""
@@ -80,11 +73,6 @@ class SelfMapSpec(Value):
     """A self-map of |base| written as a vertex map sd^level(base) -> base."""
 
     _fields = ("base", "level", "vertex_map")
-
-    def __init__(self, base: SimplicialComplex, level: int, vertex_map: dict):
-        set_field(self, "base", base)
-        set_field(self, "level", level)
-        set_field(self, "vertex_map", vertex_map)
 
     @staticmethod
     def build(base, level, vertex_map) -> "SelfMapSpec":

@@ -44,7 +44,7 @@ from .complexes import (
 from .errors import DegenerateInputError, GenericityError, NoApplicableRegimeError
 from .euler import ConstructibleFunction, restrict
 from .exact import GaussianRational, parse_rational, signed_sum, signed_sums
-from .records import Record, Value, set_field
+from .records import Record, Value
 
 if TYPE_CHECKING:  # the fixed-point layer loads with the first cycle table
     from .fixedpoint import FixedComponent, TracedProblem
@@ -54,9 +54,6 @@ class VertexFunctional(Value):
     """Exact rational height values, one per vertex."""
 
     __slots__ = _fields = ("values",)
-
-    def __init__(self, values: dict):
-        set_field(self, "values", values)
 
     @staticmethod
     def of(space: SimplicialComplex, table) -> "VertexFunctional":
@@ -127,12 +124,9 @@ def morse_multiplicity(
 
 
 class MultiplicityTable(Record):
-    __slots__ = _fields = ("space", "entries")
+    """entries: vertex -> GaussianRational, every vertex present."""
 
-    def __init__(self, space: SimplicialComplex, entries: dict):
-        """entries: vertex -> GaussianRational, every vertex present."""
-        set_field(self, "space", space)
-        set_field(self, "entries", entries)
+    __slots__ = _fields = ("space", "entries")
 
     def total(self) -> GaussianRational:
         return signed_sum((1, value) for value in self.entries.values())
@@ -208,14 +202,6 @@ REGIME_SIGNED = "signed-non-characteristic"
 
 class CycleTableReport(Record):
     __slots__ = _fields = ("component", "regime", "sign", "table")
-
-    def __init__(
-        self, component: int, regime: str, sign: int, table: MultiplicityTable
-    ):
-        set_field(self, "component", component)
-        set_field(self, "regime", regime)
-        set_field(self, "sign", sign)
-        set_field(self, "table", table)
 
     def total(self) -> GaussianRational:
         return self.table.total()

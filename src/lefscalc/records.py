@@ -1,15 +1,19 @@
 """The base of every record the package builds.
 
-A record is a plain class with a hand-written `__init__` that stores its
-fields through `set_field`, or, in a hot constructor, through its slots'
-setters (`slot_setters`).  Afterwards assignment and deletion raise
-AttributeError, and the repr reads `Name(field=value, ...)`, one entry per
-name in `_fields`.  Records come in two kinds: a `Value` compares and
-hashes by the tuple of its `_fields` (one holding a dict stays unhashable,
-since hashing the dict raises TypeError), and any other `Record` compares
-by identity.  The one exception is `euler.ConstructibleFunction`, which
-compares by a field its repr leaves out and so defines its own `__eq__`.
-Records with no `cached_property` declare `__slots__`.
+A record is a plain class whose `_fields` is its constructor's signature:
+`Record.__init__` takes one value per field, by position or by keyword,
+and refuses a missing, extra or unknown one with a TypeError naming the
+class and its fields.  A record writes its own `__init__` only to check,
+convert or hide a field, and stores its fields through `set_field`, or,
+in a hot constructor, through its slots' setters (`slot_setters`).
+Afterwards assignment and deletion raise AttributeError, and the repr
+reads `Name(field=value, ...)`, one entry per name in `_fields`.  Records
+come in two kinds: a `Value` compares and hashes by the tuple of its
+`_fields` (one holding a dict stays unhashable, since hashing the dict
+raises TypeError), and any other `Record` compares by identity.  The one
+exception is `euler.ConstructibleFunction`, which compares by a field its
+repr leaves out and so defines its own `__eq__`.  Records with no
+`cached_property` declare `__slots__`.
 """
 
 # Stores one field from __init__, past the __setattr__ that refuses writes.
@@ -24,9 +28,29 @@ def slot_setters(cls) -> tuple:
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
+def _bind(cls, values: tuple, named: dict) -> tuple:
+    """cls's fields in `_fields` order, from a call that named some of them
+    or passed the wrong number by position: each field given once."""
+    fields = cls._fields
+    rest = fields[len(values):]
+    if len(values) > len(fields) or named.keys() != set(rest):
+        raise TypeError(
+            f"{cls.__qualname__}({', '.join(fields)}) takes each field once; got "
+            f"{len(values)} by position and {', '.join(named) or 'none'} by name"
+        )
+    return values + tuple(named[name] for name in rest)
+
+
 class Record:
     __slots__ = ()
-    _fields = ()  # the field names repr shows, in order
+    _fields = ()  # the constructor's fields and the repr's, in order
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            values = _bind(type(self), values, named)
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

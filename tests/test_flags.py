@@ -19,7 +19,7 @@ import oracles
 from lefscalc.complexes import CellSpace, CellularSubset, whole_space
 from lefscalc.errors import DegenerateInputError
 from lefscalc.euler import chi_c
-from lefscalc.exact import GaussianRational, RationalMatrix
+from lefscalc.exact import GaussianRational
 from lefscalc.flags import (
     FAMILY_NAMES,
     MAX_FLAG_N,
@@ -303,9 +303,19 @@ def test_example_contributions():
         ex.contribution("c9")
 
 
+@pytest.mark.parametrize("ratio", [Fraction(2), Fraction(-3, 4), Fraction(7, 3)])
+def test_example_contributions_are_unsigned_at_every_ratio(ratio):
+    # a complex model: every sign is +1, so each sphere gives the Euler
+    # characteristic of its slice of the divisor, whatever the ratio
+    ex = example_3_9(ratio)
+    assert [ex.contribution(p.label) for p in ex.patterns] == [
+        g(p.chi()) for p in ex.patterns
+    ]
+
+
 def test_example_components_are_spheres():
     ex = example_3_9()
-    space = ex.problem.space
+    space = ex.space
     for label in ex.component_labels():
         members = {c.ident for c in space.cells if c.component == label}
         assert chi_c(CellularSubset.of(space, members)) == 2
@@ -313,14 +323,9 @@ def test_example_components_are_spheres():
 
 def test_example_normal_data():
     ex = example_3_9()
-    assert ex.problem.complex_model
     assert ex.ratio == Fraction(2)
-    for label in ex.component_labels():
-        assert ex.problem.normal[label] == RationalMatrix.identity(4).scale(2)
     other = example_3_9(ratio=Fraction(7, 3))
-    assert other.problem.normal["c1"] == RationalMatrix.identity(4).scale(
-        Fraction(7, 3)
-    )
+    assert other.ratio == Fraction(7, 3)
     # the pattern does not depend on the ratio
     assert other.total() == ex.total()
 
@@ -334,7 +339,7 @@ def test_example_rejects_degenerate_ratios():
 
 def test_example_support_is_divisor_slice():
     ex = example_3_9()
-    support = set(ex.problem.support.members)
+    support = set(ex.support.members)
     assert support == {"c0:d0", "c0:d2", "c1:d0", "c1:d2", "c2:v0"}
 
 
