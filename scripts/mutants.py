@@ -15,8 +15,10 @@ A row whose old text does not occur exactly once in its file is refused,
 so a refactor must re-aim a mutant rather than drop it silently, and every
 selection must pass on the unmutated copy first, so that a kill means the
 mutant was caught; that check runs each test file once, on the union of
-its rows' selections.  The script prints its wall time.  Standard library
-only; the selections need pytest and hypothesis.
+its rows' selections.  A test file that does not import hypothesis runs
+without hypothesis's pytest plugin, whose start-up would be most of a
+short run.  The script prints its wall time.  Standard library only; the
+selections need pytest and hypothesis.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when a
 row is refused or a selection fails on the unmutated copy.
@@ -25,6 +27,7 @@ row is refused or a selection fails on the unmutated copy.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -38,6 +41,7 @@ TIMEOUT_S = 300
 # pytest's exit statuses for a bad command line and for no test collected
 _NOT_RUN = (4, 5)
 KILLED = ("failed", "timed out")
+_IMPORTS_HYPOTHESIS = re.compile(r"^(from|import) hypothesis\b", re.MULTILINE)
 
 
 class Mutant(NamedTuple):
@@ -243,6 +247,30 @@ MUTANTS = (
         "tests/test_flags.py",
         "example_contributions",
     ),
+    Mutant(
+        "the flag table drops each flag's parity",
+        "src/lefscalc/homology.py",
+        "flags.append((pick, -1 if inversions & 1 else 1))",
+        "flags.append((pick, 1))",
+        "tests/test_homology.py",
+        "fundamental_chain_matches_the_tower_on_fixtures",
+    ),
+    Mutant(
+        "the flag table leaves a flag's face indices unsorted",
+        "src/lefscalc/homology.py",
+        "number.setdefault(tuple(sorted(perm[: i + 1])), len(number))",
+        "number.setdefault(tuple(perm[: i + 1]), len(number))",
+        "tests/test_homology.py",
+        "fundamental_chain_matches_the_tower_on_fixtures",
+    ),
+    Mutant(
+        "the endomorphism drops the sign that reorders an image simplex",
+        "src/lefscalc/homology.py",
+        "            sign = -sign\n",
+        "            pass\n",
+        "tests/test_homology.py",
+        "fixture_lefschetz_numbers or sparse_engine_agrees",
+    ),
 )
 
 
@@ -252,6 +280,8 @@ def run_tests(tree: Path, tests: str, keyword: str) -> str:
     path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    if not _IMPORTS_HYPOTHESIS.search((tree / tests).read_text(encoding="utf-8")):
+        command += ["-p", "no:hypothesispytest"]
     command += [tests, "-k", keyword]
     try:
         result = subprocess.run(

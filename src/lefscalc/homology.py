@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, starmap
+from operator import gt, itemgetter
 
 from .complexes import (
     CellularSubset,
@@ -34,8 +35,6 @@ from .complexes import (
     canonical_tuple,
     require_simplicial,
     require_valid,
-    subdivided_complex,
-    vertex_key,
 )
 from .errors import DegenerateInputError
 from .exact import parse_integer
@@ -45,6 +44,8 @@ from .records import Record, set_field
 # Distinct (complex, dropped cells) pairs kept built; one trace problem
 # touches about five.
 CHAIN_COMPLEX_CACHE = 32
+# Flag tables kept, one per simplex dimension.
+FLAG_TABLE_CACHE = 16
 
 
 class SparseMatrix(Record):
@@ -234,38 +235,60 @@ def _build_chain_map(cc: ChainComplexQ, matrices) -> ChainMapQ:
     return cm
 
 
-def _subdivision_signs(base: SimplicialComplex, level: int) -> dict:
-    """sd^level_* on C_*(base) as signs: sd_* sends a simplex to the
-    fundamental chain of its subdivision (Munkres, Elements of Algebraic
-    Topology, section 17).  The cells of that chain are those of sd^level
-    whose carrier at every step of the tower has their own dimension; each
-    maps to its sign.  A cell tau over rho is the flag of faces
-    rho_0 < ... < rho_d = rho, its vertices in canonical order (tuple
-    vertices sort by length first); with w_i the vertex of rho_i not in
-    rho_(i-1), its barycentric coordinates are triangular in w_0 ... w_d
-    with a positive diagonal, so tau's sign against rho is the parity of
-    w_0 ... w_d in rho's canonical order."""
-    signs = dict.fromkeys(base.simplices, 1)
-    finer = base
-    for _ in range(level):
-        finer, step = subdivided_complex(finer, 1)
-        signs = {
-            tau: signs[rho] * _flag_sign(tau)
-            for tau, rho in step.items()
-            if len(tau) == len(rho) and rho in signs
-        }
-    return signs
+@lru_cache(maxsize=FLAG_TABLE_CACHE)
+def _flag_table(d: int) -> tuple:
+    """The full flags of a d-simplex t = (r_0, ..., r_d) in canonical order.
+
+    Returns (faces, flags).  faces[i](t) is the i-th face of t that a flag
+    passes through, as the sub-tuple of t its sorted indices pick.  A flag
+    is (pick, parity): one ordering w of t's vertices, where
+    pick(barycenters) gives the faces {w_0}, {w_0, w_1}, ...,
+    {w_0, ..., w_d} out of [face(t) for face in faces], and parity is the
+    ordering's sign."""
+    number, flags = {}, []
+    for perm in permutations(range(d + 1)):
+        ids = [
+            number.setdefault(tuple(sorted(perm[: i + 1])), len(number))
+            for i in range(d + 1)
+        ]
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        pick = itemgetter(*ids) if d else tuple  # itemgetter(i) gives no 1-tuple
+        flags.append((pick, -1 if inversions & 1 else 1))
+    faces = tuple(  # a slice, so that a vertex's face is a 1-tuple too
+        itemgetter(*face) if len(face) > 1 else itemgetter(slice(face[0], face[0] + 1))
+        for face in number
+    )
+    return faces, tuple(flags)
 
 
-def _flag_sign(tau: frozenset) -> int:
-    flag = sorted(tau, key=len)  # its last vertex names rho, in canonical order
-    order = {v: i for i, v in enumerate(flag[-1])}
-    ranks, seen = [], set()
-    for face in flag:
-        (w,) = seen.symmetric_difference(face)
-        seen.add(w)
-        ranks.append(order[w])
-    return (-1) ** sum(a > b for a, b in combinations(ranks, 2))
+def _fundamental_chain(base: SimplicialComplex, level: int):
+    """sd^level_* on C_*(base): sd_* sends a simplex to the fundamental
+    chain of its subdivision (Munkres, Elements of Algebraic Topology,
+    section 17).  Yields (vertices, sign, rho) for every cell of that chain
+    over every base simplex rho, its vertices in canonical order.
+
+    The d-cells of sd t in the chain of a d-simplex t are the full flags of
+    t's faces rho_0 < ... < rho_d.  A flag's vertices are the barycenters
+    of its faces, smallest face first, which is their canonical order
+    because tuple vertices sort by length first.  With w_i the vertex of
+    rho_i not in rho_(i-1), the cell's barycentric coordinates are
+    triangular in w_0 ... w_d with a positive diagonal, so its sign against
+    t is the parity of w_0 ... w_d in t's canonical order.  Each base
+    simplex is expanded depth first, so only a few cells are alive at a
+    time.  Vertices come as plain tuples, equal to the tower's own vertex
+    objects."""
+    rank = base._vertex_index
+    for rho in base.simplices:
+        faces, flags = _flag_table(len(rho) - 1)
+        stack = [(tuple(sorted(rho, key=rank.__getitem__)), 1, level)]
+        while stack:
+            t, sign, depth = stack.pop()
+            if not depth:
+                yield t, sign, rho
+                continue
+            barycenters = [face(t) for face in faces]
+            depth -= 1
+            stack += [(pick(barycenters), sign * parity, depth) for pick, parity in flags]
 
 
 def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
@@ -291,16 +314,23 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
         return project_endomorphism(endo, base.simplices - dropped)
     cc = chain_complex(base)
     require_valid(spec.source_complex())
-    vertex_map, carrier = spec.as_map().vertex_map, spec.carrier()
+    vertex_map, rank = spec.as_map().vertex_map, base._vertex_index
     columns = {s: {} for s in base.simplices}
-    for tau, sign in _subdivision_signs(base, spec.level).items():
-        images = [vertex_map[v] for v in canonical_tuple(tau)]
-        if len(set(images)) != len(images):
+    for tau, sign, rho in _fundamental_chain(base, spec.level):
+        images = list(map(vertex_map.__getitem__, tau))
+        image = frozenset(images)
+        if len(image) != len(images):
             continue
-        keys = [vertex_key(u) for u in images]
-        sign *= (-1) ** sum(a > b for a, b in combinations(keys, 2))
-        row = cc.index[len(tau) - 1][frozenset(images)]
-        _add_multiple(columns[carrier[tau]], sign, {row: 1})
+        ranks = map(rank.__getitem__, images)
+        if sum(starmap(gt, combinations(ranks, 2))) & 1:
+            sign = -sign
+        row = cc.index[len(images) - 1][image]
+        column = columns[rho]
+        total = column.get(row, 0) + sign
+        if total:
+            column[row] = total
+        else:
+            del column[row]
     return _build_chain_map(cc, [
         SparseMatrix(len(basis), len(basis), tuple(columns[s] for s in basis))
         for basis in cc.bases

@@ -18,6 +18,7 @@ from .complexes import (
     cell_sort_key,
     read_table,
     subdivided_complex,
+    vertex_key,
 )
 from .errors import DegenerateInputError, NonSimplicialMapError
 from .exact import parse_integer
@@ -45,6 +46,8 @@ class SimplicialMap(Value):
             raise NonSimplicialMapError(f"images outside target: {exc}") from None
         if stray:
             raise NonSimplicialMapError(f"images outside target: {stray[:4]}")
+        for image in vm.values():
+            vertex_key(image)  # True equals the vertex 1 but is no vertex
         m = SimplicialMap(source, target, vm)
         bad = [s for s in source.simplices if m.image_simplex(s) not in target.simplices]
         if bad:

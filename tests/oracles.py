@@ -39,7 +39,10 @@ The sign presolve of the LP kernel is kept in its dense form, on rows of
 signs and a list of right-hand side signs, the form that sparse sign
 columns replaced.  The summation kernel is kept in the form that folds
 each part through its own {denominator: numerator} dict, where one table
-per group, keyed by the pair of denominators, now sums both parts.
+per group, keyed by the pair of denominators, now sums both parts.  The
+fundamental chain of sd^k is kept as the walk of the subdivision tower that
+sorts every kept cell into its flag to find its sign, where per-dimension
+flag tables now expand each base simplex.
 """
 
 from __future__ import annotations
@@ -639,6 +642,41 @@ def top_simplices_by_facet_scan(space) -> frozenset:
     facet of every simplex."""
     facets = {s - {v} for s in space.simplices if len(s) > 1 for v in s}
     return space.simplices - facets
+
+
+# ---------------------------------------------------------------------------
+# the fundamental chain of sd^level by walking the subdivision tower
+
+def subdivision_signs_by_tower(base, level: int) -> dict:
+    """sd^level_* on C_*(base) as {cell of sd^level: sign}.  The cells of
+    the fundamental chain are those whose carrier at every step of the
+    tower has their own dimension; at each step a cell's sign against its
+    carrier is recomputed from the cell alone by flag_sign_by_sort."""
+    signs = dict.fromkeys(base.simplices, 1)
+    finer = base
+    for _ in range(level):
+        finer, step = subdivided_complex(finer, 1)
+        signs = {
+            tau: signs[rho] * flag_sign_by_sort(tau)
+            for tau, rho in step.items()
+            if len(tau) == len(rho) and rho in signs
+        }
+    return signs
+
+
+def flag_sign_by_sort(tau: frozenset) -> int:
+    """The sign of a top cell of sd rho against rho: sort its vertices by
+    length into the flag rho_0 < ... < rho_d, whose last vertex names rho
+    in canonical order, and take the parity of the vertices w_i that each
+    face adds."""
+    flag = sorted(tau, key=len)
+    order = {v: i for i, v in enumerate(flag[-1])}
+    ranks, seen = [], set()
+    for face in flag:
+        (w,) = seen.symmetric_difference(face)
+        seen.add(w)
+        ranks.append(order[w])
+    return (-1) ** sum(a > b for a, b in itertools.combinations(ranks, 2))
 
 
 # ---------------------------------------------------------------------------

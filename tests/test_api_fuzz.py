@@ -644,6 +644,16 @@ NAMED_PROBES = {
         "invalid vertex True: vertices are strings, ints of at most 64 bits and "
         "tuples of them",
     ),
+    "SimplicialMap.build(TRIANGLE, TRIANGLE, an image True)": (
+        lambda: lc.SimplicialMap.build(TRIANGLE, TRIANGLE, {0: 0, 1: True, 2: 2}),
+        "invalid vertex True: vertices are strings, ints of at most 64 bits and "
+        "tuples of them",
+    ),
+    "SelfMapSpec.build(TRIANGLE, 0, an image 1.0)": (
+        lambda: lc.SelfMapSpec.build(TRIANGLE, 0, {0: 0, 1: 1.0, 2: 2}),
+        "invalid vertex 1.0: vertices are strings, ints of at most 64 bits and "
+        "tuples of them",
+    ),
     "star(TRIANGLE, 2**64)": (
         lambda: lc.star(TRIANGLE, 2**64),
         "invalid vertex an integer of 65 bits: vertices are strings, ints of at most "

@@ -401,6 +401,56 @@ def test_sd2_sphere_identity_traces():
 
 
 # ---------------------------------------------------------------------------
+# the fundamental chain of sd^k against the walk of the subdivision tower
+
+FIXTURE_COMPLEXES = (
+    fx.point_complex, fx.interval_complex, fx.hexagon, fx.twelve_gon, fx.disk,
+    fx.sphere2,
+)
+
+
+def _assert_fundamental_chain_matches_tower(base, level):
+    """Every cell the generator yields is a simplex of sd^level carried by
+    the base simplex it names, with its vertices in canonical order, and
+    the signs are those of the tower walk."""
+    finer, carrier = subdivided_complex(base, level)
+    signs = {}
+    for vertices, sign, rho in homology._fundamental_chain(base, level):
+        cell = frozenset(vertices)
+        assert vertices == canonical_tuple(cell)
+        assert cell in finer.simplices
+        assert carrier[cell] == rho
+        signs[cell] = sign
+    assert signs == oracles.subdivision_signs_by_tower(base, level)
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("make", FIXTURE_COMPLEXES, ids=lambda make: make.__name__)
+def test_fundamental_chain_matches_the_tower_on_fixtures(make, level):
+    _assert_fundamental_chain_matches_tower(make(), level)
+
+
+def test_fundamental_chain_matches_the_tower_on_random_complexes():
+    rng = random.Random(35)
+    for _ in range(200):
+        base = random_complex(rng)
+        for level in (1, 2):
+            _assert_fundamental_chain_matches_tower(base, level)
+        subdivided_complex.cache_clear()  # the towers of 200 bases add up
+
+
+@pytest.mark.parametrize("maximal", [
+    [(0, 1, 2), (1, 2, 3), (3, 4), (-7, 4)],
+    [(("q",), (0, "a"), (1, 1, 1)), (("q",), (2,)), ((2,), (0, "a"))],
+    [(("q",), 7, "s"), (7, (0, "a")), ("s", -1, (0, "a"))],
+], ids=["ints", "tuples", "mixed"])
+def test_fundamental_chain_orders_int_and_tuple_vertices(maximal):
+    base = SimplicialComplex.from_maximal(maximal)
+    for level in range(3):
+        _assert_fundamental_chain_matches_tower(base, level)
+
+
+# ---------------------------------------------------------------------------
 # work done once: each subdivision level and each self-map check
 
 
