@@ -271,6 +271,38 @@ MUTANTS = (
         "tests/test_homology.py",
         "fixture_lefschetz_numbers or sparse_engine_agrees",
     ),
+    Mutant(
+        "the subdivision step sorts the old simplices' ranks without size first",
+        "src/lefscalc/complexes.py",
+        "    ranked.sort(key=len)  # stable, so (size, ranks) order\n",
+        "",
+        "tests/test_complexes.py",
+        "chain_oracle",
+    ),
+    Mutant(
+        "the subdivision step does not divide a barycentre by the simplex size",
+        "src/lefscalc/complexes.py",
+        "return tuple([Fraction(x, scale) for x in axes])",
+        "return tuple([Fraction(x, scale // len(rows)) for x in axes])",
+        "tests/test_complexes.py",
+        "chain_oracle",
+    ),
+    Mutant(
+        "the subdivision step does not union a new cell with its face's cell",
+        "src/lefscalc/complexes.py",
+        "cells += [cell | alone for cell in ending[face]]",
+        "cells += [alone for cell in ending[face]]",
+        "tests/test_complexes.py",
+        "chain_oracle",
+    ),
+    Mutant(
+        "the rank test's homogeneous row drops its d column",
+        "src/lefscalc/complexes.py",
+        "for x in point] + [d])",
+        "for x in point])",
+        "tests/test_complexes.py",
+        "validate_matches_oracle",
+    ),
 )
 
 

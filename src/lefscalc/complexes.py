@@ -61,15 +61,17 @@ def vertex_key(v):
 
 
 class TupleVertex(tuple):
-    """A tuple vertex carrying its order key, computed once from its parts.
+    """A tuple vertex carrying its order key, computed once from its parts,
+    or made from `keys`, the parts' own keys, when the caller has them.
     It equals, hashes and prints as the plain tuple does; a copy or a
     pickle of it is an equal TupleVertex."""
 
     __repr__ = tuple.__repr__
 
-    def __new__(cls, parts):
+    def __new__(cls, parts, keys=None):
         self = super().__new__(cls, parts)
-        self.key = (2, len(self), tuple(map(vertex_key, self)))
+        keys = map(vertex_key, self) if keys is None else keys
+        self.key = (2, len(self), tuple(keys))
         return self
 
 
@@ -299,6 +301,11 @@ class CellSpace(Value):
     def cell_keys(self) -> frozenset:
         return frozenset(self._by_ident)
 
+    @cached_property
+    def cell_signs(self) -> dict:
+        """(-1)^dim of each cell, by id."""
+        return {c.ident: (-1) ** c.dim for c in self.cells}
+
     @staticmethod
     def cell_key(ref) -> str:
         """A cell reference is its id, a string."""
@@ -464,28 +471,32 @@ def _degenerate(space, cells, listed):
     simplex with a vertex outside `listed` has no coordinates to test and
     is skipped; its unknown-vertex violation is already in the list.
 
-    Each axis of a simplex is scaled to integers by the lcm of the
-    simplex's own denominators on it; a positive diagonal scaling keeps
-    the affine rank.  One scale per axis for the whole complex would carry
-    every denominator of the complex into every row."""
-    coords = dict(zip(space.vertices, space.coords))
+    Each vertex is read once as the homogeneous integer row (d*p, d), d
+    the lcm of its point p's denominators.  Points are affinely independent
+    exactly when their rows (p, 1) are linearly independent, and scaling a
+    row by d > 0 keeps that, so each simplex costs one rank test on its
+    vertices' rows and no lcm of its own."""
+    rows = dict(zip(space.vertices, _homogeneous_rows(space.coords)))
     for s in cells:
-        if len(s) < 2 or not listed.issuperset(s):
-            continue
-        points = [coords[v] for v in s]
-        scales = [lcm(*[x.denominator for x in axis]) for axis in zip(*points)]
-        origin, *others = [
-            [x.numerator * (m // x.denominator) for x, m in zip(p, scales)]
-            for p in points
-        ]
-        rows = [[b - a for a, b in zip(origin, p)] for p in others]
-        if not _full_row_rank(rows):
-            yield s
+        if len(s) > 1 and listed.issuperset(s):
+            if not _full_row_rank([rows[v] for v in s]):
+                yield s
+
+
+def _homogeneous_rows(points) -> list:
+    """Each rational point p as the integer row (d*p, d), d the lcm of its
+    denominators."""
+    rows = []
+    for point in points:
+        d = lcm(*[x.denominator for x in point])
+        rows.append([x.numerator * (d // x.denominator) for x in point] + [d])
+    return rows
 
 
 def _full_row_rank(rows: list) -> bool:
     """Whether integer rows are linearly independent, by fraction-free
-    elimination (Bareiss, Math. Comp. 22, 1968); consumes `rows`.  Each
+    elimination (Bareiss, Math. Comp. 22, 1968); consumes the list `rows`
+    but never changes a row of it, so rows may be shared.  Each
     step pivots on the first nonzero entry of the last remaining row, and
     every division is exact.  A remaining row is a nonzero multiple of its
     original row plus a combination of the pivot rows, so it is zero
@@ -620,38 +631,50 @@ def barycentric_subdivide(space: SimplicialComplex) -> tuple:
     simplex to the smallest old simplex containing its realization; new
     vertices are named by the canonical vertex tuple of the old simplex
     they subtend.
+
+    The old simplices are read as sorted tuples of vertex ranks and taken
+    in (size, ranks) order, which is the vertex_key order of their
+    barycentres, so the new vertices come out sorted.  The cells of sd(s)
+    are s's barycentre alone and joined to each cell of sd(t) that ends at
+    the barycentre of a proper face t of s; faces come first, so those
+    cells are made by then.  The complex is built from these parts as they
+    are, without a second pass through `build`'s readers.
     """
     space = require_simplicial(space, "barycentric_subdivide")
     require_valid(space)
-    chains_by_top = {}
-
-    def chains(simplex: frozenset) -> list:
-        if simplex in chains_by_top:
-            return chains_by_top[simplex]
-        out = [(simplex,)]
-        items = tuple(simplex)
-        for k in range(1, len(items)):
-            for face in combinations(items, k):
-                for chain in chains(frozenset(face)):
-                    out.append(chain + (simplex,))
-        chains_by_top[simplex] = out
-        return out
-
-    names = {s: TupleVertex(canonical_tuple(s)) for s in space.simplices}
-    carrier = {}
-    for simplex in space.simplices:
-        for chain in chains(simplex):
-            carrier[frozenset(names[s] for s in chain)] = chain[-1]
+    vertices, rank = space.vertices, space._vertex_index
+    keys = [vertex_key(v) for v in vertices]
+    old = {tuple(sorted(map(rank.__getitem__, s))): s for s in space.simplices}
+    ranked = sorted(old)
+    ranked.sort(key=len)  # stable, so (size, ranks) order
+    names, carrier, ending = [], {}, {}
+    for r in ranked:
+        name = TupleVertex([vertices[i] for i in r], [keys[i] for i in r])
+        names.append(name)
+        alone = frozenset((name,))
+        cells = [alone]
+        for k in range(1, len(r)):
+            for face in combinations(r, k):
+                cells += [cell | alone for cell in ending[face]]
+        ending[r] = cells
+        carrier.update(dict.fromkeys(cells, old[r]))
     coords = None
     if space.coords is not None:
-        coords = {}
-        for simplex in space.simplices:
-            pts = [space.coord_of(v) for v in simplex]
-            n = len(pts)
-            coords[names[simplex]] = tuple(
-                sum(p[i] for p in pts) / Fraction(n) for i in range(len(pts[0]))
-            )
-    return SimplicialComplex.build(names.values(), carrier, coords), carrier
+        points, rows = space.coords, _homogeneous_rows(space.coords)
+        coords = tuple(
+            [points[r[0]] if len(r) == 1 else _barycentre([rows[i] for i in r])
+             for r in ranked]
+        )
+    return SimplicialComplex(tuple(names), frozenset(carrier), coords), carrier
+
+
+def _barycentre(rows: list) -> tuple:
+    """The mean of points given as homogeneous integer rows (d*p, d): the
+    rows scaled to their lcm of d and summed read (n*d*mean, n*d)."""
+    common = lcm(*[row[-1] for row in rows])
+    scaled = [[x * (common // row[-1]) for x in row] for row in rows]
+    *axes, scale = map(sum, zip(*scaled))
+    return tuple([Fraction(x, scale) for x in axes])
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, so True misses level 1's entry
@@ -666,6 +689,7 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
     neither the complex nor the carrier may be mutated.
     """
     level = parse_integer(level, "subdivision level", least=0)
+    base = require_simplicial(base, "subdivided_complex")
     if level == 0:
         return base, {s: s for s in base.simplices}
     if level == 1:
@@ -682,11 +706,17 @@ def subdivision_f_vectors(base: SimplicialComplex):
     without subdividing.  A j-simplex of sd K is a chain of j + 1 faces, and
     (j+1)! S(i+1, j+1) chains end in a given i-face: the surjections of its
     i + 1 vertices onto j + 1 ranks (Brenti and Welker, "f-vectors of
-    barycentric subdivisions", Math. Z. 2008)."""
+    barycentric subdivisions", Math. Z. 2008).  A cell space is refused
+    here, not at the first f-vector."""
+    base = require_simplicial(base, "subdivision_f_vectors")
     sizes = range(1, max(base.dim, 0) + 2)
     f = [sum(len(s) == n for s in base.simplices) for n in sizes]
     onto = [[sum((-1) ** t * comb(k, t) * (k - t) ** n for t in range(k + 1))
              for k in sizes] for n in sizes]
+    return _f_vectors(f, onto)
+
+
+def _f_vectors(f: list, onto: list):
     while True:
         yield tuple(f)
         f = [sum(n * onto[i][j] for i, n in enumerate(f)) for j in range(len(f))]

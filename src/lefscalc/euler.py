@@ -84,13 +84,15 @@ class ConstructibleFunction(Record):
 def chi_c(target) -> int:
     """Compactly supported Euler characteristic of a union of open cells:
     a CellularSubset, or a whole space (a CellSpace's cells carry their
-    dims)."""
+    dims).  A subset of a cell space reads its parent's table of signs."""
     if isinstance(target, CellSpace):
         return sum((-1) ** c.dim for c in target.cells)
     if isinstance(target, CellularSubset):
         parent, cells = target.parent, target.members
     else:
         parent, cells = target, target.cell_keys
+    if isinstance(parent, CellSpace):
+        return sum(map(parent.cell_signs.__getitem__, cells))
     return sum((-1) ** parent.cell_dim(c) for c in cells)
 
 

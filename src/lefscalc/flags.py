@@ -164,19 +164,20 @@ def schubert_subset(
     model: BruhatCellSpace, perm: tuple, closed: bool = True
 ) -> CellularSubset:
     """The cell of perm, or its closure in the Bruhat order: the cells
-    whose packed dot counts pass the test of _guard against perm's."""
+    whose packed dot counts pass the test of _guard against perm's.  The
+    names are the model's own, so no reader re-reads them."""
     perm = _permutation(perm, model.n)
     if closed:
         guard = _guard(model.n)
         top = _dot_vector(perm) | guard
-        members = {
+        members = frozenset([
             name
             for dots, (name, _) in zip(_dot_vectors(model.n), _perm_cells(model.n))
             if (top - dots) & guard == guard
-        }
+        ])
     else:
-        members = {perm_name(perm)}
-    return CellularSubset.of(model.space, members)
+        members = frozenset([perm_name(perm)])
+    return CellularSubset(model.space, members)
 
 
 def open_cell_complement(model: BruhatCellSpace, perm=None) -> CellularSubset:

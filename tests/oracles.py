@@ -42,7 +42,11 @@ each part through its own {denominator: numerator} dict, where one table
 per group, keyed by the pair of denominators, now sums both parts.  The
 fundamental chain of sd^k is kept as the walk of the subdivision tower that
 sorts every kept cell into its flag to find its sign, where per-dimension
-flag tables now expand each base simplex.
+flag tables now expand each base simplex.  One barycentric subdivision is
+kept as it was written first: chains of faces by recursion over frozensets,
+names sorted by vertex key, barycentres summed one Fraction at a time and
+the complex re-read through `SimplicialComplex.build`, where the step now
+reads the parent's vertex ranks and builds each cell from its faces' cells.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ from math import lcm
 
 from lefscalc.complexes import (
     CellSpace,
+    SimplicialComplex,
+    TupleVertex,
     Violation,
     canonical_tuple,
     cell_sort_key,
@@ -677,6 +683,47 @@ def flag_sign_by_sort(tau: frozenset) -> int:
         seen.add(w)
         ranks.append(order[w])
     return (-1) ** sum(a > b for a, b in itertools.combinations(ranks, 2))
+
+
+# ---------------------------------------------------------------------------
+# one barycentric subdivision by chains of faces
+
+def barycentric_subdivide_by_chains(space) -> tuple:
+    """(sd space, carrier) as `complexes.barycentric_subdivide` returns it:
+    every chain of faces ending at a simplex, found by recursion over its
+    faces, names sorted by vertex key, barycentres summed term by term, and
+    the complex read back through `SimplicialComplex.build`."""
+    space = require_simplicial(space, "barycentric_subdivide")
+    require_valid(space)
+    chains_by_top = {}
+
+    def chains(simplex: frozenset) -> list:
+        if simplex in chains_by_top:
+            return chains_by_top[simplex]
+        out = [(simplex,)]
+        items = tuple(simplex)
+        for k in range(1, len(items)):
+            for face in itertools.combinations(items, k):
+                for chain in chains(frozenset(face)):
+                    out.append(chain + (simplex,))
+        chains_by_top[simplex] = out
+        return out
+
+    names = {s: TupleVertex(canonical_tuple(s)) for s in space.simplices}
+    carrier = {}
+    for simplex in space.simplices:
+        for chain in chains(simplex):
+            carrier[frozenset(names[s] for s in chain)] = chain[-1]
+    coords = None
+    if space.coords is not None:
+        coords = {}
+        for simplex in space.simplices:
+            pts = [space.coord_of(v) for v in simplex]
+            n = len(pts)
+            coords[names[simplex]] = tuple(
+                sum(p[i] for p in pts) / Fraction(n) for i in range(len(pts[0]))
+            )
+    return SimplicialComplex.build(names.values(), carrier, coords), carrier
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,12 @@ from hypothesis import strategies as st
 import lefscalc as lc
 from lefscalc import fixtures as fx
 from lefscalc import io
-from lefscalc.errors import DegenerateInputError, LefscalcError, ParseError
+from lefscalc.errors import (
+    CellSpaceUnsupportedError,
+    DegenerateInputError,
+    LefscalcError,
+    ParseError,
+)
 from lefscalc.flags import open_cell_complement
 from lefscalc.reports import parse_report
 
@@ -677,6 +682,34 @@ def test_each_named_probe_is_refused_with_its_text(call):
     with pytest.raises(DegenerateInputError) as caught:
         attempt()
     assert str(caught.value) == text
+
+
+# a subdivision of a cell space, which has no incidence to subdivide: each
+# call raised a raw AttributeError at level 0 or before the first f-vector
+CELL_SPACE_PROBES = {
+    "subdivided_complex(CP1, 0)": (
+        lambda: lc.subdivided_complex(CP1, 0), "subdivided_complex"
+    ),
+    "subdivided_complex(CP1, 2)": (
+        lambda: lc.subdivided_complex(CP1, 2), "subdivided_complex"
+    ),
+    "SelfMapSpec.build(CP1, 0, {})": (
+        lambda: lc.SelfMapSpec.build(CP1, 0, {}), "subdivided_complex"
+    ),
+    "subdivision_f_vectors(CP1)": (
+        lambda: lc.complexes.subdivision_f_vectors(CP1), "subdivision_f_vectors"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(CELL_SPACE_PROBES))
+def test_a_cell_space_is_refused_by_the_subdivision_tower(call):
+    attempt, operation = CELL_SPACE_PROBES[call]
+    with pytest.raises(CellSpaceUnsupportedError) as caught:
+        attempt()
+    assert str(caught.value) == (
+        f"{operation} needs simplicial incidence data; got a cell space"
+    )
 
 
 def test_an_unhashable_image_is_no_vertex_of_the_target():

@@ -43,6 +43,7 @@ from lefscalc.euler import ConstructibleFunction, chi_c, euler_integral, restric
 from lefscalc.exact import GaussianRational, RationalMatrix
 from lefscalc.flags import flag_cellspace
 from lefscalc.io import vertex_to_json
+from lefscalc.verify import random_complex
 
 
 def test_vertex_key_total_order():
@@ -309,6 +310,123 @@ def test_sd_positions_match_level_by_level_weights(base):
             assert all(x > 0 for x in position.values())
 
 
+def outputs_under_hash_seeds(script: str, seeds) -> set:
+    """The distinct outputs of `script` run in one fresh process per
+    PYTHONHASHSEED value."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lefscalc.__file__)))
+    outputs = set()
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.add(run.stdout)
+    return outputs
+
+
+# ---------------------------------------------------------------------------
+# the subdivision step against the chain oracle
+
+
+def assert_subdivides_like_oracle(space) -> SimplicialComplex:
+    """One step on `space` gives what the step it replaced gave: the
+    vertices in order, each a TupleVertex with the same key, the simplices,
+    the coordinates and the carrier.  Returns the subdivided complex."""
+    finer, carrier = barycentric_subdivide(space)
+    expected, expected_carrier = oracles.barycentric_subdivide_by_chains(space)
+    assert finer.vertices == expected.vertices
+    assert all(type(v) is TupleVertex for v in finer.vertices)
+    assert [v.key for v in finer.vertices] == [v.key for v in expected.vertices]
+    assert finer.simplices == expected.simplices
+    assert finer.coords == expected.coords
+    if finer.coords is not None:
+        assert all(type(x) is Fraction for row in finer.coords for x in row)
+    assert carrier == expected_carrier
+    return finer
+
+
+COORDINATE_COMPLEXES = {
+    "disk with coordinates": fx.disk,
+    "hexagon with coordinates": lambda: induced_subcomplex(
+        fx.disk(), fx.disk_boundary_cells()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted({**FIXTURE_COMPLEXES, **COORDINATE_COMPLEXES}))
+def test_subdivision_step_matches_the_chain_oracle_on_fixtures(name):
+    space = {**FIXTURE_COMPLEXES, **COORDINATE_COMPLEXES}[name]()
+    for _ in range(3):  # the steps to levels 1, 2 and 3
+        space = assert_subdivides_like_oracle(space)
+
+
+MIXED_NAMES = (-3, 0, 2**63, "", "a", "b7", ("a",), (1, "a"), ("b", (2,)), ((),))
+
+
+def _seeded_base(seed: int) -> SimplicialComplex:
+    """A `verify.random_complex`; a third of them renamed onto a sample of
+    MIXED_NAMES, another third placed at scaled unit vectors plus a shared
+    offset with mixed denominators, which are affinely independent."""
+    rng = random.Random(f"subdivide:{seed}")
+    space = random_complex(rng)
+    if seed % 3 == 1:
+        names = dict(zip(space.vertices, rng.sample(MIXED_NAMES, len(space.vertices))))
+        return SimplicialComplex.from_simplices(
+            [[names[v] for v in s] for s in space.simplices]
+        )
+    if seed % 3 == 2:
+        axes = len(space.vertices)
+        offset = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(axes)]
+        rows = []
+        for i in range(axes):
+            row = list(offset)
+            row[i] += Fraction(rng.choice((-5, -3, 2, 4)), rng.randint(1, 7))
+            rows.append(row)
+        return SimplicialComplex.build(space.vertices, space.simplices, rows)
+    return space
+
+
+def test_subdivision_step_matches_the_chain_oracle_on_seeded_complexes():
+    name_types, with_coords = set(), set()
+    for seed in range(300):
+        space = _seeded_base(seed)
+        name_types.update(type(v) for v in space.vertices)
+        with_coords.add(space.coords is not None)
+        assert_subdivides_like_oracle(space)
+    assert name_types == {int, str, tuple} and with_coords == {True, False}
+
+
+def test_a_step_builds_its_complex_from_its_own_parts(monkeypatch):
+    space = fx.disk()
+
+    def refuse(*args):
+        raise AssertionError("a part of the step's own making was read again")
+
+    monkeypatch.setattr(SimplicialComplex, "build", staticmethod(refuse))
+    for name in ("read_cells", "read_rows", "canonical_tuple"):
+        monkeypatch.setattr(complexes, name, refuse)
+    finer, carrier = barycentric_subdivide(space)
+    assert len(finer.simplices) == len(carrier) == 25 + 60 + 36
+
+
+STEP_HASH_SEED_SCRIPT = """
+import hashlib
+from lefscalc import fixtures as fx
+from lefscalc.complexes import canonical_tuple, subdivided_complex
+
+finer, carrier = subdivided_complex(fx.disk(), 2)
+parts = [finer.vertices, finer.coords]
+parts += [(canonical_tuple(c), canonical_tuple(s)) for c, s in carrier.items()]
+print(hashlib.sha256(repr(parts).encode()).hexdigest())
+"""
+
+
+def test_the_step_does_not_depend_on_set_order():
+    assert len(outputs_under_hash_seeds(STEP_HASH_SEED_SCRIPT, ("1", "2"))) == 1
+
+
 def test_cellular_subset_membership_is_validated():
     space = fx.hexagon()
     with pytest.raises(DegenerateInputError):
@@ -523,17 +641,7 @@ for attempt in (
 
 
 def test_refusal_texts_do_not_depend_on_the_string_hash():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lefscalc.__file__)))
-    texts = set()
-    for seed in ("1", "2", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c", HASH_SEED_SCRIPT],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        texts.add(run.stdout)
-    assert texts == {
+    assert outputs_under_hash_seeds(HASH_SEED_SCRIPT, ("1", "2", "3")) == {
         "DegenerateInputError cells not in parent: "
         "[\"('y',)\", \"('z',)\", \"('p', 'q')\"]\n"
         "DegenerateInputError value on unknown cell ('p', 'q')\n"
