@@ -249,19 +249,59 @@ MUTANTS = (
     ),
     Mutant(
         "the flag table drops each flag's parity",
-        "src/lefscalc/homology.py",
-        "flags.append((pick, -1 if inversions & 1 else 1))",
-        "flags.append((pick, 1))",
+        "src/lefscalc/complexes.py",
+        "parities.append(-1 if inversions & 1 else 1)",
+        "parities.append(1)",
         "tests/test_homology.py",
         "fundamental_chain_matches_the_tower_on_fixtures",
     ),
     Mutant(
         "the flag table leaves a flag's face indices unsorted",
-        "src/lefscalc/homology.py",
+        "src/lefscalc/complexes.py",
         "number.setdefault(tuple(sorted(perm[: i + 1])), len(number))",
         "number.setdefault(tuple(perm[: i + 1]), len(number))",
         "tests/test_homology.py",
         "fundamental_chain_matches_the_tower_on_fixtures",
+    ),
+    Mutant(
+        "the flag table repeats the first face of each flag",
+        "src/lefscalc/complexes.py",
+        "            for i in range(d + 1)\n        ])",
+        "            for i in [0, *range(d)]\n        ])",
+        "tests/test_homology.py",
+        "fundamental_chain_matches_the_tower_on_fixtures",
+    ),
+    Mutant(
+        "the flag check lets a face repeat a position",
+        "src/lefscalc/complexes.py",
+        "list(face) != sorted(set(face).intersection(range(d + 1)))",
+        "list(face) != sorted(face)",
+        "tests/test_complexes.py",
+        "flag_check",
+    ),
+    Mutant(
+        "the flag check skips the nesting of a flag's faces",
+        "src/lefscalc/complexes.py",
+        "!= list(range(1, d + 2)) or not all(\n            a < b for a, b in zip(chain, chain[1:])\n        ):",
+        "!= list(range(1, d + 2)):",
+        "tests/test_complexes.py",
+        "flag_check",
+    ),
+    Mutant(
+        "the flag generator skips validating its base",
+        "src/lefscalc/complexes.py",
+        "    require_valid(base)\n    rank = base._vertex_index\n",
+        "    rank = base._vertex_index\n",
+        "tests/test_complexes.py",
+        "generator_refuses_a_degenerate_base",
+    ),
+    Mutant(
+        "the map check skips the top cells of one maximal simplex",
+        "src/lefscalc/maps.py",
+        "cell for rho in sub.maximal for cell in sub.chains[rho][0]",
+        "cell for rho in sorted(sub.maximal, key=cell_sort_key)[1:]\n        for cell in sub.chains[rho][0]",
+        "tests/test_homology.py",
+        "map_check",
     ),
     Mutant(
         "the endomorphism drops the sign that reorders an image simplex",

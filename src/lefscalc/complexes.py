@@ -13,8 +13,14 @@ cell protocol: `cell_key(ref)` turns a cell reference into the key a cell
 is stored under (a vertex frozenset, or an id string), `cell_dim(key)` is
 its dimension, and `cell_keys` is the set of all keys.
 
-Iterated subdivisions come from one cached tower, `subdivided_complex`:
-level k is one `barycentric_subdivide` of level k - 1.
+Iterated subdivisions come in two forms.  The flag generator,
+`flag_subdivision`, lists sd^k's vertices (numbered, one object each),
+each vertex's carrier, and the fundamental chain of every base simplex,
+from one table of full flags per dimension, and builds no complex; the
+self-map specs read it, and through them their traces and fixed loci,
+and the problem reader.  The tower, `subdivided_complex`, is sd^k as a
+complex, built on demand: level k is one `barycentric_subdivide` of
+level k - 1, cached; pushforwards and refinement build it.
 
 Everything is deterministic: vertex identifiers are ordered by a fixed
 total key, simplices by (dimension, vertex order), components by their
@@ -25,8 +31,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, lcm
+from operator import itemgetter
 
 from .errors import (
     CellSpaceUnsupportedError,
@@ -35,7 +42,7 @@ from .errors import (
     shown,
 )
 from .exact import parse_integer, read_rows
-from .records import Value, set_field, slot_setters
+from .records import Record, Value, set_field, slot_setters
 
 
 def vertex_key(v):
@@ -64,7 +71,9 @@ class TupleVertex(tuple):
     """A tuple vertex carrying its order key, computed once from its parts,
     or made from `keys`, the parts' own keys, when the caller has them.
     It equals, hashes and prints as the plain tuple does; a copy or a
-    pickle of it is an equal TupleVertex."""
+    pickle of it is an equal TupleVertex.  The flag generator makes its
+    vertices from parts that are vertices already, with tuple.__new__,
+    and their keys are computed when first read."""
 
     __repr__ = tuple.__repr__
 
@@ -73,6 +82,10 @@ class TupleVertex(tuple):
         keys = map(vertex_key, self) if keys is None else keys
         self.key = (2, len(self), tuple(keys))
         return self
+
+    @cached_property
+    def key(self) -> tuple:
+        return (2, len(self), tuple(map(vertex_key, self)))
 
 
 def canonical_tuple(simplex) -> tuple:
@@ -318,10 +331,16 @@ class CellSpace(Value):
 
 
 def require_simplicial(parent, operation: str) -> SimplicialComplex:
+    """`parent` if it is a simplicial complex; a cell space is refused as
+    lacking incidence data, anything else as no space at all."""
     if isinstance(parent, SimplicialComplex):
         return parent
-    raise CellSpaceUnsupportedError(
-        f"{operation} needs simplicial incidence data; got a cell space"
+    if isinstance(parent, CellSpace):
+        raise CellSpaceUnsupportedError(
+            f"{operation} needs simplicial incidence data; got a cell space"
+        )
+    raise DegenerateInputError(
+        f"{operation} needs a simplicial complex; got {type(parent).__name__}"
     )
 
 
@@ -699,6 +718,188 @@ def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
         finer, step = subdivided_complex(finer, 1)
         carrier = {cell: carrier[below] for cell, below in step.items()}
     return finer, carrier
+
+
+# ---------------------------------------------------------------------------
+# sd^k from flags: the vertices, carriers and cells that traces and fixed
+# loci read, with no tower built
+
+# Flag tables kept, one per simplex dimension.
+FLAG_TABLE_CACHE = 16
+# Generated subdivisions kept, by (base, level); a self-map spec keeps its own.
+FLAG_SUBDIVISION_CACHE = 8
+
+
+@lru_cache(maxsize=FLAG_TABLE_CACHE)
+def _flag_table(d: int) -> tuple:
+    """The full flags of a d-simplex t = (r_0, ..., r_d) in canonical order.
+
+    Returns (faces, picks, parities, flipped).  faces[i](t) is the i-th
+    face of t that a flag passes through, as the sub-tuple of t its sorted
+    positions pick.  Each flag is one ordering w of t's vertices:
+    picks[j](barycentres) gives the faces {w_0}, {w_0, w_1}, ...,
+    {w_0, ..., w_d} out of [face(t) for face in faces], parities[j] is the
+    ordering's sign and flipped[j] its negative.  The table is checked
+    once, by _check_flags, before it is cached."""
+    number, flags, parities = {}, [], []
+    for perm in permutations(range(d + 1)):
+        flags.append([
+            number.setdefault(tuple(sorted(perm[: i + 1])), len(number))
+            for i in range(d + 1)
+        ])
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        parities.append(-1 if inversions & 1 else 1)
+    _check_flags(d, list(number), flags)
+    faces = tuple(  # a slice, so that a vertex's face is a 1-tuple too
+        itemgetter(*face) if len(face) > 1 else itemgetter(slice(face[0], face[0] + 1))
+        for face in number
+    )
+    picks = tuple(  # itemgetter(i) gives no 1-tuple
+        itemgetter(*ids) if d else tuple for ids in flags
+    )
+    return faces, picks, tuple(parities), tuple(-p for p in parities)
+
+
+def _check_flags(d: int, faces: list, flags: list) -> None:
+    """The flag table's check, one of the two that stand in for validating
+    a generated sd^k; require_valid on the base is the other.
+
+    Over a valid base, a generated cell could fail validate in only three
+    ways, and each is refused here or there:
+    - a repeated vertex: every face must be a nonempty increasing tuple of
+      positions 0..d, so a barycentre never names a part twice and a face
+      has one key (hence one vertex number) in whichever cell it is met;
+      and a flag's faces must have 1, 2, ..., d + 1 positions, so no flag
+      names a face twice;
+    - a flag that is not strictly increasing: each face of a flag must lie
+      inside the next;
+    - with coordinates, a degenerate cell: the barycentres of a full,
+      strictly increasing flag of an affinely independent simplex are
+      independent, and require_valid(base) runs the rank test on the
+      base's own simplices."""
+    for face in faces:
+        if not face or list(face) != sorted(set(face).intersection(range(d + 1))):
+            raise InvalidComplexError(
+                f"flag table of dimension {d}: face {face} is not an increasing "
+                "tuple of positions"
+            )
+    for ids in flags:
+        chain = [frozenset(faces[i]) for i in ids]
+        if [len(face) for face in chain] != list(range(1, d + 2)) or not all(
+            a < b for a, b in zip(chain, chain[1:])
+        ):
+            raise InvalidComplexError(
+                f"flag table of dimension {d}: {[faces[i] for i in ids]} is not "
+                "a strictly increasing flag"
+            )
+
+
+class FlagSubdivision(Record):
+    """sd^level(base) as the flag tables generate it, with no tower built.
+
+    Vertices are numbered.  A vertex of level j + 1 is the barycentre of a
+    face of a level-j cell, keyed by the numbers of its parts in canonical
+    order and numbered when first met, so a vertex that many cells share
+    has one number and one object.
+
+    vertices: the vertex objects of sd^level, by number, each equal to the
+        tower's (a TupleVertex from level 1 on, the base's own at level 0);
+    carriers: the carrier of each vertex, by number: the base simplex (the
+        base's own object) of the base vertices nested in it;
+    order: the vertex numbers in vertex_key order;
+    chains: for each base simplex rho, the fundamental chain of
+        sd^level(rho) as (cells, signs): each cell a tuple of vertex
+        numbers in canonical order, each sign its orientation against rho;
+    maximal: the maximal base simplices.  Their chains' cells are the top
+        cells of sd^level, and every simplex of sd^level is a face of one.
+    """
+
+    __slots__ = _fields = (
+        "base", "level", "vertices", "carriers", "order", "chains", "maximal",
+    )
+
+    def top_cells(self):
+        """(cell, rho) for each top cell of sd^level, rho its carrier."""
+        for rho in self.maximal:
+            for cell in self.chains[rho][0]:
+                yield cell, rho
+
+    def simplex(self, cell) -> frozenset:
+        """A cell of vertex numbers as a simplex of vertex objects."""
+        return frozenset(map(self.vertices.__getitem__, cell))
+
+    def carrier(self, cell) -> frozenset:
+        """The smallest base simplex holding a cell of vertex numbers."""
+        return frozenset().union(*map(self.carriers.__getitem__, cell))
+
+
+def flag_subdivision(base: SimplicialComplex, level: int) -> FlagSubdivision:
+    """sd^level(base) from the flag tables, for the callers that read its
+    vertices, carriers and cells.  It refuses what subdivided_complex
+    refuses, and an invalid base at level 0 too, and the tower stays the
+    on-demand form of the same complex.  What validate would find wrong
+    in a generated sd^k is refused by require_valid on the base and by
+    _check_flags on each flag table."""
+    level = parse_integer(level, "subdivision level", least=0)
+    return _flag_subdivision(require_simplicial(base, "subdivided_complex"), level)
+
+
+@lru_cache(maxsize=FLAG_SUBDIVISION_CACHE)
+def _flag_subdivision(base: SimplicialComplex, level: int) -> FlagSubdivision:
+    """Each base simplex rho is expanded level by level from its vertex
+    ranks: a cell t gives the barycentres of its faces, numbered in the
+    level's table, and one cell per flag of t.  A flag's vertices are the
+    barycentres of its faces, smallest face first, which is their canonical
+    order because tuple vertices sort by length first.  With w_i the vertex
+    of rho_i not in rho_(i-1), the cell's barycentric coordinates are
+    triangular in w_0 ... w_d with a positive diagonal, so its sign against
+    t is the parity of w_0 ... w_d in t's canonical order (Munkres,
+    Elements of Algebraic Topology, section 17).
+
+    The vertex objects are then made level by level from their parts, each
+    key left until it is read.  A level's vertices in (size, part ranks)
+    order are in vertex_key order, as in barycentric_subdivide, and a
+    barycentre's carrier is that of its last part, the largest face of its
+    flag, from level 2 on."""
+    require_valid(base)
+    rank = base._vertex_index
+    tables = [{} for _ in range(level)]  # per level: parts -> number
+    chains = {}
+    for rho in base.simplices:
+        faces, picks, same, flipped = _flag_table(len(rho) - 1)
+        cells, signs = [tuple(sorted(map(rank.__getitem__, rho)))], [1]
+        for table in tables:
+            below = zip(cells, signs)
+            cells, signs = [], []
+            for t, sign in below:
+                barycentres = [table.setdefault(face(t), len(table)) for face in faces]
+                cells += [pick(barycentres) for pick in picks]
+                signs += same if sign > 0 else flipped
+        chains[rho] = (cells, signs)
+    own = {s: s for s in base.simplices}
+    vertices = base.vertices
+    carriers = [own[frozenset([v])] for v in vertices]
+    order = range(len(vertices))
+    for depth, table in enumerate(tables):
+        parts = list(table)
+        ranks = [0] * len(order)
+        for r, n in enumerate(order):
+            ranks[n] = r
+        order = sorted(
+            range(len(parts)),
+            key=lambda n: (len(parts[n]), list(map(ranks.__getitem__, parts[n]))),
+        )
+        if depth:
+            carriers = [carriers[p[-1]] for p in parts]
+        else:
+            carriers = [own[frozenset(map(vertices.__getitem__, p))] for p in parts]
+        new = tuple.__new__  # the parts are vertices, so no key is read yet
+        vertices = [new(TupleVertex, map(vertices.__getitem__, p)) for p in parts]
+    facets = {s - {v} for s in base.simplices if len(s) > 1 for v in s}
+    return FlagSubdivision(
+        base, level, tuple(vertices), tuple(carriers), tuple(order), chains,
+        base.simplices - facets,
+    )
 
 
 def subdivision_f_vectors(base: SimplicialComplex):

@@ -216,21 +216,6 @@ def _no_component(what: str, count: int) -> DegenerateInputError:
 # the fixed subcomplex
 
 
-def _top_simplices(base, carrier: dict) -> list:
-    """The maximal simplices of the subdivision whose carrier map down to
-    base is `carrier`, in no order.  A simplex of sd L is maximal exactly
-    when it is a complete flag of faces of a maximal simplex of L, so, by
-    induction on the level, a simplex of sd^k(base) is maximal exactly when
-    it has as many vertices as its carrier and the carrier is maximal in
-    base.  Only the base's facets are listed."""
-    facets = {s - {v} for s in base.simplices if len(s) > 1 for v in s}
-    maximal = base.simplices - facets
-    return [
-        tau for tau, sigma in carrier.items()
-        if len(tau) == len(sigma) and sigma in maximal
-    ]
-
-
 def _assert_fixed_points_are_vertices(spec: SelfMapSpec, signs: dict) -> None:
     """Exact check that the affine map fixes nothing beyond the fixed
     vertices: on each top simplex the fixed points form the cone over the
@@ -240,37 +225,37 @@ def _assert_fixed_points_are_vertices(spec: SelfMapSpec, signs: dict) -> None:
     to 1 over the moved ones, whose combination of displacements (position
     minus image, one row per base coordinate) is zero.  `signs` holds the
     signs of those rows, one column per moved vertex (a fixed vertex has
-    none); they follow from the carrier alone.  The LP kernel's sign
-    presolve reads those columns as they are, with no right-hand side, and
-    settles most simplices: when it leaves no moved vertex live, the
-    weights summing to 1 are a certificate (a coordinate in which every
-    moved vertex is displaced the same way already separates them).  Only
-    the simplices it leaves open get their exact rows, and are solved in
-    cell order."""
-    carrier = spec.carrier()
+    none), by vertex number; they follow from the carrier alone.  The LP
+    kernel's sign presolve reads those columns as they are, with no
+    right-hand side, and settles most simplices: when it leaves no moved
+    vertex live, the weights summing to 1 are a certificate (a coordinate
+    in which every moved vertex is displaced the same way already separates
+    them).  Only the simplices it leaves open get their exact rows, and are
+    solved in cell order.  The top simplices are the generated top cells,
+    each with its carrier."""
+    sub = spec.subdivision
     undecided = []
-    for tau in _top_simplices(spec.base, carrier):
+    for tau, rho in sub.top_cells():
         columns = [signs[w] for w in tau if w in signs]
         if columns and exact._sign_presolve(columns, {}):
-            undecided.append(tau)
+            undecided.append((sub.simplex(tau), tau, rho))
     positions = sd_positions(spec.base)
     zero = Fraction(0)
-    for tau in sorted(undecided, key=cell_sort_key):
-        ws = canonical_tuple(tau)
+    for _, tau, rho in sorted(undecided, key=lambda item: cell_sort_key(item[0])):
         displacement = []  # position minus image, one column per vertex
-        for w in ws:
-            column = dict(positions[w])
-            image = spec.vertex_map[w]
+        for w in tau:  # in canonical order
+            column = dict(positions[sub.vertices[w]])
+            image = spec.images[w]
             column[image] = column.get(image, zero) - 1
             displacement.append(column)
         coords = sorted(set().union(*displacement), key=vertex_key)
         rows = [[column.get(u, zero) for column in displacement] for u in coords]
-        rows.append([Fraction(1 if w in signs else 0) for w in ws])
+        rows.append([Fraction(1 if w in signs else 0) for w in tau])
         rhs = [zero] * len(coords) + [Fraction(1)]
         if exact.has_nonneg_solution(rows, rhs):
             raise FixedPointNotSimplicialError(
                 "geometric fixed points inside simplex carried by "
-                f"{canonical_tuple(carrier[tau])} are not vertices; "
+                f"{canonical_tuple(rho)} are not vertices; "
                 "subdivide the base complex and restate the map"
             )
 
@@ -279,13 +264,12 @@ def fixed_subcomplex(spec: SelfMapSpec) -> CellularSubset:
     """All base simplices on which the map restricts to the identity.
 
     Raises FixedPointNotSimplicialError when the geometric fixed set is
-    larger than the realization of that subcomplex.
+    larger than the realization of that subcomplex.  Each vertex of
+    sd^level is read once, with its carrier, from spec.subdivision.
     """
-    carrier = spec.carrier()
-    signs = {}  # moved vertex -> signs of its displacement, by coordinate
+    signs = {}  # moved vertex number -> signs of its displacement, by coordinate
     moved = set()  # the base cells that carry a moved vertex
-    for w, image in spec.vertex_map.items():
-        base_cell = carrier[frozenset([w])]
+    for w, (image, base_cell) in enumerate(zip(spec.images, spec.subdivision.carriers)):
         # w's position is positive exactly on base_cell, and at most 1 at image
         if len(base_cell) > 1 or image not in base_cell:
             signs[w] = column = dict.fromkeys(base_cell, 1)

@@ -26,9 +26,9 @@ from .complexes import (
     TupleVertex,
     canonical_tuple,
     cell_sort_key,
+    flag_subdivision,
     read_table,
     require_valid,
-    subdivided_complex,
     subdivision_f_vectors,
     vertex_key,
 )
@@ -238,7 +238,7 @@ def _parse_vertex_map(raw, space, level: int, images, table: dict) -> dict:
                 f"source vertex {shown(name)} in vertex_map is not nested {level} "
                 f"deep, as every vertex of sd^{level} is"
             )
-    sources = frozenset(subdivided_complex(space, level)[0].vertices)
+    sources = frozenset(flag_subdivision(space, level).vertices)
     vm = _read_names(
         raw, "images for vertex", "vertex_map", sources,
         partial(vertex_from_json, table=table), "source vertex",

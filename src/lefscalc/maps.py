@@ -5,23 +5,33 @@ on the original vertices, so a self-map is specified on the n-fold
 barycentric subdivision: a vertex map sd^n(K) -> K whose induced affine map
 realizes the intended geometric map.  All traces downstream are taken of
 the chain endomorphism (map_* o sd^n_*), which a spec builds once and keeps.
+
+A spec reads sd^n from the flag generator, complexes.flag_subdivision:
+the vertex set, each vertex's carrier, and the top cells, on which the
+map is checked.  The endomorphism, the fixed locus and
+preserves_subcomplex read the same.  The tower, subdivided_complex, is
+built only on demand, by source_complex, carrier, as_map and refine, and
+so by euler.pushforward_spec.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 
 from .complexes import (
     CellularSubset,
+    FlagSubdivision,
     SimplicialComplex,
+    _unclosed_at,
     canonical_tuple,
     cell_sort_key,
+    flag_subdivision,
     read_table,
     subdivided_complex,
     vertex_key,
 )
 from .errors import DegenerateInputError, NonSimplicialMapError
-from .exact import parse_integer
 from .records import Value, set_field
 
 
@@ -31,35 +41,51 @@ class SimplicialMap(Value):
     @staticmethod
     def build(source, target, vertex_map) -> "SimplicialMap":
         """A checked map, keyed by the source's own vertex objects."""
-        given = read_table(vertex_map, "images for vertex")
-        missing = [v for v in source.vertices if v not in given]
-        if missing:
-            raise NonSimplicialMapError(f"vertices without images: {missing[:4]}")
-        if len(given) != len(source.vertices):
-            extra = sorted(set(given).difference(source.vertices), key=repr)
-            raise NonSimplicialMapError(f"keys outside source: {extra[:4]}")
-        vm = {v: given[v] for v in source.vertices}
-        targets = set(target.vertices)
-        try:
-            stray = sorted((v for v in vm.values() if v not in targets), key=repr)
-        except TypeError as exc:  # an unhashable image
-            raise NonSimplicialMapError(f"images outside target: {exc}") from None
-        if stray:
-            raise NonSimplicialMapError(f"images outside target: {stray[:4]}")
-        for image in vm.values():
-            vertex_key(image)  # True equals the vertex 1 but is no vertex
-        m = SimplicialMap(source, target, vm)
+        images = _read_images(source.vertices, target, vertex_map)
+        m = SimplicialMap(source, target, dict(zip(source.vertices, images)))
         bad = [s for s in source.simplices if m.image_simplex(s) not in target.simplices]
         if bad:
             s = min(bad, key=cell_sort_key)  # named in cell order
-            raise NonSimplicialMapError(
-                f"simplex {canonical_tuple(s)} maps onto "
-                f"{canonical_tuple(m.image_simplex(s))}, not a simplex of the target"
-            )
+            raise _not_simplicial(s, m.image_simplex(s))
         return m
 
     def image_simplex(self, s) -> frozenset:
         return frozenset(map(self.vertex_map.__getitem__, s))
+
+
+_MISSING = object()  # no image given
+
+
+def _read_images(vertices, target, vertex_map) -> list:
+    """The image of each of `vertices`, a source's vertices in vertex_key
+    order, under the table `vertex_map`: a table that misses one of them or
+    names another vertex is refused, and so is an image that is no vertex of
+    `target`."""
+    given = read_table(vertex_map, "images for vertex")
+    images = [given.get(v, _MISSING) for v in vertices]
+    missing = [v for v, image in zip(vertices, images) if image is _MISSING]
+    if missing:
+        raise NonSimplicialMapError(f"vertices without images: {missing[:4]}")
+    if len(given) != len(vertices):
+        extra = sorted(set(given).difference(vertices), key=repr)
+        raise NonSimplicialMapError(f"keys outside source: {extra[:4]}")
+    targets = set(target.vertices)
+    try:
+        stray = sorted((v for v in images if v not in targets), key=repr)
+    except TypeError as exc:  # an unhashable image
+        raise NonSimplicialMapError(f"images outside target: {exc}") from None
+    if stray:
+        raise NonSimplicialMapError(f"images outside target: {stray[:4]}")
+    for image in images:
+        vertex_key(image)  # True equals the vertex 1 but is no vertex
+    return images
+
+
+def _not_simplicial(s, image) -> NonSimplicialMapError:
+    return NonSimplicialMapError(
+        f"simplex {canonical_tuple(s)} maps onto {canonical_tuple(image)}, "
+        "not a simplex of the target"
+    )
 
 
 def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
@@ -72,24 +98,64 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
     )
 
 
+def _check_top_cells(sub: FlagSubdivision, images: list) -> None:
+    """Refuse a vertex map of sd^level (`images`, by vertex number) that is
+    not simplicial into the base.  Every simplex of sd^level is a face of a
+    top cell over a maximal base simplex, and a face maps onto a face of
+    its cell's image, so the map is simplicial when each top cell maps
+    onto a simplex of the (face-closed) base.  A refusal names the first
+    bad simplex in cell order, as SimplicialMap.build's scan of all of
+    sd^level would; every bad simplex is a face of a bad top cell."""
+    simplices, image = sub.base.simplices, images.__getitem__
+    bad = [
+        cell for rho in sub.maximal for cell in sub.chains[rho][0]
+        if frozenset(map(image, cell)) not in simplices
+    ]
+    if bad:
+        faces = {
+            face for cell in bad for k in range(1, len(cell) + 1)
+            for face in combinations(cell, k)
+            if frozenset(map(image, face)) not in simplices
+        }
+        face = min(faces, key=lambda face: cell_sort_key(sub.simplex(face)))
+        raise _not_simplicial(sub.simplex(face), frozenset(map(image, face)))
+
+
 class SelfMapSpec(Value):
-    """A self-map of |base| written as a vertex map sd^level(base) -> base."""
+    """A self-map of |base| written as a vertex map sd^level(base) -> base,
+    keyed by the vertex objects of flag_subdivision(base, level)."""
 
     _fields = ("base", "level", "vertex_map")
 
     @staticmethod
     def build(base, level, vertex_map) -> "SelfMapSpec":
         """A spec whose map is checked once, here, and keyed by the vertex
-        objects of sd^level(base)."""
-        level = parse_integer(level, "subdivision level", least=0)
-        m = SimplicialMap.build(subdivided_complex(base, level)[0], base, vertex_map)
-        spec = SelfMapSpec(base, level, m.vertex_map)
-        set_field(spec, "_map", m)  # fills the cached property
+        objects of flag_subdivision(base, level)."""
+        sub = flag_subdivision(base, level)
+        ordered = list(map(sub.vertices.__getitem__, sub.order))
+        images = _read_images(ordered, base, vertex_map)
+        by_number = [None] * len(ordered)
+        for n, image in zip(sub.order, images):
+            by_number[n] = image
+        _check_top_cells(sub, by_number)
+        spec = SelfMapSpec(base, sub.level, dict(zip(ordered, images)))
+        set_field(spec, "subdivision", sub)  # fills the cached properties
+        set_field(spec, "images", by_number)
         return spec
 
     @staticmethod
     def identity(base) -> "SelfMapSpec":
         return SelfMapSpec.build(base, 0, {v: v for v in base.vertices})
+
+    @cached_property
+    def subdivision(self) -> FlagSubdivision:
+        return flag_subdivision(self.base, self.level)
+
+    @cached_property
+    def images(self) -> list:
+        """The image of each vertex of sd^level, by its number in
+        `subdivision`."""
+        return list(map(self.vertex_map.__getitem__, self.subdivision.vertices))
 
     def source_complex(self) -> SimplicialComplex:
         return subdivided_complex(self.base, self.level)[0]
@@ -99,9 +165,13 @@ class SelfMapSpec(Value):
 
     @cached_property
     def _map(self) -> SimplicialMap:
-        return SimplicialMap.build(
-            self.source_complex(), self.base, self.vertex_map
-        )
+        """The map on the tower, keyed by the tower's own vertex objects,
+        which are the generated ones in the same vertex_key order.  The
+        spec checked the map when it was built, so it is not checked
+        again."""
+        source = self.source_complex()
+        images = map(self.images.__getitem__, self.subdivision.order)
+        return SimplicialMap(source, self.base, dict(zip(source.vertices, images)))
 
     def as_map(self) -> SimplicialMap:
         return self._map
@@ -125,13 +195,23 @@ class SelfMapSpec(Value):
     def preserves_subcomplex(self, cells) -> bool:
         """True when every subdivision simplex carried by `cells`, a family
         of the base's cells, maps into `cells`; this is the geometric
-        invariance g(|L|) <= |L|."""
+        invariance g(|L|) <= |L|.
+
+        The simplices carried by a base cell rho are the faces of the cells
+        of its fundamental chain that no proper face of rho holds.  When
+        `cells` is face-closed, the chain's cells alone decide: each face of
+        one maps into its image, and `cells` holds the faces of that."""
         cells = CellularSubset.of(self.base, cells).members
-        m = self.as_map()
-        carrier = self.carrier()
-        for tau, sigma in carrier.items():
-            if sigma in cells and m.image_simplex(tau) not in cells:
-                return False
+        sub, image = self.subdivision, self.images.__getitem__
+        closed = _unclosed_at(cells) is None
+        for rho in cells:
+            for cell in sub.chains[rho][0]:
+                carried = [cell] if closed else [
+                    face for k in range(1, len(cell) + 1)
+                    for face in combinations(cell, k) if sub.carrier(face) == rho
+                ]
+                if any(frozenset(map(image, face)) not in cells for face in carried):
+                    return False
         return True
 
 
@@ -143,14 +223,14 @@ def refine(spec: SelfMapSpec) -> SelfMapSpec:
     vertex map would need images that are not vertices.  Keys and images
     are the vertex objects of the refined source and base.
     """
-    source = spec.source_complex()
+    m = spec.as_map()
     refined_base = subdivided_complex(spec.base, 1)[0]
     refined = subdivided_complex(refined_base, spec.level)[0]
     sources = {v: v for v in refined.vertices}
     targets = {v: v for v in refined_base.vertices}
     new_map = {}
-    for tau in source.simplices:
-        images = {spec.vertex_map[v] for v in tau}
+    for tau in m.source.simplices:
+        images = m.image_simplex(tau)
         if len(images) != len(tau):
             raise DegenerateInputError(
                 "refinement needs a map that is injective on every "

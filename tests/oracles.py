@@ -79,6 +79,7 @@ from lefscalc.exact import (
     GaussianRational,
     RationalMatrix,
     RationalPolynomial,
+    _sign_presolve,
     count_real_roots_gt,
     has_nonneg_solution,
     signed_sum,
@@ -828,6 +829,62 @@ def fixed_point_refusal_by_fraction_lp(spec):
                 "subdivide the base complex and restate the map"
             )
     return None
+
+
+def preserves_by_tower_scan(spec, cells: frozenset) -> bool:
+    """Whether every simplex of sd^level(base) that `cells` carries maps
+    into `cells`, read off the tower's carrier map."""
+    m = spec.as_map()
+    return all(
+        m.image_simplex(tau) in cells
+        for tau, sigma in spec.carrier().items() if sigma in cells
+    )
+
+
+def fixed_subcomplex_by_tower(spec):
+    """fixed_subcomplex's members, or its refusal text, from the tower: each
+    vertex's carrier and the top simplices are read from spec.carrier(), a
+    top simplex being one with as many vertices as its carrier, a maximal
+    base simplex.  The sign presolve settles a top simplex first, and the
+    ones it leaves open are solved exactly in cell order."""
+    carrier = spec.carrier()
+    signs, moved = {}, set()  # moved vertex -> displacement signs; their carriers
+    for w in spec.source_complex().vertices:
+        base_cell, image = carrier[frozenset([w])], spec.vertex_map[w]
+        if len(base_cell) > 1 or image not in base_cell:
+            signs[w] = column = dict.fromkeys(base_cell, 1)
+            column[image] = -1
+            moved.add(base_cell)
+    maximal = top_simplices_by_facet_scan(spec.base)
+    undecided = [
+        tau for tau, sigma in carrier.items()
+        if len(tau) == len(sigma) and sigma in maximal
+        and any(w in signs for w in tau)
+        and _sign_presolve([signs[w] for w in tau if w in signs], {})
+    ]
+    positions = sd_positions(spec.base)
+    zero = Fraction(0)
+    for tau in sorted(undecided, key=cell_sort_key):
+        ws = canonical_tuple(tau)
+        displacement = []
+        for w in ws:
+            column = dict(positions[w])
+            column[spec.vertex_map[w]] = column.get(spec.vertex_map[w], zero) - 1
+            displacement.append(column)
+        coords = sorted(set().union(*displacement), key=vertex_key)
+        rows = [[column.get(u, zero) for column in displacement] for u in coords]
+        rows.append([Fraction(1 if w in signs else 0) for w in ws])
+        if has_nonneg_solution(rows, [zero] * len(coords) + [Fraction(1)]):
+            return (
+                "geometric fixed points inside simplex carried by "
+                f"{canonical_tuple(carrier[tau])} are not vertices; "
+                "subdivide the base complex and restate the map"
+            )
+    members = set()
+    for sigma in sorted(spec.base.simplices, key=len):
+        if sigma not in moved and all(sigma - {v} in members for v in sigma if len(sigma) > 1):
+            members.add(sigma)
+    return frozenset(members)
 
 
 # ---------------------------------------------------------------------------

@@ -673,6 +673,14 @@ NAMED_PROBES = {
         "functional undefined on vertices ['v0']",
     ),
     "CellSpace.build([5])": (lambda: lc.CellSpace.build([5]), "not a cell: 5"),
+    # no space at all, which once read as a cell space
+    "subdivided_complex(None, 0)": (
+        lambda: lc.subdivided_complex(None, 0),
+        "subdivided_complex needs a simplicial complex; got NoneType",
+    ),
+    "star(5, 'a')": (
+        lambda: lc.star(5, "a"), "star needs a simplicial complex; got int"
+    ),
 }
 
 
@@ -702,6 +710,15 @@ CELL_SPACE_PROBES = {
 }
 
 
+@pytest.mark.parametrize("call", ["subdivided_complex(None, 0)", "star(5, 'a')"])
+def test_a_value_that_is_no_space_is_refused_as_degenerate_input(call):
+    attempt, _ = NAMED_PROBES[call]
+    with pytest.raises(LefscalcError) as caught:
+        attempt()
+    assert type(caught.value) is DegenerateInputError
+    assert caught.value.exit_code == 2
+
+
 @pytest.mark.parametrize("call", sorted(CELL_SPACE_PROBES))
 def test_a_cell_space_is_refused_by_the_subdivision_tower(call):
     attempt, operation = CELL_SPACE_PROBES[call]
@@ -710,6 +727,7 @@ def test_a_cell_space_is_refused_by_the_subdivision_tower(call):
     assert str(caught.value) == (
         f"{operation} needs simplicial incidence data; got a cell space"
     )
+    assert caught.value.exit_code == 2
 
 
 def test_an_unhashable_image_is_no_vertex_of_the_target():

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
@@ -972,3 +972,52 @@ def test_the_rank_test_scales_each_simplex_by_its_own_denominators(monkeypatch):
     monkeypatch.setattr(complexes, "_full_row_rank", recording)
     assert validate(_unvalidated_copy(space)) == oracles.validate_all_simplices(space)
     assert widths and max(widths) < 100
+
+
+# ---------------------------------------------------------------------------
+# the checks that stand in for validating a generated sd^k
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("name", ["collinear triangle", "coincident vertices"])
+def test_the_generator_refuses_a_degenerate_base_at_every_level(name, level):
+    from lefscalc.maps import SelfMapSpec
+
+    base = CRAFTED[name]()
+    refusal = "affinely-dependent: simplex"
+    with pytest.raises(InvalidComplexError, match=refusal):
+        complexes.flag_subdivision(base, level)
+    with pytest.raises(InvalidComplexError, match=refusal):
+        SelfMapSpec.build(base, level, {})
+    if level:
+        with pytest.raises(InvalidComplexError, match=refusal):
+            subdivided_complex(base, level)
+
+
+# (dimension, faces as position tuples, flags as lists of face numbers)
+FLAG_TABLE_DEFECTS = {
+    "a face repeats a position": (1, [(0,), (0, 1, 1)], [[0, 1]]),
+    "a face names a position past the simplex": (1, [(0,), (0, 2)], [[0, 1]]),
+    "a face is empty": (1, [(), (0, 1)], [[0, 1]]),
+    "a flag names one face twice": (1, [(0,), (0, 1)], [[0, 0]]),
+    "a flag stops short": (2, [(0,), (0, 1), (0, 1, 2)], [[0, 1]]),
+    "a flag's faces are not nested": (2, [(0,), (1, 2), (0, 1, 2)], [[0, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FLAG_TABLE_DEFECTS))
+def test_the_flag_check_refuses_each_defect(defect):
+    d, faces, flags = FLAG_TABLE_DEFECTS[defect]
+    with pytest.raises(InvalidComplexError, match=f"flag table of dimension {d}: "):
+        complexes._check_flags(d, faces, flags)
+
+
+def test_each_flag_table_lists_every_full_flag_once():
+    for d in range(5):
+        faces, picks, same, flipped = complexes._flag_table(d)
+        assert len(faces) == 2 ** (d + 1) - 1
+        corners = tuple(range(d + 1))
+        flags = {pick([face(corners) for face in faces]) for pick in picks}
+        assert len(flags) == len(picks) == len(same) == factorial(d + 1)
+        assert all(len(flag) == d + 1 for flag in flags)
+        assert flipped == tuple(-s for s in same) and sum(same) == (d == 0)

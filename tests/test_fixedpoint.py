@@ -111,11 +111,19 @@ def assert_fixed_subcomplex_matches_oracles(spec) -> bool:
     ids=["interval", "hexagon", "disk", "sphere2", "mixed"],
 )
 def test_carrier_rule_picks_the_top_simplices_of_the_facet_scan(base):
+    """The generated top cells are the cells over the maximal base
+    simplices: a simplex of sd^k is maximal exactly when it has as many
+    vertices as its carrier and the carrier is maximal in the base."""
     for level in range(4):
         sd, carrier = subdivided_complex(base, level)
-        tops = fixedpoint._top_simplices(base, carrier)
+        sub = complexes.flag_subdivision(base, level)
+        tops = [sub.simplex(cell) for cell, _ in sub.top_cells()]
         assert len(tops) == len(set(tops))
         assert set(tops) == oracles.top_simplices_by_facet_scan(sd)
+        assert set(tops) == {
+            tau for tau, sigma in carrier.items()
+            if len(tau) == len(sigma) and sigma in sub.maximal
+        }
 
 
 def test_fixed_subcomplex_matches_scan_oracle():
@@ -217,11 +225,11 @@ def assert_presolves_agree_on_top_simplices(spec) -> int:
     the system that has_nonneg_solution gets, with fixed vertices as zero
     columns.  The signs are those of the exact displacements.  Returns how
     many simplices the presolve leaves open."""
-    carrier = spec.carrier()
+    sub = spec.subdivision
     positions = sd_positions(spec.base)
     undecided = 0
-    for tau in fixedpoint._top_simplices(spec.base, carrier):
-        ws = canonical_tuple(tau)
+    for cell, _ in sub.top_cells():
+        ws = tuple(map(sub.vertices.__getitem__, cell))
         displacement = []  # signs of position minus image, by coordinate
         for w in ws:
             column = dict(positions[w])

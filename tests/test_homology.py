@@ -11,17 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lefscalc import complexes, homology
+from lefscalc import complexes, homology, maps
 from lefscalc import fixtures as fx
 from lefscalc.complexes import (
     SimplicialComplex,
     barycentric_subdivide,
     canonical_tuple,
     sd_positions,
+    vertex_key,
 )
-from lefscalc.errors import DegenerateInputError, NonSimplicialMapError
-from lefscalc.euler import ConstructibleFunction, euler_integral, pushforward_spec
+from lefscalc.errors import (
+    DegenerateInputError,
+    FixedPointNotSimplicialError,
+    NonSimplicialMapError,
+)
+from lefscalc.euler import ConstructibleFunction, chi_c, euler_integral, pushforward_spec
 from lefscalc.exact import GaussianRational, RationalMatrix
+from lefscalc.fixedpoint import fixed_components, fixed_subcomplex
 from lefscalc.homology import (
     ChainMapQ,
     SparseMatrix,
@@ -161,7 +167,7 @@ def test_refine_names_vertices_by_the_refined_complexes_own_objects(make):
     spec = make()
     finer = refine(spec)
     assert finer.base is subdivided_complex(spec.base, 1)[0]
-    source = finer.source_complex()
+    source = complexes.flag_subdivision(finer.base, finer.level)
     sources = {id(v) for v in source.vertices}
     targets = {id(v) for v in finer.base.vertices}
     assert len(finer.vertex_map) == len(source.vertices)
@@ -188,12 +194,16 @@ def test_a_non_simplicial_map_is_named_by_its_first_bad_simplex():
         SimplicialMap.build(hexagon, hexagon, vm)
 
 
-def test_a_spec_is_keyed_by_the_towers_own_vertex_objects():
+def test_a_spec_is_keyed_by_the_generators_own_vertex_objects():
     spec = fx.doubling_spec()
-    sources = {id(v) for v in spec.source_complex().vertices}
+    sources = {id(v) for v in spec.subdivision.vertices}
     assert len(spec.vertex_map) == len(sources) == 12
     assert all(id(v) in sources for v in spec.vertex_map)
-    assert spec.as_map().vertex_map is spec.vertex_map
+    assert [spec.vertex_map[v] for v in spec.subdivision.vertices] == spec.images
+    # the tower's map is keyed by the tower's own objects, with equal images
+    towers = spec.as_map().vertex_map
+    assert {id(v) for v in towers} == {id(v) for v in spec.source_complex().vertices}
+    assert towers == spec.vertex_map
 
 
 def test_trace_commutes_under_composition():
@@ -409,19 +419,56 @@ FIXTURE_COMPLEXES = (
 )
 
 
+def _fundamental_chain(base, level):
+    """(vertices, sign, rho) for every cell of the generated fundamental
+    chain of sd^level(rho), over every base simplex rho."""
+    sub = complexes.flag_subdivision(base, level)
+    for rho, (cells, signs) in sub.chains.items():
+        for cell, sign in zip(cells, signs):
+            yield tuple(map(sub.vertices.__getitem__, cell)), sign, rho
+
+
+def _carrier_choice(sub, rng) -> dict:
+    """A vertex map of sd^level that sends each vertex to a seeded vertex
+    of its carrier, drawn in vertex_key order."""
+    return {
+        sub.vertices[n]: rng.choice(canonical_tuple(sub.carriers[n])) for n in sub.order
+    }
+
+
 def _assert_fundamental_chain_matches_tower(base, level):
     """Every cell the generator yields is a simplex of sd^level carried by
     the base simplex it names, with its vertices in canonical order, and
-    the signs are those of the tower walk."""
+    the signs are those of the tower walk.  The generator's vertices (one
+    object each, in vertex_key order by `order`), their carriers, its top
+    cells and the fixed_subcomplex verdict
+    on a seeded carrier map are the tower's."""
     finer, carrier = subdivided_complex(base, level)
     signs = {}
-    for vertices, sign, rho in homology._fundamental_chain(base, level):
+    for vertices, sign, rho in _fundamental_chain(base, level):
         cell = frozenset(vertices)
         assert vertices == canonical_tuple(cell)
         assert cell in finer.simplices
         assert carrier[cell] == rho
         signs[cell] = sign
     assert signs == oracles.subdivision_signs_by_tower(base, level)
+    sub = complexes.flag_subdivision(base, level)
+    ordered = [sub.vertices[n] for n in sub.order]
+    assert ordered == list(finer.vertices)
+    assert [vertex_key(v) for v in ordered] == [vertex_key(v) for v in finer.vertices]
+    assert sorted(sub.order) == list(range(len(sub.vertices)))
+    for v, base_cell in zip(sub.vertices, sub.carriers):
+        assert base_cell == carrier[frozenset([v])]
+    tops = [(sub.simplex(cell), rho) for cell, rho in sub.top_cells()]
+    assert len(tops) == len(set(tops))
+    assert {tau for tau, _ in tops} == oracles.top_simplices_by_facet_scan(finer)
+    assert all(carrier[tau] == rho for tau, rho in tops)
+    spec = SelfMapSpec.build(base, level, _carrier_choice(sub, random.Random(level)))
+    try:
+        verdict = fixed_subcomplex(spec).members
+    except FixedPointNotSimplicialError as refusal:
+        verdict = str(refusal)
+    assert verdict == oracles.fixed_subcomplex_by_tower(spec)
 
 
 @pytest.mark.parametrize("level", range(4))
@@ -448,6 +495,180 @@ def test_fundamental_chain_orders_int_and_tuple_vertices(maximal):
     base = SimplicialComplex.from_maximal(maximal)
     for level in range(3):
         _assert_fundamental_chain_matches_tower(base, level)
+
+
+# ---------------------------------------------------------------------------
+# the map check on generated top cells, and an op path with no tower
+
+
+def test_the_map_check_on_top_cells_refuses_as_the_scan_of_the_tower():
+    rng = random.Random(37)
+    refused = kept = 0
+    for _ in range(150):
+        base = random_complex(rng, max_vertices=6, max_dim=2, max_simplices=25)
+        level = rng.choice((1, 2))
+        sub = complexes.flag_subdivision(base, level)
+        vm = _carrier_choice(sub, rng)
+        for w in rng.sample(sorted(vm, key=vertex_key), min(4, len(vm))):
+            vm[w] = rng.choice(base.vertices)
+        try:
+            SimplicialMap.build(subdivided_complex(base, level)[0], base, vm)
+        except NonSimplicialMapError as scan:
+            with pytest.raises(NonSimplicialMapError) as caught:
+                SelfMapSpec.build(base, level, vm)
+            assert str(caught.value) == str(scan)
+            refused += 1
+        else:
+            assert SelfMapSpec.build(base, level, vm).vertex_map == vm
+            kept += 1
+    assert refused >= 30 and kept >= 80
+
+
+@pytest.mark.parametrize("make", [fx.hexagon, fx.disk], ids=["hexagon", "disk"])
+def test_the_map_check_reads_the_top_cells_of_every_maximal_simplex(make):
+    """For each maximal simplex rho, a map that breaks only cells over rho
+    (the barycentre of rho sent off, the rest to the least vertex of their
+    carrier) is refused, with the text of the tower's scan."""
+    base = make()
+    rank = base._vertex_index
+    sub = complexes.flag_subdivision(base, 1)
+    sd = subdivided_complex(base, 1)[0]
+    least = {
+        sub.vertices[n]: min(c, key=rank.__getitem__)
+        for n, c in enumerate(sub.carriers)
+    }
+    for rho in sub.maximal:
+        (centre,) = [v for v, c in zip(sub.vertices, sub.carriers) if c == rho]
+        texts = []
+        for x in base.vertices:
+            try:
+                SimplicialMap.build(sd, base, {**least, centre: x})
+            except NonSimplicialMapError as scan:
+                texts.append((x, str(scan)))
+        assert texts, f"no map breaks only the cells over {canonical_tuple(rho)}"
+        for x, text in texts:
+            with pytest.raises(NonSimplicialMapError) as caught:
+                SelfMapSpec.build(base, 1, {**least, centre: x})
+            assert str(caught.value) == text
+
+
+def test_invariance_reads_the_generated_cells_as_the_tower_scan_does():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(100):
+        base = random_complex(rng, max_vertices=6, max_dim=2, max_simplices=25)
+        g = random_self_map(rng, base).vertex_map
+        level = rng.randrange(3)
+        sub = complexes.flag_subdivision(base, level)
+        spec = SelfMapSpec.build(
+            base, level, {w: g[u] for w, u in _carrier_choice(sub, rng).items()}
+        )
+        simplices = sorted(base.simplices, key=complexes.cell_sort_key)
+        for closed in (False, True):
+            cells = frozenset(rng.sample(simplices, rng.randint(1, len(simplices))))
+            if closed:
+                cells = frozenset(complexes._faces(cells))
+            verdict = spec.preserves_subcomplex(cells)
+            assert verdict == oracles.preserves_by_tower_scan(spec, cells)
+            verdicts.add((closed, verdict))
+    assert len(verdicts) == 4
+
+
+@pytest.fixture
+def no_tower(monkeypatch):
+    """Every subdivision step raises, and no step is cached."""
+    def refuse(space):
+        raise AssertionError("the subdivision tower was built")
+
+    subdivided_complex.cache_clear()
+    monkeypatch.setattr(complexes, "barycentric_subdivide", refuse)
+    yield
+    subdivided_complex.cache_clear()
+
+
+def _generated_map(base, level, choose) -> SelfMapSpec:
+    """The spec that sends each vertex of sd^level to choose(its carrier),
+    read from the flag generator."""
+    sub = complexes.flag_subdivision(base, level)
+    return SelfMapSpec.build(
+        base, level, {sub.vertices[n]: choose(sub.carriers[n]) for n in sub.order}
+    )
+
+
+def test_traces_and_localization_build_no_tower(no_tower):
+    from lefscalc.fixedpoint import localization_report
+
+    rng = random.Random(37)
+    choose = lambda carrier: rng.choice(canonical_tuple(carrier))  # noqa: E731
+    sphere = _generated_map(fx.sphere2(), 2, choose)
+    assert lefschetz_number(sphere) == hopf_trace(sphere) == 2
+    assert homology_traces(sphere) == [1, 0, 1]
+    disk = _generated_map(fx.disk(), 1, choose)
+    assert relative_lefschetz_number(disk, fx.disk_boundary_cells()) == 1
+    report = localization_report(fx.doubling_problem())
+    assert report["equal"] and report["global_trace"] == GaussianRational.of(-1)
+
+
+def test_a_min_vertex_map_of_sd4_of_the_sphere_builds_no_tower(no_tower):
+    """The at-scale rung at level 4: each vertex of sd^4(S^2) goes to the
+    least vertex of its carrier, so the fixed points are the base
+    vertices."""
+    sphere = fx.sphere2()
+    rank = sphere._vertex_index
+    spec = _generated_map(sphere, 4, lambda carrier: min(carrier, key=rank.__getitem__))
+    assert lefschetz_number(spec) == hopf_trace(spec) == 2
+    assert fixed_subcomplex(spec).members == {frozenset([v]) for v in sphere.vertices}
+
+
+def _mixed_reversed_names(space) -> dict:
+    """A renaming of the vertices of `space` onto ints, then strings, then
+    tuples, that reverses their vertex_key order."""
+    ordered = sorted(space.vertices, key=vertex_key)
+    n = len(ordered)
+    names = [  # in increasing vertex_key order
+        (j, f"s{j:02d}", ("t", j))[3 * j // n] for j in range(n)
+    ]
+    return {v: names[n - 1 - i] for i, v in enumerate(ordered)}
+
+
+def _renamed_vertex(w, level: int, names: dict):
+    """A vertex of sd^level under a renaming of the base vertices: each
+    barycentre's parts renamed and put back in canonical order."""
+    if level == 0:
+        return names[w]
+    return canonical_tuple(_renamed_vertex(part, level - 1, names) for part in w)
+
+
+def _fixed_component_chis(spec):
+    """The sorted chi_c of the fixed components, or None on a refusal."""
+    try:
+        return sorted(chi_c(c) for c in fixed_components(spec))
+    except FixedPointNotSimplicialError:
+        return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_traces_and_fixed_loci_commute_with_an_order_reversing_renaming(seed):
+    rng = random.Random(seed)
+    space = random_complex(rng, max_vertices=6, max_dim=2, max_simplices=25)
+    g = random_self_map(rng, space).vertex_map
+    level = rng.choice((1, 2))
+    sub = complexes.flag_subdivision(space, level)
+    spec = SelfMapSpec.build(space, level, {
+        w: g[u] for w, u in _carrier_choice(sub, rng).items()
+    })
+    names = _mixed_reversed_names(space)
+    renamed = SelfMapSpec.build(
+        SimplicialComplex.from_maximal(
+            [tuple(names[v] for v in s) for s in space.simplices]
+        ),
+        level,
+        {_renamed_vertex(w, level, names): names[u] for w, u in spec.vertex_map.items()},
+    )
+    assert homology_traces(renamed) == homology_traces(spec)
+    assert hopf_trace(renamed) == hopf_trace(spec)
+    assert _fixed_component_chis(renamed) == _fixed_component_chis(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +720,26 @@ def test_a_level_two_trace_builds_chains_of_the_base_only(monkeypatch):
 
 
 def test_a_self_map_is_validated_once(monkeypatch):
-    sources = []
-    build = SimplicialMap.build
+    checked, scans = [], []
+    check, build = maps._check_top_cells, SimplicialMap.build
 
-    def counting(*args):
-        sources.append(args[0])
+    def counting(sub, images):
+        checked.append(sub)
+        return check(sub, images)
+
+    def scanning(*args):
+        scans.append(args[0])
         return build(*args)
 
-    monkeypatch.setattr(SimplicialMap, "build", staticmethod(counting))
+    monkeypatch.setattr(maps, "_check_top_cells", counting)
+    monkeypatch.setattr(SimplicialMap, "build", staticmethod(scanning))
     spec = _level2_sphere_map()
     assert lefschetz_number(spec) == hopf_trace(spec) == 2
     assert homology_traces(spec) == [1, 0, 1]
     assert spec.preserves_subcomplex(frozenset(spec.base.simplices))
     pushed = pushforward_spec(spec, ConstructibleFunction.indicator(spec.base))
     assert euler_integral(pushed) == GaussianRational.of(2)
-    assert len(sources) == 1 and sources[0] is spec.source_complex()
+    assert checked == [spec.subdivision] and scans == []
 
 
 # ---------------------------------------------------------------------------
