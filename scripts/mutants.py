@@ -112,6 +112,38 @@ MUTANTS = (
         "reads_its_fields_when_it_is_built",
     ),
     Mutant(
+        "the spec constructor skips the map check",
+        "src/lefscalc/maps.py",
+        "        _check_top_cells(sub, by_number)\n",
+        "",
+        "tests/test_api_fuzz.py",
+        "raw_constructor",
+    ),
+    Mutant(
+        "the normal data constructor skips the square check",
+        "src/lefscalc/fixedpoint.py",
+        "            if not matrix.is_square():",
+        "            if False:",
+        "tests/test_api_fuzz.py",
+        "raw_constructor",
+    ),
+    Mutant(
+        "require_spec returns its argument unchecked",
+        "src/lefscalc/maps.py",
+        "    if isinstance(spec, SelfMapSpec):",
+        "    if True:",
+        "tests/test_api_fuzz.py",
+        "no_spec_or_problem",
+    ),
+    Mutant(
+        "require_problem returns its argument unchecked",
+        "src/lefscalc/fixedpoint.py",
+        "    if isinstance(p, TracedProblem):",
+        "    if True:",
+        "tests/test_api_fuzz.py",
+        "no_spec_or_problem",
+    ),
+    Mutant(
         "the JSON reader keeps the last of a repeated key",
         "src/lefscalc/reports.py",
         "json.loads(text, object_pairs_hook=_unique_keys)",

@@ -257,6 +257,12 @@ class SimplicialComplex(Value):
         return self.coords[self.vertex_index(v)]
 
     @cached_property
+    def maximal(self) -> frozenset:
+        """The simplices that are no codim-1 face of another."""
+        facets = {s - {v} for s in self.simplices if len(s) > 1 for v in s}
+        return self.simplices - facets
+
+    @cached_property
     def violations(self) -> tuple:
         """validate(self), run once per complex."""
         return tuple(validate(self))
@@ -408,22 +414,17 @@ def validate(space) -> list:
     violations, and only the simplices that have one are sorted into cell
     order at the end, so a valid complex is never sorted.  Every face of an
     affinely independent simplex is independent, so the rank test runs on
-    the maximal simplices (those that are no codim-1 face of another) and
-    on every simplex only when one of them fails or a vertex is unlisted;
-    the violation list is the same either way.
+    space.maximal and on every simplex only when one of them fails or a
+    vertex is unlisted; the violation list is the same either way.
     """
     if isinstance(space, CellSpace):
         return []  # construction already enforced the cell-space invariants
     simplices = space.simplices
     vset = set(space.vertices)
     flagged = {}  # simplex -> its violations
-    covered = set()  # codim-1 faces of listed simplices, for the rank test
-    ranked = space.coords is not None
     stray_seen = False
     for s in simplices:
         faces = [s - {v} for v in s] if len(s) > 1 else ()
-        if ranked:
-            covered.update(faces)
         stray = not vset.issuperset(s)
         if stray or not simplices.issuperset(faces) or not s:
             stray_seen |= stray
@@ -449,7 +450,7 @@ def validate(space) -> list:
                 out.append(
                     Violation("ragged-coordinates", f"mixed lengths {sorted(lengths)}")
                 )
-            elif stray_seen or any(_degenerate(space, simplices - covered, vset)):
+            elif stray_seen or any(_degenerate(space, space.maximal, vset)):
                 flat = sorted(_degenerate(space, simplices, vset), key=cell_sort_key)
                 out.extend(
                     Violation(
@@ -895,10 +896,9 @@ def _flag_subdivision(base: SimplicialComplex, level: int) -> FlagSubdivision:
             carriers = [own[frozenset(map(vertices.__getitem__, p))] for p in parts]
         new = tuple.__new__  # the parts are vertices, so no key is read yet
         vertices = [new(TupleVertex, map(vertices.__getitem__, p)) for p in parts]
-    facets = {s - {v} for s in base.simplices if len(s) > 1 for v in s}
     return FlagSubdivision(
         base, level, tuple(vertices), tuple(carriers), tuple(order), chains,
-        base.simplices - facets,
+        base.maximal,
     )
 
 

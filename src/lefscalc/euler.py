@@ -26,7 +26,7 @@ from .complexes import (
 )
 from .errors import DegenerateInputError, shown
 from .exact import GZERO, GaussianRational, signed_sum, signed_sums
-from .maps import SelfMapSpec, SimplicialMap
+from .maps import SelfMapSpec, SimplicialMap, require_spec
 from .records import Record, set_field
 
 
@@ -175,6 +175,7 @@ def transport_to_subdivision(
 def pushforward_spec(spec: SelfMapSpec, phi: ConstructibleFunction):
     """Pushforward along a subdivided self-map: transport to the source
     subdivision by carrier, then push along the vertex map."""
+    spec = require_spec(spec, "pushforward_spec")
     if phi.parent != spec.base:
         raise DegenerateInputError("function does not live on the base complex")
     finer = spec.source_complex()

@@ -57,7 +57,7 @@ from .exact import (
     signed_sum,
 )
 from .homology import lefschetz_number, project_endomorphism
-from .maps import SelfMapSpec
+from .maps import SelfMapSpec, require_spec
 from .records import Record, Value, set_field
 
 
@@ -68,13 +68,9 @@ class NormalData(Value):
 
     __slots__ = _fields = ("matrices",)
 
-    @staticmethod
-    def of(entries) -> "NormalData":
-        """Normal data from a table of (component index, matrix) pairs, or
-        a NormalData, returned as it is."""
-        if isinstance(entries, NormalData):
-            return entries
-        table = read_table(entries, "normal matrices for component", _component_index)
+    def __init__(self, matrices):
+        """Normal data from a table of (component index, matrix) pairs."""
+        table = read_table(matrices, "normal matrices for component", _component_index)
         for idx, matrix in table.items():
             if not isinstance(matrix, RationalMatrix):
                 table[idx] = matrix = RationalMatrix.of(matrix)
@@ -82,7 +78,12 @@ class NormalData(Value):
                 raise DegenerateInputError(
                     f"normal matrix for component {idx} is not square"
                 )
-        return NormalData(tuple(sorted(table.items())))
+        set_field(self, "matrices", tuple(sorted(table.items())))
+
+    @staticmethod
+    def of(entries) -> "NormalData":
+        """`entries` if it is a NormalData, else NormalData(entries)."""
+        return entries if isinstance(entries, NormalData) else NormalData(entries)
 
     def matrix_for(self, index: int) -> RationalMatrix | None:
         for idx, matrix in self.matrices:
@@ -118,6 +119,8 @@ class TracedProblem(Record):
     field is read once, when the problem is built, by the reader of its
     kind; what needs the fixed locus is refused on first use.
 
+    spec: the self-map, a SelfMapSpec (maps.require_spec refuses anything
+        else);
     support: locally closed union of cells carrying the constant sheaf, in
         any form CellularSubset.of reads (None means the whole base), kept
         as a CellularSubset;
@@ -147,6 +150,7 @@ class TracedProblem(Record):
         complex_model: bool = False,
         non_characteristic: bool = False,
     ):
+        spec = require_spec(spec, "TracedProblem")
         base = spec.base
         if support is not None:
             support = CellularSubset.of(base, support)
@@ -203,6 +207,17 @@ class TracedProblem(Record):
             sign = (at_one > 0) - (at_one < 0)
             self._components[index] = FixedComponent(comps[index], matrix, chi, sign)
         return self._components[index]
+
+
+def require_problem(p, operation: str) -> TracedProblem:
+    """`p` if it is a traced problem; anything else is refused.  Every
+    problem read its fields when it was built, so its type is the whole
+    test."""
+    if isinstance(p, TracedProblem):
+        return p
+    raise DegenerateInputError(
+        f"{operation} needs a traced problem; got {type(p).__name__}"
+    )
 
 
 def _no_component(what: str, count: int) -> DegenerateInputError:
@@ -267,6 +282,7 @@ def fixed_subcomplex(spec: SelfMapSpec) -> CellularSubset:
     larger than the realization of that subcomplex.  Each vertex of
     sd^level is read once, with its carrier, from spec.subdivision.
     """
+    spec = require_spec(spec, "fixed_subcomplex")
     signs = {}  # moved vertex number -> signs of its displacement, by coordinate
     moved = set()  # the base cells that carry a moved vertex
     for w, (image, base_cell) in enumerate(zip(spec.images, spec.subdivision.carriers)):
@@ -288,7 +304,7 @@ def fixed_subcomplex(spec: SelfMapSpec) -> CellularSubset:
 
 
 def fixed_components(spec: SelfMapSpec) -> tuple:
-    return connected_components(fixed_subcomplex(spec))
+    return connected_components(fixed_subcomplex(require_spec(spec, "fixed_components")))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +317,7 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
     Constant-sheaf model: the indicator of support /\\ fixed subcomplex.
     Explicit traces override individual cells.
     """
-    fixed = p.fixed_locus[0]
+    fixed = require_problem(p, "local_trace_function").fixed_locus[0]
     cells = fixed.members
     if p.support is not None:
         cells &= p.support.members
@@ -320,7 +336,7 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
 
 def component_sign(p: TracedProblem, index: int) -> FixedComponent:
     """The component, if its signed term is defined: det(I - A) != 0."""
-    comp = p.component(index)
+    comp = require_problem(p, "component_sign").component(index)
     if comp.sign == 0:
         raise NotHyperbolicError(
             f"det(I - A) = 0 on component {index}; the signed term is undefined"
@@ -340,7 +356,7 @@ def local_contribution(p: TracedProblem, index: int) -> GaussianRational:
     Equals that component's contribution to the global trace when the
     normal spectrum avoids [1, oo) or the problem is complex-analytic.
     """
-    comp = p.component(index)
+    comp = require_problem(p, "local_contribution").component(index)
     if comp.sign == 0:
         raise NotLocalizableError(
             f"1 is an eigenvalue of the normal matrix on component {index}"
@@ -356,6 +372,7 @@ def signed_local_contribution(p: TracedProblem, index: int) -> GaussianRational:
 def hyperbolicity_report(p: TracedProblem) -> list:
     """Per component: is 1 an eigenvalue, does the real spectrum meet
     [1, oo), and the sign of det(I - A)."""
+    p = require_problem(p, "hyperbolicity_report")
     comps = [p.component(index) for index in range(len(p.fixed_locus[1]))]
     return [
         {
@@ -400,6 +417,7 @@ def _global_trace(p: TracedProblem) -> Fraction:
 
 def localization_report(p: TracedProblem) -> dict:
     """Global homological trace versus the sum of signed local terms."""
+    p = require_problem(p, "localization_report")
     p.local_trace  # its refusals come first, with or without fixed components
     per_component = []
     terms = []

@@ -38,7 +38,7 @@ from .complexes import (
 )
 from .errors import DegenerateInputError
 from .exact import parse_integer
-from .maps import SelfMapSpec
+from .maps import SelfMapSpec, require_spec
 from .records import Record, set_field
 
 # Distinct (complex, dropped cells) pairs kept built; one trace problem
@@ -249,6 +249,7 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
     invariance is checked geometrically via the carrier, not by looking for
     accidental cancellation.  A relative endomorphism is not kept.
     """
+    spec = require_spec(spec, "self_map_endomorphism")
     base = spec.base
     if relative_to is not None:
         endo = spec.endomorphism
@@ -302,13 +303,17 @@ def project_endomorphism(endo: ChainMapQ, cells) -> ChainMapQ:
     return _build_chain_map(quotient, matrices)
 
 
-def _as_endomorphism(target) -> ChainMapQ:
-    return target if isinstance(target, ChainMapQ) else target.endomorphism
+def _as_endomorphism(target, operation: str) -> ChainMapQ:
+    """A trace target, a chain endomorphism or a spec, as the endomorphism;
+    a refusal names `operation`, the function the caller used."""
+    if isinstance(target, ChainMapQ):
+        return target
+    return require_spec(target, operation).endomorphism
 
 
 def hopf_trace(target) -> Fraction:
     """Alternating sum of chain-level traces of a self-map."""
-    mats = _as_endomorphism(target).matrices
+    mats = _as_endomorphism(target, "hopf_trace").matrices
     return sum((m.trace() * (-1) ** k for k, m in enumerate(mats)), Fraction(0))
 
 
@@ -322,7 +327,7 @@ def homology_trace(target, k: int) -> Fraction:
     summed.  The result is basis independent.
     """
     k = parse_integer(k, "degree")
-    endo = _as_endomorphism(target)
+    endo = _as_endomorphism(target, "homology_trace")
     cc = endo.source
     if cc.basis_size(k) == 0:
         return Fraction(0)
@@ -348,7 +353,7 @@ def homology_trace(target, k: int) -> Fraction:
 
 
 def homology_traces(target) -> list:
-    endo = _as_endomorphism(target)
+    endo = _as_endomorphism(target, "homology_traces")
     return [homology_trace(endo, k) for k in range(len(endo.source.bases))]
 
 
@@ -358,11 +363,12 @@ def lefschetz_number(target) -> Fraction:
     Accepts a ChainMapQ endomorphism or a SelfMapSpec (which is first
     turned into (map_* o sd^level_*)).
     """
-    traces = homology_traces(target)
+    traces = homology_traces(_as_endomorphism(target, "lefschetz_number"))
     return sum((t * (-1) ** k for k, t in enumerate(traces)), Fraction(0))
 
 
 def relative_lefschetz_number(spec: SelfMapSpec, subcomplex) -> Fraction:
+    spec = require_spec(spec, "relative_lefschetz_number")
     return lefschetz_number(self_map_endomorphism(spec, relative_to=subcomplex))
 
 

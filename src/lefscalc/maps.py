@@ -123,14 +123,14 @@ def _check_top_cells(sub: FlagSubdivision, images: list) -> None:
 
 class SelfMapSpec(Value):
     """A self-map of |base| written as a vertex map sd^level(base) -> base,
-    keyed by the vertex objects of flag_subdivision(base, level)."""
+    keyed by the vertex objects of flag_subdivision(base, level) and
+    checked once, when it is built.  It keeps that sd^level as
+    `subdivision`, and the image of each of its vertices by number as
+    `images`."""
 
     _fields = ("base", "level", "vertex_map")
 
-    @staticmethod
-    def build(base, level, vertex_map) -> "SelfMapSpec":
-        """A spec whose map is checked once, here, and keyed by the vertex
-        objects of flag_subdivision(base, level)."""
+    def __init__(self, base, level, vertex_map):
         sub = flag_subdivision(base, level)
         ordered = list(map(sub.vertices.__getitem__, sub.order))
         images = _read_images(ordered, base, vertex_map)
@@ -138,24 +138,19 @@ class SelfMapSpec(Value):
         for n, image in zip(sub.order, images):
             by_number[n] = image
         _check_top_cells(sub, by_number)
-        spec = SelfMapSpec(base, sub.level, dict(zip(ordered, images)))
-        set_field(spec, "subdivision", sub)  # fills the cached properties
-        set_field(spec, "images", by_number)
-        return spec
+        set_field(self, "base", base)
+        set_field(self, "level", sub.level)
+        set_field(self, "vertex_map", dict(zip(ordered, images)))
+        set_field(self, "subdivision", sub)
+        set_field(self, "images", by_number)
+
+    @staticmethod
+    def build(base, level, vertex_map) -> "SelfMapSpec":
+        return SelfMapSpec(base, level, vertex_map)
 
     @staticmethod
     def identity(base) -> "SelfMapSpec":
-        return SelfMapSpec.build(base, 0, {v: v for v in base.vertices})
-
-    @cached_property
-    def subdivision(self) -> FlagSubdivision:
-        return flag_subdivision(self.base, self.level)
-
-    @cached_property
-    def images(self) -> list:
-        """The image of each vertex of sd^level, by its number in
-        `subdivision`."""
-        return list(map(self.vertex_map.__getitem__, self.subdivision.vertices))
+        return SelfMapSpec(base, 0, {v: v for v in base.vertices})
 
     def source_complex(self) -> SimplicialComplex:
         return subdivided_complex(self.base, self.level)[0]
@@ -215,6 +210,16 @@ class SelfMapSpec(Value):
         return True
 
 
+def require_spec(spec, operation: str) -> SelfMapSpec:
+    """`spec` if it is a self-map spec; anything else is refused.  Every
+    spec was checked when it was built, so its type is the whole test."""
+    if isinstance(spec, SelfMapSpec):
+        return spec
+    raise DegenerateInputError(
+        f"{operation} needs a self-map spec; got {type(spec).__name__}"
+    )
+
+
 def refine(spec: SelfMapSpec) -> SelfMapSpec:
     """Re-express the same geometric map with sd(base) as the base complex.
 
@@ -223,7 +228,7 @@ def refine(spec: SelfMapSpec) -> SelfMapSpec:
     vertex map would need images that are not vertices.  Keys and images
     are the vertex objects of the refined source and base.
     """
-    m = spec.as_map()
+    m = require_spec(spec, "refine").as_map()
     refined_base = subdivided_complex(spec.base, 1)[0]
     refined = subdivided_complex(refined_base, spec.level)[0]
     sources = {v: v for v in refined.vertices}

@@ -16,11 +16,14 @@ rational literal is refused by every library reader with
 DegenerateInputError.  Report payloads are read as strictly as problem
 files.
 
-Two wrong objects stay Python's own TypeError and are not drawn: an object
-that is no complex where a complex is expected (such as None), and an
-unhashable level given to `subdivided_complex` itself, whose cache hashes
-its arguments before any reader runs.
+An object that is no complex, no self-map spec or no traced problem where
+one is expected (such as None) is refused by that kind's reader, naming the
+function called.  One wrong object stays Python's own TypeError and is not
+drawn: an unhashable level given to `subdivided_complex` itself, whose
+cache hashes its arguments before any reader runs.
 """
+
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +40,7 @@ from lefscalc.errors import (
 )
 from lefscalc.flags import open_cell_complement
 from lefscalc.reports import parse_report
+from lefscalc.verify import random_complex, random_self_map
 
 SPHERE = fx.sphere2()
 CP1 = fx.cp1_cellspace()
@@ -681,7 +685,79 @@ NAMED_PROBES = {
     "star(5, 'a')": (
         lambda: lc.star(5, "a"), "star needs a simplicial complex; got int"
     ),
+    # no self-map spec, or no traced problem: each raised a raw AttributeError
+    "TracedProblem(spec=5)": (
+        lambda: lc.TracedProblem(spec=5), "TracedProblem needs a self-map spec; got int"
+    ),
+    "lefschetz_number(5)": (
+        lambda: lc.lefschetz_number(5), "lefschetz_number needs a self-map spec; got int"
+    ),
+    "hopf_trace(HEXAGON)": (
+        lambda: lc.hopf_trace(HEXAGON),
+        "hopf_trace needs a self-map spec; got SimplicialComplex",
+    ),
+    "homology_trace(None, 0)": (
+        lambda: lc.homology_trace(None, 0),
+        "homology_trace needs a self-map spec; got NoneType",
+    ),
+    "homology_traces('spec')": (
+        lambda: lc.homology_traces("spec"),
+        "homology_traces needs a self-map spec; got str",
+    ),
+    "self_map_endomorphism(5)": (
+        lambda: lc.self_map_endomorphism(5),
+        "self_map_endomorphism needs a self-map spec; got int",
+    ),
+    "relative_lefschetz_number(5, [])": (
+        lambda: lc.relative_lefschetz_number(5, []),
+        "relative_lefschetz_number needs a self-map spec; got int",
+    ),
+    "fixed_subcomplex(5)": (
+        lambda: lc.fixed_subcomplex(5), "fixed_subcomplex needs a self-map spec; got int"
+    ),
+    "fixed_components(REFLECTION)": (
+        lambda: lc.fixed_components(REFLECTION),
+        "fixed_components needs a self-map spec; got TracedProblem",
+    ),
+    "pushforward_spec(5, ONE)": (
+        lambda: lc.pushforward_spec(5, ONE),
+        "pushforward_spec needs a self-map spec; got int",
+    ),
+    "refine(5)": (lambda: lc.refine(5), "refine needs a self-map spec; got int"),
+    "localization_report(None)": (
+        lambda: lc.localization_report(None),
+        "localization_report needs a traced problem; got NoneType",
+    ),
+    "local_trace_function(REFLECTION.spec)": (
+        lambda: lc.local_trace_function(REFLECTION.spec),
+        "local_trace_function needs a traced problem; got SelfMapSpec",
+    ),
+    "local_contribution(5, 0)": (
+        lambda: lc.local_contribution(5, 0),
+        "local_contribution needs a traced problem; got int",
+    ),
+    "hyperbolicity_report(None)": (
+        lambda: lc.hyperbolicity_report(None),
+        "hyperbolicity_report needs a traced problem; got NoneType",
+    ),
+    "signed_local_contribution(None, 0)": (
+        lambda: lc.signed_local_contribution(None, 0),
+        "component_sign needs a traced problem; got NoneType",
+    ),
+    "lefschetz_cycle_table(None, 0, HEIGHTS)": (
+        lambda: lc.lefschetz_cycle_table(None, 0, HEIGHTS),
+        "component_sign needs a traced problem; got NoneType",
+    ),
+    "microlocal_index(None, 0, HEIGHTS)": (
+        lambda: lc.microlocal_index(None, 0, HEIGHTS),
+        "component_sign needs a traced problem; got NoneType",
+    ),
 }
+# the probes above of a value that is no spec, or no problem
+NOT_A_SPEC_OR_PROBLEM = [
+    call for call, (_, text) in NAMED_PROBES.items()
+    if "needs a self-map spec;" in text or "needs a traced problem;" in text
+]
 
 
 @pytest.mark.parametrize("call", sorted(NAMED_PROBES))
@@ -719,6 +795,15 @@ def test_a_value_that_is_no_space_is_refused_as_degenerate_input(call):
     assert caught.value.exit_code == 2
 
 
+@pytest.mark.parametrize("call", NOT_A_SPEC_OR_PROBLEM)
+def test_a_value_that_is_no_spec_or_problem_is_refused_as_degenerate_input(call):
+    attempt, _ = NAMED_PROBES[call]
+    with pytest.raises(LefscalcError) as caught:
+        attempt()
+    assert type(caught.value) is DegenerateInputError
+    assert caught.value.exit_code == 2
+
+
 @pytest.mark.parametrize("call", sorted(CELL_SPACE_PROBES))
 def test_a_cell_space_is_refused_by_the_subdivision_tower(call):
     attempt, operation = CELL_SPACE_PROBES[call]
@@ -733,3 +818,92 @@ def test_a_cell_space_is_refused_by_the_subdivision_tower(call):
 def test_an_unhashable_image_is_no_vertex_of_the_target():
     with pytest.raises(lc.NonSimplicialMapError, match="images outside target"):
         lc.SimplicialMap.build(SPHERE, SPHERE, {v: [v] for v in SPHERE.vertices})
+
+
+HEXAGON_IDENTITY = {v: v for v in HEXAGON.vertices}
+# a raw constructor call, by its arguments, that must refuse as its checked
+# builder does, and the refusal's type and text: each raw call was
+# accepted, and failed at first use
+CHECKED_BUILDERS = {lc.SelfMapSpec: lc.SelfMapSpec.build, lc.NormalData: lc.NormalData.of}
+RAW_PROBES = {
+    "SelfMapSpec(HEXAGON, 0, {})": (
+        lc.SelfMapSpec, (HEXAGON, 0, {}), lc.NonSimplicialMapError,
+        "vertices without images: ['v0', 'v1', 'v2', 'v3']",
+    ),
+    "SelfMapSpec(HEXAGON, 0, v1 onto v3)": (
+        lc.SelfMapSpec, (HEXAGON, 0, {**HEXAGON_IDENTITY, "v1": "v3"}),
+        lc.NonSimplicialMapError,
+        "simplex ('v0', 'v1') maps onto ('v0', 'v3'), not a simplex of the target",
+    ),
+    "SelfMapSpec(SPHERE, True, the identity)": (
+        lc.SelfMapSpec, (SPHERE, True, _identity_map(SPHERE, [])),
+        DegenerateInputError, "subdivision level must be an integer, got True",
+    ),
+    "NormalData(((0, 'x'),))": (
+        lc.NormalData, (((0, "x"),),), DegenerateInputError, "not a matrix: 'x'"
+    ),
+    "NormalData(5)": (
+        lc.NormalData, (5,), DegenerateInputError,
+        "not a table of (key, value) pairs: 5",
+    ),
+    "NormalData([(0, [[1, 2]])])": (
+        lc.NormalData, ([(0, [[1, 2]])],), DegenerateInputError,
+        "normal matrix for component 0 is not square",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(RAW_PROBES))
+def test_a_raw_constructor_refuses_as_its_checked_builder_does(call):
+    cls, args, kind, text = RAW_PROBES[call]
+    for attempt in (cls, CHECKED_BUILDERS[cls]):
+        with pytest.raises(LefscalcError) as caught:
+            attempt(*args)
+        assert type(caught.value) is kind and str(caught.value) == text
+
+
+def _seeded_specs():
+    """Level-0 random self-maps, and level-1 maps that send each vertex of
+    sd to a vertex of its carrier and then along a random self-map."""
+    rng = random.Random(38)
+    for _ in range(15):
+        yield random_self_map(rng, random_complex(rng))
+    for _ in range(10):
+        space = random_complex(rng, max_vertices=5, max_dim=2, max_simplices=20)
+        g = random_self_map(rng, space).vertex_map
+        sd = lc.subdivided_complex(space, 1)[0]
+        yield lc.SelfMapSpec.build(
+            space, 1, {w: g[rng.choice(w)] for w in sd.vertices}
+        )
+
+
+def test_a_spec_is_built_one_way():
+    """The constructor is build: equal specs with the same subdivision and
+    images, and no fallback that computes them from an unchecked map."""
+    assert not hasattr(lc.SelfMapSpec, "subdivision")
+    assert not hasattr(lc.SelfMapSpec, "images")
+    fixtures = [fx.rotation_spec(), fx.reflection_spec(), fx.doubling_spec()]
+    for spec in [*fixtures, lc.SelfMapSpec.identity(SPHERE), *_seeded_specs()]:
+        raw = lc.SelfMapSpec(spec.base, spec.level, spec.vertex_map)
+        built = lc.SelfMapSpec.build(spec.base, spec.level, spec.vertex_map)
+        assert raw == built == spec
+        assert raw.subdivision is built.subdivision
+        assert raw.images == built.images == spec.images
+
+
+NORMAL_TABLES = {
+    "dict": {0: [[-1]], 1: [[2, 0], [0, "1/3"]]},
+    "pairs": [("1", [[2, 0], [0, "1/3"]]), (0, lc.RationalMatrix.of([[-1]]))],
+    "reflection": REFLECTION.normal.matrices,
+    "doubling": fx.doubling_problem().normal.matrices,
+    "empty": {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_TABLES))
+def test_normal_data_is_built_one_way(name):
+    table = NORMAL_TABLES[name]
+    data = lc.NormalData(table)
+    assert data == lc.NormalData.of(table)
+    assert lc.NormalData.of(data) is data
+    assert all(isinstance(m, lc.RationalMatrix) for _, m in data.matrices)
