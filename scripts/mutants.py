@@ -128,20 +128,37 @@ MUTANTS = (
         "raw_constructor",
     ),
     Mutant(
-        "require_spec returns its argument unchecked",
-        "src/lefscalc/maps.py",
-        "    if isinstance(spec, SelfMapSpec):",
+        "require returns its argument unchecked",
+        "src/lefscalc/records.py",
+        "    if isinstance(value, kind):",
         "    if True:",
         "tests/test_api_fuzz.py",
-        "no_spec_or_problem",
+        "no_spec_or_problem or no_map_or_function",
     ),
     Mutant(
-        "require_problem returns its argument unchecked",
-        "src/lefscalc/fixedpoint.py",
-        "    if isinstance(p, TracedProblem):",
-        "    if True:",
+        "require_simplicial skips its cell-space refusal",
+        "src/lefscalc/complexes.py",
+        "    if isinstance(parent, CellSpace):\n        raise CellSpaceUnsupportedError(\n",
+        "    if False:\n        raise CellSpaceUnsupportedError(\n",
         "tests/test_api_fuzz.py",
-        "no_spec_or_problem",
+        "cell_space_is_refused",
+    ),
+    Mutant(
+        "euler_integral reads its function without require",
+        "src/lefscalc/euler.py",
+        'dim = require(phi, ConstructibleFunction, "euler_integral").parent.cell_dim',
+        "dim = phi.parent.cell_dim",
+        "tests/test_api_fuzz.py",
+        "no_map_or_function",
+    ),
+    Mutant(
+        "local_contribution sums its integral without the signed term's refusal",
+        "src/lefscalc/fixedpoint.py",
+        '    return _signed_term(require(p, TracedProblem, "local_contribution"), index)[1]',
+        '    p = require(p, TracedProblem, "local_contribution")\n'
+        "    return euler_integral(restrict(p.local_trace, p.component(index).cells))",
+        "tests/test_fixedpoint.py",
+        "not_hyperbolic",
     ),
     Mutant(
         "the JSON reader keeps the last of a repeated key",
@@ -330,8 +347,8 @@ MUTANTS = (
     Mutant(
         "the map check skips the top cells of one maximal simplex",
         "src/lefscalc/maps.py",
-        "cell for rho in sub.maximal for cell in sub.chains[rho][0]",
-        "cell for rho in sorted(sub.maximal, key=cell_sort_key)[1:]\n        for cell in sub.chains[rho][0]",
+        "cell for rho in sub.base.maximal for cell in sub.chains[rho][0]",
+        "cell for rho in sorted(sub.base.maximal, key=cell_sort_key)[1:]\n        for cell in sub.chains[rho][0]",
         "tests/test_homology.py",
         "map_check",
     ),

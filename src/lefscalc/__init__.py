@@ -45,7 +45,6 @@ _EXPORTS = {
             "NoApplicableRegimeError",
             "NonSimplicialMapError",
             "NotHyperbolicError",
-            "NotLocalizableError",
             "ParseError",
         ),
         "errors",

@@ -42,7 +42,7 @@ from .errors import (
     shown,
 )
 from .exact import parse_integer, read_rows
-from .records import Record, Value, set_field, slot_setters
+from .records import Record, Value, require, set_field, slot_setters
 
 
 def vertex_key(v):
@@ -160,6 +160,7 @@ class SimplicialComplex(Value):
     vertices, or None."""
 
     _fields = ("vertices", "simplices", "coords")
+    noun = "a simplicial complex"
 
     @staticmethod
     def build(vertices, simplices, coords=None) -> "SimplicialComplex":
@@ -338,16 +339,12 @@ class CellSpace(Value):
 
 def require_simplicial(parent, operation: str) -> SimplicialComplex:
     """`parent` if it is a simplicial complex; a cell space is refused as
-    lacking incidence data, anything else as no space at all."""
-    if isinstance(parent, SimplicialComplex):
-        return parent
+    lacking incidence data, anything else by require as no space at all."""
     if isinstance(parent, CellSpace):
         raise CellSpaceUnsupportedError(
             f"{operation} needs simplicial incidence data; got a cell space"
         )
-    raise DegenerateInputError(
-        f"{operation} needs a simplicial complex; got {type(parent).__name__}"
-    )
+    return require(parent, SimplicialComplex, operation)
 
 
 class CellularSubset(Value):
@@ -810,18 +807,16 @@ class FlagSubdivision(Record):
     order: the vertex numbers in vertex_key order;
     chains: for each base simplex rho, the fundamental chain of
         sd^level(rho) as (cells, signs): each cell a tuple of vertex
-        numbers in canonical order, each sign its orientation against rho;
-    maximal: the maximal base simplices.  Their chains' cells are the top
-        cells of sd^level, and every simplex of sd^level is a face of one.
+        numbers in canonical order, each sign its orientation against rho.
+        The cells of the chains of base.maximal are the top cells of
+        sd^level, and every simplex of sd^level is a face of one.
     """
 
-    __slots__ = _fields = (
-        "base", "level", "vertices", "carriers", "order", "chains", "maximal",
-    )
+    __slots__ = _fields = ("base", "level", "vertices", "carriers", "order", "chains")
 
     def top_cells(self):
         """(cell, rho) for each top cell of sd^level, rho its carrier."""
-        for rho in self.maximal:
+        for rho in self.base.maximal:
             for cell in self.chains[rho][0]:
                 yield cell, rho
 
@@ -897,8 +892,7 @@ def _flag_subdivision(base: SimplicialComplex, level: int) -> FlagSubdivision:
         new = tuple.__new__  # the parts are vertices, so no key is read yet
         vertices = [new(TupleVertex, map(vertices.__getitem__, p)) for p in parts]
     return FlagSubdivision(
-        base, level, tuple(vertices), tuple(carriers), tuple(order), chains,
-        base.maximal,
+        base, level, tuple(vertices), tuple(carriers), tuple(order), chains
     )
 
 

@@ -59,12 +59,6 @@ class NotHyperbolicError(LefscalcError):
     exit_code = 4
 
 
-class NotLocalizableError(LefscalcError):
-    """1 is an eigenvalue of the normal map; the local term is undefined."""
-
-    exit_code = 4
-
-
 class GenericityError(LefscalcError):
     """A vertex functional takes equal values on the ends of an edge."""
 

@@ -26,13 +26,14 @@ from .complexes import (
 )
 from .errors import DegenerateInputError, shown
 from .exact import GZERO, GaussianRational, signed_sum, signed_sums
-from .maps import SelfMapSpec, SimplicialMap, require_spec
-from .records import Record, set_field
+from .maps import SelfMapSpec, SimplicialMap
+from .records import Record, require, set_field
 
 
 class ConstructibleFunction(Record):
     __slots__ = ("parent", "values")
     _fields = ("parent",)  # repr leaves out values
+    noun = "a constructible function"
 
     def __init__(self, parent, values: dict):
         """values: cell -> GaussianRational, zero values omitted."""
@@ -97,11 +98,12 @@ def chi_c(target) -> int:
 
 
 def euler_integral(phi: ConstructibleFunction) -> GaussianRational:
-    dim = phi.parent.cell_dim
+    dim = require(phi, ConstructibleFunction, "euler_integral").parent.cell_dim
     return signed_sum(((-1) ** dim(cell), value) for cell, value in phi.values.items())
 
 
 def restrict(phi: ConstructibleFunction, subset) -> ConstructibleFunction:
+    phi = require(phi, ConstructibleFunction, "restrict")
     members = CellularSubset.of(phi.parent, subset).members
     return ConstructibleFunction(
         phi.parent, {c: v for c, v in phi.values.items() if c in members}
@@ -110,6 +112,8 @@ def restrict(phi: ConstructibleFunction, subset) -> ConstructibleFunction:
 
 def combine(a, phi: ConstructibleFunction, b, psi: ConstructibleFunction):
     """a*phi + b*psi with Gaussian-rational scalars."""
+    phi = require(phi, ConstructibleFunction, "combine")
+    psi = require(psi, ConstructibleFunction, "combine")
     if phi.parent != psi.parent:
         raise DegenerateInputError("combine needs functions on the same space")
     a = GaussianRational.of(a)
@@ -123,6 +127,7 @@ def combine(a, phi: ConstructibleFunction, b, psi: ConstructibleFunction):
 
 
 def scale(c, phi: ConstructibleFunction) -> ConstructibleFunction:
+    phi = require(phi, ConstructibleFunction, "scale")
     return combine(c, phi, 0, ConstructibleFunction(phi.parent, {}))
 
 
@@ -130,6 +135,8 @@ def pushforward(g: SimplicialMap, phi: ConstructibleFunction):
     """Fibrewise Euler integral along a simplicial map: the image simplices
     are numbered in first-seen order, and one signed_sums pass sums every
     fibre."""
+    g = require(g, SimplicialMap, "pushforward")
+    phi = require(phi, ConstructibleFunction, "pushforward")
     if phi.parent != g.source:
         raise DegenerateInputError("function does not live on the map's source")
     groups = {}  # image simplex -> its number, in first-seen order
@@ -147,6 +154,8 @@ def pushforward(g: SimplicialMap, phi: ConstructibleFunction):
 
 
 def pullback(g: SimplicialMap, psi: ConstructibleFunction):
+    g = require(g, SimplicialMap, "pullback")
+    psi = require(psi, ConstructibleFunction, "pullback")
     if psi.parent != g.target:
         raise DegenerateInputError("function does not live on the map's target")
     table = {}
@@ -164,6 +173,7 @@ def transport_to_subdivision(
     its carrier.  Integrals are unchanged because each open cell subdivides
     into cells whose compactly-supported characteristics add up to its own.
     """
+    phi = require(phi, ConstructibleFunction, "transport_to_subdivision")
     table = {}
     for cell in finer.simplices:
         value = phi.values.get(frozenset(carrier[cell]), GZERO)
@@ -175,7 +185,8 @@ def transport_to_subdivision(
 def pushforward_spec(spec: SelfMapSpec, phi: ConstructibleFunction):
     """Pushforward along a subdivided self-map: transport to the source
     subdivision by carrier, then push along the vertex map."""
-    spec = require_spec(spec, "pushforward_spec")
+    spec = require(spec, SelfMapSpec, "pushforward_spec")
+    phi = require(phi, ConstructibleFunction, "pushforward_spec")
     if phi.parent != spec.base:
         raise DegenerateInputError("function does not live on the base complex")
     finer = spec.source_complex()

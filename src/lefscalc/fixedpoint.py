@@ -44,7 +44,6 @@ from .errors import (
     DegenerateInputError,
     FixedPointNotSimplicialError,
     NotHyperbolicError,
-    NotLocalizableError,
     shown,
 )
 from .euler import ConstructibleFunction, euler_integral, restrict
@@ -57,8 +56,8 @@ from .exact import (
     signed_sum,
 )
 from .homology import lefschetz_number, project_endomorphism
-from .maps import SelfMapSpec, require_spec
-from .records import Record, Value, set_field
+from .maps import SelfMapSpec
+from .records import Record, Value, require, set_field
 
 
 class NormalData(Value):
@@ -119,7 +118,7 @@ class TracedProblem(Record):
     field is read once, when the problem is built, by the reader of its
     kind; what needs the fixed locus is refused on first use.
 
-    spec: the self-map, a SelfMapSpec (maps.require_spec refuses anything
+    spec: the self-map, a SelfMapSpec (records.require refuses anything
         else);
     support: locally closed union of cells carrying the constant sheaf, in
         any form CellularSubset.of reads (None means the whole base), kept
@@ -140,6 +139,7 @@ class TracedProblem(Record):
     _fields = (
         "spec", "support", "traces", "normal", "complex_model", "non_characteristic"
     )
+    noun = "a traced problem"
 
     def __init__(
         self,
@@ -150,7 +150,7 @@ class TracedProblem(Record):
         complex_model: bool = False,
         non_characteristic: bool = False,
     ):
-        spec = require_spec(spec, "TracedProblem")
+        spec = require(spec, SelfMapSpec, "TracedProblem")
         base = spec.base
         if support is not None:
             support = CellularSubset.of(base, support)
@@ -207,17 +207,6 @@ class TracedProblem(Record):
             sign = (at_one > 0) - (at_one < 0)
             self._components[index] = FixedComponent(comps[index], matrix, chi, sign)
         return self._components[index]
-
-
-def require_problem(p, operation: str) -> TracedProblem:
-    """`p` if it is a traced problem; anything else is refused.  Every
-    problem read its fields when it was built, so its type is the whole
-    test."""
-    if isinstance(p, TracedProblem):
-        return p
-    raise DegenerateInputError(
-        f"{operation} needs a traced problem; got {type(p).__name__}"
-    )
 
 
 def _no_component(what: str, count: int) -> DegenerateInputError:
@@ -282,7 +271,7 @@ def fixed_subcomplex(spec: SelfMapSpec) -> CellularSubset:
     larger than the realization of that subcomplex.  Each vertex of
     sd^level is read once, with its carrier, from spec.subdivision.
     """
-    spec = require_spec(spec, "fixed_subcomplex")
+    spec = require(spec, SelfMapSpec, "fixed_subcomplex")
     signs = {}  # moved vertex number -> signs of its displacement, by coordinate
     moved = set()  # the base cells that carry a moved vertex
     for w, (image, base_cell) in enumerate(zip(spec.images, spec.subdivision.carriers)):
@@ -304,7 +293,8 @@ def fixed_subcomplex(spec: SelfMapSpec) -> CellularSubset:
 
 
 def fixed_components(spec: SelfMapSpec) -> tuple:
-    return connected_components(fixed_subcomplex(require_spec(spec, "fixed_components")))
+    spec = require(spec, SelfMapSpec, "fixed_components")
+    return connected_components(fixed_subcomplex(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +307,7 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
     Constant-sheaf model: the indicator of support /\\ fixed subcomplex.
     Explicit traces override individual cells.
     """
-    fixed = require_problem(p, "local_trace_function").fixed_locus[0]
+    fixed = require(p, TracedProblem, "local_trace_function").fixed_locus[0]
     cells = fixed.members
     if p.support is not None:
         cells &= p.support.members
@@ -336,7 +326,7 @@ def local_trace_function(p: TracedProblem) -> ConstructibleFunction:
 
 def component_sign(p: TracedProblem, index: int) -> FixedComponent:
     """The component, if its signed term is defined: det(I - A) != 0."""
-    comp = require_problem(p, "component_sign").component(index)
+    comp = require(p, TracedProblem, "component_sign").component(index)
     if comp.sign == 0:
         raise NotHyperbolicError(
             f"det(I - A) = 0 on component {index}; the signed term is undefined"
@@ -351,17 +341,14 @@ def _signed_term(p: TracedProblem, index: int) -> tuple:
 
 
 def local_contribution(p: TracedProblem, index: int) -> GaussianRational:
-    """Euler integral of the local trace function over one fixed component.
+    """Euler integral of the local trace function over one fixed component:
+    the unsigned part of its signed term, so refused by component_sign
+    when det(I - A) = 0.
 
     Equals that component's contribution to the global trace when the
     normal spectrum avoids [1, oo) or the problem is complex-analytic.
     """
-    comp = require_problem(p, "local_contribution").component(index)
-    if comp.sign == 0:
-        raise NotLocalizableError(
-            f"1 is an eigenvalue of the normal matrix on component {index}"
-        )
-    return euler_integral(restrict(p.local_trace, comp.cells))
+    return _signed_term(require(p, TracedProblem, "local_contribution"), index)[1]
 
 
 def signed_local_contribution(p: TracedProblem, index: int) -> GaussianRational:
@@ -372,7 +359,7 @@ def signed_local_contribution(p: TracedProblem, index: int) -> GaussianRational:
 def hyperbolicity_report(p: TracedProblem) -> list:
     """Per component: is 1 an eigenvalue, does the real spectrum meet
     [1, oo), and the sign of det(I - A)."""
-    p = require_problem(p, "hyperbolicity_report")
+    p = require(p, TracedProblem, "hyperbolicity_report")
     comps = [p.component(index) for index in range(len(p.fixed_locus[1]))]
     return [
         {
@@ -417,7 +404,7 @@ def _global_trace(p: TracedProblem) -> Fraction:
 
 def localization_report(p: TracedProblem) -> dict:
     """Global homological trace versus the sum of signed local terms."""
-    p = require_problem(p, "localization_report")
+    p = require(p, TracedProblem, "localization_report")
     p.local_trace  # its refusals come first, with or without fixed components
     per_component = []
     terms = []

@@ -38,8 +38,8 @@ from .complexes import (
 )
 from .errors import DegenerateInputError
 from .exact import parse_integer
-from .maps import SelfMapSpec, require_spec
-from .records import Record, set_field
+from .maps import SelfMapSpec
+from .records import Record, require, set_field
 
 # Distinct (complex, dropped cells) pairs kept built; one trace problem
 # touches about five.
@@ -127,8 +127,6 @@ def _reduce(boundary: SparseMatrix) -> tuple:
 
 
 def _normalize_subcomplex(space: SimplicialComplex, dropped) -> frozenset:
-    if dropped is None:
-        return frozenset()
     cells = CellularSubset.of(space, dropped).members
     unclosed = _unclosed_at(cells)
     if unclosed is not None:
@@ -249,7 +247,7 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
     invariance is checked geometrically via the carrier, not by looking for
     accidental cancellation.  A relative endomorphism is not kept.
     """
-    spec = require_spec(spec, "self_map_endomorphism")
+    spec = require(spec, SelfMapSpec, "self_map_endomorphism")
     base = spec.base
     if relative_to is not None:
         endo = spec.endomorphism
@@ -308,7 +306,7 @@ def _as_endomorphism(target, operation: str) -> ChainMapQ:
     a refusal names `operation`, the function the caller used."""
     if isinstance(target, ChainMapQ):
         return target
-    return require_spec(target, operation).endomorphism
+    return require(target, SelfMapSpec, operation).endomorphism
 
 
 def hopf_trace(target) -> Fraction:
@@ -368,7 +366,7 @@ def lefschetz_number(target) -> Fraction:
 
 
 def relative_lefschetz_number(spec: SelfMapSpec, subcomplex) -> Fraction:
-    spec = require_spec(spec, "relative_lefschetz_number")
+    spec = require(spec, SelfMapSpec, "relative_lefschetz_number")
     return lefschetz_number(self_map_endomorphism(spec, relative_to=subcomplex))
 
 

@@ -28,19 +28,23 @@ from .complexes import (
     cell_sort_key,
     flag_subdivision,
     read_table,
+    require_simplicial,
     subdivided_complex,
     vertex_key,
 )
 from .errors import DegenerateInputError, NonSimplicialMapError
-from .records import Value, set_field
+from .records import Value, require, set_field
 
 
 class SimplicialMap(Value):
     __slots__ = _fields = ("source", "target", "vertex_map")
+    noun = "a simplicial map"
 
     @staticmethod
     def build(source, target, vertex_map) -> "SimplicialMap":
         """A checked map, keyed by the source's own vertex objects."""
+        source = require_simplicial(source, "SimplicialMap.build")
+        target = require_simplicial(target, "SimplicialMap.build")
         images = _read_images(source.vertices, target, vertex_map)
         m = SimplicialMap(source, target, dict(zip(source.vertices, images)))
         bad = [s for s in source.simplices if m.image_simplex(s) not in target.simplices]
@@ -89,6 +93,8 @@ def _not_simplicial(s, image) -> NonSimplicialMapError:
 
 
 def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
+    outer = require(outer, SimplicialMap, "compose")
+    inner = require(inner, SimplicialMap, "compose")
     if outer.source is not inner.target and outer.source != inner.target:
         raise DegenerateInputError("maps are not composable")
     return SimplicialMap.build(
@@ -108,7 +114,7 @@ def _check_top_cells(sub: FlagSubdivision, images: list) -> None:
     sd^level would; every bad simplex is a face of a bad top cell."""
     simplices, image = sub.base.simplices, images.__getitem__
     bad = [
-        cell for rho in sub.maximal for cell in sub.chains[rho][0]
+        cell for rho in sub.base.maximal for cell in sub.chains[rho][0]
         if frozenset(map(image, cell)) not in simplices
     ]
     if bad:
@@ -129,6 +135,7 @@ class SelfMapSpec(Value):
     `images`."""
 
     _fields = ("base", "level", "vertex_map")
+    noun = "a self-map spec"
 
     def __init__(self, base, level, vertex_map):
         sub = flag_subdivision(base, level)
@@ -150,6 +157,7 @@ class SelfMapSpec(Value):
 
     @staticmethod
     def identity(base) -> "SelfMapSpec":
+        base = require_simplicial(base, "SelfMapSpec.identity")
         return SelfMapSpec(base, 0, {v: v for v in base.vertices})
 
     def source_complex(self) -> SimplicialComplex:
@@ -210,16 +218,6 @@ class SelfMapSpec(Value):
         return True
 
 
-def require_spec(spec, operation: str) -> SelfMapSpec:
-    """`spec` if it is a self-map spec; anything else is refused.  Every
-    spec was checked when it was built, so its type is the whole test."""
-    if isinstance(spec, SelfMapSpec):
-        return spec
-    raise DegenerateInputError(
-        f"{operation} needs a self-map spec; got {type(spec).__name__}"
-    )
-
-
 def refine(spec: SelfMapSpec) -> SelfMapSpec:
     """Re-express the same geometric map with sd(base) as the base complex.
 
@@ -228,7 +226,7 @@ def refine(spec: SelfMapSpec) -> SelfMapSpec:
     vertex map would need images that are not vertices.  Keys and images
     are the vertex objects of the refined source and base.
     """
-    m = require_spec(spec, "refine").as_map()
+    m = require(spec, SelfMapSpec, "refine").as_map()
     refined_base = subdivided_complex(spec.base, 1)[0]
     refined = subdivided_complex(refined_base, spec.level)[0]
     sources = {v: v for v in refined.vertices}

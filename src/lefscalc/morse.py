@@ -44,7 +44,7 @@ from .complexes import (
 from .errors import DegenerateInputError, GenericityError, NoApplicableRegimeError
 from .euler import ConstructibleFunction, restrict
 from .exact import GaussianRational, parse_rational, signed_sum, signed_sums
-from .records import Record, Value
+from .records import Record, Value, require
 
 if TYPE_CHECKING:  # the fixed-point layer loads with the first cycle table
     from .fixedpoint import FixedComponent, TracedProblem
@@ -54,11 +54,13 @@ class VertexFunctional(Value):
     """Exact rational height values, one per vertex."""
 
     __slots__ = _fields = ("values",)
+    noun = "a vertex functional"
 
     @staticmethod
     def of(space: SimplicialComplex, table) -> "VertexFunctional":
         """Heights keyed by the vertices of `space`, each key read by
         space.vertex."""
+        space = require_simplicial(space, "VertexFunctional.of")
         given = read_table(table, "heights for vertex", space.vertex)
         values = {v: parse_rational(x) for v, x in given.items()}
         _require_defined(space, values)
@@ -82,6 +84,7 @@ def genericity_check(space: SimplicialComplex, ell: VertexFunctional) -> list:
     edge order; empty means generic.  A functional missing a vertex is
     refused, naming the missing vertices in vertex order."""
     space = require_simplicial(space, "genericity_check")
+    ell = require(ell, VertexFunctional, "genericity_check")
     _require_defined(space, ell.values)
     return _tied_edges(space.simplices, ell.values)
 
@@ -109,6 +112,8 @@ def morse_multiplicity(
 ) -> GaussianRational:
     """Lower-star multiplicity of phi at v for the height ell.  Only the
     cells at v are read, so only the edges at v must separate their ends."""
+    phi = require(phi, ConstructibleFunction, "morse_multiplicity")
+    ell = require(ell, VertexFunctional, "morse_multiplicity")
     space = require_simplicial(phi.parent, "morse_multiplicity")
     v = space.vertex(v)
     values = ell.values
@@ -171,6 +176,8 @@ def cc_table(phi: ConstructibleFunction, ell: VertexFunctional) -> MultiplicityT
     each cell's signed value into its top vertex's rank; an empty lower
     star is GZERO.
     """
+    phi = require(phi, ConstructibleFunction, "cc_table")
+    ell = require(ell, VertexFunctional, "cc_table")
     space = require_simplicial(phi.parent, "cc_table")
     values = ell.values
     _require_defined(space, values)
@@ -189,6 +196,8 @@ def cc_table(phi: ConstructibleFunction, ell: VertexFunctional) -> MultiplicityT
 
 def index_sum(phi: ConstructibleFunction, ell: VertexFunctional) -> GaussianRational:
     """Sum of all multiplicities; equals euler_integral(phi)."""
+    require(phi, ConstructibleFunction, "index_sum")
+    require(ell, VertexFunctional, "index_sum")
     return cc_table(phi, ell).total()
 
 
@@ -236,6 +245,7 @@ def lefschetz_cycle_table(
     """
     from .fixedpoint import component_sign
 
+    ell = require(ell, VertexFunctional, "lefschetz_cycle_table")
     comp = component_sign(p, index)
     regime = _select_regime(p, comp)
     component_complex = induced_subcomplex(p.spec.base, comp.cells)
@@ -251,4 +261,5 @@ def microlocal_index(
     p: TracedProblem, index: int, ell: VertexFunctional
 ) -> GaussianRational:
     """Total of the cycle table; agrees with the signed local contribution."""
+    require(ell, VertexFunctional, "microlocal_index")
     return lefschetz_cycle_table(p, index, ell).total()

@@ -14,7 +14,12 @@ raises TypeError), and any other `Record` compares by identity.  The one
 exception is `euler.ConstructibleFunction`, which compares by a field its
 repr leaves out and so defines its own `__eq__`.  Records with no
 `cached_property` declare `__slots__`.
+
+A kind of record that arrives as an argument names itself in its `noun`
+("a simplicial complex"), and `require` reads an argument of that kind.
 """
+
+from .errors import DegenerateInputError
 
 # Stores one field from __init__, past the __setattr__ that refuses writes.
 set_field = object.__setattr__
@@ -39,6 +44,17 @@ def _bind(cls, values: tuple, named: dict) -> tuple:
             f"{len(values)} by position and {', '.join(named) or 'none'} by name"
         )
     return values + tuple(named[name] for name in rest)
+
+
+def require(value, kind, operation: str):
+    """`value` if it is a `kind`; anything else is refused with
+    DegenerateInputError, naming `operation`, the function called, and
+    `kind.noun`."""
+    if isinstance(value, kind):
+        return value
+    raise DegenerateInputError(
+        f"{operation} needs {kind.noun}; got {type(value).__name__}"
+    )
 
 
 class Record:

@@ -16,11 +16,13 @@ rational literal is refused by every library reader with
 DegenerateInputError.  Report payloads are read as strictly as problem
 files.
 
-An object that is no complex, no self-map spec or no traced problem where
-one is expected (such as None) is refused by that kind's reader, naming the
-function called.  One wrong object stays Python's own TypeError and is not
-drawn: an unhashable level given to `subdivided_complex` itself, whose
-cache hashes its arguments before any reader runs.
+An object that is not of the kind expected (a complex, a simplicial map, a
+self-map spec, a constructible function, a vertex functional or a traced
+problem), such as None, is refused by `records.require`, naming the
+function called and the kind's noun.  One wrong object stays Python's own
+TypeError and is not drawn: an unhashable level given to
+`subdivided_complex` itself, whose cache hashes its arguments before any
+reader runs.
 """
 
 import random
@@ -288,6 +290,7 @@ def test_a_coefficient_list_is_read_by_one_reader(coeffs):
 TRIANGLE = lc.SimplicialComplex.build([0, 1, 2], [[0], [1], [2], [0, 1], [1, 2], [0, 2]])
 TRIANGLE_ONE = lc.ConstructibleFunction.indicator(TRIANGLE)
 TRIANGLE_HEIGHTS = lc.VertexFunctional.of(TRIANGLE, {0: 0, 1: 1, 2: 2})
+TRIANGLE_MAP = lc.SimplicialMap.build(TRIANGLE, TRIANGLE, {0: 0, 1: 1, 2: 2})
 VERTICES = st.one_of(
     st.sampled_from([0, 1, 2, 2**64, -(2**64) - 1, 10**30, "zz", (1,), [1], 1.0]),
     st.integers(-2, 3),
@@ -752,11 +755,118 @@ NAMED_PROBES = {
         lambda: lc.microlocal_index(None, 0, HEIGHTS),
         "component_sign needs a traced problem; got NoneType",
     ),
+    # no space, map, constructible function or vertex functional: each
+    # raised a raw AttributeError
+    "SelfMapSpec.identity(5)": (
+        lambda: lc.SelfMapSpec.identity(5),
+        "SelfMapSpec.identity needs a simplicial complex; got int",
+    ),
+    "SimplicialMap.build(5, TRIANGLE, {})": (
+        lambda: lc.SimplicialMap.build(5, TRIANGLE, {}),
+        "SimplicialMap.build needs a simplicial complex; got int",
+    ),
+    "SimplicialMap.build(TRIANGLE, None, {})": (
+        lambda: lc.SimplicialMap.build(TRIANGLE, None, {}),
+        "SimplicialMap.build needs a simplicial complex; got NoneType",
+    ),
+    "VertexFunctional.of(5, {})": (
+        lambda: lc.VertexFunctional.of(5, {}),
+        "VertexFunctional.of needs a simplicial complex; got int",
+    ),
+    "compose(5, 5)": (
+        lambda: lc.compose(5, 5), "compose needs a simplicial map; got int"
+    ),
+    "compose(TRIANGLE_MAP, None)": (
+        lambda: lc.compose(TRIANGLE_MAP, None),
+        "compose needs a simplicial map; got NoneType",
+    ),
+    "pushforward(5, ONE)": (
+        lambda: lc.pushforward(5, ONE), "pushforward needs a simplicial map; got int"
+    ),
+    "pullback(None, ONE)": (
+        lambda: lc.pullback(None, ONE), "pullback needs a simplicial map; got NoneType"
+    ),
+    "euler_integral(None)": (
+        lambda: lc.euler_integral(None),
+        "euler_integral needs a constructible function; got NoneType",
+    ),
+    "restrict(SPHERE, [])": (
+        lambda: lc.restrict(SPHERE, []),
+        "restrict needs a constructible function; got SimplicialComplex",
+    ),
+    "combine(1, ONE, 1, None)": (
+        lambda: lc.combine(1, ONE, 1, None),
+        "combine needs a constructible function; got NoneType",
+    ),
+    "scale(2, 5)": (
+        lambda: lc.euler.scale(2, 5), "scale needs a constructible function; got int"
+    ),
+    "pushforward(TRIANGLE_MAP, None)": (
+        lambda: lc.pushforward(TRIANGLE_MAP, None),
+        "pushforward needs a constructible function; got NoneType",
+    ),
+    "pullback(TRIANGLE_MAP, None)": (
+        lambda: lc.pullback(TRIANGLE_MAP, None),
+        "pullback needs a constructible function; got NoneType",
+    ),
+    "transport_to_subdivision(None, ...)": (
+        lambda: lc.euler.transport_to_subdivision(
+            None, *lc.subdivided_complex(TRIANGLE, 1)
+        ),
+        "transport_to_subdivision needs a constructible function; got NoneType",
+    ),
+    "pushforward_spec(REFLECTION.spec, None)": (
+        lambda: lc.pushforward_spec(REFLECTION.spec, None),
+        "pushforward_spec needs a constructible function; got NoneType",
+    ),
+    "cc_table(None, HEIGHTS)": (
+        lambda: lc.cc_table(None, HEIGHTS),
+        "cc_table needs a constructible function; got NoneType",
+    ),
+    "index_sum(HEIGHTS, HEIGHTS)": (
+        lambda: lc.index_sum(HEIGHTS, HEIGHTS),
+        "index_sum needs a constructible function; got VertexFunctional",
+    ),
+    "morse_multiplicity(None, TRIANGLE_HEIGHTS, 0)": (
+        lambda: lc.morse_multiplicity(None, TRIANGLE_HEIGHTS, 0),
+        "morse_multiplicity needs a constructible function; got NoneType",
+    ),
+    "genericity_check(HEXAGON, None)": (
+        lambda: lc.genericity_check(HEXAGON, None),
+        "genericity_check needs a vertex functional; got NoneType",
+    ),
+    "cc_table(TRIANGLE_ONE, {0: 0, 1: 1, 2: 2})": (
+        lambda: lc.cc_table(TRIANGLE_ONE, {0: 0, 1: 1, 2: 2}),
+        "cc_table needs a vertex functional; got dict",
+    ),
+    "index_sum(TRIANGLE_ONE, None)": (
+        lambda: lc.index_sum(TRIANGLE_ONE, None),
+        "index_sum needs a vertex functional; got NoneType",
+    ),
+    "morse_multiplicity(TRIANGLE_ONE, None, 0)": (
+        lambda: lc.morse_multiplicity(TRIANGLE_ONE, None, 0),
+        "morse_multiplicity needs a vertex functional; got NoneType",
+    ),
+    "lefschetz_cycle_table(REFLECTION, 0, None)": (
+        lambda: lc.lefschetz_cycle_table(REFLECTION, 0, None),
+        "lefschetz_cycle_table needs a vertex functional; got NoneType",
+    ),
+    "microlocal_index(REFLECTION, 0, None)": (
+        lambda: lc.microlocal_index(REFLECTION, 0, None),
+        "microlocal_index needs a vertex functional; got NoneType",
+    ),
 }
 # the probes above of a value that is no spec, or no problem
 NOT_A_SPEC_OR_PROBLEM = [
     call for call, (_, text) in NAMED_PROBES.items()
     if "needs a self-map spec;" in text or "needs a traced problem;" in text
+]
+# and of a value that is no map, constructible function or vertex functional
+NOT_A_MAP_OR_FUNCTION = [
+    call for call, (_, text) in NAMED_PROBES.items()
+    if any(f"needs {noun};" in text for noun in (
+        lc.SimplicialMap.noun, lc.ConstructibleFunction.noun, lc.VertexFunctional.noun
+    ))
 ]
 
 
@@ -786,7 +896,11 @@ CELL_SPACE_PROBES = {
 }
 
 
-@pytest.mark.parametrize("call", ["subdivided_complex(None, 0)", "star(5, 'a')"])
+@pytest.mark.parametrize("call", [
+    "subdivided_complex(None, 0)", "star(5, 'a')", "SelfMapSpec.identity(5)",
+    "SimplicialMap.build(5, TRIANGLE, {})", "SimplicialMap.build(TRIANGLE, None, {})",
+    "VertexFunctional.of(5, {})",
+])
 def test_a_value_that_is_no_space_is_refused_as_degenerate_input(call):
     attempt, _ = NAMED_PROBES[call]
     with pytest.raises(LefscalcError) as caught:
@@ -802,6 +916,86 @@ def test_a_value_that_is_no_spec_or_problem_is_refused_as_degenerate_input(call)
         attempt()
     assert type(caught.value) is DegenerateInputError
     assert caught.value.exit_code == 2
+
+
+@pytest.mark.parametrize("call", NOT_A_MAP_OR_FUNCTION)
+def test_a_value_that_is_no_map_or_function_is_refused_as_degenerate_input(call):
+    attempt, _ = NAMED_PROBES[call]
+    with pytest.raises(LefscalcError) as caught:
+        attempt()
+    assert type(caught.value) is DegenerateInputError
+    assert caught.value.exit_code == 2
+
+
+# a call (by its text) whose arguments are each of the right kind but do not
+# fit together, or a value no other test hands in: the refusal's type and text
+REFUSALS = {
+    "combine of functions on two spaces": (
+        lambda: lc.combine(1, ONE, 1, TRIANGLE_ONE),
+        DegenerateInputError, "combine needs functions on the same space",
+    ),
+    "pushforward of a function off the map's source": (
+        lambda: lc.pushforward(TRIANGLE_MAP, ONE),
+        DegenerateInputError, "function does not live on the map's source",
+    ),
+    "pullback of a function off the map's target": (
+        lambda: lc.pullback(TRIANGLE_MAP, ONE),
+        DegenerateInputError, "function does not live on the map's target",
+    ),
+    "pushforward_spec of a function off the base": (
+        lambda: lc.pushforward_spec(REFLECTION.spec, ONE),
+        DegenerateInputError, "function does not live on the base complex",
+    ),
+    "compose of maps that do not compose": (
+        lambda: lc.compose(
+            lc.SimplicialMap.build(SPHERE, SPHERE, {v: v for v in SPHERE.vertices}),
+            TRIANGLE_MAP,
+        ),
+        DegenerateInputError, "maps are not composable",
+    ),
+    "refine of a map that folds an edge": (
+        lambda: lc.refine(lc.SelfMapSpec.build(TRIANGLE, 0, {0: 0, 1: 0, 2: 0})),
+        DegenerateInputError,
+        "refinement needs a map that is injective on every subdivision simplex",
+    ),
+    "SimplicialMap.build with an image outside the target": (
+        lambda: lc.SimplicialMap.build(TRIANGLE, TRIANGLE, {0: 0, 1: 1, 2: 5}),
+        lc.NonSimplicialMapError, "images outside target: [5]",
+    ),
+    "parse_problem with a map block that is no object": (
+        lambda: io.parse_problem(
+            {"schema": io.SCHEMA, "complex": io.complex_to_json(TRIANGLE), "map": 5}
+        ),
+        ParseError, "map block must be an object",
+    ),
+    "problem_to_json(5)": (
+        lambda: io.problem_to_json(5), ParseError, "cannot serialize int"
+    ),
+    "leading() of the zero polynomial": (
+        lambda: lc.RationalPolynomial.of([]).leading(),
+        DegenerateInputError, "zero polynomial has no leading coefficient",
+    ),
+    "divmod by the zero polynomial": (
+        lambda: lc.RationalPolynomial.of([1]).divmod(lc.RationalPolynomial.of([])),
+        DegenerateInputError, "polynomial division by zero",
+    ),
+    "count_real_roots_geq of the zero polynomial": (
+        lambda: lc.count_real_roots_geq(lc.RationalPolynomial.of([]), 1),
+        DegenerateInputError, "root counting on the zero polynomial",
+    ),
+    "char_poly of a 1 x 2 matrix": (
+        lambda: lc.RationalMatrix.of([[1, 2]]).char_poly(),
+        DegenerateInputError, "char_poly needs a square matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(REFUSALS))
+def test_each_refusal_is_raised_with_its_type_and_text(call):
+    attempt, kind, text = REFUSALS[call]
+    with pytest.raises(LefscalcError) as caught:
+        attempt()
+    assert type(caught.value) is kind and str(caught.value) == text
 
 
 @pytest.mark.parametrize("call", sorted(CELL_SPACE_PROBES))

@@ -22,6 +22,7 @@ from lefscalc.complexes import (
     CellularSubset,
     SimplicialComplex,
     TupleVertex,
+    Violation,
     barycentric_subdivide,
     canonical_tuple,
     cell_sort_key,
@@ -95,6 +96,17 @@ def test_validate_coordinates():
     kinds = {v.kind for v in validate(space)}
     assert "affinely-dependent" in kinds
     assert not validate(fx.disk())
+
+
+def test_validate_names_the_vertices_without_coordinates():
+    # a coordinate table that leaves out a vertex
+    space = SimplicialComplex.build(["a", "b", "c"], [["a"], ["b"], ["c"]], {"b": [0]})
+    assert space.coords == (None, (Fraction(0),), None)
+    assert validate(space) == [
+        Violation("missing-coordinates", "coordinates absent for ['a', 'c']")
+    ]
+    with pytest.raises(InvalidComplexError, match="missing-coordinates"):
+        require_valid(space)
 
 
 def test_build_reads_the_vertex_list_once():

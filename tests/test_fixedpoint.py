@@ -21,7 +21,6 @@ from lefscalc.errors import (
     DegenerateInputError,
     FixedPointNotSimplicialError,
     NotHyperbolicError,
-    NotLocalizableError,
 )
 from lefscalc.exact import GaussianRational, Rat, RationalMatrix, RationalPolynomial
 from lefscalc.fixedpoint import (
@@ -122,7 +121,7 @@ def test_carrier_rule_picks_the_top_simplices_of_the_facet_scan(base):
         assert set(tops) == oracles.top_simplices_by_facet_scan(sd)
         assert set(tops) == {
             tau for tau, sigma in carrier.items()
-            if len(tau) == len(sigma) and sigma in sub.maximal
+            if len(tau) == len(sigma) and sigma in sub.base.maximal
         }
 
 
@@ -389,6 +388,16 @@ def test_local_trace_function_default_and_overrides():
     assert phi2(frozenset({"v3"})) == g(1)
 
 
+def test_a_zero_trace_override_drops_its_fixed_cell():
+    p = fx.reflection_problem()
+    traced = TracedProblem(
+        spec=p.spec, traces={frozenset({"v0"}): g(0)}, normal=p.normal
+    )
+    phi = local_trace_function(traced)
+    assert phi.values == {frozenset({"v3"}): g(1)}
+    assert local_contribution(traced, 0) + local_contribution(traced, 1) == g(1)
+
+
 def test_trace_override_must_sit_on_fixed_cells():
     p = fx.reflection_problem()
     bad = TracedProblem(
@@ -492,10 +501,14 @@ def test_not_hyperbolic_when_one_is_eigenvalue():
         normal=NormalData.of({0: RationalMatrix.identity(1),
                               1: RationalMatrix.identity(1)}),
     )
-    with pytest.raises(NotHyperbolicError):
-        signed_local_contribution(p, 0)
-    with pytest.raises(NotLocalizableError):
-        local_contribution(p, 0)
+    # the signed term and its integral are refused by one test, with one text
+    for term in (signed_local_contribution, local_contribution):
+        with pytest.raises(NotHyperbolicError) as caught:
+            term(p, 0)
+        assert str(caught.value) == (
+            "det(I - A) = 0 on component 0; the signed term is undefined"
+        )
+        assert caught.value.exit_code == 4
 
 
 def test_hyperbolicity_report_fields():

@@ -537,7 +537,7 @@ def test_the_map_check_reads_the_top_cells_of_every_maximal_simplex(make):
         sub.vertices[n]: min(c, key=rank.__getitem__)
         for n, c in enumerate(sub.carriers)
     }
-    for rho in sub.maximal:
+    for rho in sub.base.maximal:
         (centre,) = [v for v, c in zip(sub.vertices, sub.carriers) if c == rho]
         texts = []
         for x in base.vertices:

@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "DegenerateInputError", "FixedPointNotSimplicialError", "GaussianRational",
     "GenericityError", "InvalidComplexError", "LefscalcError",
     "MultiplicityTable", "NoApplicableRegimeError", "NonSimplicialMapError",
-    "NormalData", "NotHyperbolicError", "NotLocalizableError", "ParseError",
+    "NormalData", "NotHyperbolicError", "ParseError",
     "Rat", "RationalMatrix", "RationalPolynomial", "SelfMapSpec",
     "SimplicialComplex", "SimplicialMap", "TracedProblem", "VertexFunctional",
     "barycentric_subdivide", "betti", "bruhat_leq", "canonical_tuple",
