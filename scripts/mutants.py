@@ -392,6 +392,30 @@ MUTANTS = (
         "tests/test_complexes.py",
         "validate_matches_oracle",
     ),
+    Mutant(
+        "a tuple's vertex key drops its length",
+        "src/lefscalc/complexes.py",
+        "        return (2, len(v), *map(vertex_key, v))",
+        "        return (2, *map(vertex_key, v))",
+        "tests/test_complexes.py",
+        "nested_keys",
+    ),
+    Mutant(
+        "a TupleVertex made with its parts' keys drops its length from its key",
+        "src/lefscalc/complexes.py",
+        "self.key = (2, len(self), *keys)",
+        "self.key = (2, *keys)",
+        "tests/test_complexes.py",
+        "nested_keys",
+    ),
+    Mutant(
+        "a simplex's sort key drops its size",
+        "src/lefscalc/complexes.py",
+        "return (len(cell), *sorted(map(vertex_key, cell)))",
+        "return (*sorted(map(vertex_key, cell)),)",
+        "tests/test_complexes.py",
+        "nested_keys",
+    ),
 )
 
 

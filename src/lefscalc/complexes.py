@@ -49,14 +49,18 @@ def vertex_key(v):
     """Total order on vertex identifiers (ints, strings, nested tuples).
 
     Tuples sort by length first, so barycenter vertices of a subdivision
-    sort in face-poset order inside any subdivision simplex.  A TupleVertex
-    carries its key; anything but a string, an int of at most 64 bits (not
-    a bool) or a tuple of identifiers is refused.
+    sort in face-poset order inside any subdivision simplex.  A tuple's key
+    is (2, len, k_1, ..., k_n), its parts' keys spliced in after the length:
+    the length fixes where the parts end, so the key orders as the nested
+    (2, len, (k_1, ..., k_n)) does, one tuple level shallower, which is what
+    a comparison walks.  A TupleVertex carries its key; anything but a
+    string, an int of at most 64 bits (not a bool) or a tuple of
+    identifiers is refused.
     """
     if isinstance(v, TupleVertex):
         return v.key
     if isinstance(v, tuple):
-        return (2, len(v), tuple(map(vertex_key, v)))
+        return (2, len(v), *map(vertex_key, v))
     if isinstance(v, str):
         return (1, v)
     if isinstance(v, int) and not isinstance(v, bool) and v.bit_length() <= 64:
@@ -80,21 +84,31 @@ class TupleVertex(tuple):
     def __new__(cls, parts, keys=None):
         self = super().__new__(cls, parts)
         keys = map(vertex_key, self) if keys is None else keys
-        self.key = (2, len(self), tuple(keys))
+        self.key = (2, len(self), *keys)
         return self
 
     @cached_property
     def key(self) -> tuple:
-        return (2, len(self), tuple(map(vertex_key, self)))
+        return (2, len(self), *map(vertex_key, self))
 
 
 def canonical_tuple(simplex) -> tuple:
-    return tuple(sorted(simplex, key=vertex_key))
+    """The vertices of a simplex in vertex_key order.  Only a value that is
+    no collection makes sorted raise TypeError: a bad vertex is refused by
+    vertex_key, and keys of two kinds differ at their first entry."""
+    try:
+        return tuple(sorted(simplex, key=vertex_key))
+    except TypeError:
+        raise DegenerateInputError(
+            f"canonical_tuple needs a simplex; got {type(simplex).__name__}"
+        ) from None
 
 
 def cell_sort_key(cell):
+    """A simplex's key is (size, its vertices' keys in order), spliced as
+    vertex_key's; a cell id's is its vertex_key."""
     if isinstance(cell, frozenset):
-        return (len(cell), tuple(sorted(map(vertex_key, cell))))
+        return (len(cell), *sorted(map(vertex_key, cell)))
     return vertex_key(cell)
 
 
@@ -283,6 +297,7 @@ _set_ident, _set_dim, _set_component = slot_setters(Cell)
 
 class CellSpace(Value):
     _fields = ("cells",)
+    noun = "a cell space"
     violations = ()  # construction enforces the cell-space invariants
 
     @staticmethod
@@ -347,6 +362,12 @@ def require_simplicial(parent, operation: str) -> SimplicialComplex:
     return require(parent, SimplicialComplex, operation)
 
 
+def require_space(parent, operation: str):
+    """`parent` if it is a simplicial complex or a cell space, the two
+    kinds of space that answer the cell protocol."""
+    return require(parent, (SimplicialComplex, CellSpace), operation)
+
+
 class CellularSubset(Value):
     """A union of open cells of one parent space."""
 
@@ -367,6 +388,7 @@ class CellularSubset(Value):
         """The one reader for a family of cells of `parent`: references the
         parent's cell_key reads, a SimplicialComplex (its simplices), or a
         CellularSubset of an equal parent, returned as it is."""
+        parent = require_space(parent, "CellularSubset.of")
         if isinstance(cells, CellularSubset):
             if cells.parent != parent:
                 raise DegenerateInputError("cells of a different parent")
@@ -414,7 +436,7 @@ def validate(space) -> list:
     space.maximal and on every simplex only when one of them fails or a
     vertex is unlisted; the violation list is the same either way.
     """
-    if isinstance(space, CellSpace):
+    if isinstance(require_space(space, "validate"), CellSpace):
         return []  # construction already enforced the cell-space invariants
     simplices = space.simplices
     vset = set(space.vertices)
@@ -584,7 +606,7 @@ def connected_components(target) -> tuple:
     met in that of their smallest cells.
     """
     if not isinstance(target, CellularSubset):
-        target = whole_space(target)
+        target = whole_space(require_space(target, "connected_components"))
     parent = target.parent
     groups = {}
     if isinstance(parent, CellSpace):

@@ -23,6 +23,8 @@ from .complexes import (
     cell_name,
     cell_sort_key,
     read_table,
+    require_simplicial,
+    require_space,
 )
 from .errors import DegenerateInputError, shown
 from .exact import GZERO, GaussianRational, signed_sum, signed_sums
@@ -42,6 +44,7 @@ class ConstructibleFunction(Record):
 
     @staticmethod
     def of(parent, values) -> "ConstructibleFunction":
+        parent = require_space(parent, "ConstructibleFunction.of")
         table = {}
         known = parent.cell_keys
         given = read_table(values, "values for cell", parent.cell_key)
@@ -58,6 +61,7 @@ class ConstructibleFunction(Record):
     @staticmethod
     def indicator(parent, cells=None) -> "ConstructibleFunction":
         """1 on the given family of cells (every cell when None), else 0."""
+        parent = require_space(parent, "ConstructibleFunction.indicator")
         if cells is None:
             members = parent.cell_keys
         else:
@@ -91,7 +95,8 @@ def chi_c(target) -> int:
     if isinstance(target, CellularSubset):
         parent, cells = target.parent, target.members
     else:
-        parent, cells = target, target.cell_keys
+        parent = require_space(target, "chi_c")
+        cells = parent.cell_keys
     if isinstance(parent, CellSpace):
         return sum(map(parent.cell_signs.__getitem__, cells))
     return sum((-1) ** parent.cell_dim(c) for c in cells)
@@ -174,6 +179,7 @@ def transport_to_subdivision(
     into cells whose compactly-supported characteristics add up to its own.
     """
     phi = require(phi, ConstructibleFunction, "transport_to_subdivision")
+    finer = require_simplicial(finer, "transport_to_subdivision")
     table = {}
     for cell in finer.simplices:
         value = phi.values.get(frozenset(carrier[cell]), GZERO)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DegenerateInputError, shown
-from .records import Value, set_field, slot_setters
+from .records import Value, require, set_field, slot_setters
 
 Rat = Fraction
 
@@ -327,6 +327,7 @@ class RationalPolynomial(Value):
     """Coefficients lowest degree first, trailing zeros stripped."""
 
     __slots__ = _fields = ("coeffs",)
+    noun = "a rational polynomial"
 
     def __init__(self, coeffs: tuple):
         if coeffs and coeffs[-1] == 0:
@@ -481,7 +482,7 @@ def count_real_roots_geq(p: RationalPolynomial, c) -> int:
     """Number of distinct real roots of p in [c, +oo), multiplicity ignored.
     Degree <= 2 is decided in closed form; from degree 3 on, roots at c
     are divided out and one Sturm chain counts the rest."""
-    if p.is_zero():
+    if require(p, RationalPolynomial, "count_real_roots_geq").is_zero():
         raise DegenerateInputError("root counting on the zero polynomial")
     c = parse_rational(c)
     if p.degree <= 2:

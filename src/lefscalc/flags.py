@@ -34,7 +34,7 @@ from .exact import (
     parse_rational,
     signed_sum,
 )
-from .records import Record, Value
+from .records import Record, Value, require
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +150,7 @@ class BruhatCellSpace(Record):
     in which _perm_cells(n) lists their cells."""
 
     __slots__ = _fields = ("n", "space", "perms")
+    noun = "a Bruhat cell space"
 
 
 def flag_cellspace(n: int) -> BruhatCellSpace:
@@ -166,6 +167,7 @@ def schubert_subset(
     """The cell of perm, or its closure in the Bruhat order: the cells
     whose packed dot counts pass the test of _guard against perm's.  The
     names are the model's own, so no reader re-reads them."""
+    model = require(model, BruhatCellSpace, "schubert_subset")
     perm = _permutation(perm, model.n)
     if closed:
         guard = _guard(model.n)
@@ -186,6 +188,7 @@ def open_cell_complement(model: BruhatCellSpace, perm=None) -> CellularSubset:
     For the big cell this is the union of all proper closed cells, the
     boundary divisor the worked example traces against.
     """
+    model = require(model, BruhatCellSpace, "open_cell_complement")
     perm = longest_element(model.n) if perm is None else _permutation(perm, model.n)
     members = {perm_name(w) for w in model.perms if w != perm}
     return CellularSubset.of(model.space, members)

@@ -138,6 +138,7 @@ def _normalize_subcomplex(space: SimplicialComplex, dropped) -> frozenset:
 
 class ChainComplexQ(Record):
     _fields = ("space", "dropped", "bases", "boundaries")  # repr leaves out index
+    noun = "a chain complex"
 
     def __init__(
         self, space: SimplicialComplex, dropped: frozenset, bases: tuple,
@@ -201,7 +202,7 @@ def _chain_complex(space: SimplicialComplex, dropped: frozenset) -> ChainComplex
 def betti(cc: ChainComplexQ) -> list:
     """Rational Betti numbers per degree (relative ones if cells were
     dropped at construction)."""
-    red = cc._reductions
+    red = require(cc, ChainComplexQ, "betti")._reductions
     return [len(red[k][1]) - len(red[k + 1][0]) for k in range(len(cc.bases))]
 
 

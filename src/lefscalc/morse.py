@@ -39,7 +39,6 @@ from .complexes import (
     induced_subcomplex,
     read_table,
     require_simplicial,
-    vertex_key,
 )
 from .errors import DegenerateInputError, GenericityError, NoApplicableRegimeError
 from .euler import ConstructibleFunction, restrict
@@ -137,7 +136,10 @@ class MultiplicityTable(Record):
         return signed_sum((1, value) for value in self.entries.values())
 
     def sorted_entries(self) -> list:
-        return sorted(self.entries.items(), key=lambda kv: vertex_key(kv[0]))
+        """(vertex, multiplicity) in vertex_key order, which is the order
+        of space.vertices, so nothing is sorted."""
+        entries = self.entries
+        return [(v, entries[v]) for v in self.space.vertices if v in entries]
 
     def scaled(self, c) -> "MultiplicityTable":
         return MultiplicityTable(

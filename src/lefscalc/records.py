@@ -16,7 +16,8 @@ repr leaves out and so defines its own `__eq__`.  Records with no
 `cached_property` declare `__slots__`.
 
 A kind of record that arrives as an argument names itself in its `noun`
-("a simplicial complex"), and `require` reads an argument of that kind.
+("a simplicial complex"), and `require` reads an argument of that kind,
+or of one of a tuple of kinds.
 """
 
 from .errors import DegenerateInputError
@@ -47,13 +48,14 @@ def _bind(cls, values: tuple, named: dict) -> tuple:
 
 
 def require(value, kind, operation: str):
-    """`value` if it is a `kind`; anything else is refused with
-    DegenerateInputError, naming `operation`, the function called, and
-    `kind.noun`."""
+    """`value` if it is a `kind`, a class or a tuple of classes; anything
+    else is refused with DegenerateInputError, naming `operation`, the
+    function called, and each kind's `noun`."""
     if isinstance(value, kind):
         return value
+    nouns = " or ".join(k.noun for k in kind) if isinstance(kind, tuple) else kind.noun
     raise DegenerateInputError(
-        f"{operation} needs {kind.noun}; got {type(value).__name__}"
+        f"{operation} needs {nouns}; got {type(value).__name__}"
     )
 
 

@@ -460,13 +460,42 @@ def schubert_members_by_dot_tuples(model, perm: tuple) -> set:
 # vertex order keys, rebuilt on every call
 
 def vertex_key_recursive(v):
+    """complexes.vertex_key's shape: a tuple's parts' keys spliced in
+    after its length."""
     if isinstance(v, tuple):
-        return (2, len(v), tuple(vertex_key_recursive(x) for x in v))
+        return (2, len(v), *(vertex_key_recursive(x) for x in v))
     if isinstance(v, str):
         return (1, v)
     if isinstance(v, int) and not isinstance(v, bool):
         return (0, v)
     return (3, str(v))
+
+
+def vertex_key_nested(v):
+    """The vertex order as it was keyed before the splice: a tuple's parts'
+    keys in an inner tuple, (2, len, (k_1, ..., k_n)).  The differential
+    oracle for the order; the shape itself is vertex_key_recursive's."""
+    if isinstance(v, tuple):
+        return (2, len(v), tuple(vertex_key_nested(x) for x in v))
+    if isinstance(v, str):
+        return (1, v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return (0, v)
+    return (3, str(v))
+
+
+def sorted_entries_by_key(table) -> list:
+    """morse.MultiplicityTable.sorted_entries as it was before it read the
+    space's vertex order: the entries sorted by vertex_key."""
+    from lefscalc.complexes import vertex_key
+
+    return sorted(table.entries.items(), key=lambda kv: vertex_key(kv[0]))
+
+
+def cell_sort_key_nested(cell):
+    """complexes.cell_sort_key of a simplex as it was keyed before the
+    splice: (size, (k_1, ..., k_n)), over vertex_key_nested."""
+    return (len(cell), tuple(sorted(map(vertex_key_nested, cell))))
 
 
 # ---------------------------------------------------------------------------

@@ -855,6 +855,56 @@ NAMED_PROBES = {
         lambda: lc.microlocal_index(REFLECTION, 0, None),
         "microlocal_index needs a vertex functional; got NoneType",
     ),
+    # no simplex, complex, chain complex, polynomial or flag model: each
+    # raised a raw TypeError or AttributeError
+    "canonical_tuple(None)": (
+        lambda: lc.canonical_tuple(None), "canonical_tuple needs a simplex; got NoneType"
+    ),
+    "canonical_tuple(5)": (
+        lambda: lc.canonical_tuple(5), "canonical_tuple needs a simplex; got int"
+    ),
+    "transport_to_subdivision(TRIANGLE_ONE, None, {})": (
+        lambda: lc.euler.transport_to_subdivision(TRIANGLE_ONE, None, {}),
+        "transport_to_subdivision needs a simplicial complex; got NoneType",
+    ),
+    "betti(5)": (lambda: lc.betti(5), "betti needs a chain complex; got int"),
+    "count_real_roots_geq(5, 1)": (
+        lambda: lc.count_real_roots_geq(5, 1),
+        "count_real_roots_geq needs a rational polynomial; got int",
+    ),
+    "schubert_subset(5, (1, 2))": (
+        lambda: lc.schubert_subset(5, (1, 2)),
+        "schubert_subset needs a Bruhat cell space; got int",
+    ),
+    "open_cell_complement(None)": (
+        lambda: lc.flags.open_cell_complement(None),
+        "open_cell_complement needs a Bruhat cell space; got NoneType",
+    ),
+    # a value that is no space of either kind
+    "validate(5)": (
+        lambda: lc.validate(5),
+        "validate needs a simplicial complex or a cell space; got int",
+    ),
+    "chi_c(5)": (
+        lambda: lc.chi_c(5), "chi_c needs a simplicial complex or a cell space; got int"
+    ),
+    "connected_components(5)": (
+        lambda: lc.connected_components(5),
+        "connected_components needs a simplicial complex or a cell space; got int",
+    ),
+    "ConstructibleFunction.of(5, {})": (
+        lambda: lc.ConstructibleFunction.of(5, {}),
+        "ConstructibleFunction.of needs a simplicial complex or a cell space; got int",
+    ),
+    "ConstructibleFunction.indicator(5)": (
+        lambda: lc.ConstructibleFunction.indicator(5),
+        "ConstructibleFunction.indicator needs a simplicial complex or a cell space; "
+        "got int",
+    ),
+    "CellularSubset.of(5, [])": (
+        lambda: lc.CellularSubset.of(5, []),
+        "CellularSubset.of needs a simplicial complex or a cell space; got int",
+    ),
 }
 # the probes above of a value that is no spec, or no problem
 NOT_A_SPEC_OR_PROBLEM = [
@@ -866,6 +916,14 @@ NOT_A_MAP_OR_FUNCTION = [
     call for call, (_, text) in NAMED_PROBES.items()
     if any(f"needs {noun};" in text for noun in (
         lc.SimplicialMap.noun, lc.ConstructibleFunction.noun, lc.VertexFunctional.noun
+    ))
+]
+# and of a value that is no simplex, chain complex, polynomial or flag model
+NOT_A_SIMPLEX_OR_MODEL = [
+    call for call, (_, text) in NAMED_PROBES.items()
+    if any(f"needs {noun};" in text for noun in (
+        "a simplex", lc.homology.ChainComplexQ.noun, lc.RationalPolynomial.noun,
+        lc.BruhatCellSpace.noun,
     ))
 ]
 
@@ -899,7 +957,10 @@ CELL_SPACE_PROBES = {
 @pytest.mark.parametrize("call", [
     "subdivided_complex(None, 0)", "star(5, 'a')", "SelfMapSpec.identity(5)",
     "SimplicialMap.build(5, TRIANGLE, {})", "SimplicialMap.build(TRIANGLE, None, {})",
-    "VertexFunctional.of(5, {})",
+    "VertexFunctional.of(5, {})", "transport_to_subdivision(TRIANGLE_ONE, None, {})",
+    "validate(5)", "chi_c(5)", "connected_components(5)",
+    "ConstructibleFunction.of(5, {})", "ConstructibleFunction.indicator(5)",
+    "CellularSubset.of(5, [])",
 ])
 def test_a_value_that_is_no_space_is_refused_as_degenerate_input(call):
     attempt, _ = NAMED_PROBES[call]
@@ -918,7 +979,7 @@ def test_a_value_that_is_no_spec_or_problem_is_refused_as_degenerate_input(call)
     assert caught.value.exit_code == 2
 
 
-@pytest.mark.parametrize("call", NOT_A_MAP_OR_FUNCTION)
+@pytest.mark.parametrize("call", NOT_A_MAP_OR_FUNCTION + NOT_A_SIMPLEX_OR_MODEL)
 def test_a_value_that_is_no_map_or_function_is_refused_as_degenerate_input(call):
     attempt, _ = NAMED_PROBES[call]
     with pytest.raises(LefscalcError) as caught:

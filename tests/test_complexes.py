@@ -8,9 +8,12 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import factorial, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lefscalc
 import oracles
@@ -596,14 +599,90 @@ def test_cell_sort_key_matches_canonical_tuple_keys(name):
     key = oracles.vertex_key_recursive
 
     def expected(cell):
-        return (len(cell), tuple(map(key, sorted(cell, key=key))))
+        return (len(cell), *map(key, sorted(cell, key=key)))
 
     for cell in space.simplices:
         assert cell_sort_key(cell) == expected(cell)
-        assert tuple(map(key, canonical_tuple(cell))) == expected(cell)[1]
+        assert tuple(map(key, canonical_tuple(cell))) == expected(cell)[1:]
     assert sorted(space.simplices, key=cell_sort_key) == sorted(
         space.simplices, key=expected
     )
+
+
+# ---------------------------------------------------------------------------
+# the spliced keys order as the nested keys did
+
+@pytest.mark.parametrize("name", sorted(SUBDIVIDED))
+def test_vertex_and_cell_orders_are_the_nested_keys_orders(name):
+    make, level = SUBDIVIDED[name]
+    space = subdivided_complex(make(), level)[0]
+    nested = sorted(space.vertices, key=oracles.vertex_key_nested)
+    assert list(space.vertices) == nested
+    for vertices in (list(space.vertices), [_fresh_copy(v) for v in space.vertices]):
+        assert sorted(reversed(vertices), key=vertex_key) == nested
+    # the flag generator's vertices compute their keys when first read
+    sub = complexes.flag_subdivision(make(), level)
+    lazy = list(sub.vertices)
+    assert sorted(reversed(lazy), key=vertex_key) == nested
+    assert [lazy[n] for n in sub.order] == nested
+    cells = sorted(space.simplices, key=oracles.cell_sort_key_nested)
+    copies = [frozenset(map(_fresh_copy, cell)) for cell in space.simplices]
+    for family in (list(space.simplices), copies):
+        assert sorted(family, key=cell_sort_key) == cells
+    assert [space.k_cells(k) for k in range(space.dim + 1)] == [
+        [c for c in cells if len(c) == k + 1] for k in range(space.dim + 1)
+    ]
+
+
+# identifiers nested up to four deep, from a small pool of atoms so that
+# equal parts, and keys equal up to a late position, come up often
+_ATOMS = st.sampled_from([0, -1, 1, 2 ** 64 - 1, -(2 ** 64 - 1), "", "\x00", "a", "ab"])
+
+
+def _identifiers(depth: int):
+    if depth == 0:
+        return _ATOMS
+    inner = _identifiers(depth - 1)
+    return st.one_of(inner, st.lists(inner, max_size=4).map(tuple))
+
+
+def _compared(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+def _lazy_tuple_vertex(v):
+    """v rebuilt as the flag generator builds vertices: tuple.__new__, the
+    key computed when first read."""
+    if isinstance(v, tuple):
+        return tuple.__new__(TupleVertex, map(_lazy_tuple_vertex, v))
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_identifiers(4), min_size=1, max_size=6))
+@example([("b",), ("a", "c")])
+@example([(), ("",), ("\x00",), (("",),), (0, ()), (0, (), ())])
+def test_spliced_keys_compare_as_the_nested_keys_do(identifiers):
+    nested = [oracles.vertex_key_nested(v) for v in identifiers]
+    for build in (lambda v: v, _tuple_vertex, _lazy_tuple_vertex):
+        keys = [vertex_key(build(v)) for v in identifiers]
+        assert keys == [oracles.vertex_key_recursive(v) for v in identifiers]
+        for i, j in product(range(len(keys)), repeat=2):
+            assert _compared(keys[i], keys[j]) == _compared(nested[i], nested[j])
+    cells = [frozenset(identifiers[i:]) for i in range(len(identifiers))]
+    ordered = sorted(cells, key=oracles.cell_sort_key_nested)
+    assert sorted(reversed(cells), key=cell_sort_key) == ordered
+
+
+@pytest.mark.parametrize("make", [_tuple_vertex, _lazy_tuple_vertex])
+def test_a_tuple_vertex_key_holds_no_inner_tuple_of_part_keys(make):
+    for plain in [(), ("a",), (1, "b"), ((1,), ("a", 2), ()), (((1, 2),), "c")]:
+        v = make(plain)
+        parts = tuple(map(vertex_key, v))
+        assert v.key == (2, len(v), *parts)
+        assert parts not in v.key and len(v.key) == len(v) + 2
+    for v in subdivided_complex(fx.disk(), 2)[0].vertices:
+        assert len(v.key) == len(v) + 2 and tuple(map(vertex_key, v)) not in v.key
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, None, (True,), ("a", 2.0), ((None,),)])

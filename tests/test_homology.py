@@ -44,6 +44,7 @@ from lefscalc.homology import (
     self_map_endomorphism,
 )
 from lefscalc.maps import SelfMapSpec, SimplicialMap, compose, refine, subdivided_complex
+from lefscalc.morse import VertexFunctional, cc_table
 from lefscalc.verify import random_complex, random_self_map
 
 
@@ -620,15 +621,27 @@ def test_a_min_vertex_map_of_sd4_of_the_sphere_builds_no_tower(no_tower):
     assert fixed_subcomplex(spec).members == {frozenset([v]) for v in sphere.vertices}
 
 
-def _mixed_reversed_names(space) -> dict:
-    """A renaming of the vertices of `space` onto ints, then strings, then
-    tuples, that reverses their vertex_key order."""
+def _nested_reversed_names(space, rng) -> dict:
+    """A renaming of the vertices of `space` that reverses their vertex_key
+    order, onto names drawn from ints, strings, and tuples nested two and
+    three deep: each name holds its own j, so they are distinct, and the
+    tuples' lengths and parts differ, so the spliced keys decide their
+    order."""
     ordered = sorted(space.vertices, key=vertex_key)
-    n = len(ordered)
-    names = [  # in increasing vertex_key order
-        (j, f"s{j:02d}", ("t", j))[3 * j // n] for j in range(n)
-    ]
-    return {v: names[n - 1 - i] for i, v in enumerate(ordered)}
+    kinds = (
+        lambda j: j,
+        lambda j: f"s{j:02d}",
+        lambda j: ((j,),),
+        lambda j: (("t",), j),
+        lambda j: (j, (j, "u")),
+        lambda j: (((j,),),),
+        lambda j: (((j, "u"),), j),
+        lambda j: ("v", ((j,), ()), j),
+    )
+    names = sorted(
+        (rng.choice(kinds)(j) for j in range(len(ordered))), key=vertex_key
+    )
+    return dict(zip(ordered, reversed(names)))
 
 
 def _renamed_vertex(w, level: int, names: dict):
@@ -647,9 +660,31 @@ def _fixed_component_chis(spec):
         return None
 
 
+def _assert_calculus_commutes_with_renaming(space, renamed, level, names, rng):
+    """Betti numbers, an Euler integral and a cc_table of sd^level agree
+    with those of the renamed sd^level."""
+    finer = subdivided_complex(space, level)[0]
+    other = subdivided_complex(renamed, level)[0]
+    rename = {w: _renamed_vertex(w, level, names) for w in finer.vertices}
+    assert set(rename.values()) == set(other.vertices)
+    assert betti(chain_complex(other)) == betti(chain_complex(finer))
+    values = {cell: rng.randint(-3, 3) for cell in finer.simplices}
+    phi = ConstructibleFunction.of(finer, values)
+    psi = ConstructibleFunction.of(
+        other, {frozenset(map(rename.get, c)): x for c, x in values.items()}
+    )
+    assert euler_integral(psi) == euler_integral(phi)
+    heights = rng.sample(range(10 * len(finer.vertices)), len(finer.vertices))
+    ell = dict(zip(finer.vertices, heights))
+    table = cc_table(phi, VertexFunctional.of(finer, ell))
+    moved = cc_table(psi, VertexFunctional.of(other, {rename[w]: h for w, h in ell.items()}))
+    # vertex for vertex, so the tables' multisets of entries agree too
+    assert moved.entries == {rename[w]: x for w, x in table.entries.items()}
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 9))
-def test_traces_and_fixed_loci_commute_with_an_order_reversing_renaming(seed):
+def test_traces_fixed_loci_and_the_calculus_commute_with_an_order_reversing_renaming(seed):
     rng = random.Random(seed)
     space = random_complex(rng, max_vertices=6, max_dim=2, max_simplices=25)
     g = random_self_map(rng, space).vertex_map
@@ -658,17 +693,20 @@ def test_traces_and_fixed_loci_commute_with_an_order_reversing_renaming(seed):
     spec = SelfMapSpec.build(space, level, {
         w: g[u] for w, u in _carrier_choice(sub, rng).items()
     })
-    names = _mixed_reversed_names(space)
+    names = _nested_reversed_names(space, rng)
+    base = SimplicialComplex.from_maximal(
+        [tuple(names[v] for v in s) for s in space.simplices]
+    )
     renamed = SelfMapSpec.build(
-        SimplicialComplex.from_maximal(
-            [tuple(names[v] for v in s) for s in space.simplices]
-        ),
+        base,
         level,
         {_renamed_vertex(w, level, names): names[u] for w, u in spec.vertex_map.items()},
     )
     assert homology_traces(renamed) == homology_traces(spec)
     assert hopf_trace(renamed) == hopf_trace(spec)
     assert _fixed_component_chis(renamed) == _fixed_component_chis(spec)
+    for k in (0, 1):
+        _assert_calculus_commutes_with_renaming(space, base, k, names, rng)
 
 
 # ---------------------------------------------------------------------------

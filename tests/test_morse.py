@@ -208,6 +208,38 @@ def test_table_lists_every_vertex():
     assert names == sorted(names)
 
 
+@pytest.mark.parametrize("make", [
+    fx.point_complex, fx.interval_complex, fx.hexagon, fx.twelve_gon, fx.disk,
+    fx.sphere2, lambda: subdivided_complex(fx.disk(), 2)[0],
+    lambda: subdivided_complex(fx.sphere2(), 1)[0],
+])
+def test_sorted_entries_are_the_entries_sorted_by_vertex_key(make):
+    space = make()
+    table = cc_table(ConstructibleFunction.indicator(space), enumeration_functional(space))
+    assert table.sorted_entries() == oracles.sorted_entries_by_key(table)
+    scaled = table.scaled(-1)
+    assert scaled.sorted_entries() == oracles.sorted_entries_by_key(scaled)
+
+
+def test_sorted_entries_of_seeded_tables_and_cycle_tables():
+    rng = random.Random("sorted-entries")
+    for _ in range(50):
+        space = random_complex(rng)
+        if rng.random() < 0.3:
+            space = subdivided_complex(space, 1)[0]
+        table = cc_table(random_function(rng, space), random_functional(rng, space))
+        assert table.sorted_entries() == oracles.sorted_entries_by_key(table)
+    cases = [
+        (fx.doubling_problem(), [0], hexagon_heights()),
+        (fx.reflection_problem(), [0, 1], hexagon_heights()),
+        (fx.identity_problem(fx.sphere2()), [0], enumeration_functional(fx.sphere2())),
+    ]
+    for p, indices, ell in cases:
+        for index in indices:
+            table = lefschetz_cycle_table(p, index, ell).table
+            assert table.sorted_entries() == oracles.sorted_entries_by_key(table)
+
+
 def test_scaled_table():
     space = fx.interval_complex()
     phi = ConstructibleFunction.indicator(space)
