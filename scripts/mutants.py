@@ -361,15 +361,15 @@ MUTANTS = (
         "fixture_lefschetz_numbers or sparse_engine_agrees",
     ),
     Mutant(
-        "the subdivision step sorts the old simplices' ranks without size first",
+        "the generator orders a level's vertices without size first",
         "src/lefscalc/complexes.py",
-        "    ranked.sort(key=len)  # stable, so (size, ranks) order\n",
-        "",
+        "key=lambda n: (len(parts[n]), list(map(ranks.__getitem__, parts[n]))),",
+        "key=lambda n: list(map(ranks.__getitem__, parts[n])),",
         "tests/test_complexes.py",
-        "chain_oracle",
+        "chain_oracle or tower_oracle",
     ),
     Mutant(
-        "the subdivision step does not divide a barycentre by the simplex size",
+        "a barycentre is not divided by the number of its points",
         "src/lefscalc/complexes.py",
         "return tuple([Fraction(x, scale) for x in axes])",
         "return tuple([Fraction(x, scale // len(rows)) for x in axes])",
@@ -377,12 +377,28 @@ MUTANTS = (
         "chain_oracle",
     ),
     Mutant(
-        "the subdivision step does not union a new cell with its face's cell",
+        "the view does not join a face's prefix with its last vertex",
         "src/lefscalc/complexes.py",
-        "cells += [cell | alone for cell in ending[face]]",
-        "cells += [alone for cell in ending[face]]",
+        "made[face] = s = made[face[:-1]] | alone[face[-1]]",
+        "made[face] = s = alone[face[-1]]",
         "tests/test_complexes.py",
-        "chain_oracle",
+        "chain_oracle or tower_oracle",
+    ),
+    Mutant(
+        "the view reads a cell's carrier off its first vertex",
+        "src/lefscalc/complexes.py",
+        "carrier[s] = carriers[face[-1]]",
+        "carrier[s] = carriers[face[0]]",
+        "tests/test_complexes.py",
+        "tower_oracle",
+    ),
+    Mutant(
+        "the view's coordinate of a barycentre drops its last part",
+        "src/lefscalc/complexes.py",
+        "_barycentre([rows[i] for i in p])",
+        "_barycentre([rows[i] for i in p[:-1]])",
+        "tests/test_complexes.py",
+        "tower_oracle",
     ),
     Mutant(
         "the rank test's homogeneous row drops its d column",
@@ -401,12 +417,28 @@ MUTANTS = (
         "nested_keys",
     ),
     Mutant(
-        "a TupleVertex made with its parts' keys drops its length from its key",
+        "a TupleVertex made from its parts drops its length from its key",
         "src/lefscalc/complexes.py",
-        "self.key = (2, len(self), *keys)",
-        "self.key = (2, *keys)",
+        "self.key = (2, len(self), *map(vertex_key, self))",
+        "self.key = (2, *map(vertex_key, self))",
         "tests/test_complexes.py",
         "nested_keys",
+    ),
+    Mutant(
+        "a lazily keyed TupleVertex drops its length from its key",
+        "src/lefscalc/complexes.py",
+        'vars(v)["key"] = (2, len(v), *map(vertex_key, v))',
+        'vars(v)["key"] = (2, *map(vertex_key, v))',
+        "tests/test_complexes.py",
+        "nested_keys",
+    ),
+    Mutant(
+        "a lazy key reads its parts' keys by recursion",
+        "src/lefscalc/complexes.py",
+        'below = [p for p in v if type(p) is TupleVertex and "key" not in vars(p)]',
+        "below = []",
+        "tests/test_complexes.py",
+        "recursion_limit",
     ),
     Mutant(
         "a simplex's sort key drops its size",

@@ -13,14 +13,15 @@ cell protocol: `cell_key(ref)` turns a cell reference into the key a cell
 is stored under (a vertex frozenset, or an id string), `cell_dim(key)` is
 its dimension, and `cell_keys` is the set of all keys.
 
-Iterated subdivisions come in two forms.  The flag generator,
-`flag_subdivision`, lists sd^k's vertices (numbered, one object each),
-each vertex's carrier, and the fundamental chain of every base simplex,
-from one table of full flags per dimension, and builds no complex; the
-self-map specs read it, and through them their traces and fixed loci,
-and the problem reader.  The tower, `subdivided_complex`, is sd^k as a
-complex, built on demand: level k is one `barycentric_subdivide` of
-level k - 1, cached; pushforwards and refinement build it.
+Iterated subdivisions have one generator, `flag_subdivision`.  It lists
+sd^k's vertices (numbered, one object each), each vertex's carrier, and
+the fundamental chain of every base simplex, from one table of full flags
+per dimension (Munkres, Elements of Algebraic Topology, section 17), and
+builds no complex; the self-map specs read it, and through them their
+traces and fixed loci, and the problem reader.  sd^k as a complex, with
+its carrier map, is the generated record's one cached view, which
+`subdivided_complex` returns; pushforwards, refinement and the Euler
+calculus on subdivisions read that.
 
 Everything is deterministic: vertex identifiers are ordered by a fixed
 total key, simplices by (dimension, vertex order), components by their
@@ -72,8 +73,7 @@ def vertex_key(v):
 
 
 class TupleVertex(tuple):
-    """A tuple vertex carrying its order key, computed once from its parts,
-    or made from `keys`, the parts' own keys, when the caller has them.
+    """A tuple vertex carrying its order key, computed once from its parts.
     It equals, hashes and prints as the plain tuple does; a copy or a
     pickle of it is an equal TupleVertex.  The flag generator makes its
     vertices from parts that are vertices already, with tuple.__new__,
@@ -81,15 +81,27 @@ class TupleVertex(tuple):
 
     __repr__ = tuple.__repr__
 
-    def __new__(cls, parts, keys=None):
+    def __new__(cls, parts):
         self = super().__new__(cls, parts)
-        keys = map(vertex_key, self) if keys is None else keys
-        self.key = (2, len(self), *keys)
+        self.key = (2, len(self), *map(vertex_key, self))
         return self
 
     @cached_property
     def key(self) -> tuple:
-        return (2, len(self), *map(vertex_key, self))
+        """Read with no recursion, so that a vertex nested past the
+        recursion limit has one: unread parts' keys are computed first."""
+        stack = [self]
+        while stack:
+            v = stack.pop()
+            if "key" in vars(v):
+                continue
+            below = [p for p in v if type(p) is TupleVertex and "key" not in vars(p)]
+            if below:
+                stack.append(v)
+                stack += below
+            else:
+                vars(v)["key"] = (2, len(v), *map(vertex_key, v))
+        return vars(self)["key"]
 
 
 def canonical_tuple(simplex) -> tuple:
@@ -372,6 +384,7 @@ class CellularSubset(Value):
     """A union of open cells of one parent space."""
 
     __slots__ = _fields = ("parent", "members")
+    noun = "a cellular subset"
 
     def __init__(self, parent, members: frozenset):
         """members: cell keys of `parent`; a key the parent lacks is refused."""
@@ -405,6 +418,7 @@ class CellularSubset(Value):
 
 
 def whole_space(parent) -> CellularSubset:
+    parent = require_space(parent, "whole_space")
     return CellularSubset(parent, frozenset(parent.cell_keys))
 
 
@@ -576,6 +590,7 @@ def star(space: SimplicialComplex, v) -> CellularSubset:
 
 
 def closure(subset: CellularSubset) -> CellularSubset:
+    subset = require(subset, CellularSubset, "closure")
     parent = require_simplicial(subset.parent, "closure")
     return CellularSubset(parent, frozenset(_faces(subset.members)))
 
@@ -660,89 +675,8 @@ def induced_subcomplex(space: SimplicialComplex, cells) -> SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
-# barycentric subdivision
-
-
-def barycentric_subdivide(space: SimplicialComplex) -> tuple:
-    """One barycentric subdivision.
-
-    Returns (subdivided complex, carrier) where carrier maps each new
-    simplex to the smallest old simplex containing its realization; new
-    vertices are named by the canonical vertex tuple of the old simplex
-    they subtend.
-
-    The old simplices are read as sorted tuples of vertex ranks and taken
-    in (size, ranks) order, which is the vertex_key order of their
-    barycentres, so the new vertices come out sorted.  The cells of sd(s)
-    are s's barycentre alone and joined to each cell of sd(t) that ends at
-    the barycentre of a proper face t of s; faces come first, so those
-    cells are made by then.  The complex is built from these parts as they
-    are, without a second pass through `build`'s readers.
-    """
-    space = require_simplicial(space, "barycentric_subdivide")
-    require_valid(space)
-    vertices, rank = space.vertices, space._vertex_index
-    keys = [vertex_key(v) for v in vertices]
-    old = {tuple(sorted(map(rank.__getitem__, s))): s for s in space.simplices}
-    ranked = sorted(old)
-    ranked.sort(key=len)  # stable, so (size, ranks) order
-    names, carrier, ending = [], {}, {}
-    for r in ranked:
-        name = TupleVertex([vertices[i] for i in r], [keys[i] for i in r])
-        names.append(name)
-        alone = frozenset((name,))
-        cells = [alone]
-        for k in range(1, len(r)):
-            for face in combinations(r, k):
-                cells += [cell | alone for cell in ending[face]]
-        ending[r] = cells
-        carrier.update(dict.fromkeys(cells, old[r]))
-    coords = None
-    if space.coords is not None:
-        points, rows = space.coords, _homogeneous_rows(space.coords)
-        coords = tuple(
-            [points[r[0]] if len(r) == 1 else _barycentre([rows[i] for i in r])
-             for r in ranked]
-        )
-    return SimplicialComplex(tuple(names), frozenset(carrier), coords), carrier
-
-
-def _barycentre(rows: list) -> tuple:
-    """The mean of points given as homogeneous integer rows (d*p, d): the
-    rows scaled to their lcm of d and summed read (n*d*mean, n*d)."""
-    common = lcm(*[row[-1] for row in rows])
-    scaled = [[x * (common // row[-1]) for x in row] for row in rows]
-    *axes, scale = map(sum, zip(*scaled))
-    return tuple([Fraction(x, scale) for x in axes])
-
-
-@lru_cache(maxsize=None, typed=True)  # typed, so True misses level 1's entry
-def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
-    """sd^level(base) together with the carrier map down to `base`.
-
-    The tower behind every iterated subdivision: level k is one subdivision
-    of level k - 1, and that step is the cache entry (sd^(k-1) base, 1), so
-    each complex of the tower is subdivided once.  Level k walks those
-    steps up from level 1 and composes their carriers; only the level asked
-    for keeps its composed carrier.  Results are shared between callers;
-    neither the complex nor the carrier may be mutated.
-    """
-    level = parse_integer(level, "subdivision level", least=0)
-    base = require_simplicial(base, "subdivided_complex")
-    if level == 0:
-        return base, {s: s for s in base.simplices}
-    if level == 1:
-        return barycentric_subdivide(base)
-    finer, carrier = subdivided_complex(base, 1)
-    for _ in range(level - 1):
-        finer, step = subdivided_complex(finer, 1)
-        carrier = {cell: carrier[below] for cell, below in step.items()}
-    return finer, carrier
-
-
-# ---------------------------------------------------------------------------
-# sd^k from flags: the vertices, carriers and cells that traces and fixed
-# loci read, with no tower built
+# barycentric subdivision: sd^k from flags, its vertices, carriers and
+# cells, and the complex they make
 
 # Flag tables kept, one per simplex dimension.
 FLAG_TABLE_CACHE = 16
@@ -815,15 +749,17 @@ def _check_flags(d: int, faces: list, flags: list) -> None:
 
 
 class FlagSubdivision(Record):
-    """sd^level(base) as the flag tables generate it, with no tower built.
+    """sd^level(base) as the flag tables generate it.
 
     Vertices are numbered.  A vertex of level j + 1 is the barycentre of a
     face of a level-j cell, keyed by the numbers of its parts in canonical
     order and numbered when first met, so a vertex that many cells share
     has one number and one object.
 
-    vertices: the vertex objects of sd^level, by number, each equal to the
-        tower's (a TupleVertex from level 1 on, the base's own at level 0);
+    vertices: the vertex objects of sd^level, by number (a TupleVertex
+        from level 1 on, the base's own at level 0);
+    parts: for each level j + 1, the parts of each of its vertices by
+        number, as numbers of level j (of the base's vertex order at j = 0);
     carriers: the carrier of each vertex, by number: the base simplex (the
         base's own object) of the base vertices nested in it;
     order: the vertex numbers in vertex_key order;
@@ -834,11 +770,12 @@ class FlagSubdivision(Record):
         sd^level, and every simplex of sd^level is a face of one.
     """
 
-    __slots__ = _fields = ("base", "level", "vertices", "carriers", "order", "chains")
+    _fields = ("base", "level", "vertices", "parts", "carriers", "order", "chains")
 
     def top_cells(self):
-        """(cell, rho) for each top cell of sd^level, rho its carrier."""
-        for rho in self.base.maximal:
+        """(cell, rho) for each top cell of sd^level, rho its carrier, the
+        rho in cell order, which does not follow the string hash."""
+        for rho in sorted(self.base.maximal, key=cell_sort_key):
             for cell in self.chains[rho][0]:
                 yield cell, rho
 
@@ -850,14 +787,54 @@ class FlagSubdivision(Record):
         """The smallest base simplex holding a cell of vertex numbers."""
         return frozenset().union(*map(self.carriers.__getitem__, cell))
 
+    @cached_property
+    def view(self) -> tuple:
+        """(sd^level as a complex, its carrier map down to base), built once
+        and shared.  The simplices are the sub-tuples of the top cells, each
+        its prefix's set joined with its last vertex's, so each vertex is
+        hashed once.  A cell, the barycentres of a flag, has the carrier of
+        its last vertex, the largest face.  Coordinates are barycentres,
+        level by level."""
+        base = self.base
+        if not self.level:
+            return base, {s: s for s in base.simplices}
+        carriers = self.carriers
+        alone = [frozenset((v,)) for v in self.vertices]
+        made = {(n,): s for n, s in enumerate(alone)}
+        carrier = {alone[n]: carriers[n] for n in self.order}
+        for cell, _ in self.top_cells():
+            for k in range(2, len(cell) + 1):
+                for face in combinations(cell, k):
+                    if face not in made:
+                        made[face] = s = made[face[:-1]] | alone[face[-1]]
+                        carrier[s] = carriers[face[-1]]
+        coords = base.coords
+        if coords is not None:
+            for parts in self.parts:
+                rows = _homogeneous_rows(coords)
+                coords = [coords[p[0]] if len(p) == 1 else
+                          _barycentre([rows[i] for i in p]) for p in parts]
+            coords = tuple(map(coords.__getitem__, self.order))
+        vertices = tuple(map(self.vertices.__getitem__, self.order))
+        return SimplicialComplex(vertices, frozenset(carrier), coords), carrier
+
+
+def _barycentre(rows: list) -> tuple:
+    """The mean of points given as homogeneous integer rows (d*p, d): the
+    rows scaled to their lcm of d and summed read (n*d*mean, n*d)."""
+    common = lcm(*[row[-1] for row in rows])
+    scaled = [[x * (common // row[-1]) for x in row] for row in rows]
+    *axes, scale = map(sum, zip(*scaled))
+    return tuple([Fraction(x, scale) for x in axes])
+
 
 def flag_subdivision(base: SimplicialComplex, level: int) -> FlagSubdivision:
-    """sd^level(base) from the flag tables, for the callers that read its
-    vertices, carriers and cells.  It refuses what subdivided_complex
-    refuses, and an invalid base at level 0 too, and the tower stays the
-    on-demand form of the same complex.  What validate would find wrong
-    in a generated sd^k is refused by require_valid on the base and by
-    _check_flags on each flag table."""
+    """sd^level(base) from the flag tables, the one generator of sd^k: its
+    vertices, carriers and cells, and its view as a complex.  The level
+    and the base are read before the cache is, so a level of the wrong
+    kind is refused, and so is an invalid base, at level 0 too.  What
+    validate would find wrong in a generated sd^k is refused by
+    require_valid on the base and by _check_flags on each flag table."""
     level = parse_integer(level, "subdivision level", least=0)
     return _flag_subdivision(require_simplicial(base, "subdivided_complex"), level)
 
@@ -875,10 +852,11 @@ def _flag_subdivision(base: SimplicialComplex, level: int) -> FlagSubdivision:
     Elements of Algebraic Topology, section 17).
 
     The vertex objects are then made level by level from their parts, each
-    key left until it is read.  A level's vertices in (size, part ranks)
-    order are in vertex_key order, as in barycentric_subdivide, and a
-    barycentre's carrier is that of its last part, the largest face of its
-    flag, from level 2 on."""
+    key left until it is read.  A level's vertices in (size, the ranks of
+    their parts in the vertex_key order below) order are in vertex_key
+    order, since a barycentre's key is its length followed by its parts'
+    keys, and a barycentre's carrier is that of its last part, the largest
+    face of its flag, from level 2 on."""
     require_valid(base)
     rank = base._vertex_index
     tables = [{} for _ in range(level)]  # per level: parts -> number
@@ -898,8 +876,8 @@ def _flag_subdivision(base: SimplicialComplex, level: int) -> FlagSubdivision:
     vertices = base.vertices
     carriers = [own[frozenset([v])] for v in vertices]
     order = range(len(vertices))
-    for depth, table in enumerate(tables):
-        parts = list(table)
+    levels = [tuple(table) for table in tables]
+    for depth, parts in enumerate(levels):
         ranks = [0] * len(order)
         for r, n in enumerate(order):
             ranks[n] = r
@@ -913,9 +891,23 @@ def _flag_subdivision(base: SimplicialComplex, level: int) -> FlagSubdivision:
             carriers = [own[frozenset(map(vertices.__getitem__, p))] for p in parts]
         new = tuple.__new__  # the parts are vertices, so no key is read yet
         vertices = [new(TupleVertex, map(vertices.__getitem__, p)) for p in parts]
-    return FlagSubdivision(
-        base, level, tuple(vertices), tuple(carriers), tuple(order), chains
-    )
+    vertices, carriers, order = tuple(vertices), tuple(carriers), tuple(order)
+    return FlagSubdivision(base, level, vertices, tuple(levels), carriers, order, chains)
+
+
+def subdivided_complex(base: SimplicialComplex, level: int) -> tuple:
+    """sd^level(base) as a complex with its carrier map, the view of
+    flag_subdivision(base, level); neither may be mutated."""
+    return flag_subdivision(base, level).view
+
+
+# bench/tracer.py reads the subdivision cache's hit ratio through this name.
+subdivided_complex.cache_info = _flag_subdivision.cache_info
+
+
+def barycentric_subdivide(space: SimplicialComplex) -> tuple:
+    """One barycentric subdivision, with its carrier map."""
+    return subdivided_complex(space, 1)
 
 
 def subdivision_f_vectors(base: SimplicialComplex):
@@ -948,6 +940,7 @@ def sd_positions(base: SimplicialComplex) -> dict:
     vertices are tuples of the level below.  The position maps are shared;
     do not mutate them.
     """
+    base = require_simplicial(base, "sd_positions")
     return _Positions({v: {v: Fraction(1)} for v in base.vertices})
 
 

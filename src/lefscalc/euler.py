@@ -180,6 +180,10 @@ def transport_to_subdivision(
     """
     phi = require(phi, ConstructibleFunction, "transport_to_subdivision")
     finer = require_simplicial(finer, "transport_to_subdivision")
+    if not (isinstance(carrier, dict) and carrier.keys() >= finer.simplices):
+        raise DegenerateInputError(
+            "transport_to_subdivision needs a carrier for every simplex of `finer`"
+        )
     table = {}
     for cell in finer.simplices:
         value = phi.values.get(frozenset(carrier[cell]), GZERO)

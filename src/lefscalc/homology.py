@@ -237,7 +237,7 @@ def self_map_endomorphism(spec: SelfMapSpec, relative_to=None) -> ChainMapQ:
 
     sd_* sends a simplex to the fundamental chain of its subdivision
     (Munkres, Elements of Algebraic Topology, section 17), which
-    `spec.subdivision` lists by flags, with no tower built.  The column of
+    `spec.subdivision` lists by flags, with no complex built.  The column of
     a base simplex sums, over the cells tau of that chain, tau's sign times
     map_*(tau): zero when the image collapses, else the image simplex
     signed by the reordering of its vertices into canonical form.  Callers

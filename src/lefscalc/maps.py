@@ -6,12 +6,12 @@ barycentric subdivision: a vertex map sd^n(K) -> K whose induced affine map
 realizes the intended geometric map.  All traces downstream are taken of
 the chain endomorphism (map_* o sd^n_*), which a spec builds once and keeps.
 
-A spec reads sd^n from the flag generator, complexes.flag_subdivision:
+A spec reads sd^n from the one generator, complexes.flag_subdivision:
 the vertex set, each vertex's carrier, and the top cells, on which the
 map is checked.  The endomorphism, the fixed locus and
-preserves_subcomplex read the same.  The tower, subdivided_complex, is
-built only on demand, by source_complex, carrier, as_map and refine, and
-so by euler.pushforward_spec.
+preserves_subcomplex read the same.  source_complex, carrier and as_map
+read sd^n as a complex, the generated record's view, built on demand, and
+so does euler.pushforward_spec; refine reads the generated vertices.
 """
 
 from __future__ import annotations
@@ -161,17 +161,16 @@ class SelfMapSpec(Value):
         return SelfMapSpec(base, 0, {v: v for v in base.vertices})
 
     def source_complex(self) -> SimplicialComplex:
-        return subdivided_complex(self.base, self.level)[0]
+        return self.subdivision.view[0]
 
     def carrier(self) -> dict:
-        return subdivided_complex(self.base, self.level)[1]
+        return self.subdivision.view[1]
 
     @cached_property
     def _map(self) -> SimplicialMap:
-        """The map on the tower, keyed by the tower's own vertex objects,
-        which are the generated ones in the same vertex_key order.  The
-        spec checked the map when it was built, so it is not checked
-        again."""
+        """The map on sd^level as a complex, whose vertices are the
+        generated ones in vertex_key order.  The spec checked the map when
+        it was built, so it is not checked again."""
         source = self.source_complex()
         images = map(self.images.__getitem__, self.subdivision.order)
         return SimplicialMap(source, self.base, dict(zip(source.vertices, images)))
@@ -228,8 +227,7 @@ def refine(spec: SelfMapSpec) -> SelfMapSpec:
     """
     m = require(spec, SelfMapSpec, "refine").as_map()
     refined_base = subdivided_complex(spec.base, 1)[0]
-    refined = subdivided_complex(refined_base, spec.level)[0]
-    sources = {v: v for v in refined.vertices}
+    sources = {v: v for v in flag_subdivision(refined_base, spec.level).vertices}
     targets = {v: v for v in refined_base.vertices}
     new_map = {}
     for tau in m.source.simplices:

@@ -63,6 +63,8 @@ from lefscalc.complexes import (
     SimplicialComplex,
     TupleVertex,
     Violation,
+    _barycentre,
+    _homogeneous_rows,
     canonical_tuple,
     cell_sort_key,
     closure,
@@ -86,7 +88,7 @@ from lefscalc.exact import (
 )
 from lefscalc.fixedpoint import fixed_components
 from lefscalc.homology import lefschetz_number, self_map_endomorphism
-from lefscalc.maps import SelfMapSpec, subdivided_complex
+from lefscalc.maps import SelfMapSpec
 from lefscalc.morse import (
     MultiplicityTable,
     _refuse_ties,
@@ -691,7 +693,7 @@ def subdivision_signs_by_tower(base, level: int) -> dict:
     signs = dict.fromkeys(base.simplices, 1)
     finer = base
     for _ in range(level):
-        finer, step = subdivided_complex(finer, 1)
+        finer, step = subdivided_complex_by_steps(finer, 1)
         signs = {
             tau: signs[rho] * flag_sign_by_sort(tau)
             for tau, rho in step.items()
@@ -754,6 +756,59 @@ def barycentric_subdivide_by_chains(space) -> tuple:
                 sum(p[i] for p in pts) / Fraction(n) for i in range(len(pts[0]))
             )
     return SimplicialComplex.build(names.values(), carrier, coords), carrier
+
+
+# ---------------------------------------------------------------------------
+# sd^level by the tower of one-step subdivisions
+
+@functools.lru_cache(maxsize=32)
+def barycentric_subdivide_by_ranks(space) -> tuple:
+    """(sd space, carrier) as `complexes.barycentric_subdivide` returns it,
+    by the step that built the subdivision tower in the library.  The old
+    simplices are read as sorted tuples of vertex ranks and taken in
+    (size, ranks) order, which is the vertex_key order of their
+    barycentres.  The cells of sd(s) are s's barycentre alone and joined to
+    each cell of sd(t) that ends at the barycentre of a proper face t of s;
+    faces come first, so those cells are made by then.  Equal complexes
+    share their step, as they did in the library's tower, so a test that
+    climbs one tower twice builds it once."""
+    space = require_simplicial(space, "barycentric_subdivide")
+    require_valid(space)
+    vertices, rank = space.vertices, space._vertex_index
+    old = {tuple(sorted(map(rank.__getitem__, s))): s for s in space.simplices}
+    ranked = sorted(old)
+    ranked.sort(key=len)  # stable, so (size, ranks) order
+    names, carrier, ending = [], {}, {}
+    for r in ranked:
+        name = TupleVertex([vertices[i] for i in r])
+        names.append(name)
+        alone = frozenset((name,))
+        cells = [alone]
+        for k in range(1, len(r)):
+            for face in itertools.combinations(r, k):
+                cells += [cell | alone for cell in ending[face]]
+        ending[r] = cells
+        carrier.update(dict.fromkeys(cells, old[r]))
+    coords = None
+    if space.coords is not None:
+        points, rows = space.coords, _homogeneous_rows(space.coords)
+        coords = tuple(
+            [points[r[0]] if len(r) == 1 else _barycentre([rows[i] for i in r])
+             for r in ranked]
+        )
+    return SimplicialComplex(tuple(names), frozenset(carrier), coords), carrier
+
+
+def subdivided_complex_by_steps(base, level: int) -> tuple:
+    """(sd^level base, carrier down to base) as `complexes.subdivided_complex`
+    returns it, from the tower of one-step subdivisions: level k is
+    barycentric_subdivide_by_ranks of level k - 1, and the steps' carriers
+    are composed.  Level 0 is (base, the identity)."""
+    finer, carrier = base, {s: s for s in base.simplices}
+    for _ in range(level):
+        finer, step = barycentric_subdivide_by_ranks(finer)
+        carrier = {cell: carrier[below] for cell, below in step.items()}
+    return finer, carrier
 
 
 # ---------------------------------------------------------------------------
@@ -862,23 +917,25 @@ def fixed_point_refusal_by_fraction_lp(spec):
 
 def preserves_by_tower_scan(spec, cells: frozenset) -> bool:
     """Whether every simplex of sd^level(base) that `cells` carries maps
-    into `cells`, read off the tower's carrier map."""
-    m = spec.as_map()
+    into `cells`, read off the oracle tower's carrier map."""
+    image = spec.vertex_map.__getitem__
     return all(
-        m.image_simplex(tau) in cells
-        for tau, sigma in spec.carrier().items() if sigma in cells
+        frozenset(map(image, tau)) in cells
+        for tau, sigma in subdivided_complex_by_steps(spec.base, spec.level)[1].items()
+        if sigma in cells
     )
 
 
 def fixed_subcomplex_by_tower(spec):
-    """fixed_subcomplex's members, or its refusal text, from the tower: each
-    vertex's carrier and the top simplices are read from spec.carrier(), a
-    top simplex being one with as many vertices as its carrier, a maximal
-    base simplex.  The sign presolve settles a top simplex first, and the
-    ones it leaves open are solved exactly in cell order."""
-    carrier = spec.carrier()
+    """fixed_subcomplex's members, or its refusal text, from the oracle
+    tower: each vertex's carrier and the top simplices are read from its
+    carrier map, a top simplex being one with as many vertices as its
+    carrier, a maximal base simplex.  The sign presolve settles a top
+    simplex first, and the ones it leaves open are solved exactly in cell
+    order."""
+    source, carrier = subdivided_complex_by_steps(spec.base, spec.level)
     signs, moved = {}, set()  # moved vertex -> displacement signs; their carriers
-    for w in spec.source_complex().vertices:
+    for w in source.vertices:
         base_cell, image = carrier[frozenset([w])], spec.vertex_map[w]
         if len(base_cell) > 1 or image not in base_cell:
             signs[w] = column = dict.fromkeys(base_cell, 1)
@@ -1140,7 +1197,7 @@ def dense_chain_map_of(m) -> DenseChainMap:
 
 def dense_subdivision_chain_map(space) -> DenseChainMap:
     source = dense_chain_complex(space)
-    target = dense_chain_complex(subdivided_complex(space, 1)[0])
+    target = dense_chain_complex(subdivided_complex_by_steps(space, 1)[0])
     memo = {}
 
     def sd_chain(ordered: tuple) -> dict:
@@ -1184,7 +1241,7 @@ def dense_endomorphism(spec, dropped=frozenset()) -> DenseChainMap:
     endo = dense_chain_map_of(spec.as_map())
     complexes = [spec.base]
     for _ in range(spec.level - 1):
-        complexes.append(subdivided_complex(complexes[-1], 1)[0])
+        complexes.append(subdivided_complex_by_steps(complexes[-1], 1)[0])
     for space in reversed(complexes[: spec.level]):
         endo = dense_compose(endo, dense_subdivision_chain_map(space))
     if not dropped:

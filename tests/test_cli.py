@@ -461,9 +461,9 @@ def test_exit_2_level_30_before_anything_is_subdivided(tmp_path, capsys, monkeyp
     from lefscalc import complexes
 
     calls = []
-    real = complexes.barycentric_subdivide
+    real = complexes._flag_subdivision
     monkeypatch.setattr(
-        complexes, "barycentric_subdivide", lambda space: calls.append(1) or real(space)
+        complexes, "_flag_subdivision", lambda *args: calls.append(1) or real(*args)
     )
     data = triangle_with_a_map()
     data["map"] = {"subdivision_level": 30, "vertex_map": {}}

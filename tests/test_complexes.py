@@ -232,11 +232,9 @@ def test_subdivision_tower_matches_iterated_subdivision():
     space = SimplicialComplex.from_maximal(
         [("a", "b", "c")], coords={"a": (0, 0), "b": (1, 0), "c": (0, 1)}
     )
-    current, carrier = space, {s: s for s in space.simplices}
     for level in range(4):
-        assert subdivided_complex(space, level) == (current, carrier)
-        current, step = barycentric_subdivide(current)
-        carrier = {cell: carrier[below] for cell, below in step.items()}
+        expected = oracles.subdivided_complex_by_steps(space, level)
+        assert subdivided_complex(space, level) == expected
     with pytest.raises(
         DegenerateInputError, match="^subdivision level must be at least 0, got -1$"
     ):
@@ -244,33 +242,49 @@ def test_subdivision_tower_matches_iterated_subdivision():
 
 
 def test_a_bool_level_misses_the_cached_integer_level():
-    # the tower stays an lru_cache, whose counters the benchmark reads
-    assert subdivided_complex.cache_parameters() == {"maxsize": None, "typed": True}
+    # the level is read before the generator's cache is, so True never
+    # reaches level 1's entry, and an unhashable level is refused too
     space = fx.sphere2()
     subdivided_complex(space, 1)
+    before = complexes._flag_subdivision.cache_info()
     with pytest.raises(
         DegenerateInputError, match="^subdivision level must be an integer, got True$"
     ):
         subdivided_complex(space, True)
+    with pytest.raises(
+        DegenerateInputError, match=r"^subdivision level must be an integer, got \[1\]$"
+    ):
+        subdivided_complex(space, [1])
+    assert complexes._flag_subdivision.cache_info() == before
+    # the benchmark reads the hit ratio of that cache under this name
+    assert subdivided_complex.cache_info() == before
 
 
 def test_a_tower_past_the_recursion_limit_is_built_bottom_up():
     point = SimplicialComplex.from_maximal([("p",)])
     level = sys.getrecursionlimit() + 100
-    before = complexes.subdivided_complex.cache_info()
+    before = complexes._flag_subdivision.cache_info()
     space, carrier = subdivided_complex(point, level)
-    (vertex,) = space.vertices
+    (top,) = space.vertices
+    vertex = top
     for _ in range(level):
         (vertex,) = vertex
     assert vertex == "p" and set(carrier.values()) == {frozenset({"p"})}
-    # the climb is one walk of cached steps, not a lookup of every level below
-    after = complexes.subdivided_complex.cache_info()
-    lookups = after.hits + after.misses - before.hits - before.misses
-    assert lookups <= level + 1
+    # the level is generated in one call, with no lookup of a level below
+    after = complexes._flag_subdivision.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
     # and the level asked for is kept
-    subdivided_complex(point, level)
-    again = complexes.subdivided_complex.cache_info()
+    assert subdivided_complex(point, level)[0] is space
+    again = complexes._flag_subdivision.cache_info()
     assert (again.hits, again.misses) == (after.hits + 1, after.misses)
+    # the lazily computed key reads that deep too, and is unnested by a
+    # loop, since comparing tuples nested this deep recurses
+    assert "key" not in vars(top)
+    key = vertex_key(top)
+    for _ in range(level):
+        assert key[:2] == (2, 1)
+        (key,) = key[2:]
+    assert key == (1, "p")
 
 
 FIXTURE_COMPLEXES = {
@@ -359,6 +373,8 @@ def assert_subdivides_like_oracle(space) -> SimplicialComplex:
     if finer.coords is not None:
         assert all(type(x) is Fraction for row in finer.coords for x in row)
     assert carrier == expected_carrier
+    # and the step the oracle tower climbs by gives the same
+    assert oracles.barycentric_subdivide_by_ranks(space) == (finer, carrier)
     return finer
 
 
@@ -380,12 +396,12 @@ def test_subdivision_step_matches_the_chain_oracle_on_fixtures(name):
 MIXED_NAMES = (-3, 0, 2**63, "", "a", "b7", ("a",), (1, "a"), ("b", (2,)), ((),))
 
 
-def _seeded_base(seed: int) -> SimplicialComplex:
+def _seeded_base(seed: int, max_dim: int = 3) -> SimplicialComplex:
     """A `verify.random_complex`; a third of them renamed onto a sample of
     MIXED_NAMES, another third placed at scaled unit vectors plus a shared
     offset with mixed denominators, which are affinely independent."""
     rng = random.Random(f"subdivide:{seed}")
-    space = random_complex(rng)
+    space = random_complex(rng, max_dim=max_dim)
     if seed % 3 == 1:
         names = dict(zip(space.vertices, rng.sample(MIXED_NAMES, len(space.vertices))))
         return SimplicialComplex.from_simplices(
@@ -410,6 +426,44 @@ def test_subdivision_step_matches_the_chain_oracle_on_seeded_complexes():
         name_types.update(type(v) for v in space.vertices)
         with_coords.add(space.coords is not None)
         assert_subdivides_like_oracle(space)
+    assert name_types == {int, str, tuple} and with_coords == {True, False}
+
+
+def assert_equals_the_tower_oracle(base, level) -> None:
+    """subdivided_complex(base, level) is the oracle tower's sd^level: the
+    vertices in order, with the same keys, the simplices, the coordinates
+    (exact Fractions) and the carrier map."""
+    finer, carrier = subdivided_complex(base, level)
+    expected, expected_carrier = oracles.subdivided_complex_by_steps(base, level)
+    assert finer.vertices == expected.vertices
+    assert [vertex_key(v) for v in finer.vertices] == [
+        vertex_key(v) for v in expected.vertices
+    ]
+    assert finer.simplices == expected.simplices
+    assert finer.coords == expected.coords
+    if finer.coords is not None:
+        assert all(type(x) is Fraction for row in finer.coords for x in row)
+    assert carrier == expected_carrier
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("name", sorted({**FIXTURE_COMPLEXES, **COORDINATE_COMPLEXES}))
+def test_subdivided_complex_equals_the_tower_oracle_on_fixtures(name, level):
+    base = {**FIXTURE_COMPLEXES, **COORDINATE_COMPLEXES}[name]()
+    assert_equals_the_tower_oracle(base, level)
+
+
+def test_subdivided_complex_equals_the_tower_oracle_on_seeded_complexes():
+    """Bases of dimension at most 2: sd^3 of 300 bases of dimension up to 3
+    would hold 8.3 million simplices.  The fixtures and the chain oracle
+    test take simplices of dimension 3."""
+    name_types, with_coords = set(), set()
+    for seed in range(300):
+        base = _seeded_base(seed, max_dim=2)
+        name_types.update(type(v) for v in base.vertices)
+        with_coords.add(base.coords is not None)
+        for level in (1, 2, 3):
+            assert_equals_the_tower_oracle(base, level)
     assert name_types == {int, str, tuple} and with_coords == {True, False}
 
 
@@ -1080,9 +1134,8 @@ def test_the_generator_refuses_a_degenerate_base_at_every_level(name, level):
         complexes.flag_subdivision(base, level)
     with pytest.raises(InvalidComplexError, match=refusal):
         SelfMapSpec.build(base, level, {})
-    if level:
-        with pytest.raises(InvalidComplexError, match=refusal):
-            subdivided_complex(base, level)
+    with pytest.raises(InvalidComplexError, match=refusal):
+        subdivided_complex(base, level)
 
 
 # (dimension, faces as position tuples, flags as lists of face numbers)

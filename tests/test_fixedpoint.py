@@ -114,7 +114,7 @@ def test_carrier_rule_picks_the_top_simplices_of_the_facet_scan(base):
     simplices: a simplex of sd^k is maximal exactly when it has as many
     vertices as its carrier and the carrier is maximal in the base."""
     for level in range(4):
-        sd, carrier = subdivided_complex(base, level)
+        sd, carrier = oracles.subdivided_complex_by_steps(base, level)
         sub = complexes.flag_subdivision(base, level)
         tops = [sub.simplex(cell) for cell, _ in sub.top_cells()]
         assert len(tops) == len(set(tops))
@@ -740,16 +740,19 @@ def test_support_refusals_keep_their_type_and_text():
 
 
 def test_supported_trace_subdivides_nothing_beyond_the_spec(monkeypatch):
-    complexes.subdivided_complex.cache_clear()
     p = _supported(
         fx.doubling_spec(), {frozenset({"v0"})}, NormalData.of({0: [[2]]})
     )
     made = []
-    subdivide = complexes.barycentric_subdivide
+    generate, view = complexes._flag_subdivision, complexes.FlagSubdivision.view
     build = SelfMapSpec.build
     monkeypatch.setattr(
-        complexes, "barycentric_subdivide",
-        lambda space: made.append(space) or subdivide(space),
+        complexes, "_flag_subdivision",
+        lambda *args: made.append(args) or generate(*args),
+    )
+    monkeypatch.setattr(  # a property, which a view built before cannot shadow
+        complexes.FlagSubdivision, "view",
+        property(lambda sub: made.append(sub) or view.func(sub)),
     )
     monkeypatch.setattr(
         SelfMapSpec, "build",

@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,7 @@ from lefscalc.homology import (
 )
 from lefscalc.maps import SelfMapSpec, SimplicialMap, compose, refine, subdivided_complex
 from lefscalc.morse import VertexFunctional, cc_table
+from lefscalc.records import Record
 from lefscalc.verify import random_complex, random_self_map
 
 
@@ -443,8 +445,8 @@ def _assert_fundamental_chain_matches_tower(base, level):
     the signs are those of the tower walk.  The generator's vertices (one
     object each, in vertex_key order by `order`), their carriers, its top
     cells and the fixed_subcomplex verdict
-    on a seeded carrier map are the tower's."""
-    finer, carrier = subdivided_complex(base, level)
+    on a seeded carrier map are the oracle tower's."""
+    finer, carrier = oracles.subdivided_complex_by_steps(base, level)
     signs = {}
     for vertices, sign, rho in _fundamental_chain(base, level):
         cell = frozenset(vertices)
@@ -484,7 +486,6 @@ def test_fundamental_chain_matches_the_tower_on_random_complexes():
         base = random_complex(rng)
         for level in (1, 2):
             _assert_fundamental_chain_matches_tower(base, level)
-        subdivided_complex.cache_clear()  # the towers of 200 bases add up
 
 
 @pytest.mark.parametrize("maximal", [
@@ -512,8 +513,9 @@ def test_the_map_check_on_top_cells_refuses_as_the_scan_of_the_tower():
         vm = _carrier_choice(sub, rng)
         for w in rng.sample(sorted(vm, key=vertex_key), min(4, len(vm))):
             vm[w] = rng.choice(base.vertices)
+        finer = oracles.subdivided_complex_by_steps(base, level)[0]
         try:
-            SimplicialMap.build(subdivided_complex(base, level)[0], base, vm)
+            SimplicialMap.build(finer, base, vm)
         except NonSimplicialMapError as scan:
             with pytest.raises(NonSimplicialMapError) as caught:
                 SelfMapSpec.build(base, level, vm)
@@ -533,7 +535,7 @@ def test_the_map_check_reads_the_top_cells_of_every_maximal_simplex(make):
     base = make()
     rank = base._vertex_index
     sub = complexes.flag_subdivision(base, 1)
-    sd = subdivided_complex(base, 1)[0]
+    sd = oracles.subdivided_complex_by_steps(base, 1)[0]
     least = {
         sub.vertices[n]: min(c, key=rank.__getitem__)
         for n, c in enumerate(sub.carriers)
@@ -577,14 +579,13 @@ def test_invariance_reads_the_generated_cells_as_the_tower_scan_does():
 
 @pytest.fixture
 def no_tower(monkeypatch):
-    """Every subdivision step raises, and no step is cached."""
-    def refuse(space):
-        raise AssertionError("the subdivision tower was built")
+    """Every read of sd^k as a complex raises, a view built before too:
+    the patched view is a property, which an instance's cached value does
+    not shadow."""
+    def refuse(sub):
+        raise AssertionError(f"sd^{sub.level} was listed as a complex")
 
-    subdivided_complex.cache_clear()
-    monkeypatch.setattr(complexes, "barycentric_subdivide", refuse)
-    yield
-    subdivided_complex.cache_clear()
+    monkeypatch.setattr(complexes.FlagSubdivision, "view", property(refuse))
 
 
 def _generated_map(base, level, choose) -> SelfMapSpec:
@@ -727,17 +728,27 @@ def _level2_sphere_map():
 
 
 def test_each_subdivision_level_is_built_once(monkeypatch):
-    sizes = []
+    """The map's set-up lists sd^2 of the sphere as a complex, and the spec
+    and its traces then read the same generated record: one generation,
+    one view."""
+    made, views = [], []
+    record, view = complexes.FlagSubdivision, complexes.FlagSubdivision.view
 
-    def counting(space):
-        sizes.append(len(space.simplices))
-        return barycentric_subdivide(space)
+    def counting(sub):
+        views.append((sub.level, len(sub.vertices)))
+        return view.func(sub)
 
-    subdivided_complex.cache_clear()
-    monkeypatch.setattr(complexes, "barycentric_subdivide", counting)
+    counted = cached_property(counting)
+    counted.__set_name__(record, "view")
+    complexes._flag_subdivision.cache_clear()
+    monkeypatch.setattr(
+        record, "__init__",
+        lambda sub, *fields: made.append(fields[1]) or Record.__init__(sub, *fields),
+    )
+    monkeypatch.setattr(record, "view", counted)
     spec = _level2_sphere_map()
     assert lefschetz_number(spec) == hopf_trace(spec) == 2
-    assert sizes == [14, 74]
+    assert made == [2] and views == [(2, 74)]
 
 
 def test_a_level_two_trace_builds_chains_of_the_base_only(monkeypatch):

@@ -735,9 +735,9 @@ def test_a_gaussian_value_with_a_stray_key_is_refused():
 
 def test_a_level_past_the_vertex_map_is_refused_before_subdividing(monkeypatch):
     calls = []
-    real = complexes.barycentric_subdivide
+    real = complexes._flag_subdivision
     monkeypatch.setattr(
-        complexes, "barycentric_subdivide", lambda space: calls.append(1) or real(space)
+        complexes, "_flag_subdivision", lambda *args: calls.append(1) or real(*args)
     )
     data = triangle()
     data["map"] = {"subdivision_level": 30, "vertex_map": {}}
