@@ -72,7 +72,7 @@ MUTANTS = (
         "permutation_is_read",
     ),
     Mutant(
-        "RationalPolynomial.of reads coefficients without _sequence",
+        "RationalPolynomial reads coefficients without _sequence",
         "src/lefscalc/exact.py",
         'cs = [parse_rational(c) for c in _sequence(coeffs, "a coefficient list")]',
         "cs = [parse_rational(c) for c in coeffs]",
@@ -114,7 +114,7 @@ MUTANTS = (
     Mutant(
         "the spec constructor skips the map check",
         "src/lefscalc/maps.py",
-        "        _check_top_cells(sub, by_number)\n",
+        "        _check_top_cells(top, by_number.__getitem__, sub.base.simplices, sub.simplex)\n",
         "",
         "tests/test_api_fuzz.py",
         "raw_constructor",
@@ -347,10 +347,36 @@ MUTANTS = (
     Mutant(
         "the map check skips the top cells of one maximal simplex",
         "src/lefscalc/maps.py",
-        "cell for rho in sub.base.maximal for cell in sub.chains[rho][0]",
-        "cell for rho in sorted(sub.base.maximal, key=cell_sort_key)[1:]\n        for cell in sub.chains[rho][0]",
+        "top = (cell for rho in sub.base.maximal for cell in sub.chains[rho][0])",
+        "top = (cell for rho in sorted(sub.base.maximal, key=cell_sort_key)[1:]\n"
+        "               for cell in sub.chains[rho][0])",
         "tests/test_homology.py",
         "map_check",
+    ),
+    Mutant(
+        "a simplicial map skips validating its complexes",
+        "src/lefscalc/maps.py",
+        "        for space in (source, target):  # the check needs face-closed complexes\n"
+        "            require_valid(space)\n",
+        "",
+        "tests/test_api_fuzz.py",
+        "refusal_is_raised",
+    ),
+    Mutant(
+        "the shared check reads only the first maximal cell",
+        "src/lefscalc/maps.py",
+        "bad = [cell for cell in cells if frozenset(map(image, cell)) not in simplices]",
+        "bad = [cell for cell in list(cells)[:1] if frozenset(map(image, cell)) not in simplices]",
+        "tests/test_homology.py",
+        "one_check",
+    ),
+    Mutant(
+        "vertex_map pairs the vertex numbered order[i] with images[i]",
+        "src/lefscalc/maps.py",
+        "return {sub.vertices[n]: images[n] for n in sub.order}",
+        "return {sub.vertices[n]: images[i] for i, n in enumerate(sub.order)}",
+        "tests/test_api_fuzz.py",
+        "spec_is_built_one_way",
     ),
     Mutant(
         "the endomorphism drops the sign that reorders an image simplex",

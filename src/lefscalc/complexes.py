@@ -250,7 +250,10 @@ class SimplicialComplex(Value):
 
     @staticmethod
     def cell_dim(key) -> int:
-        return len(key) - 1
+        try:
+            return len(key) - 1
+        except TypeError:  # no collection, so no simplex
+            raise DegenerateInputError(f"not a simplex: {shown(key)}") from None
 
     def has(self, simplex) -> bool:
         return self.cell_key(simplex) in self.simplices
@@ -387,7 +390,12 @@ class CellularSubset(Value):
     noun = "a cellular subset"
 
     def __init__(self, parent, members: frozenset):
-        """members: cell keys of `parent`; a key the parent lacks is refused."""
+        """members: a frozenset of cell keys of `parent`; one it lacks is refused."""
+        parent = require_space(parent, "CellularSubset")
+        if not isinstance(members, frozenset):
+            raise DegenerateInputError(
+                f"CellularSubset needs a frozenset of cells; got {type(members).__name__}"
+            )
         if not members <= parent.cell_keys:
             first = sorted(members - parent.cell_keys, key=cell_sort_key)[:3]
             raise DegenerateInputError(
@@ -598,16 +606,16 @@ def closure(subset: CellularSubset) -> CellularSubset:
 def link(space: SimplicialComplex, v) -> SimplicialComplex:
     space = require_simplicial(space, "link")
     v = space.vertex(v)
-    simps = [
+    return _subcomplex(space, [
         s for s in space.simplices if v not in s and (s | {v}) in space.simplices
-    ]
-    coords = None
-    if space.coords is not None:
-        verts = set()
-        for s in simps:
-            verts |= s
-        coords = {w: space.coord_of(w) for w in verts}
-    return SimplicialComplex.from_simplices(simps, coords)
+    ])
+
+
+def _subcomplex(space: SimplicialComplex, simplices) -> SimplicialComplex:
+    """The complex of a face-closed family of `space`'s simplices, with coordinates."""
+    vertices = frozenset().union(*simplices)
+    coords = None if space.coords is None else {w: space.coord_of(w) for w in vertices}
+    return SimplicialComplex.build(vertices, simplices, coords)
 
 
 def connected_components(target) -> tuple:
@@ -667,11 +675,7 @@ def induced_subcomplex(space: SimplicialComplex, cells) -> SimplicialComplex:
     members = CellularSubset.of(space, cells).members
     if _unclosed_at(members) is not None:
         raise DegenerateInputError("cell family is not face-closed")
-    sub = SimplicialComplex.from_simplices(members)
-    if space.coords is not None:
-        coords = {v: space.coord_of(v) for v in sub.vertices}
-        return SimplicialComplex.build(sub.vertices, sub.simplices, coords)
-    return sub
+    return _subcomplex(space, members)
 
 
 # ---------------------------------------------------------------------------

@@ -227,11 +227,14 @@ class RationalMatrix(Value):
 
     __slots__ = _fields = ("rows", "cols")
 
-    def __init__(self, rows: tuple, cols: int = -1):
-        """rows: a tuple of tuples of Fraction; cols: the explicit width,
-        -1 to infer it (a 0-row shape needs it given)."""
+    def __init__(self, rows, cols: int = -1):
+        """rows: a list or tuple of rows of rationals, read by read_rows;
+        cols: the width, -1 to infer it (a 0-row shape needs it given)."""
+        rows = read_rows(rows, "a matrix")
         if cols == -1:
             cols = len(rows[0]) if rows else 0
+        else:
+            cols = parse_integer(cols, "the number of columns", least=0)
         for row in rows:
             if len(row) != cols:
                 raise DegenerateInputError(
@@ -242,15 +245,18 @@ class RationalMatrix(Value):
 
     @staticmethod
     def of(rows) -> "RationalMatrix":
-        """The matrix of a list of rows of rationals, read by read_rows."""
-        return RationalMatrix(read_rows(rows, "a matrix"))
+        """`rows` if it is a RationalMatrix, else RationalMatrix(rows)."""
+        return rows if isinstance(rows, RationalMatrix) else RationalMatrix(rows)
 
     @staticmethod
     def zeros(m: int, n: int) -> "RationalMatrix":
+        m = parse_integer(m, "the number of rows", least=0)
+        n = parse_integer(n, "the number of columns", least=0)
         return RationalMatrix(((Fraction(0),) * n,) * m, n)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
+        n = parse_integer(n, "the size of an identity matrix", least=0)
         return RationalMatrix(
             tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)), n
         )
@@ -316,7 +322,7 @@ class RationalMatrix(Value):
                 if not chain:
                     break
             p.append(nxt)
-        return RationalPolynomial(tuple(p[n]))
+        return RationalPolynomial(p[n])
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +335,17 @@ class RationalPolynomial(Value):
     __slots__ = _fields = ("coeffs",)
     noun = "a rational polynomial"
 
-    def __init__(self, coeffs: tuple):
-        if coeffs and coeffs[-1] == 0:
-            coeffs = RationalPolynomial.of(coeffs).coeffs
-        set_field(self, "coeffs", coeffs)
-
-    @staticmethod
-    def of(coeffs) -> "RationalPolynomial":
-        """A list or tuple of rationals, lowest degree first; a string or a
-        number is refused."""
+    def __init__(self, coeffs):
+        """coeffs: a list or tuple of rationals, lowest degree first; a
+        string or a number is refused."""
         cs = [parse_rational(c) for c in _sequence(coeffs, "a coefficient list")]
         while cs and cs[-1] == 0:
             cs.pop()
-        return RationalPolynomial(tuple(cs))
+        set_field(self, "coeffs", tuple(cs))
+
+    @staticmethod
+    def of(coeffs) -> "RationalPolynomial":
+        return RationalPolynomial(coeffs)
 
     @staticmethod
     def constant(c) -> "RationalPolynomial":
@@ -436,9 +440,6 @@ class RationalPolynomial(Value):
         if g.degree <= 0:
             return self
         return self.divmod(g)[0]
-
-    def to_json(self) -> list:
-        return [format_rational(c) for c in self.coeffs]
 
 
 def _sign(x: Fraction) -> int:

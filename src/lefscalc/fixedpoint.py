@@ -71,8 +71,7 @@ class NormalData(Value):
         """Normal data from a table of (component index, matrix) pairs."""
         table = read_table(matrices, "normal matrices for component", _component_index)
         for idx, matrix in table.items():
-            if not isinstance(matrix, RationalMatrix):
-                table[idx] = matrix = RationalMatrix.of(matrix)
+            table[idx] = matrix = RationalMatrix.of(matrix)
             if not matrix.is_square():
                 raise DegenerateInputError(
                     f"normal matrix for component {idx} is not square"

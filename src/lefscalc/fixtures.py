@@ -168,12 +168,3 @@ FIXTURE_COMPLEXES = {
     "disk": disk,
     "s2": sphere2,
 }
-
-FIXTURE_CELLSPACES = {
-    "cp1": cp1_cellspace,
-}
-
-FIXTURE_PROBLEMS = {
-    "doubling": doubling_problem,
-    "reflection": reflection_problem,
-}

@@ -372,5 +372,5 @@ def relative_lefschetz_number(spec: SelfMapSpec, subcomplex) -> Fraction:
 
 
 def euler_characteristic(space: SimplicialComplex) -> int:
-    cc = chain_complex(space)
-    return sum((-1) ** k * cc.basis_size(k) for k in range(len(cc.bases)))
+    require_valid(require_simplicial(space, "euler_characteristic"))
+    return sum((-1) ** (len(s) - 1) for s in space.simplices)

@@ -6,12 +6,13 @@ barycentric subdivision: a vertex map sd^n(K) -> K whose induced affine map
 realizes the intended geometric map.  All traces downstream are taken of
 the chain endomorphism (map_* o sd^n_*), which a spec builds once and keeps.
 
-A spec reads sd^n from the one generator, complexes.flag_subdivision:
-the vertex set, each vertex's carrier, and the top cells, on which the
-map is checked.  The endomorphism, the fixed locus and
-preserves_subcomplex read the same.  source_complex, carrier and as_map
-read sd^n as a complex, the generated record's view, built on demand, and
-so does euler.pushforward_spec; refine reads the generated vertices.
+A vertex map is checked once, by one check on its source's maximal cells
+(_check_top_cells): a SimplicialMap's when it is built, and a spec's top
+cells of sd^n, read with each vertex's carrier from the one generator,
+complexes.flag_subdivision.  A spec stores its map once, as the images
+of the generated vertices by number, which the endomorphism, the fixed
+locus and preserves_subcomplex read; vertex_map is read off them on first
+use and shared by as_map, the map on sd^n as a complex, unchecked.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from itertools import combinations
 
 from .complexes import (
     CellularSubset,
-    FlagSubdivision,
     SimplicialComplex,
     _unclosed_at,
     canonical_tuple,
@@ -29,29 +29,33 @@ from .complexes import (
     flag_subdivision,
     read_table,
     require_simplicial,
+    require_valid,
     subdivided_complex,
     vertex_key,
 )
 from .errors import DegenerateInputError, NonSimplicialMapError
-from .records import Value, require, set_field
+from .records import Record, Value, require, set_field
 
 
 class SimplicialMap(Value):
     __slots__ = _fields = ("source", "target", "vertex_map")
     noun = "a simplicial map"
 
-    @staticmethod
-    def build(source, target, vertex_map) -> "SimplicialMap":
+    def __init__(self, source, target, vertex_map):
         """A checked map, keyed by the source's own vertex objects."""
         source = require_simplicial(source, "SimplicialMap.build")
         target = require_simplicial(target, "SimplicialMap.build")
         images = _read_images(source.vertices, target, vertex_map)
-        m = SimplicialMap(source, target, dict(zip(source.vertices, images)))
-        bad = [s for s in source.simplices if m.image_simplex(s) not in target.simplices]
-        if bad:
-            s = min(bad, key=cell_sort_key)  # named in cell order
-            raise _not_simplicial(s, m.image_simplex(s))
-        return m
+        for space in (source, target):  # the check needs face-closed complexes
+            require_valid(space)
+        table = dict(zip(source.vertices, images))
+        _check_top_cells(map(tuple, source.maximal), table.__getitem__,
+                         target.simplices, frozenset)
+        Record.__init__(self, source, target, table)
+
+    @staticmethod
+    def build(source, target, vertex_map) -> "SimplicialMap":
+        return SimplicialMap(source, target, vertex_map)
 
     def image_simplex(self, s) -> frozenset:
         return frozenset(map(self.vertex_map.__getitem__, s))
@@ -85,11 +89,27 @@ def _read_images(vertices, target, vertex_map) -> list:
     return images
 
 
-def _not_simplicial(s, image) -> NonSimplicialMapError:
-    return NonSimplicialMapError(
-        f"simplex {canonical_tuple(s)} maps onto {canonical_tuple(image)}, "
-        "not a simplex of the target"
-    )
+def _check_top_cells(cells, image, simplices, simplex) -> None:
+    """Refuse a vertex map that is not simplicial into a target with
+    `simplices`: `cells` are the source's maximal cells as tuples of vertex
+    references, `image` reads a reference's image and `simplex` the source
+    simplex a tuple names.  Each simplex of a face-closed source is a face
+    of a maximal cell and maps onto a face of its image, so the maximal
+    cells decide.  A refusal names the first bad simplex in cell order, as
+    a scan of every simplex would: each is a face of a bad maximal cell."""
+    bad = [cell for cell in cells if frozenset(map(image, cell)) not in simplices]
+    if bad:
+        faces = {
+            face for cell in bad for k in range(1, len(cell) + 1)
+            for face in combinations(cell, k)
+            if frozenset(map(image, face)) not in simplices
+        }
+        face = min(faces, key=lambda face: cell_sort_key(simplex(face)))
+        raise NonSimplicialMapError(
+            f"simplex {canonical_tuple(simplex(face))} maps onto "
+            f"{canonical_tuple(frozenset(map(image, face)))}, "
+            "not a simplex of the target"
+        )
 
 
 def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
@@ -104,35 +124,12 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
     )
 
 
-def _check_top_cells(sub: FlagSubdivision, images: list) -> None:
-    """Refuse a vertex map of sd^level (`images`, by vertex number) that is
-    not simplicial into the base.  Every simplex of sd^level is a face of a
-    top cell over a maximal base simplex, and a face maps onto a face of
-    its cell's image, so the map is simplicial when each top cell maps
-    onto a simplex of the (face-closed) base.  A refusal names the first
-    bad simplex in cell order, as SimplicialMap.build's scan of all of
-    sd^level would; every bad simplex is a face of a bad top cell."""
-    simplices, image = sub.base.simplices, images.__getitem__
-    bad = [
-        cell for rho in sub.base.maximal for cell in sub.chains[rho][0]
-        if frozenset(map(image, cell)) not in simplices
-    ]
-    if bad:
-        faces = {
-            face for cell in bad for k in range(1, len(cell) + 1)
-            for face in combinations(cell, k)
-            if frozenset(map(image, face)) not in simplices
-        }
-        face = min(faces, key=lambda face: cell_sort_key(sub.simplex(face)))
-        raise _not_simplicial(sub.simplex(face), frozenset(map(image, face)))
-
-
 class SelfMapSpec(Value):
     """A self-map of |base| written as a vertex map sd^level(base) -> base,
     keyed by the vertex objects of flag_subdivision(base, level) and
     checked once, when it is built.  It keeps that sd^level as
     `subdivision`, and the image of each of its vertices by number as
-    `images`."""
+    `images`; `vertex_map` is read off those on first use."""
 
     _fields = ("base", "level", "vertex_map")
     noun = "a self-map spec"
@@ -144,12 +141,18 @@ class SelfMapSpec(Value):
         by_number = [None] * len(ordered)
         for n, image in zip(sub.order, images):
             by_number[n] = image
-        _check_top_cells(sub, by_number)
+        top = (cell for rho in sub.base.maximal for cell in sub.chains[rho][0])
+        _check_top_cells(top, by_number.__getitem__, sub.base.simplices, sub.simplex)
         set_field(self, "base", base)
         set_field(self, "level", sub.level)
-        set_field(self, "vertex_map", dict(zip(ordered, images)))
         set_field(self, "subdivision", sub)
         set_field(self, "images", by_number)
+
+    @cached_property
+    def vertex_map(self) -> dict:
+        """Each generated vertex object, in vertex_key order, to its image."""
+        sub, images = self.subdivision, self.images
+        return {sub.vertices[n]: images[n] for n in sub.order}
 
     @staticmethod
     def build(base, level, vertex_map) -> "SelfMapSpec":
@@ -168,12 +171,10 @@ class SelfMapSpec(Value):
 
     @cached_property
     def _map(self) -> SimplicialMap:
-        """The map on sd^level as a complex, whose vertices are the
-        generated ones in vertex_key order.  The spec checked the map when
-        it was built, so it is not checked again."""
-        source = self.source_complex()
-        images = map(self.images.__getitem__, self.subdivision.order)
-        return SimplicialMap(source, self.base, dict(zip(source.vertices, images)))
+        """The map on sd^level as a complex, on the spec's checked vertex_map."""
+        m = SimplicialMap.__new__(SimplicialMap)
+        Record.__init__(m, self.source_complex(), self.base, self.vertex_map)
+        return m
 
     def as_map(self) -> SimplicialMap:
         return self._map

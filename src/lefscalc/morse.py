@@ -132,6 +132,9 @@ class MultiplicityTable(Record):
 
     __slots__ = _fields = ("space", "entries")
 
+    def __init__(self, space, entries):
+        Record.__init__(self, require_simplicial(space, "MultiplicityTable"), entries)
+
     def total(self) -> GaussianRational:
         return signed_sum((1, value) for value in self.entries.values())
 

@@ -14,7 +14,8 @@ subdivision vertex carries its own, and the dot criterion recounting every
 prefix on every comparison, or keeping each permutation's counts as a tuple
 compared entry by entry, where one packed integer test now compares them;
 the maximal simplices of a subdivision found by listing every facet, where
-the carrier now decides; complex validation that sorts the simplices
+the carrier now decides; a vertex map checked on every source simplex,
+where the maps layer checks the maximal ones; complex validation that sorts the simplices
 twice and runs the affine rank test on every simplex; and the Euler
 integral, pushforward and multiplicity table summed one Gaussian add at a
 time, with a genericity scan that sorts every edge; the multiplicity
@@ -74,7 +75,7 @@ from lefscalc.complexes import (
     sd_positions,
     vertex_key,
 )
-from lefscalc.errors import DegenerateInputError, GenericityError
+from lefscalc.errors import DegenerateInputError, GenericityError, NonSimplicialMapError
 from lefscalc.euler import ConstructibleFunction
 from lefscalc.exact import (
     GZERO,
@@ -809,6 +810,26 @@ def subdivided_complex_by_steps(base, level: int) -> tuple:
         finer, step = barycentric_subdivide_by_ranks(finer)
         carrier = {cell: carrier[below] for cell, below in step.items()}
     return finer, carrier
+
+
+# ---------------------------------------------------------------------------
+# a vertex map checked by scanning every source simplex
+
+def simplicial_map_by_scan(source, target, vertex_map) -> None:
+    """Refuse `vertex_map`, an image for each vertex of `source`, when it
+    is not simplicial into `target`: every simplex of `source` is checked,
+    and the first bad one in cell order is named, in the text that
+    maps.SimplicialMap and maps.SelfMapSpec refuse with."""
+    def image(s):
+        return frozenset(vertex_map[v] for v in s)
+
+    bad = [s for s in source.simplices if image(s) not in target.simplices]
+    if bad:
+        s = min(bad, key=cell_sort_key)
+        raise NonSimplicialMapError(
+            f"simplex {canonical_tuple(s)} maps onto {canonical_tuple(image(s))}, "
+            "not a simplex of the target"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ SPHERE = fx.sphere2()
 CP1 = fx.cp1_cellspace()
 REFLECTION = fx.reflection_problem()
 HEXAGON = REFLECTION.spec.base
+# odd vertices onto v0, even ones onto v3: no edge v0v3 in the hexagon
+HEXAGON_FOLD = {f"v{i}": "v0" if i % 2 else "v3" for i in range(6)}
 HEIGHTS = lc.VertexFunctional.of(HEXAGON, {f"v{i}": i for i in range(6)})
 ONE = lc.ConstructibleFunction.indicator(SPHERE)
 PATH = lc.SimplicialComplex.from_maximal([("a", "b"), ("b", "c")])
@@ -929,6 +931,43 @@ NAMED_PROBES = {
         lambda: lc.CellularSubset.of(5, []),
         "CellularSubset.of needs a simplicial complex or a cell space; got int",
     ),
+    # a raw record constructor, a size or a cell key of the wrong kind: each
+    # raised a raw AttributeError or TypeError, or returned a record
+    "CellularSubset(5, frozenset())": (
+        lambda: lc.CellularSubset(5, frozenset()),
+        "CellularSubset needs a simplicial complex or a cell space; got int",
+    ),
+    "CellularSubset(TRIANGLE, set())": (
+        lambda: lc.CellularSubset(TRIANGLE, set()),
+        "CellularSubset needs a frozenset of cells; got set",
+    ),
+    "MultiplicityTable(5, {}).sorted_entries()": (
+        lambda: lc.MultiplicityTable(5, {}).sorted_entries(),
+        "MultiplicityTable needs a simplicial complex; got int",
+    ),
+    "SimplicialMap(5, TRIANGLE, {})": (
+        lambda: lc.SimplicialMap(5, TRIANGLE, {}),
+        "SimplicialMap.build needs a simplicial complex; got int",
+    ),
+    "RationalMatrix(5)": (lambda: lc.RationalMatrix(5), "not a matrix: 5"),
+    "RationalMatrix((), 'x')": (
+        lambda: lc.RationalMatrix((), "x"),
+        "the number of columns must be an integer, got 'x'",
+    ),
+    "RationalPolynomial(5)": (
+        lambda: lc.RationalPolynomial(5), "not a coefficient list: 5"
+    ),
+    "RationalMatrix.identity('x')": (
+        lambda: lc.RationalMatrix.identity("x"),
+        "the size of an identity matrix must be an integer, got 'x'",
+    ),
+    "RationalMatrix.zeros(-1, 2)": (
+        lambda: lc.RationalMatrix.zeros(-1, 2),
+        "the number of rows must be at least 0, got -1",
+    ),
+    "SimplicialComplex.cell_dim(5)": (
+        lambda: lc.SimplicialComplex.cell_dim(5), "not a simplex: 5"
+    ),
 }
 # the probes above of a value that is no spec, or no problem
 NOT_A_SPEC_OR_PROBLEM = [
@@ -985,7 +1024,8 @@ CELL_SPACE_PROBES = {
     "validate(5)", "chi_c(5)", "connected_components(5)", "sd_positions(5)",
     "whole_space(5)",
     "ConstructibleFunction.of(5, {})", "ConstructibleFunction.indicator(5)",
-    "CellularSubset.of(5, [])",
+    "CellularSubset.of(5, [])", "CellularSubset(5, frozenset())",
+    "MultiplicityTable(5, {}).sorted_entries()", "SimplicialMap(5, TRIANGLE, {})",
 ])
 def test_a_value_that_is_no_space_is_refused_as_degenerate_input(call):
     attempt, _ = NAMED_PROBES[call]
@@ -1019,6 +1059,14 @@ REFUSALS = {
     "combine of functions on two spaces": (
         lambda: lc.combine(1, ONE, 1, TRIANGLE_ONE),
         DegenerateInputError, "combine needs functions on the same space",
+    ),
+    "pushforward along a map that is not simplicial": (
+        lambda: lc.pushforward(
+            lc.SimplicialMap(HEXAGON, HEXAGON, HEXAGON_FOLD),
+            lc.ConstructibleFunction.indicator(HEXAGON),
+        ),
+        lc.NonSimplicialMapError,
+        "simplex ('v0', 'v1') maps onto ('v0', 'v3'), not a simplex of the target",
     ),
     "pushforward of a function off the map's source": (
         lambda: lc.pushforward(TRIANGLE_MAP, ONE),
@@ -1079,6 +1127,17 @@ REFUSALS = {
         lc.InvalidComplexError,
         "1 violation(s): vertex-not-a-cell: vertex 'a' has no 0-simplex",
     ),
+    # a check on maximal cells alone would accept this map, whose vertex
+    # 'a' lands on the missing cell ('x',)
+    "a map into a complex that is not face-closed": (
+        lambda: lc.SimplicialMap(
+            PATH, lc.SimplicialComplex.build(["x", "y"], [["x", "y"], ["y"]]),
+            {"a": "x", "b": "y", "c": "y"},
+        ),
+        lc.InvalidComplexError,
+        "2 violation(s): not-face-closed: face ('x',) of ('x', 'y') is missing; "
+        "vertex-not-a-cell: vertex 'x' has no 0-simplex",
+    ),
 }
 
 
@@ -1110,8 +1169,24 @@ HEXAGON_IDENTITY = {v: v for v in HEXAGON.vertices}
 # a raw constructor call, by its arguments, that must refuse as its checked
 # builder does, and the refusal's type and text: each raw call was
 # accepted, and failed at first use
-CHECKED_BUILDERS = {lc.SelfMapSpec: lc.SelfMapSpec.build, lc.NormalData: lc.NormalData.of}
+CHECKED_BUILDERS = {
+    lc.SelfMapSpec: lc.SelfMapSpec.build, lc.NormalData: lc.NormalData.of,
+    lc.SimplicialMap: lc.SimplicialMap.build, lc.RationalMatrix: lc.RationalMatrix.of,
+    lc.RationalPolynomial: lc.RationalPolynomial.of,
+}
 RAW_PROBES = {
+    "SimplicialMap(HEXAGON, HEXAGON, HEXAGON_FOLD)": (
+        lc.SimplicialMap, (HEXAGON, HEXAGON, HEXAGON_FOLD), lc.NonSimplicialMapError,
+        "simplex ('v0', 'v1') maps onto ('v0', 'v3'), not a simplex of the target",
+    ),
+    "RationalMatrix([[1, 2], '34'])": (
+        lc.RationalMatrix, ([[1, 2], "34"],), DegenerateInputError,
+        "not a row of a matrix: '34'",
+    ),
+    "RationalPolynomial('12')": (
+        lc.RationalPolynomial, ("12",), DegenerateInputError,
+        "not a coefficient list: '12'",
+    ),
     "SelfMapSpec(HEXAGON, 0, {})": (
         lc.SelfMapSpec, (HEXAGON, 0, {}), lc.NonSimplicialMapError,
         "vertices without images: ['v0', 'v1', 'v2', 'v3']",

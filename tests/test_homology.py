@@ -503,7 +503,44 @@ def test_fundamental_chain_orders_int_and_tuple_vertices(maximal):
 # the map check on generated top cells, and an op path with no tower
 
 
+def _refusal(check, *args):
+    """The text `check(*args)` refuses with as not simplicial, or None."""
+    try:
+        check(*args)
+    except NonSimplicialMapError as refused:
+        return str(refused)
+    return None
+
+
+def test_one_check_refuses_the_maps_the_scan_refuses():
+    """Uniform vertex maps between random complexes, most of them not
+    simplicial: the constructor and build accept the maps that the scan of
+    every source simplex accepts, and refuse the rest with its text."""
+    rng = random.Random(42)
+
+    def complex_of_four_vertices_or_more():
+        while len((space := random_complex(rng, max_dim=2)).vertices) < 4:
+            pass
+        return space
+
+    verdicts = []
+    for _ in range(320):
+        source = complex_of_four_vertices_or_more()
+        target = complex_of_four_vertices_or_more()
+        vm = {v: rng.choice(target.vertices) for v in source.vertices}
+        scan = _refusal(oracles.simplicial_map_by_scan, source, target, vm)
+        assert _refusal(SimplicialMap, source, target, vm) == scan
+        assert _refusal(SimplicialMap.build, source, target, vm) == scan
+        verdicts.append(scan is None)
+    assert verdicts.count(False) > 200 and verdicts.count(True) >= 50
+
+
 def test_the_map_check_on_top_cells_refuses_as_the_scan_of_the_tower():
+    """Seeded specs at levels 1 and 2, each a carrier map with a few images
+    moved: the spec and the map on its subdivided_complex view accept the
+    maps that the scan of sd^level (the oracle tower) accepts, and refuse
+    the rest with its text.  A spec keeps no vertex_map it was not asked
+    for, traced or not."""
     rng = random.Random(37)
     refused = kept = 0
     for _ in range(150):
@@ -514,16 +551,18 @@ def test_the_map_check_on_top_cells_refuses_as_the_scan_of_the_tower():
         for w in rng.sample(sorted(vm, key=vertex_key), min(4, len(vm))):
             vm[w] = rng.choice(base.vertices)
         finer = oracles.subdivided_complex_by_steps(base, level)[0]
-        try:
-            SimplicialMap.build(finer, base, vm)
-        except NonSimplicialMapError as scan:
-            with pytest.raises(NonSimplicialMapError) as caught:
-                SelfMapSpec.build(base, level, vm)
-            assert str(caught.value) == str(scan)
-            refused += 1
-        else:
-            assert SelfMapSpec.build(base, level, vm).vertex_map == vm
+        scan = _refusal(oracles.simplicial_map_by_scan, finer, base, vm)
+        view = subdivided_complex(base, level)[0]
+        assert _refusal(SimplicialMap, view, base, vm) == scan
+        assert _refusal(SelfMapSpec.build, base, level, vm) == scan
+        if scan is None:
+            spec = SelfMapSpec.build(base, level, vm)
+            assert hopf_trace(spec) == lefschetz_number(spec)
+            assert "vertex_map" not in vars(spec)
+            assert spec.vertex_map == vm
             kept += 1
+        else:
+            refused += 1
     assert refused >= 30 and kept >= 80
 
 
@@ -544,10 +583,9 @@ def test_the_map_check_reads_the_top_cells_of_every_maximal_simplex(make):
         (centre,) = [v for v, c in zip(sub.vertices, sub.carriers) if c == rho]
         texts = []
         for x in base.vertices:
-            try:
-                SimplicialMap.build(sd, base, {**least, centre: x})
-            except NonSimplicialMapError as scan:
-                texts.append((x, str(scan)))
+            vm = {**least, centre: x}
+            if (scan := _refusal(oracles.simplicial_map_by_scan, sd, base, vm)) is not None:
+                texts.append((x, scan))
         assert texts, f"no map breaks only the cells over {canonical_tuple(rho)}"
         for x, text in texts:
             with pytest.raises(NonSimplicialMapError) as caught:
@@ -772,9 +810,9 @@ def test_a_self_map_is_validated_once(monkeypatch):
     checked, scans = [], []
     check, build = maps._check_top_cells, SimplicialMap.build
 
-    def counting(sub, images):
-        checked.append(sub)
-        return check(sub, images)
+    def counting(cells, image, simplices, simplex):
+        checked.append(simplex)
+        return check(cells, image, simplices, simplex)
 
     def scanning(*args):
         scans.append(args[0])
@@ -788,7 +826,7 @@ def test_a_self_map_is_validated_once(monkeypatch):
     assert spec.preserves_subcomplex(frozenset(spec.base.simplices))
     pushed = pushforward_spec(spec, ConstructibleFunction.indicator(spec.base))
     assert euler_integral(pushed) == GaussianRational.of(2)
-    assert checked == [spec.subdivision] and scans == []
+    assert checked == [spec.subdivision.simplex] and scans == []
 
 
 # ---------------------------------------------------------------------------
